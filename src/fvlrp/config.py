@@ -73,6 +73,20 @@ class PipelineConfig:
                 raise ValidationError(f"{name} must be >= 1, got {value}")
         if self.svm_c <= 0 or self.gmm_tol <= 0 or self.nn_lr < 0:
             raise ValidationError("svm_c and gmm_tol must be > 0, nn_lr >= 0")
+        # Cross-field checks: each of these would otherwise fail only
+        # stages later (nn-train, extract, morf-eval).
+        if self.corpus_size % self.nn_input != 0:
+            raise ValidationError(
+                f"corpus_size {self.corpus_size} must be a multiple of "
+                f"nn_input {self.nn_input}")
+        if self.patch > self.corpus_size:
+            raise ValidationError(
+                f"patch {self.patch} exceeds corpus_size {self.corpus_size}")
+        per_side = (self.corpus_size - self.patch) // self.stride + 1
+        if self.morf_batch * self.morf_steps > per_side * per_side:
+            raise ValidationError(
+                f"morf_batch*morf_steps = {self.morf_batch * self.morf_steps} "
+                f"exceeds the {per_side * per_side} descriptors per image")
         if self.variant not in ("plain", "epsilon", "absolute"):
             raise ValidationError(f"unknown variant {self.variant!r}")
         if self.variant == "epsilon" and self.epsilon <= 0:

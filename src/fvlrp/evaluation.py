@@ -4,8 +4,14 @@ Two instruments:
 
 * Most-relevant-first local feature replacement. Descriptors are
   replaced, in batches, by samples drawn from the mixture model, and
-  the raw Fisher vector is updated incrementally:
-  ``x <- x + (Psi(new) - Psi(old)) / |L|``. The score trace under the
+  the raw Fisher vector is updated incrementally rather than
+  recomputed. A whole trace is one array computation: the embeddings
+  Psi of an image's descriptors and its raw FV x0 are computed once and
+  shared by all of its traces; per trace, every replacement is drawn
+  with one sampling call and embedded with one batch embedding, and the
+  raw FV after step i is the cumulative update
+  ``x_i = x0 + sum_{j<=i} sum_{l in batch j} (Psi(new_l) - Psi(old_l)) / |L|``.
+  Each descriptor is replaced at most once. The score trace under the
   relevance-derived ordering is compared against random orderings via
   the area statistic ``A = mean_i (f(x) - f(x_i))`` and the fraction V
   of traces whose prediction switches sign.
@@ -20,13 +26,14 @@ Two instruments:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .descriptors import DescriptorSet, PcaModel, extract_dense, pca_apply
 from .errors import (DimError, EmptyInputError, RangeError, UndefinedError,
                      ValidationError)
-from .fisher import aggregate, embed_batch, embed_descriptor, improve
+from .fisher import aggregate, embed_batch, improve
 from .gmm import GmmModel, sample
 from .imaging import BoundingBox, Heatmap
 from .lrp_fv import FvMappingView, R2Map, relevance_r2, relevance_r3
@@ -79,6 +86,56 @@ def morf_ordering(r2: R2Map) -> np.ndarray:
     return np.lexsort((np.arange(n), -r2.values))
 
 
+def _check_trace_size(batch: int, steps: int, n: int) -> None:
+    if batch < 1 or steps < 1:
+        raise RangeError("batch and step count must be >= 1")
+    if batch * steps > n:
+        raise RangeError(f"batch*steps = {batch * steps} exceeds |L| = {n}")
+
+
+class _Encoded(NamedTuple):
+    """What every trace on one image starts from."""
+
+    vectors: np.ndarray   # (|L|, D) descriptors
+    emb: np.ndarray       # (|L|, (1+2D)K) embeddings Psi
+    x0: np.ndarray        # raw FV
+
+
+def _encode(gmm: GmmModel, ds: DescriptorSet) -> _Encoded:
+    return _Encoded(ds.vectors, embed_batch(gmm, ds.vectors),
+                    aggregate(gmm, ds).values)
+
+
+def _replace_trace(encoded: _Encoded, gmm: GmmModel, svm_model: SvmModel,
+                   class_name: str, order: np.ndarray, batch: int, steps: int,
+                   rng: np.random.Generator, ordering_id: str,
+                   identity_replacement: bool = False,
+                   state_out: dict | None = None) -> MorfTrace:
+    """Whole-trace replacement kernel.
+
+    Replaces descriptors ``order[:batch*steps]`` (distinct, in range) in
+    `steps` batches. All replacements are drawn with one `sample` call
+    and embedded with one `embed_batch` call; the raw FV after step i is
+    ``x0 + cumsum`` of the per-batch sums of ``(Psi(new) - Psi(old))/|L|``.
+    Each step is improved and scored on its own.
+    """
+    vectors, emb, x0 = encoded
+    n = vectors.shape[0]
+    idx = order[:batch * steps]
+    new_vectors = vectors[idx] if identity_replacement else sample(gmm, rng, idx.size)
+    delta = (embed_batch(gmm, new_vectors) - emb[idx]) / n
+    xs = x0 + np.cumsum(delta.reshape(steps, batch, -1).sum(axis=1), axis=0)
+    tau = float(svm_model.thresholds[svm_model.class_index(class_name)])
+    f0 = score(svm_model, improve(x0), class_name)
+    scores = np.array([score(svm_model, improve(x), class_name) for x in xs])
+    if state_out is not None:
+        mutated = vectors.copy()
+        mutated[idx] = new_vectors
+        state_out["fv"] = xs[-1]
+        state_out["vectors"] = mutated
+    return MorfTrace(ordering_id, scores, f0, batch, scores > tau, class_name)
+
+
 def morf_replace(ds: DescriptorSet, gmm: GmmModel, svm_model: SvmModel,
                  r2: R2Map, batch: int, steps: int, rng: np.random.Generator,
                  ordering: np.ndarray | None = None,
@@ -88,54 +145,34 @@ def morf_replace(ds: DescriptorSet, gmm: GmmModel, svm_model: SvmModel,
     """Replace descriptors most-relevant-first; score after each batch.
 
     `ordering` overrides the relevance-derived order (for random
-    baselines). With `identity_replacement` each descriptor is
-    "replaced" by itself, which must leave the score exactly unchanged
-    (the incremental update is computed from the embedding difference,
-    which is exactly zero).
+    baselines); its first batch*steps entries must be distinct indices
+    into the descriptor set. With `identity_replacement` each descriptor
+    is "replaced" by itself, which must leave the score exactly
+    unchanged (the incremental update is computed from the embedding
+    difference, which is exactly zero). `state_out`, if given, receives
+    the final raw FV ("fv") and the mutated descriptor matrix
+    ("vectors").
     """
     n = len(ds)
-    if batch < 1 or steps < 1:
-        raise RangeError("batch and step count must be >= 1")
-    if batch * steps > n:
-        raise RangeError(f"batch*steps = {batch * steps} exceeds |L| = {n}")
+    _check_trace_size(batch, steps, n)
     if r2.values.shape[0] != n:
         raise DimError("relevance map does not align with the descriptor set")
-    order = morf_ordering(r2) if ordering is None else np.asarray(ordering, dtype=np.int64)
-    if ordering is not None and order.shape[0] < batch * steps:
-        raise RangeError("explicit ordering too short for batch*steps")
+    if ordering is None:
+        order = morf_ordering(r2)
+    else:
+        order = np.asarray(ordering, dtype=np.int64)
+        if order.shape[0] < batch * steps:
+            raise RangeError("explicit ordering too short for batch*steps")
+        used = order[:batch * steps]
+        if used.min() < 0 or used.max() >= n:
+            raise RangeError(f"explicit ordering has indices outside [0, {n})")
+        if np.unique(used).size != used.size:
+            raise RangeError("explicit ordering repeats a descriptor")
     if ordering_id is None:
         ordering_id = (f"lrp-{r2.variant}" if ordering is None else "custom")
-
-    class_name = r2.class_name
-    tau = float(svm_model.thresholds[svm_model.class_index(class_name)])
-    vectors = ds.vectors.copy()
-    emb = embed_batch(gmm, vectors)
-    x = aggregate(gmm, ds).values.copy()
-    f0 = score(svm_model, improve(x), class_name)
-    scores = np.empty(steps)
-    flags = np.empty(steps, dtype=bool)
-    pos = 0
-    for i in range(steps):
-        for l in order[pos:pos + batch]:
-            new_vec = vectors[l] if identity_replacement else sample(gmm, rng)
-            new_psi = embed_descriptor(gmm, new_vec)
-            x += (new_psi - emb[l]) / n
-            emb[l] = new_psi
-            vectors[l] = new_vec
-        pos += batch
-        f = score(svm_model, improve(x), class_name)
-        scores[i] = f
-        flags[i] = f > tau
-    if state_out is not None:
-        state_out["fv"] = x
-        state_out["vectors"] = vectors
-    return MorfTrace(ordering_id, scores, f0, batch, flags, class_name)
-
-
-def replaced_fisher_vector(trace_inputs, gmm: GmmModel) -> np.ndarray:
-    """Recompute the raw FV from a fully materialized descriptor matrix
-    (oracle for the incremental update)."""
-    return aggregate(gmm, np.asarray(trace_inputs, dtype=np.float64)).values
+    return _replace_trace(_encode(gmm, ds), gmm, svm_model, r2.class_name,
+                          order, batch, steps, rng, ordering_id,
+                          identity_replacement, state_out)
 
 
 def area_above(trace: MorfTrace) -> float:
@@ -196,42 +233,40 @@ def compare_orderings(images, class_name: str, gmm: GmmModel, pca: PcaModel,
     for img in images:
         image = img.image if isinstance(img, LabeledImage) else img
         ds = pca_apply(pca, extract_dense(image, patch, stride))
-        phi = improve(aggregate(gmm, ds))
+        _check_trace_size(batch, steps, len(ds))
+        encoded = _encode(gmm, ds)
+        phi = improve(encoded.x0)
         f = score(svm_model, phi, class_name)
         # switch statistics need a sign to lose, so f > 0 on top of the
         # configured decision threshold
         if f > tau and f > 0.0:
-            prepared.append((ds, phi))
+            prepared.append((ds, encoded, phi))
     if not prepared:
         raise EmptyInputError(f"no positive predictions for class {class_name!r}")
 
     ordering_ids = [f"lrp-{v}" for v in variants] + ["random"]
     all_traces: dict = {oid: [] for oid in ordering_ids}
     rep_areas: dict = {oid: np.zeros(repetitions) for oid in ordering_ids}
+
+    def run(oid, rep, encoded, order, rng):
+        trace = _replace_trace(encoded, gmm, svm_model, class_name, order,
+                               batch, steps, rng, oid)
+        all_traces[oid].append(trace)
+        rep_areas[oid][rep] += area_above(trace)
+
     for vi, variant in enumerate(variants):
-        oid = f"lrp-{variant}"
-        for ii, (ds, phi) in enumerate(prepared):
+        for ii, (ds, encoded, phi) in enumerate(prepared):
             r3 = relevance_r3(svm_model, phi, class_name)
-            r2 = relevance_r2(r3, FvMappingView(gmm, ds), ds,
-                              variant=variant, epsilon=epsilon)
+            order = morf_ordering(relevance_r2(r3, FvMappingView(gmm, ds), ds,
+                                               variant=variant, epsilon=epsilon))
             for rep in range(repetitions):
                 rng = np.random.default_rng(
                     np.random.SeedSequence((seed, 1 + vi, ii, rep)))
-                trace = morf_replace(ds, gmm, svm_model, r2, batch, steps, rng,
-                                     ordering_id=oid)
-                all_traces[oid].append(trace)
-                rep_areas[oid][rep] += area_above(trace)
-    for ii, (ds, phi) in enumerate(prepared):
-        r3 = relevance_r3(svm_model, phi, class_name)
-        r2 = relevance_r2(r3, FvMappingView(gmm, ds), ds,
-                          variant="absolute")
+                run(f"lrp-{variant}", rep, encoded, order, rng)
+    for ii, (ds, encoded, _) in enumerate(prepared):
         for rep in range(repetitions):
             rng = np.random.default_rng(np.random.SeedSequence((seed, 0, ii, rep)))
-            order = rng.permutation(len(ds))
-            trace = morf_replace(ds, gmm, svm_model, r2, batch, steps, rng,
-                                 ordering=order, ordering_id="random")
-            all_traces["random"].append(trace)
-            rep_areas["random"][rep] += area_above(trace)
+            run("random", rep, encoded, rng.permutation(len(ds)), rng)
     stats = {oid: sign_switch_fraction(ts) for oid, ts in all_traces.items()}
     per_rep = {oid: areas / len(prepared) for oid, areas in rep_areas.items()}
     return OrderingReport(class_name, stats, per_rep, all_traces,

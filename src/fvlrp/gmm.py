@@ -215,11 +215,19 @@ def sample(model: GmmModel, rng: np.random.Generator, n: int | None = None) -> n
     weight, then an independent Gaussian per dimension.
 
     Returns (D,) for `n=None`, else (n, D). Deterministic given the RNG
-    state; a batch of size m consumes the same stream as no other call
-    pattern, so replaying the calls reproduces the draws.
+    state. Each draw takes one uniform (mapped to a component through
+    the weights' cumulative sum) and then D standard normals, so a batch
+    of n equals n single draws bit for bit and leaves the generator in
+    the same state; the first m of n draws are the draws of a batch of m.
     """
     count = 1 if n is None else int(n)
-    ks = rng.choice(model.n_components, size=count, p=model.weights)
-    eps = rng.standard_normal((count, model.dim))
+    cdf = np.cumsum(model.weights)
+    cdf /= cdf[-1]
+    u = np.empty(count)
+    eps = np.empty((count, model.dim))
+    for i in range(count):
+        u[i] = rng.random()
+        eps[i] = rng.standard_normal(model.dim)
+    ks = cdf.searchsorted(u, side="right")
     out = model.means[ks] + model.sigmas[ks] * eps
     return out[0] if n is None else out

@@ -34,6 +34,29 @@ def test_validation_rejects_bad_fields():
     PipelineConfig(variant="plain", epsilon=0.0)
 
 
+def test_validation_rejects_nn_input_not_dividing_corpus_size():
+    with pytest.raises(ValidationError, match="nn_input"):
+        PipelineConfig(corpus_size=60)
+    PipelineConfig(corpus_size=60, nn_input=30)
+
+
+def test_validation_rejects_patch_larger_than_corpus():
+    with pytest.raises(ValidationError, match="patch"):
+        PipelineConfig(patch=80)
+    PipelineConfig(patch=64, morf_batch=1, morf_steps=1)
+
+
+def test_validation_rejects_morf_budget_beyond_descriptor_count():
+    # 64 px, patch 16, stride 4: 13 x 13 = 169 descriptors per image
+    PipelineConfig(morf_batch=13, morf_steps=13)
+    with pytest.raises(ValidationError, match="morf_batch"):
+        PipelineConfig(morf_batch=10)
+    with pytest.raises(ValidationError, match="morf_batch"):
+        PipelineConfig().with_overrides(morf_batch=10, morf_steps=17)
+    with pytest.raises(ValidationError, match="morf_batch"):
+        PipelineConfig(patch=64, morf_batch=2, morf_steps=1)
+
+
 def test_hash_ignores_threads_only():
     base = PipelineConfig()
     assert base.config_hash() == PipelineConfig(threads=8).config_hash()

@@ -8,13 +8,13 @@ from fvlrp.errors import (EmptyInputError, RangeError, UndefinedError,
                           ValidationError)
 from fvlrp.evaluation import (MorfTrace, area_above, compare_orderings,
                               context_ratio, context_report, morf_ordering,
-                              morf_replace, replaced_fisher_vector,
-                              sign_switch_fraction)
+                              morf_replace, sign_switch_fraction)
 from fvlrp.fisher import aggregate, improve
 from fvlrp.gmm import em_fit
 from fvlrp.imaging import BoundingBox, Heatmap
 from fvlrp.lrp_fv import FvMappingView, relevance_r2, relevance_r3
 from fvlrp.svm import SvmModel, score
+from fvlrp.verification import recomputed_fisher_vector
 
 
 def make_r2(gmm, ds, model, cls="a", variant="epsilon"):
@@ -79,7 +79,7 @@ def test_incremental_update_matches_batch_recompute(rng):
     state = {}
     morf_replace(ds, gmm, model, r2, batch=4, steps=5,
                  rng=np.random.default_rng(3), state_out=state)
-    oracle = replaced_fisher_vector(state["vectors"], gmm)
+    oracle = recomputed_fisher_vector(gmm, state["vectors"])
     np.testing.assert_allclose(state["fv"], oracle, atol=1e-10)
 
 
@@ -93,6 +93,39 @@ def test_replacement_range_checks(rng):
     with pytest.raises(RangeError):
         morf_replace(ds, gmm, model, r2, batch=2, steps=2, rng=rng,
                      ordering=np.array([0, 1, 2]))
+
+
+def test_explicit_ordering_must_be_distinct_and_in_range(rng):
+    gmm, ds, model = toy_setup(rng, n=10)
+    r2 = make_r2(gmm, ds, model)
+    for bad in ([0, 1, 2, 1], [0, 1, -1, 3], [0, 1, 2, 10], [12, 0, 1, 2]):
+        with pytest.raises(RangeError):
+            morf_replace(ds, gmm, model, r2, batch=2, steps=2, rng=rng,
+                         ordering=np.array(bad))
+    # only the first batch*steps entries are used, so a repeat after them
+    # and any permutation of the descriptors are fine
+    morf_replace(ds, gmm, model, r2, batch=2, steps=2, rng=rng,
+                 ordering=np.array([3, 2, 1, 0, 3]))
+    morf_replace(ds, gmm, model, r2, batch=2, steps=5, rng=rng,
+                 ordering=rng.permutation(10))
+
+
+def test_every_step_matches_recomputed_score(rng):
+    gmm, ds, model = toy_setup(rng, n=24)
+    r2 = make_r2(gmm, ds, model)
+    full = morf_replace(ds, gmm, model, r2, batch=3, steps=6,
+                        rng=np.random.default_rng(17))
+    for i in range(1, 7):
+        # draws are prefix-stable, so the first i steps replay exactly
+        state = {}
+        part = morf_replace(ds, gmm, model, r2, batch=3, steps=i,
+                            rng=np.random.default_rng(17), state_out=state)
+        assert np.array_equal(part.scores, full.scores[:i])
+        oracle = recomputed_fisher_vector(gmm, state["vectors"])
+        expect = score(model, improve(oracle), "a")
+        assert full.scores[i - 1] == pytest.approx(expect, rel=1e-9, abs=1e-12)
+        changed = np.nonzero(np.any(state["vectors"] != ds.vectors, axis=1))[0]
+        assert sorted(changed) == sorted(morf_ordering(r2)[:3 * i])
 
 
 def test_constant_classifier_has_zero_area(rng):

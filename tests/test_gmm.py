@@ -108,3 +108,25 @@ def test_sampling_statistics_and_determinism():
     assert frac_high == pytest.approx(0.75, abs=0.03)
     single = sample(model, np.random.default_rng(2))
     assert single.shape == (1,)
+
+
+@pytest.mark.parametrize("k,d,n", [(1, 1, 1), (3, 2, 7), (5, 16, 40),
+                                   (8, 4, 100)])
+def test_batch_sample_equals_single_draws(k, d, n):
+    gen = np.random.default_rng(100 * k + d)
+    weights = gen.random(k)
+    if k > 2:
+        weights[1] = 0.0  # a zero-weight component in the cumulative sum
+    model = make_model(weights / weights.sum(), gen.normal(size=(k, d)),
+                       0.1 + gen.random((k, d)))
+    batch_rng = np.random.default_rng(n)
+    single_rng = np.random.default_rng(n)
+    batch = sample(model, batch_rng, n)
+    singles = np.stack([sample(model, single_rng) for _ in range(n)])
+    assert batch.shape == (n, d)
+    np.testing.assert_array_equal(batch, singles)
+    assert batch_rng.bit_generator.state == single_rng.bit_generator.state
+    # prefix stability: the first m of n draws are a batch of m
+    np.testing.assert_array_equal(
+        sample(model, np.random.default_rng(n), max(1, n // 2)),
+        batch[:max(1, n // 2)])

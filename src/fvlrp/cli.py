@@ -21,22 +21,21 @@ import numpy as np
 
 from . import report
 from .config import PipelineConfig, load_config
-from .descriptors import (extract_dense, load_descriptors, pca_apply, pca_fit,
-                          save_descriptors)
+from .descriptors import load_descriptors, save_descriptors
 from .errors import (DependencyError, PipelineError, UsageError,
                      ValidationError, VerificationError)
 from .evaluation import compare_orderings, context_report
-from .fisher import (EmbeddingIndex, aggregate, hellinger_check, improve,
-                     load_fisher_vector, save_fisher_vector)
-from .gmm import em_fit
+from .fisher import (EmbeddingIndex, hellinger_check, load_fisher_vector,
+                     save_fisher_vector)
 from .imaging import load_annotations, load_image, save_annotations, save_image
 from .lrp_fv import explain
-from .lrp_nn import image_to_input, nn_train
+from .pipeline import (ModelBundle, embed_all, extract_corpus, fit_gmm,
+                       fit_pca, improved_matrix, project_all, train_net,
+                       train_svm)
 from .serialization import load_model, save_model
-from .svm import score, train, with_thresholds
-from .synth import (LabeledImage, generate_corpus, inject_artefact,
-                    label_vectors, two_class_spec)
-from .util import file_hash, parallel_map
+from .svm import score
+from .synth import LabeledImage, generate_corpus, inject_artefact, two_class_spec
+from .util import file_hash
 from .verification import run_all
 
 _VARIANT_FLAGS = {"plain": "plain", "eps": "epsilon", "abs": "absolute"}
@@ -181,11 +180,30 @@ def _corpus_classes(manifest: dict) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# model paths
+# models
+
+# The stages a trained bundle is read from, in the order they are checked.
+_BUNDLE_STAGES = (STAGE_SYNTH, STAGE_PCA, STAGE_GMM, STAGE_SVM)
 
 
 def _model_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, "models", f"{name}.json")
+
+
+def _load_bundle(out_dir: str, config: PipelineConfig, needed_by: str,
+                 with_nn: bool = False) -> ModelBundle:
+    """The trained models, once every manifest they come from checks out."""
+    stages = (*_BUNDLE_STAGES, STAGE_NN) if with_nn else _BUNDLE_STAGES
+    manifests = [_require_stage(out_dir, stage, config, needed_by)
+                 for stage in stages]
+
+    def model(kind):
+        return load_model(_model_path(out_dir, kind), kind)
+
+    return ModelBundle(_corpus_classes(manifests[0]), model("pca"),
+                       model("gmm"), model("svm"),
+                       model("nn") if with_nn else None,
+                       config.patch, config.stride)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +245,7 @@ def _cmd_extract(config: PipelineConfig, args) -> int:
     for split in ("train", "test"):
         images = _load_split(out_dir, split)
         _ensure_dir(os.path.join(out_dir, "descriptors", split))
-        sets = parallel_map(
-            lambda im: extract_dense(im.image, config.patch, config.stride),
-            images, config.threads)
-        for img, ds in zip(images, sets):
+        for img, ds in zip(images, extract_corpus(images, config)):
             path = _desc_path(out_dir, img.image_id, split)
             save_descriptors(ds, path)
             outputs.append(_rel(out_dir, path))
@@ -241,26 +256,23 @@ def _cmd_extract(config: PipelineConfig, args) -> int:
     return 0
 
 
-def _load_descriptor_sets(out_dir: str, split: str, config: PipelineConfig):
+def _load_descriptor_sets(out_dir: str, split: str):
     ids = _split_ids(out_dir, split)
-    return ids, parallel_map(
-        lambda i: load_descriptors(_desc_path(out_dir, i, split)),
-        ids, config.threads)
+    return ids, [load_descriptors(_desc_path(out_dir, i, split)) for i in ids]
 
 
 def _cmd_pca_fit(config: PipelineConfig, args) -> int:
     out_dir = args.out
     _require_stage(out_dir, STAGE_EXTRACT, config, STAGE_PCA)
-    _, sets = _load_descriptor_sets(out_dir, "train", config)
-    pooled = np.concatenate([ds.vectors for ds in sets], axis=0)
-    model = pca_fit(pooled, config.pca_dim)
+    _, sets = _load_descriptor_sets(out_dir, "train")
+    model = fit_pca(sets, config)
     _ensure_dir(os.path.join(out_dir, "models"))
     path = _model_path(out_dir, "pca")
     save_model(model, path)
     _write_manifest(out_dir, STAGE_PCA, config, [STAGE_EXTRACT],
                     [_rel(out_dir, path)])
-    print(f"pca-fit: {pooled.shape[1]} -> {config.pca_dim} dims "
-          f"on {pooled.shape[0]} descriptors")
+    print(f"pca-fit: {model.raw_dim} -> {model.dim} dims "
+          f"on {sum(len(ds) for ds in sets)} descriptors")
     return 0
 
 
@@ -269,15 +281,9 @@ def _cmd_gmm_fit(config: PipelineConfig, args) -> int:
     _require_stage(out_dir, STAGE_EXTRACT, config, STAGE_GMM)
     _require_stage(out_dir, STAGE_PCA, config, STAGE_GMM)
     pca = load_model(_model_path(out_dir, "pca"), "pca")
-    _, sets = _load_descriptor_sets(out_dir, "train", config)
-    projected = parallel_map(lambda ds: pca_apply(pca, ds), sets,
-                             config.threads)
-    pooled = np.concatenate([ds.vectors for ds in projected], axis=0)
-    count = min(config.gmm_sample_count, pooled.shape[0])
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 101)))
-    idx = np.sort(rng.choice(pooled.shape[0], size=count, replace=False))
-    model = em_fit(pooled[idx], config.gmm_k, seed=config.seed,
-                   max_iter=config.gmm_max_iter, tol=config.gmm_tol)
+    _, sets = _load_descriptor_sets(out_dir, "train")
+    model = fit_gmm(project_all(pca, sets), config)
+    count = min(config.gmm_sample_count, sum(len(ds) for ds in sets))
     path = _model_path(out_dir, "gmm")
     save_model(model, path)
     _write_manifest(out_dir, STAGE_GMM, config, [STAGE_EXTRACT, STAGE_PCA],
@@ -299,11 +305,9 @@ def _cmd_embed(config: PipelineConfig, args) -> int:
     gmm = load_model(_model_path(out_dir, "gmm"), "gmm")
     outputs = []
     for split in ("train", "test"):
-        ids, sets = _load_descriptor_sets(out_dir, split, config)
+        ids, sets = _load_descriptor_sets(out_dir, split)
         _ensure_dir(os.path.join(out_dir, "embeddings", split))
-        raws = parallel_map(lambda ds: aggregate(gmm, pca_apply(pca, ds)),
-                            sets, config.threads)
-        for image_id, raw in zip(ids, raws):
+        for image_id, raw in zip(ids, embed_all(gmm, project_all(pca, sets))):
             path = _fvec_path(out_dir, image_id, split)
             save_fisher_vector(raw, path)
             outputs.append(_rel(out_dir, path))
@@ -314,13 +318,11 @@ def _cmd_embed(config: PipelineConfig, args) -> int:
     return 0
 
 
-def _load_feature_matrix(out_dir: str, split: str,
-                         config: PipelineConfig) -> tuple[list[str], np.ndarray]:
+def _load_feature_matrix(out_dir: str, split: str
+                         ) -> tuple[list[str], np.ndarray]:
     ids = _split_ids(out_dir, split)
-    raws = parallel_map(
-        lambda i: load_fisher_vector(_fvec_path(out_dir, i, split)),
-        ids, config.threads)
-    return ids, np.stack([improve(r).values for r in raws])
+    raws = [load_fisher_vector(_fvec_path(out_dir, i, split)) for i in ids]
+    return ids, improved_matrix(raws)
 
 
 def _cmd_svm_train(config: PipelineConfig, args) -> int:
@@ -329,11 +331,8 @@ def _cmd_svm_train(config: PipelineConfig, args) -> int:
     _require_stage(out_dir, STAGE_EMBED, config, STAGE_SVM)
     classes = _corpus_classes(synth)
     train_imgs = _load_split(out_dir, "train")
-    _, features = _load_feature_matrix(out_dir, "train", config)
-    labels = label_vectors(train_imgs, classes)
-    model = train(features, labels, c=config.svm_c, epochs=config.svm_epochs,
-                  seed=config.seed)
-    model = with_thresholds(model, features, labels)
+    _, features = _load_feature_matrix(out_dir, "train")
+    model = train_svm(train_imgs, features, classes, config)
     path = _model_path(out_dir, "svm")
     save_model(model, path)
     _write_manifest(out_dir, STAGE_SVM, config, [STAGE_SYNTH, STAGE_EMBED],
@@ -349,21 +348,14 @@ def _cmd_nn_train(config: PipelineConfig, args) -> int:
     synth = _require_stage(out_dir, STAGE_SYNTH, config, STAGE_NN)
     classes = _corpus_classes(synth)
     train_imgs = _load_split(out_dir, "train")
-    size = (config.nn_input, config.nn_input)
-    inputs = np.stack(parallel_map(
-        lambda im: image_to_input(im.image, size), train_imgs,
-        config.threads))
-    labels = label_vectors(train_imgs, classes)
-    net = nn_train(inputs, labels, hidden=config.nn_hidden, input_size=size,
-                   seed=config.seed, epochs=config.nn_epochs, lr=config.nn_lr,
-                   batch_size=config.nn_batch)
+    net = train_net(train_imgs, classes, config)
     path = _model_path(out_dir, "nn")
     save_model(net, path)
     _write_manifest(out_dir, STAGE_NN, config, [STAGE_SYNTH],
                     [_rel(out_dir, path)])
     arch = "-".join(str(s) for s in
-                    (inputs.shape[1],) + tuple(config.nn_hidden) + (len(classes),))
-    print(f"nn-train: {arch} network on {inputs.shape[0]} images")
+                    [net.input_dim] + [l.weights.shape[1] for l in net.layers])
+    print(f"nn-train: {arch} network on {len(train_imgs)} images")
     return 0
 
 
@@ -375,7 +367,7 @@ def _cmd_predict(config: PipelineConfig, args) -> int:
     classes = _corpus_classes(synth)
     svm_model = load_model(_model_path(out_dir, "svm"), "svm")
     test_imgs = _load_split(out_dir, "test")
-    ids, features = _load_feature_matrix(out_dir, "test", config)
+    ids, features = _load_feature_matrix(out_dir, "test")
     by_id = {img.image_id: img for img in test_imgs}
     rows = []
     correct = {c: 0 for c in classes}
@@ -403,30 +395,22 @@ def _cmd_predict(config: PipelineConfig, args) -> int:
 
 def _cmd_explain(config: PipelineConfig, args) -> int:
     out_dir = args.out
-    _require_stage(out_dir, STAGE_SYNTH, config, "explain")
-    _require_stage(out_dir, STAGE_PCA, config, "explain")
-    _require_stage(out_dir, STAGE_GMM, config, "explain")
-    _require_stage(out_dir, STAGE_SVM, config, "explain")
+    bundle = _load_bundle(out_dir, config, "explain")
     if not args.image or not args.cls:
         raise UsageError("explain needs --image and --class")
     entries = {e["image"]: e for e in _load_corpus_index(out_dir)}
     if args.image not in entries:
         raise ValidationError(f"image {args.image!r} not in the corpus index")
     img = load_image(os.path.join(out_dir, entries[args.image]["file"]))
-    pca = load_model(_model_path(out_dir, "pca"), "pca")
-    gmm = load_model(_model_path(out_dir, "gmm"), "gmm")
-    svm_model = load_model(_model_path(out_dir, "svm"), "svm")
-    expl = explain(img, gmm, pca, svm_model, args.cls,
+    expl = explain(img, bundle.gmm, bundle.pca, bundle.svm, args.cls,
                    variant=config.variant, epsilon=config.epsilon,
-                   patch=config.patch, stride=config.stride)
-    ds = pca_apply(pca, extract_dense(img, config.patch, config.stride))
+                   patch=bundle.patch, stride=bundle.stride)
     stem = f"{args.image}_{args.cls}_{config.variant}"
     dest = _ensure_dir(os.path.join(out_dir, "reports", "explain"))
     paths = report.write_explanation(
-        dest, stem, img, expl, ds,
-        EmbeddingIndex(gmm.n_components, gmm.dim))
-    _write_manifest(out_dir, "explain", config,
-                    [STAGE_SYNTH, STAGE_PCA, STAGE_GMM, STAGE_SVM],
+        dest, stem, img, expl, expl.descriptors,
+        EmbeddingIndex(bundle.gmm.n_components, bundle.gmm.dim))
+    _write_manifest(out_dir, "explain", config, list(_BUNDLE_STAGES),
                     [_rel(out_dir, p) for p in paths])
     state = "positive" if expl.prediction_positive else "negative"
     print(f"explain: f({args.image}, {args.cls}) = {expl.score:.6f} "
@@ -438,26 +422,20 @@ def _cmd_explain(config: PipelineConfig, args) -> int:
 
 def _cmd_morf_eval(config: PipelineConfig, args) -> int:
     out_dir = args.out
-    synth = _require_stage(out_dir, STAGE_SYNTH, config, "morf-eval")
-    _require_stage(out_dir, STAGE_PCA, config, "morf-eval")
-    _require_stage(out_dir, STAGE_GMM, config, "morf-eval")
-    _require_stage(out_dir, STAGE_SVM, config, "morf-eval")
-    classes = _corpus_classes(synth)
-    if args.cls and args.cls not in classes:
-        raise ValidationError(f"class {args.cls!r} not in corpus classes {classes}")
-    targets = (args.cls,) if args.cls else classes
-    pca = load_model(_model_path(out_dir, "pca"), "pca")
-    gmm = load_model(_model_path(out_dir, "gmm"), "gmm")
-    svm_model = load_model(_model_path(out_dir, "svm"), "svm")
+    bundle = _load_bundle(out_dir, config, "morf-eval")
+    if args.cls and args.cls not in bundle.classes:
+        raise ValidationError(
+            f"class {args.cls!r} not in corpus classes {bundle.classes}")
+    targets = (args.cls,) if args.cls else bundle.classes
     test_imgs = _load_split(out_dir, "test")
     outputs = []
     for cls in targets:
         rep = compare_orderings(
-            test_imgs, cls, gmm, pca, svm_model,
+            test_imgs, cls, bundle.gmm, bundle.pca, bundle.svm,
             variants=(config.variant,), epsilon=config.epsilon,
             batch=config.morf_batch, steps=config.morf_steps,
             repetitions=config.morf_repetitions, seed=config.seed,
-            patch=config.patch, stride=config.stride)
+            patch=bundle.patch, stride=bundle.stride)
         dest = _ensure_dir(os.path.join(out_dir, "reports", "morf", cls))
         paths = report.write_morf_tables(dest, rep)
         paths += report.write_morf_figure(dest, rep)
@@ -465,32 +443,25 @@ def _cmd_morf_eval(config: PipelineConfig, args) -> int:
         print(report.morf_summary_text(rep))
         for p in paths:
             print(f"wrote {p}")
-    _write_manifest(out_dir, "morf-eval", config,
-                    [STAGE_SYNTH, STAGE_PCA, STAGE_GMM, STAGE_SVM], outputs)
+    _write_manifest(out_dir, "morf-eval", config, list(_BUNDLE_STAGES),
+                    outputs)
     return 0
 
 
 def _cmd_context_report(config: PipelineConfig, args) -> int:
     out_dir = args.out
-    _require_stage(out_dir, STAGE_SYNTH, config, "context-report")
-    _require_stage(out_dir, STAGE_PCA, config, "context-report")
-    _require_stage(out_dir, STAGE_GMM, config, "context-report")
-    _require_stage(out_dir, STAGE_SVM, config, "context-report")
-    _require_stage(out_dir, STAGE_NN, config, "context-report")
-    pca = load_model(_model_path(out_dir, "pca"), "pca")
-    gmm = load_model(_model_path(out_dir, "gmm"), "gmm")
-    svm_model = load_model(_model_path(out_dir, "svm"), "svm")
-    net = load_model(_model_path(out_dir, "nn"), "nn")
+    bundle = _load_bundle(out_dir, config, "context-report", with_nn=True)
     test_imgs = _load_split(out_dir, "test")
-    rep = context_report(test_imgs, gmm, pca, svm_model, net,
-                         variant=config.variant, epsilon=config.epsilon,
-                         nn_alpha=config.nn_alpha, nn_beta=config.nn_beta,
-                         patch=config.patch, stride=config.stride)
+    rep = context_report(test_imgs, bundle.gmm, bundle.pca, bundle.svm,
+                         bundle.net, variant=config.variant,
+                         epsilon=config.epsilon, nn_alpha=config.nn_alpha,
+                         nn_beta=config.nn_beta, patch=bundle.patch,
+                         stride=bundle.stride)
     dest = _ensure_dir(os.path.join(out_dir, "reports", "context"))
     paths = report.write_context_tables(dest, rep)
     paths += report.write_context_figure(dest, rep)
     _write_manifest(out_dir, "context-report", config,
-                    [STAGE_SYNTH, STAGE_PCA, STAGE_GMM, STAGE_SVM, STAGE_NN],
+                    [*_BUNDLE_STAGES, STAGE_NN],
                     [_rel(out_dir, p) for p in paths])
     print(report.context_summary_text(rep))
     for p in paths:
@@ -502,20 +473,19 @@ def _trained_model_checks(config: PipelineConfig, out_dir: str) -> list:
     """Spot checks against the trained artifacts, when they exist."""
     from .verification import CheckResult
 
-    for stage in (STAGE_SYNTH, STAGE_PCA, STAGE_GMM, STAGE_EMBED, STAGE_SVM):
-        if not os.path.exists(_manifest_path(out_dir, stage)):
-            return []
-        _require_stage(out_dir, stage, config, "verify")
-    pca = load_model(_model_path(out_dir, "pca"), "pca")
-    gmm = load_model(_model_path(out_dir, "gmm"), "gmm")
-    svm_model = load_model(_model_path(out_dir, "svm"), "svm")
+    if not all(os.path.exists(_manifest_path(out_dir, stage))
+               for stage in (*_BUNDLE_STAGES, STAGE_EMBED)):
+        return []
+    bundle = _load_bundle(out_dir, config, "verify")
+    _require_stage(out_dir, STAGE_EMBED, config, "verify")
     test_imgs = _load_split(out_dir, "test")
     results = []
 
     img = test_imgs[0]
-    cls = svm_model.classes[0]
-    expl = explain(img.image, gmm, pca, svm_model, cls, variant="absolute",
-                   patch=config.patch, stride=config.stride)
+    cls = bundle.classes[0]
+    expl = explain(img.image, bundle.gmm, bundle.pca, bundle.svm, cls,
+                   variant="absolute", patch=bundle.patch,
+                   stride=bundle.stride)
     gap = abs(float(expl.heatmap.values.sum()) - expl.score)
     ok = gap <= 1e-9 * max(1.0, abs(expl.score))
     results.append(CheckResult(
@@ -585,7 +555,8 @@ def build_parser() -> _Parser:
         p.add_argument("--config", metavar="PATH",
                        help="JSON config file (flags override it)")
         p.add_argument("--seed", type=int, help="master random seed")
-        p.add_argument("--threads", type=int, help="worker thread cap")
+        p.add_argument("--threads", type=int,
+                       help="accepted for compatibility; stages run serially")
         p.add_argument("--variant", choices=tuple(_VARIANT_FLAGS),
                        help="relevance redistribution variant")
         p.add_argument("--epsilon", type=float, help="stabilizer strength")

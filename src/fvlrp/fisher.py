@@ -178,11 +178,8 @@ def aggregate(model: GmmModel, ds: DescriptorSet | np.ndarray) -> RawFisherVecto
     vectors = ds.vectors if isinstance(ds, DescriptorSet) else np.asarray(ds, dtype=np.float64)
     if vectors.shape[0] == 0:
         raise EmptyInputError("cannot aggregate an empty descriptor set")
-    emb = embed_batch(model, vectors)
-    acc = np.zeros(emb.shape[1])
-    for row in emb:
-        acc += row
-    return RawFisherVector(acc / vectors.shape[0], model.n_components, model.dim)
+    mean = embed_batch(model, vectors).sum(axis=0) / vectors.shape[0]
+    return RawFisherVector(mean, model.n_components, model.dim)
 
 
 def improve(x: RawFisherVector | np.ndarray) -> ImprovedFisherVector:

@@ -253,6 +253,7 @@ class Explanation:
     r3: R3Map
     score: float
     prediction_positive: bool
+    descriptors: DescriptorSet  # the projected descriptors R2 is laid over
 
 
 def explain(image: Image, gmm: GmmModel, pca: PcaModel, svm: SvmModel,
@@ -269,4 +270,4 @@ def explain(image: Image, gmm: GmmModel, pca: PcaModel, svm: SvmModel,
     r2 = relevance_r2(r3, view, ds, variant=variant, epsilon=epsilon)
     heat = relevance_r1(r2, ds, (image.width, image.height))
     k = svm.class_index(class_name)
-    return Explanation(heat, r2, r3, f, f > float(svm.thresholds[k]))
+    return Explanation(heat, r2, r3, f, f > float(svm.thresholds[k]), ds)

@@ -1,9 +1,11 @@
-"""End-to-end orchestration helpers shared by the CLI and experiments.
+"""The training pipeline, one function per stage.
 
-Each step is a pure function of its inputs plus the configuration, with
-all randomness drawn from explicitly derived seeds, so a full pipeline
-run is reproducible bit for bit and independent of the thread count
-(parallel maps preserve input order; nothing shares mutable state).
+These functions are the only implementation of each stage: the CLI
+stages wrap them in file I/O and manifests, so the library and the CLI
+train byte-identical models from the same config. Each step is a pure
+function of its inputs plus the configuration, with all randomness
+drawn from explicitly derived seeds, and everything runs serially, so a
+run is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from .descriptors import DescriptorSet, PcaModel, extract_dense, pca_apply, pca_
 from .fisher import RawFisherVector, aggregate, improve
 from .gmm import GmmModel, em_fit
 from .lrp_nn import NeuralNet, image_to_input, nn_train
-from .svm import SvmModel, train
+from .svm import SvmModel, train, with_thresholds
 from .synth import LabeledImage, label_vectors
-from .util import parallel_map
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,8 @@ class ModelBundle:
 def extract_corpus(images: list[LabeledImage], config: PipelineConfig
                    ) -> list[DescriptorSet]:
     """Dense descriptors for every image, in corpus order."""
-    return parallel_map(
-        lambda img: extract_dense(img.image, config.patch, config.stride),
-        images, config.threads)
+    return [extract_dense(img.image, config.patch, config.stride)
+            for img in images]
 
 
 def fit_pca(descriptor_sets: list[DescriptorSet], config: PipelineConfig) -> PcaModel:
@@ -48,10 +48,9 @@ def fit_pca(descriptor_sets: list[DescriptorSet], config: PipelineConfig) -> Pca
     return pca_fit(pooled, config.pca_dim)
 
 
-def project_all(pca: PcaModel, descriptor_sets: list[DescriptorSet],
-                config: PipelineConfig) -> list[DescriptorSet]:
-    return parallel_map(lambda ds: pca_apply(pca, ds), descriptor_sets,
-                        config.threads)
+def project_all(pca: PcaModel, descriptor_sets: list[DescriptorSet]
+                ) -> list[DescriptorSet]:
+    return [pca_apply(pca, ds) for ds in descriptor_sets]
 
 
 def fit_gmm(projected: list[DescriptorSet], config: PipelineConfig) -> GmmModel:
@@ -64,9 +63,9 @@ def fit_gmm(projected: list[DescriptorSet], config: PipelineConfig) -> GmmModel:
                   max_iter=config.gmm_max_iter, tol=config.gmm_tol)
 
 
-def embed_all(gmm: GmmModel, projected: list[DescriptorSet],
-              config: PipelineConfig) -> list[RawFisherVector]:
-    return parallel_map(lambda ds: aggregate(gmm, ds), projected, config.threads)
+def embed_all(gmm: GmmModel, projected: list[DescriptorSet]
+              ) -> list[RawFisherVector]:
+    return [aggregate(gmm, ds) for ds in projected]
 
 
 def improved_matrix(raw_fvs: list[RawFisherVector]) -> np.ndarray:
@@ -74,17 +73,17 @@ def improved_matrix(raw_fvs: list[RawFisherVector]) -> np.ndarray:
 
 
 def train_svm(train_images: list[LabeledImage], features: np.ndarray,
-              classes: tuple[str, ...], config: PipelineConfig,
-              store_dual: bool = False) -> SvmModel:
+              classes: tuple[str, ...], config: PipelineConfig) -> SvmModel:
+    """One-vs-rest SVMs with per-class EER thresholds fit on the training set."""
     labels = label_vectors(train_images, classes)
-    return train(features, labels, c=config.svm_c, epochs=config.svm_epochs,
-                 seed=config.seed, store_dual=store_dual)
+    model = train(features, labels, c=config.svm_c, epochs=config.svm_epochs,
+                  seed=config.seed)
+    return with_thresholds(model, features, labels)
 
 
 def nn_inputs(images: list[LabeledImage], config: PipelineConfig) -> np.ndarray:
     size = (config.nn_input, config.nn_input)
-    return np.stack(parallel_map(
-        lambda img: image_to_input(img.image, size), images, config.threads))
+    return np.stack([image_to_input(img.image, size) for img in images])
 
 
 def train_net(train_images: list[LabeledImage], classes: tuple[str, ...],
@@ -98,15 +97,14 @@ def train_net(train_images: list[LabeledImage], classes: tuple[str, ...],
 
 
 def train_all(train_images: list[LabeledImage], classes: tuple[str, ...],
-              config: PipelineConfig, with_nn: bool = True,
-              store_dual: bool = False) -> ModelBundle:
+              config: PipelineConfig, with_nn: bool = True) -> ModelBundle:
     """Fit PCA, mixture, SVM (and optionally the network) on a corpus."""
     raw_sets = extract_corpus(train_images, config)
     pca = fit_pca(raw_sets, config)
-    projected = project_all(pca, raw_sets, config)
+    projected = project_all(pca, raw_sets)
     gmm = fit_gmm(projected, config)
-    features = improved_matrix(embed_all(gmm, projected, config))
-    svm_model = train_svm(train_images, features, classes, config, store_dual)
+    features = improved_matrix(embed_all(gmm, projected))
+    svm_model = train_svm(train_images, features, classes, config)
     net = train_net(train_images, classes, config) if with_nn else None
     return ModelBundle(classes, pca, gmm, svm_model, net,
                        config.patch, config.stride)

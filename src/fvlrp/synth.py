@@ -182,6 +182,8 @@ def _render_one(spec: CorpusSpec, class_idx: int, split: int, index: int) -> Lab
     mask = shape_mask(cls.shape, cls.shape_size, (cx, cy), spec.width, spec.height)
     obj = render_texture(cls.object_texture, spec.width, spec.height, rng)
     pixels = np.where(mask, obj, pixels)
+    # 8-bit levels, so an image equals what save_image/load_image return.
+    pixels = np.clip(np.rint(pixels * 255.0), 0.0, 255.0) / 255.0
     split_name = "train" if split == 0 else "test"
     image_id = f"{split_name}-{cls.name}-{index:04d}"
     return LabeledImage(Image(pixels), (cls.name,), (_tight_box(mask, cls.name),),

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from fvlrp import cli, descriptors, fisher, gmm, lrp_nn, svm
 from fvlrp.cli import main
 
 TINY = {
@@ -185,3 +186,21 @@ def test_models_are_thread_count_invariant(pipeline, tmp_path):
         assert a == b, kind
     assert ((out / "corpus" / "index.tsv").read_bytes()
             == (second / "corpus" / "index.tsv").read_bytes())
+
+
+def test_cli_has_no_stage_implementation_of_its_own():
+    """Fitting, projection and encoding live in `fvlrp.pipeline` only."""
+    forbidden = {
+        "em_fit": gmm.em_fit, "pca_fit": descriptors.pca_fit,
+        "pca_apply": descriptors.pca_apply,
+        "extract_dense": descriptors.extract_dense,
+        "aggregate": fisher.aggregate, "nn_train": lrp_nn.nn_train,
+        "image_to_input": lrp_nn.image_to_input, "svm.train": svm.train,
+        "with_thresholds": svm.with_thresholds,
+        # a module import would reach the same functions by attribute
+        "gmm": gmm, "descriptors": descriptors, "fisher": fisher,
+        "lrp_nn": lrp_nn, "svm": svm,
+    }
+    for name, value in vars(cli).items():
+        for what, obj in forbidden.items():
+            assert value is not obj, f"fvlrp.cli.{name} is {what}"

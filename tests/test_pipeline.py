@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from fvlrp.cli import main as cli_main
+from fvlrp.config import load_config
 from fvlrp.pipeline import embed_image, train_all
+from fvlrp.serialization import save_model
 from fvlrp.svm import predict_multilabel
+from fvlrp.synth import generate_corpus, two_class_spec
+from test_cli import STAGES, write_config
 
 
 def test_bundle_shapes(micro_bundle, micro_config):
@@ -45,3 +50,24 @@ def test_embed_image_unit_norm(micro_corpus, micro_bundle):
     _, _, test_imgs = micro_corpus
     phi = embed_image(micro_bundle, test_imgs[0].image)
     assert np.linalg.norm(phi) == pytest.approx(1.0)
+
+
+def test_library_and_cli_train_identical_models(tmp_path):
+    config_path = write_config(tmp_path)
+    out = tmp_path / "run"
+    for stage in STAGES:
+        assert cli_main([stage, "--config", config_path,
+                         "--out", str(out)]) == 0, stage
+    config = load_config(config_path)
+    spec = two_class_spec(config.corpus_rho, seed=config.seed,
+                          train_per_class=config.train_per_class,
+                          test_per_class=config.test_per_class,
+                          size=config.corpus_size)
+    train_imgs, _ = generate_corpus(spec)
+    bundle = train_all(train_imgs, spec.class_names, config, with_nn=True)
+    for kind, model in (("pca", bundle.pca), ("gmm", bundle.gmm),
+                        ("svm", bundle.svm), ("nn", bundle.net)):
+        path = tmp_path / f"{kind}.json"
+        save_model(model, path)
+        assert path.read_bytes() == (out / "models" / f"{kind}.json"
+                                     ).read_bytes(), kind

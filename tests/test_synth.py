@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fvlrp.errors import SpecError
+from fvlrp.imaging import load_image, save_image
 from fvlrp.synth import (ClassSpec, CorpusSpec, LabeledImage, TextureParams,
                          artefact_pair_spec, checkerboard_tag, generate_corpus,
                          inject_artefact, label_vectors, render_texture,
@@ -35,6 +36,16 @@ def test_counts_ids_and_value_range():
         assert im.image.pixels.min() >= 0.0
         assert im.image.pixels.max() <= 1.0
         assert len(im.labels) == 1 and len(im.boxes) == 1
+
+
+def test_pixels_survive_pgm_round_trip(tmp_path):
+    train, test = generate_corpus(tiny_spec(0.5, seed=3))
+    for im in train + test:
+        path = tmp_path / f"{im.image_id}.pgm"
+        save_image(im.image, path)
+        back = load_image(path).pixels
+        assert back.dtype == im.image.pixels.dtype
+        assert back.tobytes() == im.image.pixels.tobytes(), im.image_id
 
 
 def test_boxes_are_tight():

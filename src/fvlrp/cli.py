@@ -30,11 +30,11 @@ from .fisher import (EmbeddingIndex, hellinger_check, load_fisher_vector,
 from .imaging import load_annotations, load_image, save_annotations, save_image
 from .lrp_fv import explain
 from .pipeline import (ModelBundle, embed_all, extract_corpus, fit_gmm,
-                       fit_pca, improved_matrix, project_all, train_net,
-                       train_svm)
+                       fit_pca, improved_matrix, make_corpus, project_all,
+                       train_net, train_svm)
 from .serialization import load_model, save_model
 from .svm import score
-from .synth import LabeledImage, generate_corpus, inject_artefact, two_class_spec
+from .synth import LabeledImage
 from .util import file_hash
 from .verification import run_all
 
@@ -190,20 +190,26 @@ def _model_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, "models", f"{name}.json")
 
 
+def _read_bundle(out_dir: str, config: PipelineConfig, synth_manifest: dict,
+                 with_nn: bool = False) -> ModelBundle:
+    """The trained models as stored; callers check the manifests first."""
+
+    def model(kind):
+        return load_model(_model_path(out_dir, kind), kind)
+
+    return ModelBundle(_corpus_classes(synth_manifest), model("pca"),
+                       model("gmm"), model("svm"),
+                       model("nn") if with_nn else None,
+                       config.patch, config.stride)
+
+
 def _load_bundle(out_dir: str, config: PipelineConfig, needed_by: str,
                  with_nn: bool = False) -> ModelBundle:
     """The trained models, once every manifest they come from checks out."""
     stages = (*_BUNDLE_STAGES, STAGE_NN) if with_nn else _BUNDLE_STAGES
     manifests = [_require_stage(out_dir, stage, config, needed_by)
                  for stage in stages]
-
-    def model(kind):
-        return load_model(_model_path(out_dir, kind), kind)
-
-    return ModelBundle(_corpus_classes(manifests[0]), model("pca"),
-                       model("gmm"), model("svm"),
-                       model("nn") if with_nn else None,
-                       config.patch, config.stride)
+    return _read_bundle(out_dir, config, manifests[0], with_nn)
 
 
 # ---------------------------------------------------------------------------
@@ -212,24 +218,16 @@ def _load_bundle(out_dir: str, config: PipelineConfig, needed_by: str,
 
 def _cmd_synth_gen(config: PipelineConfig, args) -> int:
     out_dir = args.out
-    spec = two_class_spec(config.corpus_rho, seed=config.seed,
-                          train_per_class=config.train_per_class,
-                          test_per_class=config.test_per_class,
-                          size=config.corpus_size)
-    train_imgs, test_imgs = generate_corpus(spec)
-    if config.artefact_class:
-        train_imgs = [inject_artefact(im, config.artefact_class)
-                      for im in train_imgs]
-        test_imgs = [inject_artefact(im, config.artefact_class)
-                     for im in test_imgs]
+    train_imgs, test_imgs, classes = make_corpus(config)
     outputs = _save_corpus_split(out_dir, "train", train_imgs)
     outputs += _save_corpus_split(out_dir, "test", test_imgs)
     outputs.append(_rel(out_dir, _save_corpus_index(out_dir, train_imgs,
                                                     test_imgs)))
     _write_manifest(out_dir, STAGE_SYNTH, config, [], outputs,
-                    {"classes": [c.name for c in spec.classes]})
+                    {"classes": list(classes)})
+    size = config.corpus_size
     print(f"synth-gen: {len(train_imgs)} train / {len(test_imgs)} test images "
-          f"({spec.width}x{spec.height}, rho={spec.context_correlation})")
+          f"({size}x{size}, rho={config.corpus_rho})")
     return 0
 
 
@@ -282,14 +280,12 @@ def _cmd_gmm_fit(config: PipelineConfig, args) -> int:
     _require_stage(out_dir, STAGE_PCA, config, STAGE_GMM)
     pca = load_model(_model_path(out_dir, "pca"), "pca")
     _, sets = _load_descriptor_sets(out_dir, "train")
-    model = fit_gmm(project_all(pca, sets), config)
-    count = min(config.gmm_sample_count, sum(len(ds) for ds in sets))
+    model = fit_gmm(project_all(pca, sets, config), config)
     path = _model_path(out_dir, "gmm")
     save_model(model, path)
     _write_manifest(out_dir, STAGE_GMM, config, [STAGE_EXTRACT, STAGE_PCA],
                     [_rel(out_dir, path)])
-    print(f"gmm-fit: K={config.gmm_k} on {count} sampled descriptors, "
-          f"{len(model.ll_trace)} EM iterations")
+    print(f"gmm-fit: K={config.gmm_k}, {len(model.ll_trace)} EM iterations")
     return 0
 
 
@@ -307,7 +303,8 @@ def _cmd_embed(config: PipelineConfig, args) -> int:
     for split in ("train", "test"):
         ids, sets = _load_descriptor_sets(out_dir, split)
         _ensure_dir(os.path.join(out_dir, "embeddings", split))
-        for image_id, raw in zip(ids, embed_all(gmm, project_all(pca, sets))):
+        raws = embed_all(gmm, project_all(pca, sets, config), config)
+        for image_id, raw in zip(ids, raws):
             path = _fvec_path(out_dir, image_id, split)
             save_fisher_vector(raw, path)
             outputs.append(_rel(out_dir, path))
@@ -408,7 +405,7 @@ def _cmd_explain(config: PipelineConfig, args) -> int:
     stem = f"{args.image}_{args.cls}_{config.variant}"
     dest = _ensure_dir(os.path.join(out_dir, "reports", "explain"))
     paths = report.write_explanation(
-        dest, stem, img, expl, expl.descriptors,
+        dest, stem, img, expl,
         EmbeddingIndex(bundle.gmm.n_components, bundle.gmm.dim))
     _write_manifest(out_dir, "explain", config, list(_BUNDLE_STAGES),
                     [_rel(out_dir, p) for p in paths])
@@ -473,11 +470,14 @@ def _trained_model_checks(config: PipelineConfig, out_dir: str) -> list:
     """Spot checks against the trained artifacts, when they exist."""
     from .verification import CheckResult
 
-    if not all(os.path.exists(_manifest_path(out_dir, stage))
-               for stage in (*_BUNDLE_STAGES, STAGE_EMBED)):
-        return []
-    bundle = _load_bundle(out_dir, config, "verify")
-    _require_stage(out_dir, STAGE_EMBED, config, "verify")
+    # Stage by stage, so a stale upstream stage is reported even when a
+    # later stage has not run yet.
+    manifests = []
+    for stage in (STAGE_SYNTH, STAGE_PCA, STAGE_GMM, STAGE_EMBED, STAGE_SVM):
+        if not os.path.exists(_manifest_path(out_dir, stage)):
+            return []
+        manifests.append(_require_stage(out_dir, stage, config, "verify"))
+    bundle = _read_bundle(out_dir, config, manifests[0])
     test_imgs = _load_split(out_dir, "test")
     results = []
 
@@ -556,7 +556,7 @@ def build_parser() -> _Parser:
                        help="JSON config file (flags override it)")
         p.add_argument("--seed", type=int, help="master random seed")
         p.add_argument("--threads", type=int,
-                       help="accepted for compatibility; stages run serially")
+                       help="worker thread cap")
         p.add_argument("--variant", choices=tuple(_VARIANT_FLAGS),
                        help="relevance redistribution variant")
         p.add_argument("--epsilon", type=float, help="stabilizer strength")

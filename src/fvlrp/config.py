@@ -1,11 +1,10 @@
 """Pipeline configuration: one flat record, JSON file + flag overrides.
 
 Precedence is flags > file > defaults. The configuration hash covers
-only result-affecting fields: `threads` is excluded and no paths are
-stored here at all (the output directory is a command-line concern), so
-identical experiments hash identically wherever they run. `threads` is
-still validated (>= 1) so existing configs and `--threads` flags keep
-working, but nothing reads it: the pipeline runs serially.
+only result-affecting fields: `threads` is excluded (results must be
+independent of it) and no paths are stored here at all (the output
+directory is a command-line concern), so identical experiments hash
+identically wherever they run.
 """
 
 from __future__ import annotations

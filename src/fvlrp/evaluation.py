@@ -33,7 +33,7 @@ import numpy as np
 from .descriptors import DescriptorSet, PcaModel, extract_dense, pca_apply
 from .errors import (DimError, EmptyInputError, RangeError, UndefinedError,
                      ValidationError)
-from .fisher import embed_batch, improve
+from .fisher import embed_batch, improve, mean_embedding
 from .gmm import GmmModel, sample
 from .imaging import BoundingBox, Heatmap
 from .lrp_fv import FvMappingView, R2Map, relevance_r2, relevance_r3
@@ -103,8 +103,7 @@ class _Encoded(NamedTuple):
 
 def _encode(gmm: GmmModel, ds: DescriptorSet) -> _Encoded:
     emb = embed_batch(gmm, ds.vectors)
-    # The same sum and division as `aggregate`, so x0 equals its result.
-    return _Encoded(ds.vectors, emb, emb.sum(axis=0) / len(ds))
+    return _Encoded(ds.vectors, emb, mean_embedding(emb))
 
 
 def _replace_trace(encoded: _Encoded, gmm: GmmModel, svm_model: SvmModel,

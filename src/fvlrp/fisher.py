@@ -173,12 +173,17 @@ def embed_descriptor(model: GmmModel, descriptor: np.ndarray) -> np.ndarray:
     return embed_batch(model, descriptor[None, :])[0]
 
 
+def mean_embedding(emb: np.ndarray) -> np.ndarray:
+    """The raw FV of a set: the mean of its per-descriptor embeddings."""
+    return emb.sum(axis=0) / emb.shape[0]
+
+
 def aggregate(model: GmmModel, ds: DescriptorSet | np.ndarray) -> RawFisherVector:
     """Mean of per-descriptor embeddings, summed in descriptor order."""
     vectors = ds.vectors if isinstance(ds, DescriptorSet) else np.asarray(ds, dtype=np.float64)
     if vectors.shape[0] == 0:
         raise EmptyInputError("cannot aggregate an empty descriptor set")
-    mean = embed_batch(model, vectors).sum(axis=0) / vectors.shape[0]
+    mean = mean_embedding(embed_batch(model, vectors))
     return RawFisherVector(mean, model.n_components, model.dim)
 
 

@@ -4,8 +4,9 @@ These functions are the only implementation of each stage: the CLI
 stages wrap them in file I/O and manifests, so the library and the CLI
 train byte-identical models from the same config. Each step is a pure
 function of its inputs plus the configuration, with all randomness
-drawn from explicitly derived seeds, and everything runs serially, so a
-run is reproducible bit for bit.
+drawn from explicitly derived seeds, so a run is reproducible bit for
+bit and independent of the thread count (parallel maps preserve input
+order; nothing shares mutable state).
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from .fisher import RawFisherVector, aggregate, improve
 from .gmm import GmmModel, em_fit
 from .lrp_nn import NeuralNet, image_to_input, nn_train
 from .svm import SvmModel, train, with_thresholds
-from .synth import LabeledImage, label_vectors
+from .synth import (LabeledImage, generate_corpus, inject_artefact,
+                    label_vectors, two_class_spec)
+from .util import parallel_map
 
 
 @dataclass(frozen=True)
@@ -36,11 +39,26 @@ class ModelBundle:
     stride: int
 
 
+def make_corpus(config: PipelineConfig
+                ) -> tuple[list[LabeledImage], list[LabeledImage], tuple[str, ...]]:
+    """The configured (train, test) corpus, artefact applied, and its classes."""
+    spec = two_class_spec(config.corpus_rho, seed=config.seed,
+                          train_per_class=config.train_per_class,
+                          test_per_class=config.test_per_class,
+                          size=config.corpus_size)
+    train, test = generate_corpus(spec)
+    if config.artefact_class:
+        train = [inject_artefact(im, config.artefact_class) for im in train]
+        test = [inject_artefact(im, config.artefact_class) for im in test]
+    return train, test, spec.class_names
+
+
 def extract_corpus(images: list[LabeledImage], config: PipelineConfig
                    ) -> list[DescriptorSet]:
     """Dense descriptors for every image, in corpus order."""
-    return [extract_dense(img.image, config.patch, config.stride)
-            for img in images]
+    return parallel_map(
+        lambda img: extract_dense(img.image, config.patch, config.stride),
+        images, config.threads)
 
 
 def fit_pca(descriptor_sets: list[DescriptorSet], config: PipelineConfig) -> PcaModel:
@@ -48,9 +66,10 @@ def fit_pca(descriptor_sets: list[DescriptorSet], config: PipelineConfig) -> Pca
     return pca_fit(pooled, config.pca_dim)
 
 
-def project_all(pca: PcaModel, descriptor_sets: list[DescriptorSet]
-                ) -> list[DescriptorSet]:
-    return [pca_apply(pca, ds) for ds in descriptor_sets]
+def project_all(pca: PcaModel, descriptor_sets: list[DescriptorSet],
+                config: PipelineConfig) -> list[DescriptorSet]:
+    return parallel_map(lambda ds: pca_apply(pca, ds), descriptor_sets,
+                        config.threads)
 
 
 def fit_gmm(projected: list[DescriptorSet], config: PipelineConfig) -> GmmModel:
@@ -63,9 +82,9 @@ def fit_gmm(projected: list[DescriptorSet], config: PipelineConfig) -> GmmModel:
                   max_iter=config.gmm_max_iter, tol=config.gmm_tol)
 
 
-def embed_all(gmm: GmmModel, projected: list[DescriptorSet]
-              ) -> list[RawFisherVector]:
-    return [aggregate(gmm, ds) for ds in projected]
+def embed_all(gmm: GmmModel, projected: list[DescriptorSet],
+              config: PipelineConfig) -> list[RawFisherVector]:
+    return parallel_map(lambda ds: aggregate(gmm, ds), projected, config.threads)
 
 
 def improved_matrix(raw_fvs: list[RawFisherVector]) -> np.ndarray:
@@ -83,7 +102,8 @@ def train_svm(train_images: list[LabeledImage], features: np.ndarray,
 
 def nn_inputs(images: list[LabeledImage], config: PipelineConfig) -> np.ndarray:
     size = (config.nn_input, config.nn_input)
-    return np.stack([image_to_input(img.image, size) for img in images])
+    return np.stack(parallel_map(
+        lambda img: image_to_input(img.image, size), images, config.threads))
 
 
 def train_net(train_images: list[LabeledImage], classes: tuple[str, ...],
@@ -101,9 +121,9 @@ def train_all(train_images: list[LabeledImage], classes: tuple[str, ...],
     """Fit PCA, mixture, SVM (and optionally the network) on a corpus."""
     raw_sets = extract_corpus(train_images, config)
     pca = fit_pca(raw_sets, config)
-    projected = project_all(pca, raw_sets)
+    projected = project_all(pca, raw_sets, config)
     gmm = fit_gmm(projected, config)
-    features = improved_matrix(embed_all(gmm, projected))
+    features = improved_matrix(embed_all(gmm, projected, config))
     svm_model = train_svm(train_images, features, classes, config)
     net = train_net(train_images, classes, config) if with_nn else None
     return ModelBundle(classes, pca, gmm, svm_model, net,

@@ -15,7 +15,6 @@ import os
 
 import numpy as np
 
-from .descriptors import DescriptorSet
 from .evaluation import ContextReport, OrderingReport
 from .fisher import EmbeddingIndex
 from .imaging import (Heatmap, Image, render_heatmap, save_heatmap, save_image,
@@ -285,7 +284,6 @@ def context_summary_text(report: ContextReport) -> str:
 
 
 def write_explanation(out_dir, stem: str, image: Image, expl: Explanation,
-                      ds: DescriptorSet,
                       index: EmbeddingIndex | None = None) -> list[str]:
     """Heatmap dump, per-level relevance tables, and an overview figure."""
     paths = []
@@ -299,7 +297,7 @@ def write_explanation(out_dir, stem: str, image: Image, expl: Explanation,
 
     r2_rows = []
     for l in range(len(expl.r2.values)):
-        x, y, w, h = (int(v) for v in ds.areas[l])
+        x, y, w, h = (int(v) for v in expl.descriptors.areas[l])
         r2_rows.append((l, x, y, w, h, float(expl.r2.values[l])))
     paths.append(write_table(
         os.path.join(out_dir, f"{stem}_r2.tsv"),

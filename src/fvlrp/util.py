@@ -1,9 +1,25 @@
-"""Small shared helpers: stable hashing of JSON values and files."""
+"""Small shared helpers: ordered parallel mapping and stable hashing."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+from concurrent.futures import ThreadPoolExecutor
+
+
+def parallel_map(fn, items, threads: int = 1) -> list:
+    """Apply `fn` to every item, returning results in input order.
+
+    With `threads` > 1 the calls run on a thread pool; because results
+    are reassembled in input order and every `fn` must be pure (seeded
+    explicitly, no shared mutable state), the output is identical to the
+    serial path for any thread count.
+    """
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def canonical_json(obj) -> str:

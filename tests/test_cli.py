@@ -134,6 +134,17 @@ def test_verify_includes_trained_model_checks(pipeline, capsys):
     assert "checks passed" in text
 
 
+def test_verify_reports_a_stale_stage_before_a_missing_one(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert run(out, config, "synth-gen") == 0
+    other = tmp_path / "other"
+    other.mkdir()
+    # only synth-gen has run, and under another seed
+    assert run(out, write_config(other, seed=123), "verify") == 2
+    assert "synth-gen" in capsys.readouterr().err
+
+
 def test_missing_dependency_names_the_stage(tmp_path, capsys):
     config = write_config(tmp_path)
     assert run(tmp_path / "fresh", config, "extract") == 2

@@ -5,10 +5,9 @@ import pytest
 
 from fvlrp.cli import main as cli_main
 from fvlrp.config import load_config
-from fvlrp.pipeline import embed_image, train_all
+from fvlrp.pipeline import embed_image, make_corpus, train_all
 from fvlrp.serialization import save_model
 from fvlrp.svm import predict_multilabel
-from fvlrp.synth import generate_corpus, two_class_spec
 from test_cli import STAGES, write_config
 
 
@@ -59,12 +58,8 @@ def test_library_and_cli_train_identical_models(tmp_path):
         assert cli_main([stage, "--config", config_path,
                          "--out", str(out)]) == 0, stage
     config = load_config(config_path)
-    spec = two_class_spec(config.corpus_rho, seed=config.seed,
-                          train_per_class=config.train_per_class,
-                          test_per_class=config.test_per_class,
-                          size=config.corpus_size)
-    train_imgs, _ = generate_corpus(spec)
-    bundle = train_all(train_imgs, spec.class_names, config, with_nn=True)
+    train_imgs, _, classes = make_corpus(config)
+    bundle = train_all(train_imgs, classes, config, with_nn=True)
     for kind, model in (("pca", bundle.pca), ("gmm", bundle.gmm),
                         ("svm", bundle.svm), ("nn", bundle.net)):
         path = tmp_path / f"{kind}.json"

@@ -151,7 +151,7 @@ def test_write_explanation_artifacts(tmp_path, micro_bundle, micro_corpus):
                                  micro_bundle.stride))
     index = EmbeddingIndex(micro_bundle.gmm.n_components,
                            micro_bundle.gmm.dim)
-    paths = write_explanation(tmp_path, "demo", img.image, expl, ds, index)
+    paths = write_explanation(tmp_path, "demo", img.image, expl, index)
     suffixes = sorted(os.path.basename(p).replace("demo_", "") for p in paths)
     assert suffixes == ["heatmap.hmap", "heatmap.ppm", "overview.png",
                         "r2.tsv", "r3.tsv"]

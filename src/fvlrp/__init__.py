@@ -25,8 +25,8 @@ from .gmm import GmmModel, em_fit, log_likelihood, responsibilities, sample
 from .imaging import (BoundingBox, Heatmap, Image, load_annotations,
                       load_heatmap, load_image, render_heatmap,
                       save_annotations, save_heatmap, save_image)
-from .lrp_fv import (ArrayMappingView, Explanation, FvMappingView, R2Map,
-                     R3Map, explain, relevance_r1, relevance_r2, relevance_r3)
+from .lrp_fv import (Explanation, FvMappingView, R2Map, R3Map, explain,
+                     relevance_r1, relevance_r2, relevance_r3)
 from .lrp_nn import (DenseLayer, LayerRelevance, NeuralNet, downscale,
                      forward, image_to_input, lrp_alphabeta, lrp_epsilon,
                      nn_heatmap, nn_score, nn_scores, nn_train)
@@ -40,7 +40,7 @@ from .verification import run_all
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrayMappingView", "BoundingBox", "ContextRatio", "ContextReport",
+    "BoundingBox", "ContextRatio", "ContextReport",
     "CorpusSpec", "DenseLayer", "DescriptorSet", "EmbeddingIndex",
     "Explanation", "FvMappingView", "GmmModel", "Heatmap", "Image",
     "ImprovedFisherVector", "LabeledImage", "LayerRelevance", "ModelBundle",

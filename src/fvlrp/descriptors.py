@@ -29,14 +29,6 @@ RAW_DIM = N_CELLS * N_CELLS * N_ORI
 CLAMP = 0.2
 
 
-@dataclass(frozen=True)
-class LocalDescriptor:
-    """A single descriptor vector plus its receptive field rectangle."""
-
-    vector: np.ndarray
-    area: tuple[int, int, int, int]  # x, y, w, h
-
-
 class DescriptorSet:
     """Ordered descriptors of one image, row-major over grid positions."""
 
@@ -51,10 +43,6 @@ class DescriptorSet:
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
-
-    def __getitem__(self, i: int) -> LocalDescriptor:
-        x, y, w, h = self.areas[i]
-        return LocalDescriptor(self.vectors[i], (int(x), int(y), int(w), int(h)))
 
     @property
     def dim(self) -> int:
@@ -136,7 +124,6 @@ class PcaModel:
 
     mean: np.ndarray
     basis: np.ndarray  # (dim, raw_dim)
-    whiten_scales: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -147,29 +134,13 @@ class PcaModel:
         return self.basis.shape[1]
 
 
-def _as_matrix(descs) -> np.ndarray:
-    if isinstance(descs, DescriptorSet):
-        return descs.vectors
-    if isinstance(descs, np.ndarray):
-        return descs
-    parts = []
-    for d in descs:
-        if isinstance(d, DescriptorSet):
-            parts.append(d.vectors)
-        elif isinstance(d, LocalDescriptor):
-            parts.append(d.vector[None, :])
-        else:
-            parts.append(np.asarray(d, dtype=np.float64)[None, :])
-    return np.concatenate(parts, axis=0)
-
-
-def pca_fit(descs, dim: int, whiten: bool = False) -> PcaModel:
-    """Fit the top-`dim` principal axes of a descriptor collection.
+def pca_fit(data: np.ndarray, dim: int) -> PcaModel:
+    """Fit the top-`dim` principal axes of a descriptor matrix (one row each).
 
     Axes are eigenvalue-descending with a deterministic sign convention:
     the largest-magnitude entry of each axis is positive.
     """
-    data = _as_matrix(descs)
+    data = np.asarray(data, dtype=np.float64)
     n, raw_dim = data.shape
     if dim > raw_dim:
         raise DimError(f"requested dim {dim} exceeds descriptor dim {raw_dim}")
@@ -189,8 +160,7 @@ def pca_fit(descs, dim: int, whiten: bool = False) -> PcaModel:
         peak = np.argmax(np.abs(row))
         if row[peak] < 0.0:
             row *= -1.0
-    scales = np.sqrt(eigvals[:dim]) if whiten else None
-    return PcaModel(mean=mean, basis=basis, whiten_scales=scales)
+    return PcaModel(mean=mean, basis=basis)
 
 
 def pca_apply(model: PcaModel, ds: DescriptorSet) -> DescriptorSet:
@@ -198,8 +168,6 @@ def pca_apply(model: PcaModel, ds: DescriptorSet) -> DescriptorSet:
     if ds.dim != model.raw_dim:
         raise DimError(f"descriptor dim {ds.dim} does not match model {model.raw_dim}")
     projected = (ds.vectors - model.mean) @ model.basis.T
-    if model.whiten_scales is not None:
-        projected = projected / model.whiten_scales
     return DescriptorSet(projected, ds.areas.copy(), ds.image_size)
 
 

@@ -36,7 +36,7 @@ from .errors import (DimError, EmptyInputError, RangeError, UndefinedError,
 from .fisher import embed_batch, improve, mean_embedding
 from .gmm import GmmModel, sample
 from .imaging import BoundingBox, Heatmap
-from .lrp_fv import FvMappingView, R2Map, relevance_r2, relevance_r3
+from .lrp_fv import R2Map, relevance_r2, relevance_r3
 from .lrp_nn import (NeuralNet, image_to_input, lrp_alphabeta, lrp_epsilon,
                      nn_heatmap, nn_scores)
 from .svm import SvmModel, score
@@ -255,10 +255,10 @@ def compare_orderings(images, class_name: str, gmm: GmmModel, pca: PcaModel,
         rep_areas[oid][rep] += area_above(trace)
 
     for vi, variant in enumerate(variants):
-        for ii, (ds, encoded, phi) in enumerate(prepared):
+        for ii, (_, encoded, phi) in enumerate(prepared):
             r3 = relevance_r3(svm_model, phi, class_name)
-            order = morf_ordering(relevance_r2(r3, FvMappingView(gmm, ds), ds,
-                                               variant=variant, epsilon=epsilon))
+            order = morf_ordering(relevance_r2(r3, encoded.emb, variant=variant,
+                                               epsilon=epsilon))
             for rep in range(repetitions):
                 rng = np.random.default_rng(
                     np.random.SeedSequence((seed, 1 + vi, ii, rep)))

@@ -122,23 +122,6 @@ class ImprovedFisherVector:
     normalized: bool = True
 
 
-# Shared elementwise block formulas. Both the batch embedding and the
-# per-dimension streaming view in the relevance code call these, so the
-# two paths agree bit for bit.
-
-def psi_weight_block(gamma_k, weight_k, sqrt_w_k):
-    return (gamma_k - weight_k) / sqrt_w_k
-
-
-def psi_mean_block(gamma_k, t, sqrt_w_k):
-    """`t` is the standardized deviation (l - mu_k) / sigma_k."""
-    return gamma_k * t / sqrt_w_k
-
-
-def psi_sigma_block(gamma_k, t, sqrt_w_k):
-    return gamma_k * (t * t - 1.0) * INV_SQRT2 / sqrt_w_k
-
-
 def embed_batch(model: GmmModel, vectors: np.ndarray) -> np.ndarray:
     """Per-descriptor raw embeddings, one row per descriptor.
 
@@ -158,10 +141,11 @@ def embed_batch(model: GmmModel, vectors: np.ndarray) -> np.ndarray:
     for j in range(k):
         if model.weights[j] == 0.0:
             continue
-        out[:, j] = psi_weight_block(gamma[:, j], model.weights[j], sqrt_w[j])
+        g = gamma[:, j][:, None]
+        out[:, j] = (gamma[:, j] - model.weights[j]) / sqrt_w[j]
         t = (vectors - model.means[j]) / model.sigmas[j]
-        out[:, idx.mu_block(j)] = psi_mean_block(gamma[:, j][:, None], t, sqrt_w[j])
-        out[:, idx.sigma_block(j)] = psi_sigma_block(gamma[:, j][:, None], t, sqrt_w[j])
+        out[:, idx.mu_block(j)] = g * t / sqrt_w[j]
+        out[:, idx.sigma_block(j)] = g * (t * t - 1.0) * INV_SQRT2 / sqrt_w[j]
     return out
 
 

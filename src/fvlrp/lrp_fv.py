@@ -15,10 +15,10 @@ The classifier score is decomposed in three stages:
 * R1 — per pixel, spreading each descriptor's R2_l uniformly over its
   receptive field (clipped to the image; clipping shrinks the divisor).
 
-The mapping matrix m_d(l) is |L| x (1+2D)K and is never materialized
-here: :class:`FvMappingView` recomputes single columns from the mixture
-parameters using the same block formulas as the batch embedding, so the
-streaming and materialized paths agree bit for bit.
+The mapping matrix m_d(l) is the |L| x (1+2D)K embedding matrix Psi from
+`embed_batch`, whose mean is the raw Fisher vector. :func:`explain`
+computes it once per image and uses it for both the FV and R2, and R2 is
+one array pass over its columns.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ import numpy as np
 
 from .descriptors import DescriptorSet, PcaModel, extract_dense, pca_apply
 from .errors import DimError, RangeError, ValidationError, ZeroDenominatorError
-from .fisher import (EmbeddingIndex, aggregate, embed_batch, improve,
-                     psi_mean_block, psi_sigma_block, psi_weight_block)
-from .gmm import GmmModel, responsibilities
+from .fisher import embed_batch, improve, mean_embedding
+from .gmm import GmmModel
 from .imaging import Heatmap, Image
 from .svm import SvmModel, score
 
@@ -83,74 +82,20 @@ class R2Map:
 
 
 class FvMappingView:
-    """Column access to m_d(l) = Psi(l)_d without building the matrix.
+    """Column access to m_d(l) = Psi(l)_d, the columns of `embed_batch`.
 
-    Columns are recomputed from the mixture parameters with the exact
-    same elementwise formulas the batch embedding uses, so a column here
-    is bit-identical to the corresponding column of
-    ``embed_batch(model, vectors)``.
+    Nothing in the package builds one: `relevance_r2` takes the whole
+    matrix. The class stays because the benchmark traces
+    `lrp_fv.FvMappingView.column` by name.
     """
 
     def __init__(self, model: GmmModel, descriptors: DescriptorSet | np.ndarray):
         vectors = (descriptors.vectors if isinstance(descriptors, DescriptorSet)
-                   else np.asarray(descriptors, dtype=np.float64))
-        if vectors.ndim != 2 or vectors.shape[1] != model.dim:
-            raise DimError(f"descriptors {vectors.shape} vs model dim {model.dim}")
-        self._model = model
-        self._vectors = vectors
-        self._gamma = responsibilities(model, vectors)
-        self._sqrt_w = np.sqrt(model.weights)
-        self.index = EmbeddingIndex(model.n_components, model.dim)
-
-    @property
-    def n_descriptors(self) -> int:
-        return self._vectors.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.index.length
+                   else descriptors)
+        self._psi = embed_batch(model, vectors)
 
     def column(self, d: int) -> np.ndarray:
-        moment, k, r = self.index.decode(d)
-        m = self._model
-        if m.weights[k] == 0.0:
-            return np.zeros(self.n_descriptors)
-        gamma_k = self._gamma[:, k]
-        if moment == "w":
-            return psi_weight_block(gamma_k, m.weights[k], self._sqrt_w[k])
-        t = (self._vectors[:, r] - m.means[k, r]) / m.sigmas[k, r]
-        if moment == "mu":
-            return psi_mean_block(gamma_k, t, self._sqrt_w[k])
-        return psi_sigma_block(gamma_k, t, self._sqrt_w[k])
-
-
-class ArrayMappingView:
-    """Same interface backed by a fully materialized mapping matrix."""
-
-    def __init__(self, matrix: np.ndarray, index: EmbeddingIndex | None = None):
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise DimError("mapping matrix must be 2-d (descriptors x dims)")
-        self._matrix = matrix
-        self.index = index
-
-    @classmethod
-    def from_model(cls, model: GmmModel, descriptors) -> "ArrayMappingView":
-        vectors = (descriptors.vectors if isinstance(descriptors, DescriptorSet)
-                   else np.asarray(descriptors, dtype=np.float64))
-        return cls(embed_batch(model, vectors),
-                   EmbeddingIndex(model.n_components, model.dim))
-
-    @property
-    def n_descriptors(self) -> int:
-        return self._matrix.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self._matrix.shape[1]
-
-    def column(self, d: int) -> np.ndarray:
-        return np.ascontiguousarray(self._matrix[:, d])
+        return np.ascontiguousarray(self._psi[:, d])
 
 
 def relevance_r3(model: SvmModel, phi_x, class_name: str) -> R3Map:
@@ -176,56 +121,55 @@ def relevance_r3_dual(model: SvmModel, phi_x, class_name: str) -> R3Map:
     return R3Map(r3, class_name, float(r3.sum()))
 
 
-def relevance_r2(r3: R3Map, view, ds: DescriptorSet | None = None,
-                 variant: str = DEFAULT_VARIANT,
+def relevance_r2(r3: R3Map, psi: np.ndarray, variant: str = DEFAULT_VARIANT,
                  epsilon: float = DEFAULT_EPSILON) -> R2Map:
     """Redistribute per-dimension relevance onto descriptors.
 
-    `view` provides the mapping columns; `ds` (optional) only checks
-    that the descriptor count matches. Dimensions are processed in
-    ascending order so results are reproducible bit for bit.
+    `psi` is the |L| x (1+2D)K embedding matrix from `embed_batch`. Its
+    columns are summed one at a time, and the per-dimension shares are
+    accumulated in ascending dimension order, so results are
+    reproducible bit for bit.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    n = view.n_descriptors
+    psi = np.asarray(psi, dtype=np.float64)
+    if psi.ndim != 2:
+        raise DimError("mapping matrix must be 2-d (descriptors x dims)")
+    n = psi.shape[0]
     if n < 1:
         raise ValidationError("need at least one descriptor")
-    if ds is not None and len(ds) != n:
-        raise DimError(f"descriptor set size {len(ds)} vs mapping rows {n}")
-    if r3.values.shape[0] != view.length:
-        raise DimError(f"R3 length {r3.values.shape[0]} vs mapping dims {view.length}")
+    if r3.values.shape[0] != psi.shape[1]:
+        raise DimError(f"R3 length {r3.values.shape[0]} vs mapping dims {psi.shape[1]}")
     if variant == "epsilon" and not epsilon > 0.0:
         raise RangeError("epsilon variant needs epsilon > 0")
 
-    r2 = np.zeros(n)
-    zero_dims: list[int] = []
-    xi_total = 0.0
-    for d in range(view.length):
-        col = view.column(d)
-        if not np.any(col):
-            zero_dims.append(d)
-            xi_total += r3.values[d]
-            continue
-        if variant == "absolute":
-            acol = np.abs(col)
-            r2 += r3.values[d] * acol / acol.sum()
-            continue
-        colsum = col.sum()
-        if variant == "plain":
-            if colsum == 0.0:
-                raise ZeroDenominatorError(
-                    f"dimension {d}: column sum is exactly 0; "
-                    "use the epsilon or absolute variant")
-            denom = colsum
-        else:
-            stab = epsilon if colsum >= 0.0 else -epsilon
-            denom = colsum + stab
-        r2 += r3.values[d] * col / denom
-    xi = xi_total / n
+    cols = np.ascontiguousarray(psi.T)
+    zero = ~cols.any(axis=1)
+    if variant == "absolute":
+        cols = np.abs(cols)
+    colsum = cols.sum(axis=1)
+    if variant == "plain":
+        bad = np.flatnonzero((colsum == 0.0) & ~zero)
+        if bad.size:
+            raise ZeroDenominatorError(
+                f"dimension {bad[0]}: column sum is exactly 0; "
+                "use the epsilon or absolute variant")
+        denom = colsum
+    elif variant == "epsilon":
+        denom = np.where(colsum >= 0.0, colsum + epsilon, colsum - epsilon)
+    else:
+        denom = colsum
+    denom[zero] = 1.0
+    contrib = (r3.values[:, None] * cols) / denom[:, None]
+    contrib[zero] = 0.0
+    # A sequential running sum from a zero row adds the dimensions in
+    # ascending order, like a loop of `r2 += share`.
+    r2 = np.cumsum(np.vstack((np.zeros(n), contrib)), axis=0)[-1]
+    xi = float(np.cumsum(np.append(0.0, r3.values[zero]))[-1]) / n
     r2 += xi
     eps_out = epsilon if variant == "epsilon" else None
-    return R2Map(r2, variant, eps_out, np.asarray(zero_dims, dtype=np.int64),
-                 xi, r3.score, r3.class_name)
+    return R2Map(r2, variant, eps_out, np.flatnonzero(zero), xi,
+                 r3.score, r3.class_name)
 
 
 def relevance_r1(r2: R2Map, ds: DescriptorSet, dims: tuple[int, int]) -> Heatmap:
@@ -262,12 +206,11 @@ def explain(image: Image, gmm: GmmModel, pca: PcaModel, svm: SvmModel,
             stride: int = 4) -> Explanation:
     """End-to-end: image -> descriptors -> FV -> score -> R3 -> R2 -> R1."""
     ds = pca_apply(pca, extract_dense(image, patch, stride))
-    fv = aggregate(gmm, ds)
-    phi = improve(fv)
+    psi = embed_batch(gmm, ds.vectors)
+    phi = improve(mean_embedding(psi))
     f = score(svm, phi, class_name)
     r3 = relevance_r3(svm, phi, class_name)
-    view = FvMappingView(gmm, ds)
-    r2 = relevance_r2(r3, view, ds, variant=variant, epsilon=epsilon)
+    r2 = relevance_r2(r3, psi, variant=variant, epsilon=epsilon)
     heat = relevance_r1(r2, ds, (image.width, image.height))
     k = svm.class_index(class_name)
     return Explanation(heat, r2, r3, f, f > float(svm.thresholds[k]), ds)

@@ -331,12 +331,8 @@ def _explanation_figure(out_dir, stem: str, image: Image,
 
 
 def write_nn_heatmap(out_dir, stem: str, image: Image,
-                     heatmap: Heatmap, title: str) -> list[str]:
-    """Raw dump plus a two-panel figure (input, rendered heatmap).
-
-    `title` names the relevance rule; figures carry no text, so it is
-    not drawn.
-    """
+                     heatmap: Heatmap) -> list[str]:
+    """Raw dump plus a two-panel figure (input, rendered heatmap)."""
     paths = []
     raw_path = os.path.join(out_dir, f"{stem}_heatmap.hmap")
     save_heatmap(heatmap, raw_path, mode="raw")

@@ -87,17 +87,12 @@ def _gmm_restore(payload: dict) -> GmmModel:
 
 
 def _pca_payload(m: PcaModel) -> dict:
-    out = {"mean": _enc_array(m.mean), "basis": _enc_array(m.basis)}
-    if m.whiten_scales is not None:
-        out["whiten_scales"] = _enc_array(m.whiten_scales)
-    return out
+    return {"mean": _enc_array(m.mean), "basis": _enc_array(m.basis)}
 
 
 def _pca_restore(payload: dict) -> PcaModel:
-    whiten = payload.get("whiten_scales")
     return PcaModel(_dec_array(_require(payload, "mean")),
-                    _dec_array(_require(payload, "basis")),
-                    None if whiten is None else _dec_array(whiten))
+                    _dec_array(_require(payload, "basis")))
 
 
 def _svm_payload(m: SvmModel) -> dict:

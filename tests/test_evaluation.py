@@ -9,10 +9,10 @@ from fvlrp.errors import (EmptyInputError, RangeError, UndefinedError,
 from fvlrp.evaluation import (MorfTrace, area_above, compare_orderings,
                               context_ratio, context_report, morf_ordering,
                               morf_replace, sign_switch_fraction)
-from fvlrp.fisher import aggregate, improve
+from fvlrp.fisher import aggregate, embed_batch, improve
 from fvlrp.gmm import em_fit
 from fvlrp.imaging import BoundingBox, Heatmap
-from fvlrp.lrp_fv import FvMappingView, relevance_r2, relevance_r3
+from fvlrp.lrp_fv import relevance_r2, relevance_r3
 from fvlrp.svm import SvmModel, score
 from fvlrp.verification import recomputed_fisher_vector
 
@@ -20,7 +20,7 @@ from fvlrp.verification import recomputed_fisher_vector
 def make_r2(gmm, ds, model, cls="a", variant="epsilon"):
     phi = improve(aggregate(gmm, ds))
     r3 = relevance_r3(model, phi, cls)
-    return relevance_r2(r3, FvMappingView(gmm, ds), ds, variant=variant)
+    return relevance_r2(r3, embed_batch(gmm, ds.vectors), variant=variant)
 
 
 def toy_setup(rng, n=30, dim=3, k=2):

@@ -6,12 +6,13 @@ import pytest
 from fvlrp.descriptors import DescriptorSet, extract_dense, pca_apply
 from fvlrp.errors import (DimError, RangeError, ValidationError,
                           ZeroDenominatorError)
-from fvlrp.fisher import aggregate, embed_batch, improve
-from fvlrp.gmm import em_fit
-from fvlrp.lrp_fv import (ArrayMappingView, FvMappingView, R3Map, explain,
-                          relevance_r1, relevance_r2, relevance_r3,
-                          relevance_r3_dual)
+from fvlrp import fisher, gmm as gmm_module, lrp_fv
+from fvlrp.fisher import EmbeddingIndex, aggregate, embed_batch, improve
+from fvlrp.gmm import GmmModel, em_fit
+from fvlrp.lrp_fv import (FvMappingView, R3Map, explain, relevance_r1,
+                          relevance_r2, relevance_r3, relevance_r3_dual)
 from fvlrp.svm import SvmModel, score
+from fvlrp.verification import oracle_r2_from_matrix
 
 
 def toy_model(weights, bias):
@@ -51,8 +52,8 @@ def test_r3_map_validates_conservation():
 
 def test_r2_plain_hand_case():
     r3 = R3Map(np.array([0.5, 0.4]), "a", score=0.9)
-    view = ArrayMappingView(np.array([[1.0, 2.0], [3.0, -1.0]]))
-    r2 = relevance_r2(r3, view, variant="plain")
+    psi = np.array([[1.0, 2.0], [3.0, -1.0]])
+    r2 = relevance_r2(r3, psi, variant="plain")
     np.testing.assert_allclose(
         r2.values,
         0.5 * np.array([1.0, 3.0]) / 4.0 + 0.4 * np.array([2.0, -1.0]) / 1.0)
@@ -63,8 +64,8 @@ def test_r2_plain_hand_case():
 def test_r2_zero_column_share_is_uniform():
     # dimension 1 maps to no descriptor; its relevance spreads evenly
     r3 = R3Map(np.array([0.5, 0.4]), "a", score=0.9)
-    view = ArrayMappingView(np.array([[1.0, 0.0], [3.0, 0.0]]))
-    r2 = relevance_r2(r3, view, variant="plain")
+    psi = np.array([[1.0, 0.0], [3.0, 0.0]])
+    r2 = relevance_r2(r3, psi, variant="plain")
     assert list(r2.zero_dims) == [1]
     assert r2.xi == pytest.approx(0.2)
     np.testing.assert_allclose(r2.values, [0.125 + 0.2, 0.375 + 0.2])
@@ -73,18 +74,18 @@ def test_r2_zero_column_share_is_uniform():
 
 def test_r2_single_descriptor_receives_everything():
     r3 = R3Map(np.array([0.3, 0.7]), "a", score=1.0)
-    view = ArrayMappingView(np.array([[1.0, 0.0]]))
-    r2 = relevance_r2(r3, view, variant="plain")
+    psi = np.array([[1.0, 0.0]])
+    r2 = relevance_r2(r3, psi, variant="plain")
     assert r2.values[0] == pytest.approx(1.0)
 
 
 def test_r2_plain_raises_on_cancelling_column():
     r3 = R3Map(np.array([1.0]), "a", score=1.0)
-    view = ArrayMappingView(np.array([[1.0], [-1.0]]))
+    psi = np.array([[1.0], [-1.0]])
     with pytest.raises(ZeroDenominatorError):
-        relevance_r2(r3, view, variant="plain")
+        relevance_r2(r3, psi, variant="plain")
     # the stabilized variant survives the same column, keeping sign(0) = +1
-    r2 = relevance_r2(r3, view, variant="epsilon", epsilon=2.0)
+    r2 = relevance_r2(r3, psi, variant="epsilon", epsilon=2.0)
     np.testing.assert_allclose(r2.values, [0.5, -0.5])
 
 
@@ -93,20 +94,19 @@ def test_r2_epsilon_approaches_plain(rng):
     mat = rng.normal(size=(n, dims)) + 0.5  # column sums away from zero
     r3_values = rng.normal(size=dims)
     r3 = R3Map(r3_values, "a", score=float(r3_values.sum()))
-    view = ArrayMappingView(mat)
-    plain = relevance_r2(r3, view, variant="plain")
-    small = relevance_r2(r3, view, variant="epsilon", epsilon=1e-10)
+    plain = relevance_r2(r3, mat, variant="plain")
+    small = relevance_r2(r3, mat, variant="epsilon", epsilon=1e-10)
     scale = np.abs(plain.values).max()
     np.testing.assert_allclose(small.values, plain.values, atol=1e-6 * scale)
 
 
 def test_r2_epsilon_requires_positive_epsilon():
     r3 = R3Map(np.array([1.0]), "a", score=1.0)
-    view = ArrayMappingView(np.ones((2, 1)))
+    psi = np.ones((2, 1))
     with pytest.raises(RangeError):
-        relevance_r2(r3, view, variant="epsilon", epsilon=0.0)
+        relevance_r2(r3, psi, variant="epsilon", epsilon=0.0)
     with pytest.raises(ValidationError):
-        relevance_r2(r3, view, variant="nope")
+        relevance_r2(r3, psi, variant="nope")
 
 
 def test_r2_absolute_always_conserves(rng):
@@ -114,7 +114,7 @@ def test_r2_absolute_always_conserves(rng):
     mat[:, 3] = 0.0  # one dead dimension exercises the xi path too
     r3_values = rng.normal(size=20)
     r3 = R3Map(r3_values, "a", score=float(r3_values.sum()))
-    r2 = relevance_r2(r3, ArrayMappingView(mat), variant="absolute")
+    r2 = relevance_r2(r3, mat, variant="absolute")
     assert r2.values.sum() == pytest.approx(r3.score, abs=1e-9)
 
 
@@ -122,13 +122,47 @@ def test_mapping_views_agree(rng):
     vectors = rng.normal(size=(200, 4))
     gmm = em_fit(vectors, 3, seed=1)
     probes = rng.normal(size=(15, 4))
-    lazy = FvMappingView(gmm, probes)
-    dense = ArrayMappingView.from_model(gmm, probes)
-    assert lazy.length == dense.length == gmm.n_components * (1 + 2 * 4)
-    for d in range(lazy.length):
-        np.testing.assert_array_equal(lazy.column(d), dense.column(d))
+    view = FvMappingView(gmm, probes)
     matrix = embed_batch(gmm, probes)
-    np.testing.assert_array_equal(dense.column(5), matrix[:, 5])
+    assert matrix.shape[1] == gmm.n_components * (1 + 2 * 4)
+    for d in range(matrix.shape[1]):
+        np.testing.assert_array_equal(view.column(d), matrix[:, d])
+
+
+@pytest.mark.parametrize("variant", ["plain", "epsilon", "absolute"])
+def test_r2_zero_weight_component_matches_oracle(rng, variant):
+    k, dim = 3, 4
+    weights = np.array([0.6, 0.0, 0.4])
+    model = GmmModel(weights, rng.normal(0.0, 1.5, (k, dim)),
+                     rng.uniform(0.4, 1.6, (k, dim)), np.full(dim, 1e-8))
+    psi = embed_batch(model, rng.normal(size=(13, dim)))
+    r3_values = rng.normal(size=psi.shape[1])
+    r3 = R3Map(r3_values, "a", score=float(r3_values.sum()))
+    r2 = relevance_r2(r3, psi, variant=variant, epsilon=0.5)
+    expect, zero_dims, xi = oracle_r2_from_matrix(r3_values, psi, variant, 0.5)
+    np.testing.assert_array_equal(r2.values, expect)
+    assert r2.xi == xi
+    idx = EmbeddingIndex(k, dim)
+    dims = range(idx.length)
+    dead = [1, *dims[idx.mu_block(1)], *dims[idx.sigma_block(1)]]
+    assert r2.zero_dims.tolist() == zero_dims == dead
+
+
+def test_explain_computes_responsibilities_once(monkeypatch, micro_bundle,
+                                                micro_corpus):
+    original = gmm_module.responsibilities
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (gmm_module, fisher, lrp_fv):
+        if getattr(module, "responsibilities", None) is original:
+            monkeypatch.setattr(module, "responsibilities", counted)
+    explain(micro_corpus[2][0].image, micro_bundle.gmm, micro_bundle.pca,
+            micro_bundle.svm, micro_bundle.classes[0])
+    assert len(calls) == 1
 
 
 def test_r1_uniform_spread_and_clipping():

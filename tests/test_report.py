@@ -176,7 +176,7 @@ def test_write_nn_heatmap(tmp_path, micro_bundle, micro_corpus):
     rel = lrp_alphabeta(net, image_to_input(img.image, net.input_size),
                         net.classes[0])
     heat = nn_heatmap(rel, net.input_size, (img.image.width, img.image.height))
-    paths = write_nn_heatmap(tmp_path, "nn", img.image, heat, "alphabeta")
+    paths = write_nn_heatmap(tmp_path, "nn", img.image, heat)
     assert sorted(os.path.basename(p) for p in paths) == [
         "nn_heatmap.hmap", "nn_overview.png"]
     check_png(os.path.join(tmp_path, "nn_overview.png"))

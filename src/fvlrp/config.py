@@ -13,6 +13,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
+from .descriptors import tiles_grid
 from .errors import ParseError, ValidationError
 from .util import stable_hash
 
@@ -83,6 +84,9 @@ class PipelineConfig:
             raise ValidationError(
                 f"patch {self.patch} exceeds corpus_size {self.corpus_size}")
         per_side = (self.corpus_size - self.patch) // self.stride + 1
+        if not tiles_grid(self.patch, self.stride, per_side):
+            raise ValidationError(f"patch {self.patch} / stride {self.stride}: "
+                                  f"descriptor cells do not tile the grid")
         if self.morf_batch * self.morf_steps > per_side * per_side:
             raise ValidationError(
                 f"morf_batch*morf_steps = {self.morf_batch * self.morf_steps} "

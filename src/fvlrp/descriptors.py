@@ -7,6 +7,12 @@ pixel votes with its gradient magnitude, split linearly between the two
 nearest orientation bins. The histogram is l2-normalized, clamped at
 0.2, and renormalized (an all-zero histogram stays zero).
 
+As in dense SIFT (VLFeat `vl_dsift`), each cell histogram is binned
+once per image and shared by every patch covering it, bit for bit what
+binning each patch alone gives (`verification.oracle_extract_dense`).
+So patch origins must lie on the cell grid: `patch % 4 == 0` and
+`stride % (patch // 4) == 0`, unless the image holds one patch per axis.
+
 Every descriptor keeps its receptive field: the (x, y, w, h) patch
 rectangle it was computed from, used later to spread relevance onto
 pixels.
@@ -49,27 +55,42 @@ class DescriptorSet:
         return self.vectors.shape[1]
 
 
-def _gradients(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Central differences with replicated borders."""
+def orientation_votes(gray: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-pixel votes (b0, b1, w0, w1): the gradient magnitude (central
+    differences, replicated borders) split linearly between the two
+    nearest of 8 orientation bins over [0, 2*pi)."""
     padded = np.pad(gray, 1, mode="edge")
     gx = 0.5 * (padded[1:-1, 2:] - padded[1:-1, :-2])
     gy = 0.5 * (padded[2:, 1:-1] - padded[:-2, 1:-1])
-    return gx, gy
+    mag = np.hypot(gx, gy)
+    theta = np.mod(np.arctan2(gy, gx), 2.0 * np.pi)
+    t = theta * (N_ORI / (2.0 * np.pi))
+    b0 = np.floor(t).astype(np.int64) % N_ORI
+    frac = t - np.floor(t)
+    b1 = (b0 + 1) % N_ORI
+    return b0, b1, mag * (1.0 - frac), mag * frac
 
 
-def _cell_index_grid(patch: int) -> np.ndarray:
-    """(patch, patch) map from local pixel offset to flat 4x4 cell index."""
-    axis = (N_CELLS * np.arange(patch)) // patch
-    return (axis[:, None] * N_CELLS + axis[None, :]).astype(np.int64)
+def tiles_grid(patch: int, stride: int, per_side: int) -> bool:
+    """Whether every patch origin lies on the grid of cells of side
+    patch/4, so that neighbouring patches share whole cells."""
+    return patch % N_CELLS == 0 and (per_side == 1 or stride % (patch // N_CELLS) == 0)
 
 
-def _normalize_clamped(hist: np.ndarray) -> np.ndarray:
-    norm = np.sqrt(np.dot(hist, hist))
-    if norm == 0.0:
-        return hist
-    v = hist / norm
-    np.minimum(v, CLAMP, out=v)
-    return v / np.sqrt(np.dot(v, v))
+def _row_norms(h: np.ndarray) -> np.ndarray:
+    # Batched matmul, not einsum or sum: it equals np.dot per row bit for bit.
+    return np.sqrt(np.matmul(h[:, None, :], h[:, :, None])[:, 0, 0])
+
+
+def _normalize_clamped(h: np.ndarray) -> np.ndarray:
+    """Row-wise l2-normalize, clamp at CLAMP and renormalize, in place;
+    rows of zero norm are left as they are."""
+    norm = _row_norms(h)[:, None]
+    keep = norm != 0.0
+    np.divide(h, norm, out=h, where=keep)
+    np.minimum(h, CLAMP, out=h, where=keep)
+    np.divide(h, _row_norms(h)[:, None], out=h, where=keep)
+    return h
 
 
 def extract_dense(img: Image, patch: int, stride: int) -> DescriptorSet:
@@ -83,35 +104,28 @@ def extract_dense(img: Image, patch: int, stride: int) -> DescriptorSet:
         raise ExtractError(f"patch and stride must be positive, got {patch}, {stride}")
     if patch > min(img.width, img.height):
         raise ExtractError(f"patch {patch} exceeds image {img.width}x{img.height}")
-
-    gray = img.gray()
-    gx, gy = _gradients(gray)
-    mag = np.hypot(gx, gy)
-    # Orientation split onto the two nearest of 8 bins over [0, 2*pi).
-    theta = np.mod(np.arctan2(gy, gx), 2.0 * np.pi)
-    t = theta * (N_ORI / (2.0 * np.pi))
-    b0 = np.floor(t).astype(np.int64) % N_ORI
-    frac = t - np.floor(t)
-    b1 = (b0 + 1) % N_ORI
-    w0 = mag * (1.0 - frac)
-    w1 = mag * frac
-
-    cells = _cell_index_grid(patch)
     xs = range(0, img.width - patch + 1, stride)
     ys = range(0, img.height - patch + 1, stride)
-    vectors = []
-    areas = []
-    for y in ys:
-        for x in xs:
-            sl = (slice(y, y + patch), slice(x, x + patch))
-            idx0 = (cells * N_ORI + b0[sl]).ravel()
-            idx1 = (cells * N_ORI + b1[sl]).ravel()
-            hist = np.bincount(idx0, weights=w0[sl].ravel(), minlength=RAW_DIM)
-            hist += np.bincount(idx1, weights=w1[sl].ravel(), minlength=RAW_DIM)
-            vectors.append(_normalize_clamped(hist))
-            areas.append((x, y, patch, patch))
-    return DescriptorSet(np.array(vectors), np.array(areas, dtype=np.int64),
-                         (img.width, img.height))
+    if not tiles_grid(patch, stride, max(len(xs), len(ys))):
+        raise ExtractError(f"patch {patch} / stride {stride}: cells do not tile the grid")
+
+    b0, b1, w0, w1 = orientation_votes(img.gray())
+    side = patch // N_CELLS
+    nx, ny = (xs[-1] + patch) // side, (ys[-1] + patch) // side
+    # One bincount over the covered pixels in row-major order adds each
+    # cell's votes in the order a per-patch bincount adds them.
+    rows, cols = np.arange(ny * side) // side, np.arange(nx * side) // side
+    cell = ((rows[:, None] * nx + cols) * N_ORI).ravel()
+    covered = (slice(0, ny * side), slice(0, nx * side))
+    size = nx * ny * N_ORI
+    cells = np.bincount(cell + b0[covered].ravel(), w0[covered].ravel(), size)
+    cells += np.bincount(cell + b1[covered].ravel(), w1[covered].ravel(), size)
+    # The 4x4 cells under each patch, row-major over the grid.
+    cy = np.array(ys)[:, None, None, None] // side + np.arange(N_CELLS)[:, None]
+    cx = np.array(xs)[:, None, None] // side + np.arange(N_CELLS)
+    hist = cells.reshape(ny, nx, N_ORI)[cy, cx].reshape(-1, RAW_DIM)
+    areas = np.array([(x, y, patch, patch) for y in ys for x in xs], dtype=np.int64)
+    return DescriptorSet(_normalize_clamped(hist), areas, (img.width, img.height))
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +189,21 @@ def pca_apply(model: PcaModel, ds: DescriptorSet) -> DescriptorSet:
 # Descriptor cache file (format DESC1)
 
 
+def _record_dtype(dim: int) -> np.dtype:
+    return np.dtype([("area", "<u4", (4,)), ("vec", "<f8", (dim,))])
+
+
 def save_descriptors(ds: DescriptorSet, path) -> None:
     """Binary cache: magic, uint32 (width, height, count, dim), then per
     descriptor 4 uint32 area fields and `dim` float64 values, all
     little-endian."""
+    records = np.empty(len(ds), dtype=_record_dtype(ds.dim))
+    records["area"] = ds.areas
+    records["vec"] = ds.vectors
     with open(path, "wb") as fh:
         fh.write(_DESC_MAGIC)
         fh.write(struct.pack("<IIII", ds.image_size[0], ds.image_size[1], len(ds), ds.dim))
-        for i in range(len(ds)):
-            fh.write(ds.areas[i].astype("<u4").tobytes())
-            fh.write(ds.vectors[i].astype("<f8").tobytes())
+        fh.write(records.tobytes())
 
 
 def load_descriptors(path) -> DescriptorSet:
@@ -193,14 +212,10 @@ def load_descriptors(path) -> DescriptorSet:
     if data[:5] != _DESC_MAGIC:
         raise ParseError(f"{path}: bad magic {data[:5]!r}")
     width, height, count, dim = struct.unpack("<IIII", data[5:21])
-    rec = 16 + dim * 8
-    if len(data) != 21 + count * rec:
-        raise ParseError(f"{path}: expected {count} records of {rec} bytes")
-    areas = np.empty((count, 4), dtype=np.int64)
-    vectors = np.empty((count, dim), dtype=np.float64)
-    off = 21
-    for i in range(count):
-        areas[i] = np.frombuffer(data[off:off + 16], dtype="<u4")
-        vectors[i] = np.frombuffer(data[off + 16:off + rec], dtype="<f8")
-        off += rec
-    return DescriptorSet(vectors, areas, (width, height))
+    rec = _record_dtype(dim)
+    if len(data) != 21 + count * rec.itemsize:
+        raise ParseError(f"{path}: expected {count} records of {rec.itemsize} bytes")
+    records = np.frombuffer(data, dtype=rec, count=count, offset=21)
+    # astype copies: the set owns writable arrays, not views of `data`.
+    return DescriptorSet(records["vec"].astype(np.float64, order="C"),
+                         records["area"].astype(np.int64, order="C"), (width, height))

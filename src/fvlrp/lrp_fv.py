@@ -180,13 +180,16 @@ def relevance_r1(r2: R2Map, ds: DescriptorSet, dims: tuple[int, int]) -> Heatmap
     width, height = dims
     if len(ds) != r2.values.shape[0]:
         raise DimError(f"descriptor set size {len(ds)} vs R2 length {r2.values.shape[0]}")
+    x, y, w, h = ds.areas.T
+    x0, y0 = np.maximum(x, 0), np.maximum(y, 0)
+    x1, y1 = np.minimum(x + w, width), np.minimum(y + h, height)
+    keep = (x1 > x0) & (y1 > y0)
+    share = r2.values[keep] / ((x1 - x0) * (y1 - y0))[keep]
     heat = np.zeros((height, width))
-    for rel, (x, y, w, h) in zip(r2.values, ds.areas):
-        x0, y0 = max(int(x), 0), max(int(y), 0)
-        x1, y1 = min(int(x + w), width), min(int(y + h), height)
-        if x1 <= x0 or y1 <= y0:
-            continue
-        heat[y0:y1, x0:x1] += rel / ((x1 - x0) * (y1 - y0))
+    # Descriptor order, so every pixel adds its shares in the same order.
+    for a, b, c, d, s in zip(x0[keep].tolist(), y0[keep].tolist(), x1[keep].tolist(),
+                             y1[keep].tolist(), share.tolist()):
+        heat[b:d, a:c] += s
     return Heatmap(heat)
 
 

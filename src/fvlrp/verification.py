@@ -1,8 +1,9 @@
 """Seeded invariant suite and independent oracle implementations.
 
 Everything here exists to check the pipeline against slower, simpler
-reimplementations: relevance redistribution with a loop over the
-columns of the embedding matrix, relevance propagation with explicit
+reimplementations: dense extraction binning each patch on its own,
+relevance redistribution with a loop over the columns of the embedding
+matrix, R1 one receptive field at a time, relevance propagation with explicit
 per-connection loops, and Fisher-vector recomputation from scratch after
 incremental updates. The `verify` command runs the whole suite; the test
 suite reuses the same checks at their pinned sizes.
@@ -14,11 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import DescriptorSet
+from .descriptors import (CLAMP, N_CELLS, N_ORI, RAW_DIM, DescriptorSet,
+                          extract_dense, orientation_votes)
 from .errors import ZeroDenominatorError
 from .evaluation import morf_replace
 from .fisher import aggregate, embed_batch, improve
 from .gmm import GmmModel, em_fit
+from .imaging import Image
 from .lrp_fv import R2Map, R3Map, relevance_r1, relevance_r2, relevance_r3
 from .lrp_nn import DenseLayer, NeuralNet, forward, lrp_alphabeta, lrp_epsilon
 from .svm import SvmModel, score
@@ -100,6 +103,55 @@ def oracle_r2_from_matrix(r3_values: np.ndarray, matrix: np.ndarray,
     xi = xi_total / n
     r2 += xi
     return r2, zero_dims, xi
+
+
+def _cell_index_grid(patch: int) -> np.ndarray:
+    """(patch, patch) map from local pixel offset to flat 4x4 cell index."""
+    axis = (N_CELLS * np.arange(patch)) // patch
+    return (axis[:, None] * N_CELLS + axis[None, :]).astype(np.int64)
+
+
+def _normalize_clamped(hist: np.ndarray) -> np.ndarray:
+    norm = np.sqrt(np.dot(hist, hist))
+    if norm == 0.0:
+        return hist
+    v = hist / norm
+    np.minimum(v, CLAMP, out=v)
+    return v / np.sqrt(np.dot(v, v))
+
+
+def oracle_extract_dense(img: Image, patch: int, stride: int) -> DescriptorSet:
+    """`extract_dense` with each patch histogram binned from its own
+    pixels, one grid position at a time (any geometry)."""
+    b0, b1, w0, w1 = orientation_votes(img.gray())
+    cells = _cell_index_grid(patch)
+    vectors = []
+    areas = []
+    for y in range(0, img.height - patch + 1, stride):
+        for x in range(0, img.width - patch + 1, stride):
+            sl = (slice(y, y + patch), slice(x, x + patch))
+            idx0 = (cells * N_ORI + b0[sl]).ravel()
+            idx1 = (cells * N_ORI + b1[sl]).ravel()
+            hist = np.bincount(idx0, weights=w0[sl].ravel(), minlength=RAW_DIM)
+            hist += np.bincount(idx1, weights=w1[sl].ravel(), minlength=RAW_DIM)
+            vectors.append(_normalize_clamped(hist))
+            areas.append((x, y, patch, patch))
+    return DescriptorSet(np.array(vectors), np.array(areas, dtype=np.int64),
+                         (img.width, img.height))
+
+
+def oracle_relevance_r1(r2_values: np.ndarray, areas: np.ndarray,
+                        dims: tuple[int, int]) -> np.ndarray:
+    """R1 with the receptive fields clipped one descriptor at a time."""
+    width, height = dims
+    heat = np.zeros((height, width))
+    for rel, (x, y, w, h) in zip(r2_values, areas):
+        x0, y0 = max(int(x), 0), max(int(y), 0)
+        x1, y1 = min(int(x + w), width), min(int(y + h), height)
+        if x1 <= x0 or y1 <= y0:
+            continue
+        heat[y0:y1, x0:x1] += rel / ((x1 - x0) * (y1 - y0))
+    return heat
 
 
 def oracle_nn_backward(net: NeuralNet, x: np.ndarray, class_name: str,
@@ -237,6 +289,47 @@ def check_streaming_oracle(cases: int = 100, seed: int = 1003) -> CheckResult:
                     f"case {case} variant {variant}: bitwise mismatch")
     return CheckResult("streaming-oracle", True,
                        f"{cases} cases x 3 variants, all bitwise equal")
+
+
+TILING_GEOMETRIES = ((8, 2), (8, 4), (8, 6), (12, 3), (12, 6), (16, 4), (16, 8), (16, 16))
+
+
+def same_descriptors(a: DescriptorSet, b: DescriptorSet) -> bool:
+    return (a.vectors.tobytes() == b.vectors.tobytes()
+            and np.array_equal(a.areas, b.areas) and a.image_size == b.image_size)
+
+
+def check_dense_extraction(cases: int = 48, seed: int = 1009) -> CheckResult:
+    """Cell-shared extraction equals per-patch binning bit for bit on the
+    tiling geometries, with non-square, color and constant images."""
+    rng = np.random.default_rng(seed)
+    for case in range(cases):
+        patch, stride = TILING_GEOMETRIES[case % len(TILING_GEOMETRIES)]
+        shape = tuple(int(v) for v in rng.integers(patch, 3 * patch, 2))
+        shape += (3,) if case % 4 == 1 else ()
+        img = Image(np.full(shape, 0.5) if case % 4 == 2 else rng.random(shape))
+        if not same_descriptors(extract_dense(img, patch, stride),
+                                oracle_extract_dense(img, patch, stride)):
+            return CheckResult("dense-extraction", False,
+                               f"case {case}: patch {patch} stride {stride} shape {shape}")
+    return CheckResult("dense-extraction", True, f"{cases} images, all bitwise equal")
+
+
+def check_r1(cases: int = 200, seed: int = 1010) -> CheckResult:
+    """The array R1 kernel equals the per-descriptor loop bit for bit, on
+    areas clipped at every edge, some of them empty after clipping."""
+    rng = np.random.default_rng(seed)
+    for case in range(cases):
+        dims = tuple(int(v) for v in rng.integers(1, 20, 2))
+        n = int(rng.integers(1, 30))
+        areas = np.concatenate([rng.integers(-8, 24, (n, 2)), rng.integers(0, 12, (n, 2))],
+                               axis=1)
+        r2 = R2Map(rng.normal(0.0, 1.0, n), "epsilon", 1.0,
+                   np.array([], dtype=np.int64), 0.0, 0.0, "c")
+        heat = relevance_r1(r2, DescriptorSet(np.zeros((n, 1)), areas, dims), dims)
+        if heat.values.tobytes() != oracle_relevance_r1(r2.values, areas, dims).tobytes():
+            return CheckResult("r1", False, f"case {case}: bitwise mismatch")
+    return CheckResult("r1", True, f"{cases} clipped cases, all bitwise equal")
 
 
 def check_incremental_fv(cases: int = 100, steps: int = 20,
@@ -405,4 +498,6 @@ def run_all(seed: int = 0) -> list[CheckResult]:
         check_nn_rules(seed=1006 + base),
         check_nn_bias_deficit(seed=1007 + base),
         check_em(seed=1008 + base),
+        check_dense_extraction(seed=1009 + base),
+        check_r1(seed=1010 + base),
     ]

@@ -46,6 +46,14 @@ def test_validation_rejects_patch_larger_than_corpus():
     PipelineConfig(patch=64, morf_batch=1, morf_steps=1)
 
 
+def test_validation_rejects_cells_that_do_not_tile_the_stride_grid():
+    for patch, stride in ((10, 2), (16, 6), (18, 3)):
+        with pytest.raises(ValidationError, match=f"patch {patch} / stride {stride}"):
+            PipelineConfig(patch=patch, stride=stride, morf_batch=1, morf_steps=1)
+    PipelineConfig(patch=16, stride=8, morf_batch=1, morf_steps=1)
+    PipelineConfig(patch=12, stride=6, morf_batch=1, morf_steps=1)
+
+
 def test_validation_rejects_morf_budget_beyond_descriptor_count():
     # 64 px, patch 16, stride 4: 13 x 13 = 169 descriptors per image
     PipelineConfig(morf_batch=13, morf_steps=13)

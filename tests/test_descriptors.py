@@ -6,8 +6,12 @@ import pytest
 from fvlrp.descriptors import (CLAMP, DescriptorSet, extract_dense,
                                load_descriptors, pca_apply, pca_fit,
                                save_descriptors)
+from fvlrp.config import PipelineConfig
 from fvlrp.errors import DimError, ExtractError, FitError, ParseError
 from fvlrp.imaging import Image
+from fvlrp.pipeline import make_corpus
+from fvlrp.verification import (TILING_GEOMETRIES, oracle_extract_dense,
+                                same_descriptors)
 
 
 def reference_descriptor(gray, x0, y0, patch):
@@ -64,6 +68,10 @@ def test_vertical_edge_concentrates_horizontal_gradient_bins():
 def test_constant_image_gives_zero_descriptors():
     ds = extract_dense(Image(np.full((8, 8), 0.5)), patch=8, stride=8)
     np.testing.assert_array_equal(ds.vectors, np.zeros((1, 128)))
+    img = Image(np.full((20, 28), 0.25))
+    ds = extract_dense(img, patch=8, stride=2)
+    assert not ds.vectors.any()
+    assert same_descriptors(ds, oracle_extract_dense(img, 8, 2))
 
 
 def test_norm_and_clamp_invariants(rng):
@@ -95,6 +103,38 @@ def test_patch_larger_than_image_rejected():
         extract_dense(Image(np.zeros((8, 8))), patch=9, stride=4)
     with pytest.raises(ExtractError):
         extract_dense(Image(np.zeros((8, 8))), patch=4, stride=0)
+
+
+@pytest.mark.parametrize("patch,stride", TILING_GEOMETRIES)
+def test_cell_sharing_equals_per_patch_oracle(rng, patch, stride):
+    for shape in ((3 * patch, 2 * patch + 5), (2 * patch + 3, 3 * patch, 3)):
+        img = Image(rng.random(shape))
+        assert same_descriptors(extract_dense(img, patch, stride),
+                                oracle_extract_dense(img, patch, stride))
+
+
+def test_fixed_workload_corpus_matches_oracle_bitwise():
+    # Guards the numpy/BLAS assumption the kernel rests on (batched
+    # matmul norms equal np.dot per row) on real synthetic images.
+    train, test, _ = make_corpus(PipelineConfig(seed=0))
+    mismatched = [i for i, li in enumerate(train + test)
+                  if not same_descriptors(extract_dense(li.image, 16, 4),
+                                          oracle_extract_dense(li.image, 16, 4))]
+    assert len(train + test) == 240
+    assert mismatched == []
+
+
+@pytest.mark.parametrize("patch,stride", [(10, 2), (16, 6), (6, 3)])
+def test_geometry_whose_cells_do_not_tile_is_rejected(patch, stride):
+    with pytest.raises(ExtractError, match="tile"):
+        extract_dense(Image(np.zeros((32, 32))), patch=patch, stride=stride)
+
+
+def test_single_patch_per_axis_needs_no_tiling(rng):
+    img = Image(rng.random((16, 18)))
+    ds = extract_dense(img, patch=16, stride=6)
+    assert len(ds) == 1
+    assert same_descriptors(ds, oracle_extract_dense(img, 16, 6))
 
 
 def test_pca_matches_numpy_eig(rng):
@@ -150,3 +190,22 @@ def test_descriptor_cache_rejects_corruption(tmp_path, rng):
     (tmp_path / "short.desc").write_bytes(data[:-8])
     with pytest.raises(ParseError):
         load_descriptors(tmp_path / "short.desc")
+
+
+def test_descriptor_cache_bytes_match_record_layout(tmp_path, rng):
+    ds = extract_dense(Image(rng.random((20, 28))), patch=8, stride=4)
+    path = tmp_path / "a.desc"
+    save_descriptors(ds, path)
+    expect = b"DESC1" + np.array([28, 20, len(ds), 128], "<u4").tobytes()
+    for area, vec in zip(ds.areas, ds.vectors):
+        expect += area.astype("<u4").tobytes() + vec.astype("<f8").tobytes()
+    assert path.read_bytes() == expect
+
+
+def test_loaded_descriptors_own_writable_arrays(tmp_path, rng):
+    ds = extract_dense(Image(rng.random((16, 16))), patch=8, stride=4)
+    save_descriptors(ds, tmp_path / "a.desc")
+    back = load_descriptors(tmp_path / "a.desc")
+    for arr, dtype in ((back.vectors, np.float64), (back.areas, np.int64)):
+        assert arr.dtype == dtype and arr.flags.c_contiguous
+        assert arr.flags.writeable and arr.flags.owndata

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from fvlrp.errors import ZeroDenominatorError
-from fvlrp.verification import (check_em, check_epsilon_violation,
-                                check_hellinger, check_identity_replacement,
+from fvlrp.verification import (check_dense_extraction, check_em,
+                                check_epsilon_violation, check_hellinger,
+                                check_identity_replacement,
                                 check_incremental_fv, check_nn_bias_deficit,
-                                check_nn_rules, check_r3_conservation,
-                                check_streaming_oracle, oracle_nn_backward,
-                                oracle_r2_from_matrix, random_descriptor_set,
+                                check_nn_rules, check_r1,
+                                check_r3_conservation, check_streaming_oracle,
+                                oracle_nn_backward, oracle_r2_from_matrix,
+                                oracle_relevance_r1, random_descriptor_set,
                                 random_gmm, run_all)
 
 
@@ -31,7 +33,8 @@ def test_run_all_is_deterministic():
 @pytest.mark.parametrize("check", [
     check_r3_conservation, check_hellinger, check_epsilon_violation,
     check_streaming_oracle, check_incremental_fv, check_identity_replacement,
-    check_nn_rules, check_nn_bias_deficit, check_em,
+    check_nn_rules, check_nn_bias_deficit, check_em, check_dense_extraction,
+    check_r1,
 ])
 def test_each_check_passes(check):
     result = check()
@@ -68,3 +71,22 @@ def test_oracle_nn_matches_fast_rule(rng):
     fast = lrp_epsilon(net, x, "a", epsilon=0.1)
     slow = oracle_nn_backward(net, x, "a", rule="epsilon", epsilon=0.1)
     np.testing.assert_allclose(fast.input_relevance, slow[0], atol=1e-12)
+
+
+def test_r1_matches_oracle_on_clipped_areas(rng):
+    from fvlrp.descriptors import DescriptorSet
+    from fvlrp.lrp_fv import R2Map, relevance_r1
+
+    # inside, negative origin, past the right/bottom edge, zero size,
+    # entirely outside: the last three add nothing
+    areas = np.array([[2, 3, 6, 6], [-4, -2, 8, 7], [9, 5, 8, 9],
+                      [4, 4, 0, 3], [14, 1, 4, 4], [-9, 0, 5, 5],
+                      [0, 0, 12, 10]], dtype=np.int64)
+    ds = DescriptorSet(np.zeros((7, 2)), areas, (12, 10))
+    values = rng.normal(0.0, 1.0, 7)
+    r2 = R2Map(values, "epsilon", 1.0, np.array([], dtype=np.int64), 0.0,
+               0.0, "c")
+    heat = relevance_r1(r2, ds, (12, 10)).values
+    expect = oracle_relevance_r1(values, areas, (12, 10))
+    assert heat.tobytes() == expect.tobytes()
+    assert heat.sum() == pytest.approx(values[[0, 1, 2, 6]].sum(), abs=1e-12)

@@ -395,6 +395,9 @@ def _cmd_explain(config: PipelineConfig, args) -> int:
     bundle = _load_bundle(out_dir, config, "explain")
     if not args.image or not args.cls:
         raise UsageError("explain needs --image and --class")
+    if args.cls not in bundle.classes:
+        raise ValidationError(
+            f"class {args.cls!r} not in corpus classes {bundle.classes}")
     entries = {e["image"]: e for e in _load_corpus_index(out_dir)}
     if args.image not in entries:
         raise ValidationError(f"image {args.image!r} not in the corpus index")

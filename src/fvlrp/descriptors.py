@@ -211,6 +211,8 @@ def load_descriptors(path) -> DescriptorSet:
         data = fh.read()
     if data[:5] != _DESC_MAGIC:
         raise ParseError(f"{path}: bad magic {data[:5]!r}")
+    if len(data) < 21:
+        raise ParseError(f"{path}: truncated header")
     width, height, count, dim = struct.unpack("<IIII", data[5:21])
     rec = _record_dtype(dim)
     if len(data) != 21 + count * rec.itemsize:

@@ -17,10 +17,10 @@ Two instruments:
   of traces whose prediction switches sign.
 
 * Outside-inside ratio mu = mean relevance outside the annotated boxes
-  divided by mean relevance inside. In the default positive-only mode
-  negative relevances are clamped to zero first. mu is only reported
-  when the inside mean is positive and the outside mean non-negative;
-  otherwise the measurement is flagged undefined.
+  divided by mean relevance inside. `context_report` measures it
+  positive-only: negative relevances are clamped to zero first. mu is
+  only reported when the inside mean is positive and the outside mean
+  non-negative; otherwise the measurement is flagged undefined.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from .errors import (DimError, EmptyInputError, RangeError, UndefinedError,
 from .fisher import embed_batch, improve, mean_embedding
 from .gmm import GmmModel, sample
 from .imaging import BoundingBox, Heatmap
-from .lrp_fv import R2Map, relevance_r2, relevance_r3
-from .lrp_nn import (NeuralNet, image_to_input, lrp_alphabeta, lrp_epsilon,
-                     nn_heatmap, nn_scores)
+from .lrp_fv import R2Map, explain, relevance_r2, relevance_r3
+from .lrp_nn import NeuralNet, image_to_input, lrp_alphabeta, nn_heatmap, nn_scores
 from .svm import SvmModel, score
 from .synth import LabeledImage
 
@@ -139,7 +138,6 @@ def _replace_trace(encoded: _Encoded, gmm: GmmModel, svm_model: SvmModel,
 def morf_replace(ds: DescriptorSet, gmm: GmmModel, svm_model: SvmModel,
                  r2: R2Map, batch: int, steps: int, rng: np.random.Generator,
                  ordering: np.ndarray | None = None,
-                 ordering_id: str | None = None,
                  identity_replacement: bool = False,
                  state_out: dict | None = None) -> MorfTrace:
     """Replace descriptors most-relevant-first; score after each batch.
@@ -158,9 +156,9 @@ def morf_replace(ds: DescriptorSet, gmm: GmmModel, svm_model: SvmModel,
     if r2.values.shape[0] != n:
         raise DimError("relevance map does not align with the descriptor set")
     if ordering is None:
-        order = morf_ordering(r2)
+        order, ordering_id = morf_ordering(r2), f"lrp-{r2.variant}"
     else:
-        order = np.asarray(ordering, dtype=np.int64)
+        order, ordering_id = np.asarray(ordering, dtype=np.int64), "custom"
         if order.shape[0] < batch * steps:
             raise RangeError("explicit ordering too short for batch*steps")
         used = order[:batch * steps]
@@ -168,8 +166,6 @@ def morf_replace(ds: DescriptorSet, gmm: GmmModel, svm_model: SvmModel,
             raise RangeError(f"explicit ordering has indices outside [0, {n})")
         if np.unique(used).size != used.size:
             raise RangeError("explicit ordering repeats a descriptor")
-    if ordering_id is None:
-        ordering_id = (f"lrp-{r2.variant}" if ordering is None else "custom")
     return _replace_trace(_encode(gmm, ds), gmm, svm_model, r2.class_name,
                           order, batch, steps, rng, ordering_id,
                           identity_replacement, state_out)
@@ -216,11 +212,11 @@ class OrderingReport:
     steps: int
 
 
-def compare_orderings(images, class_name: str, gmm: GmmModel, pca: PcaModel,
-                      svm_model: SvmModel, variants=("epsilon",),
-                      epsilon: float = 100.0, batch: int = 5, steps: int = 20,
-                      repetitions: int = 5, seed: int = 0, patch: int = 16,
-                      stride: int = 4) -> OrderingReport:
+def compare_orderings(images: list[LabeledImage], class_name: str,
+                      gmm: GmmModel, pca: PcaModel, svm_model: SvmModel,
+                      variants=("epsilon",), epsilon: float = 100.0,
+                      batch: int = 5, steps: int = 20, repetitions: int = 5,
+                      seed: int = 0, patch: int = 16, stride: int = 4) -> OrderingReport:
     """Relevance-derived orderings vs random orderings on one class.
 
     Only images the model predicts positive for `class_name` are used.
@@ -231,8 +227,7 @@ def compare_orderings(images, class_name: str, gmm: GmmModel, pca: PcaModel,
     tau = float(svm_model.thresholds[svm_model.class_index(class_name)])
     prepared = []
     for img in images:
-        image = img.image if isinstance(img, LabeledImage) else img
-        ds = pca_apply(pca, extract_dense(image, patch, stride))
+        ds = pca_apply(pca, extract_dense(img.image, patch, stride))
         _check_trace_size(batch, steps, len(ds))
         encoded = _encode(gmm, ds)
         phi = improve(encoded.x0)
@@ -342,13 +337,10 @@ def _mean_or_none(ratios: list) -> float | None:
 def context_report(test_images: list[LabeledImage], gmm: GmmModel,
                    pca: PcaModel, svm_model: SvmModel, net: NeuralNet,
                    variant: str = "epsilon", epsilon: float = 100.0,
-                   nn_rule: str = "alphabeta", nn_alpha: float = 2.0,
-                   nn_beta: float = 1.0, nn_epsilon: float = 0.01,
-                   mode: str = "positive", patch: int = 16,
-                   stride: int = 4) -> ContextReport:
-    """mu tables over each model's own true-positive test images."""
-    from .lrp_fv import explain as fv_explain
-
+                   nn_alpha: float = 2.0, nn_beta: float = 1.0,
+                   patch: int = 16, stride: int = 4) -> ContextReport:
+    """Positive-only mu tables over each model's own true-positive test
+    images; the network heatmap comes from the alpha-beta rule."""
     classes = svm_model.classes
     fv_vals: dict = {c: [] for c in classes}
     nn_vals: dict = {c: [] for c in classes}
@@ -363,25 +355,21 @@ def context_report(test_images: list[LabeledImage], gmm: GmmModel,
             boxes = [b for b in img.boxes if b.label == c]
             if not boxes:
                 continue
-            expl = fv_explain(img.image, gmm, pca, svm_model, c,
-                              variant=variant, epsilon=epsilon,
-                              patch=patch, stride=stride)
+            expl = explain(img.image, gmm, pca, svm_model, c, variant=variant,
+                           epsilon=epsilon, patch=patch, stride=stride)
             if expl.prediction_positive:
                 fv_tp[c] += 1
-                ratio = context_ratio(expl.heatmap, boxes, mode, c, img.image_id)
+                ratio = context_ratio(expl.heatmap, boxes, "positive", c, img.image_id)
                 if ratio.defined:
                     fv_vals[c].append(ratio)
                 else:
                     fv_undef[c] += 1
             if nn_out[net.class_index(c)] > 0.0:
                 nn_tp[c] += 1
-                if nn_rule == "alphabeta":
-                    rel = lrp_alphabeta(net, nn_in, c, nn_alpha, nn_beta)
-                else:
-                    rel = lrp_epsilon(net, nn_in, c, nn_epsilon)
+                rel = lrp_alphabeta(net, nn_in, c, nn_alpha, nn_beta)
                 heat = nn_heatmap(rel, net.input_size,
                                   (img.image.width, img.image.height))
-                ratio = context_ratio(heat, boxes, mode, c, img.image_id)
+                ratio = context_ratio(heat, boxes, "positive", c, img.image_id)
                 if ratio.defined:
                     nn_vals[c].append(ratio)
                 else:

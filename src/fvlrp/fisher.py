@@ -109,17 +109,12 @@ class RawFisherVector:
                 f"vector length {v.shape} does not match (1+2*{self.dim})*{self.n_components}")
         object.__setattr__(self, "values", v)
 
-    @property
-    def index(self) -> EmbeddingIndex:
-        return EmbeddingIndex(self.n_components, self.dim)
-
 
 @dataclass(frozen=True)
 class ImprovedFisherVector:
     """Power- plus l2-normalized Fisher vector; unit norm unless all-zero."""
 
     values: np.ndarray
-    normalized: bool = True
 
 
 def embed_batch(model: GmmModel, vectors: np.ndarray) -> np.ndarray:
@@ -177,8 +172,8 @@ def improve(x: RawFisherVector | np.ndarray) -> ImprovedFisherVector:
     v = signed_sqrt(v)
     norm = np.sqrt(np.dot(v, v))
     if norm == 0.0:
-        return ImprovedFisherVector(v, normalized=True)
-    return ImprovedFisherVector(v / norm, normalized=True)
+        return ImprovedFisherVector(v)
+    return ImprovedFisherVector(v / norm)
 
 
 def hellinger_check(x, y) -> tuple[float, float]:
@@ -225,6 +220,8 @@ def load_fisher_vector(path) -> RawFisherVector:
         data = fh.read()
     if data[:5] != _FVEC_MAGIC:
         raise ParseError(f"{path}: bad magic {data[:5]!r}")
+    if len(data) < 13:
+        raise ParseError(f"{path}: truncated header")
     k, d = struct.unpack("<II", data[5:13])
     n = fv_length(k, d)
     if len(data) != 13 + 8 * n:

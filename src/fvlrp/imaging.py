@@ -2,8 +2,9 @@
 
 Pixel data lives in portable pixmaps (binary P5 for grayscale, P6 for
 color) because they round-trip exactly without any codec dependency.
-Heatmaps are stored either as a raw binary matrix dump (format ``HMAP1``)
-or rendered to a P6 image through a fixed symmetric diverging colormap.
+Heatmaps are stored as a raw binary matrix dump (format ``HMAP1``);
+:func:`render_heatmap` maps one onto a fixed symmetric diverging
+colormap for display.
 Report figures are written as PNG by a minimal stdlib encoder.
 
 File formats
@@ -100,9 +101,6 @@ class BoundingBox:
             raise ValidationError(f"box corners must be non-negative: {self}")
         if self.xmax < self.xmin or self.ymax < self.ymin:
             raise ValidationError(f"box max corner precedes min corner: {self}")
-
-    def contains(self, x: int, y: int) -> bool:
-        return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
 
     def mask(self, width: int, height: int) -> np.ndarray:
         """Boolean (height, width) mask of the covered pixels, clipped."""
@@ -290,20 +288,15 @@ def render_heatmap(h: Heatmap) -> Image:
     return Image(rgb / 255.0)
 
 
-def save_heatmap(h: Heatmap, path, mode: str = "raw") -> None:
-    """Write a heatmap either as an HMAP1 binary dump or a rendered P6."""
-    if mode == "raw":
-        payload = _HMAP_MAGIC + struct.pack("<II", h.width, h.height)
-        payload += h.values.astype("<f8").tobytes()
-        try:
-            with open(path, "wb") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from exc
-    elif mode == "rendered":
-        save_image(render_heatmap(h), path)
-    else:
-        raise ValidationError(f"unknown heatmap mode {mode!r}")
+def save_heatmap(h: Heatmap, path) -> None:
+    """Write a heatmap as an HMAP1 binary dump."""
+    payload = _HMAP_MAGIC + struct.pack("<II", h.width, h.height)
+    payload += h.values.astype("<f8").tobytes()
+    try:
+        with open(path, "wb") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def load_heatmap(path) -> Heatmap:

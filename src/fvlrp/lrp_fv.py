@@ -109,18 +109,6 @@ def relevance_r3(model: SvmModel, phi_x, class_name: str) -> R3Map:
     return R3Map(r3, class_name, f)
 
 
-def relevance_r3_dual(model: SvmModel, phi_x, class_name: str) -> R3Map:
-    """Support-vector form: R3_d = sum_i a_i y_i phi(x_i)_d phi(x)_d + b/D."""
-    values = phi_x.values if hasattr(phi_x, "values") else np.asarray(phi_x, dtype=np.float64)
-    k = model.class_index(class_name)
-    if model.duals is None or model.duals[k] is None:
-        raise ValidationError(f"no dual view stored for class {class_name!r}")
-    dual = model.duals[k]
-    w_dual = (dual.alphas * dual.labels) @ dual.features
-    r3 = w_dual * values + model.biases[k] / model.dim
-    return R3Map(r3, class_name, float(r3.sum()))
-
-
 def relevance_r2(r3: R3Map, psi: np.ndarray, variant: str = DEFAULT_VARIANT,
                  epsilon: float = DEFAULT_EPSILON) -> R2Map:
     """Redistribute per-dimension relevance onto descriptors.

@@ -211,10 +211,6 @@ class LayerRelevance:
     def input_relevance(self) -> np.ndarray:
         return self.relevances[0]
 
-    @property
-    def top_relevance(self) -> np.ndarray:
-        return self.relevances[-1]
-
     def layer_deficit(self, k: int) -> float:
         """sum_j R at layer k+1 minus sum_i R at layer k (= shares routed away)."""
         return float(self.relevances[k + 1].sum() - self.relevances[k].sum())
@@ -256,10 +252,9 @@ def lrp_epsilon(net: NeuralNet, x: np.ndarray, class_name: str,
 
 
 def lrp_alphabeta(net: NeuralNet, x: np.ndarray, class_name: str,
-                  alpha: float = 2.0, beta: float = 1.0,
-                  enforce_sum: bool = True) -> LayerRelevance:
+                  alpha: float = 2.0, beta: float = 1.0) -> LayerRelevance:
     """Backward pass splitting positive and negative contributions."""
-    if enforce_sum and abs(alpha - beta - 1.0) > 1e-12:
+    if abs(alpha - beta - 1.0) > 1e-12:
         raise ValidationError(f"alpha - beta must be 1, got {alpha} - {beta}")
     acts = forward(net, x)
     top, f = _top_relevance(net, acts, class_name)

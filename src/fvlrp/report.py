@@ -17,8 +17,7 @@ import numpy as np
 
 from .evaluation import ContextReport, OrderingReport
 from .fisher import EmbeddingIndex
-from .imaging import (Heatmap, Image, render_heatmap, save_heatmap, save_image,
-                      save_png)
+from .imaging import Image, render_heatmap, save_heatmap, save_image, save_png
 from .lrp_fv import Explanation
 
 _SCALE = 4  # nearest-neighbour upscale of image panels
@@ -284,11 +283,11 @@ def context_summary_text(report: ContextReport) -> str:
 
 
 def write_explanation(out_dir, stem: str, image: Image, expl: Explanation,
-                      index: EmbeddingIndex | None = None) -> list[str]:
+                      index: EmbeddingIndex) -> list[str]:
     """Heatmap dump, per-level relevance tables, and an overview figure."""
     paths = []
     raw_path = os.path.join(out_dir, f"{stem}_heatmap.hmap")
-    save_heatmap(expl.heatmap, raw_path, mode="raw")
+    save_heatmap(expl.heatmap, raw_path)
     paths.append(raw_path)
     rendered = render_heatmap(expl.heatmap)
     ppm_path = os.path.join(out_dir, f"{stem}_heatmap.ppm")
@@ -305,40 +304,17 @@ def write_explanation(out_dir, stem: str, image: Image, expl: Explanation,
 
     r3_rows = []
     for d, value in enumerate(expl.r3.values):
-        if index is not None:
-            moment, comp, coord = index.decode(d)
-        else:
-            moment, comp, coord = ("-", -1, -1)
+        moment, comp, coord = index.decode(d)
         r3_rows.append((d, moment, comp, coord, float(value)))
     paths.append(write_table(
         os.path.join(out_dir, f"{stem}_r3.tsv"),
         ("dimension", "moment", "component", "coordinate", "relevance"),
         r3_rows))
 
-    paths.extend(_explanation_figure(out_dir, stem, image, expl))
-    return paths
-
-
-def _explanation_figure(out_dir, stem: str, image: Image,
-                        expl: Explanation) -> list[str]:
-    """Input, rendered relevance, and the relevance blended over the input."""
+    # input, rendered relevance, and the relevance blended over the input
     gray = _rgb(image.gray())
-    rendered = render_heatmap(expl.heatmap).pixels
-    overlay = _OVERLAY_ALPHA * rendered + (1.0 - _OVERLAY_ALPHA) * gray
-    path = os.path.join(out_dir, f"{stem}_overview.png")
-    save_png(Image(_side_by_side((gray, rendered, overlay))), path)
-    return [path]
-
-
-def write_nn_heatmap(out_dir, stem: str, image: Image,
-                     heatmap: Heatmap) -> list[str]:
-    """Raw dump plus a two-panel figure (input, rendered heatmap)."""
-    paths = []
-    raw_path = os.path.join(out_dir, f"{stem}_heatmap.hmap")
-    save_heatmap(heatmap, raw_path, mode="raw")
-    paths.append(raw_path)
+    overlay = _OVERLAY_ALPHA * rendered.pixels + (1.0 - _OVERLAY_ALPHA) * gray
     fig_path = os.path.join(out_dir, f"{stem}_overview.png")
-    save_png(Image(_side_by_side((_rgb(image.gray()),
-                                  render_heatmap(heatmap).pixels))), fig_path)
+    save_png(Image(_side_by_side((gray, rendered.pixels, overlay))), fig_path)
     paths.append(fig_path)
     return paths

@@ -22,7 +22,7 @@ from .descriptors import PcaModel
 from .errors import ParseError, VersionError
 from .gmm import GmmModel
 from .lrp_nn import DenseLayer, NeuralNet
-from .svm import DualView, SvmModel
+from .svm import SvmModel
 
 FORMAT_NAME = "fvlrp-model"
 SCHEMA_VERSION = 1
@@ -96,7 +96,7 @@ def _pca_restore(payload: dict) -> PcaModel:
 
 
 def _svm_payload(m: SvmModel) -> dict:
-    out = {
+    return {
         "classes": list(m.classes),
         "weights": _enc_array(m.weights),
         "biases": _enc_array(m.biases),
@@ -105,31 +105,16 @@ def _svm_payload(m: SvmModel) -> dict:
         "seed": m.seed,
         "thresholds": _enc_array(m.thresholds),
     }
-    if m.duals is not None:
-        out["duals"] = [None if d is None else {
-            "alphas": _enc_array(d.alphas),
-            "labels": _enc_array(d.labels),
-            "features": _enc_array(d.features),
-        } for d in m.duals]
-    return out
 
 
 def _svm_restore(payload: dict) -> SvmModel:
-    duals = None
-    if "duals" in payload:
-        duals = tuple(
-            None if d is None else DualView(_dec_array(d["alphas"]),
-                                            _dec_array(d["labels"]),
-                                            _dec_array(d["features"]))
-            for d in payload["duals"])
     return SvmModel(tuple(_require(payload, "classes")),
                     _dec_array(_require(payload, "weights")),
                     _dec_array(_require(payload, "biases")),
                     c=_dec_float(_require(payload, "c")),
                     epochs=int(_require(payload, "epochs")),
                     seed=int(_require(payload, "seed")),
-                    thresholds=_dec_array(_require(payload, "thresholds")),
-                    duals=duals)
+                    thresholds=_dec_array(_require(payload, "thresholds")))
 
 
 def _nn_payload(m: NeuralNet) -> dict:

@@ -11,16 +11,11 @@ unchanged (up to summation rounding), which is the invariance the tests
 rely on. The model kept is the averaged iterate with the lowest
 objective seen, so the recorded objective trace is non-increasing by
 construction.
-
-The solver also tracks per-example coefficients a_i alongside w, so that
-w = sum_i a_i y_i x_i holds at all times. Storing this dual view lets
-relevance code evaluate the support-vector form of the score
-decomposition against the primal form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,18 +39,6 @@ def _as_feature_matrix(features) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DualView:
-    """Per-example coefficients tying the primal weights to the data."""
-
-    alphas: np.ndarray      # (n_train,) nonnegative coefficients a_i
-    labels: np.ndarray      # (n_train,) +/-1
-    features: np.ndarray    # (n_train, dim)
-
-    def reconstruct_weights(self) -> np.ndarray:
-        return (self.alphas * self.labels) @ self.features
-
-
-@dataclass(frozen=True)
 class SvmModel:
     """One binary linear scorer per class, plus decision thresholds."""
 
@@ -66,7 +49,6 @@ class SvmModel:
     epochs: int = 200
     seed: int = 0
     thresholds: np.ndarray | None = None
-    duals: tuple[DualView | None, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -82,15 +64,6 @@ class SvmModel:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "biases", b)
         object.__setattr__(self, "thresholds", tau)
-        if self.duals is not None:
-            for k, dual in enumerate(self.duals):
-                if dual is None:
-                    continue
-                rebuilt = dual.reconstruct_weights()
-                scale = max(1.0, float(np.max(np.abs(w[k]))))
-                if np.max(np.abs(rebuilt - w[k])) > 1e-8 * scale:
-                    raise ValidationError(
-                        f"dual view inconsistent with primal weights for {self.classes[k]!r}")
 
     @property
     def dim(self) -> int:
@@ -111,20 +84,18 @@ def _objective(w: np.ndarray, b: float, lam: float,
 
 
 def _train_binary(feats: np.ndarray, y: np.ndarray, c: float, epochs: int
-                  ) -> tuple[np.ndarray, float, np.ndarray, list[float]]:
+                  ) -> tuple[np.ndarray, float, list[float]]:
     """Best averaged iterate of full-batch subgradient descent.
 
-    Returns (w, b, per-example coefficients a with w = sum a_i y_i x_i,
-    non-increasing objective trace).
+    Returns (w, b, non-increasing objective trace).
     """
     n, dim = feats.shape
     lam = 1.0 / c
     w = np.zeros(dim)
     b = 0.0
-    a = np.zeros(n)
     # Running averages over iterates (including the zero start).
-    avg_w, avg_b, avg_a = w.copy(), b, a.copy()
-    best = (_objective(avg_w, avg_b, lam, feats, y), avg_w.copy(), avg_b, avg_a.copy())
+    avg_w, avg_b = w.copy(), b
+    best = (_objective(avg_w, avg_b, lam, feats, y), avg_w.copy(), avg_b)
     trace = [best[0]]
     for t in range(1, epochs + 1):
         margins = y * (feats @ w + b)
@@ -135,19 +106,17 @@ def _train_binary(feats: np.ndarray, y: np.ndarray, c: float, epochs: int
         eta = 1.0 / (lam * (t + 1.0))
         w = w - eta * grad_w
         b = b - eta * grad_b
-        a = (1.0 - eta * lam) * a + np.where(active, eta / n, 0.0)
         avg_w = avg_w + (w - avg_w) / (t + 1.0)
         avg_b = avg_b + (b - avg_b) / (t + 1.0)
-        avg_a = avg_a + (a - avg_a) / (t + 1.0)
         obj = _objective(avg_w, avg_b, lam, feats, y)
         if obj < best[0]:
-            best = (obj, avg_w.copy(), avg_b, avg_a.copy())
+            best = (obj, avg_w.copy(), avg_b)
         trace.append(best[0])
-    return best[1], best[2], best[3], trace
+    return best[1], best[2], trace
 
 
 def train(features, labels: dict, c: float = 1.0, epochs: int = 200,
-          seed: int = 0, store_dual: bool = False) -> SvmModel:
+          seed: int = 0) -> SvmModel:
     """Fit one-vs-rest binary models.
 
     `labels` maps class name -> array of +/-1, one per feature row, in
@@ -161,7 +130,6 @@ def train(features, labels: dict, c: float = 1.0, epochs: int = 200,
     n = feats.shape[0]
     weights = np.zeros((len(classes), feats.shape[1]))
     biases = np.zeros(len(classes))
-    duals: list[DualView | None] = []
     for k, name in enumerate(classes):
         y = np.asarray(labels[name], dtype=np.float64)
         if y.shape != (n,):
@@ -170,18 +138,16 @@ def train(features, labels: dict, c: float = 1.0, epochs: int = 200,
             raise ValidationError(f"labels for {name!r} must be +/-1")
         if not (np.any(y > 0) and np.any(y < 0)):
             raise TrainError(f"class {name!r} needs both positive and negative examples")
-        w, b, alphas, _ = _train_binary(feats, y, c, epochs)
+        w, b, _ = _train_binary(feats, y, c, epochs)
         weights[k] = w
         biases[k] = b
-        duals.append(DualView(alphas, y, feats) if store_dual else None)
-    return SvmModel(classes, weights, biases, c=c, epochs=epochs, seed=seed,
-                    duals=tuple(duals) if store_dual else None)
+    return SvmModel(classes, weights, biases, c=c, epochs=epochs, seed=seed)
 
 
 def objective_trace(features, y, c: float = 1.0, epochs: int = 200) -> list[float]:
     """Objective values of the kept iterate per epoch (non-increasing)."""
     feats = _as_feature_matrix(features)
-    return _train_binary(feats, np.asarray(y, dtype=np.float64), c, epochs)[3]
+    return _train_binary(feats, np.asarray(y, dtype=np.float64), c, epochs)[2]
 
 
 def score(model: SvmModel, phi_x, class_name: str) -> float:
@@ -191,16 +157,6 @@ def score(model: SvmModel, phi_x, class_name: str) -> float:
         raise DimError(f"feature length {x.shape[0]} vs model dim {model.dim}")
     k = model.class_index(class_name)
     return float(np.dot(model.weights[k], x) + model.biases[k])
-
-
-def score_dual(model: SvmModel, phi_x, class_name: str) -> float:
-    """Support-vector form of the score: b + sum_i a_i y_i (x_i . x)."""
-    x = _as_feature(phi_x)
-    k = model.class_index(class_name)
-    if model.duals is None or model.duals[k] is None:
-        raise ValidationError(f"no dual view stored for class {class_name!r}")
-    dual = model.duals[k]
-    return float(np.dot(dual.alphas * dual.labels, dual.features @ x) + model.biases[k])
 
 
 @dataclass(frozen=True)
@@ -261,4 +217,4 @@ def with_thresholds(model: SvmModel, features, labels: dict) -> SvmModel:
                                    labels[name])
                      for k, name in enumerate(model.classes)])
     return SvmModel(model.classes, model.weights, model.biases, model.c,
-                    model.epochs, model.seed, taus, model.duals)
+                    model.epochs, model.seed, taus)

@@ -4,8 +4,9 @@ Everything here exists to check the pipeline against slower, simpler
 reimplementations: dense extraction binning each patch on its own,
 relevance redistribution with a loop over the columns of the embedding
 matrix, R1 one receptive field at a time, relevance propagation with explicit
-per-connection loops, and Fisher-vector recomputation from scratch after
-incremental updates. The `verify` command runs the whole suite; the test
+per-connection loops, Fisher-vector recomputation from scratch after
+incremental updates, and the SVM solver replayed in its dual
+(support-vector) form. The `verify` command runs the whole suite; the test
 suite reuses the same checks at their pinned sizes.
 """
 
@@ -24,7 +25,7 @@ from .gmm import GmmModel, em_fit
 from .imaging import Image
 from .lrp_fv import R2Map, R3Map, relevance_r1, relevance_r2, relevance_r3
 from .lrp_nn import DenseLayer, NeuralNet, forward, lrp_alphabeta, lrp_epsilon
-from .svm import SvmModel, score
+from .svm import SvmModel, _objective, score, train
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,35 @@ def oracle_nn_backward(net: NeuralNet, x: np.ndarray, class_name: str,
                     prev[i] += (pos - neg) * out[0][j]
         out.insert(0, prev)
     return out
+
+
+def oracle_svm_dual(features: np.ndarray, y: np.ndarray, c: float,
+                    epochs: int) -> np.ndarray:
+    """Per-example coefficients a of the iterate `svm.train` keeps.
+
+    Replays the averaged subgradient recurrence, tracking next to w the
+    coefficients with w = sum_i a_i y_i x_i: each step scales a by
+    (1 - eta*lam) and adds eta/n to every margin violator.
+    """
+    n, dim = features.shape
+    lam = 1.0 / c
+    w, b, a = np.zeros(dim), 0.0, np.zeros(n)
+    avg_w, avg_b, avg_a = w, b, a
+    best_obj, best_a = _objective(avg_w, avg_b, lam, features, y), avg_a
+    for t in range(1, epochs + 1):
+        active = y * (features @ w + b) < 1.0
+        ay = np.where(active, y, 0.0)
+        eta = 1.0 / (lam * (t + 1.0))
+        w = w - eta * (lam * w - (ay @ features) / n)
+        b = b - eta * (-ay.sum() / n)
+        a = (1.0 - eta * lam) * a + np.where(active, eta / n, 0.0)
+        avg_w = avg_w + (w - avg_w) / (t + 1.0)
+        avg_b = avg_b + (b - avg_b) / (t + 1.0)
+        avg_a = avg_a + (a - avg_a) / (t + 1.0)
+        obj = _objective(avg_w, avg_b, lam, features, y)
+        if obj < best_obj:
+            best_obj, best_a = obj, avg_a
+    return best_a
 
 
 def recomputed_fisher_vector(gmm: GmmModel, vectors: np.ndarray) -> np.ndarray:
@@ -459,6 +489,30 @@ def check_nn_bias_deficit(nets: int = 20, seed: int = 1007) -> CheckResult:
                        f"{nets} biased nets, worst gap {worst:.2e}")
 
 
+def check_svm_dual(cases: int = 40, seed: int = 1011) -> CheckResult:
+    """The trained SVM in its support-vector form: w = sum_i a_i y_i x_i,
+    and R3_d = sum_i a_i y_i x_i,d phi(x)_d + b/D equals `relevance_r3`."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for case in range(cases):
+        n, dim = int(rng.integers(4, 31)), int(rng.integers(2, 13))
+        features = rng.normal(0.0, 1.0, (n, dim))
+        y = rng.permutation(np.resize([1.0, -1.0], n))
+        c, epochs = float(10.0 ** rng.uniform(-1.0, 1.0)), int(rng.integers(20, 121))
+        model = train(features, {"c": y}, c=c, epochs=epochs)
+        w_dual = (oracle_svm_dual(features, y, c, epochs) * y) @ features
+        phi = rng.normal(0.0, 1.0, dim)
+        for what, got, expect in (
+                ("weights", w_dual, model.weights[0]),
+                ("R3", w_dual * phi + model.biases[0] / dim,
+                 relevance_r3(model, phi, "c").values)):
+            err = float(np.max(np.abs(got - expect))) / max(1.0, float(np.max(np.abs(expect))))
+            worst = max(worst, err)
+            if err > 1e-9:
+                return CheckResult("svm-dual", False, f"case {case}: {what} gap {err:.2e}")
+    return CheckResult("svm-dual", True, f"{cases} trained models, worst gap {worst:.2e}")
+
+
 def check_em(runs: int = 50, seed: int = 1008) -> CheckResult:
     """Monotone log-likelihood traces; K=1 matches the closed form."""
     rng = np.random.default_rng(seed)
@@ -500,4 +554,5 @@ def run_all(seed: int = 0) -> list[CheckResult]:
         check_em(seed=1008 + base),
         check_dense_extraction(seed=1009 + base),
         check_r1(seed=1010 + base),
+        check_svm_dual(seed=1011 + base),
     ]

@@ -109,6 +109,11 @@ def test_explain_usage_and_validation_errors(pipeline, capsys):
     assert "needs --image and --class" in capsys.readouterr().err
     assert run(out, config, "explain", "--image", "no-such-image",
                "--class", "disk") == 3
+    image_id = (out / "corpus" / "index.tsv").read_text().splitlines()[1].split("\t")[1]
+    capsys.readouterr()
+    assert run(out, config, "explain", "--image", image_id,
+               "--class", "no-such-class") == 3
+    assert "not in corpus classes" in capsys.readouterr().err
 
 
 def test_morf_eval_and_context_report(pipeline, capsys):

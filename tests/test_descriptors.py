@@ -8,6 +8,8 @@ from fvlrp.descriptors import (CLAMP, DescriptorSet, extract_dense,
                                save_descriptors)
 from fvlrp.config import PipelineConfig
 from fvlrp.errors import DimError, ExtractError, FitError, ParseError
+from fvlrp.fisher import (RawFisherVector, fv_length, load_fisher_vector,
+                          save_fisher_vector)
 from fvlrp.imaging import Image
 from fvlrp.pipeline import make_corpus
 from fvlrp.verification import (TILING_GEOMETRIES, oracle_extract_dense,
@@ -187,9 +189,28 @@ def test_descriptor_cache_rejects_corruption(tmp_path, rng):
     (tmp_path / "bad.desc").write_bytes(b"XXXXX" + data[5:])
     with pytest.raises(ParseError):
         load_descriptors(tmp_path / "bad.desc")
-    (tmp_path / "short.desc").write_bytes(data[:-8])
+
+
+def _desc_file(path, rng):
+    save_descriptors(extract_dense(Image(rng.random((12, 12))), patch=8, stride=4),
+                     path)
+
+
+def _fvec_file(path, rng):
+    save_fisher_vector(RawFisherVector(rng.normal(size=fv_length(3, 2)), 3, 2),
+                       path)
+
+
+@pytest.mark.parametrize("write, load", [(_desc_file, load_descriptors),
+                                         (_fvec_file, load_fisher_vector)],
+                         ids=["DESC1", "FVEC1"])
+@pytest.mark.parametrize("keep", [8, -8], ids=["header", "body"])
+def test_truncated_cache_file_raises_parse_error(tmp_path, rng, write, load, keep):
+    path = tmp_path / "a.bin"
+    write(path, rng)
+    path.write_bytes(path.read_bytes()[:keep])
     with pytest.raises(ParseError):
-        load_descriptors(tmp_path / "short.desc")
+        load(path)
 
 
 def test_descriptor_cache_bytes_match_record_layout(tmp_path, rng):

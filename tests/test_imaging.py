@@ -72,7 +72,7 @@ def test_bounding_box_mask_and_contains():
     assert mask.sum() == 3 * 3
     assert mask[2, 1] and mask[4, 3]
     assert not mask[1, 1] and not mask[5, 4]
-    assert box.contains(2, 3) and not box.contains(4, 3)
+    assert mask[3, 2] and not mask[3, 4]
 
 
 def test_bounding_box_mask_clips_to_image():
@@ -104,12 +104,6 @@ def test_heatmap_roundtrip_bit_exact(tmp_path, rng):
     path = tmp_path / "h.hmap"
     save_heatmap(Heatmap(values), path)
     np.testing.assert_array_equal(load_heatmap(path).values, values)
-
-
-def test_heatmap_rendered_mode_writes_pixmap(tmp_path, rng):
-    path = tmp_path / "h.ppm"
-    save_heatmap(Heatmap(rng.normal(size=(4, 4))), path, mode="rendered")
-    assert load_image(path).channels == 3
 
 
 def test_render_extremes_and_zero():

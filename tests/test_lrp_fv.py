@@ -10,7 +10,7 @@ from fvlrp import fisher, gmm as gmm_module, lrp_fv
 from fvlrp.fisher import EmbeddingIndex, aggregate, embed_batch, improve
 from fvlrp.gmm import GmmModel, em_fit
 from fvlrp.lrp_fv import (FvMappingView, R3Map, explain, relevance_r1,
-                          relevance_r2, relevance_r3, relevance_r3_dual)
+                          relevance_r2, relevance_r3)
 from fvlrp.svm import SvmModel, score
 from fvlrp.verification import oracle_r2_from_matrix
 
@@ -26,18 +26,6 @@ def test_r3_hand_case():
     np.testing.assert_allclose(r3.values, [2 * 0.6 + 0.25, -0.8 + 0.25])
     assert r3.score == pytest.approx(0.9)
     assert r3.values.sum() == pytest.approx(r3.score)
-
-
-def test_r3_matches_dual_form(rng):
-    from fvlrp.svm import train
-    x = rng.normal(size=(30, 5))
-    y = np.where(x[:, 0] > 0, 1.0, -1.0)
-    model = train(x, {"a": y}, c=1.0, epochs=100, seed=0, store_dual=True)
-    probe = rng.normal(size=5)
-    primal = relevance_r3(model, probe, "a")
-    dual = relevance_r3_dual(model, probe, "a")
-    np.testing.assert_allclose(dual.values, primal.values, atol=1e-9)
-    assert dual.score == pytest.approx(primal.score, abs=1e-9)
 
 
 def test_r3_rejects_wrong_length():

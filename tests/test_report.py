@@ -15,7 +15,7 @@ from fvlrp.lrp_fv import explain
 from fvlrp.report import (context_summary_text, fmt, morf_summary_text,
                           write_context_figure, write_context_tables,
                           write_explanation, write_morf_figure,
-                          write_morf_tables, write_nn_heatmap, write_table)
+                          write_morf_tables, write_table)
 
 
 def read_tsv(path):
@@ -166,17 +166,3 @@ def test_write_explanation_artifacts(tmp_path, micro_bundle, micro_corpus):
     _, r3_rows = read_tsv(os.path.join(tmp_path, "demo_r3.tsv"))
     assert len(r3_rows) == micro_bundle.svm.dim
     assert {r["moment"] for r in r3_rows} == {"w", "mu", "sigma"}
-
-
-def test_write_nn_heatmap(tmp_path, micro_bundle, micro_corpus):
-    from fvlrp.lrp_nn import image_to_input, lrp_alphabeta, nn_heatmap
-    _, _, test_imgs = micro_corpus
-    img = test_imgs[0]
-    net = micro_bundle.net
-    rel = lrp_alphabeta(net, image_to_input(img.image, net.input_size),
-                        net.classes[0])
-    heat = nn_heatmap(rel, net.input_size, (img.image.width, img.image.height))
-    paths = write_nn_heatmap(tmp_path, "nn", img.image, heat)
-    assert sorted(os.path.basename(p) for p in paths) == [
-        "nn_heatmap.hmap", "nn_overview.png"]
-    check_png(os.path.join(tmp_path, "nn_overview.png"))

@@ -1,12 +1,11 @@
-"""Linear hinge-loss training: determinism, duality, and thresholds."""
+"""Linear hinge-loss training: determinism and thresholds."""
 
 import numpy as np
 import pytest
 
 from fvlrp.errors import DimError, TrainError, ValidationError
 from fvlrp.svm import (SvmModel, eer_threshold, objective_trace,
-                       predict_multilabel, score, score_dual, train,
-                       with_thresholds)
+                       predict_multilabel, train, with_thresholds)
 
 
 def separable_problem(rng, n=40, dim=6, margin=2.0):
@@ -41,16 +40,6 @@ def test_training_deterministic_and_duplication_invariant(rng):
                     c=1.0, epochs=150, seed=3)
     np.testing.assert_allclose(doubled.weights, base.weights, atol=1e-6)
     np.testing.assert_allclose(doubled.biases, base.biases, atol=1e-6)
-
-
-def test_dual_view_matches_primal(rng):
-    x, y = separable_problem(rng, n=30, dim=5)
-    model = train(x, {"a": y}, c=1.0, epochs=100, seed=1, store_dual=True)
-    rebuilt = model.duals[0].reconstruct_weights()
-    np.testing.assert_allclose(rebuilt, model.weights[0], atol=1e-9)
-    probe = rng.normal(size=5)
-    assert score_dual(model, probe, "a") == pytest.approx(
-        score(model, probe, "a"), abs=1e-9)
 
 
 def test_multiclass_order_and_prediction(rng):

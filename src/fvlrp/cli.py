@@ -29,9 +29,9 @@ from .fisher import (EmbeddingIndex, hellinger_check, load_fisher_vector,
                      save_fisher_vector)
 from .imaging import load_annotations, load_image, save_annotations, save_image
 from .lrp_fv import explain
-from .pipeline import (ModelBundle, embed_all, extract_corpus, fit_gmm,
-                       fit_pca, improved_matrix, make_corpus, project_all,
-                       train_net, train_svm)
+from .pipeline import (ModelBundle, em_stop, embed_all, extract_corpus,
+                       fit_gmm, fit_pca, improved_matrix, make_corpus,
+                       project_all, train_net, train_svm)
 from .serialization import load_model, save_model
 from .svm import score
 from .synth import LabeledImage
@@ -280,12 +280,15 @@ def _cmd_gmm_fit(config: PipelineConfig, args) -> int:
     _require_stage(out_dir, STAGE_PCA, config, STAGE_GMM)
     pca = load_model(_model_path(out_dir, "pca"), "pca")
     _, sets = _load_descriptor_sets(out_dir, "train")
-    model = fit_gmm(project_all(pca, sets, config), config)
+    projected = project_all(pca, sets, config)
+    model = fit_gmm(projected, config)
     path = _model_path(out_dir, "gmm")
     save_model(model, path)
     _write_manifest(out_dir, STAGE_GMM, config, [STAGE_EXTRACT, STAGE_PCA],
                     [_rel(out_dir, path)])
-    print(f"gmm-fit: K={config.gmm_k}, {len(model.ll_trace)} EM iterations")
+    steps, reason, gain = em_stop(model, projected, config)
+    print(f"gmm-fit: K={config.gmm_k}, {steps} M-steps, stopped by {reason}, "
+          f"last gain per descriptor {'none' if gain is None else f'{gain:.2e}'}")
     return 0
 
 

@@ -75,11 +75,36 @@ def project_all(pca: PcaModel, descriptor_sets: list[DescriptorSet],
 def fit_gmm(projected: list[DescriptorSet], config: PipelineConfig) -> GmmModel:
     """EM on a seeded subsample of the pooled projected descriptors."""
     pooled = np.concatenate([ds.vectors for ds in projected], axis=0)
-    count = min(config.gmm_sample_count, pooled.shape[0])
+    count = _gmm_sample_size(projected, config)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 101)))
     idx = np.sort(rng.choice(pooled.shape[0], size=count, replace=False))
     return em_fit(pooled[idx], config.gmm_k, seed=config.seed,
                   max_iter=config.gmm_max_iter, tol=config.gmm_tol)
+
+
+def _gmm_sample_size(projected: list[DescriptorSet], config: PipelineConfig) -> int:
+    return min(config.gmm_sample_count, sum(len(ds) for ds in projected))
+
+
+def em_stop(gmm: GmmModel, projected: list[DescriptorSet], config: PipelineConfig
+            ) -> tuple[int, str, float | None]:
+    """Why `fit_gmm` stopped, read off the model's log-likelihood trace.
+
+    Returns the number of M-steps behind the fitted model, the stop reason
+    ("gmm_tol", "gmm_max_iter" or "likelihood decrease", tested in
+    `em_fit`'s order) and the last per-descriptor gain (None before any
+    M-step was kept).
+    """
+    trace = gmm.ll_trace
+    steps = len(trace) - 1
+    gain = None
+    if steps:
+        gain = (trace[-1] - trace[-2]) / _gmm_sample_size(projected, config)
+    if gain is not None and gain < config.gmm_tol:
+        return steps, "gmm_tol", gain
+    if steps == config.gmm_max_iter:
+        return steps, "gmm_max_iter", gain
+    return steps, "likelihood decrease", gain
 
 
 def embed_all(gmm: GmmModel, projected: list[DescriptorSet],
@@ -95,8 +120,7 @@ def train_svm(train_images: list[LabeledImage], features: np.ndarray,
               classes: tuple[str, ...], config: PipelineConfig) -> SvmModel:
     """One-vs-rest SVMs with per-class EER thresholds fit on the training set."""
     labels = label_vectors(train_images, classes)
-    model = train(features, labels, c=config.svm_c, epochs=config.svm_epochs,
-                  seed=config.seed)
+    model = train(features, labels, c=config.svm_c, epochs=config.svm_epochs)
     return with_thresholds(model, features, labels)
 
 

@@ -102,7 +102,6 @@ def _svm_payload(m: SvmModel) -> dict:
         "biases": _enc_array(m.biases),
         "c": _enc_float(m.c),
         "epochs": m.epochs,
-        "seed": m.seed,
         "thresholds": _enc_array(m.thresholds),
     }
 
@@ -113,7 +112,6 @@ def _svm_restore(payload: dict) -> SvmModel:
                     _dec_array(_require(payload, "biases")),
                     c=_dec_float(_require(payload, "c")),
                     epochs=int(_require(payload, "epochs")),
-                    seed=int(_require(payload, "seed")),
                     thresholds=_dec_array(_require(payload, "thresholds")))
 
 

@@ -47,7 +47,6 @@ class SvmModel:
     biases: np.ndarray           # (n_classes,)
     c: float = 1.0
     epochs: int = 200
-    seed: int = 0
     thresholds: np.ndarray | None = None
 
     def __post_init__(self):
@@ -115,8 +114,7 @@ def _train_binary(feats: np.ndarray, y: np.ndarray, c: float, epochs: int
     return best[1], best[2], trace
 
 
-def train(features, labels: dict, c: float = 1.0, epochs: int = 200,
-          seed: int = 0) -> SvmModel:
+def train(features, labels: dict, c: float = 1.0, epochs: int = 200) -> SvmModel:
     """Fit one-vs-rest binary models.
 
     `labels` maps class name -> array of +/-1, one per feature row, in
@@ -141,7 +139,7 @@ def train(features, labels: dict, c: float = 1.0, epochs: int = 200,
         w, b, _ = _train_binary(feats, y, c, epochs)
         weights[k] = w
         biases[k] = b
-    return SvmModel(classes, weights, biases, c=c, epochs=epochs, seed=seed)
+    return SvmModel(classes, weights, biases, c=c, epochs=epochs)
 
 
 def objective_trace(features, y, c: float = 1.0, epochs: int = 200) -> list[float]:
@@ -217,4 +215,4 @@ def with_thresholds(model: SvmModel, features, labels: dict) -> SvmModel:
                                    labels[name])
                      for k, name in enumerate(model.classes)])
     return SvmModel(model.classes, model.weights, model.biases, model.c,
-                    model.epochs, model.seed, taus)
+                    model.epochs, taus)

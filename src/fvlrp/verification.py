@@ -5,9 +5,10 @@ reimplementations: dense extraction binning each patch on its own,
 relevance redistribution with a loop over the columns of the embedding
 matrix, R1 one receptive field at a time, relevance propagation with explicit
 per-connection loops, Fisher-vector recomputation from scratch after
-incremental updates, and the SVM solver replayed in its dual
-(support-vector) form. The `verify` command runs the whole suite; the test
-suite reuses the same checks at their pinned sizes.
+incremental updates, the SVM solver replayed in its dual (support-vector)
+form, and EM's E-step and M-step from direct differences, one component
+at a time. The `verify` command runs the whole suite; the test suite
+reuses the same checks at their pinned sizes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .descriptors import (CLAMP, N_CELLS, N_ORI, RAW_DIM, DescriptorSet,
 from .errors import ZeroDenominatorError
 from .evaluation import morf_replace
 from .fisher import aggregate, embed_batch, improve
-from .gmm import GmmModel, em_fit
+from .gmm import GmmModel, _log_joint, _m_step, em_fit, responsibilities
 from .imaging import Image
 from .lrp_fv import R2Map, R3Map, relevance_r1, relevance_r2, relevance_r3
 from .lrp_nn import DenseLayer, NeuralNet, forward, lrp_alphabeta, lrp_epsilon
@@ -104,6 +105,34 @@ def oracle_r2_from_matrix(r3_values: np.ndarray, matrix: np.ndarray,
     xi = xi_total / n
     r2 += xi
     return r2, zero_dims, xi
+
+
+def oracle_log_joint(model: GmmModel, data: np.ndarray) -> np.ndarray:
+    """(n, K) log pi_k + log N(x; mu_k, sigma_k) from the direct differences
+    (x - mu_k) / sigma_k, through an (n, K, D) array; pins down the
+    expanded form of `gmm._log_joint`."""
+    log_norm = -0.5 * model.dim * np.log(2.0 * np.pi) - np.log(model.sigmas).sum(axis=1)
+    z = (data[:, None, :] - model.means[None, :, :]) / model.sigmas[None, :, :]
+    log_dens = log_norm[None, :] - 0.5 * np.einsum("nkd,nkd->nk", z, z)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(model.weights)
+    return log_w[None, :] + log_dens
+
+
+def oracle_m_step(model: GmmModel, data: np.ndarray, gamma: np.ndarray,
+                  floor_var: np.ndarray) -> GmmModel:
+    """EM's M-step one component at a time, variances from the centred
+    differences; pins down the matrix form of `gmm._m_step`."""
+    nk = gamma.sum(axis=0)
+    means = model.means.copy()
+    variances = model.sigmas.copy() ** 2
+    for j in range(nk.size):
+        if nk[j] == 0.0:
+            continue
+        means[j] = gamma[:, j] @ data / nk[j]
+        diff = data - means[j]
+        variances[j] = np.maximum(gamma[:, j] @ (diff * diff) / nk[j], floor_var)
+    return GmmModel(nk / nk.sum(), means, np.sqrt(variances), model.sigma_floor)
 
 
 def _cell_index_grid(patch: int) -> np.ndarray:
@@ -513,20 +542,73 @@ def check_svm_dual(cases: int = 40, seed: int = 1011) -> CheckResult:
     return CheckResult("svm-dual", True, f"{cases} trained models, worst gap {worst:.2e}")
 
 
+def _em_oracle_gap(model: GmmModel, data: np.ndarray) -> float:
+    """Worst ratio of |production - oracle| to its tolerance over one E-step
+    and one M-step at `model` (above 1 fails).
+
+    Tolerances, with eps the float64 unit round-off, n samples, D dims and
+    the variance floor v_d = sigma_floor_d**2 (sigma >= sigma_floor, so the
+    floor bounds every term of the expansion):
+    - log-joint lj at (x, k): (D + 4) eps (sum_d (x_d**2 + mu_kd**2) / v_d + |lj|);
+    - weight pi_k: (n + 4) eps pi_k;
+    - mean mu_kd: (n + 4) eps E_k[|x_d|];
+    - variance sigma_kd**2: (n + 4) eps (E_k[x_d**2] + mu_kd**2),
+    where E_k is the responsibility-weighted mean over the samples.
+    """
+    eps = np.finfo(np.float64).eps
+    n, dim = data.shape
+    floor_var = model.sigma_floor ** 2
+    lj, lj_ref = _log_joint(model, data), oracle_log_joint(model, data)
+    scale = (((data * data) @ (1.0 / floor_var))[:, None]
+             + (model.means ** 2 / floor_var).sum(axis=1)[None, :])
+    worst = float(np.max(np.abs(lj - lj_ref)
+                         / ((dim + 4) * eps * (scale + np.abs(lj_ref)))))
+    gamma = responsibilities(model, data)
+    got = _m_step(model, data, gamma, floor_var)
+    ref = oracle_m_step(model, data, gamma, floor_var)
+    nk = np.maximum(gamma.sum(axis=0), np.finfo(np.float64).tiny)[:, None]
+    for a, b, size in (
+            (got.weights, ref.weights, ref.weights),
+            (got.means, ref.means, (gamma.T @ np.abs(data)) / nk),
+            (got.sigmas ** 2, ref.sigmas ** 2,
+             (gamma.T @ (data * data)) / nk + ref.means ** 2)):
+        bound = np.maximum((n + 4) * eps * size, np.finfo(np.float64).tiny)
+        worst = max(worst, float(np.max(np.abs(a - b) / bound)))
+    return worst
+
+
 def check_em(runs: int = 50, seed: int = 1008) -> CheckResult:
-    """Monotone log-likelihood traces; K=1 matches the closed form."""
+    """Monotone log-likelihood traces; K=1 matches the closed form; the
+    expanded E-step and the matrix M-step match their oracles within the
+    tolerances of `_em_oracle_gap`, on every run and on one run whose
+    data pins a component onto the variance floor."""
     rng = np.random.default_rng(seed)
-    for run in range(runs):
-        k = int(rng.integers(1, 5))
-        dim = int(rng.integers(2, 5))
-        n = int(rng.integers(40, 121))
-        centers = rng.normal(0.0, 4.0, (k, dim))
-        assign = rng.integers(0, k, n)
-        data = centers[assign] + rng.normal(0.0, 0.7, (n, dim))
+    worst = 0.0
+    for run in range(runs + 1):
+        if run < runs:
+            k = int(rng.integers(1, 5))
+            dim = int(rng.integers(2, 5))
+            n = int(rng.integers(40, 121))
+            centers = rng.normal(0.0, 4.0, (k, dim))
+            assign = rng.integers(0, k, n)
+            data = centers[assign] + rng.normal(0.0, 0.7, (n, dim))
+        else:
+            # 20 copies of one point, far from a cloud: one component collapses.
+            k = 2
+            point = np.full((20, 3), 10.0)
+            data = np.concatenate([rng.normal(0.0, 1.0, (60, 3)), point])
         model = em_fit(data, k, seed=seed + run)
         trace = np.asarray(model.ll_trace)
         if trace.size < 1 or np.any(np.diff(trace) < -1e-8):
             return CheckResult("em", False, f"run {run}: trace not monotone")
+        on_floor = np.all(model.sigmas == model.sigma_floor, axis=1)
+        if run == runs and not np.any(on_floor):
+            return CheckResult("em", False, "no component collapsed onto the floor")
+        gap = _em_oracle_gap(model, data)
+        if not gap <= 1.0:
+            return CheckResult("em", False,
+                               f"run {run}: E/M-step vs oracle {gap:.2e} of tolerance")
+        worst = max(worst, gap)
     data = np.random.default_rng(seed).normal(1.5, 2.0, (200, 3))
     model = em_fit(data, 1, seed=seed)
     floor = 1e-4 * np.maximum(data.var(axis=0), 1e-8)
@@ -536,7 +618,8 @@ def check_em(runs: int = 50, seed: int = 1008) -> CheckResult:
     ok = (model.weights[0] == 1.0 and mean_err <= 1e-12 and var_err <= 1e-12)
     return CheckResult("em", ok,
                        f"{runs} monotone runs; K=1 gaps mean {mean_err:.2e} "
-                       f"var {var_err:.2e}")
+                       f"var {var_err:.2e}; E/M-step vs oracle at most "
+                       f"{worst:.2e} of tolerance")
 
 
 def run_all(seed: int = 0) -> list[CheckResult]:

@@ -166,6 +166,18 @@ def test_explain_without_classifier_names_missing_stage(tmp_path, capsys):
     assert "svm-train" in capsys.readouterr().err
 
 
+def test_gmm_fit_states_why_em_stopped(pipeline, capsys):
+    out, config = pipeline
+    assert run(out, config, "gmm-fit") == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    trace = [float.fromhex(v) for v in json.loads(
+        (out / "models" / "gmm.json").read_text())["payload"]["ll_trace"]]
+    # EM runs on all 784 descriptors: 16 train images x 7 x 7 patches.
+    gain = (trace[-1] - trace[-2]) / 784
+    assert line == (f"gmm-fit: K=3, {len(trace) - 1} M-steps, stopped by gmm_tol, "
+                    f"last gain per descriptor {gain:.2e}")
+
+
 def test_stale_cache_is_refused(pipeline, tmp_path, capsys):
     out, _ = pipeline
     other = write_config(tmp_path, seed=123)

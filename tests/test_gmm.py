@@ -1,11 +1,14 @@
 """EM fitting, responsibilities, likelihood, and mixture sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fvlrp.errors import DimError, FitError
-from fvlrp.gmm import (GmmModel, em_fit, log_likelihood, responsibilities,
-                       sample)
+from fvlrp.gmm import (GmmModel, _m_step, em_fit, log_likelihood,
+                       responsibilities, sample)
+from fvlrp.verification import random_gmm
 
 
 def make_model(weights, means, sigmas):
@@ -33,6 +36,66 @@ def test_log_likelihood_matches_dense_oracle(rng):
     data = rng.normal(size=(40, 3))
     assert log_likelihood(model, data) == pytest.approx(
         dense_log_likelihood(model, data), rel=1e-12)
+
+
+def dense_responsibilities(model, data):
+    """Posteriors from the direct densities, as in `dense_log_likelihood`."""
+    rows = []
+    for x in np.atleast_2d(data):
+        p = np.array([w * np.prod(1.0 / (np.sqrt(2.0 * np.pi) * sg))
+                      * np.exp(-0.5 * np.sum(((x - mu) / sg) ** 2))
+                      for w, mu, sg in zip(model.weights, model.means, model.sigmas)])
+        rows.append(p / p.sum())
+    return np.array(rows)
+
+
+def test_responsibilities_at_floor_scale_match_direct_densities(rng):
+    # sigma at the floor scale of unit-variance data, means far from the
+    # origin and each sample 10 sigma off a mean in every dimension: the
+    # expanded quadratic form cancels the most here.
+    sigmas = 1e-2 * np.array([[1.0, 1.5, 2.0], [1.2, 1.4, 1.8]])
+    means = np.array([5.0, -3.0, 2.0]) + np.array([[0.0, 0.0, 0.0], [1e-3, -1e-3, 5e-4]])
+    model = make_model([0.4, 0.6], means, sigmas)
+    comp = rng.integers(0, 2, 30)
+    signs = rng.choice([-1.0, 1.0], (30, 3))
+    data = means[comp] + 10.0 * sigmas[comp] * signs
+    # The floor-derived bound of the module docstring, as in check_em.
+    scale = ((data ** 2)[:, None, :] + means[None] ** 2) / sigmas[None] ** 2
+    tol = (3 + 4) * np.finfo(float).eps * scale.sum(axis=2).max()
+    np.testing.assert_allclose(responsibilities(model, data),
+                               dense_responsibilities(model, data), rtol=0, atol=tol)
+    assert log_likelihood(model, data) == pytest.approx(
+        dense_log_likelihood(model, data), rel=0, abs=len(data) * tol)
+
+
+def test_zero_responsibility_component_is_kept(rng):
+    data = rng.normal(size=(50, 2))
+    model = make_model([0.5, 0.5], [[0.0, 0.0], [1e3, 1e3]], [[1.0, 1.0], [1e-3, 1e-3]])
+    gamma = responsibilities(model, data)
+    assert np.all(gamma[:, 1] == 0.0)
+    floor_var = np.full(2, 1e-4)
+    fitted = _m_step(model, data, gamma, floor_var)
+    assert fitted.weights[1] == 0.0
+    np.testing.assert_array_equal(fitted.means[1], model.means[1])
+    np.testing.assert_array_equal(fitted.sigmas[1], model.sigmas[1])
+    after = responsibilities(fitted, data)
+    assert np.all(np.isfinite(after)) and np.all(after[:, 1] == 0.0)
+    assert np.isfinite(log_likelihood(fitted, data))
+
+
+@pytest.mark.parametrize("fn", [responsibilities, log_likelihood])
+def test_e_step_forms_no_per_dimension_temporary(fn):
+    gen = np.random.default_rng(5)
+    n, k, d = 5000, 8, 16
+    model = random_gmm(gen, k, d)
+    data = gen.normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        fn(model, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * k * d * 8, f"{fn.__name__} peaked at {peak} bytes"
 
 
 def test_responsibilities_sum_to_one(rng):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from fvlrp.cli import main as cli_main
-from fvlrp.config import load_config
-from fvlrp.pipeline import embed_image, make_corpus, train_all
+from fvlrp.config import PipelineConfig, load_config
+from fvlrp.descriptors import DescriptorSet
+from fvlrp.gmm import GmmModel
+from fvlrp.pipeline import em_stop, embed_image, make_corpus, train_all
 from fvlrp.serialization import save_model
 from fvlrp.svm import predict_multilabel
 from test_cli import STAGES, write_config
@@ -22,6 +24,23 @@ def test_bundle_shapes(micro_bundle, micro_config):
     assert b.svm.thresholds.shape == (len(b.classes),)
     assert b.net.input_size == (cfg.nn_input, cfg.nn_input)
     assert b.patch == cfg.patch and b.stride == cfg.stride
+
+
+@pytest.mark.parametrize("trace,expect", [
+    ((0.0,), (0, "likelihood decrease", None)),
+    ((0.0, 10.0, 10.5), (2, "likelihood decrease", 0.5 / 10)),
+    ((0.0, 10.0, 10.0 + 5e-6), (2, "gmm_tol", 5e-6 / 10)),
+    ((0.0, 10.0, 20.0, 30.0), (3, "gmm_max_iter", 1.0)),
+])
+def test_em_stop_reads_the_trace(trace, expect):
+    gmm = GmmModel(np.ones(1), np.zeros((1, 2)), np.ones((1, 2)), np.ones(2),
+                   ll_trace=trace)
+    # 12 descriptors, of which EM subsamples gmm_sample_count = 10.
+    projected = [DescriptorSet(np.zeros((6, 2)), np.zeros((6, 4), dtype=np.int64), (8, 8))] * 2
+    config = PipelineConfig(gmm_max_iter=3, gmm_sample_count=10)
+    steps, reason, gain = em_stop(gmm, projected, config)
+    assert (steps, reason) == expect[:2]
+    assert gain == pytest.approx(expect[2])
 
 
 def test_training_is_deterministic(micro_corpus, micro_config, micro_bundle):

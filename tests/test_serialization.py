@@ -21,7 +21,7 @@ def models():
     gmm = em_fit(data, 3, seed=2)
     pca = pca_fit(rng.normal(size=(80, 8)), 5)
     y = np.where(data[:, 0] > 0, 1.0, -1.0)
-    svm = with_thresholds(train(data, {"a": y}, epochs=40, seed=0),
+    svm = with_thresholds(train(data, {"a": y}, epochs=40),
                           data, {"a": y})
     net = nn_train(rng.normal(size=(40, 16)),
                    {"a": np.where(rng.random(40) > 0.5, 1.0, -1.0)},
@@ -66,6 +66,15 @@ def test_serialization_is_deterministic(models):
     assert blob_a == blob_b
     # floats travel as hex strings so equality survives the text layer
     assert b"0x1." in blob_a
+
+
+def test_svm_file_with_a_seed_key_still_loads(models):
+    # svm.json files written before SvmModel.seed was removed carry "seed".
+    doc = json.loads(serialize_model(models["svm"]))
+    assert "seed" not in doc["payload"]
+    doc["payload"]["seed"] = 7
+    back = deserialize_model(json.dumps(doc).encode(), expected_kind="svm")
+    np.testing.assert_array_equal(back.weights, models["svm"].weights)
 
 
 def test_kind_mismatch_and_unknown_kind(models):

@@ -18,7 +18,7 @@ def separable_problem(rng, n=40, dim=6, margin=2.0):
 
 def test_training_separates_separable_data(rng):
     x, y = separable_problem(rng)
-    model = train(x, {"a": y}, c=10.0, epochs=300, seed=0)
+    model = train(x, {"a": y}, c=10.0, epochs=300)
     scores = x @ model.weights[0] + model.biases[0]
     assert np.all(np.sign(scores) == y)
 
@@ -32,12 +32,12 @@ def test_objective_trace_non_increasing(rng):
 
 def test_training_deterministic_and_duplication_invariant(rng):
     x, y = separable_problem(rng, n=25)
-    base = train(x, {"a": y}, c=1.0, epochs=150, seed=3)
-    again = train(x, {"a": y}, c=1.0, epochs=150, seed=3)
+    base = train(x, {"a": y}, c=1.0, epochs=150)
+    again = train(x, {"a": y}, c=1.0, epochs=150)
     np.testing.assert_array_equal(base.weights, again.weights)
     # duplicating every sample leaves the mean subgradient unchanged
     doubled = train(np.concatenate([x, x]), {"a": np.concatenate([y, y])},
-                    c=1.0, epochs=150, seed=3)
+                    c=1.0, epochs=150)
     np.testing.assert_allclose(doubled.weights, base.weights, atol=1e-6)
     np.testing.assert_allclose(doubled.biases, base.biases, atol=1e-6)
 
@@ -46,7 +46,7 @@ def test_multiclass_order_and_prediction(rng):
     x = rng.normal(size=(60, 4))
     labels = {"one": np.where(x[:, 0] > 0, 1.0, -1.0),
               "two": np.where(x[:, 1] > 0, 1.0, -1.0)}
-    model = train(x, labels, c=10.0, epochs=200, seed=0)
+    model = train(x, labels, c=10.0, epochs=200)
     assert model.classes == ("one", "two")
     pred = predict_multilabel(model, np.array([3.0, -3.0, 0.0, 0.0]))
     decided = pred.as_dict()
@@ -89,7 +89,7 @@ def test_eer_threshold_prefers_lowest_on_ties():
 
 def test_with_thresholds_reaches_equal_error(rng):
     x, y = separable_problem(rng, n=50)
-    model = train(x, {"a": y}, c=5.0, epochs=200, seed=2)
+    model = train(x, {"a": y}, c=5.0, epochs=200)
     model = with_thresholds(model, x, {"a": y})
     scores = x @ model.weights[0] + model.biases[0]
     pred = scores > model.thresholds[0]
@@ -100,6 +100,6 @@ def test_with_thresholds_reaches_equal_error(rng):
 
 def test_regularization_shrinks_weights(rng):
     x, y = separable_problem(rng, n=40)
-    strong = train(x, {"a": y}, c=0.01, epochs=150, seed=0)
-    weak = train(x, {"a": y}, c=100.0, epochs=150, seed=0)
+    strong = train(x, {"a": y}, c=0.01, epochs=150)
+    weak = train(x, {"a": y}, c=100.0, epochs=150)
     assert np.linalg.norm(strong.weights) < np.linalg.norm(weak.weights)

@@ -2,9 +2,11 @@
 
 Each stage writes its artifacts under a working directory plus a
 manifest recording the configuration hash, the seed, the upstream
-manifests it consumed, and a digest of every file it wrote. A stage
-refuses to run when a required upstream stage is missing, was built
-under a different configuration, or has modified artifacts on disk.
+manifests it consumed, and a digest of every file it wrote. `_COMMANDS`
+declares each command's upstream stages once; `main` checks them before
+the command runs and records them in its manifest. A stage refuses to
+run when a required upstream stage is missing, was built under a
+different configuration, or has modified artifacts on disk.
 
 Exit codes: 0 success, 1 usage error, 2 missing/stale dependency,
 3 validation or verification failure.
@@ -16,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,8 +61,8 @@ def _manifest_path(out_dir: str, stage: str) -> str:
 
 
 def _write_manifest(out_dir: str, stage: str, config: PipelineConfig,
-                    inputs: list[str], outputs: list[str],
-                    extra: dict | None = None) -> None:
+                    inputs: tuple[str, ...], outputs: list[str],
+                    **extra) -> None:
     """Record what a stage produced; paths are relative to the out dir."""
     os.makedirs(os.path.join(out_dir, "manifests"), exist_ok=True)
     doc = {
@@ -70,8 +73,7 @@ def _write_manifest(out_dir: str, stage: str, config: PipelineConfig,
         "outputs": {rel: file_hash(os.path.join(out_dir, rel))
                     for rel in sorted(outputs)},
     }
-    if extra:
-        doc.update(extra)
+    doc.update(extra)
     with open(_manifest_path(out_dir, stage), "w", encoding="ascii",
               newline="\n") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
@@ -203,41 +205,33 @@ def _read_bundle(out_dir: str, config: PipelineConfig, synth_manifest: dict,
                        config.patch, config.stride)
 
 
-def _load_bundle(out_dir: str, config: PipelineConfig, needed_by: str,
-                 with_nn: bool = False) -> ModelBundle:
-    """The trained models, once every manifest they come from checks out."""
-    stages = (*_BUNDLE_STAGES, STAGE_NN) if with_nn else _BUNDLE_STAGES
-    manifests = [_require_stage(out_dir, stage, config, needed_by)
-                 for stage in stages]
-    return _read_bundle(out_dir, config, manifests[0], with_nn)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# A handler receives the checked manifests of its upstream stages (see
+# `_COMMANDS`) and returns the keys its own manifest adds: "outputs", the
+# files it wrote, plus any extra keys; `verify` writes no manifest.
 
 
-def _cmd_synth_gen(config: PipelineConfig, args) -> int:
+def _cmd_synth_gen(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
     train_imgs, test_imgs, classes = make_corpus(config)
     outputs = _save_corpus_split(out_dir, "train", train_imgs)
     outputs += _save_corpus_split(out_dir, "test", test_imgs)
     outputs.append(_rel(out_dir, _save_corpus_index(out_dir, train_imgs,
                                                     test_imgs)))
-    _write_manifest(out_dir, STAGE_SYNTH, config, [], outputs,
-                    {"classes": list(classes)})
     size = config.corpus_size
     print(f"synth-gen: {len(train_imgs)} train / {len(test_imgs)} test images "
           f"({size}x{size}, rho={config.corpus_rho})")
-    return 0
+    return {"outputs": outputs, "classes": list(classes)}
 
 
 def _desc_path(out_dir: str, image_id: str, split: str) -> str:
     return os.path.join(out_dir, "descriptors", split, f"{image_id}.desc")
 
 
-def _cmd_extract(config: PipelineConfig, args) -> int:
+def _cmd_extract(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
-    _require_stage(out_dir, STAGE_SYNTH, config, STAGE_EXTRACT)
     outputs = []
     total = 0
     for split in ("train", "test"):
@@ -248,10 +242,9 @@ def _cmd_extract(config: PipelineConfig, args) -> int:
             save_descriptors(ds, path)
             outputs.append(_rel(out_dir, path))
             total += len(ds)
-    _write_manifest(out_dir, STAGE_EXTRACT, config, [STAGE_SYNTH], outputs)
     print(f"extract: {total} descriptors "
           f"(patch {config.patch}, stride {config.stride})")
-    return 0
+    return {"outputs": outputs}
 
 
 def _load_descriptor_sets(out_dir: str, split: str):
@@ -259,63 +252,52 @@ def _load_descriptor_sets(out_dir: str, split: str):
     return ids, [load_descriptors(_desc_path(out_dir, i, split)) for i in ids]
 
 
-def _cmd_pca_fit(config: PipelineConfig, args) -> int:
+def _cmd_pca_fit(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
-    _require_stage(out_dir, STAGE_EXTRACT, config, STAGE_PCA)
     _, sets = _load_descriptor_sets(out_dir, "train")
     model = fit_pca(sets, config)
     _ensure_dir(os.path.join(out_dir, "models"))
     path = _model_path(out_dir, "pca")
     save_model(model, path)
-    _write_manifest(out_dir, STAGE_PCA, config, [STAGE_EXTRACT],
-                    [_rel(out_dir, path)])
     print(f"pca-fit: {model.raw_dim} -> {model.dim} dims "
           f"on {sum(len(ds) for ds in sets)} descriptors")
-    return 0
+    return {"outputs": [_rel(out_dir, path)]}
 
 
-def _cmd_gmm_fit(config: PipelineConfig, args) -> int:
+def _cmd_gmm_fit(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
-    _require_stage(out_dir, STAGE_EXTRACT, config, STAGE_GMM)
-    _require_stage(out_dir, STAGE_PCA, config, STAGE_GMM)
     pca = load_model(_model_path(out_dir, "pca"), "pca")
     _, sets = _load_descriptor_sets(out_dir, "train")
-    projected = project_all(pca, sets, config)
+    projected = project_all(pca, sets)
     model = fit_gmm(projected, config)
     path = _model_path(out_dir, "gmm")
     save_model(model, path)
-    _write_manifest(out_dir, STAGE_GMM, config, [STAGE_EXTRACT, STAGE_PCA],
-                    [_rel(out_dir, path)])
     steps, reason, gain = em_stop(model, projected, config)
     print(f"gmm-fit: K={config.gmm_k}, {steps} M-steps, stopped by {reason}, "
           f"last gain per descriptor {'none' if gain is None else f'{gain:.2e}'}")
-    return 0
+    return {"outputs": [_rel(out_dir, path)]}
 
 
 def _fvec_path(out_dir: str, image_id: str, split: str) -> str:
     return os.path.join(out_dir, "embeddings", split, f"{image_id}.fvec")
 
 
-def _cmd_embed(config: PipelineConfig, args) -> int:
+def _cmd_embed(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
-    for stage in (STAGE_EXTRACT, STAGE_PCA, STAGE_GMM):
-        _require_stage(out_dir, stage, config, STAGE_EMBED)
     pca = load_model(_model_path(out_dir, "pca"), "pca")
     gmm = load_model(_model_path(out_dir, "gmm"), "gmm")
     outputs = []
     for split in ("train", "test"):
         ids, sets = _load_descriptor_sets(out_dir, split)
         _ensure_dir(os.path.join(out_dir, "embeddings", split))
-        raws = embed_all(gmm, project_all(pca, sets, config), config)
+        raws = embed_all(gmm, project_all(pca, sets))
         for image_id, raw in zip(ids, raws):
             path = _fvec_path(out_dir, image_id, split)
             save_fisher_vector(raw, path)
             outputs.append(_rel(out_dir, path))
-    _write_manifest(out_dir, STAGE_EMBED, config,
-                    [STAGE_EXTRACT, STAGE_PCA, STAGE_GMM], outputs)
     print(f"embed: {len(outputs)} Fisher vectors of length "
           f"{(1 + 2 * config.pca_dim) * config.gmm_k}")
-    return 0
+    return {"outputs": outputs}
 
 
 def _load_feature_matrix(out_dir: str, split: str
@@ -325,46 +307,36 @@ def _load_feature_matrix(out_dir: str, split: str
     return ids, improved_matrix(raws)
 
 
-def _cmd_svm_train(config: PipelineConfig, args) -> int:
+def _cmd_svm_train(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
-    synth = _require_stage(out_dir, STAGE_SYNTH, config, STAGE_SVM)
-    _require_stage(out_dir, STAGE_EMBED, config, STAGE_SVM)
-    classes = _corpus_classes(synth)
+    classes = _corpus_classes(upstream[STAGE_SYNTH])
     train_imgs = _load_split(out_dir, "train")
     _, features = _load_feature_matrix(out_dir, "train")
     model = train_svm(train_imgs, features, classes, config)
     path = _model_path(out_dir, "svm")
     save_model(model, path)
-    _write_manifest(out_dir, STAGE_SVM, config, [STAGE_SYNTH, STAGE_EMBED],
-                    [_rel(out_dir, path)])
     taus = ", ".join(f"{c}: {t:.4f}" for c, t in zip(classes, model.thresholds))
     print(f"svm-train: {len(classes)} classes on {features.shape[0]} images "
           f"(C={config.svm_c}); thresholds {taus}")
-    return 0
+    return {"outputs": [_rel(out_dir, path)]}
 
 
-def _cmd_nn_train(config: PipelineConfig, args) -> int:
+def _cmd_nn_train(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
-    synth = _require_stage(out_dir, STAGE_SYNTH, config, STAGE_NN)
-    classes = _corpus_classes(synth)
+    classes = _corpus_classes(upstream[STAGE_SYNTH])
     train_imgs = _load_split(out_dir, "train")
     net = train_net(train_imgs, classes, config)
     path = _model_path(out_dir, "nn")
     save_model(net, path)
-    _write_manifest(out_dir, STAGE_NN, config, [STAGE_SYNTH],
-                    [_rel(out_dir, path)])
     arch = "-".join(str(s) for s in
                     [net.input_dim] + [l.weights.shape[1] for l in net.layers])
     print(f"nn-train: {arch} network on {len(train_imgs)} images")
-    return 0
+    return {"outputs": [_rel(out_dir, path)]}
 
 
-def _cmd_predict(config: PipelineConfig, args) -> int:
+def _cmd_predict(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
-    synth = _require_stage(out_dir, STAGE_SYNTH, config, "predict")
-    _require_stage(out_dir, STAGE_EMBED, config, "predict")
-    _require_stage(out_dir, STAGE_SVM, config, "predict")
-    classes = _corpus_classes(synth)
+    classes = _corpus_classes(upstream[STAGE_SYNTH])
     svm_model = load_model(_model_path(out_dir, "svm"), "svm")
     test_imgs = _load_split(out_dir, "test")
     ids, features = _load_feature_matrix(out_dir, "test")
@@ -384,18 +356,15 @@ def _cmd_predict(config: PipelineConfig, args) -> int:
     path = os.path.join(out_dir, "reports", "predictions.tsv")
     report.write_table(path, ("image", "class", "score", "decision", "label"),
                        rows)
-    _write_manifest(out_dir, "predict", config,
-                    [STAGE_SYNTH, STAGE_EMBED, STAGE_SVM],
-                    [_rel(out_dir, path)])
     acc = ", ".join(f"{c}: {correct[c] / len(ids):.3f}" for c in classes)
     print(f"predict: {len(ids)} test images; accuracy {acc}")
     print(f"wrote {path}")
-    return 0
+    return {"outputs": [_rel(out_dir, path)]}
 
 
-def _cmd_explain(config: PipelineConfig, args) -> int:
+def _cmd_explain(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
-    bundle = _load_bundle(out_dir, config, "explain")
+    bundle = _read_bundle(out_dir, config, upstream[STAGE_SYNTH])
     if not args.image or not args.cls:
         raise UsageError("explain needs --image and --class")
     if args.cls not in bundle.classes:
@@ -413,19 +382,17 @@ def _cmd_explain(config: PipelineConfig, args) -> int:
     paths = report.write_explanation(
         dest, stem, img, expl,
         EmbeddingIndex(bundle.gmm.n_components, bundle.gmm.dim))
-    _write_manifest(out_dir, "explain", config, list(_BUNDLE_STAGES),
-                    [_rel(out_dir, p) for p in paths])
     state = "positive" if expl.prediction_positive else "negative"
     print(f"explain: f({args.image}, {args.cls}) = {expl.score:.6f} "
           f"({state}); variant {config.variant}")
     for p in paths:
         print(f"wrote {p}")
-    return 0
+    return {"outputs": [_rel(out_dir, p) for p in paths]}
 
 
-def _cmd_morf_eval(config: PipelineConfig, args) -> int:
+def _cmd_morf_eval(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
-    bundle = _load_bundle(out_dir, config, "morf-eval")
+    bundle = _read_bundle(out_dir, config, upstream[STAGE_SYNTH])
     if args.cls and args.cls not in bundle.classes:
         raise ValidationError(
             f"class {args.cls!r} not in corpus classes {bundle.classes}")
@@ -446,14 +413,12 @@ def _cmd_morf_eval(config: PipelineConfig, args) -> int:
         print(report.morf_summary_text(rep))
         for p in paths:
             print(f"wrote {p}")
-    _write_manifest(out_dir, "morf-eval", config, list(_BUNDLE_STAGES),
-                    outputs)
-    return 0
+    return {"outputs": outputs}
 
 
-def _cmd_context_report(config: PipelineConfig, args) -> int:
+def _cmd_context_report(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
-    bundle = _load_bundle(out_dir, config, "context-report", with_nn=True)
+    bundle = _read_bundle(out_dir, config, upstream[STAGE_SYNTH], with_nn=True)
     test_imgs = _load_split(out_dir, "test")
     rep = context_report(test_imgs, bundle.gmm, bundle.pca, bundle.svm,
                          bundle.net, variant=config.variant,
@@ -463,13 +428,10 @@ def _cmd_context_report(config: PipelineConfig, args) -> int:
     dest = _ensure_dir(os.path.join(out_dir, "reports", "context"))
     paths = report.write_context_tables(dest, rep)
     paths += report.write_context_figure(dest, rep)
-    _write_manifest(out_dir, "context-report", config,
-                    [*_BUNDLE_STAGES, STAGE_NN],
-                    [_rel(out_dir, p) for p in paths])
     print(report.context_summary_text(rep))
     for p in paths:
         print(f"wrote {p}")
-    return 0
+    return {"outputs": [_rel(out_dir, p) for p in paths]}
 
 
 def _trained_model_checks(config: PipelineConfig, out_dir: str) -> list:
@@ -508,7 +470,7 @@ def _trained_model_checks(config: PipelineConfig, out_dir: str) -> list:
     return results
 
 
-def _cmd_verify(config: PipelineConfig, args) -> int:
+def _cmd_verify(config: PipelineConfig, args, upstream) -> None:
     results = run_all(seed=config.seed)
     results += _trained_model_checks(config, args.out)
     failed = 0
@@ -519,11 +481,47 @@ def _cmd_verify(config: PipelineConfig, args) -> int:
     if failed:
         raise VerificationError(f"{failed} of {len(results)} checks failed")
     print(f"verify: all {len(results)} checks passed")
-    return 0
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the stage table and argument parsing
+
+
+class _Command(NamedTuple):
+    handler: Callable[..., dict | None]
+    needs: tuple[str, ...]  # upstream stages, in the order they are checked
+    help: str
+
+
+_COMMANDS = {
+    STAGE_SYNTH: _Command(_cmd_synth_gen, (),
+                          "render the synthetic corpus to disk"),
+    STAGE_EXTRACT: _Command(_cmd_extract, (STAGE_SYNTH,),
+                            "dense local descriptors for every image"),
+    STAGE_PCA: _Command(_cmd_pca_fit, (STAGE_EXTRACT,),
+                        "fit the descriptor projection"),
+    STAGE_GMM: _Command(_cmd_gmm_fit, (STAGE_EXTRACT, STAGE_PCA),
+                        "fit the visual-word mixture via EM"),
+    STAGE_EMBED: _Command(_cmd_embed, (STAGE_EXTRACT, STAGE_PCA, STAGE_GMM),
+                          "aggregate per-image Fisher vectors"),
+    STAGE_SVM: _Command(_cmd_svm_train, (STAGE_SYNTH, STAGE_EMBED),
+                        "train one-vs-rest linear classifiers"),
+    STAGE_NN: _Command(_cmd_nn_train, (STAGE_SYNTH,),
+                       "train the pixel-level comparison network"),
+    "predict": _Command(_cmd_predict, (STAGE_SYNTH, STAGE_EMBED, STAGE_SVM),
+                        "score the test split"),
+    "explain": _Command(_cmd_explain, _BUNDLE_STAGES,
+                        "relevance heatmap for one image and class"),
+    "morf-eval": _Command(
+        _cmd_morf_eval, _BUNDLE_STAGES,
+        "feature-replacement curves: relevance vs random ordering"),
+    "context-report": _Command(
+        _cmd_context_report, (*_BUNDLE_STAGES, STAGE_NN),
+        "outside/inside relevance ratios for both models"),
+    # verify checks whichever trained stages exist, one at a time
+    "verify": _Command(_cmd_verify, (),
+                       "run the seeded invariant and oracle checks"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -533,36 +531,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_COMMANDS = {
-    STAGE_SYNTH: (_cmd_synth_gen, "render the synthetic corpus to disk"),
-    STAGE_EXTRACT: (_cmd_extract, "dense local descriptors for every image"),
-    STAGE_PCA: (_cmd_pca_fit, "fit the descriptor projection"),
-    STAGE_GMM: (_cmd_gmm_fit, "fit the visual-word mixture via EM"),
-    STAGE_EMBED: (_cmd_embed, "aggregate per-image Fisher vectors"),
-    STAGE_SVM: (_cmd_svm_train, "train one-vs-rest linear classifiers"),
-    STAGE_NN: (_cmd_nn_train, "train the pixel-level comparison network"),
-    "predict": (_cmd_predict, "score the test split"),
-    "explain": (_cmd_explain, "relevance heatmap for one image and class"),
-    "morf-eval": (_cmd_morf_eval,
-                  "feature-replacement curves: relevance vs random ordering"),
-    "context-report": (_cmd_context_report,
-                       "outside/inside relevance ratios for both models"),
-    "verify": (_cmd_verify, "run the seeded invariant and oracle checks"),
-}
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="fvlrp",
                      description="Fisher-vector classification with "
                                  "pixel-level relevance explanations")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", metavar="PATH",
                        help="JSON config file (flags override it)")
         p.add_argument("--seed", type=int, help="master random seed")
         p.add_argument("--threads", type=int,
-                       help="worker thread cap")
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--variant", choices=tuple(_VARIANT_FLAGS),
                        help="relevance redistribution variant")
         p.add_argument("--epsilon", type=float, help="stabilizer strength")
@@ -591,8 +571,14 @@ def main(argv=None) -> int:
             raise UsageError("a subcommand is required")
         config = _resolve_config(args)
         os.makedirs(args.out, exist_ok=True)
-        handler = _COMMANDS[args.command][0]
-        return handler(config, args)
+        command = _COMMANDS[args.command]
+        upstream = {stage: _require_stage(args.out, stage, config, args.command)
+                    for stage in command.needs}
+        produced = command.handler(config, args, upstream)
+        if produced is not None:
+            _write_manifest(args.out, args.command, config, command.needs,
+                            **produced)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,10 @@
 """Pipeline configuration: one flat record, JSON file + flag overrides.
 
 Precedence is flags > file > defaults. The configuration hash covers
-only result-affecting fields: `threads` is excluded (results must be
-independent of it) and no paths are stored here at all (the output
-directory is a command-line concern), so identical experiments hash
-identically wherever they run.
+only result-affecting fields: `threads` is excluded (it is accepted and
+validated for compatibility, and nothing reads it) and no paths are
+stored here at all (the output directory is a command-line concern), so
+identical experiments hash identically wherever they run.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
-from .descriptors import tiles_grid
+from .descriptors import RAW_DIM, tiles_grid
 from .errors import ParseError, ValidationError
 from .util import stable_hash
 
@@ -54,7 +54,7 @@ class PipelineConfig:
     morf_repetitions: int = 5
     # Reproducibility / execution
     seed: int = 0
-    threads: int = 1
+    threads: int = 1                # accepted for compatibility; unused
 
     def __post_init__(self):
         if not 0.0 <= self.corpus_rho <= 1.0:
@@ -74,8 +74,14 @@ class PipelineConfig:
                 raise ValidationError(f"{name} must be >= 1, got {value}")
         if self.svm_c <= 0 or self.gmm_tol <= 0 or self.nn_lr < 0:
             raise ValidationError("svm_c and gmm_tol must be > 0, nn_lr >= 0")
+        if any(int(h) < 1 for h in self.nn_hidden):
+            raise ValidationError(
+                f"nn_hidden layer sizes must be >= 1, got {list(self.nn_hidden)}")
+        if self.pca_dim > RAW_DIM:
+            raise ValidationError(
+                f"pca_dim {self.pca_dim} exceeds the descriptor dimension {RAW_DIM}")
         # Cross-field checks: each of these would otherwise fail only
-        # stages later (nn-train, extract, morf-eval).
+        # stages later (nn-train, extract, gmm-fit, morf-eval).
         if self.corpus_size % self.nn_input != 0:
             raise ValidationError(
                 f"corpus_size {self.corpus_size} must be a multiple of "
@@ -87,6 +93,13 @@ class PipelineConfig:
         if not tiles_grid(self.patch, self.stride, per_side):
             raise ValidationError(f"patch {self.patch} / stride {self.stride}: "
                                   f"descriptor cells do not tile the grid")
+        # `make_corpus` renders two classes of `train_per_class` images.
+        em_samples = min(self.gmm_sample_count,
+                         2 * self.train_per_class * per_side * per_side)
+        if self.gmm_k > em_samples:
+            raise ValidationError(
+                f"gmm_k {self.gmm_k} exceeds the {em_samples} descriptors EM "
+                f"samples (gmm_sample_count or all training descriptors)")
         if self.morf_batch * self.morf_steps > per_side * per_side:
             raise ValidationError(
                 f"morf_batch*morf_steps = {self.morf_batch * self.morf_steps} "

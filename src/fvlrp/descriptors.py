@@ -20,13 +20,13 @@ pixels.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimError, ExtractError, FitError, ParseError
+from .errors import DimError, ExtractError, FitError
 from .imaging import Image
+from .util import read_container, write_container
 
 _DESC_MAGIC = b"DESC1"
 N_CELLS = 4
@@ -200,24 +200,17 @@ def save_descriptors(ds: DescriptorSet, path) -> None:
     records = np.empty(len(ds), dtype=_record_dtype(ds.dim))
     records["area"] = ds.areas
     records["vec"] = ds.vectors
-    with open(path, "wb") as fh:
-        fh.write(_DESC_MAGIC)
-        fh.write(struct.pack("<IIII", ds.image_size[0], ds.image_size[1], len(ds), ds.dim))
-        fh.write(records.tobytes())
+    write_container(path, _DESC_MAGIC,
+                    (ds.image_size[0], ds.image_size[1], len(ds), ds.dim),
+                    records.tobytes())
 
 
 def load_descriptors(path) -> DescriptorSet:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:5] != _DESC_MAGIC:
-        raise ParseError(f"{path}: bad magic {data[:5]!r}")
-    if len(data) < 21:
-        raise ParseError(f"{path}: truncated header")
-    width, height, count, dim = struct.unpack("<IIII", data[5:21])
-    rec = _record_dtype(dim)
-    if len(data) != 21 + count * rec.itemsize:
-        raise ParseError(f"{path}: expected {count} records of {rec.itemsize} bytes")
-    records = np.frombuffer(data, dtype=rec, count=count, offset=21)
-    # astype copies: the set owns writable arrays, not views of `data`.
+    # The record size is computed, not read off `_record_dtype`, so that a
+    # damaged header with a huge `dim` is a size mismatch, not a dtype error.
+    (width, height, count, dim), body = read_container(
+        path, _DESC_MAGIC, 4, lambda w, h, count, dim: count * (16 + 8 * dim))
+    records = np.frombuffer(body, dtype=_record_dtype(dim), count=count)
+    # astype copies: the set owns writable arrays, not views of the file.
     return DescriptorSet(records["vec"].astype(np.float64, order="C"),
                          records["area"].astype(np.int64, order="C"), (width, height))

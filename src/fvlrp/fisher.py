@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimError, EmptyInputError, ParseError
+from .errors import DegenerateInputError, DimError, EmptyInputError
 from .descriptors import DescriptorSet
 from .gmm import GmmModel, responsibilities
+from .util import read_container, write_container
 
 _FVEC_MAGIC = b"FVEC1"
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -205,25 +206,11 @@ def hellinger_check(x, y) -> tuple[float, float]:
 def save_fisher_vector(fv: RawFisherVector, path) -> None:
     """Binary cache: magic, uint32 (K, D), then the (1+2D)K float64 values,
     little-endian."""
-    import struct
-
-    with open(path, "wb") as fh:
-        fh.write(_FVEC_MAGIC)
-        fh.write(struct.pack("<II", fv.n_components, fv.dim))
-        fh.write(fv.values.astype("<f8").tobytes())
+    write_container(path, _FVEC_MAGIC, (fv.n_components, fv.dim),
+                    fv.values.astype("<f8").tobytes())
 
 
 def load_fisher_vector(path) -> RawFisherVector:
-    import struct
-
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:5] != _FVEC_MAGIC:
-        raise ParseError(f"{path}: bad magic {data[:5]!r}")
-    if len(data) < 13:
-        raise ParseError(f"{path}: truncated header")
-    k, d = struct.unpack("<II", data[5:13])
-    n = fv_length(k, d)
-    if len(data) != 13 + 8 * n:
-        raise ParseError(f"{path}: expected {n} values")
-    return RawFisherVector(np.frombuffer(data[13:], dtype="<f8").copy(), k, d)
+    (k, d), body = read_container(path, _FVEC_MAGIC, 2,
+                                  lambda k, d: 8 * fv_length(k, d))
+    return RawFisherVector(np.frombuffer(body, dtype="<f8").copy(), k, d)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IoError, ParseError, ValidationError
+from .util import read_container, write_container
 
 _HMAP_MAGIC = b"HMAP1"
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
@@ -290,31 +291,15 @@ def render_heatmap(h: Heatmap) -> Image:
 
 def save_heatmap(h: Heatmap, path) -> None:
     """Write a heatmap as an HMAP1 binary dump."""
-    payload = _HMAP_MAGIC + struct.pack("<II", h.width, h.height)
-    payload += h.values.astype("<f8").tobytes()
-    try:
-        with open(path, "wb") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_container(path, _HMAP_MAGIC, (h.width, h.height),
+                    h.values.astype("<f8").tobytes())
 
 
 def load_heatmap(path) -> Heatmap:
     """Load an HMAP1 dump written by :func:`save_heatmap`."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    if data[:5] != _HMAP_MAGIC:
-        raise ParseError(f"{path}: bad magic {data[:5]!r}")
-    if len(data) < 13:
-        raise ParseError(f"{path}: truncated header")
-    width, height = struct.unpack("<II", data[5:13])
-    expect = 13 + width * height * 8
-    if len(data) != expect:
-        raise ParseError(f"{path}: body has {len(data) - 13} bytes, expected {expect - 13}")
-    values = np.frombuffer(data[13:], dtype="<f8").reshape(height, width)
+    (width, height), body = read_container(path, _HMAP_MAGIC, 2,
+                                           lambda w, h: 8 * w * h)
+    values = np.frombuffer(body, dtype="<f8").reshape(height, width)
     return Heatmap(values.copy())
 
 

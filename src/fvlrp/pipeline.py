@@ -5,8 +5,7 @@ stages wrap them in file I/O and manifests, so the library and the CLI
 train byte-identical models from the same config. Each step is a pure
 function of its inputs plus the configuration, with all randomness
 drawn from explicitly derived seeds, so a run is reproducible bit for
-bit and independent of the thread count (parallel maps preserve input
-order; nothing shares mutable state).
+bit.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ def extract_corpus(images: list[LabeledImage], config: PipelineConfig
     """Dense descriptors for every image, in corpus order."""
     return parallel_map(
         lambda img: extract_dense(img.image, config.patch, config.stride),
-        images, config.threads)
+        images)
 
 
 def fit_pca(descriptor_sets: list[DescriptorSet], config: PipelineConfig) -> PcaModel:
@@ -66,10 +65,9 @@ def fit_pca(descriptor_sets: list[DescriptorSet], config: PipelineConfig) -> Pca
     return pca_fit(pooled, config.pca_dim)
 
 
-def project_all(pca: PcaModel, descriptor_sets: list[DescriptorSet],
-                config: PipelineConfig) -> list[DescriptorSet]:
-    return parallel_map(lambda ds: pca_apply(pca, ds), descriptor_sets,
-                        config.threads)
+def project_all(pca: PcaModel, descriptor_sets: list[DescriptorSet]
+                ) -> list[DescriptorSet]:
+    return parallel_map(lambda ds: pca_apply(pca, ds), descriptor_sets)
 
 
 def fit_gmm(projected: list[DescriptorSet], config: PipelineConfig) -> GmmModel:
@@ -107,9 +105,9 @@ def em_stop(gmm: GmmModel, projected: list[DescriptorSet], config: PipelineConfi
     return steps, "likelihood decrease", gain
 
 
-def embed_all(gmm: GmmModel, projected: list[DescriptorSet],
-              config: PipelineConfig) -> list[RawFisherVector]:
-    return parallel_map(lambda ds: aggregate(gmm, ds), projected, config.threads)
+def embed_all(gmm: GmmModel, projected: list[DescriptorSet]
+              ) -> list[RawFisherVector]:
+    return parallel_map(lambda ds: aggregate(gmm, ds), projected)
 
 
 def improved_matrix(raw_fvs: list[RawFisherVector]) -> np.ndarray:
@@ -127,7 +125,7 @@ def train_svm(train_images: list[LabeledImage], features: np.ndarray,
 def nn_inputs(images: list[LabeledImage], config: PipelineConfig) -> np.ndarray:
     size = (config.nn_input, config.nn_input)
     return np.stack(parallel_map(
-        lambda img: image_to_input(img.image, size), images, config.threads))
+        lambda img: image_to_input(img.image, size), images))
 
 
 def train_net(train_images: list[LabeledImage], classes: tuple[str, ...],
@@ -145,9 +143,9 @@ def train_all(train_images: list[LabeledImage], classes: tuple[str, ...],
     """Fit PCA, mixture, SVM (and optionally the network) on a corpus."""
     raw_sets = extract_corpus(train_images, config)
     pca = fit_pca(raw_sets, config)
-    projected = project_all(pca, raw_sets, config)
+    projected = project_all(pca, raw_sets)
     gmm = fit_gmm(projected, config)
-    features = improved_matrix(embed_all(gmm, projected, config))
+    features = improved_matrix(embed_all(gmm, projected))
     svm_model = train_svm(train_images, features, classes, config)
     net = train_net(train_images, classes, config) if with_nn else None
     return ModelBundle(classes, pca, gmm, svm_model, net,

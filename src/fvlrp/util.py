@@ -1,25 +1,21 @@
-"""Small shared helpers: ordered parallel mapping and stable hashing."""
+"""Small shared helpers: ordered mapping, stable hashing and the binary
+container behind the DESC1, FVEC1 and HMAP1 formats."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+
+from .errors import IoError, ParseError
 
 
-def parallel_map(fn, items, threads: int = 1) -> list:
+def parallel_map(fn, items) -> list:
     """Apply `fn` to every item, returning results in input order.
 
-    With `threads` > 1 the calls run on a thread pool; because results
-    are reassembled in input order and every `fn` must be pure (seeded
-    explicitly, no shared mutable state), the output is identical to the
-    serial path for any thread count.
+    A plain serial map; it keeps its name because `perfbench` traces the
+    pipeline's maps through it as a layer.
     """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def canonical_json(obj) -> str:
@@ -38,3 +34,41 @@ def file_hash(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def write_container(path, magic: bytes, header: tuple[int, ...],
+                    body: bytes) -> None:
+    """Write `magic`, each header field as a little-endian uint32, then `body`."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(magic)
+            fh.write(b"".join(int(v).to_bytes(4, "little") for v in header))
+            fh.write(body)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def read_container(path, magic: bytes, n_fields: int, body_size
+                   ) -> tuple[tuple[int, ...], memoryview]:
+    """The header fields and body of a file written by `write_container`.
+
+    `body_size` maps the header fields to the body's length in bytes; a
+    file whose magic, header or body length disagrees is a `ParseError`.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    start = len(magic) + 4 * n_fields
+    if data[:len(magic)] != magic:
+        raise ParseError(f"{path}: bad magic {data[:len(magic)]!r}")
+    if len(data) < start:
+        raise ParseError(f"{path}: truncated header")
+    header = tuple(int.from_bytes(data[i:i + 4], "little")
+                   for i in range(len(magic), start, 4))
+    expect = body_size(*header)
+    if len(data) - start != expect:
+        raise ParseError(f"{path}: body has {len(data) - start} bytes, "
+                         f"expected {expect}")
+    return header, memoryview(data)[start:]

@@ -157,6 +157,33 @@ def test_missing_dependency_names_the_stage(tmp_path, capsys):
     assert "synth-gen" in err and "dependency error" in err
 
 
+# Every (command, upstream stage) pair the stage table declares.
+_DECLARED_NEEDS = [(name, stage) for name, command in cli._COMMANDS.items()
+                   for stage in command.needs]
+
+
+@pytest.mark.parametrize("command, stage", _DECLARED_NEEDS,
+                         ids=[f"{c}<-{s}" for c, s in _DECLARED_NEEDS])
+def test_each_declared_upstream_stage_is_required(pipeline, capsys, command,
+                                                  stage):
+    out, config = pipeline
+    manifest = out / "manifests" / f"{stage}.json"
+    hidden = manifest.with_suffix(".hidden")
+    manifest.rename(hidden)
+    try:
+        assert run(out, config, command) == 2
+    finally:
+        hidden.rename(manifest)
+    assert f"needs artifacts from `{stage}`" in capsys.readouterr().err
+
+
+def test_manifest_inputs_are_the_declared_upstream_stages(pipeline):
+    out, _ = pipeline
+    for stage in STAGES:
+        doc = json.loads((out / "manifests" / f"{stage}.json").read_text())
+        assert sorted(doc["inputs"]) == sorted(cli._COMMANDS[stage].needs), stage
+
+
 def test_explain_without_classifier_names_missing_stage(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "run"

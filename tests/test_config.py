@@ -1,7 +1,8 @@
 """Configuration record, hashing, and the small shared utilities."""
 
+import ast
 import os
-import threading
+import pathlib
 
 import numpy as np
 import pytest
@@ -54,6 +55,32 @@ def test_validation_rejects_cells_that_do_not_tile_the_stride_grid():
     PipelineConfig(patch=12, stride=6, morf_batch=1, morf_steps=1)
 
 
+def test_validation_rejects_zero_width_hidden_layer():
+    with pytest.raises(ValidationError, match="nn_hidden"):
+        PipelineConfig(nn_hidden=(64, 0))
+    with pytest.raises(ValidationError, match="nn_hidden"):
+        PipelineConfig().with_overrides(nn_hidden=[0])
+    PipelineConfig(nn_hidden=(1,))
+
+
+def test_validation_rejects_pca_dim_beyond_descriptor_dim():
+    PipelineConfig(pca_dim=128)
+    with pytest.raises(ValidationError, match="pca_dim 129"):
+        PipelineConfig(pca_dim=129)
+
+
+def test_validation_rejects_more_components_than_em_samples():
+    # EM samples min(gmm_sample_count, training descriptors).
+    PipelineConfig(gmm_k=50, gmm_sample_count=50)
+    with pytest.raises(ValidationError, match="gmm_k 51"):
+        PipelineConfig(gmm_k=51, gmm_sample_count=50)
+    # patch 64 on 64 px: one descriptor per image, 2 x 3 training images
+    small = dict(patch=64, train_per_class=3, morf_batch=1, morf_steps=1)
+    PipelineConfig(gmm_k=6, **small)
+    with pytest.raises(ValidationError, match="gmm_k 7"):
+        PipelineConfig(gmm_k=7, **small)
+
+
 def test_validation_rejects_morf_budget_beyond_descriptor_count():
     # 64 px, patch 16, stride 4: 13 x 13 = 169 descriptors per image
     PipelineConfig(morf_batch=13, morf_steps=13)
@@ -100,21 +127,23 @@ def test_config_file_errors(tmp_path):
 
 
 def test_parallel_map_preserves_order():
-    items = list(range(50))
-    serial = parallel_map(lambda x: x * x, items, threads=1)
-    threaded = parallel_map(lambda x: x * x, items, threads=4)
-    assert serial == threaded == [x * x for x in items]
+    assert parallel_map(lambda x: x * x, range(50)) == [x * x for x in range(50)]
 
 
-def test_parallel_map_runs_concurrently():
-    seen = set()
-
-    def record(x):
-        seen.add(threading.get_ident())
-        return x
-
-    parallel_map(record, range(64), threads=4)
-    assert len(seen) >= 1  # smoke: it ran; thread count is not contractual
+def test_package_starts_no_threads():
+    """Every stage runs serially: no module imports a thread pool."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "fvlrp"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("concurrent", "threading"), \
+                    f"{path.name} imports {name}"
 
 
 def test_stable_hash_is_order_insensitive():

@@ -7,10 +7,10 @@ from fvlrp.descriptors import (CLAMP, DescriptorSet, extract_dense,
                                load_descriptors, pca_apply, pca_fit,
                                save_descriptors)
 from fvlrp.config import PipelineConfig
-from fvlrp.errors import DimError, ExtractError, FitError, ParseError
+from fvlrp.errors import DimError, ExtractError, FitError, IoError, ParseError
 from fvlrp.fisher import (RawFisherVector, fv_length, load_fisher_vector,
                           save_fisher_vector)
-from fvlrp.imaging import Image
+from fvlrp.imaging import Heatmap, Image, load_heatmap, save_heatmap
 from fvlrp.pipeline import make_corpus
 from fvlrp.verification import (TILING_GEOMETRIES, oracle_extract_dense,
                                 same_descriptors)
@@ -211,6 +211,28 @@ def test_truncated_cache_file_raises_parse_error(tmp_path, rng, write, load, kee
     path.write_bytes(path.read_bytes()[:keep])
     with pytest.raises(ParseError):
         load(path)
+
+
+def _hmap_file(path, rng):
+    save_heatmap(Heatmap(rng.normal(size=(5, 3))), path)
+
+
+@pytest.mark.parametrize("write, load", [(_desc_file, load_descriptors),
+                                         (_fvec_file, load_fisher_vector),
+                                         (_hmap_file, load_heatmap)],
+                         ids=["DESC1", "FVEC1", "HMAP1"])
+def test_binary_formats_refuse_damaged_files(tmp_path, rng, write, load):
+    path = tmp_path / "a.bin"
+    write(path, rng)
+    good = path.read_bytes()
+    load(path)
+    all_ones = good[:5] + b"\xff" * 16 + good[21:]  # huge header fields
+    for damaged in (good[:-1], b"XXXXX" + good[5:], good + b"\0", all_ones):
+        path.write_bytes(damaged)
+        with pytest.raises(ParseError):
+            load(path)
+    with pytest.raises(IoError):
+        load(tmp_path / "missing.bin")
 
 
 def test_descriptor_cache_bytes_match_record_layout(tmp_path, rng):

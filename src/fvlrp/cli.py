@@ -24,7 +24,7 @@ import numpy as np
 
 from . import report
 from .config import PipelineConfig, load_config
-from .descriptors import load_descriptors, save_descriptors
+from .descriptors import descriptor_count, load_descriptors, save_descriptors
 from .errors import (DependencyError, PipelineError, UsageError,
                      ValidationError, VerificationError)
 from .evaluation import compare_orderings, context_report
@@ -248,19 +248,23 @@ def _cmd_extract(config: PipelineConfig, args, upstream) -> dict:
 
 
 def _load_descriptor_sets(out_dir: str, split: str):
+    """The split's image ids, and its descriptor sets loaded one at a time
+    as they are iterated, so a consumer that drops each set holds one."""
     ids = _split_ids(out_dir, split)
-    return ids, [load_descriptors(_desc_path(out_dir, i, split)) for i in ids]
+    return ids, (load_descriptors(_desc_path(out_dir, i, split)) for i in ids)
 
 
 def _cmd_pca_fit(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
-    _, sets = _load_descriptor_sets(out_dir, "train")
-    model = fit_pca(sets, config)
+    ids, sets = _load_descriptor_sets(out_dir, "train")
+    # Every corpus image is corpus_size pixels square.
+    rows = len(ids) * descriptor_count(config.corpus_size, config.corpus_size,
+                                       config.patch, config.stride)
+    model, _ = fit_pca(sets, rows, config)
     _ensure_dir(os.path.join(out_dir, "models"))
     path = _model_path(out_dir, "pca")
     save_model(model, path)
-    print(f"pca-fit: {model.raw_dim} -> {model.dim} dims "
-          f"on {sum(len(ds) for ds in sets)} descriptors")
+    print(f"pca-fit: {model.raw_dim} -> {model.dim} dims on {rows} descriptors")
     return {"outputs": [_rel(out_dir, path)]}
 
 

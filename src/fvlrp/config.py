@@ -14,7 +14,9 @@ import json
 from dataclasses import dataclass
 
 from .descriptors import RAW_DIM, tiles_grid
-from .errors import ParseError, ValidationError
+from .errors import ParseError, SpecError, ValidationError
+from .lrp_nn import check_alphabeta
+from .synth import two_class_spec
 from .util import stable_hash
 
 
@@ -81,7 +83,12 @@ class PipelineConfig:
             raise ValidationError(
                 f"pca_dim {self.pca_dim} exceeds the descriptor dimension {RAW_DIM}")
         # Cross-field checks: each of these would otherwise fail only
-        # stages later (nn-train, extract, gmm-fit, morf-eval).
+        # stages later (synth-gen, nn-train, extract, pca-fit, gmm-fit,
+        # morf-eval, context-report).
+        try:  # the corpus `make_corpus` renders must place its objects
+            two_class_spec(self.corpus_rho, size=self.corpus_size)
+        except SpecError as exc:
+            raise ValidationError(f"corpus_size {self.corpus_size}: {exc}") from exc
         if self.corpus_size % self.nn_input != 0:
             raise ValidationError(
                 f"corpus_size {self.corpus_size} must be a multiple of "
@@ -94,8 +101,12 @@ class PipelineConfig:
             raise ValidationError(f"patch {self.patch} / stride {self.stride}: "
                                   f"descriptor cells do not tile the grid")
         # `make_corpus` renders two classes of `train_per_class` images.
-        em_samples = min(self.gmm_sample_count,
-                         2 * self.train_per_class * per_side * per_side)
+        train_descriptors = 2 * self.train_per_class * per_side * per_side
+        if self.pca_dim >= train_descriptors:
+            raise ValidationError(
+                f"pca_dim {self.pca_dim} must be below the {train_descriptors} "
+                f"training descriptors")
+        em_samples = min(self.gmm_sample_count, train_descriptors)
         if self.gmm_k > em_samples:
             raise ValidationError(
                 f"gmm_k {self.gmm_k} exceeds the {em_samples} descriptors EM "
@@ -104,6 +115,7 @@ class PipelineConfig:
             raise ValidationError(
                 f"morf_batch*morf_steps = {self.morf_batch * self.morf_steps} "
                 f"exceeds the {per_side * per_side} descriptors per image")
+        check_alphabeta(self.nn_alpha, self.nn_beta)
         if self.variant not in ("plain", "epsilon", "absolute"):
             raise ValidationError(f"unknown variant {self.variant!r}")
         if self.variant == "epsilon" and self.epsilon <= 0:

@@ -16,6 +16,11 @@ So patch origins must lie on the cell grid: `patch % 4 == 0` and
 Every descriptor keeps its receptive field: the (x, y, w, h) patch
 rectangle it was computed from, used later to spread relevance onto
 pixels.
+
+PCA has one fit, `pca_fit_inplace`, which centres the matrix it is
+given in place. `pca_fit` runs it on a copy and leaves its argument
+alone; `pipeline.fit_pca` runs it on the pooled training matrix itself,
+so that matrix gets no centred copy.
 """
 
 from __future__ import annotations
@@ -77,6 +82,19 @@ def tiles_grid(patch: int, stride: int, per_side: int) -> bool:
     return patch % N_CELLS == 0 and (per_side == 1 or stride % (patch // N_CELLS) == 0)
 
 
+def patch_origins(width: int, height: int, patch: int, stride: int
+                  ) -> tuple[range, range]:
+    """Patch origins along x and along y: the multiples of `stride` at
+    which a `patch`-sized square fits inside the image."""
+    return range(0, width - patch + 1, stride), range(0, height - patch + 1, stride)
+
+
+def descriptor_count(width: int, height: int, patch: int, stride: int) -> int:
+    """How many descriptors `extract_dense` emits for an image of this size."""
+    xs, ys = patch_origins(width, height, patch, stride)
+    return len(xs) * len(ys)
+
+
 def _row_norms(h: np.ndarray) -> np.ndarray:
     # Batched matmul, not einsum or sum: it equals np.dot per row bit for bit.
     return np.sqrt(np.matmul(h[:, None, :], h[:, :, None])[:, 0, 0])
@@ -104,8 +122,7 @@ def extract_dense(img: Image, patch: int, stride: int) -> DescriptorSet:
         raise ExtractError(f"patch and stride must be positive, got {patch}, {stride}")
     if patch > min(img.width, img.height):
         raise ExtractError(f"patch {patch} exceeds image {img.width}x{img.height}")
-    xs = range(0, img.width - patch + 1, stride)
-    ys = range(0, img.height - patch + 1, stride)
+    xs, ys = patch_origins(img.width, img.height, patch, stride)
     if not tiles_grid(patch, stride, max(len(xs), len(ys))):
         raise ExtractError(f"patch {patch} / stride {stride}: cells do not tile the grid")
 
@@ -152,17 +169,27 @@ def pca_fit(data: np.ndarray, dim: int) -> PcaModel:
     """Fit the top-`dim` principal axes of a descriptor matrix (one row each).
 
     Axes are eigenvalue-descending with a deterministic sign convention:
-    the largest-magnitude entry of each axis is positive.
+    the largest-magnitude entry of each axis is positive. `data` is not
+    modified.
     """
-    data = np.asarray(data, dtype=np.float64)
+    return pca_fit_inplace(np.array(data, dtype=np.float64), dim)
+
+
+def pca_fit_inplace(data: np.ndarray, dim: int) -> PcaModel:
+    """`pca_fit` on a float64 matrix that it centres in place.
+
+    On return `data` holds the centred rows, so `data @ model.basis.T`
+    is the projection `pca_apply` gives, bit for bit, without a centred
+    copy of the matrix.
+    """
     n, raw_dim = data.shape
     if dim > raw_dim:
         raise DimError(f"requested dim {dim} exceeds descriptor dim {raw_dim}")
     if n <= dim:
         raise FitError(f"need more than {dim} samples, got {n}")
     mean = data.mean(axis=0)
-    centered = data - mean
-    cov = centered.T @ centered / (n - 1)
+    data -= mean
+    cov = data.T @ data / (n - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]

@@ -89,15 +89,19 @@ def _check_dims(model: GmmModel, data: np.ndarray) -> np.ndarray:
     return data
 
 
-def _log_joint(model: GmmModel, data: np.ndarray) -> np.ndarray:
+def _log_joint(model: GmmModel, data: np.ndarray,
+               data_sq: np.ndarray | None = None) -> np.ndarray:
     """(n, K) array of log pi_k + log N(x; mu_k, sigma_k).
 
     The Mahalanobis term is expanded into two (n, D) x (D, K) products,
-    so no (n, K, D) array is formed (see the module docstring).
+    so no (n, K, D) array is formed (see the module docstring). `data_sq`
+    is `data * data` when the caller already holds it.
     """
+    if data_sq is None:
+        data_sq = data * data
     prec = 1.0 / (model.sigmas * model.sigmas)
     log_norm = -0.5 * model.dim * _LOG_2PI - np.log(model.sigmas).sum(axis=1)  # (K,)
-    quad = ((data * data) @ prec.T - 2.0 * (data @ (model.means * prec).T)
+    quad = (data_sq @ prec.T - 2.0 * (data @ (model.means * prec).T)
             + (model.means * model.means * prec).sum(axis=1))
     with np.errstate(divide="ignore"):
         log_w = np.log(model.weights)
@@ -156,15 +160,18 @@ def _floored_variance(var: np.ndarray, floor_var: np.ndarray) -> np.ndarray:
 
 
 def _m_step(model: GmmModel, data: np.ndarray, gamma: np.ndarray,
-            floor_var: np.ndarray) -> GmmModel:
+            floor_var: np.ndarray, data_sq: np.ndarray | None = None) -> GmmModel:
     """All components' weights, means and floored variances from the (n, K)
     responsibilities as matrix products. A component with no responsibility
-    mass keeps its mean and sigma and gets weight 0."""
+    mass keeps its mean and sigma and gets weight 0. `data_sq` is as in
+    `_log_joint`."""
+    if data_sq is None:
+        data_sq = data * data
     nk = gamma.sum(axis=0)
     live = (nk > 0.0)[:, None]
     denom = np.where(live, nk[:, None], 1.0)
     means = np.where(live, (gamma.T @ data) / denom, model.means)
-    var = (gamma.T @ (data * data)) / denom - means * means
+    var = (gamma.T @ data_sq) / denom - means * means
     sigmas = np.where(live, np.sqrt(_floored_variance(var, floor_var)), model.sigmas)
     return GmmModel(nk / nk.sum(), means, sigmas, model.sigma_floor)
 
@@ -214,10 +221,11 @@ def em_fit(data: np.ndarray, k: int, seed: int, max_iter: int = 100,
             variances[j] = _floored_variance(members.var(axis=0)[None, :], floor_var)[0]
 
     model = GmmModel(weights, means, np.sqrt(variances), sigma_floor)
+    data_sq = data * data  # both steps use x*x; the data never change
     trace: list[float] = []
     previous = model
     for it in range(max_iter + 1):
-        lj = _log_joint(model, data)
+        lj = _log_joint(model, data, data_sq)
         per_point = _logsumexp(lj, axis=1)
         ll = float(per_point.sum())
         if trace and ll < trace[-1]:
@@ -232,7 +240,7 @@ def em_fit(data: np.ndarray, k: int, seed: int, max_iter: int = 100,
             break
         gamma = np.exp(lj - per_point[:, None])
         previous = model
-        model = _m_step(model, data, gamma, floor_var)
+        model = _m_step(model, data, gamma, floor_var, data_sq)
     return GmmModel(model.weights, model.means, model.sigmas, model.sigma_floor,
                     ll_trace=tuple(trace))
 

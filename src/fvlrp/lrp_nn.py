@@ -251,11 +251,16 @@ def lrp_epsilon(net: NeuralNet, x: np.ndarray, class_name: str,
                           "epsilon", class_name, f)
 
 
+def check_alphabeta(alpha: float, beta: float) -> None:
+    """The alpha-beta rule conserves relevance only when alpha - beta = 1."""
+    if abs(alpha - beta - 1.0) > 1e-12:
+        raise ValidationError(f"alpha - beta must be 1, got {alpha} - {beta}")
+
+
 def lrp_alphabeta(net: NeuralNet, x: np.ndarray, class_name: str,
                   alpha: float = 2.0, beta: float = 1.0) -> LayerRelevance:
     """Backward pass splitting positive and negative contributions."""
-    if abs(alpha - beta - 1.0) > 1e-12:
-        raise ValidationError(f"alpha - beta must be 1, got {alpha} - {beta}")
+    check_alphabeta(alpha, beta)
     acts = forward(net, x)
     top, f = _top_relevance(net, acts, class_name)
     rel = [top]

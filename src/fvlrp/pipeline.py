@@ -6,16 +6,25 @@ train byte-identical models from the same config. Each step is a pure
 function of its inputs plus the configuration, with all randomness
 drawn from explicitly derived seeds, so a run is reproducible bit for
 bit.
+
+Memory: PCA is fit on the pooled raw training descriptors, the largest
+array of a training run. They are held once. `fit_pca` takes the raw
+sets one at a time, copies each into one pooled matrix, centres that
+matrix in place and projects its row blocks; the pooled matrix is
+consumed, and a caller that passes a generator holds no other copy.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import PipelineConfig
-from .descriptors import DescriptorSet, PcaModel, extract_dense, pca_apply, pca_fit
+from .descriptors import (RAW_DIM, DescriptorSet, PcaModel, descriptor_count,
+                          extract_dense, pca_apply, pca_fit_inplace)
+from .errors import DimError
 from .fisher import RawFisherVector, aggregate, improve
 from .gmm import GmmModel, em_fit
 from .lrp_nn import NeuralNet, image_to_input, nn_train
@@ -60,12 +69,39 @@ def extract_corpus(images: list[LabeledImage], config: PipelineConfig
         images)
 
 
-def fit_pca(descriptor_sets: list[DescriptorSet], config: PipelineConfig) -> PcaModel:
-    pooled = np.concatenate([ds.vectors for ds in descriptor_sets], axis=0)
-    return pca_fit(pooled, config.pca_dim)
+def fit_pca(descriptor_sets: Iterable[DescriptorSet], rows: int,
+            config: PipelineConfig) -> tuple[PcaModel, list[DescriptorSet]]:
+    """PCA on the pooled raw training descriptors, and every set projected.
+
+    `descriptor_sets` yields the raw training sets, `rows` descriptors in
+    all. Each set is copied into one (rows, RAW_DIM) matrix as it comes;
+    the fit centres that matrix in place (`pca_fit_inplace`) and each
+    set's centred row block times the basis is its projection, bit for
+    bit what `pca_apply` gives. So the raw training descriptors are held
+    once: no concatenated copy, no centred copy, and a generator's sets
+    are dropped as soon as they are copied. The pooled matrix is consumed
+    and freed on return.
+    """
+    pooled = np.empty((rows, RAW_DIM))
+    blocks = []
+    stop = 0
+    for ds in descriptor_sets:
+        start, stop = stop, stop + len(ds)
+        if ds.dim != RAW_DIM:
+            raise DimError(f"descriptor dim {ds.dim}, expected {RAW_DIM}")
+        if stop > rows:
+            raise DimError(f"more than the expected {rows} training descriptors")
+        pooled[start:stop] = ds.vectors
+        blocks.append((start, stop, ds.areas, ds.image_size))
+    if stop != rows:
+        raise DimError(f"expected {rows} training descriptors, got {stop}")
+    pca = pca_fit_inplace(pooled, config.pca_dim)
+    projected = [DescriptorSet(pooled[start:stop] @ pca.basis.T, areas, size)
+                 for start, stop, areas, size in blocks]
+    return pca, projected
 
 
-def project_all(pca: PcaModel, descriptor_sets: list[DescriptorSet]
+def project_all(pca: PcaModel, descriptor_sets: Iterable[DescriptorSet]
                 ) -> list[DescriptorSet]:
     return parallel_map(lambda ds: pca_apply(pca, ds), descriptor_sets)
 
@@ -141,9 +177,12 @@ def train_net(train_images: list[LabeledImage], classes: tuple[str, ...],
 def train_all(train_images: list[LabeledImage], classes: tuple[str, ...],
               config: PipelineConfig, with_nn: bool = True) -> ModelBundle:
     """Fit PCA, mixture, SVM (and optionally the network) on a corpus."""
-    raw_sets = extract_corpus(train_images, config)
-    pca = fit_pca(raw_sets, config)
-    projected = project_all(pca, raw_sets)
+    rows = sum(descriptor_count(img.image.width, img.image.height,
+                                config.patch, config.stride)
+               for img in train_images)
+    pca, projected = fit_pca(
+        (extract_dense(img.image, config.patch, config.stride)
+         for img in train_images), rows, config)
     gmm = fit_gmm(projected, config)
     features = improved_matrix(embed_all(gmm, projected))
     svm_model = train_svm(train_images, features, classes, config)

@@ -73,6 +73,13 @@ class ClassSpec:
             raise SpecError("shape size must be at least 3 pixels")
 
 
+def centre_range(shape_size: int, side: int) -> tuple[int, int]:
+    """The [low, high) range an object's centre is drawn from along an
+    image side of `side` pixels; empty when the object does not fit."""
+    half = shape_size // 2 + 1
+    return half, side - half
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
     width: int
@@ -98,8 +105,12 @@ class CorpusSpec:
         if len(set(bgs)) != len(bgs) or len(set(objs)) != len(objs):
             raise SpecError("textures must be distinct across classes")
         for c in self.classes:
-            if c.shape_size > min(self.width, self.height):
-                raise SpecError(f"object {c.name!r} larger than the image")
+            for side in (self.width, self.height):
+                low, high = centre_range(c.shape_size, side)
+                if low >= high:
+                    raise SpecError(
+                        f"object {c.name!r} of size {c.shape_size} has no room "
+                        f"in a {self.width}x{self.height} image")
 
     @property
     def class_names(self) -> tuple[str, ...]:
@@ -176,9 +187,8 @@ def _render_one(spec: CorpusSpec, class_idx: int, split: int, index: int) -> Lab
     else:
         bg_cls = spec.classes[rng.integers(0, len(spec.classes))]
     pixels = render_texture(bg_cls.background_texture, spec.width, spec.height, rng)
-    half = cls.shape_size // 2 + 1
-    cx = int(rng.integers(half, spec.width - half))
-    cy = int(rng.integers(half, spec.height - half))
+    cx = int(rng.integers(*centre_range(cls.shape_size, spec.width)))
+    cy = int(rng.integers(*centre_range(cls.shape_size, spec.height)))
     mask = shape_mask(cls.shape, cls.shape_size, (cx, cy), spec.width, spec.height)
     obj = render_texture(cls.object_texture, spec.width, spec.height, rng)
     pixels = np.where(mask, obj, pixels)

@@ -75,10 +75,35 @@ def test_validation_rejects_more_components_than_em_samples():
     with pytest.raises(ValidationError, match="gmm_k 51"):
         PipelineConfig(gmm_k=51, gmm_sample_count=50)
     # patch 64 on 64 px: one descriptor per image, 2 x 3 training images
-    small = dict(patch=64, train_per_class=3, morf_batch=1, morf_steps=1)
+    # (and a pca_dim below those 6 descriptors)
+    small = dict(patch=64, train_per_class=3, pca_dim=4, morf_batch=1,
+                 morf_steps=1)
     PipelineConfig(gmm_k=6, **small)
     with pytest.raises(ValidationError, match="gmm_k 7"):
         PipelineConfig(gmm_k=7, **small)
+
+
+def test_validation_rejects_pca_dim_at_training_descriptor_count():
+    # patch 64 on 64 px: one descriptor per image, 2 x 3 training images
+    small = dict(patch=64, train_per_class=3, gmm_k=2, morf_batch=1, morf_steps=1)
+    PipelineConfig(pca_dim=5, **small)
+    with pytest.raises(ValidationError, match="pca_dim 6 must be below the 6"):
+        PipelineConfig(pca_dim=6, **small)
+
+
+def test_validation_rejects_alpha_beta_without_unit_gap():
+    PipelineConfig(nn_alpha=3.0, nn_beta=2.0)
+    PipelineConfig(nn_alpha=1.0, nn_beta=0.0)
+    for alpha, beta in ((3.0, 1.0), (2.0, 0.0), (2.0, 1.0 + 1e-9)):
+        with pytest.raises(ValidationError, match="alpha - beta must be 1"):
+            PipelineConfig(nn_alpha=alpha, nn_beta=beta)
+
+
+def test_validation_rejects_corpus_too_small_to_place_its_objects():
+    # The cross (size 30) needs a centre range [16, size - 16).
+    with pytest.raises(ValidationError, match="corpus_size 32"):
+        PipelineConfig(corpus_size=32)
+    PipelineConfig(corpus_size=48, nn_input=16, morf_batch=4)
 
 
 def test_validation_rejects_morf_budget_beyond_descriptor_count():

@@ -1,13 +1,19 @@
 """End-to-end training on the shared micro corpus."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fvlrp.cli import main as cli_main
 from fvlrp.config import PipelineConfig, load_config
-from fvlrp.descriptors import DescriptorSet
+from fvlrp.descriptors import (RAW_DIM, DescriptorSet, descriptor_count,
+                               extract_dense, pca_apply, pca_fit)
+from fvlrp.errors import DimError
 from fvlrp.gmm import GmmModel
-from fvlrp.pipeline import em_stop, embed_image, make_corpus, train_all
+from fvlrp.imaging import Image
+from fvlrp.pipeline import (em_stop, embed_image, fit_pca, make_corpus,
+                            train_all)
 from fvlrp.serialization import save_model
 from fvlrp.svm import predict_multilabel
 from test_cli import STAGES, write_config
@@ -85,3 +91,75 @@ def test_library_and_cli_train_identical_models(tmp_path):
         save_model(model, path)
         assert path.read_bytes() == (out / "models" / f"{kind}.json"
                                      ).read_bytes(), kind
+
+
+@pytest.fixture(scope="module")
+def fixed_workload():
+    config = PipelineConfig(seed=0)
+    train_imgs, _, classes = make_corpus(config)
+    return config, train_imgs, classes
+
+
+def assert_pooled_fit_is_concatenated_fit(raw_sets, config):
+    rows = sum(len(ds) for ds in raw_sets)
+    pca, projected = fit_pca(iter(raw_sets), rows, config)
+    ref = pca_fit(np.concatenate([ds.vectors for ds in raw_sets]), config.pca_dim)
+    assert pca.mean.tobytes() == ref.mean.tobytes()
+    assert pca.basis.tobytes() == ref.basis.tobytes()
+    assert len(projected) == len(raw_sets)
+    for got, raw in zip(projected, raw_sets):
+        want = pca_apply(ref, raw)
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+        np.testing.assert_array_equal(got.areas, want.areas)
+        assert got.image_size == want.image_size
+
+
+def test_pooled_pca_equals_concatenated_fit_on_fixed_workload(fixed_workload):
+    config, train_imgs, _ = fixed_workload
+    raw_sets = [extract_dense(img.image, config.patch, config.stride)
+                for img in train_imgs]
+    assert_pooled_fit_is_concatenated_fit(raw_sets, config)
+
+
+def test_pooled_pca_equals_concatenated_fit_on_mixed_sizes(rng):
+    config = PipelineConfig(pca_dim=20)
+    shapes = [(40, 36), (64, 52)] * 6  # |L| = 6 x 7 and 13 x 10
+    raw_sets = [extract_dense(Image(rng.random(shape)), config.patch, config.stride)
+                for shape in shapes]
+    assert {len(ds) for ds in raw_sets} == {42, 130}
+    for ds, (h, w) in zip(raw_sets, shapes):
+        assert len(ds) == descriptor_count(w, h, config.patch, config.stride)
+    assert_pooled_fit_is_concatenated_fit(raw_sets, config)
+
+
+def test_pooled_pca_refuses_a_wrong_row_count(rng):
+    config = PipelineConfig(pca_dim=4)
+    sets = [DescriptorSet(rng.random((5, RAW_DIM)),
+                          np.zeros((5, 4), dtype=np.int64), (8, 8))] * 3
+    with pytest.raises(DimError, match="expected 16"):
+        fit_pca(iter(sets), 16, config)
+    with pytest.raises(DimError, match="more than the expected 14"):
+        fit_pca(iter(sets), 14, config)
+
+
+def test_pca_fit_leaves_its_argument_unchanged(rng):
+    data = rng.normal(3.0, 1.0, size=(50, 8))
+    before = data.copy()
+    pca_fit(data, 3)
+    assert data.tobytes() == before.tobytes()
+
+
+def test_training_holds_the_raw_descriptors_once(fixed_workload):
+    """The pooled raw training matrix is the peak: no concatenated or
+    centred copy of it exists beside the per-image sets."""
+    config, train_imgs, classes = fixed_workload
+    rows = sum(descriptor_count(img.image.width, img.image.height,
+                                config.patch, config.stride) for img in train_imgs)
+    raw_bytes = rows * RAW_DIM * 8
+    tracemalloc.start()
+    try:
+        train_all(train_imgs, classes, config, with_nn=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * raw_bytes, f"peaked at {peak / raw_bytes:.2f}x the raw matrix"

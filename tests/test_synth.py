@@ -177,6 +177,16 @@ def test_spec_validation():
         ClassSpec("a", "square", 10, tex, tex)
 
 
+def test_spec_refuses_objects_with_no_room_to_be_placed():
+    # The cross (size 30) draws its centre from [16, size - 16).
+    with pytest.raises(SpecError, match="'cross'"):
+        two_class_spec(0.0, size=32)
+    spec = two_class_spec(0.0, size=33, train_per_class=2, test_per_class=1)
+    train, _ = generate_corpus(spec)
+    cross = [im for im in train if im.labels == ("cross",)]
+    assert all(im.boxes[0].xmin >= 0 and im.boxes[0].xmax < 33 for im in cross)
+
+
 def test_render_texture_orientation_and_determinism():
     rng = np.random.default_rng(4)
     vert = render_texture(TextureParams("grating", 0.2, orientation=0.0),

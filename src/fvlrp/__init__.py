@@ -18,9 +18,9 @@ from .evaluation import (ContextRatio, ContextReport, MorfTrace,
                          OrderingReport, QualityStats, area_above,
                          compare_orderings, context_ratio, context_report,
                          morf_ordering, morf_replace, sign_switch_fraction)
-from .fisher import (EmbeddingIndex, ImprovedFisherVector, RawFisherVector,
-                     aggregate, embed_batch, embed_descriptor, fv_length,
-                     hellinger_check, improve, signed_sqrt)
+from .fisher import (EmbeddingIndex, RawFisherVector, aggregate, embed_batch,
+                     embed_descriptor, fv_length, hellinger_check, improve,
+                     signed_sqrt)
 from .gmm import GmmModel, em_fit, log_likelihood, responsibilities, sample
 from .imaging import (BoundingBox, Heatmap, Image, load_annotations,
                       load_heatmap, load_image, render_heatmap,
@@ -29,10 +29,10 @@ from .lrp_fv import (Explanation, FvMappingView, R2Map, R3Map, explain,
                      relevance_r1, relevance_r2, relevance_r3)
 from .lrp_nn import (DenseLayer, LayerRelevance, NeuralNet, downscale,
                      forward, image_to_input, lrp_alphabeta, lrp_epsilon,
-                     nn_heatmap, nn_score, nn_scores, nn_train)
+                     nn_heatmap, nn_scores, nn_train)
 from .pipeline import ModelBundle, embed_image, train_all
 from .serialization import load_model, save_model
-from .svm import SvmModel, eer_threshold, predict_multilabel, score, train
+from .svm import SvmModel, eer_threshold, score, train
 from .synth import (CorpusSpec, LabeledImage, generate_corpus,
                     inject_artefact, label_vectors, two_class_spec)
 from .verification import run_all
@@ -43,7 +43,7 @@ __all__ = [
     "BoundingBox", "ContextRatio", "ContextReport",
     "CorpusSpec", "DenseLayer", "DescriptorSet", "EmbeddingIndex",
     "Explanation", "FvMappingView", "GmmModel", "Heatmap", "Image",
-    "ImprovedFisherVector", "LabeledImage", "LayerRelevance", "ModelBundle",
+    "LabeledImage", "LayerRelevance", "ModelBundle",
     "MorfTrace", "NeuralNet", "OrderingReport", "PcaModel", "PipelineConfig",
     "PipelineError", "QualityStats", "R2Map", "R3Map", "RawFisherVector",
     "SvmModel", "aggregate", "area_above", "compare_orderings",
@@ -53,8 +53,8 @@ __all__ = [
     "hellinger_check", "image_to_input", "improve",
     "inject_artefact", "label_vectors", "load_annotations", "load_config",
     "load_heatmap", "load_image", "load_model", "lrp_alphabeta",
-    "lrp_epsilon", "morf_ordering", "morf_replace", "nn_heatmap", "nn_score",
-    "nn_scores", "nn_train", "pca_apply", "pca_fit", "predict_multilabel",
+    "lrp_epsilon", "morf_ordering", "morf_replace", "nn_heatmap",
+    "nn_scores", "nn_train", "pca_apply", "pca_fit",
     "log_likelihood", "relevance_r1", "relevance_r2", "relevance_r3",
     "render_heatmap", "responsibilities", "run_all", "sample",
     "save_annotations", "save_config",

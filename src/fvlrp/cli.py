@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -158,8 +159,8 @@ def _load_corpus_index(out_dir: str) -> list[dict]:
     return entries
 
 
-def _load_split(out_dir: str, split: str) -> list[LabeledImage]:
-    images = []
+def _iter_split(out_dir: str, split: str) -> Iterator[LabeledImage]:
+    """The split's images in index order, each read as it is reached."""
     for entry in _load_corpus_index(out_dir):
         if entry["split"] != split:
             continue
@@ -167,9 +168,11 @@ def _load_split(out_dir: str, split: str) -> list[LabeledImage]:
         boxes = load_annotations(os.path.join(out_dir, entry["annotations"]))
         labels = tuple(entry["labels"].split(",")) if entry["labels"] else ()
         flags = () if entry["flags"] == "-" else tuple(entry["flags"].split(","))
-        images.append(LabeledImage(img, labels, tuple(boxes),
-                                   entry["image"], flags))
-    return images
+        yield LabeledImage(img, labels, tuple(boxes), entry["image"], flags)
+
+
+def _load_split(out_dir: str, split: str) -> list[LabeledImage]:
+    return list(_iter_split(out_dir, split))
 
 
 def _split_ids(out_dir: str, split: str) -> list[str]:
@@ -235,10 +238,12 @@ def _cmd_extract(config: PipelineConfig, args, upstream) -> dict:
     outputs = []
     total = 0
     for split in ("train", "test"):
-        images = _load_split(out_dir, split)
+        ids = _split_ids(out_dir, split)
         _ensure_dir(os.path.join(out_dir, "descriptors", split))
-        for img, ds in zip(images, extract_corpus(images, config)):
-            path = _desc_path(out_dir, img.image_id, split)
+        # one raw set at a time: each is written before the next is extracted
+        sets = extract_corpus(_iter_split(out_dir, split), config)
+        for image_id, ds in zip(ids, sets):
+            path = _desc_path(out_dir, image_id, split)
             save_descriptors(ds, path)
             outputs.append(_rel(out_dir, path))
             total += len(ds)
@@ -539,23 +544,25 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="fvlrp",
                      description="Fisher-vector classification with "
                                  "pixel-level relevance explanations")
+    # The options every command takes, declared once.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", metavar="PATH",
+                        help="JSON config file (flags override it)")
+    shared.add_argument("--seed", type=int, help="master random seed")
+    shared.add_argument("--threads", type=int,
+                        help="accepted for compatibility; has no effect")
+    shared.add_argument("--variant", choices=tuple(_VARIANT_FLAGS),
+                        help="relevance redistribution variant")
+    shared.add_argument("--epsilon", type=float, help="stabilizer strength")
+    shared.add_argument("--class", dest="cls", metavar="NAME",
+                        help="class name for explain/morf-eval")
+    shared.add_argument("--image", metavar="ID",
+                        help="corpus image id for explain")
+    shared.add_argument("--out", metavar="DIR", default="runs",
+                        help="working directory for artifacts (default: runs)")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        p.add_argument("--config", metavar="PATH",
-                       help="JSON config file (flags override it)")
-        p.add_argument("--seed", type=int, help="master random seed")
-        p.add_argument("--threads", type=int,
-                       help="accepted for compatibility; has no effect")
-        p.add_argument("--variant", choices=tuple(_VARIANT_FLAGS),
-                       help="relevance redistribution variant")
-        p.add_argument("--epsilon", type=float, help="stabilizer strength")
-        p.add_argument("--class", dest="cls", metavar="NAME",
-                       help="class name for explain/morf-eval")
-        p.add_argument("--image", metavar="ID",
-                       help="corpus image id for explain")
-        p.add_argument("--out", metavar="DIR", default="runs",
-                       help="working directory for artifacts (default: runs)")
+        sub.add_parser(name, help=command.help, parents=[shared])
     return parser
 
 

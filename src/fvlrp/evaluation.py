@@ -17,10 +17,10 @@ Two instruments:
   of traces whose prediction switches sign.
 
 * Outside-inside ratio mu = mean relevance outside the annotated boxes
-  divided by mean relevance inside. `context_report` measures it
-  positive-only: negative relevances are clamped to zero first. mu is
-  only reported when the inside mean is positive and the outside mean
-  non-negative; otherwise the measurement is flagged undefined.
+  divided by mean relevance inside, positive-only: negative relevances
+  are clamped to zero first. mu is only reported when the inside mean
+  is positive and the outside mean non-negative; otherwise the
+  measurement is flagged undefined.
 """
 
 from __future__ import annotations
@@ -283,16 +283,12 @@ class ContextRatio:
 
 
 def context_ratio(heatmap: Heatmap, boxes: list[BoundingBox],
-                  mode: str = "positive", class_name: str = "",
-                  image_id: str = "") -> ContextRatio:
-    """mu = mean relevance outside the boxes / mean inside.
+                  class_name: str = "", image_id: str = "") -> ContextRatio:
+    """mu = mean positive relevance outside the boxes / mean inside.
 
-    `mode` is "positive" (clamp negatives to 0 first) or "all". The
-    ratio is flagged undefined unless the inside mean is > 0 and the
-    outside mean >= 0.
+    Negative relevances are clamped to 0 first. The ratio is flagged
+    undefined unless the inside mean is > 0 and the outside mean >= 0.
     """
-    if mode not in ("positive", "all"):
-        raise ValidationError(f"unknown mode {mode!r}")
     if not boxes:
         raise ValidationError("need at least one bounding box")
     h, w = heatmap.values.shape
@@ -304,9 +300,7 @@ def context_ratio(heatmap: Heatmap, boxes: list[BoundingBox],
         raise UndefinedError("boxes cover the entire image; no outside region")
     if not inside.any():
         raise UndefinedError("boxes have no pixels inside the image")
-    values = heatmap.values
-    if mode == "positive":
-        values = np.maximum(values, 0.0)
+    values = np.maximum(heatmap.values, 0.0)
     mean_in = float(values[inside].mean())
     mean_out = float(values[outside].mean())
     defined = mean_in > 0.0 and mean_out >= 0.0
@@ -359,7 +353,7 @@ def context_report(test_images: list[LabeledImage], gmm: GmmModel,
                            epsilon=epsilon, patch=patch, stride=stride)
             if expl.prediction_positive:
                 fv_tp[c] += 1
-                ratio = context_ratio(expl.heatmap, boxes, "positive", c, img.image_id)
+                ratio = context_ratio(expl.heatmap, boxes, c, img.image_id)
                 if ratio.defined:
                     fv_vals[c].append(ratio)
                 else:
@@ -369,7 +363,7 @@ def context_report(test_images: list[LabeledImage], gmm: GmmModel,
                 rel = lrp_alphabeta(net, nn_in, c, nn_alpha, nn_beta)
                 heat = nn_heatmap(rel, net.input_size,
                                   (img.image.width, img.image.height))
-                ratio = context_ratio(heat, boxes, "positive", c, img.image_id)
+                ratio = context_ratio(heat, boxes, c, img.image_id)
                 if ratio.defined:
                     nn_vals[c].append(ratio)
                 else:

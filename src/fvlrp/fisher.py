@@ -12,9 +12,9 @@ its second-moment deviation:
 Per-descriptor embeddings are concatenated as [all K weight entries,
 K mean blocks of D, K sigma blocks of D], giving a (1+2D)K vector. The
 image-level raw Fisher vector is the arithmetic mean over descriptors;
-the improved form applies the signed square root followed by l2
-normalization, which is equivalent to the Hellinger kernel on the raw
-vector (see :func:`hellinger_check`).
+the improved form, a plain unit-norm array, applies the signed square
+root followed by l2 normalization, which is equivalent to the Hellinger
+kernel on the raw vector (see :func:`hellinger_check`).
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ def signed_sqrt(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmbeddingIndex:
-    """Bijection between flat FV dimension and (moment, component, coord).
+    """Flat FV dimension <-> (moment, component, coord): `decode` one
+    dimension, or take a component's mean or sigma block as a slice.
 
     Flat layout for K components of dimension D (0-based):
 
@@ -71,20 +72,6 @@ class EmbeddingIndex:
         off = d - k - k * dd
         return ("sigma", off // dd, off % dd)
 
-    def encode(self, moment: str, component: int, coord: int) -> int:
-        k, dd = self.n_components, self.dim
-        if not 0 <= component < k:
-            raise DimError(f"component {component} outside [0, {k})")
-        if moment == "w":
-            return component
-        if not 0 <= coord < dd:
-            raise DimError(f"coordinate {coord} outside [0, {dd})")
-        if moment == "mu":
-            return k + component * dd + coord
-        if moment == "sigma":
-            return k + k * dd + component * dd + coord
-        raise DimError(f"unknown moment {moment!r}")
-
     def mu_block(self, component: int) -> slice:
         k, dd = self.n_components, self.dim
         return slice(k + component * dd, k + (component + 1) * dd)
@@ -109,13 +96,6 @@ class RawFisherVector:
             raise DimError(
                 f"vector length {v.shape} does not match (1+2*{self.dim})*{self.n_components}")
         object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class ImprovedFisherVector:
-    """Power- plus l2-normalized Fisher vector; unit norm unless all-zero."""
-
-    values: np.ndarray
 
 
 def embed_batch(model: GmmModel, vectors: np.ndarray) -> np.ndarray:
@@ -167,14 +147,15 @@ def aggregate(model: GmmModel, ds: DescriptorSet | np.ndarray) -> RawFisherVecto
     return RawFisherVector(mean, model.n_components, model.dim)
 
 
-def improve(x: RawFisherVector | np.ndarray) -> ImprovedFisherVector:
-    """Signed square root then l2 normalization; zero maps to zero."""
+def improve(x: RawFisherVector | np.ndarray) -> np.ndarray:
+    """Signed square root then l2 normalization: the unit-norm improved
+    FV; zero maps to zero."""
     v = x.values if isinstance(x, RawFisherVector) else np.asarray(x, dtype=np.float64)
     v = signed_sqrt(v)
     norm = np.sqrt(np.dot(v, v))
     if norm == 0.0:
-        return ImprovedFisherVector(v)
-    return ImprovedFisherVector(v / norm)
+        return v
+    return v / norm
 
 
 def hellinger_check(x, y) -> tuple[float, float]:
@@ -193,7 +174,7 @@ def hellinger_check(x, y) -> tuple[float, float]:
     l1x, l1y = ax.sum(), ay.sum()
     if l1x == 0.0 or l1y == 0.0:
         raise DegenerateInputError("hellinger check needs nonzero vectors")
-    lhs = float(np.dot(improve(xv).values, improve(yv).values))
+    lhs = float(np.dot(improve(xv), improve(yv)))
     sgn = np.where(xv < 0.0, -1.0, 1.0) * np.where(yv < 0.0, -1.0, 1.0)
     rhs = float(np.sum(sgn * np.sqrt((ax / l1x) * (ay / l1y))))
     return lhs, rhs

@@ -10,10 +10,9 @@ Report figures are written as PNG by a minimal stdlib encoder.
 File formats
 ------------
 P5 / P6
-    ASCII header ``P5|P6 <width> <height> <maxval>`` (``#`` comments
-    allowed, maxval 255 or 65535), a single whitespace byte, then
-    row-major samples: one byte per sample for maxval 255, two bytes
-    big-endian for maxval 65535.
+    ASCII header ``P5|P6 <width> <height> 255`` (``#`` comments
+    allowed; any other maxval is refused), a single whitespace byte,
+    then row-major samples, one byte each.
 PNG
     Write-only: signature, IHDR (8-bit RGB), one IDAT holding every
     row with filter type 0, compressed by ``zlib`` at level
@@ -172,9 +171,9 @@ def _read_pnm_tokens(data: bytes, count: int) -> tuple[list[int], int]:
 
 
 def load_image(path) -> Image:
-    """Load a binary P5 (grayscale) or P6 (color) portable map.
+    """Load an 8-bit binary P5 (grayscale) or P6 (color) portable map.
 
-    Intensities are scaled by 1/maxval into [0, 1].
+    Intensities are scaled by 1/255 into [0, 1].
     """
     try:
         with open(path, "rb") as fh:
@@ -190,40 +189,30 @@ def load_image(path) -> Image:
     (width, height, maxval), offset = _read_pnm_tokens(data, 3)
     if width <= 0 or height <= 0:
         raise ParseError(f"{path}: non-positive dimensions {width}x{height}")
-    if maxval not in (255, 65535):
+    if maxval != 255:
         raise ParseError(f"{path}: unsupported maxval {maxval}")
-    nsamples = width * height * channels
-    nbytes = nsamples * (1 if maxval == 255 else 2)
+    nbytes = width * height * channels
     body = data[offset:]
     if len(body) < nbytes:
         raise ParseError(f"{path}: truncated body ({len(body)} of {nbytes} bytes)")
     if len(body) > nbytes:
         raise ParseError(f"{path}: {len(body) - nbytes} trailing bytes after raster")
-    if maxval == 255:
-        raw = np.frombuffer(body, dtype=np.uint8)
-    else:
-        raw = np.frombuffer(body, dtype=">u2")
-    px = raw.astype(np.float64) / float(maxval)
+    px = np.frombuffer(body, dtype=np.uint8).astype(np.float64) / 255.0
     shape = (height, width) if channels == 1 else (height, width, 3)
     return Image(px.reshape(shape))
 
 
-def save_image(img: Image, path, maxval: int = 255) -> None:
-    """Write `img` as binary P5/P6 with a canonical header.
+def save_image(img: Image, path) -> None:
+    """Write `img` as 8-bit binary P5/P6 with a canonical header.
 
-    Intensities are quantized to round(v * maxval); an image previously
-    loaded at the same maxval round-trips bit-exactly.
+    Intensities are quantized to round(v * 255); an image previously
+    loaded from such a file round-trips bit-exactly.
     """
-    if maxval not in (255, 65535):
-        raise ValidationError(f"unsupported maxval {maxval}")
     magic = b"P5" if img.channels == 1 else b"P6"
-    q = np.rint(img.pixels * maxval).astype(np.uint32)
-    q = np.clip(q, 0, maxval)
-    if maxval == 255:
-        body = q.astype(np.uint8).tobytes()
-    else:
-        body = q.astype(">u2").tobytes()
-    header = b"%s\n%d %d\n%d\n" % (magic, img.width, img.height, maxval)
+    q = np.rint(img.pixels * 255).astype(np.uint32)
+    q = np.clip(q, 0, 255)
+    body = q.astype(np.uint8).tobytes()
+    header = b"%s\n%d %d\n255\n" % (magic, img.width, img.height)
     try:
         with open(path, "wb") as fh:
             fh.write(header + body)

@@ -100,7 +100,7 @@ class FvMappingView:
 
 def relevance_r3(model: SvmModel, phi_x, class_name: str) -> R3Map:
     """Primal decomposition R3_d = w_d phi(x)_d + b/D."""
-    values = phi_x.values if hasattr(phi_x, "values") else np.asarray(phi_x, dtype=np.float64)
+    values = np.asarray(phi_x, dtype=np.float64)
     if values.shape[0] != model.dim:
         raise DimError(f"feature length {values.shape[0]} vs model dim {model.dim}")
     k = model.class_index(class_name)

@@ -111,30 +111,29 @@ def nn_scores(net: NeuralNet, x: np.ndarray) -> np.ndarray:
     return forward(net, x)[-1]
 
 
-def nn_score(net: NeuralNet, x: np.ndarray, class_name: str) -> float:
-    return float(nn_scores(net, x)[net.class_index(class_name)])
-
-
-def _init_layers(sizes: list[int], rng: np.random.Generator) -> list[DenseLayer]:
-    layers = []
+def _init_params(sizes: list[int], rng: np.random.Generator
+                 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    weights, biases = [], []
     for i in range(len(sizes) - 1):
         fan_in, fan_out = sizes[i], sizes[i + 1]
         last = i == len(sizes) - 2
         scale = np.sqrt((1.0 if last else 2.0) / fan_in)
-        w = rng.standard_normal((fan_in, fan_out)) * scale
-        layers.append(DenseLayer(w, np.zeros(fan_out), "identity" if last else "relu"))
-    return layers
+        weights.append(rng.standard_normal((fan_in, fan_out)) * scale)
+        biases.append(np.zeros(fan_out))
+    return weights, biases
 
 
 def _hinge_loss(nets_out: np.ndarray, y: np.ndarray) -> float:
     return float(np.maximum(0.0, 1.0 - y * nets_out).sum(axis=1).mean())
 
 
-def _batch_forward(layers: list[DenseLayer], x: np.ndarray) -> list[np.ndarray]:
+def _batch_forward(weights: list[np.ndarray], biases: list[np.ndarray],
+                   x: np.ndarray) -> list[np.ndarray]:
     acts = [x]
-    for layer in layers:
-        z = acts[-1] @ layer.weights + layer.biases
-        acts.append(np.maximum(z, 0.0) if layer.activation == "relu" else z)
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ w + b
+        acts.append(z if i == last else np.maximum(z, 0.0))
     return acts
 
 
@@ -146,7 +145,8 @@ def nn_train(inputs, labels: dict, hidden: tuple[int, ...] = (64, 32),
     `inputs` is (n, input_dim) of flattened downscaled images; `labels`
     maps class name -> +/-1 per example. The parameters kept are those
     of the epoch with the lowest full-training loss, so the final loss
-    never exceeds the initial one.
+    never exceeds the initial one. Steps update plain weight and bias
+    arrays; the kept epoch becomes `DenseLayer`s once, at the end.
     """
     x = np.asarray(inputs, dtype=np.float64)
     classes = tuple(labels)
@@ -163,37 +163,36 @@ def nn_train(inputs, labels: dict, hidden: tuple[int, ...] = (64, 32),
             raise TrainError(f"class {name!r} needs both positive and negative examples")
 
     rng = np.random.default_rng(seed)
-    sizes = [x.shape[1], *hidden, len(classes)]
-    layers = _init_layers(sizes, rng)
+    weights, biases = _init_params([x.shape[1], *hidden, len(classes)], rng)
 
-    def full_loss(ls):
-        return _hinge_loss(_batch_forward(ls, x)[-1], y)
+    def full_loss():
+        return _hinge_loss(_batch_forward(weights, biases, x)[-1], y)
 
-    best_loss = full_loss(layers)
-    best_layers = [DenseLayer(l.weights.copy(), l.biases.copy(), l.activation)
-                   for l in layers]
+    # Steps rebind the list entries and never write into an array, so a
+    # shallow copy of the lists keeps an epoch's parameters.
+    best_loss, best = full_loss(), (list(weights), list(biases))
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             xb, yb = x[idx], y[idx]
-            acts = _batch_forward(layers, xb)
+            acts = _batch_forward(weights, biases, xb)
             # d(loss)/d(score): -y where the margin is violated.
             grad = np.where(yb * acts[-1] < 1.0, -yb, 0.0) / xb.shape[0]
-            for li in range(len(layers) - 1, -1, -1):
-                layer = layers[li]
+            for li in range(len(weights) - 1, -1, -1):
                 gw = acts[li].T @ grad
                 gb = grad.sum(axis=0)
                 if li > 0:
-                    grad = (grad @ layer.weights.T) * (acts[li] > 0.0)
-                layers[li] = DenseLayer(layer.weights - lr * gw,
-                                        layer.biases - lr * gb, layer.activation)
-        loss = full_loss(layers)
+                    grad = (grad @ weights[li].T) * (acts[li] > 0.0)
+                weights[li] = weights[li] - lr * gw
+                biases[li] = biases[li] - lr * gb
+        loss = full_loss()
         if loss < best_loss:
-            best_loss = loss
-            best_layers = [DenseLayer(l.weights.copy(), l.biases.copy(), l.activation)
-                           for l in layers]
-    return NeuralNet(classes, tuple(best_layers), input_size)
+            best_loss, best = loss, (list(weights), list(biases))
+    last = len(weights) - 1
+    layers = tuple(DenseLayer(w, b, "identity" if i == last else "relu")
+                   for i, (w, b) in enumerate(zip(*best)))
+    return NeuralNet(classes, layers, input_size)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ consumed, and a caller that passes a generator holds no other copy.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,12 +61,12 @@ def make_corpus(config: PipelineConfig
     return train, test, spec.class_names
 
 
-def extract_corpus(images: list[LabeledImage], config: PipelineConfig
-                   ) -> list[DescriptorSet]:
-    """Dense descriptors for every image, in corpus order."""
-    return parallel_map(
-        lambda img: extract_dense(img.image, config.patch, config.stride),
-        images)
+def extract_corpus(images: Iterable[LabeledImage], config: PipelineConfig
+                   ) -> Iterator[DescriptorSet]:
+    """Dense descriptors for every image, in corpus order, one set at a
+    time, so a caller that writes each set as it comes holds one."""
+    for img in images:
+        yield extract_dense(img.image, config.patch, config.stride)
 
 
 def fit_pca(descriptor_sets: Iterable[DescriptorSet], rows: int,
@@ -147,7 +147,7 @@ def embed_all(gmm: GmmModel, projected: list[DescriptorSet]
 
 
 def improved_matrix(raw_fvs: list[RawFisherVector]) -> np.ndarray:
-    return np.stack([improve(fv).values for fv in raw_fvs])
+    return np.stack([improve(fv) for fv in raw_fvs])
 
 
 def train_svm(train_images: list[LabeledImage], features: np.ndarray,
@@ -194,4 +194,4 @@ def train_all(train_images: list[LabeledImage], classes: tuple[str, ...],
 def embed_image(bundle: ModelBundle, image) -> np.ndarray:
     """Improved FV of a single image under a trained bundle."""
     ds = pca_apply(bundle.pca, extract_dense(image, bundle.patch, bundle.stride))
-    return improve(aggregate(bundle.gmm, ds)).values
+    return improve(aggregate(bundle.gmm, ds))

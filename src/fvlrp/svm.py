@@ -9,8 +9,7 @@ descent over averaged iterates: because every step sees the exact mean
 subgradient, duplicating the training set leaves the trajectory
 unchanged (up to summation rounding), which is the invariance the tests
 rely on. The model kept is the averaged iterate with the lowest
-objective seen, so the recorded objective trace is non-increasing by
-construction.
+objective seen; no per-epoch objective trace is recorded.
 """
 
 from __future__ import annotations
@@ -20,12 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimError, TrainError, ValidationError
-from .fisher import ImprovedFisherVector
 
 
 def _as_feature(x) -> np.ndarray:
-    if isinstance(x, ImprovedFisherVector):
-        return x.values
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise DimError(f"expected a 1-d feature vector, got shape {arr.shape}")
@@ -33,9 +29,10 @@ def _as_feature(x) -> np.ndarray:
 
 
 def _as_feature_matrix(features) -> np.ndarray:
-    if isinstance(features, np.ndarray) and features.ndim == 2:
-        return np.asarray(features, dtype=np.float64)
-    return np.stack([_as_feature(f) for f in features])
+    arr = np.asarray(features, dtype=np.float64)
+    if arr.ndim != 2:
+        raise DimError(f"expected a 2-d feature matrix, got shape {arr.shape}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -83,11 +80,8 @@ def _objective(w: np.ndarray, b: float, lam: float,
 
 
 def _train_binary(feats: np.ndarray, y: np.ndarray, c: float, epochs: int
-                  ) -> tuple[np.ndarray, float, list[float]]:
-    """Best averaged iterate of full-batch subgradient descent.
-
-    Returns (w, b, non-increasing objective trace).
-    """
+                  ) -> tuple[np.ndarray, float]:
+    """Best averaged iterate (w, b) of full-batch subgradient descent."""
     n, dim = feats.shape
     lam = 1.0 / c
     w = np.zeros(dim)
@@ -95,7 +89,6 @@ def _train_binary(feats: np.ndarray, y: np.ndarray, c: float, epochs: int
     # Running averages over iterates (including the zero start).
     avg_w, avg_b = w.copy(), b
     best = (_objective(avg_w, avg_b, lam, feats, y), avg_w.copy(), avg_b)
-    trace = [best[0]]
     for t in range(1, epochs + 1):
         margins = y * (feats @ w + b)
         active = margins < 1.0
@@ -110,8 +103,7 @@ def _train_binary(feats: np.ndarray, y: np.ndarray, c: float, epochs: int
         obj = _objective(avg_w, avg_b, lam, feats, y)
         if obj < best[0]:
             best = (obj, avg_w.copy(), avg_b)
-        trace.append(best[0])
-    return best[1], best[2], trace
+    return best[1], best[2]
 
 
 def train(features, labels: dict, c: float = 1.0, epochs: int = 200) -> SvmModel:
@@ -136,16 +128,10 @@ def train(features, labels: dict, c: float = 1.0, epochs: int = 200) -> SvmModel
             raise ValidationError(f"labels for {name!r} must be +/-1")
         if not (np.any(y > 0) and np.any(y < 0)):
             raise TrainError(f"class {name!r} needs both positive and negative examples")
-        w, b, _ = _train_binary(feats, y, c, epochs)
+        w, b = _train_binary(feats, y, c, epochs)
         weights[k] = w
         biases[k] = b
     return SvmModel(classes, weights, biases, c=c, epochs=epochs)
-
-
-def objective_trace(features, y, c: float = 1.0, epochs: int = 200) -> list[float]:
-    """Objective values of the kept iterate per epoch (non-increasing)."""
-    feats = _as_feature_matrix(features)
-    return _train_binary(feats, np.asarray(y, dtype=np.float64), c, epochs)[2]
 
 
 def score(model: SvmModel, phi_x, class_name: str) -> float:
@@ -155,30 +141,6 @@ def score(model: SvmModel, phi_x, class_name: str) -> float:
         raise DimError(f"feature length {x.shape[0]} vs model dim {model.dim}")
     k = model.class_index(class_name)
     return float(np.dot(model.weights[k], x) + model.biases[k])
-
-
-@dataclass(frozen=True)
-class Prediction:
-    classes: tuple[str, ...]
-    scores: np.ndarray
-    labels: np.ndarray       # booleans, scores > thresholds
-    thresholds: np.ndarray
-
-    def as_dict(self) -> dict[str, tuple[float, bool]]:
-        return {c: (float(self.scores[i]), bool(self.labels[i]))
-                for i, c in enumerate(self.classes)}
-
-
-def predict_multilabel(model: SvmModel, phi_x, classes=None) -> Prediction:
-    """Scores and thresholded yes/no labels, one per class."""
-    x = _as_feature(phi_x)
-    if x.shape[0] != model.dim:
-        raise DimError(f"feature length {x.shape[0]} vs model dim {model.dim}")
-    names = tuple(classes) if classes is not None else model.classes
-    idx = [model.class_index(c) for c in names]
-    scores = model.weights[idx] @ x + model.biases[idx]
-    tau = model.thresholds[idx]
-    return Prediction(names, scores, scores > tau, tau)
 
 
 def eer_threshold(scores, labels) -> float:

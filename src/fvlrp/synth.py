@@ -2,7 +2,7 @@
 
 Images are composed of a full-frame procedural background texture plus
 one textured object shape (disk or cross) with a tight bounding box.
-Textures are oriented sinusoid gratings or band-limited noise. The
+Every texture is an oriented sinusoid grating with a random phase. The
 context correlation rho controls how predictive the background is: with
 probability rho an image gets its class's own background texture,
 otherwise one drawn uniformly from the shared pool of all class
@@ -29,29 +29,23 @@ from .errors import SpecError
 from .imaging import BoundingBox, Image
 
 SHAPES = ("disk", "cross")
-TEXTURE_KINDS = ("grating", "noise")
 
 
 @dataclass(frozen=True)
 class TextureParams:
-    """Procedural texture: an oriented sinusoid or band-limited noise.
+    """Procedural texture: an oriented sinusoid grating.
 
-    `frequency` is in cycles per pixel; for noise it is the band center
-    and `bandwidth` its half-width. `orientation` is radians from the
-    x axis. Values oscillate around `level` with amplitude `contrast`.
+    `frequency` is in cycles per pixel and `orientation` radians from
+    the x axis. Values oscillate around `level` with amplitude
+    `contrast`, at a phase drawn per image.
     """
 
-    kind: str
     frequency: float
     orientation: float = 0.0
     contrast: float = 0.3
     level: float = 0.5
-    bandwidth: float = 0.05
-    random_phase: bool = True
 
     def __post_init__(self):
-        if self.kind not in TEXTURE_KINDS:
-            raise SpecError(f"unknown texture kind {self.kind!r}")
         if not 0.0 < self.frequency <= 0.5:
             raise SpecError("texture frequency must be in (0, 0.5] cycles/px")
         if self.contrast < 0.0 or not 0.0 <= self.level <= 1.0:
@@ -134,26 +128,11 @@ class LabeledImage:
 def render_texture(params: TextureParams, width: int, height: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Texture values in [0, 1], shape (height, width)."""
-    if params.kind == "grating":
-        phase = rng.uniform(0.0, 2.0 * np.pi) if params.random_phase else 0.0
-        y, x = np.mgrid[0:height, 0:width].astype(np.float64)
-        carrier = x * np.cos(params.orientation) + y * np.sin(params.orientation)
-        values = params.level + params.contrast * np.sin(
-            2.0 * np.pi * params.frequency * carrier + phase)
-    else:
-        white = rng.standard_normal((height, width))
-        fy = np.fft.fftfreq(height)[:, None]
-        fx = np.fft.fftfreq(width)[None, :]
-        radius = np.sqrt(fx * fx + fy * fy)
-        lo = max(params.frequency - params.bandwidth, 1e-6)
-        hi = params.frequency + params.bandwidth
-        band = (radius >= lo) & (radius <= hi)
-        spectrum = np.fft.fft2(white) * band
-        filtered = np.fft.ifft2(spectrum).real
-        std = filtered.std()
-        if std > 0.0:
-            filtered = filtered / std
-        values = params.level + params.contrast * filtered
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    y, x = np.mgrid[0:height, 0:width].astype(np.float64)
+    carrier = x * np.cos(params.orientation) + y * np.sin(params.orientation)
+    values = params.level + params.contrast * np.sin(
+        2.0 * np.pi * params.frequency * carrier + phase)
     return np.clip(values, 0.0, 1.0)
 
 
@@ -217,9 +196,8 @@ def checkerboard_tag(size: int = 8, cell: int = 2) -> np.ndarray:
     return (((x // cell) + (y // cell)) % 2).astype(np.float64)
 
 
-def inject_artefact(img: LabeledImage, class_filter: str,
-                    tag_patch: np.ndarray | None = None) -> LabeledImage:
-    """Stamp the tag into a corner of images of the filtered class.
+def inject_artefact(img: LabeledImage, class_filter: str) -> LabeledImage:
+    """Stamp the checkerboard tag into a corner of filtered-class images.
 
     The bottom-left corner is preferred; if it intersects a bounding
     box, the other corners are tried. When no corner is box-free the
@@ -227,7 +205,7 @@ def inject_artefact(img: LabeledImage, class_filter: str,
     """
     if class_filter not in img.labels:
         return img
-    tag = checkerboard_tag() if tag_patch is None else np.asarray(tag_patch, dtype=np.float64)
+    tag = checkerboard_tag()
     th, tw = tag.shape
     w, h = img.image.width, img.image.height
     if tw > w or th > h:
@@ -280,18 +258,18 @@ def two_class_spec(rho: float, seed: int = 0, train_per_class: int = 100,
     """
     disk = ClassSpec(
         name="disk", shape="disk", shape_size=22,
-        object_texture=TextureParams("grating", frequency=0.125,
+        object_texture=TextureParams(frequency=0.125,
                                      orientation=np.pi / 4.0,
                                      contrast=0.15, level=0.82),
-        background_texture=TextureParams("grating", frequency=0.25,
+        background_texture=TextureParams(frequency=0.25,
                                          orientation=0.0, contrast=0.35,
                                          level=0.45))
     cross = ClassSpec(
         name="cross", shape="cross", shape_size=30,
-        object_texture=TextureParams("grating", frequency=0.125,
+        object_texture=TextureParams(frequency=0.125,
                                      orientation=3.0 * np.pi / 4.0,
                                      contrast=0.15, level=0.82),
-        background_texture=TextureParams("grating", frequency=0.25,
+        background_texture=TextureParams(frequency=0.25,
                                          orientation=np.pi / 2.0, contrast=0.35,
                                          level=0.45))
     return CorpusSpec(size, size, (disk, cross), rho, train_per_class,
@@ -313,10 +291,10 @@ def artefact_pair_spec(seed: int = 0, train_per_class: int = 100,
     def cls(name: str, tilt: float) -> ClassSpec:
         return ClassSpec(
             name=name, shape="disk", shape_size=22,
-            object_texture=TextureParams("grating", frequency=0.125,
+            object_texture=TextureParams(frequency=0.125,
                                          orientation=np.pi / 4.0 + tilt,
                                          contrast=0.15, level=0.82),
-            background_texture=TextureParams("grating", frequency=0.25,
+            background_texture=TextureParams(frequency=0.25,
                                              orientation=tilt, contrast=0.35,
                                              level=0.45))
     return CorpusSpec(size, size, (cls("tagged", 0.0), cls("plain", delta)),

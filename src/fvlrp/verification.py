@@ -263,7 +263,7 @@ def check_r3_conservation(cases: int = 200, seed: int = 1001) -> CheckResult:
         gmm = random_gmm(rng, k, dim)
         ds = random_descriptor_set(rng, n, dim)
         phi = improve(aggregate(gmm, ds))
-        svm_model = random_svm(rng, phi.values.shape[0])
+        svm_model = random_svm(rng, phi.shape[0])
         f = score(svm_model, phi, "c")
         r3 = relevance_r3(svm_model, phi, "c")
         r2 = relevance_r2(r3, embed_batch(gmm, ds.vectors), variant="absolute")

@@ -1,0 +1,106 @@
+"""Rewrite `tiny_run.json`, the golden digest of a full TINY CLI run.
+
+The digest pins every output byte of the command-line pipeline: it runs
+synth-gen → predict, one `explain`, `morf-eval`, `context-report` and
+`verify` in process on the TINY config (the one criterion 10 uses),
+then records the sha256 of every file under `--out` and each command's
+stdout, with the `--out` path written as `$OUT`. `tests/test_golden.py`
+reruns the same sequence and compares.
+
+EM's gemms make model bytes depend on the BLAS build, so the digest
+also records numpy's version and BLAS; a mismatch there is reported
+before any changed file.
+
+A change that moves output bytes on purpose reruns this script and
+names the moved files and the reason:
+
+    PYTHONPATH=src python tests/golden/regen.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from fvlrp.cli import main as cli_main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "tiny_run.json")
+
+TINY = {
+    "corpus_size": 64, "train_per_class": 8, "test_per_class": 3,
+    "patch": 16, "stride": 8, "pca_dim": 8, "gmm_k": 3,
+    "gmm_sample_count": 800, "svm_epochs": 60, "nn_input": 16,
+    "nn_hidden": [16, 8], "nn_epochs": 8, "morf_batch": 3,
+    "morf_steps": 5, "morf_repetitions": 2, "seed": 9,
+}
+
+STAGES = ("synth-gen", "extract", "pca-fit", "gmm-fit", "embed",
+          "svm-train", "nn-train", "predict")
+
+
+def environment() -> dict:
+    """numpy's version and the BLAS it was built against."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__,
+            "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}"}
+
+
+def _first_test_image(out_dir: str) -> tuple[str, str]:
+    with open(os.path.join(out_dir, "corpus", "index.tsv"), encoding="ascii") as fh:
+        for line in fh.read().splitlines()[1:]:
+            fields = line.split("\t")
+            if fields[0] == "test":
+                return fields[1], fields[4].split(",")[0]
+    raise RuntimeError("no test image in the corpus index")
+
+
+def run_digest(config: dict, out_dir: str) -> dict:
+    """Run the whole CLI sequence under `config` into `out_dir` and digest it."""
+    config_path = os.path.join(os.path.dirname(out_dir), "config.json")
+    with open(config_path, "w", encoding="ascii") as fh:
+        json.dump(config, fh)
+    base = ["--config", config_path, "--out", out_dir]
+    commands = [[stage] for stage in STAGES]
+    commands += [["explain"], ["morf-eval"], ["context-report"], ["verify"]]
+    stdout = {}
+    for command in commands:
+        if command == ["explain"]:
+            image_id, cls = _first_test_image(out_dir)
+            command = ["explain", "--image", image_id, "--class", cls]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli_main([*command, *base])
+        if code != 0:
+            raise RuntimeError(f"`fvlrp {' '.join(command)}` exited {code}")
+        stdout[" ".join(command)] = buf.getvalue().replace(out_dir, "$OUT")
+    files = {}
+    for root, _, names in os.walk(out_dir):
+        for name in names:
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, out_dir).replace(os.sep, "/")
+            with open(path, "rb") as fh:
+                files[rel] = hashlib.sha256(fh.read()).hexdigest()
+    return {"environment": environment(), "config": config,
+            "stdout": stdout, "files": dict(sorted(files.items()))}
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        digest = run_digest(TINY, os.path.join(tmp, "out"))
+    with open(GOLDEN, "w", encoding="ascii", newline="\n") as fh:
+        json.dump(digest, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {GOLDEN}: {len(digest['files'])} files, "
+          f"{len(digest['stdout'])} commands")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,12 +2,17 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fvlrp import cli, descriptors, fisher, gmm, lrp_nn, svm
 from fvlrp.cli import main
+from fvlrp.config import load_config
+from fvlrp.descriptors import RAW_DIM, descriptor_count
+from fvlrp.imaging import load_image
+from fvlrp.pipeline import make_corpus
 
 TINY = {
     "corpus_size": 64,
@@ -259,3 +264,63 @@ def test_cli_has_no_stage_implementation_of_its_own():
     for name, value in vars(cli).items():
         for what, obj in forbidden.items():
             assert value is not obj, f"fvlrp.cli.{name} is {what}"
+
+
+# Every shared option, the value passed and the parsed value expected.
+_SHARED_FLAGS = [("--config", "c.json", "config", "c.json"),
+                 ("--seed", "3", "seed", 3), ("--threads", "2", "threads", 2),
+                 ("--variant", "abs", "variant", "abs"),
+                 ("--epsilon", "1.5", "epsilon", 1.5),
+                 ("--class", "disk", "cls", "disk"),
+                 ("--image", "img-1", "image", "img-1"),
+                 ("--out", "dir", "out", "dir")]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_every_command_accepts_every_shared_flag(command):
+    argv = [command] + [tok for flag, value, _, _ in _SHARED_FLAGS
+                        for tok in (flag, value)]
+    args = cli.build_parser().parse_args(argv)
+    assert args.command == command
+    for _, _, dest, want in _SHARED_FLAGS:
+        assert getattr(args, dest) == want, dest
+
+
+def test_synth_gen_tags_the_artefact_class(tmp_path):
+    config = write_config(tmp_path, artefact_class="disk")
+    out = tmp_path / "run"
+    assert run(out, config, "synth-gen") == 0
+    rows = [line.split("\t") for line in
+            (out / "corpus" / "index.tsv").read_text().splitlines()[1:]]
+    train, test, _ = make_corpus(load_config(config))
+    library = {im.image_id: im for im in train + test}
+    assert sorted(row[1] for row in rows) == sorted(library)
+    for _, image_id, path, _, labels, flags in rows:
+        tags = [f for f in flags.split(",") if f.startswith("tag-at-")]
+        assert len(tags) == (labels == "disk"), image_id
+        im = library[image_id]
+        assert flags == (",".join(im.flags) or "-"), image_id
+        np.testing.assert_array_equal(load_image(out / path).pixels,
+                                      im.image.pixels)
+
+
+def test_extract_holds_one_raw_descriptor_set(tmp_path):
+    """`extract` writes each DESC1 file as it extracts it, so its peak is
+    far below the raw descriptors of a split (fixed workload)."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"seed": 0}))
+    out = tmp_path / "run"
+    base = ["--config", str(config_path), "--out", str(out)]
+    assert main(["synth-gen", *base]) == 0
+    config = load_config(config_path)
+    train_rows = 2 * config.train_per_class * descriptor_count(
+        config.corpus_size, config.corpus_size, config.patch, config.stride)
+    raw_bytes = train_rows * RAW_DIM * 8
+    tracemalloc.start()
+    try:
+        assert main(["extract", *base]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < raw_bytes / 4, (
+        f"extract peaked at {peak / raw_bytes:.2f}x the train split's raw descriptors")

@@ -156,20 +156,17 @@ def test_context_ratio_hand_values():
     assert ratio.defined and ratio.n_inside == 8 and ratio.n_outside == 8
 
 
-def test_context_ratio_modes_and_undefined():
+def test_context_ratio_clamps_negatives_and_flags_undefined():
     heat = np.zeros((4, 4))
     heat[:, :2] = 1.0
     heat[:, 2:] = -1.0
     box = BoundingBox("a", 0, 0, 1, 3)
-    clamped = context_ratio(Heatmap(heat), [box], mode="positive")
+    # negative relevance outside is clamped to 0, not averaged in
+    clamped = context_ratio(Heatmap(heat), [box])
     assert clamped.mu == pytest.approx(0.0) and clamped.defined
-    raw = context_ratio(Heatmap(heat), [box], mode="all")
-    assert not raw.defined and np.isnan(raw.mu)
-    # no positive relevance inside: undefined in both modes
-    dead = context_ratio(Heatmap(-heat), [box], mode="positive")
-    assert not dead.defined
-    with pytest.raises(ValidationError):
-        context_ratio(Heatmap(heat), [box], mode="sideways")
+    # no positive relevance inside: undefined
+    dead = context_ratio(Heatmap(-heat), [box])
+    assert not dead.defined and np.isnan(dead.mu)
     with pytest.raises(ValidationError):
         context_ratio(Heatmap(heat), [])
     with pytest.raises(UndefinedError):

@@ -53,7 +53,11 @@ def test_layout_and_index_bijection():
     seen = set()
     for d in range(idx.length):
         moment, comp, coord = idx.decode(d)
-        assert idx.encode(moment, comp, coord) == d
+        if moment == "w":
+            assert (comp, coord) == (d, 0)
+        else:
+            block = idx.mu_block(comp) if moment == "mu" else idx.sigma_block(comp)
+            assert block.start + coord == d < block.stop
         seen.add((moment, comp, coord))
     assert len(seen) == idx.length
     assert idx.decode(0) == ("w", 0, 0)
@@ -92,8 +96,8 @@ def test_signed_sqrt_convention():
 def test_improve_unit_norm_and_zero(rng):
     v = rng.normal(size=12)
     improved = improve(RawFisherVector(v, 4, 1))
-    assert np.linalg.norm(improved.values) == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_array_equal(improve(np.zeros(6)).values, np.zeros(6))
+    assert np.linalg.norm(improved) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_array_equal(improve(np.zeros(6)), np.zeros(6))
 
 
 def test_hellinger_identity_random(rng):
@@ -136,6 +140,6 @@ def test_improved_dot_equals_hellinger_on_model_fvs(rng):
     a = aggregate(model, rng.normal(size=(5, 2)))
     b = aggregate(model, rng.normal(size=(6, 2)))
     lhs, rhs = hellinger_check(a, b)
-    dot = float(np.dot(improve(a).values, improve(b).values))
+    dot = float(np.dot(improve(a), improve(b)))
     assert lhs == pytest.approx(dot, abs=1e-15)
     assert rhs == pytest.approx(dot, abs=1e-10)

@@ -30,11 +30,11 @@ def test_color_roundtrip_bit_exact(tmp_path, rng):
     np.testing.assert_array_equal(back.pixels, quantized)
 
 
-def test_16bit_roundtrip(tmp_path, rng):
-    quantized = rng.integers(0, 65536, (4, 6)).astype(np.float64) / 65535.0
+def test_16bit_pixmap_is_refused(tmp_path):
     path = tmp_path / "deep.pgm"
-    save_image(Image(quantized), path, maxval=65535)
-    np.testing.assert_array_equal(load_image(path).pixels, quantized)
+    path.write_bytes(b"P5\n6 4\n65535\n" + bytes(2 * 6 * 4))
+    with pytest.raises(ParseError, match="maxval 65535"):
+        load_image(path)
 
 
 def test_save_quantizes_to_nearest(tmp_path):

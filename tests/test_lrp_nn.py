@@ -7,7 +7,7 @@ from fvlrp.errors import DimError, TrainError, ValidationError, ZeroDenominatorE
 from fvlrp.imaging import Image
 from fvlrp.lrp_nn import (DenseLayer, NeuralNet, downscale, forward,
                           image_to_input, lrp_alphabeta, lrp_epsilon,
-                          nn_heatmap, nn_score, nn_scores, nn_train)
+                          nn_heatmap, nn_scores, nn_train)
 
 
 def linear_net(weights, biases=None, classes=("a",)):
@@ -19,7 +19,7 @@ def linear_net(weights, biases=None, classes=("a",)):
 def test_epsilon_rule_hand_case():
     net = linear_net([[2.0], [-1.0]])
     x = np.array([1.0, 1.0])
-    assert nn_score(net, x, "a") == pytest.approx(1.0)
+    assert nn_scores(net, x)[net.class_index("a")] == pytest.approx(1.0)
     exact = lrp_epsilon(net, x, "a", epsilon=0.0)
     np.testing.assert_allclose(exact.input_relevance, [2.0, -1.0])
     assert exact.input_relevance.sum() == pytest.approx(exact.score)
@@ -146,7 +146,7 @@ def test_nn_train_learns_and_is_deterministic(rng):
     y = np.where(x[:, 0] + x[:, 1] > 0, 1.0, -1.0)
     kwargs = dict(hidden=(8,), input_size=(4, 4), seed=7, epochs=120, lr=0.05)
     net = nn_train(x, {"a": y}, **kwargs)
-    scores = np.array([nn_score(net, xi, "a") for xi in x])
+    scores = np.array([nn_scores(net, xi)[net.class_index("a")] for xi in x])
     assert np.mean(np.sign(scores) == y) > 0.9
     again = nn_train(x, {"a": y}, **kwargs)
     for la, lb in zip(net.layers, again.layers):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fvlrp.errors import DimError, TrainError, ValidationError
-from fvlrp.svm import (SvmModel, eer_threshold, objective_trace,
-                       predict_multilabel, train, with_thresholds)
+from fvlrp.svm import SvmModel, eer_threshold, score, train, with_thresholds
 
 
 def separable_problem(rng, n=40, dim=6, margin=2.0):
@@ -21,13 +20,6 @@ def test_training_separates_separable_data(rng):
     model = train(x, {"a": y}, c=10.0, epochs=300)
     scores = x @ model.weights[0] + model.biases[0]
     assert np.all(np.sign(scores) == y)
-
-
-def test_objective_trace_non_increasing(rng):
-    x, y = separable_problem(rng, n=30)
-    trace = objective_trace(x, y, c=1.0, epochs=120)
-    assert len(trace) == 121  # initial iterate plus one entry per epoch
-    assert np.all(np.diff(trace) <= 1e-12)
 
 
 def test_training_deterministic_and_duplication_invariant(rng):
@@ -48,9 +40,10 @@ def test_multiclass_order_and_prediction(rng):
               "two": np.where(x[:, 1] > 0, 1.0, -1.0)}
     model = train(x, labels, c=10.0, epochs=200)
     assert model.classes == ("one", "two")
-    pred = predict_multilabel(model, np.array([3.0, -3.0, 0.0, 0.0]))
-    decided = pred.as_dict()
-    assert decided["one"][1] and not decided["two"][1]
+    x_new = np.array([3.0, -3.0, 0.0, 0.0])
+    decided = {c: score(model, x_new, c) > model.thresholds[k]
+               for k, c in enumerate(model.classes)}
+    assert decided["one"] and not decided["two"]
 
 
 def test_train_rejects_bad_labels(rng):

@@ -149,26 +149,44 @@ def _save_corpus_index(out_dir: str, train: list[LabeledImage],
                                "labels", "flags"), rows)
 
 
-def _load_corpus_index(out_dir: str) -> list[dict]:
+class _IndexEntry(NamedTuple):
+    """One row of the corpus index. Its `labels` are all that
+    `label_vectors` reads, so stages that need only the labels never
+    decode the image."""
+
+    split: str
+    image_id: str
+    file: str
+    annotations: str
+    labels: tuple[str, ...]
+    flags: tuple[str, ...]
+
+
+def _load_corpus_index(out_dir: str) -> list[_IndexEntry]:
     with open(_index_path(out_dir), "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     header = lines[0].split("\t")
     entries = []
     for line in lines[1:]:
-        entries.append(dict(zip(header, line.split("\t"))))
+        row = dict(zip(header, line.split("\t")))
+        entries.append(_IndexEntry(
+            row["split"], row["image"], row["file"], row["annotations"],
+            tuple(row["labels"].split(",")) if row["labels"] else (),
+            () if row["flags"] == "-" else tuple(row["flags"].split(","))))
     return entries
+
+
+def _split_entries(out_dir: str, split: str) -> list[_IndexEntry]:
+    return [e for e in _load_corpus_index(out_dir) if e.split == split]
 
 
 def _iter_split(out_dir: str, split: str) -> Iterator[LabeledImage]:
     """The split's images in index order, each read as it is reached."""
-    for entry in _load_corpus_index(out_dir):
-        if entry["split"] != split:
-            continue
-        img = load_image(os.path.join(out_dir, entry["file"]))
-        boxes = load_annotations(os.path.join(out_dir, entry["annotations"]))
-        labels = tuple(entry["labels"].split(",")) if entry["labels"] else ()
-        flags = () if entry["flags"] == "-" else tuple(entry["flags"].split(","))
-        yield LabeledImage(img, labels, tuple(boxes), entry["image"], flags)
+    for entry in _split_entries(out_dir, split):
+        img = load_image(os.path.join(out_dir, entry.file))
+        boxes = load_annotations(os.path.join(out_dir, entry.annotations))
+        yield LabeledImage(img, entry.labels, tuple(boxes), entry.image_id,
+                           entry.flags)
 
 
 def _load_split(out_dir: str, split: str) -> list[LabeledImage]:
@@ -176,8 +194,7 @@ def _load_split(out_dir: str, split: str) -> list[LabeledImage]:
 
 
 def _split_ids(out_dir: str, split: str) -> list[str]:
-    return [e["image"] for e in _load_corpus_index(out_dir)
-            if e["split"] == split]
+    return [e.image_id for e in _split_entries(out_dir, split)]
 
 
 def _corpus_classes(manifest: dict) -> tuple[str, ...]:
@@ -319,9 +336,9 @@ def _load_feature_matrix(out_dir: str, split: str
 def _cmd_svm_train(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
     classes = _corpus_classes(upstream[STAGE_SYNTH])
-    train_imgs = _load_split(out_dir, "train")
     _, features = _load_feature_matrix(out_dir, "train")
-    model = train_svm(train_imgs, features, classes, config)
+    model = train_svm(_split_entries(out_dir, "train"), features, classes,
+                      config)
     path = _model_path(out_dir, "svm")
     save_model(model, path)
     taus = ", ".join(f"{c}: {t:.4f}" for c, t in zip(classes, model.thresholds))
@@ -347,26 +364,24 @@ def _cmd_predict(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
     classes = _corpus_classes(upstream[STAGE_SYNTH])
     svm_model = load_model(_model_path(out_dir, "svm"), "svm")
-    test_imgs = _load_split(out_dir, "test")
-    ids, features = _load_feature_matrix(out_dir, "test")
-    by_id = {img.image_id: img for img in test_imgs}
+    entries = _split_entries(out_dir, "test")
+    _, features = _load_feature_matrix(out_dir, "test")
     rows = []
     correct = {c: 0 for c in classes}
-    for image_id, phi in zip(ids, features):
-        img = by_id[image_id]
+    for entry, phi in zip(entries, features):
         for c in classes:
             k = svm_model.class_index(c)
             f = float(score(svm_model, phi, c))
             decision = int(f > float(svm_model.thresholds[k]))
-            truth = int(c in img.labels)
+            truth = int(c in entry.labels)
             correct[c] += int(decision == truth)
-            rows.append((image_id, c, f, decision, truth))
+            rows.append((entry.image_id, c, f, decision, truth))
     _ensure_dir(os.path.join(out_dir, "reports"))
     path = os.path.join(out_dir, "reports", "predictions.tsv")
     report.write_table(path, ("image", "class", "score", "decision", "label"),
                        rows)
-    acc = ", ".join(f"{c}: {correct[c] / len(ids):.3f}" for c in classes)
-    print(f"predict: {len(ids)} test images; accuracy {acc}")
+    acc = ", ".join(f"{c}: {correct[c] / len(entries):.3f}" for c in classes)
+    print(f"predict: {len(entries)} test images; accuracy {acc}")
     print(f"wrote {path}")
     return {"outputs": [_rel(out_dir, path)]}
 
@@ -379,10 +394,10 @@ def _cmd_explain(config: PipelineConfig, args, upstream) -> dict:
     if args.cls not in bundle.classes:
         raise ValidationError(
             f"class {args.cls!r} not in corpus classes {bundle.classes}")
-    entries = {e["image"]: e for e in _load_corpus_index(out_dir)}
+    entries = {e.image_id: e for e in _load_corpus_index(out_dir)}
     if args.image not in entries:
         raise ValidationError(f"image {args.image!r} not in the corpus index")
-    img = load_image(os.path.join(out_dir, entries[args.image]["file"]))
+    img = load_image(os.path.join(out_dir, entries[args.image].file))
     expl = explain(img, bundle.gmm, bundle.pca, bundle.svm, args.cls,
                    variant=config.variant, epsilon=config.epsilon,
                    patch=bundle.patch, stride=bundle.stride)

@@ -3,6 +3,10 @@
 The network consumes a block-mean-downscaled grayscale image (flattened
 row-major) and emits one linear score per class; training minimizes the
 sum of per-class hinge losses (multi-label, not softmax-competitive).
+Training keeps the first layer in example space: it holds P = X W0, the
+first-layer pre-activations of the n training inputs X, and the summed
+per-example gradients A, never the (input_dim, h1) matrix W0; W0 is
+built once, for the kept epoch (see `nn_train`).
 
 Two relevance rules are provided, both operating on the cached forward
 pass with z_ij = w_ij x_i and z_j = sum_i z_ij + b_j:
@@ -137,17 +141,10 @@ def _batch_forward(weights: list[np.ndarray], biases: list[np.ndarray],
     return acts
 
 
-def nn_train(inputs, labels: dict, hidden: tuple[int, ...] = (64, 32),
-             input_size: tuple[int, int] = (32, 32), seed: int = 0,
-             epochs: int = 60, lr: float = 0.01, batch_size: int = 16) -> NeuralNet:
-    """Mini-batch subgradient descent on the summed per-class hinge loss.
-
-    `inputs` is (n, input_dim) of flattened downscaled images; `labels`
-    maps class name -> +/-1 per example. The parameters kept are those
-    of the epoch with the lowest full-training loss, so the final loss
-    never exceeds the initial one. Steps update plain weight and bias
-    arrays; the kept epoch becomes `DenseLayer`s once, at the end.
-    """
+def _training_arrays(inputs, labels: dict, input_size: tuple[int, int]
+                     ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Inputs as (n, input_dim) floats, labels as (n, classes) +/-1, and
+    the class names; refuses misaligned or single-signed labels."""
     x = np.asarray(inputs, dtype=np.float64)
     classes = tuple(labels)
     if not classes:
@@ -161,37 +158,80 @@ def nn_train(inputs, labels: dict, hidden: tuple[int, ...] = (64, 32),
     for j, name in enumerate(classes):
         if not (np.any(y[:, j] > 0) and np.any(y[:, j] < 0)):
             raise TrainError(f"class {name!r} needs both positive and negative examples")
+    return x, y, classes
 
+
+def nn_train(inputs, labels: dict, hidden: tuple[int, ...] = (64, 32),
+             input_size: tuple[int, int] = (32, 32), seed: int = 0,
+             epochs: int = 60, lr: float = 0.01, batch_size: int = 16) -> NeuralNet:
+    """Mini-batch subgradient descent on the summed per-class hinge loss.
+
+    `inputs` is (n, input_dim) of flattened downscaled images; `labels`
+    maps class name -> +/-1 per example. The parameters kept are those
+    of the epoch with the lowest full-training loss, so the final loss
+    never exceeds the initial one.
+
+    The first layer is trained in example space. Every step changes W0
+    by -lr X_b^T g for its batch rows X_b and first-layer gradient g, so
+    W0 stays W0_init - lr X^T A, where row i of A sums the gradients
+    example i received. The loop keeps the invariant P = X W0 (n, h1)
+    and A instead of W0: a batch's pre-activations are P[idx] + b0, a
+    step updates P -= lr G[:, idx] g with the Gram matrix G = X X^T
+    formed once, and adds g into A[idx] (exact: a batch is a slice of a
+    permutation, so no row repeats). W0 itself is built once, for the
+    kept epoch. A step then costs O(n b h1) instead of the O(d b h1) of
+    updating W0 (d = input_dim), and G takes n^2 float64s (320 KB at
+    n = 200); the weight-space loop would be cheaper only past n = d
+    training images, which the configured workloads stay far below
+    (n = 200, d = 1024).
+    `verification.oracle_nn_train` is the weight-space loop.
+    """
+    x, y, classes = _training_arrays(inputs, labels, input_size)
+    n = x.shape[0]
     rng = np.random.default_rng(seed)
     weights, biases = _init_params([x.shape[1], *hidden, len(classes)], rng)
+    last = len(weights) - 1
+    gram = x @ x.T
+    p = x @ weights[0]
+    a = np.zeros_like(p)
+
+    def forward_from(z0):
+        """Activations from layer 0's output on, given its pre-activations."""
+        return _batch_forward(weights[1:], biases[1:],
+                              z0 if last == 0 else np.maximum(z0, 0.0))
 
     def full_loss():
-        return _hinge_loss(_batch_forward(weights, biases, x)[-1], y)
+        return _hinge_loss(forward_from(p + biases[0])[-1], y)
 
-    # Steps rebind the list entries and never write into an array, so a
-    # shallow copy of the lists keeps an epoch's parameters.
-    best_loss, best = full_loss(), (list(weights), list(biases))
+    # Steps rebind the entries of `weights` and `biases` (weights[0] is
+    # never touched), so shallow copies of the lists and a copy of A keep
+    # an epoch's parameters.
+    best_loss, best = full_loss(), (a.copy(), list(weights), list(biases))
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            xb, yb = x[idx], y[idx]
-            acts = _batch_forward(weights, biases, xb)
+            yb = y[idx]
+            # acts[k] feeds layer k + 1.
+            acts = forward_from(p[idx] + biases[0])
             # d(loss)/d(score): -y where the margin is violated.
-            grad = np.where(yb * acts[-1] < 1.0, -yb, 0.0) / xb.shape[0]
-            for li in range(len(weights) - 1, -1, -1):
-                gw = acts[li].T @ grad
+            grad = np.where(yb * acts[-1] < 1.0, -yb, 0.0) / len(idx)
+            for li in range(last, 0, -1):
+                gw = acts[li - 1].T @ grad
                 gb = grad.sum(axis=0)
-                if li > 0:
-                    grad = (grad @ weights[li].T) * (acts[li] > 0.0)
+                grad = (grad @ weights[li].T) * (acts[li - 1] > 0.0)
                 weights[li] = weights[li] - lr * gw
                 biases[li] = biases[li] - lr * gb
+            biases[0] = biases[0] - lr * grad.sum(axis=0)
+            p -= gram[idx].T @ (lr * grad)     # G symmetric: G[idx].T = G[:, idx]
+            a[idx] += grad
         loss = full_loss()
         if loss < best_loss:
-            best_loss, best = loss, (list(weights), list(biases))
-    last = len(weights) - 1
+            best_loss, best = loss, (a.copy(), list(weights), list(biases))
+    a_best, kept_weights, kept_biases = best
+    kept_weights[0] = weights[0] - lr * (x.T @ a_best)
     layers = tuple(DenseLayer(w, b, "identity" if i == last else "relu")
-                   for i, (w, b) in enumerate(zip(*best)))
+                   for i, (w, b) in enumerate(zip(kept_weights, kept_biases)))
     return NeuralNet(classes, layers, input_size)
 
 

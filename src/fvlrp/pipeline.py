@@ -16,7 +16,7 @@ consumed, and a caller that passes a generator holds no other copy.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,10 +150,14 @@ def improved_matrix(raw_fvs: list[RawFisherVector]) -> np.ndarray:
     return np.stack([improve(fv) for fv in raw_fvs])
 
 
-def train_svm(train_images: list[LabeledImage], features: np.ndarray,
+def train_svm(labelled: Sequence, features: np.ndarray,
               classes: tuple[str, ...], config: PipelineConfig) -> SvmModel:
-    """One-vs-rest SVMs with per-class EER thresholds fit on the training set."""
-    labels = label_vectors(train_images, classes)
+    """One-vs-rest SVMs with per-class EER thresholds fit on the training set.
+
+    `labelled` is aligned with the rows of `features`; only each item's
+    `.labels` is read (`LabeledImage`s, or the CLI's corpus-index rows).
+    """
+    labels = label_vectors(labelled, classes)
     model = train(features, labels, c=config.svm_c, epochs=config.svm_epochs)
     return with_thresholds(model, features, labels)
 

@@ -21,6 +21,7 @@ classifier.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -233,8 +234,9 @@ def inject_artefact(img: LabeledImage, class_filter: str) -> LabeledImage:
     return replace(img, image=Image(pixels), flags=flags)
 
 
-def label_vectors(images: list[LabeledImage], classes: tuple[str, ...]) -> dict:
-    """Per-class +/-1 label arrays aligned with the image list."""
+def label_vectors(images: Sequence, classes: tuple[str, ...]) -> dict:
+    """Per-class +/-1 label arrays aligned with the list; only each
+    item's `.labels` is read, so any labelled record will do."""
     return {c: np.array([1.0 if c in im.labels else -1.0 for im in images])
             for c in classes}
 

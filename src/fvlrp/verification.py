@@ -6,8 +6,9 @@ relevance redistribution with a loop over the columns of the embedding
 matrix, R1 one receptive field at a time, relevance propagation with explicit
 per-connection loops, Fisher-vector recomputation from scratch after
 incremental updates, the SVM solver replayed in its dual (support-vector)
-form, and EM's E-step and M-step from direct differences, one component
-at a time. The `verify` command runs the whole suite; the test suite
+form, EM's E-step and M-step from direct differences, one component
+at a time, and network training with the first-layer weight matrix
+updated step by step. The `verify` command runs the whole suite; the test suite
 reuses the same checks at their pinned sizes.
 """
 
@@ -25,7 +26,9 @@ from .fisher import aggregate, embed_batch, improve
 from .gmm import GmmModel, _log_joint, _m_step, em_fit, responsibilities
 from .imaging import Image
 from .lrp_fv import R2Map, R3Map, relevance_r1, relevance_r2, relevance_r3
-from .lrp_nn import DenseLayer, NeuralNet, forward, lrp_alphabeta, lrp_epsilon
+from .lrp_nn import (DenseLayer, NeuralNet, _batch_forward, _hinge_loss,
+                     _init_params, _training_arrays, forward, lrp_alphabeta,
+                     lrp_epsilon, nn_train)
 from .svm import SvmModel, _objective, score, train
 
 
@@ -213,6 +216,44 @@ def oracle_nn_backward(net: NeuralNet, x: np.ndarray, class_name: str,
                     prev[i] += (pos - neg) * out[0][j]
         out.insert(0, prev)
     return out
+
+
+def oracle_nn_train(inputs, labels: dict, hidden: tuple[int, ...] = (64, 32),
+                    input_size: tuple[int, int] = (32, 32), seed: int = 0,
+                    epochs: int = 60, lr: float = 0.01,
+                    batch_size: int = 16) -> NeuralNet:
+    """`nn_train` in weight space: every step multiplies the batch by the
+    (input_dim, h1) first-layer matrix and rewrites that matrix."""
+    x, y, classes = _training_arrays(inputs, labels, input_size)
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    weights, biases = _init_params([x.shape[1], *hidden, len(classes)], rng)
+
+    def full_loss():
+        return _hinge_loss(_batch_forward(weights, biases, x)[-1], y)
+
+    best_loss, best = full_loss(), (list(weights), list(biases))
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            xb, yb = x[idx], y[idx]
+            acts = _batch_forward(weights, biases, xb)
+            grad = np.where(yb * acts[-1] < 1.0, -yb, 0.0) / xb.shape[0]
+            for li in range(len(weights) - 1, -1, -1):
+                gw = acts[li].T @ grad
+                gb = grad.sum(axis=0)
+                if li > 0:
+                    grad = (grad @ weights[li].T) * (acts[li] > 0.0)
+                weights[li] = weights[li] - lr * gw
+                biases[li] = biases[li] - lr * gb
+        loss = full_loss()
+        if loss < best_loss:
+            best_loss, best = loss, (list(weights), list(biases))
+    last = len(weights) - 1
+    layers = tuple(DenseLayer(w, b, "identity" if i == last else "relu")
+                   for i, (w, b) in enumerate(zip(*best)))
+    return NeuralNet(classes, layers, input_size)
 
 
 def oracle_svm_dual(features: np.ndarray, y: np.ndarray, c: float,
@@ -542,6 +583,50 @@ def check_svm_dual(cases: int = 40, seed: int = 1011) -> CheckResult:
     return CheckResult("svm-dual", True, f"{cases} trained models, worst gap {worst:.2e}")
 
 
+def nn_oracle_gap(net: NeuralNet, oracle: NeuralNet) -> float:
+    """Worst |production - oracle| over every weight and bias of every
+    layer, relative to max(1, the largest |value| of that array)."""
+    worst = 0.0
+    for got, ref in zip(net.layers, oracle.layers):
+        for a, b in ((got.weights, ref.weights), (got.biases, ref.biases)):
+            scale = max(1.0, float(np.max(np.abs(b))))
+            worst = max(worst, float(np.max(np.abs(a - b))) / scale)
+    return worst
+
+
+NN_TRAIN_TOL = 1e-10
+
+
+def check_nn_train(seed: int = 1012) -> CheckResult:
+    """Example-space `nn_train` against its weight-space oracle within
+    NN_TRAIN_TOL on seeded problems: more and fewer examples than inputs,
+    one and two hidden layers, one and two classes. A large step on the
+    last problems makes the loss rise late, so a kept epoch before the
+    last one is covered too."""
+    rng = np.random.default_rng(seed)
+    worst, cases = 0.0, 0
+    for n, side in ((40, 4), (12, 4), (30, 6)):
+        for hidden in ((6,), (5, 3)):
+            for n_classes in (1, 2):
+                x = rng.uniform(0.0, 1.0, (n, side * side))
+                labels = {f"c{j}": rng.permutation(np.resize([1.0, -1.0], n))
+                          for j in range(n_classes)}
+                kwargs = dict(hidden=hidden, input_size=(side, side),
+                              seed=int(rng.integers(1 << 30)), epochs=12,
+                              lr=0.5 if n == 30 else 0.05, batch_size=5)
+                gap = nn_oracle_gap(nn_train(x, labels, **kwargs),
+                                    oracle_nn_train(x, labels, **kwargs))
+                worst = max(worst, gap)
+                cases += 1
+                if not gap <= NN_TRAIN_TOL:
+                    return CheckResult(
+                        "nn-train", False,
+                        f"n={n} d={side * side} hidden={hidden} "
+                        f"classes={n_classes}: oracle gap {gap:.2e}")
+    return CheckResult("nn-train", True,
+                       f"{cases} nets vs weight-space oracle, worst gap {worst:.2e}")
+
+
 def _em_oracle_gap(model: GmmModel, data: np.ndarray) -> float:
     """Worst ratio of |production - oracle| to its tolerance over one E-step
     and one M-step at `model` (above 1 fails).
@@ -638,4 +723,5 @@ def run_all(seed: int = 0) -> list[CheckResult]:
         check_dense_extraction(seed=1009 + base),
         check_r1(seed=1010 + base),
         check_svm_dual(seed=1011 + base),
+        check_nn_train(seed=1012 + base),
     ]

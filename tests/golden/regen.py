@@ -11,8 +11,10 @@ EM's gemms make model bytes depend on the BLAS build, so the digest
 also records numpy's version and BLAS; a mismatch there is reported
 before any changed file.
 
-A change that moves output bytes on purpose reruns this script and
-names the moved files and the reason:
+A change that moves output bytes on purpose reruns this script, which
+prints what moved against the digest it replaces (with `compare`, the
+function the test reports through), and names the moved files and the
+reason:
 
     PYTHONPATH=src python tests/golden/regen.py
 """
@@ -91,9 +93,37 @@ def run_digest(config: dict, out_dir: str) -> dict:
             "stdout": stdout, "files": dict(sorted(files.items()))}
 
 
+def compare(golden: dict, got: dict) -> list[str]:
+    """What differs between two digests: the environment first, then the
+    added, removed and changed paths, then each command's stdout."""
+    problems = []
+    if got["environment"] != golden["environment"]:
+        problems.append(f"environment differs: recorded {golden['environment']}, "
+                        f"running {got['environment']}; model bytes depend on "
+                        "the BLAS build, so the digest may need regenerating")
+    want, have = golden["files"], got["files"]
+    for label, paths in (
+            ("added", sorted(set(have) - set(want))),
+            ("removed", sorted(set(want) - set(have))),
+            ("changed", sorted(p for p in set(want) & set(have)
+                               if want[p] != have[p]))):
+        if paths:
+            problems.append(f"{label} ({len(paths)}): " + ", ".join(paths))
+    for command in sorted(set(golden["stdout"]) | set(got["stdout"])):
+        if golden["stdout"].get(command) != got["stdout"].get(command):
+            problems.append(f"stdout of `{command}` changed:\n"
+                            f"--- golden\n{golden['stdout'].get(command)}"
+                            f"--- now\n{got['stdout'].get(command)}")
+    return problems
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         digest = run_digest(TINY, os.path.join(tmp, "out"))
+    if os.path.exists(GOLDEN):
+        with open(GOLDEN, encoding="ascii") as fh:
+            problems = compare(json.load(fh), digest)
+        print("\n".join(problems) if problems else "no change against the old digest")
     with open(GOLDEN, "w", encoding="ascii", newline="\n") as fh:
         json.dump(digest, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -324,3 +324,22 @@ def test_extract_holds_one_raw_descriptor_set(tmp_path):
         tracemalloc.stop()
     assert peak < raw_bytes / 4, (
         f"extract peaked at {peak / raw_bytes:.2f}x the train split's raw descriptors")
+
+
+def test_svm_train_and_predict_decode_no_image(tmp_path, monkeypatch):
+    """Both stages read the labels from the corpus index, not from the
+    images or their annotation files."""
+    out = tmp_path / "run"
+    config = write_config(tmp_path)
+    for stage in ("synth-gen", "extract", "pca-fit", "gmm-fit", "embed"):
+        assert run(out, config, stage) == 0, stage
+    calls = []
+    for name in ("load_image", "load_annotations"):
+        def counted(*args, _name=name, _load=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _load(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    for stage in ("svm-train", "predict"):
+        assert run(out, config, stage) == 0, stage
+    assert calls == []
+    assert (out / "reports" / "predictions.tsv").exists()

@@ -28,22 +28,5 @@ def test_tiny_run_matches_golden_digest(tmp_path):
     assert golden["config"] == regen.TINY
     got = regen.run_digest(regen.TINY, str(tmp_path / "out"))
 
-    problems = []
-    if got["environment"] != golden["environment"]:
-        problems.append(f"environment differs: recorded {golden['environment']}, "
-                        f"running {got['environment']}; model bytes depend on "
-                        "the BLAS build, so the digest may need regenerating")
-    want, have = golden["files"], got["files"]
-    for label, paths in (
-            ("added", sorted(set(have) - set(want))),
-            ("removed", sorted(set(want) - set(have))),
-            ("changed", sorted(p for p in set(want) & set(have)
-                               if want[p] != have[p]))):
-        if paths:
-            problems.append(f"{label} ({len(paths)}): " + ", ".join(paths))
-    for command in sorted(set(golden["stdout"]) | set(got["stdout"])):
-        if golden["stdout"].get(command) != got["stdout"].get(command):
-            problems.append(f"stdout of `{command}` changed:\n"
-                            f"--- golden\n{golden['stdout'].get(command)}"
-                            f"--- now\n{got['stdout'].get(command)}")
+    problems = regen.compare(golden, got)
     assert not problems, "\n".join(problems)

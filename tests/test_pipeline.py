@@ -13,9 +13,11 @@ from fvlrp.errors import DimError
 from fvlrp.gmm import GmmModel
 from fvlrp.imaging import Image
 from fvlrp.pipeline import (em_stop, embed_image, fit_pca, make_corpus,
-                            train_all)
+                            nn_inputs, train_all, train_net)
 from fvlrp.serialization import save_model
 from fvlrp.svm import score
+from fvlrp.synth import label_vectors
+from fvlrp.verification import NN_TRAIN_TOL, nn_oracle_gap, oracle_nn_train
 from test_cli import STAGES, write_config
 
 
@@ -164,3 +166,18 @@ def test_training_holds_the_raw_descriptors_once(fixed_workload):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * raw_bytes, f"peaked at {peak / raw_bytes:.2f}x the raw matrix"
+
+
+def test_train_net_matches_weight_space_oracle(fixed_workload):
+    """The example-space first layer trains the net the weight-space loop
+    trains, on the fixed workload (n = 200 images, d = 1024 inputs)."""
+    config, train, classes = fixed_workload
+    net = train_net(train, classes, config)
+    oracle = oracle_nn_train(
+        nn_inputs(train, config), label_vectors(train, classes),
+        hidden=config.nn_hidden, input_size=(config.nn_input, config.nn_input),
+        seed=config.seed, epochs=config.nn_epochs, lr=config.nn_lr,
+        batch_size=config.nn_batch)
+    assert [l.weights.shape for l in net.layers] == \
+           [l.weights.shape for l in oracle.layers]
+    assert nn_oracle_gap(net, oracle) <= NN_TRAIN_TOL

@@ -10,7 +10,7 @@ from fvlrp.verification import (check_dense_extraction, check_em,
                                 check_incremental_fv, check_nn_bias_deficit,
                                 check_nn_rules, check_r1,
                                 check_r3_conservation, check_streaming_oracle,
-                                check_svm_dual,
+                                check_nn_train, check_svm_dual,
                                 oracle_nn_backward, oracle_r2_from_matrix,
                                 oracle_relevance_r1, random_descriptor_set,
                                 random_gmm, run_all)
@@ -35,7 +35,7 @@ def test_run_all_is_deterministic():
     check_r3_conservation, check_hellinger, check_epsilon_violation,
     check_streaming_oracle, check_incremental_fv, check_identity_replacement,
     check_nn_rules, check_nn_bias_deficit, check_em, check_dense_extraction,
-    check_r1, check_svm_dual,
+    check_r1, check_svm_dual, check_nn_train,
 ])
 def test_each_check_passes(check):
     result = check()

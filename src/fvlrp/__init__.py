@@ -18,9 +18,8 @@ from .evaluation import (ContextRatio, ContextReport, MorfTrace,
                          OrderingReport, QualityStats, area_above,
                          compare_orderings, context_ratio, context_report,
                          morf_ordering, morf_replace, sign_switch_fraction)
-from .fisher import (EmbeddingIndex, RawFisherVector, aggregate, embed_batch,
-                     embed_descriptor, fv_length, hellinger_check, improve,
-                     signed_sqrt)
+from .fisher import (EmbeddingIndex, aggregate, embed_batch, embed_descriptor,
+                     fv_length, hellinger_check, improve, signed_sqrt)
 from .gmm import GmmModel, em_fit, log_likelihood, responsibilities, sample
 from .imaging import (BoundingBox, Heatmap, Image, load_annotations,
                       load_heatmap, load_image, render_heatmap,
@@ -45,7 +44,7 @@ __all__ = [
     "Explanation", "FvMappingView", "GmmModel", "Heatmap", "Image",
     "LabeledImage", "LayerRelevance", "ModelBundle",
     "MorfTrace", "NeuralNet", "OrderingReport", "PcaModel", "PipelineConfig",
-    "PipelineError", "QualityStats", "R2Map", "R3Map", "RawFisherVector",
+    "PipelineError", "QualityStats", "R2Map", "R3Map",
     "SvmModel", "aggregate", "area_above", "compare_orderings",
     "context_ratio", "context_report", "downscale", "eer_threshold",
     "em_fit", "embed_batch", "embed_descriptor", "embed_image", "explain",

@@ -319,7 +319,7 @@ def _cmd_embed(config: PipelineConfig, args, upstream) -> dict:
         raws = embed_all(gmm, project_all(pca, sets))
         for image_id, raw in zip(ids, raws):
             path = _fvec_path(out_dir, image_id, split)
-            save_fisher_vector(raw, path)
+            save_fisher_vector(raw, gmm.n_components, gmm.dim, path)
             outputs.append(_rel(out_dir, path))
     print(f"embed: {len(outputs)} Fisher vectors of length "
           f"{(1 + 2 * config.pca_dim) * config.gmm_k}")
@@ -470,10 +470,9 @@ def _trained_model_checks(config: PipelineConfig, out_dir: str) -> list:
             return []
         manifests.append(_require_stage(out_dir, stage, config, "verify"))
     bundle = _read_bundle(out_dir, config, manifests[0])
-    test_imgs = _load_split(out_dir, "test")
     results = []
 
-    img = test_imgs[0]
+    img = next(_iter_split(out_dir, "test"))
     cls = bundle.classes[0]
     expl = explain(img.image, bundle.gmm, bundle.pca, bundle.svm, cls,
                    variant="absolute", patch=bundle.patch,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .descriptors import RAW_DIM, tiles_grid
 from .errors import ParseError, SpecError, ValidationError
+from .lrp_fv import VARIANTS
 from .lrp_nn import check_alphabeta
 from .synth import two_class_spec
 from .util import stable_hash
@@ -116,7 +117,7 @@ class PipelineConfig:
                 f"morf_batch*morf_steps = {self.morf_batch * self.morf_steps} "
                 f"exceeds the {per_side * per_side} descriptors per image")
         check_alphabeta(self.nn_alpha, self.nn_beta)
-        if self.variant not in ("plain", "epsilon", "absolute"):
+        if self.variant not in VARIANTS:
             raise ValidationError(f"unknown variant {self.variant!r}")
         if self.variant == "epsilon" and self.epsilon <= 0:
             raise ValidationError("epsilon must be > 0 for the epsilon variant")

@@ -26,14 +26,13 @@ Two instruments:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .descriptors import DescriptorSet, PcaModel, extract_dense, pca_apply
 from .errors import (DimError, EmptyInputError, RangeError, UndefinedError,
                      ValidationError)
-from .fisher import embed_batch, improve, mean_embedding
+from .fisher import embed_batch, encode, improve
 from .gmm import GmmModel, sample
 from .imaging import BoundingBox, Heatmap
 from .lrp_fv import R2Map, explain, relevance_r2, relevance_r3
@@ -50,15 +49,10 @@ class MorfTrace:
     scores: np.ndarray         # f after step i, i = 1..I
     original_score: float      # f(x^(0)) = f(x)
     batch: int
-    positive_flags: np.ndarray  # prediction still positive after step i
     class_name: str
 
     def __post_init__(self):
         object.__setattr__(self, "scores", np.asarray(self.scores, dtype=np.float64))
-        object.__setattr__(self, "positive_flags",
-                           np.asarray(self.positive_flags, dtype=bool))
-        if self.scores.shape != self.positive_flags.shape:
-            raise DimError("scores and flags must align")
 
     @property
     def steps(self) -> int:
@@ -92,39 +86,27 @@ def _check_trace_size(batch: int, steps: int, n: int) -> None:
         raise RangeError(f"batch*steps = {batch * steps} exceeds |L| = {n}")
 
 
-class _Encoded(NamedTuple):
-    """What every trace on one image starts from."""
-
-    vectors: np.ndarray   # (|L|, D) descriptors
-    emb: np.ndarray       # (|L|, (1+2D)K) embeddings Psi
-    x0: np.ndarray        # raw FV
-
-
-def _encode(gmm: GmmModel, ds: DescriptorSet) -> _Encoded:
-    emb = embed_batch(gmm, ds.vectors)
-    return _Encoded(ds.vectors, emb, mean_embedding(emb))
-
-
-def _replace_trace(encoded: _Encoded, gmm: GmmModel, svm_model: SvmModel,
-                   class_name: str, order: np.ndarray, batch: int, steps: int,
+def _replace_trace(vectors: np.ndarray, psi: np.ndarray, x0: np.ndarray,
+                   gmm: GmmModel, svm_model: SvmModel, class_name: str,
+                   order: np.ndarray, batch: int, steps: int,
                    rng: np.random.Generator, ordering_id: str,
                    identity_replacement: bool = False,
                    state_out: dict | None = None) -> MorfTrace:
     """Whole-trace replacement kernel.
 
-    Replaces descriptors ``order[:batch*steps]`` (distinct, in range) in
-    `steps` batches. All replacements are drawn with one `sample` call
-    and embedded with one `embed_batch` call; the raw FV after step i is
+    `vectors` are an image's descriptors, `psi` and `x0` their embeddings
+    and raw FV from `fisher.encode`. Replaces descriptors
+    ``order[:batch*steps]`` (distinct, in range) in `steps` batches. All
+    replacements are drawn with one `sample` call and embedded with one
+    `embed_batch` call; the raw FV after step i is
     ``x0 + cumsum`` of the per-batch sums of ``(Psi(new) - Psi(old))/|L|``.
     Each step is improved and scored on its own.
     """
-    vectors, emb, x0 = encoded
     n = vectors.shape[0]
     idx = order[:batch * steps]
     new_vectors = vectors[idx] if identity_replacement else sample(gmm, rng, idx.size)
-    delta = (embed_batch(gmm, new_vectors) - emb[idx]) / n
+    delta = (embed_batch(gmm, new_vectors) - psi[idx]) / n
     xs = x0 + np.cumsum(delta.reshape(steps, batch, -1).sum(axis=1), axis=0)
-    tau = float(svm_model.thresholds[svm_model.class_index(class_name)])
     f0 = score(svm_model, improve(x0), class_name)
     scores = np.array([score(svm_model, improve(x), class_name) for x in xs])
     if state_out is not None:
@@ -132,7 +114,7 @@ def _replace_trace(encoded: _Encoded, gmm: GmmModel, svm_model: SvmModel,
         mutated[idx] = new_vectors
         state_out["fv"] = xs[-1]
         state_out["vectors"] = mutated
-    return MorfTrace(ordering_id, scores, f0, batch, scores > tau, class_name)
+    return MorfTrace(ordering_id, scores, f0, batch, class_name)
 
 
 def morf_replace(ds: DescriptorSet, gmm: GmmModel, svm_model: SvmModel,
@@ -166,7 +148,8 @@ def morf_replace(ds: DescriptorSet, gmm: GmmModel, svm_model: SvmModel,
             raise RangeError(f"explicit ordering has indices outside [0, {n})")
         if np.unique(used).size != used.size:
             raise RangeError("explicit ordering repeats a descriptor")
-    return _replace_trace(_encode(gmm, ds), gmm, svm_model, r2.class_name,
+    psi, x0 = encode(gmm, ds.vectors)
+    return _replace_trace(ds.vectors, psi, x0, gmm, svm_model, r2.class_name,
                           order, batch, steps, rng, ordering_id,
                           identity_replacement, state_out)
 
@@ -229,13 +212,13 @@ def compare_orderings(images: list[LabeledImage], class_name: str,
     for img in images:
         ds = pca_apply(pca, extract_dense(img.image, patch, stride))
         _check_trace_size(batch, steps, len(ds))
-        encoded = _encode(gmm, ds)
-        phi = improve(encoded.x0)
+        psi, x0 = encode(gmm, ds.vectors)
+        phi = improve(x0)
         f = score(svm_model, phi, class_name)
         # switch statistics need a sign to lose, so f > 0 on top of the
         # configured decision threshold
         if f > tau and f > 0.0:
-            prepared.append((ds, encoded, phi))
+            prepared.append((ds.vectors, psi, x0, phi))
     if not prepared:
         raise EmptyInputError(f"no positive predictions for class {class_name!r}")
 
@@ -243,25 +226,25 @@ def compare_orderings(images: list[LabeledImage], class_name: str,
     all_traces: dict = {oid: [] for oid in ordering_ids}
     rep_areas: dict = {oid: np.zeros(repetitions) for oid in ordering_ids}
 
-    def run(oid, rep, encoded, order, rng):
-        trace = _replace_trace(encoded, gmm, svm_model, class_name, order,
-                               batch, steps, rng, oid)
+    def run(oid, rep, vectors, psi, x0, order, rng):
+        trace = _replace_trace(vectors, psi, x0, gmm, svm_model, class_name,
+                               order, batch, steps, rng, oid)
         all_traces[oid].append(trace)
         rep_areas[oid][rep] += area_above(trace)
 
     for vi, variant in enumerate(variants):
-        for ii, (_, encoded, phi) in enumerate(prepared):
+        for ii, (vectors, psi, x0, phi) in enumerate(prepared):
             r3 = relevance_r3(svm_model, phi, class_name)
-            order = morf_ordering(relevance_r2(r3, encoded.emb, variant=variant,
+            order = morf_ordering(relevance_r2(r3, psi, variant=variant,
                                                epsilon=epsilon))
             for rep in range(repetitions):
                 rng = np.random.default_rng(
                     np.random.SeedSequence((seed, 1 + vi, ii, rep)))
-                run(f"lrp-{variant}", rep, encoded, order, rng)
-    for ii, (ds, encoded, _) in enumerate(prepared):
+                run(f"lrp-{variant}", rep, vectors, psi, x0, order, rng)
+    for ii, (vectors, psi, x0, _) in enumerate(prepared):
         for rep in range(repetitions):
             rng = np.random.default_rng(np.random.SeedSequence((seed, 0, ii, rep)))
-            run("random", rep, encoded, rng.permutation(len(ds)), rng)
+            run("random", rep, vectors, psi, x0, rng.permutation(len(vectors)), rng)
     stats = {oid: sign_switch_fraction(ts) for oid, ts in all_traces.items()}
     per_rep = {oid: areas / len(prepared) for oid, areas in rep_areas.items()}
     return OrderingReport(class_name, stats, per_rep, all_traces,

@@ -12,9 +12,9 @@ its second-moment deviation:
 Per-descriptor embeddings are concatenated as [all K weight entries,
 K mean blocks of D, K sigma blocks of D], giving a (1+2D)K vector. The
 image-level raw Fisher vector is the arithmetic mean over descriptors;
-the improved form, a plain unit-norm array, applies the signed square
-root followed by l2 normalization, which is equivalent to the Hellinger
-kernel on the raw vector (see :func:`hellinger_check`).
+the improved form applies the signed square root followed by l2
+normalization, which is equivalent to the Hellinger kernel on the raw
+vector (see :func:`hellinger_check`). Both are plain (1+2D)K arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DimError, EmptyInputError
-from .descriptors import DescriptorSet
 from .gmm import GmmModel, responsibilities
 from .util import read_container, write_container
 
@@ -82,22 +81,6 @@ class EmbeddingIndex:
         return slice(base + component * dd, base + (component + 1) * dd)
 
 
-@dataclass(frozen=True)
-class RawFisherVector:
-    """Mean of per-descriptor embeddings, before any normalization."""
-
-    values: np.ndarray
-    n_components: int
-    dim: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (fv_length(self.n_components, self.dim),):
-            raise DimError(
-                f"vector length {v.shape} does not match (1+2*{self.dim})*{self.n_components}")
-        object.__setattr__(self, "values", v)
-
-
 def embed_batch(model: GmmModel, vectors: np.ndarray) -> np.ndarray:
     """Per-descriptor raw embeddings, one row per descriptor.
 
@@ -133,25 +116,25 @@ def embed_descriptor(model: GmmModel, descriptor: np.ndarray) -> np.ndarray:
     return embed_batch(model, descriptor[None, :])[0]
 
 
-def mean_embedding(emb: np.ndarray) -> np.ndarray:
-    """The raw FV of a set: the mean of its per-descriptor embeddings."""
-    return emb.sum(axis=0) / emb.shape[0]
-
-
-def aggregate(model: GmmModel, ds: DescriptorSet | np.ndarray) -> RawFisherVector:
-    """Mean of per-descriptor embeddings, summed in descriptor order."""
-    vectors = ds.vectors if isinstance(ds, DescriptorSet) else np.asarray(ds, dtype=np.float64)
+def encode(model: GmmModel, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Psi, the per-descriptor embeddings (one row per descriptor), and
+    the raw FV, their mean summed in descriptor order."""
+    vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.shape[0] == 0:
         raise EmptyInputError("cannot aggregate an empty descriptor set")
-    mean = mean_embedding(embed_batch(model, vectors))
-    return RawFisherVector(mean, model.n_components, model.dim)
+    psi = embed_batch(model, vectors)
+    return psi, psi.sum(axis=0) / psi.shape[0]
 
 
-def improve(x: RawFisherVector | np.ndarray) -> np.ndarray:
+def aggregate(model: GmmModel, vectors: np.ndarray) -> np.ndarray:
+    """The raw (1+2D)K Fisher vector of a descriptor matrix."""
+    return encode(model, vectors)[1]
+
+
+def improve(x: np.ndarray) -> np.ndarray:
     """Signed square root then l2 normalization: the unit-norm improved
     FV; zero maps to zero."""
-    v = x.values if isinstance(x, RawFisherVector) else np.asarray(x, dtype=np.float64)
-    v = signed_sqrt(v)
+    v = signed_sqrt(np.asarray(x, dtype=np.float64))
     norm = np.sqrt(np.dot(v, v))
     if norm == 0.0:
         return v
@@ -166,8 +149,8 @@ def hellinger_check(x, y) -> tuple[float, float]:
     sum_d sign(x_d y_d) sqrt(|x_d|/||x||_1 * |y_d|/||y||_1), computed
     without going through the normalization path.
     """
-    xv = x.values if isinstance(x, RawFisherVector) else np.asarray(x, dtype=np.float64)
-    yv = y.values if isinstance(y, RawFisherVector) else np.asarray(y, dtype=np.float64)
+    xv = np.asarray(x, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
     if xv.shape != yv.shape:
         raise DimError(f"shape mismatch {xv.shape} vs {yv.shape}")
     ax, ay = np.abs(xv), np.abs(yv)
@@ -184,14 +167,16 @@ def hellinger_check(x, y) -> tuple[float, float]:
 # FV cache file (format FVEC1)
 
 
-def save_fisher_vector(fv: RawFisherVector, path) -> None:
-    """Binary cache: magic, uint32 (K, D), then the (1+2D)K float64 values,
-    little-endian."""
-    write_container(path, _FVEC_MAGIC, (fv.n_components, fv.dim),
-                    fv.values.astype("<f8").tobytes())
+def save_fisher_vector(values: np.ndarray, k: int, d: int, path) -> None:
+    """Binary cache of a raw FV: magic, uint32 (K, D), then the (1+2D)K
+    float64 values, little-endian."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (fv_length(k, d),):
+        raise DimError(f"vector length {values.shape} does not match (1+2*{d})*{k}")
+    write_container(path, _FVEC_MAGIC, (k, d), values.astype("<f8").tobytes())
 
 
-def load_fisher_vector(path) -> RawFisherVector:
-    (k, d), body = read_container(path, _FVEC_MAGIC, 2,
-                                  lambda k, d: 8 * fv_length(k, d))
-    return RawFisherVector(np.frombuffer(body, dtype="<f8").copy(), k, d)
+def load_fisher_vector(path) -> np.ndarray:
+    """The raw FV a `save_fisher_vector` file holds."""
+    _, body = read_container(path, _FVEC_MAGIC, 2, lambda k, d: 8 * fv_length(k, d))
+    return np.frombuffer(body, dtype="<f8").copy()

@@ -17,8 +17,8 @@ The classifier score is decomposed in three stages:
 
 The mapping matrix m_d(l) is the |L| x (1+2D)K embedding matrix Psi from
 `embed_batch`, whose mean is the raw Fisher vector. :func:`explain`
-computes it once per image and uses it for both the FV and R2, and R2 is
-one array pass over its columns.
+computes both once per image with `fisher.encode`, the helper the MoRF
+traces also start from, and R2 is one array pass over Psi's columns.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .descriptors import DescriptorSet, PcaModel, extract_dense, pca_apply
 from .errors import DimError, RangeError, ValidationError, ZeroDenominatorError
-from .fisher import embed_batch, improve, mean_embedding
+from .fisher import embed_batch, encode, improve
 from .gmm import GmmModel
 from .imaging import Heatmap, Image
 from .svm import SvmModel, score
@@ -197,11 +197,10 @@ def explain(image: Image, gmm: GmmModel, pca: PcaModel, svm: SvmModel,
             stride: int = 4) -> Explanation:
     """End-to-end: image -> descriptors -> FV -> score -> R3 -> R2 -> R1."""
     ds = pca_apply(pca, extract_dense(image, patch, stride))
-    psi = embed_batch(gmm, ds.vectors)
-    phi = improve(mean_embedding(psi))
-    f = score(svm, phi, class_name)
-    r3 = relevance_r3(svm, phi, class_name)
+    psi, raw = encode(gmm, ds.vectors)
+    r3 = relevance_r3(svm, improve(raw), class_name)
     r2 = relevance_r2(r3, psi, variant=variant, epsilon=epsilon)
     heat = relevance_r1(r2, ds, (image.width, image.height))
+    f = r3.score
     k = svm.class_index(class_name)
     return Explanation(heat, r2, r3, f, f > float(svm.thresholds[k]), ds)

@@ -32,14 +32,20 @@ import numpy as np
 from .errors import DimError, TrainError, ValidationError, ZeroDenominatorError
 from .imaging import Heatmap, Image
 
-ACTIVATIONS = ("relu", "identity")
+
+def layer_activations(n_layers: int) -> tuple[str, ...]:
+    """Each layer's activation, fixed by its position: ReLU on every
+    hidden layer, and the linear ("identity") class-score output last."""
+    return ("relu",) * (n_layers - 1) + ("identity",)
 
 
 @dataclass(frozen=True)
 class DenseLayer:
+    """Weights and biases of one layer; its activation follows from its
+    position in the net (`layer_activations`)."""
+
     weights: np.ndarray   # (fan_in, fan_out)
     biases: np.ndarray    # (fan_out,)
-    activation: str
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -48,8 +54,6 @@ class DenseLayer:
             raise DimError(f"layer shapes {w.shape} / {b.shape} inconsistent")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ValidationError("non-finite layer parameters")
-        if self.activation not in ACTIVATIONS:
-            raise ValidationError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "biases", b)
 
@@ -104,11 +108,8 @@ def forward(net: NeuralNet, x: np.ndarray) -> list[np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (net.input_dim,):
         raise DimError(f"input shape {x.shape} vs expected ({net.input_dim},)")
-    acts = [x]
-    for layer in net.layers:
-        z = acts[-1] @ layer.weights + layer.biases
-        acts.append(np.maximum(z, 0.0) if layer.activation == "relu" else z)
-    return acts
+    return _batch_forward([l.weights for l in net.layers],
+                          [l.biases for l in net.layers], x)
 
 
 def nn_scores(net: NeuralNet, x: np.ndarray) -> np.ndarray:
@@ -133,11 +134,12 @@ def _hinge_loss(nets_out: np.ndarray, y: np.ndarray) -> float:
 
 def _batch_forward(weights: list[np.ndarray], biases: list[np.ndarray],
                    x: np.ndarray) -> list[np.ndarray]:
+    """All activations of the layers `weights`/`biases` (the last one the
+    output) on `x`, one input or a batch of rows."""
     acts = [x]
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
+    for w, b, act in zip(weights, biases, layer_activations(len(weights))):
         z = acts[-1] @ w + b
-        acts.append(z if i == last else np.maximum(z, 0.0))
+        acts.append(np.maximum(z, 0.0) if act == "relu" else z)
     return acts
 
 
@@ -230,8 +232,7 @@ def nn_train(inputs, labels: dict, hidden: tuple[int, ...] = (64, 32),
             best_loss, best = loss, (a.copy(), list(weights), list(biases))
     a_best, kept_weights, kept_biases = best
     kept_weights[0] = weights[0] - lr * (x.T @ a_best)
-    layers = tuple(DenseLayer(w, b, "identity" if i == last else "relu")
-                   for i, (w, b) in enumerate(zip(kept_weights, kept_biases)))
+    layers = tuple(DenseLayer(w, b) for w, b in zip(kept_weights, kept_biases))
     return NeuralNet(classes, layers, input_size)
 
 

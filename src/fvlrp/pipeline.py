@@ -25,7 +25,7 @@ from .config import PipelineConfig
 from .descriptors import (RAW_DIM, DescriptorSet, PcaModel, descriptor_count,
                           extract_dense, pca_apply, pca_fit_inplace)
 from .errors import DimError
-from .fisher import RawFisherVector, aggregate, improve
+from .fisher import aggregate, improve
 from .gmm import GmmModel, em_fit
 from .lrp_nn import NeuralNet, image_to_input, nn_train
 from .svm import SvmModel, train, with_thresholds
@@ -141,12 +141,12 @@ def em_stop(gmm: GmmModel, projected: list[DescriptorSet], config: PipelineConfi
     return steps, "likelihood decrease", gain
 
 
-def embed_all(gmm: GmmModel, projected: list[DescriptorSet]
-              ) -> list[RawFisherVector]:
-    return parallel_map(lambda ds: aggregate(gmm, ds), projected)
+def embed_all(gmm: GmmModel, projected: list[DescriptorSet]) -> list[np.ndarray]:
+    """The raw FV of every set."""
+    return parallel_map(lambda ds: aggregate(gmm, ds.vectors), projected)
 
 
-def improved_matrix(raw_fvs: list[RawFisherVector]) -> np.ndarray:
+def improved_matrix(raw_fvs: list[np.ndarray]) -> np.ndarray:
     return np.stack([improve(fv) for fv in raw_fvs])
 
 
@@ -184,9 +184,7 @@ def train_all(train_images: list[LabeledImage], classes: tuple[str, ...],
     rows = sum(descriptor_count(img.image.width, img.image.height,
                                 config.patch, config.stride)
                for img in train_images)
-    pca, projected = fit_pca(
-        (extract_dense(img.image, config.patch, config.stride)
-         for img in train_images), rows, config)
+    pca, projected = fit_pca(extract_corpus(train_images, config), rows, config)
     gmm = fit_gmm(projected, config)
     features = improved_matrix(embed_all(gmm, projected))
     svm_model = train_svm(train_images, features, classes, config)
@@ -198,4 +196,4 @@ def train_all(train_images: list[LabeledImage], classes: tuple[str, ...],
 def embed_image(bundle: ModelBundle, image) -> np.ndarray:
     """Improved FV of a single image under a trained bundle."""
     ds = pca_apply(bundle.pca, extract_dense(image, bundle.patch, bundle.stride))
-    return improve(aggregate(bundle.gmm, ds))
+    return improve(aggregate(bundle.gmm, ds.vectors))

@@ -21,7 +21,7 @@ import numpy as np
 from .descriptors import PcaModel
 from .errors import ParseError, VersionError
 from .gmm import GmmModel
-from .lrp_nn import DenseLayer, NeuralNet
+from .lrp_nn import DenseLayer, NeuralNet, layer_activations
 from .svm import SvmModel
 
 FORMAT_NAME = "fvlrp-model"
@@ -122,16 +122,22 @@ def _nn_payload(m: NeuralNet) -> dict:
         "layers": [{
             "weights": _enc_array(l.weights),
             "biases": _enc_array(l.biases),
-            "activation": l.activation,
-        } for l in m.layers],
+            "activation": act,
+        } for l, act in zip(m.layers, layer_activations(len(m.layers)))],
     }
 
 
 def _nn_restore(payload: dict) -> NeuralNet:
+    """The net; each layer's "activation" must be the one its position
+    fixes (`lrp_nn.layer_activations`)."""
+    entries = _require(payload, "layers")
+    for i, (l, act) in enumerate(zip(entries, layer_activations(len(entries)))):
+        if _require(l, "activation") != act:
+            raise ParseError(f"layer {i} activation {l['activation']!r}, "
+                             f"expected {act!r} at that position")
     layers = tuple(DenseLayer(_dec_array(_require(l, "weights")),
-                              _dec_array(_require(l, "biases")),
-                              _require(l, "activation"))
-                   for l in _require(payload, "layers"))
+                              _dec_array(_require(l, "biases")))
+                   for l in entries)
     w, h = _require(payload, "input_size")
     return NeuralNet(tuple(_require(payload, "classes")), layers, (int(w), int(h)))
 

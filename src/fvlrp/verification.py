@@ -250,9 +250,7 @@ def oracle_nn_train(inputs, labels: dict, hidden: tuple[int, ...] = (64, 32),
         loss = full_loss()
         if loss < best_loss:
             best_loss, best = loss, (list(weights), list(biases))
-    last = len(weights) - 1
-    layers = tuple(DenseLayer(w, b, "identity" if i == last else "relu")
-                   for i, (w, b) in enumerate(zip(*best)))
+    layers = tuple(DenseLayer(w, b) for w, b in zip(*best))
     return NeuralNet(classes, layers, input_size)
 
 
@@ -285,10 +283,6 @@ def oracle_svm_dual(features: np.ndarray, y: np.ndarray, c: float,
     return best_a
 
 
-def recomputed_fisher_vector(gmm: GmmModel, vectors: np.ndarray) -> np.ndarray:
-    return aggregate(gmm, vectors).values
-
-
 # ---------------------------------------------------------------------------
 # Checks
 
@@ -303,7 +297,7 @@ def check_r3_conservation(cases: int = 200, seed: int = 1001) -> CheckResult:
         n = int(rng.integers(3, 13))
         gmm = random_gmm(rng, k, dim)
         ds = random_descriptor_set(rng, n, dim)
-        phi = improve(aggregate(gmm, ds))
+        phi = improve(aggregate(gmm, ds.vectors))
         svm_model = random_svm(rng, phi.shape[0])
         f = score(svm_model, phi, "c")
         r3 = relevance_r3(svm_model, phi, "c")
@@ -449,7 +443,7 @@ def check_incremental_fv(cases: int = 100, steps: int = 20,
         state: dict = {}
         morf_replace(ds, gmm, svm_model, r2, batch=1, steps=steps,
                      rng=np.random.default_rng(seed + case), state_out=state)
-        expect = recomputed_fisher_vector(gmm, state["vectors"])
+        expect = aggregate(gmm, state["vectors"])
         scale = max(1.0, float(np.max(np.abs(expect))))
         err = float(np.max(np.abs(state["fv"] - expect))) / scale
         worst = max(worst, err)
@@ -492,8 +486,7 @@ def _sample_generic_net(rng: np.random.Generator, biased: bool = False
         for i in range(len(sizes) - 1):
             w = rng.normal(0.0, 1.0, (sizes[i], sizes[i + 1]))
             b = rng.normal(0.0, 0.3, sizes[i + 1]) if biased else np.zeros(sizes[i + 1])
-            act = "identity" if i == len(sizes) - 2 else "relu"
-            layers.append(DenseLayer(w, b, act))
+            layers.append(DenseLayer(w, b))
         net = NeuralNet(tuple(f"c{j}" for j in range(n_out)), tuple(layers),
                         (n_in, 1))
         x = rng.normal(0.0, 1.0, n_in)

@@ -144,6 +144,19 @@ def test_verify_includes_trained_model_checks(pipeline, capsys):
     assert "checks passed" in text
 
 
+def test_verify_decodes_only_the_test_image_it_explains(pipeline, monkeypatch):
+    out, config = pipeline
+    calls = []
+
+    def counted(*args, _load=cli.load_image, **kwargs):
+        calls.append(args)
+        return _load(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_image", counted)
+    assert run(out, config, "verify") == 0
+    assert len(calls) == 1
+
+
 def test_verify_reports_a_stale_stage_before_a_missing_one(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "run"

@@ -8,8 +8,7 @@ from fvlrp.descriptors import (CLAMP, DescriptorSet, extract_dense,
                                save_descriptors)
 from fvlrp.config import PipelineConfig
 from fvlrp.errors import DimError, ExtractError, FitError, IoError, ParseError
-from fvlrp.fisher import (RawFisherVector, fv_length, load_fisher_vector,
-                          save_fisher_vector)
+from fvlrp.fisher import fv_length, load_fisher_vector, save_fisher_vector
 from fvlrp.imaging import Heatmap, Image, load_heatmap, save_heatmap
 from fvlrp.pipeline import make_corpus
 from fvlrp.verification import (TILING_GEOMETRIES, oracle_extract_dense,
@@ -197,8 +196,7 @@ def _desc_file(path, rng):
 
 
 def _fvec_file(path, rng):
-    save_fisher_vector(RawFisherVector(rng.normal(size=fv_length(3, 2)), 3, 2),
-                       path)
+    save_fisher_vector(rng.normal(size=fv_length(3, 2)), 3, 2, path)
 
 
 @pytest.mark.parametrize("write, load", [(_desc_file, load_descriptors),

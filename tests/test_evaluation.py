@@ -14,11 +14,10 @@ from fvlrp.gmm import em_fit
 from fvlrp.imaging import BoundingBox, Heatmap
 from fvlrp.lrp_fv import relevance_r2, relevance_r3
 from fvlrp.svm import SvmModel, score
-from fvlrp.verification import recomputed_fisher_vector
 
 
 def make_r2(gmm, ds, model, cls="a", variant="epsilon"):
-    phi = improve(aggregate(gmm, ds))
+    phi = improve(aggregate(gmm, ds.vectors))
     r3 = relevance_r3(model, phi, cls)
     return relevance_r2(r3, embed_batch(gmm, ds.vectors), variant=variant)
 
@@ -42,14 +41,12 @@ def test_ordering_is_descending_with_index_ties():
 
 
 def test_area_above_hand_value():
-    trace = MorfTrace("t", np.array([0.5, 0.0, 0.25]), 1.0, 1,
-                      np.array([True, False, False]), "a")
+    trace = MorfTrace("t", np.array([0.5, 0.0, 0.25]), 1.0, 1, "a")
     assert area_above(trace) == pytest.approx(0.75)
 
 
 def test_switch_fraction_counts_first_dips():
-    mk = lambda scores: MorfTrace("t", np.asarray(scores), 1.0, 1,
-                                  np.ones(len(scores), dtype=bool), "a")
+    mk = lambda scores: MorfTrace("t", np.asarray(scores), 1.0, 1, "a")
     stats = sign_switch_fraction([mk([0.5, -0.1, -0.2]),
                                   mk([0.9, 0.8, 0.7]),
                                   mk([-1.0, 0.5, -0.5])])
@@ -57,8 +54,7 @@ def test_switch_fraction_counts_first_dips():
     assert list(stats.first_switch_histogram) == [1, 1, 0]
     assert stats.n_traces == 3
     with pytest.raises(ValidationError):
-        sign_switch_fraction([MorfTrace("t", np.array([0.5]), -1.0, 1,
-                                        np.array([True]), "a")])
+        sign_switch_fraction([MorfTrace("t", np.array([0.5]), -1.0, 1, "a")])
     with pytest.raises(EmptyInputError):
         sign_switch_fraction([])
 
@@ -66,7 +62,7 @@ def test_switch_fraction_counts_first_dips():
 def test_identity_replacement_keeps_score(rng):
     gmm, ds, model = toy_setup(rng)
     r2 = make_r2(gmm, ds, model)
-    f0 = score(model, improve(aggregate(gmm, ds)), "a")
+    f0 = score(model, improve(aggregate(gmm, ds.vectors)), "a")
     trace = morf_replace(ds, gmm, model, r2, batch=3, steps=5, rng=rng,
                          identity_replacement=True)
     np.testing.assert_array_equal(trace.scores, np.full(5, f0))
@@ -79,7 +75,7 @@ def test_incremental_update_matches_batch_recompute(rng):
     state = {}
     morf_replace(ds, gmm, model, r2, batch=4, steps=5,
                  rng=np.random.default_rng(3), state_out=state)
-    oracle = recomputed_fisher_vector(gmm, state["vectors"])
+    oracle = aggregate(gmm, state["vectors"])
     np.testing.assert_allclose(state["fv"], oracle, atol=1e-10)
 
 
@@ -121,7 +117,7 @@ def test_every_step_matches_recomputed_score(rng):
         part = morf_replace(ds, gmm, model, r2, batch=3, steps=i,
                             rng=np.random.default_rng(17), state_out=state)
         assert np.array_equal(part.scores, full.scores[:i])
-        oracle = recomputed_fisher_vector(gmm, state["vectors"])
+        oracle = aggregate(gmm, state["vectors"])
         expect = score(model, improve(oracle), "a")
         assert full.scores[i - 1] == pytest.approx(expect, rel=1e-9, abs=1e-12)
         changed = np.nonzero(np.any(state["vectors"] != ds.vectors, axis=1))[0]

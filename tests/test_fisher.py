@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvlrp.errors import DegenerateInputError, DimError, EmptyInputError
-from fvlrp.fisher import (EmbeddingIndex, RawFisherVector, aggregate,
-                          embed_batch, embed_descriptor, fv_length,
-                          hellinger_check, improve, load_fisher_vector,
-                          save_fisher_vector, signed_sqrt)
+from fvlrp.fisher import (EmbeddingIndex, aggregate, embed_batch,
+                          embed_descriptor, fv_length, hellinger_check,
+                          improve, load_fisher_vector, save_fisher_vector,
+                          signed_sqrt)
 from fvlrp.gmm import GmmModel, responsibilities
 
 
@@ -81,8 +81,7 @@ def test_aggregate_is_mean_of_embeddings(rng):
                        rng.uniform(0.5, 1.5, (2, 3)))
     vectors = rng.normal(size=(7, 3))
     fv = aggregate(model, vectors)
-    np.testing.assert_allclose(fv.values,
-                               embed_batch(model, vectors).mean(axis=0),
+    np.testing.assert_allclose(fv, embed_batch(model, vectors).mean(axis=0),
                                atol=1e-12)
     with pytest.raises(EmptyInputError):
         aggregate(model, np.zeros((0, 3)))
@@ -95,7 +94,7 @@ def test_signed_sqrt_convention():
 
 def test_improve_unit_norm_and_zero(rng):
     v = rng.normal(size=12)
-    improved = improve(RawFisherVector(v, 4, 1))
+    improved = improve(v)
     assert np.linalg.norm(improved) == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_array_equal(improve(np.zeros(6)), np.zeros(6))
 
@@ -126,12 +125,14 @@ def test_hellinger_rejects_degenerate():
 
 
 def test_fisher_vector_file_roundtrip(tmp_path, rng):
-    fv = RawFisherVector(rng.normal(size=fv_length(3, 2)), 3, 2)
+    fv = rng.normal(size=fv_length(3, 2))
     path = tmp_path / "x.fvec"
-    save_fisher_vector(fv, path)
+    save_fisher_vector(fv, 3, 2, path)
     back = load_fisher_vector(path)
-    np.testing.assert_array_equal(back.values, fv.values)
-    assert (back.n_components, back.dim) == (3, 2)
+    np.testing.assert_array_equal(back, fv)
+    assert np.frombuffer(path.read_bytes()[5:13], "<u4").tolist() == [3, 2]
+    with pytest.raises(DimError):
+        save_fisher_vector(fv, 2, 3, tmp_path / "y.fvec")
 
 
 def test_improved_dot_equals_hellinger_on_model_fvs(rng):

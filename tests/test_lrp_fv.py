@@ -198,7 +198,7 @@ def test_explain_score_matches_pipeline(micro_bundle, micro_corpus):
     image = micro_corpus[2][0].image
     cls = micro_bundle.classes[0]
     ds = pca_apply(micro_bundle.pca, extract_dense(image, 16, 4))
-    phi = improve(aggregate(micro_bundle.gmm, ds))
+    phi = improve(aggregate(micro_bundle.gmm, ds.vectors))
     expl = explain(image, micro_bundle.gmm, micro_bundle.pca,
                    micro_bundle.svm, cls)
     assert expl.score == pytest.approx(score(micro_bundle.svm, phi, cls))

@@ -13,7 +13,7 @@ from fvlrp.lrp_nn import (DenseLayer, NeuralNet, downscale, forward,
 def linear_net(weights, biases=None, classes=("a",)):
     w = np.asarray(weights, dtype=np.float64)
     b = np.zeros(w.shape[1]) if biases is None else np.asarray(biases, float)
-    return NeuralNet(classes, (DenseLayer(w, b, "identity"),), (w.shape[0], 1))
+    return NeuralNet(classes, (DenseLayer(w, b),), (w.shape[0], 1))
 
 
 def test_epsilon_rule_hand_case():
@@ -67,8 +67,8 @@ def test_alphabeta_requires_unit_gap():
 
 
 def test_deficit_matches_bias_and_stabilizer_shares(rng):
-    layers = (DenseLayer(rng.normal(size=(6, 4)), rng.normal(size=4), "relu"),
-              DenseLayer(rng.normal(size=(4, 2)), rng.normal(size=2), "identity"))
+    layers = (DenseLayer(rng.normal(size=(6, 4)), rng.normal(size=4)),
+              DenseLayer(rng.normal(size=(4, 2)), rng.normal(size=2)))
     net = NeuralNet(("a", "b"), layers, (3, 2))
     x = rng.normal(size=6)
     rel = lrp_epsilon(net, x, "b", epsilon=0.01)
@@ -81,7 +81,7 @@ def test_deficit_matches_bias_and_stabilizer_shares(rng):
 
 
 def test_relevance_starts_at_selected_class(rng):
-    layers = (DenseLayer(rng.normal(size=(4, 3)), np.zeros(3), "identity"),)
+    layers = (DenseLayer(rng.normal(size=(4, 3)), np.zeros(3)),)
     net = NeuralNet(("p", "q", "r"), layers, (2, 2))
     x = rng.normal(size=4)
     rel = lrp_epsilon(net, x, "q", epsilon=0.1)
@@ -91,8 +91,8 @@ def test_relevance_starts_at_selected_class(rng):
 
 
 def test_forward_applies_relu():
-    layers = (DenseLayer(np.array([[1.0], [1.0]]), np.array([-3.0]), "relu"),
-              DenseLayer(np.array([[2.0]]), np.array([0.5]), "identity"))
+    layers = (DenseLayer(np.array([[1.0], [1.0]]), np.array([-3.0])),
+              DenseLayer(np.array([[2.0]]), np.array([0.5])))
     net = NeuralNet(("a",), layers, (2, 1))
     acts = forward(net, np.array([1.0, 1.0]))
     assert acts[1][0] == 0.0            # 2 - 3 clamps at zero
@@ -103,13 +103,11 @@ def test_forward_applies_relu():
 
 def test_net_shape_validation():
     with pytest.raises(DimError):
-        NeuralNet(("a",), (DenseLayer(np.zeros((3, 1)), np.zeros(1), "identity"),),
+        NeuralNet(("a",), (DenseLayer(np.zeros((3, 1)), np.zeros(1)),),
                   (2, 2))
     with pytest.raises(DimError):
-        NeuralNet(("a", "b"), (DenseLayer(np.zeros((4, 1)), np.zeros(1), "identity"),),
+        NeuralNet(("a", "b"), (DenseLayer(np.zeros((4, 1)), np.zeros(1)),),
                   (2, 2))
-    with pytest.raises(ValidationError):
-        DenseLayer(np.zeros((2, 2)), np.zeros(2), "tanh")
 
 
 def test_downscale_block_means():
@@ -125,8 +123,7 @@ def test_downscale_block_means():
 
 def test_heatmap_upsample_preserves_total(rng):
     rel = rng.normal(size=4)
-    net = NeuralNet(("a",), (DenseLayer(rel[:, None].copy(), np.zeros(1),
-                                        "identity"),), (2, 2))
+    net = NeuralNet(("a",), (DenseLayer(rel[:, None].copy(), np.zeros(1)),), (2, 2))
     layer_rel = lrp_epsilon(net, np.ones(4), "a", epsilon=0.1)
     flat = nn_heatmap(layer_rel, (2, 2))
     assert flat.values.shape == (2, 2)

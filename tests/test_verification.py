@@ -51,7 +51,7 @@ def test_oracle_r2_agrees_with_production(rng):
     gmm = random_gmm(rng, 3, 4)
     ds = random_descriptor_set(rng, 12, 4)
     svm = random_svm(rng, 3 * (1 + 2 * 4))
-    phi = improve(aggregate(gmm, ds))
+    phi = improve(aggregate(gmm, ds.vectors))
     r3 = relevance_r3(svm, phi, svm.classes[0])
     psi = embed_batch(gmm, ds.vectors)
     fast = relevance_r2(r3, psi, variant="epsilon", epsilon=5.0)
@@ -65,8 +65,8 @@ def test_oracle_r2_agrees_with_production(rng):
 def test_oracle_nn_matches_fast_rule(rng):
     from fvlrp.lrp_nn import DenseLayer, NeuralNet, lrp_epsilon
 
-    layers = (DenseLayer(rng.normal(size=(4, 3)), rng.normal(size=3), "relu"),
-              DenseLayer(rng.normal(size=(3, 2)), rng.normal(size=2), "identity"))
+    layers = (DenseLayer(rng.normal(size=(4, 3)), rng.normal(size=3)),
+              DenseLayer(rng.normal(size=(3, 2)), rng.normal(size=2)))
     net = NeuralNet(("a", "b"), layers, (2, 2))
     x = rng.normal(size=4)
     fast = lrp_epsilon(net, x, "a", epsilon=0.1)

@@ -5,13 +5,17 @@ Two instruments:
 * Most-relevant-first local feature replacement. Descriptors are
   replaced, in batches, by samples drawn from the mixture model, and
   the raw Fisher vector is updated incrementally rather than
-  recomputed. A whole trace is one array computation: the embeddings
-  Psi of an image's descriptors and its raw FV x0 are computed once and
-  shared by all of its traces; per trace, every replacement is drawn
-  with one sampling call and embedded with one batch embedding, and the
-  raw FV after step i is the cumulative update
-  ``x_i = x0 + sum_{j<=i} sum_{l in batch j} (Psi(new_l) - Psi(old_l)) / |L|``.
-  Each descriptor is replaced at most once. The score trace under the
+  recomputed. All traces of an image are one array computation
+  (`replace_traces`): the embeddings Psi of its descriptors and its raw
+  FV x0 are computed once; each trace draws its replacements with one
+  sampling call on its own generator; the draws of every trace are
+  embedded with one batch embedding; the raw FV after step i is the
+  cumulative update
+  ``x_i = x0 + sum_{j<=i} sum_{l in batch j} (Psi(new_l) - Psi(old_l)) / |L|``;
+  and every step of every trace is improved and scored in one pass.
+  The extra memory is the embedded draws, traces * batch * steps *
+  (1+2D)K float64 values per image (2.1 MB at the defaults). Each
+  descriptor is replaced at most once. The score trace under the
   relevance-derived ordering is compared against random orderings via
   the area statistic ``A = mean_i (f(x) - f(x_i))`` and the fraction V
   of traces whose prediction switches sign.
@@ -32,10 +36,10 @@ import numpy as np
 from .descriptors import DescriptorSet, PcaModel, extract_dense, pca_apply
 from .errors import (DimError, EmptyInputError, RangeError, UndefinedError,
                      ValidationError)
-from .fisher import embed_batch, encode, improve
+from .fisher import embed_batch, encode, improve, signed_sqrt
 from .gmm import GmmModel, sample
 from .imaging import BoundingBox, Heatmap
-from .lrp_fv import R2Map, explain, relevance_r2, relevance_r3
+from .lrp_fv import VARIANTS, R2Map, explain, relevance_r2, relevance_r3
 from .lrp_nn import NeuralNet, image_to_input, lrp_alphabeta, nn_heatmap, nn_scores
 from .svm import SvmModel, score
 from .synth import LabeledImage
@@ -86,35 +90,68 @@ def _check_trace_size(batch: int, steps: int, n: int) -> None:
         raise RangeError(f"batch*steps = {batch * steps} exceeds |L| = {n}")
 
 
-def _replace_trace(vectors: np.ndarray, psi: np.ndarray, x0: np.ndarray,
+def _improved_scores(xs: np.ndarray, svm_model: SvmModel, k: int) -> np.ndarray:
+    """``score(svm_model, improve(x), class k)`` for every x along the
+    last axis of `xs`, bit for bit: each (1, F) x (F, 1) product of the
+    batched matmul is the dot product np.dot takes."""
+    v = signed_sqrt(xs)
+    norm = np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0]
+    np.divide(v, norm, out=v, where=norm != 0.0)
+    w = svm_model.weights[k][:, None]
+    return np.matmul(v[..., None, :], w)[..., 0, 0] + svm_model.biases[k]
+
+
+def replace_traces(vectors: np.ndarray, psi: np.ndarray, x0: np.ndarray,
                    gmm: GmmModel, svm_model: SvmModel, class_name: str,
-                   order: np.ndarray, batch: int, steps: int,
-                   rng: np.random.Generator, ordering_id: str,
-                   identity_replacement: bool = False,
-                   state_out: dict | None = None) -> MorfTrace:
-    """Whole-trace replacement kernel.
+                   plans: list, batch: int, steps: int,
+                   identity_replacement: bool = False
+                   ) -> tuple[list[MorfTrace], np.ndarray, np.ndarray]:
+    """Replacement kernel: every trace of one image in one array pass.
 
     `vectors` are an image's descriptors, `psi` and `x0` their embeddings
-    and raw FV from `fisher.encode`. Replaces descriptors
-    ``order[:batch*steps]`` (distinct, in range) in `steps` batches. All
-    replacements are drawn with one `sample` call and embedded with one
-    `embed_batch` call; the raw FV after step i is
-    ``x0 + cumsum`` of the per-batch sums of ``(Psi(new) - Psi(old))/|L|``.
-    Each step is improved and scored on its own.
+    and raw FV from `fisher.encode`. `plans` holds one (ordering id,
+    order, rng) per trace; a trace replaces descriptors
+    ``order[:batch*steps]`` (distinct, in range) in `steps` batches, with
+    replacements drawn by one `sample` call on its own generator (or the
+    descriptors themselves under `identity_replacement`). All draws are
+    embedded with one `embed_batch` call. The raw FV after step i of a
+    trace is ``x0 + cumsum`` of its per-batch sums of
+    ``(Psi(new) - Psi(old)) / |L|``, and every step of every trace is
+    improved and scored in one array pass, bit for bit as
+    ``score(svm_model, improve(x), class_name)``.
+
+    Memory beyond the inputs is dominated by the embedded draws:
+    traces * batch * steps * (1+2D)K float64 values. `compare_orderings`
+    runs (|variants|+1) * repetitions traces per image, 2.1 MB at the
+    defaults (10 traces, 100 draws, FV length 264).
+
+    Returns the traces, the drawn descriptors (traces, batch*steps, D)
+    and each trace's final raw FV (traces, (1+2D)K).
     """
     n = vectors.shape[0]
-    idx = order[:batch * steps]
-    new_vectors = vectors[idx] if identity_replacement else sample(gmm, rng, idx.size)
-    delta = (embed_batch(gmm, new_vectors) - psi[idx]) / n
-    xs = x0 + np.cumsum(delta.reshape(steps, batch, -1).sum(axis=1), axis=0)
-    f0 = score(svm_model, improve(x0), class_name)
-    scores = np.array([score(svm_model, improve(x), class_name) for x in xs])
-    if state_out is not None:
-        mutated = vectors.copy()
-        mutated[idx] = new_vectors
-        state_out["fv"] = xs[-1]
-        state_out["vectors"] = mutated
-    return MorfTrace(ordering_id, scores, f0, batch, class_name)
+    m = batch * steps
+    idxs = [order[:m] for _, order, _ in plans]
+    draws = np.stack([vectors[idx] if identity_replacement else sample(gmm, rng, m)
+                      for idx, (_, _, rng) in zip(idxs, plans)])
+    if m == 1:
+        # a one-row product takes numpy's matrix-vector path, which rounds
+        # otherwise than the matrix-matrix path of a taller batch, so lone
+        # draws are embedded one at a time, as a trace on its own does
+        delta = np.stack([embed_batch(gmm, d) for d in draws])
+    else:
+        delta = embed_batch(gmm, draws.reshape(-1, draws.shape[2]))
+        delta = delta.reshape(len(plans), m, -1)
+    for t, idx in enumerate(idxs):
+        delta[t] -= psi[idx]
+    delta /= n
+    xs = np.cumsum(delta.reshape(len(plans), steps, batch, -1).sum(axis=2), axis=1)
+    xs += x0
+    k = svm_model.class_index(class_name)
+    f0 = float(_improved_scores(x0, svm_model, k))
+    scores = _improved_scores(xs, svm_model, k)
+    traces = [MorfTrace(oid, row, f0, batch, class_name)
+              for (oid, _, _), row in zip(plans, scores)]
+    return traces, draws, xs[:, -1]
 
 
 def morf_replace(ds: DescriptorSet, gmm: GmmModel, svm_model: SvmModel,
@@ -149,9 +186,15 @@ def morf_replace(ds: DescriptorSet, gmm: GmmModel, svm_model: SvmModel,
         if np.unique(used).size != used.size:
             raise RangeError("explicit ordering repeats a descriptor")
     psi, x0 = encode(gmm, ds.vectors)
-    return _replace_trace(ds.vectors, psi, x0, gmm, svm_model, r2.class_name,
-                          order, batch, steps, rng, ordering_id,
-                          identity_replacement, state_out)
+    (trace,), draws, final = replace_traces(
+        ds.vectors, psi, x0, gmm, svm_model, r2.class_name,
+        [(ordering_id, order, rng)], batch, steps, identity_replacement)
+    if state_out is not None:
+        mutated = ds.vectors.copy()
+        mutated[order[:batch * steps]] = draws[0]
+        state_out["fv"] = final[0]
+        state_out["vectors"] = mutated
+    return trace
 
 
 def area_above(trace: MorfTrace) -> float:
@@ -207,6 +250,15 @@ def compare_orderings(images: list[LabeledImage], class_name: str,
     replacement-sampling seeds; random orderings also redraw the order
     itself per repetition.
     """
+    if not variants:
+        raise ValidationError("need at least one relevance variant")
+    unknown = [v for v in variants if v not in VARIANTS]
+    if unknown:
+        raise ValidationError(f"unknown variants {unknown}; expected from {VARIANTS}")
+    if len(set(variants)) != len(variants):
+        raise ValidationError(f"variants repeat: {list(variants)}")
+    if repetitions < 1:
+        raise RangeError("repetitions must be >= 1")
     tau = float(svm_model.thresholds[svm_model.class_index(class_name)])
     prepared = []
     for img in images:
@@ -225,26 +277,23 @@ def compare_orderings(images: list[LabeledImage], class_name: str,
     ordering_ids = [f"lrp-{v}" for v in variants] + ["random"]
     all_traces: dict = {oid: [] for oid in ordering_ids}
     rep_areas: dict = {oid: np.zeros(repetitions) for oid in ordering_ids}
-
-    def run(oid, rep, vectors, psi, x0, order, rng):
-        trace = _replace_trace(vectors, psi, x0, gmm, svm_model, class_name,
-                               order, batch, steps, rng, oid)
-        all_traces[oid].append(trace)
-        rep_areas[oid][rep] += area_above(trace)
-
-    for vi, variant in enumerate(variants):
-        for ii, (vectors, psi, x0, phi) in enumerate(prepared):
-            r3 = relevance_r3(svm_model, phi, class_name)
+    for ii, (vectors, psi, x0, phi) in enumerate(prepared):
+        r3 = relevance_r3(svm_model, phi, class_name)
+        plans = []
+        for vi, variant in enumerate(variants):
             order = morf_ordering(relevance_r2(r3, psi, variant=variant,
                                                epsilon=epsilon))
-            for rep in range(repetitions):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((seed, 1 + vi, ii, rep)))
-                run(f"lrp-{variant}", rep, vectors, psi, x0, order, rng)
-    for ii, (vectors, psi, x0, _) in enumerate(prepared):
+            plans += [(f"lrp-{variant}", order, np.random.default_rng(
+                np.random.SeedSequence((seed, 1 + vi, ii, rep))))
+                for rep in range(repetitions)]
         for rep in range(repetitions):
             rng = np.random.default_rng(np.random.SeedSequence((seed, 0, ii, rep)))
-            run("random", rep, vectors, psi, x0, rng.permutation(len(vectors)), rng)
+            plans.append(("random", rng.permutation(len(vectors)), rng))
+        traces, _, _ = replace_traces(vectors, psi, x0, gmm, svm_model,
+                                      class_name, plans, batch, steps)
+        for t, trace in enumerate(traces):
+            all_traces[trace.ordering_id].append(trace)
+            rep_areas[trace.ordering_id][t % repetitions] += area_above(trace)
     stats = {oid: sign_switch_fraction(ts) for oid, ts in all_traces.items()}
     per_rep = {oid: areas / len(prepared) for oid, areas in rep_areas.items()}
     return OrderingReport(class_name, stats, per_rep, all_traces,

@@ -262,7 +262,7 @@ def sample(model: GmmModel, rng: np.random.Generator, n: int | None = None) -> n
     eps = np.empty((count, model.dim))
     for i in range(count):
         u[i] = rng.random()
-        eps[i] = rng.standard_normal(model.dim)
+        rng.standard_normal(out=eps[i])
     ks = cdf.searchsorted(u, side="right")
     out = model.means[ks] + model.sigmas[ks] * eps
     return out[0] if n is None else out

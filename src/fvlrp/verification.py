@@ -5,11 +5,12 @@ reimplementations: dense extraction binning each patch on its own,
 relevance redistribution with a loop over the columns of the embedding
 matrix, R1 one receptive field at a time, relevance propagation with explicit
 per-connection loops, Fisher-vector recomputation from scratch after
-incremental updates, the SVM solver replayed in its dual (support-vector)
-form, EM's E-step and M-step from direct differences, one component
-at a time, and network training with the first-layer weight matrix
-updated step by step. The `verify` command runs the whole suite; the test suite
-reuses the same checks at their pinned sizes.
+incremental updates, MoRF replacement one trace and one step at a time,
+the SVM solver replayed in its dual (support-vector) form, EM's E-step
+and M-step from direct differences, one component at a time, and network
+training with the first-layer weight matrix updated step by step. The
+`verify` command runs the whole suite; the test suite reuses the same
+checks at their pinned sizes.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import numpy as np
 from .descriptors import (CLAMP, N_CELLS, N_ORI, RAW_DIM, DescriptorSet,
                           extract_dense, orientation_votes)
 from .errors import ZeroDenominatorError
-from .evaluation import morf_replace
+from .evaluation import MorfTrace, morf_replace
 from .fisher import aggregate, embed_batch, improve
-from .gmm import GmmModel, _log_joint, _m_step, em_fit, responsibilities
+from .gmm import GmmModel, _log_joint, _m_step, em_fit, responsibilities, sample
 from .imaging import Image
 from .lrp_fv import R2Map, R3Map, relevance_r1, relevance_r2, relevance_r3
 from .lrp_nn import (DenseLayer, NeuralNet, _batch_forward, _hinge_loss,
@@ -108,6 +109,38 @@ def oracle_r2_from_matrix(r3_values: np.ndarray, matrix: np.ndarray,
     xi = xi_total / n
     r2 += xi
     return r2, zero_dims, xi
+
+
+def oracle_replace_trace(vectors: np.ndarray, psi: np.ndarray, x0: np.ndarray,
+                         gmm: GmmModel, svm_model: SvmModel, class_name: str,
+                         order: np.ndarray, batch: int, steps: int,
+                         rng: np.random.Generator, ordering_id: str,
+                         identity_replacement: bool = False,
+                         state_out: dict | None = None) -> MorfTrace:
+    """One replacement trace on its own.
+
+    `vectors` are an image's descriptors, `psi` and `x0` their embeddings
+    and raw FV from `fisher.encode`. Replaces descriptors
+    ``order[:batch*steps]`` (distinct, in range) in `steps` batches. All
+    replacements are drawn with one `sample` call and embedded with one
+    `embed_batch` call; the raw FV after step i is
+    ``x0 + cumsum`` of the per-batch sums of ``(Psi(new) - Psi(old))/|L|``.
+    Each step is improved and scored on its own; pins down the per-image
+    array pass of `evaluation.replace_traces`.
+    """
+    n = vectors.shape[0]
+    idx = order[:batch * steps]
+    new_vectors = vectors[idx] if identity_replacement else sample(gmm, rng, idx.size)
+    delta = (embed_batch(gmm, new_vectors) - psi[idx]) / n
+    xs = x0 + np.cumsum(delta.reshape(steps, batch, -1).sum(axis=1), axis=0)
+    f0 = score(svm_model, improve(x0), class_name)
+    scores = np.array([score(svm_model, improve(x), class_name) for x in xs])
+    if state_out is not None:
+        mutated = vectors.copy()
+        mutated[idx] = new_vectors
+        state_out["fv"] = xs[-1]
+        state_out["vectors"] = mutated
+    return MorfTrace(ordering_id, scores, f0, batch, class_name)
 
 
 def oracle_log_joint(model: GmmModel, data: np.ndarray) -> np.ndarray:

@@ -1,19 +1,28 @@
 """Replacement curves and the outside-inside ratio."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from fvlrp import evaluation
+from fvlrp.config import PipelineConfig
 from fvlrp.descriptors import DescriptorSet, extract_dense, pca_apply
 from fvlrp.errors import (EmptyInputError, RangeError, UndefinedError,
                           ValidationError)
 from fvlrp.evaluation import (MorfTrace, area_above, compare_orderings,
                               context_ratio, context_report, morf_ordering,
-                              morf_replace, sign_switch_fraction)
-from fvlrp.fisher import aggregate, embed_batch, improve
-from fvlrp.gmm import em_fit
+                              morf_replace, replace_traces,
+                              sign_switch_fraction)
+from fvlrp.fisher import aggregate, embed_batch, encode, improve
+from fvlrp.gmm import GmmModel, em_fit
 from fvlrp.imaging import BoundingBox, Heatmap
 from fvlrp.lrp_fv import relevance_r2, relevance_r3
+from fvlrp.pipeline import train_all
 from fvlrp.svm import SvmModel, score
+from fvlrp.synth import generate_corpus, two_class_spec
+from fvlrp.verification import (oracle_replace_trace, random_descriptor_set,
+                                random_gmm, random_svm)
 
 
 def make_r2(gmm, ds, model, cls="a", variant="epsilon"):
@@ -140,6 +149,155 @@ def test_replacement_is_seed_deterministic(rng):
     a = morf_replace(ds, gmm, model, r2, 2, 6, np.random.default_rng(42))
     b = morf_replace(ds, gmm, model, r2, 2, 6, np.random.default_rng(42))
     np.testing.assert_array_equal(a.scores, b.scores)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def kernel_against_oracle(vectors, psi, x0, gmm, model, cls, plans, batch,
+                          steps, identity_replacement=False):
+    """Run the kernel on `plans` and each plan through the per-trace
+    oracle from a copy of its generator; assert they agree bit for bit."""
+    copies = [(oid, order, copy.deepcopy(rng)) for oid, order, rng in plans]
+    result = replace_traces(vectors, psi, x0, gmm, model, cls, plans, batch,
+                            steps, identity_replacement)
+    traces, draws, final = result
+    assert len(traces) == len(plans)
+    m = batch * steps
+    for t, (oid, order, rng) in enumerate(copies):
+        state = {}
+        want = oracle_replace_trace(vectors, psi, x0, gmm, model, cls, order,
+                                    batch, steps, rng, oid,
+                                    identity_replacement, state)
+        got = traces[t]
+        assert got.ordering_id == oid and got.batch == batch
+        assert same_bits(got.scores, want.scores)
+        assert same_bits(got.original_score, want.original_score)
+        assert same_bits(final[t], state["fv"])
+        assert same_bits(draws[t], state["vectors"][order[:m]])
+    return result
+
+
+@pytest.fixture(scope="module")
+def fixed_workload():
+    """The benchmark's fixed workload: seed 0, 100 train and 20 test
+    images per class."""
+    config = PipelineConfig(seed=0)
+    spec = two_class_spec(0.0, seed=0, train_per_class=100, test_per_class=20)
+    train_imgs, test_imgs = generate_corpus(spec)
+    bundle = train_all(train_imgs, spec.class_names, config, with_nn=False)
+    return config, bundle, test_imgs
+
+
+def test_kernel_matches_oracle_on_fixed_workload(fixed_workload, monkeypatch):
+    config, bundle, test_imgs = fixed_workload
+    checked = []
+
+    def checked_kernel(*args):
+        traces = kernel_against_oracle(*args)[0]
+        checked.extend(traces)
+        return traces, None, None
+
+    monkeypatch.setattr(evaluation, "replace_traces", checked_kernel)
+    for cls in bundle.classes:
+        rep = compare_orderings(
+            test_imgs, cls, bundle.gmm, bundle.pca, bundle.svm,
+            variants=(config.variant,), epsilon=config.epsilon,
+            batch=config.morf_batch, steps=config.morf_steps,
+            repetitions=config.morf_repetitions, seed=config.seed)
+        reported = [t for ts in rep.traces.values() for t in ts]
+        assert len(reported) == 2 * rep.n_images * config.morf_repetitions
+    assert len(checked) == 400
+
+
+MICRO_CASES = {
+    # name: (n, batch, steps, zero-weight component, identity)
+    "batch-1": (20, 1, 7, False, False),
+    "steps-1": (20, 6, 1, False, False),
+    "all-descriptors": (12, 3, 4, False, False),
+    "single-draw": (5, 1, 1, False, False),
+    "zero-weight-component": (18, 2, 5, True, False),
+    "identity": (15, 3, 5, False, True),
+}
+
+
+@pytest.mark.parametrize("case", list(MICRO_CASES))
+def test_kernel_matches_oracle_on_micro_problems(case):
+    n, batch, steps, zero_weight, identity = MICRO_CASES[case]
+    for seed in range(4):
+        rng = np.random.default_rng([2024, seed, list(MICRO_CASES).index(case)])
+        k, dim = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        gmm = random_gmm(rng, k, dim)
+        if zero_weight:
+            w = gmm.weights.copy()
+            w[1] = 0.0
+            gmm = GmmModel(w / w.sum(), gmm.means, gmm.sigmas, gmm.sigma_floor)
+        ds = random_descriptor_set(rng, n, dim)
+        model = random_svm(rng, (1 + 2 * dim) * k)
+        psi, x0 = encode(gmm, ds.vectors)
+        r3 = relevance_r3(model, improve(x0), "c")
+        plans = []
+        # two relevance variants and a random ordering in one call
+        for vi, variant in enumerate(("epsilon", "absolute")):
+            order = morf_ordering(relevance_r2(r3, psi, variant=variant))
+            plans += [(f"lrp-{variant}", order, np.random.default_rng([seed, vi, r]))
+                      for r in range(2)]
+        for r in range(2):
+            perm_rng = np.random.default_rng([seed, 9, r])
+            plans.append(("random", perm_rng.permutation(n), perm_rng))
+        traces, _, _ = kernel_against_oracle(ds.vectors, psi, x0, gmm, model,
+                                             "c", plans, batch, steps, identity)
+        if identity:
+            for t in traces:
+                assert np.all(t.scores == t.original_score)
+
+
+def test_compare_orderings_makes_one_replacement_pass_per_image(
+        micro_bundle, micro_corpus, monkeypatch):
+    _, _, test_imgs = micro_corpus
+    calls = []
+    for name in ("embed_batch", "sample", "score", "improve"):
+        def counted(*args, _name=name, _fn=getattr(evaluation, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(evaluation, name, counted)
+    cls = micro_bundle.classes[0]
+    report = compare_orderings(test_imgs, cls, micro_bundle.gmm,
+                               micro_bundle.pca, micro_bundle.svm,
+                               variants=("epsilon", "absolute"), batch=2,
+                               steps=4, repetitions=3, seed=0)
+    assert report.n_images >= 1
+    # encode each image, then one embedding per positive image for all of
+    # its traces; f(x) is scored once per image and never per step
+    assert calls.count("embed_batch") == report.n_images
+    assert calls.count("sample") == report.n_images * 3 * 3
+    assert calls.count("score") == len(test_imgs)
+    assert calls.count("improve") == len(test_imgs)
+
+
+@pytest.mark.parametrize("variants, repetitions, error", [
+    ((), 2, ValidationError),
+    (("epsilon", "epsilon"), 2, ValidationError),
+    (("epsilon", "nonsense"), 2, ValidationError),
+    ("epsilon", 2, ValidationError),
+    (("epsilon",), 0, RangeError),
+    (("epsilon",), -1, RangeError),
+])
+def test_compare_orderings_checks_arguments_before_extraction(
+        micro_bundle, micro_corpus, monkeypatch, variants, repetitions, error):
+    _, _, test_imgs = micro_corpus
+
+    def no_extraction(*args, **kwargs):
+        raise AssertionError("extracted before checking the arguments")
+
+    monkeypatch.setattr(evaluation, "extract_dense", no_extraction)
+    with pytest.raises(error):
+        compare_orderings(test_imgs, micro_bundle.classes[0], micro_bundle.gmm,
+                          micro_bundle.pca, micro_bundle.svm,
+                          variants=variants, batch=2, steps=2,
+                          repetitions=repetitions)
 
 
 def test_context_ratio_hand_values():

@@ -276,12 +276,22 @@ def _load_descriptor_sets(out_dir: str, split: str):
     return ids, (load_descriptors(_desc_path(out_dir, i, split)) for i in ids)
 
 
+def _split_rows(config: PipelineConfig, ids: list[str]) -> int:
+    # Every corpus image is corpus_size pixels square.
+    return len(ids) * descriptor_count(config.corpus_size, config.corpus_size,
+                                       config.patch, config.stride)
+
+
+def _project_split(out_dir: str, split: str, pca, config: PipelineConfig):
+    """The split's image ids and its projected descriptors, one matrix."""
+    ids, sets = _load_descriptor_sets(out_dir, split)
+    return ids, project_all(pca, sets, _split_rows(config, ids))
+
+
 def _cmd_pca_fit(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
     ids, sets = _load_descriptor_sets(out_dir, "train")
-    # Every corpus image is corpus_size pixels square.
-    rows = len(ids) * descriptor_count(config.corpus_size, config.corpus_size,
-                                       config.patch, config.stride)
+    rows = _split_rows(config, ids)
     model, _ = fit_pca(sets, rows, config)
     _ensure_dir(os.path.join(out_dir, "models"))
     path = _model_path(out_dir, "pca")
@@ -293,8 +303,7 @@ def _cmd_pca_fit(config: PipelineConfig, args, upstream) -> dict:
 def _cmd_gmm_fit(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
     pca = load_model(_model_path(out_dir, "pca"), "pca")
-    _, sets = _load_descriptor_sets(out_dir, "train")
-    projected = project_all(pca, sets)
+    _, projected = _project_split(out_dir, "train", pca, config)
     model = fit_gmm(projected, config)
     path = _model_path(out_dir, "gmm")
     save_model(model, path)
@@ -314,9 +323,9 @@ def _cmd_embed(config: PipelineConfig, args, upstream) -> dict:
     gmm = load_model(_model_path(out_dir, "gmm"), "gmm")
     outputs = []
     for split in ("train", "test"):
-        ids, sets = _load_descriptor_sets(out_dir, split)
+        ids, projected = _project_split(out_dir, split, pca, config)
         _ensure_dir(os.path.join(out_dir, "embeddings", split))
-        raws = embed_all(gmm, project_all(pca, sets))
+        raws = embed_all(gmm, projected)
         for image_id, raw in zip(ids, raws):
             path = _fvec_path(out_dir, image_id, split)
             save_fisher_vector(raw, gmm.n_components, gmm.dim, path)

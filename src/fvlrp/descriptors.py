@@ -68,12 +68,16 @@ def orientation_votes(gray: np.ndarray) -> tuple[np.ndarray, ...]:
     gx = 0.5 * (padded[1:-1, 2:] - padded[1:-1, :-2])
     gy = 0.5 * (padded[2:, 1:-1] - padded[:-2, 1:-1])
     mag = np.hypot(gx, gy)
-    theta = np.mod(np.arctan2(gy, gx), 2.0 * np.pi)
+    # arctan2 lies in [-pi, pi], so adding 2*pi below zero is np.mod(., 2*pi)
+    # bit for bit; a rounded 2*pi gives t = 8, whose bin wraps to 0.
+    theta = np.arctan2(gy, gx)
+    theta = np.where(theta < 0.0, theta + 2.0 * np.pi, theta)
     t = theta * (N_ORI / (2.0 * np.pi))
-    b0 = np.floor(t).astype(np.int64) % N_ORI
-    frac = t - np.floor(t)
-    b1 = (b0 + 1) % N_ORI
-    return b0, b1, mag * (1.0 - frac), mag * frac
+    whole = np.floor(t)
+    b0 = whole.astype(np.int64)
+    b0 &= N_ORI - 1
+    frac = t - whole
+    return b0, (b0 + 1) & (N_ORI - 1), mag * (1.0 - frac), mag * frac
 
 
 def tiles_grid(patch: int, stride: int, per_side: int) -> bool:
@@ -100,14 +104,19 @@ def _row_norms(h: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(h[:, None, :], h[:, :, None])[:, 0, 0])
 
 
+def _divide_rows(h: np.ndarray) -> None:
+    # A zero norm becomes 1: those rows are left as they are.
+    norm = _row_norms(h)
+    norm[norm == 0.0] = 1.0
+    h /= norm[:, None]
+
+
 def _normalize_clamped(h: np.ndarray) -> np.ndarray:
     """Row-wise l2-normalize, clamp at CLAMP and renormalize, in place;
     rows of zero norm are left as they are."""
-    norm = _row_norms(h)[:, None]
-    keep = norm != 0.0
-    np.divide(h, norm, out=h, where=keep)
-    np.minimum(h, CLAMP, out=h, where=keep)
-    np.divide(h, _row_norms(h)[:, None], out=h, where=keep)
+    _divide_rows(h)
+    np.minimum(h, CLAMP, out=h)
+    _divide_rows(h)
     return h
 
 
@@ -137,11 +146,17 @@ def extract_dense(img: Image, patch: int, stride: int) -> DescriptorSet:
     size = nx * ny * N_ORI
     cells = np.bincount(cell + b0[covered].ravel(), w0[covered].ravel(), size)
     cells += np.bincount(cell + b1[covered].ravel(), w1[covered].ravel(), size)
-    # The 4x4 cells under each patch, row-major over the grid.
-    cy = np.array(ys)[:, None, None, None] // side + np.arange(N_CELLS)[:, None]
-    cx = np.array(xs)[:, None, None] // side + np.arange(N_CELLS)
-    hist = cells.reshape(ny, nx, N_ORI)[cy, cx].reshape(-1, RAW_DIM)
-    areas = np.array([(x, y, patch, patch) for y in ys for x in xs], dtype=np.int64)
+    # The 4x4 cells under each patch, row-major over the grid: every
+    # window of 4x4 cells, taken each `stride` pixels, copied once.
+    step = max(stride // side, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        cells.reshape(ny, nx, N_ORI), (N_CELLS, N_CELLS), axis=(0, 1))
+    hist = windows[::step, ::step].transpose(0, 1, 3, 4, 2).copy().reshape(-1, RAW_DIM)
+    areas = np.empty((len(ys), len(xs), 4), dtype=np.int64)
+    areas[..., 0] = np.arange(0, xs.stop, stride)
+    areas[..., 1] = np.arange(0, ys.stop, stride)[:, None]
+    areas[..., 2:] = patch
+    areas = areas.reshape(-1, 4)
     return DescriptorSet(_normalize_clamped(hist), areas, (img.width, img.height))
 
 

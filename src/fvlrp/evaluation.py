@@ -7,8 +7,9 @@ Two instruments:
   the raw Fisher vector is updated incrementally rather than
   recomputed. All traces of an image are one array computation
   (`replace_traces`): the embeddings Psi of its descriptors and its raw
-  FV x0 are computed once; each trace draws its replacements with one
-  sampling call on its own generator; the draws of every trace are
+  FV x0 come from one `fisher.encode` call, x0 from per-component
+  moments as `aggregate` gives it; each trace draws its replacements
+  with one sampling call on its own generator; the draws of every trace are
   embedded with one batch embedding; the raw FV after step i is the
   cumulative update
   ``x_i = x0 + sum_{j<=i} sum_{l in batch j} (Psi(new_l) - Psi(old_l)) / |L|``;
@@ -133,14 +134,8 @@ def replace_traces(vectors: np.ndarray, psi: np.ndarray, x0: np.ndarray,
     idxs = [order[:m] for _, order, _ in plans]
     draws = np.stack([vectors[idx] if identity_replacement else sample(gmm, rng, m)
                       for idx, (_, _, rng) in zip(idxs, plans)])
-    if m == 1:
-        # a one-row product takes numpy's matrix-vector path, which rounds
-        # otherwise than the matrix-matrix path of a taller batch, so lone
-        # draws are embedded one at a time, as a trace on its own does
-        delta = np.stack([embed_batch(gmm, d) for d in draws])
-    else:
-        delta = embed_batch(gmm, draws.reshape(-1, draws.shape[2]))
-        delta = delta.reshape(len(plans), m, -1)
+    delta = embed_batch(gmm, draws.reshape(-1, draws.shape[2]))
+    delta = delta.reshape(len(plans), m, -1)
     for t, idx in enumerate(idxs):
         delta[t] -= psi[idx]
     delta /= n

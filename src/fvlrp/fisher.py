@@ -11,10 +11,15 @@ its second-moment deviation:
 
 Per-descriptor embeddings are concatenated as [all K weight entries,
 K mean blocks of D, K sigma blocks of D], giving a (1+2D)K vector. The
-image-level raw Fisher vector is the arithmetic mean over descriptors;
-the improved form applies the signed square root followed by l2
-normalization, which is equivalent to the Hellinger kernel on the raw
-vector (see :func:`hellinger_check`). Both are plain (1+2D)K arrays.
+image-level raw Fisher vector is their arithmetic mean over descriptors.
+`aggregate` computes it from per-component moments of the
+responsibilities (Sanchez et al., IJCV 2013) without forming the
+embeddings, and `encode` gives the embeddings Psi together with that
+same raw FV; it equals the mean of Psi up to rounding (about 1e-15 at
+the defaults). The improved form applies the signed square root
+followed by l2 normalization, which is equivalent to the Hellinger
+kernel on the raw vector (see :func:`hellinger_check`). Both are plain
+(1+2D)K arrays.
 """
 
 from __future__ import annotations
@@ -81,31 +86,51 @@ class EmbeddingIndex:
         return slice(base + component * dd, base + (component + 1) * dd)
 
 
+def _check_vectors(model: GmmModel, vectors) -> np.ndarray:
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2 or vectors.shape[1] != model.dim:
+        raise DimError(f"descriptors {vectors.shape} vs model dim {model.dim}")
+    return vectors
+
+
+def _deviations(model: GmmModel, vectors: np.ndarray, live: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """t = (x - mu_k) / sigma_k and t * t, each (|live|, n, D): the
+    standardized deviations of every row from each live component."""
+    t = np.empty((live.size,) + vectors.shape)
+    for tj, j in zip(t, live):
+        np.subtract(vectors, model.means[j], out=tj)
+        tj /= model.sigmas[j]
+    return t, t * t
+
+
+def _fill_psi(psi: np.ndarray, model: GmmModel, idx: EmbeddingIndex, j: int,
+              g: np.ndarray, t: np.ndarray, tt: np.ndarray) -> None:
+    """Component j's columns of Psi from its responsibilities g and its
+    standardized deviations t (tt = t * t)."""
+    w, sqrt_w = model.weights[j], np.sqrt(model.weights[j])
+    psi[:, j] = (g - w) / sqrt_w
+    g = g[:, None]
+    psi[:, idx.mu_block(j)] = g * t / sqrt_w
+    psi[:, idx.sigma_block(j)] = g * (tt - 1.0) * INV_SQRT2 / sqrt_w
+
+
 def embed_batch(model: GmmModel, vectors: np.ndarray) -> np.ndarray:
     """Per-descriptor raw embeddings, one row per descriptor.
 
     Components with exactly zero mixture weight contribute zero blocks
     (they also receive zero responsibility, so this is the correct
-    limit, avoiding 0/0).
+    limit, avoiding 0/0). A row depends only on its own descriptor, bit
+    for bit, not on the batch it comes in.
     """
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[1] != model.dim:
-        raise DimError(f"descriptors {vectors.shape} vs model dim {model.dim}")
-    n = vectors.shape[0]
-    k, d = model.n_components, model.dim
-    idx = EmbeddingIndex(k, d)
+    vectors = _check_vectors(model, vectors)
+    idx = EmbeddingIndex(model.n_components, model.dim)
     gamma = responsibilities(model, vectors)
-    sqrt_w = np.sqrt(model.weights)
-    out = np.zeros((n, idx.length))
-    for j in range(k):
-        if model.weights[j] == 0.0:
-            continue
-        g = gamma[:, j][:, None]
-        out[:, j] = (gamma[:, j] - model.weights[j]) / sqrt_w[j]
+    psi = np.zeros((vectors.shape[0], idx.length))
+    for j in np.flatnonzero(model.weights):
         t = (vectors - model.means[j]) / model.sigmas[j]
-        out[:, idx.mu_block(j)] = g * t / sqrt_w[j]
-        out[:, idx.sigma_block(j)] = g * (t * t - 1.0) * INV_SQRT2 / sqrt_w[j]
-    return out
+        _fill_psi(psi, model, idx, j, gamma[:, j], t, t * t)
+    return psi
 
 
 def embed_descriptor(model: GmmModel, descriptor: np.ndarray) -> np.ndarray:
@@ -116,19 +141,59 @@ def embed_descriptor(model: GmmModel, descriptor: np.ndarray) -> np.ndarray:
     return embed_batch(model, descriptor[None, :])[0]
 
 
-def encode(model: GmmModel, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Psi, the per-descriptor embeddings (one row per descriptor), and
-    the raw FV, their mean summed in descriptor order."""
-    vectors = np.asarray(vectors, dtype=np.float64)
+def _moments_fv(model: GmmModel, live: np.ndarray, gamma: np.ndarray,
+                t: np.ndarray, tt: np.ndarray) -> np.ndarray:
+    """The raw FV, the mean of Psi over the n descriptors, from the
+    per-component moments S0 = sum gamma_k, S1 = sum gamma_k t and
+    S2 = sum gamma_k t*t (Sanchez et al., IJCV 2013):
+
+        w:     (S0 / n - w_k) / sqrt(w_k)
+        mu:    S1 / n / sqrt(w_k)
+        sigma: (S2 - S0) / n / sqrt(2) / sqrt(w_k)
+
+    Zero-weight components keep zero blocks.
+    """
+    k, d = model.n_components, model.dim
+    n = t.shape[1]
+    w = model.weights[live]
+    sqrt_w = np.sqrt(w)[:, None]
+    g = np.ascontiguousarray(gamma[:, live].T)[:, None, :]  # (|live|, 1, n)
+    s0 = g.sum(axis=2)
+    fv = np.zeros(fv_length(k, d))
+    fv[live] = (s0[:, 0] / n - w) / sqrt_w[:, 0]
+    fv[k:k + k * d].reshape(k, d)[live] = np.matmul(g, t)[:, 0] / n / sqrt_w
+    fv[k + k * d:].reshape(k, d)[live] = ((np.matmul(g, tt)[:, 0] - s0) / n
+                                          * INV_SQRT2 / sqrt_w)
+    return fv
+
+
+def _moment_inputs(model: GmmModel, vectors: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What both raw-FV paths read: the checked descriptor matrix, the
+    live components, the responsibilities, and the deviations t and tt."""
+    vectors = _check_vectors(model, vectors)
     if vectors.shape[0] == 0:
         raise EmptyInputError("cannot aggregate an empty descriptor set")
-    psi = embed_batch(model, vectors)
-    return psi, psi.sum(axis=0) / psi.shape[0]
+    live = np.flatnonzero(model.weights)
+    return (vectors, live, responsibilities(model, vectors),
+            *_deviations(model, vectors, live))
+
+
+def encode(model: GmmModel, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Psi, the per-descriptor embeddings (one row per descriptor, as
+    `embed_batch` gives them), and the raw FV, bit for bit as
+    `aggregate` gives it; both are read off one set of deviations."""
+    vectors, live, gamma, t, tt = _moment_inputs(model, vectors)
+    idx = EmbeddingIndex(model.n_components, model.dim)
+    psi = np.zeros((vectors.shape[0], idx.length))
+    for j, tj, ttj in zip(live, t, tt):
+        _fill_psi(psi, model, idx, j, gamma[:, j], tj, ttj)
+    return psi, _moments_fv(model, live, gamma, t, tt)
 
 
 def aggregate(model: GmmModel, vectors: np.ndarray) -> np.ndarray:
-    """The raw (1+2D)K Fisher vector of a descriptor matrix."""
-    return encode(model, vectors)[1]
+    """The raw (1+2D)K Fisher vector of a descriptor matrix: the mean of
+    its embeddings, from per-component moments, without forming them."""
+    return _moments_fv(model, *_moment_inputs(model, vectors)[1:])
 
 
 def improve(x: np.ndarray) -> np.ndarray:

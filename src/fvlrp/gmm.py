@@ -96,7 +96,14 @@ def _log_joint(model: GmmModel, data: np.ndarray,
     The Mahalanobis term is expanded into two (n, D) x (D, K) products,
     so no (n, K, D) array is formed (see the module docstring). `data_sq`
     is `data * data` when the caller already holds it.
+
+    A row's result does not depend on the other rows, bit for bit. numpy
+    takes a matrix-vector product for a one-row matrix, which rounds
+    otherwise than the matrix-matrix product of a taller one, so a lone
+    row is evaluated stacked twice and the first copy kept.
     """
+    if data.shape[0] == 1:
+        return _log_joint(model, np.repeat(data, 2, axis=0))[:1]
     if data_sq is None:
         data_sq = data * data
     prec = 1.0 / (model.sigmas * model.sigmas)

@@ -16,9 +16,10 @@ The classifier score is decomposed in three stages:
   receptive field (clipped to the image; clipping shrinks the divisor).
 
 The mapping matrix m_d(l) is the |L| x (1+2D)K embedding matrix Psi from
-`embed_batch`, whose mean is the raw Fisher vector. :func:`explain`
-computes both once per image with `fisher.encode`, the helper the MoRF
-traces also start from, and R2 is one array pass over Psi's columns.
+`embed_batch`, whose mean is the raw Fisher vector up to rounding (the
+raw FV is taken from per-component moments). :func:`explain` computes
+both once per image with `fisher.encode`, the helper the MoRF traces
+also start from, and R2 is one array pass over Psi's columns.
 """
 
 from __future__ import annotations

@@ -10,13 +10,16 @@ bit.
 Memory: PCA is fit on the pooled raw training descriptors, the largest
 array of a training run. They are held once. `fit_pca` takes the raw
 sets one at a time, copies each into one pooled matrix, centres that
-matrix in place and projects its row blocks; the pooled matrix is
-consumed, and a caller that passes a generator holds no other copy.
+matrix in place and projects its row blocks into one projected matrix;
+the pooled matrix is consumed, and a caller that passes a generator
+holds no other copy. A split's projected descriptors are likewise one
+matrix (`PooledSets`, from `fit_pca` or `project_all`), which EM
+subsamples without concatenating a copy.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,58 +72,94 @@ def extract_corpus(images: Iterable[LabeledImage], config: PipelineConfig
         yield extract_dense(img.image, config.patch, config.stride)
 
 
+@dataclass(frozen=True)
+class PooledSets(Sequence):
+    """Descriptor sets held as consecutive row blocks of one matrix:
+    each set's `vectors` is a view of `vectors`."""
+
+    vectors: np.ndarray
+    sets: tuple[DescriptorSet, ...]
+
+    def __len__(self) -> int:
+        return len(self.sets)
+
+    def __getitem__(self, i):
+        return self.sets[i]
+
+    @classmethod
+    def fill(cls, sets: Iterable[DescriptorSet], rows: int, dim: int,
+             write: Callable[[DescriptorSet, np.ndarray], object]) -> PooledSets:
+        """One (rows, dim) matrix, each set's block written by
+        `write(ds, block)` as the set comes; `rows` must be their total."""
+        vectors = np.empty((rows, dim))
+        views = []
+        stop = 0
+        for ds in sets:
+            start, stop = stop, stop + len(ds)
+            if stop > rows:
+                raise DimError(f"more than the expected {rows} descriptors")
+            write(ds, vectors[start:stop])
+            views.append(DescriptorSet(vectors[start:stop], ds.areas, ds.image_size))
+        if stop != rows:
+            raise DimError(f"expected {rows} descriptors, got {stop}")
+        return cls(vectors, tuple(views))
+
+
+def _check_raw_dim(ds: DescriptorSet, raw_dim: int) -> None:
+    if ds.dim != raw_dim:
+        raise DimError(f"descriptor dim {ds.dim}, expected {raw_dim}")
+
+
 def fit_pca(descriptor_sets: Iterable[DescriptorSet], rows: int,
-            config: PipelineConfig) -> tuple[PcaModel, list[DescriptorSet]]:
+            config: PipelineConfig) -> tuple[PcaModel, PooledSets]:
     """PCA on the pooled raw training descriptors, and every set projected.
 
     `descriptor_sets` yields the raw training sets, `rows` descriptors in
     all. Each set is copied into one (rows, RAW_DIM) matrix as it comes;
     the fit centres that matrix in place (`pca_fit_inplace`) and each
     set's centred row block times the basis is its projection, bit for
-    bit what `pca_apply` gives. So the raw training descriptors are held
-    once: no concatenated copy, no centred copy, and a generator's sets
-    are dropped as soon as they are copied. The pooled matrix is consumed
-    and freed on return.
+    bit what `pca_apply` gives, written into one (rows, pca_dim) matrix.
+    So the raw training descriptors are held once: no concatenated copy,
+    no centred copy, and a generator's sets are dropped as soon as they
+    are copied. The pooled matrix is consumed and freed on return.
     """
-    pooled = np.empty((rows, RAW_DIM))
-    blocks = []
-    stop = 0
-    for ds in descriptor_sets:
-        start, stop = stop, stop + len(ds)
-        if ds.dim != RAW_DIM:
-            raise DimError(f"descriptor dim {ds.dim}, expected {RAW_DIM}")
-        if stop > rows:
-            raise DimError(f"more than the expected {rows} training descriptors")
-        pooled[start:stop] = ds.vectors
-        blocks.append((start, stop, ds.areas, ds.image_size))
-    if stop != rows:
-        raise DimError(f"expected {rows} training descriptors, got {stop}")
-    pca = pca_fit_inplace(pooled, config.pca_dim)
-    projected = [DescriptorSet(pooled[start:stop] @ pca.basis.T, areas, size)
-                 for start, stop, areas, size in blocks]
+    def copy(ds, block):
+        _check_raw_dim(ds, RAW_DIM)
+        block[...] = ds.vectors
+
+    raw = PooledSets.fill(descriptor_sets, rows, RAW_DIM, copy)
+    pca = pca_fit_inplace(raw.vectors, config.pca_dim)
+    projected = PooledSets.fill(
+        raw.sets, rows, pca.dim,
+        lambda ds, block: np.matmul(ds.vectors, pca.basis.T, out=block))
     return pca, projected
 
 
-def project_all(pca: PcaModel, descriptor_sets: Iterable[DescriptorSet]
-                ) -> list[DescriptorSet]:
-    return parallel_map(lambda ds: pca_apply(pca, ds), descriptor_sets)
+def project_all(pca: PcaModel, descriptor_sets: Iterable[DescriptorSet],
+                rows: int) -> PooledSets:
+    """Every set projected, bit for bit as `pca_apply`, into one matrix;
+    `rows` is the sets' total descriptor count."""
+    def project(ds, block):
+        _check_raw_dim(ds, pca.raw_dim)
+        np.matmul(ds.vectors - pca.mean, pca.basis.T, out=block)
+
+    return PooledSets.fill(descriptor_sets, rows, pca.dim, project)
 
 
-def fit_gmm(projected: list[DescriptorSet], config: PipelineConfig) -> GmmModel:
+def fit_gmm(projected: PooledSets, config: PipelineConfig) -> GmmModel:
     """EM on a seeded subsample of the pooled projected descriptors."""
-    pooled = np.concatenate([ds.vectors for ds in projected], axis=0)
     count = _gmm_sample_size(projected, config)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 101)))
-    idx = np.sort(rng.choice(pooled.shape[0], size=count, replace=False))
-    return em_fit(pooled[idx], config.gmm_k, seed=config.seed,
+    idx = np.sort(rng.choice(projected.vectors.shape[0], size=count, replace=False))
+    return em_fit(projected.vectors[idx], config.gmm_k, seed=config.seed,
                   max_iter=config.gmm_max_iter, tol=config.gmm_tol)
 
 
-def _gmm_sample_size(projected: list[DescriptorSet], config: PipelineConfig) -> int:
+def _gmm_sample_size(projected: Sequence[DescriptorSet], config: PipelineConfig) -> int:
     return min(config.gmm_sample_count, sum(len(ds) for ds in projected))
 
 
-def em_stop(gmm: GmmModel, projected: list[DescriptorSet], config: PipelineConfig
+def em_stop(gmm: GmmModel, projected: Sequence[DescriptorSet], config: PipelineConfig
             ) -> tuple[int, str, float | None]:
     """Why `fit_gmm` stopped, read off the model's log-likelihood trace.
 
@@ -141,9 +180,14 @@ def em_stop(gmm: GmmModel, projected: list[DescriptorSet], config: PipelineConfi
     return steps, "likelihood decrease", gain
 
 
-def embed_all(gmm: GmmModel, projected: list[DescriptorSet]) -> list[np.ndarray]:
-    """The raw FV of every set."""
-    return parallel_map(lambda ds: aggregate(gmm, ds.vectors), projected)
+def embed_all(gmm: GmmModel, projected: Sequence[DescriptorSet]) -> list[np.ndarray]:
+    """The raw FV of every set, each aggregated on its own.
+
+    One responsibilities pass over a split's pooled rows gives the same
+    bits, but its (rows, K) temporaries leave the heap larger, and the
+    next PCA fit's peak then sits on top of it.
+    """
+    return [aggregate(gmm, ds.vectors) for ds in projected]
 
 
 def improved_matrix(raw_fvs: list[np.ndarray]) -> np.ndarray:

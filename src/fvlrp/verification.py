@@ -186,10 +186,25 @@ def _normalize_clamped(hist: np.ndarray) -> np.ndarray:
     return v / np.sqrt(np.dot(v, v))
 
 
+def oracle_orientation_votes(gray: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`descriptors.orientation_votes` in its textbook form: the angle
+    wrapped by np.mod, the bin by floor modulo N_ORI."""
+    padded = np.pad(gray, 1, mode="edge")
+    gx = 0.5 * (padded[1:-1, 2:] - padded[1:-1, :-2])
+    gy = 0.5 * (padded[2:, 1:-1] - padded[:-2, 1:-1])
+    mag = np.hypot(gx, gy)
+    theta = np.mod(np.arctan2(gy, gx), 2.0 * np.pi)
+    t = theta * (N_ORI / (2.0 * np.pi))
+    b0 = np.floor(t).astype(np.int64) % N_ORI
+    frac = t - np.floor(t)
+    b1 = (b0 + 1) % N_ORI
+    return b0, b1, mag * (1.0 - frac), mag * frac
+
+
 def oracle_extract_dense(img: Image, patch: int, stride: int) -> DescriptorSet:
     """`extract_dense` with each patch histogram binned from its own
     pixels, one grid position at a time (any geometry)."""
-    b0, b1, w0, w1 = orientation_votes(img.gray())
+    b0, b1, w0, w1 = oracle_orientation_votes(img.gray())
     cells = _cell_index_grid(patch)
     vectors = []
     areas = []
@@ -426,9 +441,30 @@ def same_descriptors(a: DescriptorSet, b: DescriptorSet) -> bool:
             and np.array_equal(a.areas, b.areas) and a.image_size == b.image_size)
 
 
+def angle_edge_images(rng: np.random.Generator, height: int = 24, width: int = 20
+                      ) -> list[np.ndarray]:
+    """Gray images whose gradients sit where the angle wrap can round:
+    signed zeros only (zero gradients at angles 0, -0, pi and -pi), a
+    leftward ramp (angle exactly pi) with rows of -0.0 above it (-pi),
+    and a rightward ramp whose first column falls by steps small enough
+    that the wrapped angle rounds to 2*pi or lands just below it."""
+    zeros = np.where(rng.random((height, width)) < 0.5, -0.0, 0.0)
+    ramp = np.linspace(1.0, 0.0, width)
+    left = np.zeros((height, width))
+    left[1::2] = ramp
+    left[2::4] = -0.0
+    images = [zeros, left]
+    for step in (1e-20, 1e-18, 1e-16, 1e-15):
+        right = np.tile(ramp[::-1], (height, 1))
+        right[:, 0] = step * np.arange(height, 0, -1)
+        images.append(right)
+    return images
+
+
 def check_dense_extraction(cases: int = 48, seed: int = 1009) -> CheckResult:
-    """Cell-shared extraction equals per-patch binning bit for bit on the
-    tiling geometries, with non-square, color and constant images."""
+    """Cell-shared extraction equals per-patch binning, and the orientation
+    votes equal their oracle, bit for bit: on the tiling geometries, with
+    non-square, color and constant images, and on the angle edge cases."""
     rng = np.random.default_rng(seed)
     for case in range(cases):
         patch, stride = TILING_GEOMETRIES[case % len(TILING_GEOMETRIES)]
@@ -439,7 +475,16 @@ def check_dense_extraction(cases: int = 48, seed: int = 1009) -> CheckResult:
                                 oracle_extract_dense(img, patch, stride)):
             return CheckResult("dense-extraction", False,
                                f"case {case}: patch {patch} stride {stride} shape {shape}")
-    return CheckResult("dense-extraction", True, f"{cases} images, all bitwise equal")
+    edges = angle_edge_images(rng)
+    for case, gray in enumerate(edges):
+        votes = zip(orientation_votes(gray), oracle_orientation_votes(gray))
+        if not (all(a.tobytes() == b.tobytes() for a, b in votes)
+                and same_descriptors(extract_dense(Image(gray), 8, 4),
+                                     oracle_extract_dense(Image(gray), 8, 4))):
+            return CheckResult("dense-extraction", False, f"angle edge case {case}")
+    return CheckResult("dense-extraction", True,
+                       f"{cases} images and {len(edges)} angle edge cases, "
+                       f"all bitwise equal")
 
 
 def check_r1(cases: int = 200, seed: int = 1010) -> CheckResult:

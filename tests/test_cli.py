@@ -13,6 +13,7 @@ from fvlrp.config import load_config
 from fvlrp.descriptors import RAW_DIM, descriptor_count
 from fvlrp.imaging import load_image
 from fvlrp.pipeline import make_corpus
+from fvlrp.serialization import load_model
 
 TINY = {
     "corpus_size": 64,
@@ -259,6 +260,25 @@ def test_models_are_thread_count_invariant(pipeline, tmp_path):
         assert a == b, kind
     assert ((out / "corpus" / "index.tsv").read_bytes()
             == (second / "corpus" / "index.tsv").read_bytes())
+
+
+def test_stored_fisher_vectors_equal_the_per_image_path(pipeline):
+    """`embed` pools a split's responsibilities; each stored raw FV still
+    equals the per-image path that `embed_image`, `explain` and MoRF
+    take, bit for bit."""
+    out, config_path = pipeline
+    config = load_config(config_path)
+    pca = load_model(out / "models" / "pca.json", "pca")
+    gmm_model = load_model(out / "models" / "gmm.json", "gmm")
+    entries = cli._split_entries(str(out), "test")
+    assert len(entries) == 2 * TINY["test_per_class"]
+    for entry in entries:
+        img = load_image(out / entry.file)
+        vectors = descriptors.pca_apply(pca, descriptors.extract_dense(
+            img, config.patch, config.stride)).vectors
+        stored = fisher.load_fisher_vector(
+            out / "embeddings" / "test" / f"{entry.image_id}.fvec")
+        assert stored.tobytes() == fisher.aggregate(gmm_model, vectors).tobytes()
 
 
 def test_cli_has_no_stage_implementation_of_its_own():

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from fvlrp.errors import DegenerateInputError, DimError, EmptyInputError
 from fvlrp.fisher import (EmbeddingIndex, aggregate, embed_batch,
-                          embed_descriptor, fv_length, hellinger_check,
+                          embed_descriptor, encode, fv_length, hellinger_check,
                           improve, load_fisher_vector, save_fisher_vector,
                           signed_sqrt)
 from fvlrp.gmm import GmmModel, responsibilities
+from fvlrp.verification import random_gmm
 
 
 def make_model(weights, means, sigmas):
@@ -85,6 +86,50 @@ def test_aggregate_is_mean_of_embeddings(rng):
                                atol=1e-12)
     with pytest.raises(EmptyInputError):
         aggregate(model, np.zeros((0, 3)))
+
+
+def with_dead_component(model):
+    """The model with its first component's weight set to zero."""
+    w = model.weights.copy()
+    w[0] = 0.0
+    return GmmModel(w / w.sum(), model.means, model.sigmas, model.sigma_floor)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 169])
+@pytest.mark.parametrize("dead", [False, True])
+def test_encode_raw_fv_is_aggregate_bitwise(rng, n, dead):
+    model = random_gmm(rng, 4, 5)
+    model = with_dead_component(model) if dead else model
+    vectors = rng.normal(0.0, 2.0, (n, 5))
+    psi, raw = encode(model, vectors)
+    assert raw.tobytes() == aggregate(model, vectors).tobytes()
+    assert psi.tobytes() == embed_batch(model, vectors).tobytes()
+
+
+def test_zero_weight_component_gives_zero_raw_fv_blocks(rng):
+    model = with_dead_component(random_gmm(rng, 3, 4))
+    idx = EmbeddingIndex(3, 4)
+    with np.errstate(all="raise"):  # no 0/0 on the way
+        raw = aggregate(model, rng.normal(size=(9, 4)))
+    assert raw[0] == 0.0
+    assert np.all(raw[idx.mu_block(0)] == 0.0)
+    assert np.all(raw[idx.sigma_block(0)] == 0.0)
+    assert np.all(raw[idx.mu_block(1)] != 0.0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 40), st.data())
+def test_embedding_row_does_not_depend_on_its_batch(seed, n, data):
+    rng = np.random.default_rng(seed)
+    k, d = int(rng.integers(1, 9)), int(rng.integers(1, 17))
+    model = random_gmm(rng, k, d)
+    vectors = rng.normal(0.0, 2.0, (n, d))
+    full = embed_batch(model, vectors)
+    subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=n, unique=True))
+    assert full[subset].tobytes() == embed_batch(model, vectors[subset]).tobytes()
+    for i in range(n):
+        assert full[i].tobytes() == embed_batch(model, vectors[i:i + 1])[0].tobytes()
 
 
 def test_signed_sqrt_convention():

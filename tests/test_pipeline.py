@@ -10,10 +10,13 @@ from fvlrp.config import PipelineConfig, load_config
 from fvlrp.descriptors import (RAW_DIM, DescriptorSet, descriptor_count,
                                extract_dense, pca_apply, pca_fit)
 from fvlrp.errors import DimError
+from fvlrp.fisher import aggregate, embed_batch
 from fvlrp.gmm import GmmModel
 from fvlrp.imaging import Image
-from fvlrp.pipeline import (em_stop, embed_image, fit_pca, make_corpus,
-                            nn_inputs, train_all, train_net)
+from fvlrp.pipeline import (em_stop, embed_all, embed_image, fit_pca,
+                            make_corpus, nn_inputs, project_all, train_all,
+                            train_net)
+from fvlrp.verification import random_gmm
 from fvlrp.serialization import save_model
 from fvlrp.svm import score
 from fvlrp.synth import label_vectors
@@ -135,6 +138,27 @@ def test_pooled_pca_equals_concatenated_fit_on_mixed_sizes(rng):
     assert_pooled_fit_is_concatenated_fit(raw_sets, config)
 
 
+@pytest.mark.parametrize("sizes", [(1,), (169,), (1, 169, 1, 1, 169), (169, 1)])
+def test_pooled_embedding_equals_per_set_aggregate(rng, sizes):
+    """Sets projected into one matrix and embedded from its row blocks
+    give the raw FV of each set projected and aggregated alone, bit for
+    bit."""
+    config = PipelineConfig()
+    raw_sets = [DescriptorSet(rng.random((n, RAW_DIM)),
+                              np.zeros((n, 4), dtype=np.int64), (8, 8))
+                for n in sizes]
+    pca = pca_fit(rng.random((200, RAW_DIM)), config.pca_dim)
+    gmm = random_gmm(rng, config.gmm_k, config.pca_dim)
+    projected = project_all(pca, iter(raw_sets), sum(sizes))
+    assert projected.vectors.shape == (sum(sizes), config.pca_dim)
+    raws = embed_all(gmm, projected)
+    assert len(raws) == len(sizes)
+    for raw, ds, got in zip(raws, raw_sets, projected):
+        alone = pca_apply(pca, ds).vectors
+        assert got.vectors.tobytes() == alone.tobytes()
+        assert raw.tobytes() == aggregate(gmm, alone).tobytes()
+
+
 def test_pooled_pca_refuses_a_wrong_row_count(rng):
     config = PipelineConfig(pca_dim=4)
     sets = [DescriptorSet(rng.random((5, RAW_DIM)),
@@ -166,6 +190,21 @@ def test_training_holds_the_raw_descriptors_once(fixed_workload):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * raw_bytes, f"peaked at {peak / raw_bytes:.2f}x the raw matrix"
+
+
+def test_raw_fv_is_mean_of_embeddings_on_fixed_workload(fixed_workload):
+    """The moment form of the raw FV agrees with the mean of Psi to
+    rounding on the fixed workload's 40 test images."""
+    config, train_imgs, classes = fixed_workload
+    bundle = train_all(train_imgs, classes, config, with_nn=False)
+    _, test_imgs, _ = make_corpus(config)
+    assert len(test_imgs) == 40
+    for img in test_imgs:
+        vectors = pca_apply(bundle.pca, extract_dense(
+            img.image, config.patch, config.stride)).vectors
+        fv = aggregate(bundle.gmm, vectors)
+        gap = np.abs(fv - embed_batch(bundle.gmm, vectors).mean(axis=0)).max()
+        assert gap <= 1e-14 * np.abs(fv).max()
 
 
 def test_train_net_matches_weight_space_oracle(fixed_workload):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimError, ExtractError, FitError
 from .imaging import Image
-from .util import read_container, write_container
+from .util import normalize_rows, read_container, write_container
 
 _DESC_MAGIC = b"DESC1"
 N_CELLS = 4
@@ -99,25 +99,13 @@ def descriptor_count(width: int, height: int, patch: int, stride: int) -> int:
     return len(xs) * len(ys)
 
 
-def _row_norms(h: np.ndarray) -> np.ndarray:
-    # Batched matmul, not einsum or sum: it equals np.dot per row bit for bit.
-    return np.sqrt(np.matmul(h[:, None, :], h[:, :, None])[:, 0, 0])
-
-
-def _divide_rows(h: np.ndarray) -> None:
-    # A zero norm becomes 1: those rows are left as they are.
-    norm = _row_norms(h)
-    norm[norm == 0.0] = 1.0
-    h /= norm[:, None]
-
-
 def _normalize_clamped(h: np.ndarray) -> np.ndarray:
-    """Row-wise l2-normalize, clamp at CLAMP and renormalize, in place;
+    """Row-wise l2-normalize, clamp at CLAMP and renormalize, in place,
+    with `util.normalize_rows`, the row norm the improved FV uses too;
     rows of zero norm are left as they are."""
-    _divide_rows(h)
+    normalize_rows(h)
     np.minimum(h, CLAMP, out=h)
-    _divide_rows(h)
-    return h
+    return normalize_rows(h)
 
 
 def extract_dense(img: Image, patch: int, stride: int) -> DescriptorSet:

@@ -13,7 +13,8 @@ Two instruments:
   embedded with one batch embedding; the raw FV after step i is the
   cumulative update
   ``x_i = x0 + sum_{j<=i} sum_{l in batch j} (Psi(new_l) - Psi(old_l)) / |L|``;
-  and every step of every trace is improved and scored in one pass.
+  and every step of every trace is improved and scored in one pass,
+  by the `fisher.improve` and `svm.score` every other caller uses.
   The extra memory is the embedded draws, traces * batch * steps *
   (1+2D)K float64 values per image (2.1 MB at the defaults). Each
   descriptor is replaced at most once. The score trace under the
@@ -37,7 +38,7 @@ import numpy as np
 from .descriptors import DescriptorSet, PcaModel, extract_dense, pca_apply
 from .errors import (DimError, EmptyInputError, RangeError, UndefinedError,
                      ValidationError)
-from .fisher import embed_batch, encode, improve, signed_sqrt
+from .fisher import embed_batch, encode, improve
 from .gmm import GmmModel, sample
 from .imaging import BoundingBox, Heatmap
 from .lrp_fv import VARIANTS, R2Map, explain, relevance_r2, relevance_r3
@@ -91,17 +92,6 @@ def _check_trace_size(batch: int, steps: int, n: int) -> None:
         raise RangeError(f"batch*steps = {batch * steps} exceeds |L| = {n}")
 
 
-def _improved_scores(xs: np.ndarray, svm_model: SvmModel, k: int) -> np.ndarray:
-    """``score(svm_model, improve(x), class k)`` for every x along the
-    last axis of `xs`, bit for bit: each (1, F) x (F, 1) product of the
-    batched matmul is the dot product np.dot takes."""
-    v = signed_sqrt(xs)
-    norm = np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0]
-    np.divide(v, norm, out=v, where=norm != 0.0)
-    w = svm_model.weights[k][:, None]
-    return np.matmul(v[..., None, :], w)[..., 0, 0] + svm_model.biases[k]
-
-
 def replace_traces(vectors: np.ndarray, psi: np.ndarray, x0: np.ndarray,
                    gmm: GmmModel, svm_model: SvmModel, class_name: str,
                    plans: list, batch: int, steps: int,
@@ -117,9 +107,9 @@ def replace_traces(vectors: np.ndarray, psi: np.ndarray, x0: np.ndarray,
     descriptors themselves under `identity_replacement`). All draws are
     embedded with one `embed_batch` call. The raw FV after step i of a
     trace is ``x0 + cumsum`` of its per-batch sums of
-    ``(Psi(new) - Psi(old)) / |L|``, and every step of every trace is
-    improved and scored in one array pass, bit for bit as
-    ``score(svm_model, improve(x), class_name)``.
+    ``(Psi(new) - Psi(old)) / |L|``, and the (traces, steps) stack of
+    them is improved and scored by one `improve` and one `score` call,
+    which give each step what they give it alone.
 
     Memory beyond the inputs is dominated by the embedded draws:
     traces * batch * steps * (1+2D)K float64 values. `compare_orderings`
@@ -141,9 +131,8 @@ def replace_traces(vectors: np.ndarray, psi: np.ndarray, x0: np.ndarray,
     delta /= n
     xs = np.cumsum(delta.reshape(len(plans), steps, batch, -1).sum(axis=2), axis=1)
     xs += x0
-    k = svm_model.class_index(class_name)
-    f0 = float(_improved_scores(x0, svm_model, k))
-    scores = _improved_scores(xs, svm_model, k)
+    f0 = score(svm_model, improve(x0), class_name)
+    scores = score(svm_model, improve(xs), class_name)
     traces = [MorfTrace(oid, row, f0, batch, class_name)
               for (oid, _, _), row in zip(plans, scores)]
     return traces, draws, xs[:, -1]

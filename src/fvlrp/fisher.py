@@ -16,10 +16,13 @@ image-level raw Fisher vector is their arithmetic mean over descriptors.
 responsibilities (Sanchez et al., IJCV 2013) without forming the
 embeddings, and `encode` gives the embeddings Psi together with that
 same raw FV; it equals the mean of Psi up to rounding (about 1e-15 at
-the defaults). The improved form applies the signed square root
+the defaults). `embed_batch` is the Psi half of `encode`: both fill Psi
+in one loop over the live components, from one pass over the
+deviations. The improved form phi applies the signed square root
 followed by l2 normalization, which is equivalent to the Hellinger
 kernel on the raw vector (see :func:`hellinger_check`). Both are plain
-(1+2D)K arrays.
+(1+2D)K arrays; `improve` takes one or a stack of them along the last
+axis, with the row norm (`util.row_norms`) the descriptors use.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DimError, EmptyInputError
 from .gmm import GmmModel, responsibilities
-from .util import read_container, write_container
+from .util import normalize_rows, read_container, write_container
 
 _FVEC_MAGIC = b"FVEC1"
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -104,33 +107,44 @@ def _deviations(model: GmmModel, vectors: np.ndarray, live: np.ndarray
     return t, t * t
 
 
-def _fill_psi(psi: np.ndarray, model: GmmModel, idx: EmbeddingIndex, j: int,
-              g: np.ndarray, t: np.ndarray, tt: np.ndarray) -> None:
-    """Component j's columns of Psi from its responsibilities g and its
-    standardized deviations t (tt = t * t)."""
-    w, sqrt_w = model.weights[j], np.sqrt(model.weights[j])
-    psi[:, j] = (g - w) / sqrt_w
-    g = g[:, None]
-    psi[:, idx.mu_block(j)] = g * t / sqrt_w
-    psi[:, idx.sigma_block(j)] = g * (tt - 1.0) * INV_SQRT2 / sqrt_w
+def _moment_inputs(model: GmmModel, vectors: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What Psi and the raw FV are read off: the checked descriptor
+    matrix, the live components, the responsibilities, and the
+    deviations t and tt."""
+    vectors = _check_vectors(model, vectors)
+    live = np.flatnonzero(model.weights)
+    return (vectors, live, responsibilities(model, vectors),
+            *_deviations(model, vectors, live))
+
+
+def _embed(model: GmmModel, vectors: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Psi, one row per descriptor, and the moment inputs the raw FV is
+    read off (all of `_moment_inputs` but the descriptors). Component
+    j's columns come from its responsibilities g and its deviations;
+    components of zero weight keep zero columns."""
+    vectors, live, gamma, t, tt = _moment_inputs(model, vectors)
+    idx = EmbeddingIndex(model.n_components, model.dim)
+    psi = np.zeros((vectors.shape[0], idx.length))
+    for j, tj, ttj in zip(live, t, tt):
+        w, sqrt_w = model.weights[j], np.sqrt(model.weights[j])
+        g = gamma[:, j]
+        psi[:, j] = (g - w) / sqrt_w
+        g = g[:, None]
+        psi[:, idx.mu_block(j)] = g * tj / sqrt_w
+        psi[:, idx.sigma_block(j)] = g * (ttj - 1.0) * INV_SQRT2 / sqrt_w
+    return psi, (live, gamma, t, tt)
 
 
 def embed_batch(model: GmmModel, vectors: np.ndarray) -> np.ndarray:
-    """Per-descriptor raw embeddings, one row per descriptor.
+    """Per-descriptor raw embeddings, one row per descriptor: the Psi
+    half of `encode`.
 
     Components with exactly zero mixture weight contribute zero blocks
     (they also receive zero responsibility, so this is the correct
     limit, avoiding 0/0). A row depends only on its own descriptor, bit
     for bit, not on the batch it comes in.
     """
-    vectors = _check_vectors(model, vectors)
-    idx = EmbeddingIndex(model.n_components, model.dim)
-    gamma = responsibilities(model, vectors)
-    psi = np.zeros((vectors.shape[0], idx.length))
-    for j in np.flatnonzero(model.weights):
-        t = (vectors - model.means[j]) / model.sigmas[j]
-        _fill_psi(psi, model, idx, j, gamma[:, j], t, t * t)
-    return psi
+    return _embed(model, vectors)[0]
 
 
 def embed_descriptor(model: GmmModel, descriptor: np.ndarray) -> np.ndarray:
@@ -155,6 +169,8 @@ def _moments_fv(model: GmmModel, live: np.ndarray, gamma: np.ndarray,
     """
     k, d = model.n_components, model.dim
     n = t.shape[1]
+    if n == 0:
+        raise EmptyInputError("cannot aggregate an empty descriptor set")
     w = model.weights[live]
     sqrt_w = np.sqrt(w)[:, None]
     g = np.ascontiguousarray(gamma[:, live].T)[:, None, :]  # (|live|, 1, n)
@@ -167,27 +183,12 @@ def _moments_fv(model: GmmModel, live: np.ndarray, gamma: np.ndarray,
     return fv
 
 
-def _moment_inputs(model: GmmModel, vectors: np.ndarray) -> tuple[np.ndarray, ...]:
-    """What both raw-FV paths read: the checked descriptor matrix, the
-    live components, the responsibilities, and the deviations t and tt."""
-    vectors = _check_vectors(model, vectors)
-    if vectors.shape[0] == 0:
-        raise EmptyInputError("cannot aggregate an empty descriptor set")
-    live = np.flatnonzero(model.weights)
-    return (vectors, live, responsibilities(model, vectors),
-            *_deviations(model, vectors, live))
-
-
 def encode(model: GmmModel, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Psi, the per-descriptor embeddings (one row per descriptor, as
     `embed_batch` gives them), and the raw FV, bit for bit as
     `aggregate` gives it; both are read off one set of deviations."""
-    vectors, live, gamma, t, tt = _moment_inputs(model, vectors)
-    idx = EmbeddingIndex(model.n_components, model.dim)
-    psi = np.zeros((vectors.shape[0], idx.length))
-    for j, tj, ttj in zip(live, t, tt):
-        _fill_psi(psi, model, idx, j, gamma[:, j], tj, ttj)
-    return psi, _moments_fv(model, live, gamma, t, tt)
+    psi, inputs = _embed(model, vectors)
+    return psi, _moments_fv(model, *inputs)
 
 
 def aggregate(model: GmmModel, vectors: np.ndarray) -> np.ndarray:
@@ -197,13 +198,11 @@ def aggregate(model: GmmModel, vectors: np.ndarray) -> np.ndarray:
 
 
 def improve(x: np.ndarray) -> np.ndarray:
-    """Signed square root then l2 normalization: the unit-norm improved
-    FV; zero maps to zero."""
-    v = signed_sqrt(np.asarray(x, dtype=np.float64))
-    norm = np.sqrt(np.dot(v, v))
-    if norm == 0.0:
-        return v
-    return v / norm
+    """phi(x): signed square root then l2 normalization, the unit-norm
+    improved FV, along the last axis of `x`, so one raw FV or a stack of
+    them (images, traces, steps, ...); zero maps to zero. Each row of a
+    stack is bit for bit the improved FV of that row alone."""
+    return normalize_rows(signed_sqrt(np.asarray(x, dtype=np.float64)))
 
 
 def hellinger_check(x, y) -> tuple[float, float]:

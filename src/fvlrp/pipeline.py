@@ -191,7 +191,7 @@ def embed_all(gmm: GmmModel, projected: Sequence[DescriptorSet]) -> list[np.ndar
 
 
 def improved_matrix(raw_fvs: list[np.ndarray]) -> np.ndarray:
-    return np.stack([improve(fv) for fv in raw_fvs])
+    return improve(np.stack(raw_fvs))
 
 
 def train_svm(labelled: Sequence, features: np.ndarray,

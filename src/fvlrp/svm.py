@@ -21,13 +21,6 @@ import numpy as np
 from .errors import DimError, TrainError, ValidationError
 
 
-def _as_feature(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimError(f"expected a 1-d feature vector, got shape {arr.shape}")
-    return arr
-
-
 def _as_feature_matrix(features) -> np.ndarray:
     arr = np.asarray(features, dtype=np.float64)
     if arr.ndim != 2:
@@ -134,13 +127,21 @@ def train(features, labels: dict, c: float = 1.0, epochs: int = 200) -> SvmModel
     return SvmModel(classes, weights, biases, c=c, epochs=epochs)
 
 
-def score(model: SvmModel, phi_x, class_name: str) -> float:
-    """f(x) = w . phi(x) + b for one class."""
-    x = _as_feature(phi_x)
-    if x.shape[0] != model.dim:
-        raise DimError(f"feature length {x.shape[0]} vs model dim {model.dim}")
+def score(model: SvmModel, phi_x, class_name: str):
+    """f(x) = w . phi(x) + b for one class: a float for one phi(x), an
+    array for a stack of them along the last axis.
+
+    Each w . phi(x) is one (1, F) x (F, 1) product of a batched matmul,
+    the dot product np.dot takes, so a stack's scores equal those of its
+    rows one at a time, bit for bit.
+    """
+    x = np.asarray(phi_x, dtype=np.float64)
+    if x.ndim == 0 or x.shape[-1] != model.dim:
+        raise DimError(f"feature shape {x.shape} vs model dim {model.dim}")
     k = model.class_index(class_name)
-    return float(np.dot(model.weights[k], x) + model.biases[k])
+    f = np.matmul(x[..., None, :], model.weights[k][:, None])[..., 0, 0]
+    f += model.biases[k]
+    return float(f) if x.ndim == 1 else f
 
 
 def eer_threshold(scores, labels) -> float:
@@ -171,10 +172,10 @@ def eer_threshold(scores, labels) -> float:
 
 
 def with_thresholds(model: SvmModel, features, labels: dict) -> SvmModel:
-    """Copy of the model with per-class EER thresholds fit on `features`."""
+    """Copy of the model with per-class EER thresholds fit on the `score`s
+    of `features`, the scores every decision compares them against."""
     feats = _as_feature_matrix(features)
-    taus = np.array([eer_threshold(feats @ model.weights[k] + model.biases[k],
-                                   labels[name])
-                     for k, name in enumerate(model.classes)])
+    taus = np.array([eer_threshold(score(model, feats, name), labels[name])
+                     for name in model.classes])
     return SvmModel(model.classes, model.weights, model.biases, model.c,
                     model.epochs, taus)

@@ -1,10 +1,12 @@
-"""Small shared helpers: ordered mapping, stable hashing and the binary
-container behind the DESC1, FVEC1 and HMAP1 formats."""
+"""Small shared helpers: ordered mapping, the l2 row norm, stable hashing
+and the binary container behind the DESC1, FVEC1 and HMAP1 formats."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+
+import numpy as np
 
 from .errors import IoError, ParseError
 
@@ -16,6 +18,21 @@ def parallel_map(fn, items) -> list:
     pipeline's maps through it as a layer.
     """
     return [fn(item) for item in items]
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """The l2 norm along the last axis: one value per row of a stack, a
+    0-d array for one vector. Each (1, F) x (F, 1) product of the batched
+    matmul is the dot product np.dot takes, so every norm equals
+    ``np.sqrt(np.dot(r, r))`` bit for bit, whatever the stack's shape."""
+    return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
+
+
+def normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Divide each row (along the last axis) by its l2 norm, in place;
+    rows of zero norm are left as they are. Returns `rows`."""
+    norm = row_norms(rows)[..., None]
+    return np.divide(rows, norm, out=rows, where=norm != 0.0)
 
 
 def canonical_json(obj) -> str:

@@ -14,6 +14,7 @@ from fvlrp.descriptors import RAW_DIM, descriptor_count
 from fvlrp.imaging import load_image
 from fvlrp.pipeline import make_corpus
 from fvlrp.serialization import load_model
+from fvlrp.synth import label_vectors
 
 TINY = {
     "corpus_size": 64,
@@ -222,6 +223,19 @@ def test_gmm_fit_states_why_em_stopped(pipeline, capsys):
     gain = (trace[-1] - trace[-2]) / 784
     assert line == (f"gmm-fit: K=3, {len(trace) - 1} M-steps, stopped by gmm_tol, "
                     f"last gain per descriptor {gain:.2e}")
+
+
+def test_thresholds_are_eer_over_the_scores_of_the_training_phi(pipeline):
+    # each stored threshold comes from exactly the scores that predict,
+    # explain and MoRF compare against it, one phi at a time
+    out, _ = pipeline
+    model = load_model(out / "models" / "svm.json", "svm")
+    _, features = cli._load_feature_matrix(str(out), "train")
+    labels = label_vectors(cli._split_entries(str(out), "train"), model.classes)
+    for c, tau in zip(model.classes, model.thresholds):
+        scores = [svm.score(model, phi, c) for phi in features]
+        assert tau.tobytes() == np.float64(
+            svm.eer_threshold(scores, labels[c])).tobytes()
 
 
 def test_stale_cache_is_refused(pipeline, tmp_path, capsys):

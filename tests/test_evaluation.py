@@ -264,17 +264,23 @@ def test_compare_orderings_makes_one_replacement_pass_per_image(
             return _fn(*args, **kwargs)
         monkeypatch.setattr(evaluation, name, counted)
     cls = micro_bundle.classes[0]
-    report = compare_orderings(test_imgs, cls, micro_bundle.gmm,
-                               micro_bundle.pca, micro_bundle.svm,
-                               variants=("epsilon", "absolute"), batch=2,
-                               steps=4, repetitions=3, seed=0)
-    assert report.n_images >= 1
-    # encode each image, then one embedding per positive image for all of
-    # its traces; f(x) is scored once per image and never per step
-    assert calls.count("embed_batch") == report.n_images
-    assert calls.count("sample") == report.n_images * 3 * 3
-    assert calls.count("score") == len(test_imgs)
-    assert calls.count("improve") == len(test_imgs)
+    counts = []
+    for steps in (2, 4):
+        calls.clear()
+        report = compare_orderings(test_imgs, cls, micro_bundle.gmm,
+                                   micro_bundle.pca, micro_bundle.svm,
+                                   variants=("epsilon", "absolute"), batch=2,
+                                   steps=steps, repetitions=3, seed=0)
+        assert report.n_images >= 1
+        # encode each image, then one embedding per positive image for all
+        # of its traces
+        assert calls.count("embed_batch") == report.n_images
+        assert calls.count("sample") == report.n_images * 3 * 3
+        counts.append((calls.count("score"), calls.count("improve")))
+    # f(x) is improved and scored per image, and the kernel's steps in one
+    # call per image: never once per step
+    assert counts[0] == counts[1]
+    assert counts[0] == (len(test_imgs) + 2 * report.n_images,) * 2
 
 
 @pytest.mark.parametrize("variants, repetitions, error", [

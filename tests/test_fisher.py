@@ -11,6 +11,7 @@ from fvlrp.fisher import (EmbeddingIndex, aggregate, embed_batch,
                           improve, load_fisher_vector, save_fisher_vector,
                           signed_sqrt)
 from fvlrp.gmm import GmmModel, responsibilities
+from fvlrp.util import row_norms
 from fvlrp.verification import random_gmm
 
 
@@ -142,6 +143,32 @@ def test_improve_unit_norm_and_zero(rng):
     improved = improve(v)
     assert np.linalg.norm(improved) == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_array_equal(improve(np.zeros(6)), np.zeros(6))
+
+
+def random_stack(seed: int, lead: list, length: int) -> np.ndarray:
+    """A (*lead, length) stack of signed rows on mixed scales, about a
+    third of its rows all zero."""
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(*lead, length)) * 10.0 ** rng.integers(-3, 4, (*lead, 1))
+    stack[rng.random(lead) < 0.3] = 0.0
+    return stack
+
+
+# One row, 2-D (rows, F) and 3-D (traces, steps, F) stacks.
+stack_shapes = (st.integers(0, 2 ** 31 - 1),
+                st.lists(st.integers(1, 6), min_size=1, max_size=2),
+                st.integers(1, 300))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(*stack_shapes)
+def test_improve_and_row_norms_of_a_stack_are_those_of_each_row(seed, lead, length):
+    stack = random_stack(seed, lead, length)
+    improved, norms = improve(stack), row_norms(stack)
+    assert improved.shape == stack.shape and norms.shape == tuple(lead)
+    for i in np.ndindex(*lead):
+        assert improved[i].tobytes() == improve(stack[i]).tobytes()
+        assert norms[i].tobytes() == np.sqrt(np.dot(stack[i], stack[i])).tobytes()
 
 
 def test_hellinger_identity_random(rng):

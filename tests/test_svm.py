@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvlrp.errors import DimError, TrainError, ValidationError
 from fvlrp.svm import SvmModel, eer_threshold, score, train, with_thresholds
@@ -96,3 +98,30 @@ def test_regularization_shrinks_weights(rng):
     strong = train(x, {"a": y}, c=0.01, epochs=150)
     weak = train(x, {"a": y}, c=100.0, epochs=150)
     assert np.linalg.norm(strong.weights) < np.linalg.norm(weak.weights)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1),
+       st.lists(st.integers(1, 6), min_size=1, max_size=2),
+       st.integers(1, 300))
+def test_score_of_a_stack_is_the_score_of_each_row(seed, lead, length):
+    # one row, 2-D (rows, F) and 3-D (traces, steps, F) stacks, signed,
+    # about a third of the rows all zero
+    rng = np.random.default_rng(seed)
+    model = SvmModel(("a", "b"), rng.normal(size=(2, length)), rng.normal(size=2))
+    stack = rng.normal(size=(*lead, length))
+    stack[rng.random(lead) < 0.3] = 0.0
+    for c in model.classes:
+        scores = score(model, stack, c)
+        assert scores.shape == tuple(lead)
+        for i in np.ndindex(*lead):
+            one = score(model, stack[i], c)
+            assert type(one) is float
+            assert scores[i].tobytes() == np.float64(one).tobytes()
+
+
+def test_score_rejects_a_stack_of_the_wrong_length(rng):
+    model = SvmModel(("a",), rng.normal(size=(1, 4)), np.zeros(1))
+    for bad in (np.zeros((3, 5)), np.zeros(5), np.float64(1.0)):
+        with pytest.raises(DimError):
+            score(model, bad, "a")

@@ -8,8 +8,13 @@ with lambda = 1/C. The solver is a deterministic full-batch subgradient
 descent over averaged iterates: because every step sees the exact mean
 subgradient, duplicating the training set leaves the trajectory
 unchanged (up to summation rounding), which is the invariance the tests
-rely on. The model kept is the averaged iterate with the lowest
-objective seen; no per-epoch objective trace is recorded.
+rely on. The model kept is the last averaged iterate; no objective is
+evaluated while training (`verification.oracle_svm_dual` keeps the
+lowest-objective iterate, and `check_svm_dual` holds the two equal).
+
+Every score is one `score` call, for one improved FV or a stack of them:
+training's EER thresholds come from exactly the scores that prediction,
+explanation and MoRF compare against them.
 """
 
 from __future__ import annotations
@@ -74,14 +79,13 @@ def _objective(w: np.ndarray, b: float, lam: float,
 
 def _train_binary(feats: np.ndarray, y: np.ndarray, c: float, epochs: int
                   ) -> tuple[np.ndarray, float]:
-    """Best averaged iterate (w, b) of full-batch subgradient descent."""
+    """Last averaged iterate (w, b) of full-batch subgradient descent."""
     n, dim = feats.shape
     lam = 1.0 / c
     w = np.zeros(dim)
     b = 0.0
     # Running averages over iterates (including the zero start).
     avg_w, avg_b = w.copy(), b
-    best = (_objective(avg_w, avg_b, lam, feats, y), avg_w.copy(), avg_b)
     for t in range(1, epochs + 1):
         margins = y * (feats @ w + b)
         active = margins < 1.0
@@ -93,10 +97,7 @@ def _train_binary(feats: np.ndarray, y: np.ndarray, c: float, epochs: int
         b = b - eta * grad_b
         avg_w = avg_w + (w - avg_w) / (t + 1.0)
         avg_b = avg_b + (b - avg_b) / (t + 1.0)
-        obj = _objective(avg_w, avg_b, lam, feats, y)
-        if obj < best[0]:
-            best = (obj, avg_w.copy(), avg_b)
-    return best[1], best[2]
+    return avg_w, avg_b
 
 
 def train(features, labels: dict, c: float = 1.0, epochs: int = 200) -> SvmModel:

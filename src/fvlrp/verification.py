@@ -304,11 +304,13 @@ def oracle_nn_train(inputs, labels: dict, hidden: tuple[int, ...] = (64, 32),
 
 def oracle_svm_dual(features: np.ndarray, y: np.ndarray, c: float,
                     epochs: int) -> np.ndarray:
-    """Per-example coefficients a of the iterate `svm.train` keeps.
+    """Per-example coefficients a of the lowest-objective averaged iterate.
 
     Replays the averaged subgradient recurrence, tracking next to w the
     coefficients with w = sum_i a_i y_i x_i: each step scales a by
-    (1 - eta*lam) and adds eta/n to every margin violator.
+    (1 - eta*lam) and adds eta/n to every margin violator. `svm.train`
+    keeps the last averaged iterate, so `check_svm_dual` also checks that
+    the last iterate is the lowest-objective one on its problems.
     """
     n, dim = features.shape
     lam = 1.0 / c

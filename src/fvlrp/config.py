@@ -1,10 +1,14 @@
 """Pipeline configuration: one flat record, JSON file + flag overrides.
 
-Precedence is flags > file > defaults. The configuration hash covers
-only result-affecting fields: `threads` is excluded (it is accepted and
-validated for compatibility, and nothing reads it) and no paths are
-stored here at all (the output directory is a command-line concern), so
-identical experiments hash identically wherever they run.
+Precedence is flags > file > defaults. The configuration hash, which
+every stage manifest records and checks, covers only the fields a
+training stage reads. `threads` is excluded (it is accepted and
+validated for compatibility, and nothing reads it), and so are the
+report-only settings (`REPORT_ONLY`): the relevance variant, epsilon,
+the network's alpha-beta rule and the MoRF sizes, so choosing another
+one needs no retraining. No paths are stored here at all (the output
+directory is a command-line concern), so identical experiments hash
+identically wherever they run.
 """
 
 from __future__ import annotations
@@ -19,6 +23,12 @@ from .lrp_fv import VARIANTS
 from .lrp_nn import check_alphabeta
 from .synth import two_class_spec
 from .util import stable_hash
+
+
+# Fields that only the report stages (explain, morf-eval, context-report)
+# read; left out of `config_hash` together with `threads`.
+REPORT_ONLY = ("variant", "epsilon", "nn_alpha", "nn_beta",
+               "morf_batch", "morf_steps", "morf_repetitions")
 
 
 @dataclass(frozen=True)
@@ -137,9 +147,11 @@ class PipelineConfig:
         return out
 
     def config_hash(self) -> str:
-        """Hash of the result-affecting configuration (threads excluded)."""
+        """Hash of the fields training stages read (`threads` and
+        `REPORT_ONLY` excluded)."""
         payload = self.to_dict()
-        payload.pop("threads")
+        for name in ("threads", *REPORT_ONLY):
+            del payload[name]
         return stable_hash(payload)
 
 

@@ -92,15 +92,18 @@ def test_predict_writes_scores(pipeline, capsys):
                                     "label"]
 
 
-def test_explain_writes_artifacts(pipeline):
-    out, config = pipeline
-    index = (out / "corpus" / "index.tsv").read_text().splitlines()[1:]
-    image_id, cls = None, None
-    for line in index:
+def first_test_image(out):
+    """The first test image of a run's corpus and its first label."""
+    for line in (out / "corpus" / "index.tsv").read_text().splitlines()[1:]:
         fields = line.split("\t")
         if fields[0] == "test":
-            image_id, cls = fields[1], fields[4].split(",")[0]
-            break
+            return fields[1], fields[4].split(",")[0]
+    raise AssertionError("no test image in the corpus index")
+
+
+def test_explain_writes_artifacts(pipeline):
+    out, config = pipeline
+    image_id, cls = first_test_image(out)
     assert run(out, config, "explain", "--image", image_id,
                "--class", cls) == 0
     dest = out / "reports" / "explain"
@@ -243,6 +246,26 @@ def test_stale_cache_is_refused(pipeline, tmp_path, capsys):
     other = write_config(tmp_path, seed=123)
     assert run(out, other, "extract") == 2
     assert "config" in capsys.readouterr().err.lower()
+
+
+def test_report_settings_need_no_retraining(pipeline, tmp_path, capsys):
+    out, config = pipeline
+    image_id, cls = first_test_image(out)
+    explain = ("explain", "--image", image_id, "--class", cls)
+    trained = {p: p.read_bytes() for p in (out / "manifests").iterdir()
+               if p.stem in STAGES}
+    assert run(out, config, *explain, "--variant", "abs") == 0
+    assert run(out, config, *explain, "--epsilon", "1") == 0
+    steps = tmp_path / "steps"
+    steps.mkdir()
+    assert run(out, write_config(steps, morf_steps=4), "morf-eval") == 0
+    assert {p: p.read_bytes() for p in trained} == trained
+    capsys.readouterr()
+    for field, value in (("seed", 123), ("pca_dim", 6)):
+        other = tmp_path / field
+        other.mkdir()
+        assert run(out, write_config(other, **{field: value}), *explain) == 2
+        assert "stale cache" in capsys.readouterr().err
 
 
 def test_modified_artifact_is_refused(tmp_path, capsys):

@@ -1,14 +1,11 @@
 """Pipeline configuration: one flat record, JSON file + flag overrides.
 
-Precedence is flags > file > defaults. The configuration hash, which
-every stage manifest records and checks, covers only the fields a
-training stage reads. `threads` is excluded (it is accepted and
-validated for compatibility, and nothing reads it), and so are the
-report-only settings (`REPORT_ONLY`): the relevance variant, epsilon,
-the network's alpha-beta rule and the MoRF sizes, so choosing another
-one needs no retraining. No paths are stored here at all (the output
-directory is a command-line concern), so identical experiments hash
-identically wherever they run.
+Precedence is flags > file > defaults. The configuration hash covers
+only the fields a training stage reads: `threads` is excluded (it is
+accepted and validated for compatibility, and nothing reads it), as are
+the `REPORT_ONLY` settings, and no paths are stored here at all (the
+output directory is a command-line concern), so identical experiments
+hash identically wherever they run.
 """
 
 from __future__ import annotations

@@ -16,13 +16,11 @@ image-level raw Fisher vector is their arithmetic mean over descriptors.
 responsibilities (Sanchez et al., IJCV 2013) without forming the
 embeddings, and `encode` gives the embeddings Psi together with that
 same raw FV; it equals the mean of Psi up to rounding (about 1e-15 at
-the defaults). `embed_batch` is the Psi half of `encode`: both fill Psi
-in one loop over the live components, from one pass over the
-deviations. The improved form phi applies the signed square root
+the defaults). Psi has one implementation, `embed_batch`, the Psi half
+of `encode`. The improved form phi applies the signed square root
 followed by l2 normalization, which is equivalent to the Hellinger
 kernel on the raw vector (see :func:`hellinger_check`). Both are plain
-(1+2D)K arrays; `improve` takes one or a stack of them along the last
-axis, with the row norm (`util.row_norms`) the descriptors use.
+(1+2D)K arrays; `improve` takes one or a stack of them.
 """
 
 from __future__ import annotations
@@ -108,23 +106,20 @@ def _deviations(model: GmmModel, vectors: np.ndarray, live: np.ndarray
 
 
 def _moment_inputs(model: GmmModel, vectors: np.ndarray) -> tuple[np.ndarray, ...]:
-    """What Psi and the raw FV are read off: the checked descriptor
-    matrix, the live components, the responsibilities, and the
-    deviations t and tt."""
+    """What Psi and the raw FV are both read off: the live components,
+    the responsibilities, and the deviations t and tt."""
     vectors = _check_vectors(model, vectors)
     live = np.flatnonzero(model.weights)
-    return (vectors, live, responsibilities(model, vectors),
+    return (live, responsibilities(model, vectors),
             *_deviations(model, vectors, live))
 
 
-def _embed(model: GmmModel, vectors: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Psi, one row per descriptor, and the moment inputs the raw FV is
-    read off (all of `_moment_inputs` but the descriptors). Component
-    j's columns come from its responsibilities g and its deviations;
-    components of zero weight keep zero columns."""
-    vectors, live, gamma, t, tt = _moment_inputs(model, vectors)
+def _psi(model: GmmModel, live: np.ndarray, gamma: np.ndarray,
+         t: np.ndarray, tt: np.ndarray) -> np.ndarray:
+    """Psi from the moment inputs, one loop over the live components:
+    component j's columns from its responsibilities g and deviations."""
     idx = EmbeddingIndex(model.n_components, model.dim)
-    psi = np.zeros((vectors.shape[0], idx.length))
+    psi = np.zeros((gamma.shape[0], idx.length))
     for j, tj, ttj in zip(live, t, tt):
         w, sqrt_w = model.weights[j], np.sqrt(model.weights[j])
         g = gamma[:, j]
@@ -132,7 +127,7 @@ def _embed(model: GmmModel, vectors: np.ndarray) -> tuple[np.ndarray, tuple]:
         g = g[:, None]
         psi[:, idx.mu_block(j)] = g * tj / sqrt_w
         psi[:, idx.sigma_block(j)] = g * (ttj - 1.0) * INV_SQRT2 / sqrt_w
-    return psi, (live, gamma, t, tt)
+    return psi
 
 
 def embed_batch(model: GmmModel, vectors: np.ndarray) -> np.ndarray:
@@ -144,7 +139,7 @@ def embed_batch(model: GmmModel, vectors: np.ndarray) -> np.ndarray:
     limit, avoiding 0/0). A row depends only on its own descriptor, bit
     for bit, not on the batch it comes in.
     """
-    return _embed(model, vectors)[0]
+    return _psi(model, *_moment_inputs(model, vectors))
 
 
 def embed_descriptor(model: GmmModel, descriptor: np.ndarray) -> np.ndarray:
@@ -187,14 +182,14 @@ def encode(model: GmmModel, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Psi, the per-descriptor embeddings (one row per descriptor, as
     `embed_batch` gives them), and the raw FV, bit for bit as
     `aggregate` gives it; both are read off one set of deviations."""
-    psi, inputs = _embed(model, vectors)
-    return psi, _moments_fv(model, *inputs)
+    inputs = _moment_inputs(model, vectors)
+    return _psi(model, *inputs), _moments_fv(model, *inputs)
 
 
 def aggregate(model: GmmModel, vectors: np.ndarray) -> np.ndarray:
     """The raw (1+2D)K Fisher vector of a descriptor matrix: the mean of
     its embeddings, from per-component moments, without forming them."""
-    return _moments_fv(model, *_moment_inputs(model, vectors)[1:])
+    return _moments_fv(model, *_moment_inputs(model, vectors))
 
 
 def improve(x: np.ndarray) -> np.ndarray:

@@ -8,13 +8,9 @@ with lambda = 1/C. The solver is a deterministic full-batch subgradient
 descent over averaged iterates: because every step sees the exact mean
 subgradient, duplicating the training set leaves the trajectory
 unchanged (up to summation rounding), which is the invariance the tests
-rely on. The model kept is the last averaged iterate; no objective is
-evaluated while training (`verification.oracle_svm_dual` keeps the
-lowest-objective iterate, and `check_svm_dual` holds the two equal).
-
-Every score is one `score` call, for one improved FV or a stack of them:
-training's EER thresholds come from exactly the scores that prediction,
-explanation and MoRF compare against them.
+rely on. The model kept is the last averaged iterate. `score` is the one
+product for f(x), so the EER thresholds come from exactly the scores
+every decision compares against them.
 """
 
 from __future__ import annotations
@@ -130,12 +126,9 @@ def train(features, labels: dict, c: float = 1.0, epochs: int = 200) -> SvmModel
 
 def score(model: SvmModel, phi_x, class_name: str):
     """f(x) = w . phi(x) + b for one class: a float for one phi(x), an
-    array for a stack of them along the last axis.
-
-    Each w . phi(x) is one (1, F) x (F, 1) product of a batched matmul,
-    the dot product np.dot takes, so a stack's scores equal those of its
-    rows one at a time, bit for bit.
-    """
+    array for a stack of them along the last axis. Each w . phi(x) is one
+    (1, F) x (F, 1) product of a batched matmul, the dot product np.dot
+    takes, so a row scores alike alone or in any stack, bit for bit."""
     x = np.asarray(phi_x, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] != model.dim:
         raise DimError(f"feature shape {x.shape} vs model dim {model.dim}")

@@ -32,7 +32,9 @@ def normalize_rows(rows: np.ndarray) -> np.ndarray:
     """Divide each row (along the last axis) by its l2 norm, in place;
     rows of zero norm are left as they are. Returns `rows`."""
     norm = row_norms(rows)[..., None]
-    return np.divide(rows, norm, out=rows, where=norm != 0.0)
+    norm[norm == 0.0] = 1.0  # a masked divide (where=) is slower
+    rows /= norm
+    return rows
 
 
 def canonical_json(obj) -> str:

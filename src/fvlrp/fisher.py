@@ -109,8 +109,8 @@ def _moment_inputs(model: GmmModel, vectors: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What Psi and the raw FV are both read off: the live components,
     the responsibilities, and the deviations t. Their squares are formed
-    where they are used: a second array of t's size made `embed_batch`
-    of 1000 rows 1.7x slower, in page faults on freshly mapped memory."""
+    where they are used: on a 2-vCPU host a second array of t's size
+    made `embed_batch` of 1000 rows 1.7x slower (page faults)."""
     vectors = _check_vectors(model, vectors)
     live = np.flatnonzero(model.weights)
     return live, responsibilities(model, vectors), _deviations(model, vectors, live)

@@ -375,12 +375,13 @@ def _cmd_predict(config: PipelineConfig, args, upstream) -> dict:
     svm_model = load_model(_model_path(out_dir, "svm"), "svm")
     entries = _split_entries(out_dir, "test")
     _, features = _load_feature_matrix(out_dir, "test")
+    scores = {c: score(svm_model, features, c) for c in classes}
     rows = []
     correct = {c: 0 for c in classes}
-    for entry, phi in zip(entries, features):
+    for i, entry in enumerate(entries):
         for c in classes:
             k = svm_model.class_index(c)
-            f = float(score(svm_model, phi, c))
+            f = float(scores[c][i])
             decision = int(f > float(svm_model.thresholds[k]))
             truth = int(c in entry.labels)
             correct[c] += int(decision == truth)

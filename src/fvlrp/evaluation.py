@@ -15,12 +15,14 @@ Two instruments:
   ``x_i = x0 + sum_{j<=i} sum_{l in batch j} (Psi(new_l) - Psi(old_l)) / |L|``;
   and every step of every trace is improved and scored in one pass,
   by the `fisher.improve` and `svm.score` every other caller uses.
-  The extra memory is the embedded draws, traces * batch * steps *
-  (1+2D)K float64 values per image (2.1 MB at the defaults). Each
-  descriptor is replaced at most once. The score trace under the
-  relevance-derived ordering is compared against random orderings via
-  the area statistic ``A = mean_i (f(x) - f(x_i))`` and the fraction V
-  of traces whose prediction switches sign.
+  `morf_replace` is its relevance-ordered single trace; the `verify`
+  checks call `replace_traces` directly, so they check the kernel
+  `compare_orderings` runs. The extra memory is the embedded draws,
+  traces * batch * steps * (1+2D)K float64 values per image (2.1 MB at
+  the defaults). Each descriptor is replaced at most once. The score
+  trace under the relevance-derived ordering is compared against random
+  orderings via the area statistic ``A = mean_i (f(x) - f(x_i))`` and
+  the fraction V of traces whose prediction switches sign.
 
 * Outside-inside ratio mu = mean relevance outside the annotated boxes
   divided by mean relevance inside, positive-only: negative relevances
@@ -139,45 +141,22 @@ def replace_traces(vectors: np.ndarray, psi: np.ndarray, x0: np.ndarray,
 
 
 def morf_replace(ds: DescriptorSet, gmm: GmmModel, svm_model: SvmModel,
-                 r2: R2Map, batch: int, steps: int, rng: np.random.Generator,
-                 ordering: np.ndarray | None = None,
-                 identity_replacement: bool = False,
-                 state_out: dict | None = None) -> MorfTrace:
+                 r2: R2Map, batch: int, steps: int,
+                 rng: np.random.Generator) -> MorfTrace:
     """Replace descriptors most-relevant-first; score after each batch.
 
-    `ordering` overrides the relevance-derived order (for random
-    baselines); its first batch*steps entries must be distinct indices
-    into the descriptor set. With `identity_replacement` each descriptor
-    is "replaced" by itself, which must leave the score exactly
-    unchanged (the incremental update is computed from the embedding
-    difference, which is exactly zero). `state_out`, if given, receives
-    the final raw FV ("fv") and the mutated descriptor matrix
-    ("vectors").
+    The relevance-ordered single trace of `replace_traces`; checks that
+    need the kernel's other inputs or outputs (an explicit ordering,
+    identity replacement, the draws or the final raw FV) call
+    `replace_traces` directly.
     """
-    n = len(ds)
-    _check_trace_size(batch, steps, n)
-    if r2.values.shape[0] != n:
+    _check_trace_size(batch, steps, len(ds))
+    if r2.values.shape[0] != len(ds):
         raise DimError("relevance map does not align with the descriptor set")
-    if ordering is None:
-        order, ordering_id = morf_ordering(r2), f"lrp-{r2.variant}"
-    else:
-        order, ordering_id = np.asarray(ordering, dtype=np.int64), "custom"
-        if order.shape[0] < batch * steps:
-            raise RangeError("explicit ordering too short for batch*steps")
-        used = order[:batch * steps]
-        if used.min() < 0 or used.max() >= n:
-            raise RangeError(f"explicit ordering has indices outside [0, {n})")
-        if np.unique(used).size != used.size:
-            raise RangeError("explicit ordering repeats a descriptor")
     psi, x0 = encode(gmm, ds.vectors)
-    (trace,), draws, final = replace_traces(
+    (trace,), _, _ = replace_traces(
         ds.vectors, psi, x0, gmm, svm_model, r2.class_name,
-        [(ordering_id, order, rng)], batch, steps, identity_replacement)
-    if state_out is not None:
-        mutated = ds.vectors.copy()
-        mutated[order[:batch * steps]] = draws[0]
-        state_out["fv"] = final[0]
-        state_out["vectors"] = mutated
+        [(f"lrp-{r2.variant}", morf_ordering(r2), rng)], batch, steps)
     return trace
 
 
@@ -350,14 +329,14 @@ def context_report(test_images: list[LabeledImage], gmm: GmmModel,
                    nn_alpha: float = 2.0, nn_beta: float = 1.0,
                    patch: int = 16, stride: int = 4) -> ContextReport:
     """Positive-only mu tables over each model's own true-positive test
-    images; the network heatmap comes from the alpha-beta rule."""
+    images; the network heatmap comes from the alpha-beta rule. Each
+    (image, labelled class) with a box counts, for each model that
+    predicts it positive, once as a true positive and once as a defined
+    or an undefined mu."""
     classes = svm_model.classes
-    fv_vals: dict = {c: [] for c in classes}
-    nn_vals: dict = {c: [] for c in classes}
-    fv_undef = {c: 0 for c in classes}
-    nn_undef = {c: 0 for c in classes}
-    fv_tp = {c: 0 for c in classes}
-    nn_tp = {c: 0 for c in classes}
+    values = {m: {c: [] for c in classes} for m in ("fv", "nn")}
+    undefined = {m: dict.fromkeys(classes, 0) for m in ("fv", "nn")}
+    true_pos = {m: dict.fromkeys(classes, 0) for m in ("fv", "nn")}
     for img in test_images:
         nn_in = image_to_input(img.image, net.input_size)
         nn_out = nn_scores(net, nn_in)
@@ -367,25 +346,19 @@ def context_report(test_images: list[LabeledImage], gmm: GmmModel,
                 continue
             expl = explain(img.image, gmm, pca, svm_model, c, variant=variant,
                            epsilon=epsilon, patch=patch, stride=stride)
-            if expl.prediction_positive:
-                fv_tp[c] += 1
-                ratio = context_ratio(expl.heatmap, boxes, c, img.image_id)
-                if ratio.defined:
-                    fv_vals[c].append(ratio)
-                else:
-                    fv_undef[c] += 1
+            positive = [("fv", expl.heatmap)] if expl.prediction_positive else []
             if nn_out[net.class_index(c)] > 0.0:
-                nn_tp[c] += 1
                 rel = lrp_alphabeta(net, nn_in, c, nn_alpha, nn_beta)
-                heat = nn_heatmap(rel, net.input_size,
-                                  (img.image.width, img.image.height))
+                positive.append(("nn", nn_heatmap(
+                    rel, net.input_size, (img.image.width, img.image.height))))
+            for model, heat in positive:
+                true_pos[model][c] += 1
                 ratio = context_ratio(heat, boxes, c, img.image_id)
                 if ratio.defined:
-                    nn_vals[c].append(ratio)
+                    values[model][c].append(ratio)
                 else:
-                    nn_undef[c] += 1
-    return ContextReport(
-        classes,
-        {c: _mean_or_none(fv_vals[c]) for c in classes},
-        {c: _mean_or_none(nn_vals[c]) for c in classes},
-        fv_vals, nn_vals, fv_undef, nn_undef, fv_tp, nn_tp)
+                    undefined[model][c] += 1
+    means = {m: {c: _mean_or_none(values[m][c]) for c in classes} for m in values}
+    return ContextReport(classes, means["fv"], means["nn"], values["fv"],
+                         values["nn"], undefined["fv"], undefined["nn"],
+                         true_pos["fv"], true_pos["nn"])

@@ -211,35 +211,29 @@ def morf_summary_text(report: OrderingReport) -> str:
 # context-ratio reports
 
 
-def write_context_tables(out_dir, report: ContextReport) -> list[str]:
-    paths = []
-    summary_rows = []
+def _context_rows(report: ContextReport):
+    """(class, model, mean mu, true positives, undefined, ratios), per
+    class for the FV model and then the network."""
     for c in report.classes:
-        for model, mean, undef, tp in (
-                ("fv", report.fv_mean[c], report.fv_undefined[c],
-                 report.fv_true_positives[c]),
-                ("nn", report.nn_mean[c], report.nn_undefined[c],
-                 report.nn_true_positives[c])):
-            summary_rows.append((c, model,
-                                 "missing" if mean is None else fmt(mean),
-                                 tp, undef))
-    paths.append(write_table(
+        yield (c, "fv", report.fv_mean[c], report.fv_true_positives[c],
+               report.fv_undefined[c], report.fv_values[c])
+        yield (c, "nn", report.nn_mean[c], report.nn_true_positives[c],
+               report.nn_undefined[c], report.nn_values[c])
+
+
+def write_context_tables(out_dir, report: ContextReport) -> list[str]:
+    rows = list(_context_rows(report))
+    summary = write_table(
         os.path.join(out_dir, "context_summary.tsv"),
         ("class", "model", "mean_mu", "true_positives", "undefined"),
-        summary_rows))
-
-    value_rows = []
-    for c in report.classes:
-        for model, ratios in (("fv", report.fv_values[c]),
-                              ("nn", report.nn_values[c])):
-            for ratio in ratios:
-                value_rows.append((c, model, ratio.image_id, ratio.mu,
-                                   ratio.n_inside, ratio.n_outside))
-    paths.append(write_table(
+        [(c, model, "missing" if mean is None else fmt(mean), tp, undef)
+         for c, model, mean, tp, undef, _ in rows])
+    values = write_table(
         os.path.join(out_dir, "context_values.tsv"),
         ("class", "model", "image", "mu", "inside_px", "outside_px"),
-        value_rows))
-    return paths
+        [(c, model, r.image_id, r.mu, r.n_inside, r.n_outside)
+         for c, model, _, _, _, ratios in rows for r in ratios])
+    return [summary, values]
 
 
 def write_context_figure(out_dir, report: ContextReport) -> list[str]:
@@ -267,14 +261,9 @@ def write_context_figure(out_dir, report: ContextReport) -> list[str]:
 
 def context_summary_text(report: ContextReport) -> str:
     lines = ["class      model  mean_mu      tp  undef"]
-    for c in report.classes:
-        for model, mean, undef, tp in (
-                ("fv", report.fv_mean[c], report.fv_undefined[c],
-                 report.fv_true_positives[c]),
-                ("nn", report.nn_mean[c], report.nn_undefined[c],
-                 report.nn_true_positives[c])):
-            shown = "missing" if mean is None else f"{mean:.6f}"
-            lines.append(f"{c:<10s} {model:<6s} {shown:<12s} {tp:3d}  {undef:3d}")
+    for c, model, mean, tp, undef, _ in _context_rows(report):
+        shown = "missing" if mean is None else f"{mean:.6f}"
+        lines.append(f"{c:<10s} {model:<6s} {shown:<12s} {tp:3d}  {undef:3d}")
     return "\n".join(lines)
 
 

@@ -46,10 +46,15 @@ def _enc_array(a: np.ndarray) -> dict:
 
 def _dec_array(obj) -> np.ndarray:
     try:
-        shape = tuple(int(s) for s in obj["shape"])
+        shape = tuple(obj["shape"])
         data = obj["data"]
     except (TypeError, KeyError) as exc:
         raise ParseError(f"bad array encoding: {exc}") from exc
+    if not all(type(s) is int and s >= 0 for s in shape):
+        raise ParseError(f"array shape {list(shape)} is not a list of "
+                         "non-negative integers")
+    if not isinstance(data, list):
+        raise ParseError("array data is not a list")
     values = np.array([_dec_float(s) for s in data], dtype=np.float64)
     if values.size != int(np.prod(shape, dtype=np.int64)):
         raise ParseError(f"array data length {values.size} does not match shape {shape}")

@@ -22,8 +22,8 @@ import numpy as np
 from .descriptors import (CLAMP, N_CELLS, N_ORI, RAW_DIM, DescriptorSet,
                           extract_dense, orientation_votes)
 from .errors import ZeroDenominatorError
-from .evaluation import MorfTrace, morf_replace
-from .fisher import aggregate, embed_batch, improve
+from .evaluation import MorfTrace, replace_traces
+from .fisher import aggregate, embed_batch, encode, improve
 from .gmm import GmmModel, _log_joint, _m_step, em_fit, responsibilities, sample
 from .imaging import Image
 from .lrp_fv import R2Map, R3Map, relevance_r1, relevance_r2, relevance_r3
@@ -518,14 +518,17 @@ def check_incremental_fv(cases: int = 100, steps: int = 20,
         gmm = random_gmm(rng, k, dim)
         ds = random_descriptor_set(rng, n, dim)
         svm_model = random_svm(rng, (1 + 2 * dim) * k)
-        r2 = R2Map(rng.normal(0.0, 1.0, n), "epsilon", 1.0,
-                   np.array([], dtype=np.int64), 0.0, 0.0, "c")
-        state: dict = {}
-        morf_replace(ds, gmm, svm_model, r2, batch=1, steps=steps,
-                     rng=np.random.default_rng(seed + case), state_out=state)
-        expect = aggregate(gmm, state["vectors"])
+        # most-relevant-first over a random relevance map
+        order = np.argsort(-rng.normal(0.0, 1.0, n))
+        psi, x0 = encode(gmm, ds.vectors)
+        _, draws, final = replace_traces(
+            ds.vectors, psi, x0, gmm, svm_model, "c",
+            [("check", order, np.random.default_rng(seed + case))], 1, steps)
+        mutated = ds.vectors.copy()
+        mutated[order[:steps]] = draws[0]
+        expect = aggregate(gmm, mutated)
         scale = max(1.0, float(np.max(np.abs(expect))))
-        err = float(np.max(np.abs(state["fv"] - expect))) / scale
+        err = float(np.max(np.abs(final[0] - expect))) / scale
         worst = max(worst, err)
         if err > 1e-9:
             return CheckResult("incremental-fv", False,
@@ -540,10 +543,12 @@ def check_identity_replacement(seed: int = 1005) -> CheckResult:
     gmm = random_gmm(rng, 3, 4)
     ds = random_descriptor_set(rng, 30, 4)
     svm_model = random_svm(rng, (1 + 2 * 4) * 3)
-    r2 = R2Map(rng.normal(0.0, 1.0, 30), "epsilon", 1.0,
-               np.array([], dtype=np.int64), 0.0, 0.0, "c")
-    trace = morf_replace(ds, gmm, svm_model, r2, batch=3, steps=10,
-                         rng=rng, identity_replacement=True)
+    # most-relevant-first over a random relevance map
+    order = np.argsort(-rng.normal(0.0, 1.0, 30))
+    psi, x0 = encode(gmm, ds.vectors)
+    (trace,), _, _ = replace_traces(ds.vectors, psi, x0, gmm, svm_model, "c",
+                                    [("check", order, rng)], 3, 10,
+                                    identity_replacement=True)
     ok = bool(np.all(trace.scores == trace.original_score))
     gap = float(np.max(np.abs(trace.scores - trace.original_score)))
     return CheckResult("identity-replacement", ok, f"max |f_i - f_0| = {gap!r}")

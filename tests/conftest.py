@@ -1,5 +1,8 @@
 """Shared fixtures: a tiny trained pipeline reused across test modules."""
 
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def golden_regen():
+    """`golden/regen.py` as a module: the TINY config, the CLI stages it
+    runs and the golden digest of that run."""
+    spec = importlib.util.spec_from_file_location(
+        "golden_regen", os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                     "golden", "regen.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -54,7 +54,7 @@ def environment() -> dict:
             "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}"}
 
 
-def _first_test_image(out_dir: str) -> tuple[str, str]:
+def first_test_image(out_dir: str) -> tuple[str, str]:
     with open(os.path.join(out_dir, "corpus", "index.tsv"), encoding="ascii") as fh:
         for line in fh.read().splitlines()[1:]:
             fields = line.split("\t")
@@ -74,7 +74,7 @@ def run_digest(config: dict, out_dir: str) -> dict:
     stdout = {}
     for command in commands:
         if command == ["explain"]:
-            image_id, cls = _first_test_image(out_dir)
+            image_id, cls = first_test_image(out_dir)
             command = ["explain", "--image", image_id, "--class", cls]
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):

@@ -176,28 +176,17 @@ def test_criterion_09_artefact_dominates_heatmap():
 
 
 def test_criterion_10_byte_identical_runs(tmp_path):
+    # the run the golden digest pins, so the two gates cannot drift apart
+    regen = conftest.golden_regen()
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({
-        "corpus_size": 64, "train_per_class": 8, "test_per_class": 3,
-        "patch": 16, "stride": 8, "pca_dim": 8, "gmm_k": 3,
-        "gmm_sample_count": 800, "svm_epochs": 60, "nn_input": 16,
-        "nn_hidden": [16, 8], "nn_epochs": 8, "morf_batch": 3,
-        "morf_steps": 5, "morf_repetitions": 2, "seed": 9,
-    }))
+    config_path.write_text(json.dumps(regen.TINY))
 
     def run_pipeline(out_dir, threads):
         base = ["--config", str(config_path), "--out", str(out_dir),
                 "--threads", str(threads)]
-        for stage in ("synth-gen", "extract", "pca-fit", "gmm-fit", "embed",
-                      "svm-train", "nn-train", "predict"):
+        for stage in regen.STAGES:
             assert cli_main([stage, *base]) == 0, stage
-        index = (out_dir / "corpus" / "index.tsv").read_text().splitlines()
-        image_id, cls = None, None
-        for line in index[1:]:
-            fields = line.split("\t")
-            if fields[0] == "test":
-                image_id, cls = fields[1], fields[4].split(",")[0]
-                break
+        image_id, cls = regen.first_test_image(str(out_dir))
         assert cli_main(["explain", *base, "--image", image_id,
                          "--class", cls]) == 0
         assert cli_main(["morf-eval", *base]) == 0

@@ -1,6 +1,7 @@
 """Replacement curves and the outside-inside ratio."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -68,24 +69,36 @@ def test_switch_fraction_counts_first_dips():
         sign_switch_fraction([])
 
 
+def single_trace(gmm, ds, model, order, batch, steps, rng,
+                 identity_replacement=False):
+    """One trace through the kernel; returns it with the mutated
+    descriptor matrix and the final raw FV."""
+    psi, x0 = encode(gmm, ds.vectors)
+    (trace,), draws, final = replace_traces(
+        ds.vectors, psi, x0, gmm, model, "a", [("t", order, rng)], batch,
+        steps, identity_replacement)
+    mutated = ds.vectors.copy()
+    mutated[order[:batch * steps]] = draws[0]
+    return trace, mutated, final[0]
+
+
 def test_identity_replacement_keeps_score(rng):
     gmm, ds, model = toy_setup(rng)
     r2 = make_r2(gmm, ds, model)
     f0 = score(model, improve(aggregate(gmm, ds.vectors)), "a")
-    trace = morf_replace(ds, gmm, model, r2, batch=3, steps=5, rng=rng,
-                         identity_replacement=True)
+    trace, mutated, _ = single_trace(gmm, ds, model, morf_ordering(r2), 3, 5,
+                                     rng, identity_replacement=True)
     np.testing.assert_array_equal(trace.scores, np.full(5, f0))
     assert trace.original_score == f0
+    np.testing.assert_array_equal(mutated, ds.vectors)
 
 
 def test_incremental_update_matches_batch_recompute(rng):
     gmm, ds, model = toy_setup(rng, n=20)
     r2 = make_r2(gmm, ds, model)
-    state = {}
-    morf_replace(ds, gmm, model, r2, batch=4, steps=5,
-                 rng=np.random.default_rng(3), state_out=state)
-    oracle = aggregate(gmm, state["vectors"])
-    np.testing.assert_allclose(state["fv"], oracle, atol=1e-10)
+    _, mutated, final = single_trace(gmm, ds, model, morf_ordering(r2), 4, 5,
+                                     np.random.default_rng(3))
+    np.testing.assert_allclose(final, aggregate(gmm, mutated), atol=1e-10)
 
 
 def test_replacement_range_checks(rng):
@@ -95,42 +108,24 @@ def test_replacement_range_checks(rng):
         morf_replace(ds, gmm, model, r2, batch=3, steps=4, rng=rng)
     with pytest.raises(RangeError):
         morf_replace(ds, gmm, model, r2, batch=0, steps=1, rng=rng)
-    with pytest.raises(RangeError):
-        morf_replace(ds, gmm, model, r2, batch=2, steps=2, rng=rng,
-                     ordering=np.array([0, 1, 2]))
-
-
-def test_explicit_ordering_must_be_distinct_and_in_range(rng):
-    gmm, ds, model = toy_setup(rng, n=10)
-    r2 = make_r2(gmm, ds, model)
-    for bad in ([0, 1, 2, 1], [0, 1, -1, 3], [0, 1, 2, 10], [12, 0, 1, 2]):
-        with pytest.raises(RangeError):
-            morf_replace(ds, gmm, model, r2, batch=2, steps=2, rng=rng,
-                         ordering=np.array(bad))
-    # only the first batch*steps entries are used, so a repeat after them
-    # and any permutation of the descriptors are fine
-    morf_replace(ds, gmm, model, r2, batch=2, steps=2, rng=rng,
-                 ordering=np.array([3, 2, 1, 0, 3]))
-    morf_replace(ds, gmm, model, r2, batch=2, steps=5, rng=rng,
-                 ordering=rng.permutation(10))
 
 
 def test_every_step_matches_recomputed_score(rng):
     gmm, ds, model = toy_setup(rng, n=24)
     r2 = make_r2(gmm, ds, model)
+    order = morf_ordering(r2)
     full = morf_replace(ds, gmm, model, r2, batch=3, steps=6,
                         rng=np.random.default_rng(17))
     for i in range(1, 7):
         # draws are prefix-stable, so the first i steps replay exactly
-        state = {}
-        part = morf_replace(ds, gmm, model, r2, batch=3, steps=i,
-                            rng=np.random.default_rng(17), state_out=state)
+        part, mutated, _ = single_trace(gmm, ds, model, order, 3, i,
+                                        np.random.default_rng(17))
         assert np.array_equal(part.scores, full.scores[:i])
-        oracle = aggregate(gmm, state["vectors"])
+        oracle = aggregate(gmm, mutated)
         expect = score(model, improve(oracle), "a")
         assert full.scores[i - 1] == pytest.approx(expect, rel=1e-9, abs=1e-12)
-        changed = np.nonzero(np.any(state["vectors"] != ds.vectors, axis=1))[0]
-        assert sorted(changed) == sorted(morf_ordering(r2)[:3 * i])
+        changed = np.nonzero(np.any(mutated != ds.vectors, axis=1))[0]
+        assert sorted(changed) == sorted(order[:3 * i])
 
 
 def test_constant_classifier_has_zero_area(rng):
@@ -371,17 +366,27 @@ def test_compare_orderings_needs_positive_predictions(micro_bundle, micro_corpus
 
 def test_context_report_structure(micro_bundle, micro_corpus):
     _, _, test_imgs = micro_corpus
-    report = context_report(test_imgs, micro_bundle.gmm, micro_bundle.pca,
-                            micro_bundle.svm, micro_bundle.net)
+    models = (micro_bundle.gmm, micro_bundle.pca, micro_bundle.svm,
+              micro_bundle.net)
+    report = context_report(test_imgs, *models)
     assert report.classes == micro_bundle.classes
     per_class = len(test_imgs) // len(report.classes)
-    for c in report.classes:
-        assert 0 <= report.fv_true_positives[c] <= per_class
-        assert (len(report.fv_values[c]) + report.fv_undefined[c]
-                == report.fv_true_positives[c])
-        if report.fv_values[c]:
-            assert report.fv_mean[c] == pytest.approx(
-                float(np.mean([r.mu for r in report.fv_values[c]])))
-            assert all(r.defined for r in report.fv_values[c])
-        else:
-            assert report.fv_mean[c] is None
+    for values, mean, undefined, true_pos in (
+            (report.fv_values, report.fv_mean, report.fv_undefined,
+             report.fv_true_positives),
+            (report.nn_values, report.nn_mean, report.nn_undefined,
+             report.nn_true_positives)):
+        assert sum(true_pos.values()) > 0
+        for c in report.classes:
+            assert 0 <= true_pos[c] <= per_class
+            assert len(values[c]) + undefined[c] == true_pos[c]
+            if values[c]:
+                assert mean[c] == pytest.approx(
+                    float(np.mean([r.mu for r in values[c]])))
+                assert all(r.defined for r in values[c])
+            else:
+                assert mean[c] is None
+    # an image whose labels have no box counts for neither model
+    boxless = [dataclasses.replace(im, boxes=(), image_id=f"{im.image_id}-nobox")
+               for im in test_imgs]
+    assert context_report(test_imgs + boxless, *models) == report

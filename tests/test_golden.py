@@ -6,23 +6,13 @@ bytes on purpose regenerates it with `tests/golden/regen.py` and names
 the moved files and the reason.
 """
 
-import importlib.util
 import json
-import os
 
-GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-
-
-def _regen():
-    spec = importlib.util.spec_from_file_location(
-        "golden_regen", os.path.join(GOLDEN_DIR, "regen.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+import conftest
 
 
 def test_tiny_run_matches_golden_digest(tmp_path):
-    regen = _regen()
+    regen = conftest.golden_regen()
     with open(regen.GOLDEN, encoding="ascii") as fh:
         golden = json.load(fh)
     assert golden["config"] == regen.TINY

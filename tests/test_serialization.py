@@ -124,3 +124,22 @@ def test_corrupted_array_rejected(models):
     doc["payload"]["weights"]["data"] = ["zzz"] * 3
     with pytest.raises(ParseError):
         deserialize_model(json.dumps(doc).encode())
+
+
+# each damages the weights of a 3-component mixture, so a shape whose
+# product is 3 passes the length check
+@pytest.mark.parametrize("field, value", [
+    ("data", 3),
+    ("shape", ["x"]),
+    ("shape", [-1, -3]),
+    ("shape", [3.5]),
+    ("shape", [True, 3]),
+], ids=["data-not-a-list", "shape-not-a-number", "shape-negative",
+        "shape-fraction", "shape-bool"])
+def test_damaged_array_encoding_rejected(models, tmp_path, field, value):
+    doc = json.loads(serialize_model(models["gmm"]))
+    doc["payload"]["weights"][field] = value
+    path = tmp_path / "gmm.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        load_model(path, expected_kind="gmm")

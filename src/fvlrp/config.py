@@ -1,6 +1,8 @@
 """Pipeline configuration: one flat record, JSON file + flag overrides.
 
-Precedence is flags > file > defaults. The configuration hash covers
+Precedence is flags > file > defaults. Every field is checked against
+its annotation when the record is built, and a file may not set a field
+to null (a `None` override means "flag not given"). The hash covers
 only the fields a training stage reads: `threads` is excluded (it is
 accepted and validated for compatibility, and nothing reads it), as are
 the `REPORT_ONLY` settings, and no paths are stored here at all (the
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .descriptors import RAW_DIM, tiles_grid
@@ -26,6 +29,17 @@ from .util import stable_hash
 # read; left out of `config_hash` together with `threads`.
 REPORT_ONLY = ("variant", "epsilon", "nn_alpha", "nn_beta",
                "morf_batch", "morf_steps", "morf_repetitions")
+
+# What each field annotation accepts; a bool is neither an int nor a float,
+# and a float is finite (JSON files may spell NaN and Infinity).
+_ACCEPTS = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _typed(value, annotation: str) -> bool:
+    if annotation == "tuple[int, ...]":
+        return isinstance(value, (list, tuple)) and all(_typed(v, "int") for v in value)
+    return (isinstance(value, _ACCEPTS[annotation]) and not isinstance(value, bool)
+            and (annotation != "float" or math.isfinite(value)))
 
 
 @dataclass(frozen=True)
@@ -67,6 +81,10 @@ class PipelineConfig:
     threads: int = 1                # accepted for compatibility; unused
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _typed(value, f.type):
+                raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
         if not 0.0 <= self.corpus_rho <= 1.0:
             raise ValidationError("corpus_rho must lie in [0, 1]")
         positive = {
@@ -80,11 +98,11 @@ class PipelineConfig:
             "morf_repetitions": self.morf_repetitions, "threads": self.threads,
         }
         for name, value in positive.items():
-            if int(value) < 1:
+            if value < 1:
                 raise ValidationError(f"{name} must be >= 1, got {value}")
         if self.svm_c <= 0 or self.gmm_tol <= 0 or self.nn_lr < 0:
             raise ValidationError("svm_c and gmm_tol must be > 0, nn_lr >= 0")
-        if any(int(h) < 1 for h in self.nn_hidden):
+        if any(h < 1 for h in self.nn_hidden):
             raise ValidationError(
                 f"nn_hidden layer sizes must be >= 1, got {list(self.nn_hidden)}")
         if self.pca_dim > RAW_DIM:
@@ -128,7 +146,7 @@ class PipelineConfig:
             raise ValidationError(f"unknown variant {self.variant!r}")
         if self.variant == "epsilon" and self.epsilon <= 0:
             raise ValidationError("epsilon must be > 0 for the epsilon variant")
-        object.__setattr__(self, "nn_hidden", tuple(int(h) for h in self.nn_hidden))
+        object.__setattr__(self, "nn_hidden", tuple(self.nn_hidden))
 
     def with_overrides(self, **overrides) -> "PipelineConfig":
         """New config with the given non-None fields replaced."""
@@ -162,6 +180,9 @@ def load_config(path) -> PipelineConfig:
         raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"config {path} must be a JSON object")
+    nulls = sorted(name for name, value in raw.items() if value is None)
+    if nulls:
+        raise ValidationError(f"config {path}: null values for {nulls}")
     return PipelineConfig().with_overrides(**raw)
 
 

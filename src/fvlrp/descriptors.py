@@ -159,6 +159,14 @@ class PcaModel:
     mean: np.ndarray
     basis: np.ndarray  # (dim, raw_dim)
 
+    def __post_init__(self):
+        mean = np.asarray(self.mean, dtype=np.float64)
+        basis = np.asarray(self.basis, dtype=np.float64)
+        if basis.ndim != 2 or mean.shape != (basis.shape[1],):
+            raise DimError(f"PCA mean {mean.shape} and basis {basis.shape} inconsistent")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "basis", basis)
+
     @property
     def dim(self) -> int:
         return self.basis.shape[0]

@@ -1,168 +1,123 @@
 """Versioned, value-exact model serialization.
 
-All model artifacts (mixture, PCA, SVM, network) share one JSON schema:
-
-    {"format": "fvlrp-model", "version": 1, "kind": "...",
-     "payload": {...}}
-
-Every real number is stored as its ``float.hex()`` string, and arrays
-as ``{"shape": [...], "data": [hex, ...]}`` (row-major), so round-trips
-reproduce each value bit for bit. Keys are emitted sorted with a fixed
-separator convention, making serialization deterministic at the byte
-level.
+Every model file is one JSON envelope, ``{"format": "fvlrp-model",
+"version": 2, "kind": ..., "payload": {...}}``, and `_KINDS` is the
+whole payload layout: per kind, the model class and one (encode, decode)
+pair per constructor field. An array is ``{"shape": [...], "f8le": ...}``
+with the base64 of its row-major little-endian float64 bytes (the layout
+of DESC1, FVEC1 and HMAP1), and the SVM's ``c`` is a ``float.hex()``
+string, so values round-trip bit for bit. Nothing that follows from the
+arrays is stored; the model constructors check that the shapes agree.
+Each decoder checks its field's JSON type; a malformed field is a
+`ParseError` that names it. Sorted keys make the bytes deterministic.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 
 import numpy as np
 
 from .descriptors import PcaModel
-from .errors import ParseError, VersionError
+from .errors import IoError, ParseError, VersionError
 from .gmm import GmmModel
-from .lrp_nn import DenseLayer, NeuralNet, layer_activations
+from .lrp_nn import DenseLayer, NeuralNet
 from .svm import SvmModel
 
 FORMAT_NAME = "fvlrp-model"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
-def _enc_float(x: float) -> str:
-    return float(x).hex()
+def _typed(value, kind: type, field: str):
+    """`value` if its JSON type is `kind`; a bool is not an int."""
+    if type(value) is not kind:
+        raise ParseError(f"field {field!r}: expected {kind.__name__}, "
+                         f"got {type(value).__name__}")
+    return value
 
 
-def _dec_float(s) -> float:
-    try:
-        return float.fromhex(s)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad float encoding {s!r}") from exc
+def _enc_array(a) -> dict:
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape),
+            "f8le": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def _enc_array(a: np.ndarray) -> dict:
-    a = np.asarray(a, dtype=np.float64)
-    return {"shape": list(a.shape), "data": [x.hex() for x in a.ravel().tolist()]}
-
-
-def _dec_array(obj) -> np.ndarray:
-    try:
-        shape = tuple(obj["shape"])
-        data = obj["data"]
-    except (TypeError, KeyError) as exc:
-        raise ParseError(f"bad array encoding: {exc}") from exc
+def _dec_array(obj, field: str) -> np.ndarray:
+    shape = _typed(_typed(obj, dict, field).get("shape"), list, f"{field}.shape")
     if not all(type(s) is int and s >= 0 for s in shape):
-        raise ParseError(f"array shape {list(shape)} is not a list of "
-                         "non-negative integers")
-    if not isinstance(data, list):
-        raise ParseError("array data is not a list")
-    values = np.array([_dec_float(s) for s in data], dtype=np.float64)
-    if values.size != int(np.prod(shape, dtype=np.int64)):
-        raise ParseError(f"array data length {values.size} does not match shape {shape}")
-    return values.reshape(shape)
+        raise ParseError(f"field {field!r}: shape {shape} is not non-negative ints")
+    try:
+        raw = base64.b64decode(_typed(obj.get("f8le"), str, f"{field}.f8le"),
+                               validate=True)
+    except ValueError as exc:
+        raise ParseError(f"field {field!r}: bad base64: {exc}") from exc
+    if len(raw) != 8 * math.prod(shape):
+        raise ParseError(f"field {field!r}: {len(raw)} bytes for shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
-def _require(payload: dict, key: str):
-    if key not in payload:
-        raise ParseError(f"missing field {key!r}")
-    return payload[key]
+def _dec_hex(value, field: str) -> float:
+    try:
+        return float.fromhex(_typed(value, str, field))
+    except ValueError as exc:
+        raise ParseError(f"field {field!r}: bad hex float {value!r}") from exc
 
 
-def _gmm_payload(m: GmmModel) -> dict:
-    return {
-        "n_components": m.n_components,
-        "dim": m.dim,
-        "weights": _enc_array(m.weights),
-        "means": _enc_array(m.means),
-        "sigmas": _enc_array(m.sigmas),
-        "sigma_floor": _enc_array(m.sigma_floor),
-        "ll_trace": [_enc_float(v) for v in m.ll_trace],
-    }
+def _dec_trace(value, field: str) -> tuple[float, ...]:
+    trace = _dec_array(value, field)
+    if trace.ndim != 1:
+        raise ParseError(f"field {field!r}: shape {list(trace.shape)} is not 1-D")
+    return tuple(trace.tolist())
 
 
-def _gmm_restore(payload: dict) -> GmmModel:
-    k = int(_require(payload, "n_components"))
-    d = int(_require(payload, "dim"))
-    weights = _dec_array(_require(payload, "weights"))
-    means = _dec_array(_require(payload, "means"))
-    if weights.shape != (k,) or means.shape != (k, d):
-        raise ParseError(f"component count {k} inconsistent with parameter blocks")
-    return GmmModel(weights, means, _dec_array(_require(payload, "sigmas")),
-                    _dec_array(_require(payload, "sigma_floor")),
-                    ll_trace=tuple(_dec_float(v) for v in payload.get("ll_trace", [])))
+def _dec_size(value, field: str) -> tuple[int, int]:
+    if len(_typed(value, list, field)) != 2:
+        raise ParseError(f"field {field!r}: expected [width, height], got {value}")
+    return tuple(_typed(v, int, field) for v in value)
 
 
-def _pca_payload(m: PcaModel) -> dict:
-    return {"mean": _enc_array(m.mean), "basis": _enc_array(m.basis)}
+def _dump(model, codecs: dict) -> dict:
+    return {field: encode(getattr(model, field))
+            for field, (encode, _) in codecs.items()}
 
 
-def _pca_restore(payload: dict) -> PcaModel:
-    return PcaModel(_dec_array(_require(payload, "mean")),
-                    _dec_array(_require(payload, "basis")))
+def _build(cls, codecs: dict, payload, where: str):
+    """`cls` rebuilt from its `payload` record through `codecs`."""
+    missing = [field for field in codecs if field not in _typed(payload, dict, where)]
+    if missing:
+        raise ParseError(f"{where}: missing field {missing[0]!r}")
+    return cls(**{field: decode(payload[field], field)
+                  for field, (_, decode) in codecs.items()})
 
 
-def _svm_payload(m: SvmModel) -> dict:
-    return {
-        "classes": list(m.classes),
-        "weights": _enc_array(m.weights),
-        "biases": _enc_array(m.biases),
-        "c": _enc_float(m.c),
-        "epochs": m.epochs,
-        "thresholds": _enc_array(m.thresholds),
-    }
-
-
-def _svm_restore(payload: dict) -> SvmModel:
-    return SvmModel(tuple(_require(payload, "classes")),
-                    _dec_array(_require(payload, "weights")),
-                    _dec_array(_require(payload, "biases")),
-                    c=_dec_float(_require(payload, "c")),
-                    epochs=int(_require(payload, "epochs")),
-                    thresholds=_dec_array(_require(payload, "thresholds")))
-
-
-def _nn_payload(m: NeuralNet) -> dict:
-    return {
-        "classes": list(m.classes),
-        "input_size": list(m.input_size),
-        "layers": [{
-            "weights": _enc_array(l.weights),
-            "biases": _enc_array(l.biases),
-            "activation": act,
-        } for l, act in zip(m.layers, layer_activations(len(m.layers)))],
-    }
-
-
-def _nn_restore(payload: dict) -> NeuralNet:
-    """The net; each layer's "activation" must be the one its position
-    fixes (`lrp_nn.layer_activations`)."""
-    entries = _require(payload, "layers")
-    for i, (l, act) in enumerate(zip(entries, layer_activations(len(entries)))):
-        if _require(l, "activation") != act:
-            raise ParseError(f"layer {i} activation {l['activation']!r}, "
-                             f"expected {act!r} at that position")
-    layers = tuple(DenseLayer(_dec_array(_require(l, "weights")),
-                              _dec_array(_require(l, "biases")))
-                   for l in entries)
-    w, h = _require(payload, "input_size")
-    return NeuralNet(tuple(_require(payload, "classes")), layers, (int(w), int(h)))
-
+_ARRAY = (_enc_array, _dec_array)
+_NAMES = (list, lambda v, f: tuple(_typed(s, str, f) for s in _typed(v, list, f)))
+_LAYER = {"weights": _ARRAY, "biases": _ARRAY}
+_LAYERS = (lambda layers: [_dump(l, _LAYER) for l in layers],
+           lambda v, f: tuple(_build(DenseLayer, _LAYER, l, f"{f}[{i}]")
+                              for i, l in enumerate(_typed(v, list, f))))
 
 _KINDS = {
-    GmmModel: ("gmm", _gmm_payload),
-    PcaModel: ("pca", _pca_payload),
-    SvmModel: ("svm", _svm_payload),
-    NeuralNet: ("nn", _nn_payload),
+    "pca": (PcaModel, {"mean": _ARRAY, "basis": _ARRAY}),
+    "gmm": (GmmModel, {"weights": _ARRAY, "means": _ARRAY, "sigmas": _ARRAY,
+                       "sigma_floor": _ARRAY, "ll_trace": (_enc_array, _dec_trace)}),
+    "svm": (SvmModel, {"classes": _NAMES, "weights": _ARRAY, "biases": _ARRAY,
+                       "c": (lambda c: float(c).hex(), _dec_hex),
+                       "epochs": (int, lambda v, f: _typed(v, int, f)),
+                       "thresholds": _ARRAY}),
+    "nn": (NeuralNet, {"classes": _NAMES, "layers": _LAYERS,
+                       "input_size": (list, _dec_size)}),
 }
-_RESTORERS = {"gmm": _gmm_restore, "pca": _pca_restore,
-              "svm": _svm_restore, "nn": _nn_restore}
 
 
 def serialize_model(model) -> bytes:
     """Self-describing, deterministic JSON bytes for any model artifact."""
-    for cls, (kind, encode) in _KINDS.items():
+    for kind, (cls, codecs) in _KINDS.items():
         if isinstance(model, cls):
             doc = {"format": FORMAT_NAME, "version": SCHEMA_VERSION,
-                   "kind": kind, "payload": encode(model)}
+                   "kind": kind, "payload": _dump(model, codecs)}
             return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("ascii")
     raise ParseError(f"cannot serialize object of type {type(model).__name__}")
 
@@ -178,21 +133,27 @@ def deserialize_model(blob: bytes, expected_kind: str | None = None):
     if version != SCHEMA_VERSION:
         raise VersionError(f"schema version {version!r}, expected {SCHEMA_VERSION}")
     kind = doc.get("kind")
-    if kind not in _RESTORERS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ParseError(f"unknown model kind {kind!r}")
     if expected_kind is not None and kind != expected_kind:
         raise ParseError(f"expected a {expected_kind!r} model, found {kind!r}")
-    payload = doc.get("payload")
-    if not isinstance(payload, dict):
-        raise ParseError("missing payload")
-    return _RESTORERS[kind](payload)
+    cls, codecs = _KINDS[kind]
+    return _build(cls, codecs, doc.get("payload"), "payload")
 
 
 def save_model(model, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_model(model))
+    blob = serialize_model(model)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(blob)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def load_model(path, expected_kind: str | None = None):
-    with open(path, "rb") as fh:
-        return deserialize_model(fh.read(), expected_kind)
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    return deserialize_model(blob, expected_kind)

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import conftest
 from fvlrp import cli, descriptors, fisher, gmm, lrp_nn, svm
 from fvlrp.cli import main
 from fvlrp.config import load_config
@@ -16,24 +17,9 @@ from fvlrp.pipeline import make_corpus
 from fvlrp.serialization import load_model
 from fvlrp.synth import label_vectors
 
-TINY = {
-    "corpus_size": 64,
-    "train_per_class": 8,
-    "test_per_class": 3,
-    "patch": 16,
-    "stride": 8,
-    "pca_dim": 8,
-    "gmm_k": 3,
-    "gmm_sample_count": 800,
-    "svm_epochs": 60,
-    "nn_input": 16,
-    "nn_hidden": [16, 8],
-    "nn_epochs": 8,
-    "morf_batch": 3,
-    "morf_steps": 5,
-    "morf_repetitions": 2,
-    "seed": 9,
-}
+# the TINY run the golden digest and criterion 10 pin
+REGEN = conftest.golden_regen()
+TINY = REGEN.TINY
 
 STAGES = ["synth-gen", "extract", "pca-fit", "gmm-fit", "embed",
           "svm-train", "nn-train"]
@@ -92,18 +78,9 @@ def test_predict_writes_scores(pipeline, capsys):
                                     "label"]
 
 
-def first_test_image(out):
-    """The first test image of a run's corpus and its first label."""
-    for line in (out / "corpus" / "index.tsv").read_text().splitlines()[1:]:
-        fields = line.split("\t")
-        if fields[0] == "test":
-            return fields[1], fields[4].split(",")[0]
-    raise AssertionError("no test image in the corpus index")
-
-
 def test_explain_writes_artifacts(pipeline):
     out, config = pipeline
-    image_id, cls = first_test_image(out)
+    image_id, cls = REGEN.first_test_image(str(out))
     assert run(out, config, "explain", "--image", image_id,
                "--class", cls) == 0
     dest = out / "reports" / "explain"
@@ -220,8 +197,7 @@ def test_gmm_fit_states_why_em_stopped(pipeline, capsys):
     out, config = pipeline
     assert run(out, config, "gmm-fit") == 0
     line = capsys.readouterr().out.strip().splitlines()[-1]
-    trace = [float.fromhex(v) for v in json.loads(
-        (out / "models" / "gmm.json").read_text())["payload"]["ll_trace"]]
+    trace = load_model(out / "models" / "gmm.json", "gmm").ll_trace
     # EM runs on all 784 descriptors: 16 train images x 7 x 7 patches.
     gain = (trace[-1] - trace[-2]) / 784
     assert line == (f"gmm-fit: K=3, {len(trace) - 1} M-steps, stopped by gmm_tol, "
@@ -250,7 +226,7 @@ def test_stale_cache_is_refused(pipeline, tmp_path, capsys):
 
 def test_report_settings_need_no_retraining(pipeline, tmp_path, capsys):
     out, config = pipeline
-    image_id, cls = first_test_image(out)
+    image_id, cls = REGEN.first_test_image(str(out))
     explain = ("explain", "--image", image_id, "--class", cls)
     trained = {p: p.read_bytes() for p in (out / "manifests").iterdir()
                if p.stem in STAGES}
@@ -282,6 +258,14 @@ def test_usage_errors(capsys):
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
     assert main(["extract", "--no-such-flag"]) == 1
+
+
+def test_mistyped_config_exits_3_and_writes_nothing(tmp_path, capsys):
+    config = write_config(tmp_path, gmm_k=2.5)
+    out = tmp_path / "run"
+    assert run(out, config, "synth-gen") == 3
+    assert "gmm_k" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_models_are_thread_count_invariant(pipeline, tmp_path):

@@ -1,14 +1,17 @@
 """Configuration record, hashing, and the small shared utilities."""
 
 import ast
+import json
 import os
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvlrp.config import PipelineConfig, load_config, save_config
-from fvlrp.errors import ParseError, ValidationError
+from fvlrp.errors import ParseError, PipelineError, ValidationError
 from fvlrp.util import canonical_json, file_hash, parallel_map, stable_hash
 
 
@@ -18,6 +21,7 @@ def test_defaults_and_overrides():
     bumped = cfg.with_overrides(seed=9, gmm_k=4, threads=None)
     assert bumped.seed == 9 and bumped.gmm_k == 4
     assert bumped.threads == cfg.threads  # None means "keep"
+    assert cfg.with_overrides(svm_c=2, corpus_rho=0).svm_c == 2  # ints are floats
     with pytest.raises(ValidationError):
         cfg.with_overrides(banana=1)
 
@@ -149,6 +153,48 @@ def test_config_file_errors(tmp_path):
     unknown.write_text('{"no_such_field": 1}')
     with pytest.raises(ValidationError):
         load_config(unknown)
+    null = tmp_path / "null.json"
+    null.write_text('{"seed": null}')  # in a file, null is not "flag not given"
+    with pytest.raises(ValidationError, match="seed"):
+        load_config(null)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gmm_k", 2.5), ("gmm_k", True), ("seed", "0"), ("svm_c", True),
+    ("corpus_rho", False), ("nn_hidden", [16.5, 8]), ("nn_hidden", 16),
+    ("nn_hidden", [True]), ("variant", 1), ("pca_dim", "x"),
+    ("svm_c", float("nan")), ("epsilon", float("inf")),
+])
+def test_field_of_the_wrong_type_is_refused(tmp_path, field, value):
+    with pytest.raises(ValidationError, match=field):
+        PipelineConfig().with_overrides(**{field: value})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({field: value}))
+    with pytest.raises(ValidationError, match=field):
+        load_config(path)
+
+
+# one value of each JSON type; a replacement must differ in type
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 300),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3),
+    st.lists(st.integers(0, 70), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_one_retyped_field_loads_or_raises_a_pipeline_error(tmp_path_factory, data):
+    raw = PipelineConfig().to_dict()
+    name = data.draw(st.sampled_from(sorted(raw)))
+    raw[name] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not type(raw[name])))
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(raw))
+    try:
+        loaded = load_config(path)
+    except PipelineError:
+        return
+    assert loaded.to_dict() == raw
 
 
 def test_parallel_map_preserves_order():

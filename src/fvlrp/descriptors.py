@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimError, ExtractError, FitError
+from .errors import DimError, ExtractError, FitError, ValidationError
 from .imaging import Image
 from .util import normalize_rows, read_container, write_container
 
@@ -164,6 +164,8 @@ class PcaModel:
         basis = np.asarray(self.basis, dtype=np.float64)
         if basis.ndim != 2 or mean.shape != (basis.shape[1],):
             raise DimError(f"PCA mean {mean.shape} and basis {basis.shape} inconsistent")
+        if not all(np.isfinite(a).all() for a in (mean, basis)):
+            raise ValidationError("non-finite PCA parameters")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "basis", basis)
 

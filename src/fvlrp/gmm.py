@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimError, FitError
+from .errors import DimError, FitError, ValidationError
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -61,6 +61,8 @@ class GmmModel:
         if w.ndim != 1 or m.shape != (w.size, fl.size) or s.shape != m.shape:
             raise DimError(
                 f"inconsistent parameter shapes {w.shape}, {m.shape}, {s.shape}, {fl.size}")
+        if not all(np.isfinite(a).all() for a in (w, m, s, fl)):
+            raise ValidationError("non-finite GMM parameters")
         if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
             raise FitError("mixture weights must be a probability simplex")
         if np.any(fl <= 0.0) or np.any(s < fl[None, :]):

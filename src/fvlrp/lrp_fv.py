@@ -13,13 +13,15 @@ The classifier score is decomposed in three stages:
   (denominator ``colsum + eps*sgn(colsum)``, sgn(0)=+1), and absolute
   (proportional to |m_d(l)|, always conserving).
 * R1 — per pixel, spreading each descriptor's R2_l uniformly over its
-  receptive field (clipped to the image; clipping shrinks the divisor).
+  receptive field (clipped to the image; clipping shrinks the divisor),
+  added in descriptor order in one pass on the coarsest grid they tile.
 
 The mapping matrix m_d(l) is the |L| x (1+2D)K embedding matrix Psi from
 `embed_batch`, whose mean is the raw Fisher vector up to rounding (the
 raw FV is taken from per-component moments). :func:`explain` computes
 both once per image with `fisher.encode`, the helper the MoRF traces
-also start from, and R2 is one array pass over Psi's columns.
+also start from. R2 is one array pass over Psi's columns, summed in
+ascending dimension order, so both layers are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -116,8 +118,8 @@ def relevance_r2(r3: R3Map, psi: np.ndarray, variant: str = DEFAULT_VARIANT,
 
     `psi` is the |L| x (1+2D)K embedding matrix from `embed_batch`. Its
     columns are summed one at a time, and the per-dimension shares are
-    accumulated in ascending dimension order, so results are
-    reproducible bit for bit.
+    added by one sequential reduction in ascending dimension order, so
+    results are reproducible bit for bit.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -149,11 +151,13 @@ def relevance_r2(r3: R3Map, psi: np.ndarray, variant: str = DEFAULT_VARIANT,
     else:
         denom = colsum
     denom[zero] = 1.0
-    contrib = (r3.values[:, None] * cols) / denom[:, None]
+    contrib = r3.values[:, None] * cols
+    contrib /= denom[:, None]
     contrib[zero] = 0.0
-    # A sequential running sum from a zero row adds the dimensions in
-    # ascending order, like a loop of `r2 += share`.
-    r2 = np.cumsum(np.vstack((np.zeros(n), contrib)), axis=0)[-1]
+    # Rows reduced from 0.0 add the dimensions in ascending order, as `r2 += share`
+    # does; one column would collapse to numpy's pairwise sum, so n = 1 runs a cumsum.
+    r2 = (np.add.reduce(contrib, axis=0, initial=0.0) if n > 1
+          else np.cumsum(np.append(0.0, contrib))[-1:])
     xi = float(np.cumsum(np.append(0.0, r3.values[zero]))[-1]) / n
     r2 += xi
     eps_out = epsilon if variant == "epsilon" else None
@@ -164,7 +168,9 @@ def relevance_r2(r3: R3Map, psi: np.ndarray, variant: str = DEFAULT_VARIANT,
 def relevance_r1(r2: R2Map, ds: DescriptorSet, dims: tuple[int, int]) -> Heatmap:
     """Spread descriptor relevance uniformly over clipped receptive fields.
 
-    `dims` is (width, height) of the target pixel grid.
+    `dims` is (width, height) of the target pixel grid. One `bincount` adds
+    the shares in descriptor order, as a per-descriptor loop would, on the
+    grid of g x g cells (g: gcd of the clipped area edges), then expanded.
     """
     width, height = dims
     if len(ds) != r2.values.shape[0]:
@@ -174,12 +180,17 @@ def relevance_r1(r2: R2Map, ds: DescriptorSet, dims: tuple[int, int]) -> Heatmap
     x1, y1 = np.minimum(x + w, width), np.minimum(y + h, height)
     keep = (x1 > x0) & (y1 > y0)
     share = r2.values[keep] / ((x1 - x0) * (y1 - y0))[keep]
-    heat = np.zeros((height, width))
-    # Descriptor order, so every pixel adds its shares in the same order.
-    for a, b, c, d, s in zip(x0[keep].tolist(), y0[keep].tolist(), x1[keep].tolist(),
-                             y1[keep].tolist(), share.tolist()):
-        heat[b:d, a:c] += s
-    return Heatmap(heat)
+    edges = np.stack((x0, y0, x1, y1))[:, keep]
+    g = max(int(np.gcd.reduce(edges, axis=None)), 1)
+    cx0, cy0, cx1, cy1 = edges // g
+    gw, gh = -(-width // g), -(-height // g)
+    cw, counts = cx1 - cx0, (cx1 - cx0) * (cy1 - cy0)
+    owner = np.repeat(np.arange(share.size), counts)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    cells = (cy0[owner] + k // cw[owner]) * gw + cx0[owner] + k % cw[owner]
+    grid = np.bincount(cells, share[owner], gh * gw).reshape(gh, gw)
+    heat = np.repeat(np.repeat(grid, g, axis=0), g, axis=1)[:height, :width]
+    return Heatmap(np.ascontiguousarray(heat))
 
 
 @dataclass(frozen=True)

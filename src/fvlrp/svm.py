@@ -45,12 +45,12 @@ class SvmModel:
         b = np.asarray(self.biases, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != len(self.classes) or b.shape != (len(self.classes),):
             raise DimError("weights/biases do not match the class list")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ValidationError("non-finite SVM parameters")
         tau = self.thresholds
         tau = np.zeros(len(self.classes)) if tau is None else np.asarray(tau, dtype=np.float64)
         if tau.shape != (len(self.classes),):
             raise DimError("thresholds do not match the class list")
+        if not all(np.isfinite(a).all() for a in (w, b, tau)):
+            raise ValidationError("non-finite SVM parameters")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "biases", b)
         object.__setattr__(self, "thresholds", tau)

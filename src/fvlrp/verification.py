@@ -398,19 +398,24 @@ def check_epsilon_violation() -> CheckResult:
 
 
 def check_streaming_oracle(cases: int = 100, seed: int = 1003) -> CheckResult:
-    """The array R2 kernel must equal the per-column loop bit for bit."""
+    """The array R2 kernel must equal the per-column loop bit for bit, n = 1
+    included. The last four cases take the fixed workload's shape (n = 169,
+    length 264), eight zeroed columns and, in two, subnormal entries."""
     rng = np.random.default_rng(seed)
     for case in range(cases):
-        k = int(rng.integers(2, 4))
-        dim = int(rng.integers(2, 5))
-        if (1 + 2 * dim) * k > 30:
+        fixed = case >= cases - 4
+        k = 8 if fixed else int(rng.integers(2, 4))
+        dim = 16 if fixed else int(rng.integers(2, 5))
+        if not fixed and (1 + 2 * dim) * k > 30:
             dim = 2
-        n = int(rng.integers(1, 6))
+        n = 169 if fixed else int(rng.integers(1, 6))
         gmm = random_gmm(rng, k, dim)
-        vectors = rng.normal(0.0, 1.0, (n, dim))
+        vectors = rng.normal(0.0, 6.0 if fixed and case % 2 else 1.0, (n, dim))
         r3_values = rng.normal(0.0, 1.0, (1 + 2 * dim) * k)
         r3 = R3Map(r3_values, "c", float(r3_values.sum()))
         matrix = embed_batch(gmm, vectors)
+        if fixed:
+            matrix[:, rng.choice(matrix.shape[1], 8, replace=False)] = 0.0
         for variant, eps in (("epsilon", 100.0), ("absolute", 100.0),
                              ("plain", 100.0)):
             try:
@@ -425,7 +430,7 @@ def check_streaming_oracle(cases: int = 100, seed: int = 1003) -> CheckResult:
                                    f"case {case}: refusal mismatch")
             expect, zero_dims, xi = oracle_r2_from_matrix(
                 r3_values, matrix, variant, eps)
-            if not (np.array_equal(streamed.values, expect)
+            if not (streamed.values.tobytes() == expect.tobytes()
                     and streamed.zero_dims.tolist() == zero_dims
                     and streamed.xi == xi):
                 return CheckResult(
@@ -491,16 +496,24 @@ def check_dense_extraction(cases: int = 48, seed: int = 1009) -> CheckResult:
 
 def check_r1(cases: int = 200, seed: int = 1010) -> CheckResult:
     """The array R1 kernel equals the per-descriptor loop bit for bit, on
-    areas clipped at every edge, some of them empty after clipping."""
+    areas clipped at every edge, some of them empty after clipping. The last
+    20 take `extract_dense` areas (cell grids, patch 4 too) on sides off the
+    cell grid (65 x 66 at patch 16) and on an image of one descriptor."""
     rng = np.random.default_rng(seed)
+    aligned = TILING_GEOMETRIES + ((4, 1), (4, 4))
     for case in range(cases):
         dims = tuple(int(v) for v in rng.integers(1, 20, 2))
         n = int(rng.integers(1, 30))
         areas = np.concatenate([rng.integers(-8, 24, (n, 2)), rng.integers(0, 12, (n, 2))],
                                axis=1)
-        r2 = R2Map(rng.normal(0.0, 1.0, n), "epsilon", 1.0,
+        j = case - cases + 2 * len(aligned)
+        if j >= 0:
+            patch, stride = aligned[j // 2]
+            dims = (patch, patch) if j % 2 else (4 * patch + 1, 4 * patch + 2)
+            areas = extract_dense(Image(rng.random(dims[::-1])), patch, stride).areas
+        r2 = R2Map(rng.normal(0.0, 1.0, len(areas)), "epsilon", 1.0,
                    np.array([], dtype=np.int64), 0.0, 0.0, "c")
-        heat = relevance_r1(r2, DescriptorSet(np.zeros((n, 1)), areas, dims), dims)
+        heat = relevance_r1(r2, DescriptorSet(np.zeros((len(areas), 1)), areas, dims), dims)
         if heat.values.tobytes() != oracle_relevance_r1(r2.values, areas, dims).tobytes():
             return CheckResult("r1", False, f"case {case}: bitwise mismatch")
     return CheckResult("r1", True, f"{cases} clipped cases, all bitwise equal")

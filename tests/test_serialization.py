@@ -171,6 +171,56 @@ def test_pca_model_checks_its_shapes():
     PcaModel(np.zeros(4), np.zeros((2, 4)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("kind, field", [
+    ("pca", "mean"), ("pca", "basis"), ("gmm", "weights"), ("gmm", "means"),
+    ("gmm", "sigmas"), ("gmm", "sigma_floor"), ("svm", "weights"),
+    ("svm", "biases"), ("svm", "thresholds"), ("nn", "layers"),
+])
+def test_non_finite_parameter_is_refused(models, kind, field, value):
+    doc = json.loads(serialize_model(models[kind]))
+    array = doc["payload"][field]
+    array = array[-1]["biases"] if kind == "nn" else array
+    values = np.frombuffer(base64.b64decode(array["f8le"]), dtype="<f8").copy()
+    values[0] = value
+    array["f8le"] = base64.b64encode(values.tobytes()).decode("ascii")
+    with pytest.raises(PipelineError):
+        deserialize_model(json.dumps(doc).encode())
+
+
+def array_records(node):
+    """Every {"shape", "f8le"} record in a payload, layer records included."""
+    if isinstance(node, dict):
+        if "f8le" in node:
+            yield node
+        for value in node.values():
+            yield from array_records(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from array_records(value)
+
+
+@pytest.mark.parametrize("kind", ["pca", "gmm", "svm", "nn"])
+def test_base64_flip_never_loads_a_non_finite_model(models, kind):
+    # '/' is six one-bits: at an exponent's position it makes NaN or inf
+    doc = json.loads(serialize_model(models[kind]))
+    flips = 0
+    for record in array_records(doc["payload"]):
+        text = record["f8le"]
+        for i in range(len(text.rstrip("="))):
+            record["f8le"] = text[:i] + ("/" if text[i] != "/" else "A") + text[i + 1:]
+            try:
+                model = deserialize_model(json.dumps(doc).encode())
+            except PipelineError:
+                continue
+            flips += 1
+            arrays = [a for layer in getattr(model, "layers", ()) for a in
+                      (layer.weights, layer.biases)] + [a for _, a in arrays_of(model)]
+            assert all(np.isfinite(a).all() for a in arrays), (record, i)
+        record["f8le"] = text
+    assert flips > 0
+
+
 def test_unreadable_path_is_an_io_error(models, tmp_path):
     with pytest.raises(IoError):
         load_model(tmp_path / "missing.json")

@@ -1,12 +1,12 @@
 """Command-line pipeline: staged subcommands with cached artifacts.
 
 Each stage writes its artifacts under a working directory plus a
-manifest recording the configuration hash, the seed, the upstream
-manifests it consumed, and a digest of every file it wrote. `_COMMANDS`
-declares each command's upstream stages once; `main` checks them before
-the command runs and records them in its manifest. A stage refuses to
-run when a required upstream stage is missing, was built under a
-different configuration, or has modified artifacts on disk.
+manifest recording its stage hash, the seed, the upstream manifests it
+consumed, and a digest of every file it wrote. `_COMMANDS`, the one
+stage table, declares each command's upstream stages and config fields;
+a stage's hash covers those fields and its upstream stages' hashes. A
+command refuses a missing or stale upstream manifest, and opens upstream
+files only through `_Upstream.path`, which checks each file's digest.
 
 Exit codes: 0 success, 1 usage error, 2 missing/stale dependency,
 3 validation or verification failure.
@@ -39,7 +39,7 @@ from .pipeline import (ModelBundle, em_stop, embed_all, extract_corpus,
 from .serialization import load_model, save_model
 from .svm import score
 from .synth import LabeledImage
-from .util import file_hash
+from .util import file_hash, stable_hash
 from .verification import run_all
 
 _VARIANT_FLAGS = {"plain": "plain", "eps": "epsilon", "abs": "absolute"}
@@ -61,6 +61,13 @@ def _manifest_path(out_dir: str, stage: str) -> str:
     return os.path.join(out_dir, "manifests", f"{stage}.json")
 
 
+def _stage_hash(config: PipelineConfig, stage: str) -> str:
+    """Hash of the fields `stage` reads and of its upstream stages' hashes."""
+    command = _COMMANDS[stage]
+    return stable_hash([{f: getattr(config, f) for f in command.fields},
+                        [_stage_hash(config, s) for s in command.needs]])
+
+
 def _write_manifest(out_dir: str, stage: str, config: PipelineConfig,
                     inputs: tuple[str, ...], outputs: list[str],
                     **extra) -> None:
@@ -68,7 +75,7 @@ def _write_manifest(out_dir: str, stage: str, config: PipelineConfig,
     os.makedirs(os.path.join(out_dir, "manifests"), exist_ok=True)
     doc = {
         "stage": stage,
-        "config_hash": config.config_hash(),
+        "config_hash": _stage_hash(config, stage),
         "seed": config.seed,
         "inputs": {s: file_hash(_manifest_path(out_dir, s)) for s in inputs},
         "outputs": {rel: file_hash(os.path.join(out_dir, rel))
@@ -83,7 +90,7 @@ def _write_manifest(out_dir: str, stage: str, config: PipelineConfig,
 
 def _require_stage(out_dir: str, stage: str, config: PipelineConfig,
                    needed_by: str) -> dict:
-    """Load an upstream manifest, refusing missing or stale artifacts."""
+    """Load an upstream manifest, refusing a missing or stale one."""
     path = _manifest_path(out_dir, stage)
     if not os.path.exists(path):
         raise DependencyError(
@@ -91,17 +98,42 @@ def _require_stage(out_dir: str, stage: str, config: PipelineConfig,
             f"run `fvlrp {stage}` first")
     with open(path, "r", encoding="ascii") as fh:
         manifest = json.load(fh)
-    if manifest.get("config_hash") != config.config_hash():
+    if manifest.get("config_hash") != _stage_hash(config, stage):
         raise DependencyError(
             f"stale cache: `{stage}` artifacts were built under a different "
             f"configuration; re-run `fvlrp {stage}`")
-    for rel, digest in manifest.get("outputs", {}).items():
-        full = os.path.join(out_dir, rel)
-        if not os.path.exists(full) or file_hash(full) != digest:
-            raise DependencyError(
-                f"artifact {rel} recorded by `{stage}` is missing or "
-                f"modified; re-run `fvlrp {stage}`")
     return manifest
+
+
+class _Upstream(NamedTuple):
+    """A command's checked upstream manifests; `path` opens their files."""
+    out_dir: str
+    command: str
+    manifests: dict[str, dict]
+    checked: set[str]
+
+    def path(self, rel: str) -> str:
+        """`rel` once it matches its recorded digest, hashed once per command."""
+        full = os.path.join(self.out_dir, rel)
+        if rel not in self.checked:
+            stage = next((s for s, m in self.manifests.items()
+                          if rel in m.get("outputs", {})), None)
+            if stage is None:
+                raise DependencyError(f"`{self.command}` reads {rel}, which no "
+                                      f"upstream stage of it recorded")
+            if (not os.path.isfile(full)
+                    or file_hash(full) != self.manifests[stage]["outputs"][rel]):
+                raise DependencyError(
+                    f"artifact {rel} recorded by `{stage}` is missing or "
+                    f"modified; re-run `fvlrp {stage}`")
+            self.checked.add(rel)
+        return full
+
+
+def _upstream(out_dir: str, command: str, config: PipelineConfig) -> _Upstream:
+    """`command`'s upstream manifests, each checked by `_require_stage`."""
+    return _Upstream(out_dir, command, {s: _require_stage(out_dir, s, config, command)
+                                        for s in _COMMANDS[command].needs}, set())
 
 
 def _ensure_dir(path: str) -> str:
@@ -117,8 +149,7 @@ def _rel(out_dir: str, path: str) -> str:
 # corpus storage
 
 
-def _index_path(out_dir: str) -> str:
-    return os.path.join(out_dir, "corpus", "index.tsv")
+_INDEX = "corpus/index.tsv"
 
 
 def _save_corpus_split(out_dir: str, split: str,
@@ -135,7 +166,7 @@ def _save_corpus_split(out_dir: str, split: str,
 
 
 def _save_corpus_index(out_dir: str, train: list[LabeledImage],
-                       test: list[LabeledImage]) -> str:
+                       test: list[LabeledImage]) -> None:
     rows = []
     for split, images in (("train", train), ("test", test)):
         for img in images:
@@ -144,9 +175,9 @@ def _save_corpus_index(out_dir: str, train: list[LabeledImage],
                          f"corpus/{split}/{img.image_id}.txt",
                          ",".join(img.labels),
                          ",".join(img.flags) if img.flags else "-"))
-    return report.write_table(_index_path(out_dir),
-                              ("split", "image", "file", "annotations",
-                               "labels", "flags"), rows)
+    report.write_table(os.path.join(out_dir, _INDEX),
+                       ("split", "image", "file", "annotations", "labels",
+                        "flags"), rows)
 
 
 class _IndexEntry(NamedTuple):
@@ -162,8 +193,8 @@ class _IndexEntry(NamedTuple):
     flags: tuple[str, ...]
 
 
-def _load_corpus_index(out_dir: str) -> list[_IndexEntry]:
-    with open(_index_path(out_dir), "r", encoding="ascii") as fh:
+def _load_corpus_index(upstream: _Upstream) -> list[_IndexEntry]:
+    with open(upstream.path(_INDEX), "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     header = lines[0].split("\t")
     entries = []
@@ -176,29 +207,29 @@ def _load_corpus_index(out_dir: str) -> list[_IndexEntry]:
     return entries
 
 
-def _split_entries(out_dir: str, split: str) -> list[_IndexEntry]:
-    return [e for e in _load_corpus_index(out_dir) if e.split == split]
+def _split_entries(upstream: _Upstream, split: str) -> list[_IndexEntry]:
+    return [e for e in _load_corpus_index(upstream) if e.split == split]
 
 
-def _iter_split(out_dir: str, split: str) -> Iterator[LabeledImage]:
+def _iter_split(upstream: _Upstream, split: str) -> Iterator[LabeledImage]:
     """The split's images in index order, each read as it is reached."""
-    for entry in _split_entries(out_dir, split):
-        img = load_image(os.path.join(out_dir, entry.file))
-        boxes = load_annotations(os.path.join(out_dir, entry.annotations))
+    for entry in _split_entries(upstream, split):
+        img = load_image(upstream.path(entry.file))
+        boxes = load_annotations(upstream.path(entry.annotations))
         yield LabeledImage(img, entry.labels, tuple(boxes), entry.image_id,
                            entry.flags)
 
 
-def _load_split(out_dir: str, split: str) -> list[LabeledImage]:
-    return list(_iter_split(out_dir, split))
+def _load_split(upstream: _Upstream, split: str) -> list[LabeledImage]:
+    return list(_iter_split(upstream, split))
 
 
-def _split_ids(out_dir: str, split: str) -> list[str]:
-    return [e.image_id for e in _split_entries(out_dir, split)]
+def _split_ids(upstream: _Upstream, split: str) -> list[str]:
+    return [e.image_id for e in _split_entries(upstream, split)]
 
 
-def _corpus_classes(manifest: dict) -> tuple[str, ...]:
-    return tuple(manifest["classes"])
+def _corpus_classes(upstream: _Upstream) -> tuple[str, ...]:
+    return tuple(upstream.manifests[STAGE_SYNTH]["classes"])
 
 
 # ---------------------------------------------------------------------------
@@ -208,29 +239,34 @@ def _corpus_classes(manifest: dict) -> tuple[str, ...]:
 _BUNDLE_STAGES = (STAGE_SYNTH, STAGE_PCA, STAGE_GMM, STAGE_SVM)
 
 
-def _model_path(out_dir: str, name: str) -> str:
-    return os.path.join(out_dir, "models", f"{name}.json")
+def _load_stage_model(upstream: _Upstream, kind: str):
+    return load_model(upstream.path(f"models/{kind}.json"), kind)
 
 
-def _read_bundle(out_dir: str, config: PipelineConfig, synth_manifest: dict,
+def _save_stage_model(out_dir: str, model, kind: str) -> dict:
+    """Write a stage's one model file; returns the keys of its manifest."""
+    rel = f"models/{kind}.json"
+    _ensure_dir(os.path.join(out_dir, "models"))
+    save_model(model, os.path.join(out_dir, rel))
+    return {"outputs": [rel]}
+
+
+def _read_bundle(upstream: _Upstream, config: PipelineConfig,
                  with_nn: bool = False) -> ModelBundle:
-    """The trained models as stored; callers check the manifests first."""
-
-    def model(kind):
-        return load_model(_model_path(out_dir, kind), kind)
-
-    return ModelBundle(_corpus_classes(synth_manifest), model("pca"),
-                       model("gmm"), model("svm"),
-                       model("nn") if with_nn else None,
+    """The trained models as stored."""
+    pca, gmm, svm = (_load_stage_model(upstream, kind)
+                     for kind in ("pca", "gmm", "svm"))
+    net = _load_stage_model(upstream, "nn") if with_nn else None
+    return ModelBundle(_corpus_classes(upstream), pca, gmm, svm, net,
                        config.patch, config.stride)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 #
-# A handler receives the checked manifests of its upstream stages (see
-# `_COMMANDS`) and returns the keys its own manifest adds: "outputs", the
-# files it wrote, plus any extra keys; `verify` writes no manifest.
+# A handler receives its `_Upstream` (see `_COMMANDS`) and returns the
+# keys its own manifest adds: "outputs", the files it wrote, plus any
+# extra keys; `verify` writes no manifest.
 
 
 def _cmd_synth_gen(config: PipelineConfig, args, upstream) -> dict:
@@ -238,16 +274,16 @@ def _cmd_synth_gen(config: PipelineConfig, args, upstream) -> dict:
     train_imgs, test_imgs, classes = make_corpus(config)
     outputs = _save_corpus_split(out_dir, "train", train_imgs)
     outputs += _save_corpus_split(out_dir, "test", test_imgs)
-    outputs.append(_rel(out_dir, _save_corpus_index(out_dir, train_imgs,
-                                                    test_imgs)))
+    _save_corpus_index(out_dir, train_imgs, test_imgs)
+    outputs.append(_INDEX)
     size = config.corpus_size
     print(f"synth-gen: {len(train_imgs)} train / {len(test_imgs)} test images "
           f"({size}x{size}, rho={config.corpus_rho})")
     return {"outputs": outputs, "classes": list(classes)}
 
 
-def _desc_path(out_dir: str, image_id: str, split: str) -> str:
-    return os.path.join(out_dir, "descriptors", split, f"{image_id}.desc")
+def _desc_rel(image_id: str, split: str) -> str:
+    return f"descriptors/{split}/{image_id}.desc"
 
 
 def _cmd_extract(config: PipelineConfig, args, upstream) -> dict:
@@ -255,25 +291,25 @@ def _cmd_extract(config: PipelineConfig, args, upstream) -> dict:
     outputs = []
     total = 0
     for split in ("train", "test"):
-        ids = _split_ids(out_dir, split)
+        ids = _split_ids(upstream, split)
         _ensure_dir(os.path.join(out_dir, "descriptors", split))
         # one raw set at a time: each is written before the next is extracted
-        sets = extract_corpus(_iter_split(out_dir, split), config)
+        sets = extract_corpus(_iter_split(upstream, split), config)
         for image_id, ds in zip(ids, sets):
-            path = _desc_path(out_dir, image_id, split)
-            save_descriptors(ds, path)
-            outputs.append(_rel(out_dir, path))
+            rel = _desc_rel(image_id, split)
+            save_descriptors(ds, os.path.join(out_dir, rel))
+            outputs.append(rel)
             total += len(ds)
     print(f"extract: {total} descriptors "
           f"(patch {config.patch}, stride {config.stride})")
     return {"outputs": outputs}
 
 
-def _load_descriptor_sets(out_dir: str, split: str):
+def _load_descriptor_sets(upstream: _Upstream, split: str):
     """The split's image ids, and its descriptor sets loaded one at a time
     as they are iterated, so a consumer that drops each set holds one."""
-    ids = _split_ids(out_dir, split)
-    return ids, (load_descriptors(_desc_path(out_dir, i, split)) for i in ids)
+    ids = _split_ids(upstream, split)
+    return ids, (load_descriptors(upstream.path(_desc_rel(i, split))) for i in ids)
 
 
 def _split_rows(config: PipelineConfig, ids: list[str]) -> int:
@@ -282,99 +318,87 @@ def _split_rows(config: PipelineConfig, ids: list[str]) -> int:
                                        config.patch, config.stride)
 
 
-def _project_split(out_dir: str, split: str, pca, config: PipelineConfig):
+def _project_split(upstream: _Upstream, split: str, pca, config: PipelineConfig):
     """The split's image ids and its projected descriptors, one matrix."""
-    ids, sets = _load_descriptor_sets(out_dir, split)
+    ids, sets = _load_descriptor_sets(upstream, split)
     return ids, project_all(pca, sets, _split_rows(config, ids))
 
 
 def _cmd_pca_fit(config: PipelineConfig, args, upstream) -> dict:
-    out_dir = args.out
-    ids, sets = _load_descriptor_sets(out_dir, "train")
+    ids, sets = _load_descriptor_sets(upstream, "train")
     rows = _split_rows(config, ids)
     model, _ = fit_pca(sets, rows, config)
-    _ensure_dir(os.path.join(out_dir, "models"))
-    path = _model_path(out_dir, "pca")
-    save_model(model, path)
     print(f"pca-fit: {model.raw_dim} -> {model.dim} dims on {rows} descriptors")
-    return {"outputs": [_rel(out_dir, path)]}
+    return _save_stage_model(args.out, model, "pca")
 
 
 def _cmd_gmm_fit(config: PipelineConfig, args, upstream) -> dict:
-    out_dir = args.out
-    pca = load_model(_model_path(out_dir, "pca"), "pca")
-    _, projected = _project_split(out_dir, "train", pca, config)
+    pca = _load_stage_model(upstream, "pca")
+    _, projected = _project_split(upstream, "train", pca, config)
     model = fit_gmm(projected, config)
-    path = _model_path(out_dir, "gmm")
-    save_model(model, path)
     steps, reason, gain = em_stop(model, projected, config)
     print(f"gmm-fit: K={config.gmm_k}, {steps} M-steps, stopped by {reason}, "
           f"last gain per descriptor {'none' if gain is None else f'{gain:.2e}'}")
-    return {"outputs": [_rel(out_dir, path)]}
+    return _save_stage_model(args.out, model, "gmm")
 
 
-def _fvec_path(out_dir: str, image_id: str, split: str) -> str:
-    return os.path.join(out_dir, "embeddings", split, f"{image_id}.fvec")
+def _fvec_rel(image_id: str, split: str) -> str:
+    return f"embeddings/{split}/{image_id}.fvec"
 
 
 def _cmd_embed(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
-    pca = load_model(_model_path(out_dir, "pca"), "pca")
-    gmm = load_model(_model_path(out_dir, "gmm"), "gmm")
+    pca = _load_stage_model(upstream, "pca")
+    gmm = _load_stage_model(upstream, "gmm")
     outputs = []
     for split in ("train", "test"):
-        ids, projected = _project_split(out_dir, split, pca, config)
+        ids, projected = _project_split(upstream, split, pca, config)
         _ensure_dir(os.path.join(out_dir, "embeddings", split))
         raws = embed_all(gmm, projected)
         for image_id, raw in zip(ids, raws):
-            path = _fvec_path(out_dir, image_id, split)
-            save_fisher_vector(raw, gmm.n_components, gmm.dim, path)
-            outputs.append(_rel(out_dir, path))
+            rel = _fvec_rel(image_id, split)
+            save_fisher_vector(raw, gmm.n_components, gmm.dim,
+                               os.path.join(out_dir, rel))
+            outputs.append(rel)
     print(f"embed: {len(outputs)} Fisher vectors of length "
           f"{(1 + 2 * config.pca_dim) * config.gmm_k}")
     return {"outputs": outputs}
 
 
-def _load_feature_matrix(out_dir: str, split: str
+def _load_feature_matrix(upstream: _Upstream, split: str
                          ) -> tuple[list[str], np.ndarray]:
-    ids = _split_ids(out_dir, split)
-    raws = [load_fisher_vector(_fvec_path(out_dir, i, split)) for i in ids]
+    ids = _split_ids(upstream, split)
+    raws = [load_fisher_vector(upstream.path(_fvec_rel(i, split))) for i in ids]
     return ids, improved_matrix(raws)
 
 
 def _cmd_svm_train(config: PipelineConfig, args, upstream) -> dict:
-    out_dir = args.out
-    classes = _corpus_classes(upstream[STAGE_SYNTH])
-    _, features = _load_feature_matrix(out_dir, "train")
-    model = train_svm(_split_entries(out_dir, "train"), features, classes,
+    classes = _corpus_classes(upstream)
+    _, features = _load_feature_matrix(upstream, "train")
+    model = train_svm(_split_entries(upstream, "train"), features, classes,
                       config)
-    path = _model_path(out_dir, "svm")
-    save_model(model, path)
     taus = ", ".join(f"{c}: {t:.4f}" for c, t in zip(classes, model.thresholds))
     print(f"svm-train: {len(classes)} classes on {features.shape[0]} images "
           f"(C={config.svm_c}); thresholds {taus}")
-    return {"outputs": [_rel(out_dir, path)]}
+    return _save_stage_model(args.out, model, "svm")
 
 
 def _cmd_nn_train(config: PipelineConfig, args, upstream) -> dict:
-    out_dir = args.out
-    classes = _corpus_classes(upstream[STAGE_SYNTH])
-    train_imgs = _load_split(out_dir, "train")
+    classes = _corpus_classes(upstream)
+    train_imgs = _load_split(upstream, "train")
     net = train_net(train_imgs, classes, config)
-    path = _model_path(out_dir, "nn")
-    save_model(net, path)
     arch = "-".join(str(s) for s in
                     [net.input_dim] + [l.weights.shape[1] for l in net.layers])
     print(f"nn-train: {arch} network on {len(train_imgs)} images")
-    return {"outputs": [_rel(out_dir, path)]}
+    return _save_stage_model(args.out, net, "nn")
 
 
 def _cmd_predict(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
-    classes = _corpus_classes(upstream[STAGE_SYNTH])
-    svm_model = load_model(_model_path(out_dir, "svm"), "svm")
-    entries = _split_entries(out_dir, "test")
-    _, features = _load_feature_matrix(out_dir, "test")
+    classes = _corpus_classes(upstream)
+    svm_model = _load_stage_model(upstream, "svm")
+    entries = _split_entries(upstream, "test")
+    _, features = _load_feature_matrix(upstream, "test")
     scores = {c: score(svm_model, features, c) for c in classes}
     rows = []
     correct = {c: 0 for c in classes}
@@ -398,16 +422,16 @@ def _cmd_predict(config: PipelineConfig, args, upstream) -> dict:
 
 def _cmd_explain(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
-    bundle = _read_bundle(out_dir, config, upstream[STAGE_SYNTH])
+    bundle = _read_bundle(upstream, config)
     if not args.image or not args.cls:
         raise UsageError("explain needs --image and --class")
     if args.cls not in bundle.classes:
         raise ValidationError(
             f"class {args.cls!r} not in corpus classes {bundle.classes}")
-    entries = {e.image_id: e for e in _load_corpus_index(out_dir)}
+    entries = {e.image_id: e for e in _load_corpus_index(upstream)}
     if args.image not in entries:
         raise ValidationError(f"image {args.image!r} not in the corpus index")
-    img = load_image(os.path.join(out_dir, entries[args.image].file))
+    img = load_image(upstream.path(entries[args.image].file))
     expl = explain(img, bundle.gmm, bundle.pca, bundle.svm, args.cls,
                    variant=config.variant, epsilon=config.epsilon,
                    patch=bundle.patch, stride=bundle.stride)
@@ -426,12 +450,12 @@ def _cmd_explain(config: PipelineConfig, args, upstream) -> dict:
 
 def _cmd_morf_eval(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
-    bundle = _read_bundle(out_dir, config, upstream[STAGE_SYNTH])
+    bundle = _read_bundle(upstream, config)
     if args.cls and args.cls not in bundle.classes:
         raise ValidationError(
             f"class {args.cls!r} not in corpus classes {bundle.classes}")
     targets = (args.cls,) if args.cls else bundle.classes
-    test_imgs = _load_split(out_dir, "test")
+    test_imgs = _load_split(upstream, "test")
     outputs = []
     for cls in targets:
         rep = compare_orderings(
@@ -452,8 +476,8 @@ def _cmd_morf_eval(config: PipelineConfig, args, upstream) -> dict:
 
 def _cmd_context_report(config: PipelineConfig, args, upstream) -> dict:
     out_dir = args.out
-    bundle = _read_bundle(out_dir, config, upstream[STAGE_SYNTH], with_nn=True)
-    test_imgs = _load_split(out_dir, "test")
+    bundle = _read_bundle(upstream, config, with_nn=True)
+    test_imgs = _load_split(upstream, "test")
     rep = context_report(test_imgs, bundle.gmm, bundle.pca, bundle.svm,
                          bundle.net, variant=config.variant,
                          epsilon=config.epsilon, nn_alpha=config.nn_alpha,
@@ -468,21 +492,23 @@ def _cmd_context_report(config: PipelineConfig, args, upstream) -> dict:
     return {"outputs": [_rel(out_dir, p) for p in paths]}
 
 
-def _trained_model_checks(config: PipelineConfig, out_dir: str) -> list:
+def _trained_model_checks(config: PipelineConfig, upstream: _Upstream) -> list:
     """Spot checks against the trained artifacts, when they exist."""
     from .verification import CheckResult
 
-    # Stage by stage, so a stale upstream stage is reported even when a
-    # later stage has not run yet.
-    manifests = []
+    # Stage by stage, every file of each, so a stale or modified upstream
+    # stage is reported even when a later stage has not run yet.
     for stage in (STAGE_SYNTH, STAGE_PCA, STAGE_GMM, STAGE_EMBED, STAGE_SVM):
-        if not os.path.exists(_manifest_path(out_dir, stage)):
+        if not os.path.exists(_manifest_path(upstream.out_dir, stage)):
             return []
-        manifests.append(_require_stage(out_dir, stage, config, "verify"))
-    bundle = _read_bundle(out_dir, config, manifests[0])
+        manifest = upstream.manifests[stage] = _require_stage(
+            upstream.out_dir, stage, config, "verify")
+        for rel in manifest.get("outputs", {}):
+            upstream.path(rel)
+    bundle = _read_bundle(upstream, config)
     results = []
 
-    img = next(_iter_split(out_dir, "test"))
+    img = next(_iter_split(upstream, "test"))
     cls = bundle.classes[0]
     expl = explain(img.image, bundle.gmm, bundle.pca, bundle.svm, cls,
                    variant="absolute", patch=bundle.patch,
@@ -493,8 +519,8 @@ def _trained_model_checks(config: PipelineConfig, out_dir: str) -> list:
         "trained-conservation", ok,
         f"pixel sum vs f gap {gap:.2e} on {img.image_id}"))
 
-    ids = _split_ids(out_dir, "test")[:2]
-    raws = [load_fisher_vector(_fvec_path(out_dir, i, "test")) for i in ids]
+    ids = _split_ids(upstream, "test")[:2]
+    raws = [load_fisher_vector(upstream.path(_fvec_rel(i, "test"))) for i in ids]
     if len(raws) == 2:
         lhs, rhs = hellinger_check(raws[0], raws[1])
         ok = abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -505,7 +531,7 @@ def _trained_model_checks(config: PipelineConfig, out_dir: str) -> list:
 
 def _cmd_verify(config: PipelineConfig, args, upstream) -> None:
     results = run_all(seed=config.seed)
-    results += _trained_model_checks(config, args.out)
+    results += _trained_model_checks(config, upstream)
     failed = 0
     for res in results:
         mark = "ok  " if res.passed else "FAIL"
@@ -523,36 +549,44 @@ def _cmd_verify(config: PipelineConfig, args, upstream) -> None:
 class _Command(NamedTuple):
     handler: Callable[..., dict | None]
     needs: tuple[str, ...]  # upstream stages, in the order they are checked
+    fields: tuple[str, ...]  # config fields it reads besides its needs' own
     help: str
 
 
 _COMMANDS = {
-    STAGE_SYNTH: _Command(_cmd_synth_gen, (),
-                          "render the synthetic corpus to disk"),
-    STAGE_EXTRACT: _Command(_cmd_extract, (STAGE_SYNTH,),
+    STAGE_SYNTH: _Command(_cmd_synth_gen, (), (
+        "corpus_size", "corpus_rho", "train_per_class", "test_per_class",
+        "artefact_class", "seed"), "render the synthetic corpus to disk"),
+    STAGE_EXTRACT: _Command(_cmd_extract, (STAGE_SYNTH,), ("patch", "stride"),
                             "dense local descriptors for every image"),
-    STAGE_PCA: _Command(_cmd_pca_fit, (STAGE_EXTRACT,),
+    STAGE_PCA: _Command(_cmd_pca_fit, (STAGE_SYNTH, STAGE_EXTRACT), ("pca_dim",),
                         "fit the descriptor projection"),
-    STAGE_GMM: _Command(_cmd_gmm_fit, (STAGE_EXTRACT, STAGE_PCA),
+    STAGE_GMM: _Command(_cmd_gmm_fit, (STAGE_SYNTH, STAGE_EXTRACT, STAGE_PCA),
+                        ("gmm_k", "gmm_max_iter", "gmm_tol", "gmm_sample_count"),
                         "fit the visual-word mixture via EM"),
-    STAGE_EMBED: _Command(_cmd_embed, (STAGE_EXTRACT, STAGE_PCA, STAGE_GMM),
-                          "aggregate per-image Fisher vectors"),
+    STAGE_EMBED: _Command(
+        _cmd_embed, (STAGE_SYNTH, STAGE_EXTRACT, STAGE_PCA, STAGE_GMM), (),
+        "aggregate per-image Fisher vectors"),
     STAGE_SVM: _Command(_cmd_svm_train, (STAGE_SYNTH, STAGE_EMBED),
+                        ("svm_c", "svm_epochs"),
                         "train one-vs-rest linear classifiers"),
-    STAGE_NN: _Command(_cmd_nn_train, (STAGE_SYNTH,),
-                       "train the pixel-level comparison network"),
-    "predict": _Command(_cmd_predict, (STAGE_SYNTH, STAGE_EMBED, STAGE_SVM),
+    STAGE_NN: _Command(_cmd_nn_train, (STAGE_SYNTH,), (
+        "nn_hidden", "nn_input", "nn_epochs", "nn_lr", "nn_batch"),
+        "train the pixel-level comparison network"),
+    "predict": _Command(_cmd_predict, (STAGE_SYNTH, STAGE_EMBED, STAGE_SVM), (),
                         "score the test split"),
-    "explain": _Command(_cmd_explain, _BUNDLE_STAGES,
+    "explain": _Command(_cmd_explain, _BUNDLE_STAGES, ("variant", "epsilon"),
                         "relevance heatmap for one image and class"),
     "morf-eval": _Command(
         _cmd_morf_eval, _BUNDLE_STAGES,
+        ("variant", "epsilon", "morf_batch", "morf_steps", "morf_repetitions"),
         "feature-replacement curves: relevance vs random ordering"),
     "context-report": _Command(
         _cmd_context_report, (*_BUNDLE_STAGES, STAGE_NN),
+        ("variant", "epsilon", "nn_alpha", "nn_beta"),
         "outside/inside relevance ratios for both models"),
     # verify checks whichever trained stages exist, one at a time
-    "verify": _Command(_cmd_verify, (),
+    "verify": _Command(_cmd_verify, (), ("seed",),
                        "run the seeded invariant and oracle checks"),
 }
 
@@ -607,9 +641,8 @@ def main(argv=None) -> int:
         config = _resolve_config(args)
         os.makedirs(args.out, exist_ok=True)
         command = _COMMANDS[args.command]
-        upstream = {stage: _require_stage(args.out, stage, config, args.command)
-                    for stage in command.needs}
-        produced = command.handler(config, args, upstream)
+        produced = command.handler(config, args,
+                                   _upstream(args.out, args.command, config))
         if produced is not None:
             _write_manifest(args.out, args.command, config, command.needs,
                             **produced)

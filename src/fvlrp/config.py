@@ -2,12 +2,12 @@
 
 Precedence is flags > file > defaults. Every field is checked against
 its annotation when the record is built, and a file may not set a field
-to null (a `None` override means "flag not given"). The hash covers
-only the fields a training stage reads: `threads` is excluded (it is
-accepted and validated for compatibility, and nothing reads it), as are
-the `REPORT_ONLY` settings, and no paths are stored here at all (the
-output directory is a command-line concern), so identical experiments
-hash identically wherever they run.
+to null (a `None` override means "flag not given"). Every `int` field is
+at least 1, except `seed` (at least 0). Which command reads which field,
+and so which fields each stage's cache hash covers, is declared once, in
+`fvlrp.cli._COMMANDS`; no command reads `threads`, which is validated for
+compatibility. No paths are stored here, so identical experiments hash
+identically wherever they run.
 """
 
 from __future__ import annotations
@@ -22,13 +22,6 @@ from .errors import ParseError, SpecError, ValidationError
 from .lrp_fv import VARIANTS
 from .lrp_nn import check_alphabeta
 from .synth import two_class_spec
-from .util import stable_hash
-
-
-# Fields that only the report stages (explain, morf-eval, context-report)
-# read; left out of `config_hash` together with `threads`.
-REPORT_ONLY = ("variant", "epsilon", "nn_alpha", "nn_beta",
-               "morf_batch", "morf_steps", "morf_repetitions")
 
 # What each field annotation accepts; a bool is neither an int nor a float,
 # and a float is finite (JSON files may spell NaN and Infinity).
@@ -87,19 +80,10 @@ class PipelineConfig:
                 raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
         if not 0.0 <= self.corpus_rho <= 1.0:
             raise ValidationError("corpus_rho must lie in [0, 1]")
-        positive = {
-            "corpus_size": self.corpus_size, "train_per_class": self.train_per_class,
-            "test_per_class": self.test_per_class, "patch": self.patch,
-            "stride": self.stride, "pca_dim": self.pca_dim, "gmm_k": self.gmm_k,
-            "gmm_max_iter": self.gmm_max_iter, "gmm_sample_count": self.gmm_sample_count,
-            "svm_epochs": self.svm_epochs, "nn_input": self.nn_input,
-            "nn_epochs": self.nn_epochs, "nn_batch": self.nn_batch,
-            "morf_batch": self.morf_batch, "morf_steps": self.morf_steps,
-            "morf_repetitions": self.morf_repetitions, "threads": self.threads,
-        }
-        for name, value in positive.items():
-            if value < 1:
-                raise ValidationError(f"{name} must be >= 1, got {value}")
+        for f in dataclasses.fields(self):
+            least, value = int(f.name != "seed"), getattr(self, f.name)
+            if f.type == "int" and value < least:
+                raise ValidationError(f"{f.name} must be >= {least}, got {value}")
         if self.svm_c <= 0 or self.gmm_tol <= 0 or self.nn_lr < 0:
             raise ValidationError("svm_c and gmm_tol must be > 0, nn_lr >= 0")
         if any(h < 1 for h in self.nn_hidden):
@@ -160,14 +144,6 @@ class PipelineConfig:
         out = dataclasses.asdict(self)
         out["nn_hidden"] = list(self.nn_hidden)
         return out
-
-    def config_hash(self) -> str:
-        """Hash of the fields training stages read (`threads` and
-        `REPORT_ONLY` excluded)."""
-        payload = self.to_dict()
-        for name in ("threads", *REPORT_ONLY):
-            del payload[name]
-        return stable_hash(payload)
 
 
 def load_config(path) -> PipelineConfig:

@@ -12,6 +12,7 @@ from fvlrp import cli, descriptors, fisher, gmm, lrp_nn, svm
 from fvlrp.cli import main
 from fvlrp.config import load_config
 from fvlrp.descriptors import RAW_DIM, descriptor_count
+from fvlrp.errors import DependencyError
 from fvlrp.imaging import load_image
 from fvlrp.pipeline import make_corpus
 from fvlrp.serialization import load_model
@@ -207,10 +208,11 @@ def test_gmm_fit_states_why_em_stopped(pipeline, capsys):
 def test_thresholds_are_eer_over_the_scores_of_the_training_phi(pipeline):
     # each stored threshold comes from exactly the scores that predict,
     # explain and MoRF compare against it, one phi at a time
-    out, _ = pipeline
+    out, config = pipeline
     model = load_model(out / "models" / "svm.json", "svm")
-    _, features = cli._load_feature_matrix(str(out), "train")
-    labels = label_vectors(cli._split_entries(str(out), "train"), model.classes)
+    upstream = cli._upstream(str(out), "svm-train", load_config(config))
+    _, features = cli._load_feature_matrix(upstream, "train")
+    labels = label_vectors(cli._split_entries(upstream, "train"), model.classes)
     for c, tau in zip(model.classes, model.thresholds):
         scores = [svm.score(model, phi, c) for phi in features]
         assert tau.tobytes() == np.float64(
@@ -254,6 +256,102 @@ def test_modified_artifact_is_refused(tmp_path, capsys):
     assert "synth-gen" in capsys.readouterr().err
 
 
+def test_a_changed_field_names_its_own_stage_stale(pipeline, tmp_path, capsys):
+    out, _ = pipeline
+    assert run(out, write_config(tmp_path, pca_dim=6), "gmm-fit") == 2
+    assert "stale cache: `pca-fit`" in capsys.readouterr().err
+
+
+def test_a_changed_svm_c_reruns_svm_train_alone(tmp_path):
+    out = tmp_path / "run"
+    config = write_config(tmp_path)
+    for stage in ("synth-gen", "extract", "pca-fit", "gmm-fit", "embed",
+                  "svm-train"):
+        assert run(out, config, stage) == 0, stage
+    before = {p.name: p.read_bytes() for p in (out / "manifests").iterdir()}
+    other = tmp_path / "other"
+    other.mkdir()
+    assert run(out, write_config(other, svm_c=0.5), "svm-train") == 0
+    assert run(out, write_config(other, svm_c=0.5), "predict") == 0
+    after = {p.name: p.read_bytes() for p in (out / "manifests").iterdir()}
+    moved = {name for name in after if after[name] != before.get(name)}
+    assert moved == {"svm-train.json", "predict.json"}
+
+
+def test_edited_test_embedding_is_refused_where_it_is_read(pipeline, capsys):
+    out, config = pipeline
+    victim = next((out / "embeddings" / "test").glob("*.fvec"))
+    original = victim.read_bytes()
+    victim.write_bytes(original[:-1] + bytes([original[-1] ^ 1]))
+    try:
+        assert run(out, config, "svm-train") == 0
+        capsys.readouterr()
+        for command in ("predict", "verify"):
+            assert run(out, config, command) == 2, command
+            assert "`embed`" in capsys.readouterr().err, command
+    finally:
+        victim.write_bytes(original)
+
+
+def test_pca_fit_refuses_an_edited_corpus_index(tmp_path, capsys):
+    out = tmp_path / "run"
+    config = write_config(tmp_path)
+    for stage in ("synth-gen", "extract"):
+        assert run(out, config, stage) == 0, stage
+    index = out / "corpus" / "index.tsv"
+    lines = index.read_text().splitlines(keepends=True)
+    lines.remove(next(line for line in lines if line.startswith("train\t")))
+    index.write_text("".join(lines))
+    assert run(out, config, "pca-fit") == 2
+    assert "synth-gen" in capsys.readouterr().err
+
+
+def test_explain_hashes_only_the_files_it_reads_and_writes(pipeline,
+                                                          monkeypatch):
+    out, config = pipeline
+    hashed = []
+
+    def counted(path, _hash=cli.file_hash):
+        hashed.append(path)
+        return _hash(path)
+
+    monkeypatch.setattr(cli, "file_hash", counted)
+    image_id, cls = REGEN.first_test_image(str(out))
+    assert run(out, config, "explain", "--image", image_id,
+               "--class", cls) == 0
+    # the index, the image and three models read; four upstream manifests
+    # and five reports recorded
+    assert len(hashed) <= 15, hashed
+    hashed.clear()
+    assert run(out, config, "predict") == 0
+    # predict reads the index twice, and hashes it once
+    assert len(hashed) == len(set(hashed)), hashed
+
+
+def test_a_file_no_declared_stage_recorded_is_refused(pipeline):
+    out, config = pipeline
+    upstream = cli._upstream(str(out), "explain", load_config(config))
+    extracted = json.loads((out / "manifests" / "extract.json").read_text())
+    with pytest.raises(DependencyError, match="no upstream stage of it recorded"):
+        upstream.path(next(iter(extracted["outputs"])))
+
+
+def test_nn_train_runs_right_after_synth_gen(tmp_path):
+    out = tmp_path / "run"
+    config = write_config(tmp_path)
+    assert run(out, config, "synth-gen") == 0
+    assert run(out, config, "nn-train") == 0
+    assert (out / "models" / "nn.json").exists()
+
+
+def test_negative_seed_exits_3_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["synth-gen", "--seed", "-3", "--out", str(out)]) == 3
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err
+    assert run(out, write_config(tmp_path, seed=-1), "synth-gen") == 3
+    assert not out.exists()
+
+
 def test_usage_errors(capsys):
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
@@ -291,7 +389,7 @@ def test_stored_fisher_vectors_equal_the_per_image_path(pipeline):
     config = load_config(config_path)
     pca = load_model(out / "models" / "pca.json", "pca")
     gmm_model = load_model(out / "models" / "gmm.json", "gmm")
-    entries = cli._split_entries(str(out), "test")
+    entries = cli._split_entries(cli._upstream(str(out), "predict", config), "test")
     assert len(entries) == 2 * TINY["test_per_class"]
     for entry in entries:
         img = load_image(out / entry.file)

@@ -1,6 +1,7 @@
 """Configuration record, hashing, and the small shared utilities."""
 
 import ast
+import dataclasses
 import json
 import os
 import pathlib
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fvlrp import cli
 from fvlrp.config import PipelineConfig, load_config, save_config
 from fvlrp.errors import ParseError, PipelineError, ValidationError
 from fvlrp.util import canonical_json, file_hash, parallel_map, stable_hash
@@ -121,11 +123,41 @@ def test_validation_rejects_morf_budget_beyond_descriptor_count():
         PipelineConfig(patch=64, morf_batch=2, morf_steps=1)
 
 
+def _stage_hashes(**fields):
+    config = PipelineConfig(**fields)
+    return {stage: cli._stage_hash(config, stage) for stage in cli._COMMANDS}
+
+
 def test_hash_ignores_threads_only():
-    base = PipelineConfig()
-    assert base.config_hash() == PipelineConfig(threads=8).config_hash()
-    assert base.config_hash() != PipelineConfig(seed=1).config_hash()
-    assert base.config_hash() != PipelineConfig(gmm_k=9).config_hash()
+    """A stage's hash covers the fields `cli._COMMANDS` gives it and the
+    hashes of its upstream stages, so a field moves its own stage and
+    the stages below it."""
+    base = _stage_hashes()
+    assert _stage_hashes(threads=8) == base
+    seeded = _stage_hashes(seed=1)
+    assert all(seeded[stage] != base[stage] for stage in base)
+    more_words = _stage_hashes(gmm_k=9)
+    assert {stage for stage in base if more_words[stage] != base[stage]} == {
+        "gmm-fit", "embed", "svm-train", "predict", "explain", "morf-eval",
+        "context-report"}
+
+
+def test_every_field_but_threads_is_read_by_some_command():
+    read = {f for command in cli._COMMANDS.values() for f in command.fields}
+    assert read == set(PipelineConfig().to_dict()) - {"threads"}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(PipelineConfig)
+                                   if f.type == "int"])
+def test_int_field_below_its_least_value_is_refused(tmp_path, field):
+    least = 0 if field == "seed" else 1
+    message = f"^{field} must be >= {least}, got {least - 1}$"
+    with pytest.raises(ValidationError, match=message):
+        PipelineConfig().with_overrides(**{field: least - 1})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({field: least - 1}))
+    with pytest.raises(ValidationError, match=message):
+        load_config(path)
 
 
 def test_config_file_round_trip(tmp_path):

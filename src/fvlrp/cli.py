@@ -1,12 +1,14 @@
 """Command-line pipeline: staged subcommands with cached artifacts.
 
-Each stage writes its artifacts under a working directory plus a
-manifest recording its stage hash, the seed, the upstream manifests it
-consumed, and a digest of every file it wrote. `_COMMANDS`, the one
-stage table, declares each command's upstream stages and config fields;
-a stage's hash covers those fields and its upstream stages' hashes. A
-command refuses a missing or stale upstream manifest, and opens upstream
-files only through `_Upstream.path`, which checks each file's digest.
+`_COMMANDS`, the one stage table, declares each command's upstream
+stages and config fields; a stage's hash covers those fields and its
+upstream stages' hashes. Each command does all its file I/O through one
+`_Run`: it refuses a missing, malformed or stale upstream manifest,
+opens upstream files only through `_Run.path`, which checks each file's
+digest, reads the corpus index once, and records every file it writes
+under the working directory. `main` then writes the command's manifest:
+its stage hash, the seed, the upstream manifests it consumed, and a
+digest of every file it wrote. A command that wrote nothing writes none.
 
 Exit codes: 0 success, 1 usage error, 2 missing/stale dependency,
 3 validation or verification failure.
@@ -54,7 +56,10 @@ STAGE_NN = "nn-train"
 
 
 # ---------------------------------------------------------------------------
-# manifests and artifact bookkeeping
+# one command's file I/O
+
+
+_INDEX = "corpus/index.tsv"
 
 
 def _manifest_path(out_dir: str, stage: str) -> str:
@@ -68,116 +73,15 @@ def _stage_hash(config: PipelineConfig, stage: str) -> str:
                         [_stage_hash(config, s) for s in command.needs]])
 
 
-def _write_manifest(out_dir: str, stage: str, config: PipelineConfig,
-                    inputs: tuple[str, ...], outputs: list[str],
-                    **extra) -> None:
-    """Record what a stage produced; paths are relative to the out dir."""
-    os.makedirs(os.path.join(out_dir, "manifests"), exist_ok=True)
-    doc = {
-        "stage": stage,
-        "config_hash": _stage_hash(config, stage),
-        "seed": config.seed,
-        "inputs": {s: file_hash(_manifest_path(out_dir, s)) for s in inputs},
-        "outputs": {rel: file_hash(os.path.join(out_dir, rel))
-                    for rel in sorted(outputs)},
-    }
-    doc.update(extra)
-    with open(_manifest_path(out_dir, stage), "w", encoding="ascii",
-              newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def _require_stage(out_dir: str, stage: str, config: PipelineConfig,
-                   needed_by: str) -> dict:
-    """Load an upstream manifest, refusing a missing or stale one."""
-    path = _manifest_path(out_dir, stage)
-    if not os.path.exists(path):
-        raise DependencyError(
-            f"`{needed_by}` needs artifacts from `{stage}`; "
-            f"run `fvlrp {stage}` first")
-    with open(path, "r", encoding="ascii") as fh:
-        manifest = json.load(fh)
-    if manifest.get("config_hash") != _stage_hash(config, stage):
-        raise DependencyError(
-            f"stale cache: `{stage}` artifacts were built under a different "
-            f"configuration; re-run `fvlrp {stage}`")
-    return manifest
-
-
-class _Upstream(NamedTuple):
-    """A command's checked upstream manifests; `path` opens their files."""
-    out_dir: str
-    command: str
-    manifests: dict[str, dict]
-    checked: set[str]
-
-    def path(self, rel: str) -> str:
-        """`rel` once it matches its recorded digest, hashed once per command."""
-        full = os.path.join(self.out_dir, rel)
-        if rel not in self.checked:
-            stage = next((s for s, m in self.manifests.items()
-                          if rel in m.get("outputs", {})), None)
-            if stage is None:
-                raise DependencyError(f"`{self.command}` reads {rel}, which no "
-                                      f"upstream stage of it recorded")
-            if (not os.path.isfile(full)
-                    or file_hash(full) != self.manifests[stage]["outputs"][rel]):
-                raise DependencyError(
-                    f"artifact {rel} recorded by `{stage}` is missing or "
-                    f"modified; re-run `fvlrp {stage}`")
-            self.checked.add(rel)
-        return full
-
-
-def _upstream(out_dir: str, command: str, config: PipelineConfig) -> _Upstream:
-    """`command`'s upstream manifests, each checked by `_require_stage`."""
-    return _Upstream(out_dir, command, {s: _require_stage(out_dir, s, config, command)
-                                        for s in _COMMANDS[command].needs}, set())
-
-
-def _ensure_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _rel(out_dir: str, path: str) -> str:
-    return os.path.relpath(path, out_dir).replace(os.sep, "/")
-
-
-# ---------------------------------------------------------------------------
-# corpus storage
-
-
-_INDEX = "corpus/index.tsv"
-
-
-def _save_corpus_split(out_dir: str, split: str,
-                       images: list[LabeledImage]) -> list[str]:
-    written = []
-    split_dir = _ensure_dir(os.path.join(out_dir, "corpus", split))
-    for img in images:
-        img_path = os.path.join(split_dir, f"{img.image_id}.pgm")
-        ann_path = os.path.join(split_dir, f"{img.image_id}.txt")
-        save_image(img.image, img_path)
-        save_annotations(list(img.boxes), ann_path)
-        written += [_rel(out_dir, img_path), _rel(out_dir, ann_path)]
-    return written
-
-
-def _save_corpus_index(out_dir: str, train: list[LabeledImage],
-                       test: list[LabeledImage]) -> None:
-    rows = []
-    for split, images in (("train", train), ("test", test)):
-        for img in images:
-            rows.append((split, img.image_id,
-                         f"corpus/{split}/{img.image_id}.pgm",
-                         f"corpus/{split}/{img.image_id}.txt",
-                         ",".join(img.labels),
-                         ",".join(img.flags) if img.flags else "-"))
-    report.write_table(os.path.join(out_dir, _INDEX),
-                       ("split", "image", "file", "annotations", "labels",
-                        "flags"), rows)
+def _well_formed(stage: str, manifest) -> bool:
+    """An object whose `outputs` maps paths to digests; `synth-gen`'s also
+    lists the corpus classes."""
+    if not isinstance(manifest, dict):
+        return False
+    outputs = manifest.get("outputs")
+    classes = manifest.get("classes") if stage == STAGE_SYNTH else []
+    return (isinstance(outputs, dict) and isinstance(classes, list)
+            and all(isinstance(v, str) for v in [*outputs.values(), *classes]))
 
 
 class _IndexEntry(NamedTuple):
@@ -193,43 +97,126 @@ class _IndexEntry(NamedTuple):
     flags: tuple[str, ...]
 
 
-def _load_corpus_index(upstream: _Upstream) -> list[_IndexEntry]:
-    with open(upstream.path(_INDEX), "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].split("\t")
-    entries = []
-    for line in lines[1:]:
-        row = dict(zip(header, line.split("\t")))
-        entries.append(_IndexEntry(
-            row["split"], row["image"], row["file"], row["annotations"],
-            tuple(row["labels"].split(",")) if row["labels"] else (),
-            () if row["flags"] == "-" else tuple(row["flags"].split(","))))
-    return entries
+class _Run:
+    """One command's file I/O under `--out`. It checks the declared
+    upstream manifests, opens upstream files only once they match their
+    recorded digests, and records every file the command writes, which
+    `manifest` then lists."""
 
+    def __init__(self, out_dir: str, command: str, config: PipelineConfig):
+        self.out_dir, self.command, self.config = out_dir, command, config
+        self.manifests: dict[str, dict] = {}
+        self.checked: set[str] = set()
+        self.outputs: set[str] = set()
+        self._index: list[_IndexEntry] | None = None
+        for stage in _COMMANDS[command].needs:
+            self.require(stage)
 
-def _split_entries(upstream: _Upstream, split: str) -> list[_IndexEntry]:
-    return [e for e in _load_corpus_index(upstream) if e.split == split]
+    def require(self, stage: str) -> dict:
+        """Load an upstream manifest, refusing a missing, malformed or
+        stale one."""
+        path = _manifest_path(self.out_dir, stage)
+        if not os.path.exists(path):
+            raise DependencyError(
+                f"`{self.command}` needs artifacts from `{stage}`; "
+                f"run `fvlrp {stage}` first")
+        try:
+            with open(path, "r", encoding="ascii") as fh:
+                manifest = json.load(fh)
+        except ValueError:  # not ASCII, or not JSON
+            manifest = None
+        if not _well_formed(stage, manifest):
+            raise DependencyError(f"manifest of `{stage}` is malformed; "
+                                  f"re-run `fvlrp {stage}`")
+        if manifest.get("config_hash") != _stage_hash(self.config, stage):
+            raise DependencyError(
+                f"stale cache: `{stage}` artifacts were built under a different "
+                f"configuration; re-run `fvlrp {stage}`")
+        self.manifests[stage] = manifest
+        return manifest
 
+    def path(self, rel: str) -> str:
+        """`rel` once it matches its recorded digest, hashed once per command."""
+        full = os.path.join(self.out_dir, rel)
+        if rel not in self.checked:
+            stage = next((s for s, m in self.manifests.items()
+                          if rel in m["outputs"]), None)
+            if stage is None:
+                raise DependencyError(f"`{self.command}` reads {rel}, which no "
+                                      f"upstream stage of it recorded")
+            if (not os.path.isfile(full)
+                    or file_hash(full) != self.manifests[stage]["outputs"][rel]):
+                raise DependencyError(
+                    f"artifact {rel} recorded by `{stage}` is missing or "
+                    f"modified; re-run `fvlrp {stage}`")
+            self.checked.add(rel)
+        return full
 
-def _iter_split(upstream: _Upstream, split: str) -> Iterator[LabeledImage]:
-    """The split's images in index order, each read as it is reached."""
-    for entry in _split_entries(upstream, split):
-        img = load_image(upstream.path(entry.file))
-        boxes = load_annotations(upstream.path(entry.annotations))
-        yield LabeledImage(img, entry.labels, tuple(boxes), entry.image_id,
-                           entry.flags)
+    @property
+    def classes(self) -> tuple[str, ...]:
+        return tuple(self.manifests[STAGE_SYNTH]["classes"])
 
+    def entries(self, split: str | None = None) -> list[_IndexEntry]:
+        """The rows of the corpus index (those of `split`, if given); the
+        index is parsed once per command."""
+        if self._index is None:
+            with open(self.path(_INDEX), "r", encoding="ascii") as fh:
+                header, *lines = fh.read().splitlines()
+            self._index = []
+            for line in lines:
+                row = dict(zip(header.split("\t"), line.split("\t")))
+                self._index.append(_IndexEntry(
+                    row["split"], row["image"], row["file"], row["annotations"],
+                    tuple(row["labels"].split(",")) if row["labels"] else (),
+                    () if row["flags"] == "-" else tuple(row["flags"].split(","))))
+        return [e for e in self._index if split in (None, e.split)]
 
-def _load_split(upstream: _Upstream, split: str) -> list[LabeledImage]:
-    return list(_iter_split(upstream, split))
+    def images(self, split: str, boxes: bool = False) -> Iterator[LabeledImage]:
+        """The split's images in index order, each read as it is reached.
+        Annotation files are opened only when `boxes` is set."""
+        for e in self.entries(split):
+            yield LabeledImage(
+                load_image(self.path(e.file)), e.labels,
+                tuple(load_annotations(self.path(e.annotations))) if boxes else (),
+                e.image_id, e.flags)
 
+    def directory(self, rel: str) -> str:
+        """The full path of directory `rel`, made if missing."""
+        full = os.path.join(self.out_dir, rel)
+        if not os.path.isdir(full):  # one stat, not makedirs' three
+            os.makedirs(full, exist_ok=True)
+        return full
 
-def _split_ids(upstream: _Upstream, split: str) -> list[str]:
-    return [e.image_id for e in _split_entries(upstream, split)]
+    def write(self, rel: str) -> str:
+        """The full path to write output `rel` to, its directory made;
+        `rel` is recorded."""
+        self.outputs.add(rel)
+        return os.path.join(self.directory(os.path.dirname(rel)),
+                            os.path.basename(rel))
 
+    def wrote(self, paths: list[str]) -> None:
+        """Record files that a report writer named itself, and say so."""
+        for p in paths:
+            self.outputs.add(os.path.relpath(p, self.out_dir).replace(os.sep, "/"))
+            print(f"wrote {p}")
 
-def _corpus_classes(upstream: _Upstream) -> tuple[str, ...]:
-    return tuple(upstream.manifests[STAGE_SYNTH]["classes"])
+    def manifest(self, extra: dict) -> None:
+        """Write the command's manifest: what it read and what it wrote."""
+        doc = {
+            "stage": self.command,
+            "config_hash": _stage_hash(self.config, self.command),
+            "seed": self.config.seed,
+            "inputs": {s: file_hash(_manifest_path(self.out_dir, s))
+                       for s in _COMMANDS[self.command].needs},
+            "outputs": {rel: file_hash(os.path.join(self.out_dir, rel))
+                        for rel in sorted(self.outputs)},
+            **extra,
+        }
+        self.directory("manifests")
+        with open(_manifest_path(self.out_dir, self.command), "w",
+                  encoding="ascii", newline="\n") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=1)
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -239,77 +226,67 @@ def _corpus_classes(upstream: _Upstream) -> tuple[str, ...]:
 _BUNDLE_STAGES = (STAGE_SYNTH, STAGE_PCA, STAGE_GMM, STAGE_SVM)
 
 
-def _load_stage_model(upstream: _Upstream, kind: str):
-    return load_model(upstream.path(f"models/{kind}.json"), kind)
+def _load_stage_model(run: _Run, kind: str):
+    return load_model(run.path(f"models/{kind}.json"), kind)
 
 
-def _save_stage_model(out_dir: str, model, kind: str) -> dict:
-    """Write a stage's one model file; returns the keys of its manifest."""
-    rel = f"models/{kind}.json"
-    _ensure_dir(os.path.join(out_dir, "models"))
-    save_model(model, os.path.join(out_dir, rel))
-    return {"outputs": [rel]}
-
-
-def _read_bundle(upstream: _Upstream, config: PipelineConfig,
-                 with_nn: bool = False) -> ModelBundle:
+def _read_bundle(run: _Run, with_nn: bool = False) -> ModelBundle:
     """The trained models as stored."""
-    pca, gmm, svm = (_load_stage_model(upstream, kind)
+    pca, gmm, svm = (_load_stage_model(run, kind)
                      for kind in ("pca", "gmm", "svm"))
-    net = _load_stage_model(upstream, "nn") if with_nn else None
-    return ModelBundle(_corpus_classes(upstream), pca, gmm, svm, net,
-                       config.patch, config.stride)
+    net = _load_stage_model(run, "nn") if with_nn else None
+    return ModelBundle(run.classes, pca, gmm, svm, net, run.config.patch,
+                       run.config.stride)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 #
-# A handler receives its `_Upstream` (see `_COMMANDS`) and returns the
-# keys its own manifest adds: "outputs", the files it wrote, plus any
-# extra keys; `verify` writes no manifest.
+# A handler receives its `_Run` (see `_COMMANDS`), writes through it, and
+# returns the extra keys of its manifest, if any. `main` writes the
+# manifest when the command wrote a file; `verify` writes none.
 
 
-def _cmd_synth_gen(config: PipelineConfig, args, upstream) -> dict:
-    out_dir = args.out
+def _cmd_synth_gen(config: PipelineConfig, args, run: _Run) -> dict:
     train_imgs, test_imgs, classes = make_corpus(config)
-    outputs = _save_corpus_split(out_dir, "train", train_imgs)
-    outputs += _save_corpus_split(out_dir, "test", test_imgs)
-    _save_corpus_index(out_dir, train_imgs, test_imgs)
-    outputs.append(_INDEX)
+    rows = []
+    for split, images in (("train", train_imgs), ("test", test_imgs)):
+        for img in images:
+            stem = f"corpus/{split}/{img.image_id}"
+            save_image(img.image, run.write(f"{stem}.pgm"))
+            save_annotations(list(img.boxes), run.write(f"{stem}.txt"))
+            rows.append((split, img.image_id, f"{stem}.pgm", f"{stem}.txt",
+                         ",".join(img.labels),
+                         ",".join(img.flags) if img.flags else "-"))
+    header = ("split", "image", "file", "annotations", "labels", "flags")
+    report.write_table(run.write(_INDEX), header, rows)
     size = config.corpus_size
     print(f"synth-gen: {len(train_imgs)} train / {len(test_imgs)} test images "
           f"({size}x{size}, rho={config.corpus_rho})")
-    return {"outputs": outputs, "classes": list(classes)}
+    return {"classes": list(classes)}
 
 
 def _desc_rel(image_id: str, split: str) -> str:
     return f"descriptors/{split}/{image_id}.desc"
 
 
-def _cmd_extract(config: PipelineConfig, args, upstream) -> dict:
-    out_dir = args.out
-    outputs = []
+def _cmd_extract(config: PipelineConfig, args, run: _Run) -> None:
     total = 0
     for split in ("train", "test"):
-        ids = _split_ids(upstream, split)
-        _ensure_dir(os.path.join(out_dir, "descriptors", split))
         # one raw set at a time: each is written before the next is extracted
-        sets = extract_corpus(_iter_split(upstream, split), config)
-        for image_id, ds in zip(ids, sets):
-            rel = _desc_rel(image_id, split)
-            save_descriptors(ds, os.path.join(out_dir, rel))
-            outputs.append(rel)
+        sets = extract_corpus(run.images(split), config)
+        for entry, ds in zip(run.entries(split), sets):
+            save_descriptors(ds, run.write(_desc_rel(entry.image_id, split)))
             total += len(ds)
     print(f"extract: {total} descriptors "
           f"(patch {config.patch}, stride {config.stride})")
-    return {"outputs": outputs}
 
 
-def _load_descriptor_sets(upstream: _Upstream, split: str):
+def _load_descriptor_sets(run: _Run, split: str):
     """The split's image ids, and its descriptor sets loaded one at a time
     as they are iterated, so a consumer that drops each set holds one."""
-    ids = _split_ids(upstream, split)
-    return ids, (load_descriptors(upstream.path(_desc_rel(i, split))) for i in ids)
+    ids = [e.image_id for e in run.entries(split)]
+    return ids, (load_descriptors(run.path(_desc_rel(i, split))) for i in ids)
 
 
 def _split_rows(config: PipelineConfig, ids: list[str]) -> int:
@@ -318,87 +295,76 @@ def _split_rows(config: PipelineConfig, ids: list[str]) -> int:
                                        config.patch, config.stride)
 
 
-def _project_split(upstream: _Upstream, split: str, pca, config: PipelineConfig):
+def _project_split(run: _Run, split: str, pca):
     """The split's image ids and its projected descriptors, one matrix."""
-    ids, sets = _load_descriptor_sets(upstream, split)
-    return ids, project_all(pca, sets, _split_rows(config, ids))
+    ids, sets = _load_descriptor_sets(run, split)
+    return ids, project_all(pca, sets, _split_rows(run.config, ids))
 
 
-def _cmd_pca_fit(config: PipelineConfig, args, upstream) -> dict:
-    ids, sets = _load_descriptor_sets(upstream, "train")
+def _cmd_pca_fit(config: PipelineConfig, args, run: _Run) -> None:
+    ids, sets = _load_descriptor_sets(run, "train")
     rows = _split_rows(config, ids)
     model, _ = fit_pca(sets, rows, config)
     print(f"pca-fit: {model.raw_dim} -> {model.dim} dims on {rows} descriptors")
-    return _save_stage_model(args.out, model, "pca")
+    save_model(model, run.write("models/pca.json"))
 
 
-def _cmd_gmm_fit(config: PipelineConfig, args, upstream) -> dict:
-    pca = _load_stage_model(upstream, "pca")
-    _, projected = _project_split(upstream, "train", pca, config)
+def _cmd_gmm_fit(config: PipelineConfig, args, run: _Run) -> None:
+    pca = _load_stage_model(run, "pca")
+    _, projected = _project_split(run, "train", pca)
     model = fit_gmm(projected, config)
     steps, reason, gain = em_stop(model, projected, config)
     print(f"gmm-fit: K={config.gmm_k}, {steps} M-steps, stopped by {reason}, "
           f"last gain per descriptor {'none' if gain is None else f'{gain:.2e}'}")
-    return _save_stage_model(args.out, model, "gmm")
+    save_model(model, run.write("models/gmm.json"))
 
 
 def _fvec_rel(image_id: str, split: str) -> str:
     return f"embeddings/{split}/{image_id}.fvec"
 
 
-def _cmd_embed(config: PipelineConfig, args, upstream) -> dict:
-    out_dir = args.out
-    pca = _load_stage_model(upstream, "pca")
-    gmm = _load_stage_model(upstream, "gmm")
-    outputs = []
+def _cmd_embed(config: PipelineConfig, args, run: _Run) -> None:
+    pca = _load_stage_model(run, "pca")
+    gmm = _load_stage_model(run, "gmm")
     for split in ("train", "test"):
-        ids, projected = _project_split(upstream, split, pca, config)
-        _ensure_dir(os.path.join(out_dir, "embeddings", split))
-        raws = embed_all(gmm, projected)
-        for image_id, raw in zip(ids, raws):
-            rel = _fvec_rel(image_id, split)
+        ids, projected = _project_split(run, split, pca)
+        for image_id, raw in zip(ids, embed_all(gmm, projected)):
             save_fisher_vector(raw, gmm.n_components, gmm.dim,
-                               os.path.join(out_dir, rel))
-            outputs.append(rel)
-    print(f"embed: {len(outputs)} Fisher vectors of length "
+                               run.write(_fvec_rel(image_id, split)))
+    print(f"embed: {len(run.outputs)} Fisher vectors of length "
           f"{(1 + 2 * config.pca_dim) * config.gmm_k}")
-    return {"outputs": outputs}
 
 
-def _load_feature_matrix(upstream: _Upstream, split: str
-                         ) -> tuple[list[str], np.ndarray]:
-    ids = _split_ids(upstream, split)
-    raws = [load_fisher_vector(upstream.path(_fvec_rel(i, split))) for i in ids]
-    return ids, improved_matrix(raws)
+def _load_feature_matrix(run: _Run, split: str) -> np.ndarray:
+    """The split's improved Fisher vectors as stored, one row per image."""
+    return improved_matrix([load_fisher_vector(run.path(_fvec_rel(e.image_id, split)))
+                            for e in run.entries(split)])
 
 
-def _cmd_svm_train(config: PipelineConfig, args, upstream) -> dict:
-    classes = _corpus_classes(upstream)
-    _, features = _load_feature_matrix(upstream, "train")
-    model = train_svm(_split_entries(upstream, "train"), features, classes,
-                      config)
+def _cmd_svm_train(config: PipelineConfig, args, run: _Run) -> None:
+    classes = run.classes
+    features = _load_feature_matrix(run, "train")
+    model = train_svm(run.entries("train"), features, classes, config)
     taus = ", ".join(f"{c}: {t:.4f}" for c, t in zip(classes, model.thresholds))
     print(f"svm-train: {len(classes)} classes on {features.shape[0]} images "
           f"(C={config.svm_c}); thresholds {taus}")
-    return _save_stage_model(args.out, model, "svm")
+    save_model(model, run.write("models/svm.json"))
 
 
-def _cmd_nn_train(config: PipelineConfig, args, upstream) -> dict:
-    classes = _corpus_classes(upstream)
-    train_imgs = _load_split(upstream, "train")
-    net = train_net(train_imgs, classes, config)
+def _cmd_nn_train(config: PipelineConfig, args, run: _Run) -> None:
+    train_imgs = list(run.images("train"))
+    net = train_net(train_imgs, run.classes, config)
     arch = "-".join(str(s) for s in
                     [net.input_dim] + [l.weights.shape[1] for l in net.layers])
     print(f"nn-train: {arch} network on {len(train_imgs)} images")
-    return _save_stage_model(args.out, net, "nn")
+    save_model(net, run.write("models/nn.json"))
 
 
-def _cmd_predict(config: PipelineConfig, args, upstream) -> dict:
-    out_dir = args.out
-    classes = _corpus_classes(upstream)
-    svm_model = _load_stage_model(upstream, "svm")
-    entries = _split_entries(upstream, "test")
-    _, features = _load_feature_matrix(upstream, "test")
+def _cmd_predict(config: PipelineConfig, args, run: _Run) -> None:
+    classes = run.classes
+    svm_model = _load_stage_model(run, "svm")
+    entries = run.entries("test")
+    features = _load_feature_matrix(run, "test")
     scores = {c: score(svm_model, features, c) for c in classes}
     rows = []
     correct = {c: 0 for c in classes}
@@ -410,53 +376,44 @@ def _cmd_predict(config: PipelineConfig, args, upstream) -> dict:
             truth = int(c in entry.labels)
             correct[c] += int(decision == truth)
             rows.append((entry.image_id, c, f, decision, truth))
-    _ensure_dir(os.path.join(out_dir, "reports"))
-    path = os.path.join(out_dir, "reports", "predictions.tsv")
-    report.write_table(path, ("image", "class", "score", "decision", "label"),
-                       rows)
+    path = report.write_table(
+        os.path.join(run.directory("reports"), "predictions.tsv"),
+        ("image", "class", "score", "decision", "label"), rows)
     acc = ", ".join(f"{c}: {correct[c] / len(entries):.3f}" for c in classes)
     print(f"predict: {len(entries)} test images; accuracy {acc}")
-    print(f"wrote {path}")
-    return {"outputs": [_rel(out_dir, path)]}
+    run.wrote([path])
 
 
-def _cmd_explain(config: PipelineConfig, args, upstream) -> dict:
-    out_dir = args.out
-    bundle = _read_bundle(upstream, config)
+def _cmd_explain(config: PipelineConfig, args, run: _Run) -> None:
+    bundle = _read_bundle(run)
     if not args.image or not args.cls:
         raise UsageError("explain needs --image and --class")
     if args.cls not in bundle.classes:
         raise ValidationError(
             f"class {args.cls!r} not in corpus classes {bundle.classes}")
-    entries = {e.image_id: e for e in _load_corpus_index(upstream)}
-    if args.image not in entries:
+    entry = next((e for e in run.entries() if e.image_id == args.image), None)
+    if entry is None:
         raise ValidationError(f"image {args.image!r} not in the corpus index")
-    img = load_image(upstream.path(entries[args.image].file))
+    img = load_image(run.path(entry.file))
     expl = explain(img, bundle.gmm, bundle.pca, bundle.svm, args.cls,
                    variant=config.variant, epsilon=config.epsilon,
                    patch=bundle.patch, stride=bundle.stride)
-    stem = f"{args.image}_{args.cls}_{config.variant}"
-    dest = _ensure_dir(os.path.join(out_dir, "reports", "explain"))
     paths = report.write_explanation(
-        dest, stem, img, expl,
-        EmbeddingIndex(bundle.gmm.n_components, bundle.gmm.dim))
+        run.directory("reports/explain"), f"{args.image}_{args.cls}_{config.variant}",
+        img, expl, EmbeddingIndex(bundle.gmm.n_components, bundle.gmm.dim))
     state = "positive" if expl.prediction_positive else "negative"
     print(f"explain: f({args.image}, {args.cls}) = {expl.score:.6f} "
           f"({state}); variant {config.variant}")
-    for p in paths:
-        print(f"wrote {p}")
-    return {"outputs": [_rel(out_dir, p) for p in paths]}
+    run.wrote(paths)
 
 
-def _cmd_morf_eval(config: PipelineConfig, args, upstream) -> dict:
-    out_dir = args.out
-    bundle = _read_bundle(upstream, config)
+def _cmd_morf_eval(config: PipelineConfig, args, run: _Run) -> None:
+    bundle = _read_bundle(run)
     if args.cls and args.cls not in bundle.classes:
         raise ValidationError(
             f"class {args.cls!r} not in corpus classes {bundle.classes}")
     targets = (args.cls,) if args.cls else bundle.classes
-    test_imgs = _load_split(upstream, "test")
-    outputs = []
+    test_imgs = list(run.images("test"))
     for cls in targets:
         rep = compare_orderings(
             test_imgs, cls, bundle.gmm, bundle.pca, bundle.svm,
@@ -464,51 +421,43 @@ def _cmd_morf_eval(config: PipelineConfig, args, upstream) -> dict:
             batch=config.morf_batch, steps=config.morf_steps,
             repetitions=config.morf_repetitions, seed=config.seed,
             patch=bundle.patch, stride=bundle.stride)
-        dest = _ensure_dir(os.path.join(out_dir, "reports", "morf", cls))
+        dest = run.directory(f"reports/morf/{cls}")
         paths = report.write_morf_tables(dest, rep)
         paths += report.write_morf_figure(dest, rep)
-        outputs += [_rel(out_dir, p) for p in paths]
         print(report.morf_summary_text(rep))
-        for p in paths:
-            print(f"wrote {p}")
-    return {"outputs": outputs}
+        run.wrote(paths)
 
 
-def _cmd_context_report(config: PipelineConfig, args, upstream) -> dict:
-    out_dir = args.out
-    bundle = _read_bundle(upstream, config, with_nn=True)
-    test_imgs = _load_split(upstream, "test")
+def _cmd_context_report(config: PipelineConfig, args, run: _Run) -> None:
+    bundle = _read_bundle(run, with_nn=True)
+    test_imgs = list(run.images("test", boxes=True))
     rep = context_report(test_imgs, bundle.gmm, bundle.pca, bundle.svm,
                          bundle.net, variant=config.variant,
                          epsilon=config.epsilon, nn_alpha=config.nn_alpha,
                          nn_beta=config.nn_beta, patch=bundle.patch,
                          stride=bundle.stride)
-    dest = _ensure_dir(os.path.join(out_dir, "reports", "context"))
+    dest = run.directory("reports/context")
     paths = report.write_context_tables(dest, rep)
     paths += report.write_context_figure(dest, rep)
     print(report.context_summary_text(rep))
-    for p in paths:
-        print(f"wrote {p}")
-    return {"outputs": [_rel(out_dir, p) for p in paths]}
+    run.wrote(paths)
 
 
-def _trained_model_checks(config: PipelineConfig, upstream: _Upstream) -> list:
+def _trained_model_checks(run: _Run) -> list:
     """Spot checks against the trained artifacts, when they exist."""
     from .verification import CheckResult
 
     # Stage by stage, every file of each, so a stale or modified upstream
     # stage is reported even when a later stage has not run yet.
     for stage in (STAGE_SYNTH, STAGE_PCA, STAGE_GMM, STAGE_EMBED, STAGE_SVM):
-        if not os.path.exists(_manifest_path(upstream.out_dir, stage)):
+        if not os.path.exists(_manifest_path(run.out_dir, stage)):
             return []
-        manifest = upstream.manifests[stage] = _require_stage(
-            upstream.out_dir, stage, config, "verify")
-        for rel in manifest.get("outputs", {}):
-            upstream.path(rel)
-    bundle = _read_bundle(upstream, config)
+        for rel in run.require(stage)["outputs"]:
+            run.path(rel)
+    bundle = _read_bundle(run)
     results = []
 
-    img = next(_iter_split(upstream, "test"))
+    img = next(run.images("test"))
     cls = bundle.classes[0]
     expl = explain(img.image, bundle.gmm, bundle.pca, bundle.svm, cls,
                    variant="absolute", patch=bundle.patch,
@@ -519,8 +468,8 @@ def _trained_model_checks(config: PipelineConfig, upstream: _Upstream) -> list:
         "trained-conservation", ok,
         f"pixel sum vs f gap {gap:.2e} on {img.image_id}"))
 
-    ids = _split_ids(upstream, "test")[:2]
-    raws = [load_fisher_vector(upstream.path(_fvec_rel(i, "test"))) for i in ids]
+    raws = [load_fisher_vector(run.path(_fvec_rel(e.image_id, "test")))
+            for e in run.entries("test")[:2]]
     if len(raws) == 2:
         lhs, rhs = hellinger_check(raws[0], raws[1])
         ok = abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -529,9 +478,9 @@ def _trained_model_checks(config: PipelineConfig, upstream: _Upstream) -> list:
     return results
 
 
-def _cmd_verify(config: PipelineConfig, args, upstream) -> None:
+def _cmd_verify(config: PipelineConfig, args, run: _Run) -> None:
     results = run_all(seed=config.seed)
-    results += _trained_model_checks(config, upstream)
+    results += _trained_model_checks(run)
     failed = 0
     for res in results:
         mark = "ok  " if res.passed else "FAIL"
@@ -547,7 +496,7 @@ def _cmd_verify(config: PipelineConfig, args, upstream) -> None:
 
 
 class _Command(NamedTuple):
-    handler: Callable[..., dict | None]
+    handler: Callable[..., dict | None]  # returns extra manifest keys
     needs: tuple[str, ...]  # upstream stages, in the order they are checked
     fields: tuple[str, ...]  # config fields it reads besides its needs' own
     help: str
@@ -639,13 +588,10 @@ def main(argv=None) -> int:
             parser.print_help()
             raise UsageError("a subcommand is required")
         config = _resolve_config(args)
-        os.makedirs(args.out, exist_ok=True)
-        command = _COMMANDS[args.command]
-        produced = command.handler(config, args,
-                                   _upstream(args.out, args.command, config))
-        if produced is not None:
-            _write_manifest(args.out, args.command, config, command.needs,
-                            **produced)
+        run = _Run(args.out, args.command, config)
+        extra = _COMMANDS[args.command].handler(config, args, run)
+        if run.outputs:
+            run.manifest(extra or {})
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -2,9 +2,12 @@
 
 import importlib.util
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from fvlrp.config import PipelineConfig
 from fvlrp.pipeline import train_all
@@ -13,6 +16,18 @@ from fvlrp.synth import generate_corpus, two_class_spec
 # One line per acceptance criterion, echoed after the run so the
 # PASS/FAIL verdicts survive output capturing.
 acceptance_lines: list = []
+
+
+def pytest_sessionstart(session):
+    """Hypothesis keeps its example database and constants cache in a
+    directory of its own for the session, not in the checkout."""
+    session.hypothesis_home = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(session.hypothesis_home)
+
+
+def pytest_sessionfinish(session):
+    set_hypothesis_home_dir(None)
+    shutil.rmtree(session.hypothesis_home, ignore_errors=True)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -210,9 +210,9 @@ def test_thresholds_are_eer_over_the_scores_of_the_training_phi(pipeline):
     # explain and MoRF compare against it, one phi at a time
     out, config = pipeline
     model = load_model(out / "models" / "svm.json", "svm")
-    upstream = cli._upstream(str(out), "svm-train", load_config(config))
-    _, features = cli._load_feature_matrix(upstream, "train")
-    labels = label_vectors(cli._split_entries(upstream, "train"), model.classes)
+    run = cli._Run(str(out), "svm-train", load_config(config))
+    features = cli._load_feature_matrix(run, "train")
+    labels = label_vectors(run.entries("train"), model.classes)
     for c, tau in zip(model.classes, model.thresholds):
         scores = [svm.score(model, phi, c) for phi in features]
         assert tau.tobytes() == np.float64(
@@ -330,10 +330,10 @@ def test_explain_hashes_only_the_files_it_reads_and_writes(pipeline,
 
 def test_a_file_no_declared_stage_recorded_is_refused(pipeline):
     out, config = pipeline
-    upstream = cli._upstream(str(out), "explain", load_config(config))
+    run = cli._Run(str(out), "explain", load_config(config))
     extracted = json.loads((out / "manifests" / "extract.json").read_text())
     with pytest.raises(DependencyError, match="no upstream stage of it recorded"):
-        upstream.path(next(iter(extracted["outputs"])))
+        run.path(next(iter(extracted["outputs"])))
 
 
 def test_nn_train_runs_right_after_synth_gen(tmp_path):
@@ -389,7 +389,7 @@ def test_stored_fisher_vectors_equal_the_per_image_path(pipeline):
     config = load_config(config_path)
     pca = load_model(out / "models" / "pca.json", "pca")
     gmm_model = load_model(out / "models" / "gmm.json", "gmm")
-    entries = cli._split_entries(cli._upstream(str(out), "predict", config), "test")
+    entries = cli._Run(str(out), "predict", config).entries("test")
     assert len(entries) == 2 * TINY["test_per_class"]
     for entry in entries:
         img = load_image(out / entry.file)
@@ -495,3 +495,76 @@ def test_svm_train_and_predict_decode_no_image(tmp_path, monkeypatch):
         assert run(out, config, stage) == 0, stage
     assert calls == []
     assert (out / "reports" / "predictions.tsv").exists()
+
+
+# A manifest that is not what its stage writes: not JSON, not an object,
+# and `outputs` a string (one that holds every recorded path).
+_MALFORMED = {
+    "not-json": lambda doc: "{",
+    "not-an-object": lambda doc: "[]",
+    "string-outputs": lambda doc: json.dumps(
+        dict(doc, outputs=" ".join(doc["outputs"]))),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_a_malformed_manifest_is_a_dependency_error(pipeline, capsys, case):
+    out, config = pipeline
+    manifest = out / "manifests" / "synth-gen.json"
+    original = manifest.read_text()
+    manifest.write_text(_MALFORMED[case](json.loads(original)))
+    try:
+        for command in ("extract", "verify"):
+            assert run(out, config, command) == 2, command
+            err = capsys.readouterr().err
+            assert "re-run `fvlrp synth-gen`" in err, (command, err)
+    finally:
+        manifest.write_text(original)
+
+
+@pytest.fixture(scope="module")
+def tiny_sequence(tmp_path_factory):
+    """The command sequence of the golden digest, run into a fresh --out.
+    Per command: the files it created and its `load_annotations` calls."""
+    root = tmp_path_factory.mktemp("sequence")
+    config, out = write_config(root), root / "out"
+    commands = [[stage] for stage in REGEN.STAGES]
+    commands += [["explain"], ["morf-eval"], ["context-report"], ["verify"]]
+    calls, created = {}, {}
+
+    def files():
+        return {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+
+    def counted(*args, _load=cli.load_annotations, **kwargs):
+        calls[name] += 1  # `name` is the command running now
+        return _load(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "load_annotations", counted)
+        for command in commands:
+            name = command[0]
+            if name == "explain":
+                image_id, cls = REGEN.first_test_image(str(out))
+                command = [name, "--image", image_id, "--class", cls]
+            calls[name] = 0
+            before = files() if out.exists() else set()
+            assert run(out, config, *command) == 0, command
+            created[name] = files() - before
+    return out, calls, created
+
+
+def test_annotation_files_are_read_only_where_boxes_are_used(tiny_sequence):
+    _, calls, _ = tiny_sequence
+    # context-report reads the boxes of the 2 x 3 test images
+    assert calls == {name: 6 if name == "context-report" else 0 for name in calls}
+
+
+def test_a_manifest_records_exactly_the_files_its_command_created(tiny_sequence):
+    out, _, created = tiny_sequence
+    for name, new in created.items():
+        manifest = f"manifests/{name}.json"
+        if name == "verify":
+            assert new == set()
+            continue
+        doc = json.loads((out / manifest).read_text())
+        assert new == set(doc["outputs"]) | {manifest}, name

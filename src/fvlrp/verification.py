@@ -734,13 +734,13 @@ def _em_oracle_gap(model: GmmModel, data: np.ndarray) -> float:
     eps = np.finfo(np.float64).eps
     n, dim = data.shape
     floor_var = model.sigma_floor ** 2
-    lj, lj_ref = _log_joint(model, data), oracle_log_joint(model, data)
+    lj, lj_ref = _log_joint(model, data).T, oracle_log_joint(model, data)
     scale = (((data * data) @ (1.0 / floor_var))[:, None]
              + (model.means ** 2 / floor_var).sum(axis=1)[None, :])
     worst = float(np.max(np.abs(lj - lj_ref)
                          / ((dim + 4) * eps * (scale + np.abs(lj_ref)))))
     gamma = responsibilities(model, data)
-    got = _m_step(model, data, gamma, floor_var)
+    got = _m_step(model, data, gamma.T, floor_var)
     ref = oracle_m_step(model, data, gamma, floor_var)
     nk = np.maximum(gamma.sum(axis=0), np.finfo(np.float64).tiny)[:, None]
     for a, b, size in (

@@ -74,7 +74,7 @@ def test_zero_responsibility_component_is_kept(rng):
     gamma = responsibilities(model, data)
     assert np.all(gamma[:, 1] == 0.0)
     floor_var = np.full(2, 1e-4)
-    fitted = _m_step(model, data, gamma, floor_var)
+    fitted = _m_step(model, data, gamma.T, floor_var)
     assert fitted.weights[1] == 0.0
     np.testing.assert_array_equal(fitted.means[1], model.means[1])
     np.testing.assert_array_equal(fitted.sigmas[1], model.sigmas[1])
@@ -112,6 +112,27 @@ def test_responsibilities_survive_extreme_distances():
     gamma = responsibilities(model, np.array([[1000.0]]))
     assert np.all(np.isfinite(gamma))
     np.testing.assert_allclose(gamma.sum(axis=1), [1.0], atol=1e-12)
+
+
+def test_em_final_trace_entry_is_the_returned_models_likelihood():
+    """`em_fit` and `log_likelihood` share one normaliser: the last trace
+    entry is the likelihood of the model returned, bit for bit, whether EM
+    stopped at the iteration cap or by `tol`."""
+    reasons = set()
+    for seed in range(12):
+        gen = np.random.default_rng(seed)
+        k, d = int(gen.integers(1, 6)), int(gen.integers(1, 5))
+        centers = gen.normal(0.0, 3.0, (k, d))
+        data = centers[gen.integers(0, k, 150)] + gen.normal(0.0, 0.8, (150, d))
+        for max_iter in (4, 100):
+            model = em_fit(data, k, seed=seed, max_iter=max_iter)
+            trace = model.ll_trace
+            if len(trace) > 1 and (trace[-1] - trace[-2]) / len(data) < 1e-6:
+                reasons.add("tol")
+            elif len(trace) == max_iter + 1:
+                reasons.add("cap")
+            assert trace[-1] == log_likelihood(model, data), (seed, max_iter)
+    assert reasons == {"tol", "cap"}
 
 
 def test_em_trace_monotone_and_deterministic(rng):

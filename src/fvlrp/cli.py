@@ -27,22 +27,22 @@ import numpy as np
 
 from . import report
 from .config import PipelineConfig, load_config
-from .descriptors import descriptor_count, load_descriptors, save_descriptors
+from .descriptors import descriptor_count, load_cells, save_cells
 from .errors import (DependencyError, PipelineError, UsageError,
                      ValidationError, VerificationError)
 from .evaluation import compare_orderings, context_report
-from .fisher import (EmbeddingIndex, hellinger_check, load_fisher_vector,
-                     save_fisher_vector)
+from .fisher import (EmbeddingIndex, hellinger_check, improve,
+                     load_fisher_vectors, save_fisher_vectors)
 from .imaging import load_annotations, load_image, save_annotations, save_image
 from .lrp_fv import explain
 from .pipeline import (ModelBundle, em_stop, embed_all, extract_corpus,
-                       fit_gmm, fit_pca, improved_matrix, make_corpus,
-                       project_all, train_net, train_svm)
+                       fit_gmm, fit_pca_pooled, make_corpus, project_all,
+                       train_net, train_svm)
 from .serialization import load_model, save_model
 from .svm import score
 from .synth import LabeledImage
 from .util import file_hash, stable_hash
-from .verification import run_all
+from .verification import run_all, same_descriptors
 
 _VARIANT_FLAGS = {"plain": "plain", "eps": "epsilon", "abs": "absolute"}
 
@@ -266,52 +266,58 @@ def _cmd_synth_gen(config: PipelineConfig, args, run: _Run) -> dict:
     return {"classes": list(classes)}
 
 
-def _desc_rel(image_id: str, split: str) -> str:
-    return f"descriptors/{split}/{image_id}.desc"
+def _cells_rel(split: str) -> str:
+    return f"descriptors/{split}.cells"
+
+
+def _fvec_rel(split: str) -> str:
+    return f"embeddings/{split}.fvec"
+
+
+def _split_rows(config: PipelineConfig, images: int) -> int:
+    # Every corpus image is corpus_size pixels square.
+    return images * descriptor_count(config.corpus_size, config.corpus_size,
+                                     config.patch, config.stride)
 
 
 def _cmd_extract(config: PipelineConfig, args, run: _Run) -> None:
     total = 0
+    size = config.corpus_size
     for split in ("train", "test"):
-        # one raw set at a time: each is written before the next is extracted
-        sets = extract_corpus(run.images(split), config)
-        for entry, ds in zip(run.entries(split), sets):
-            save_descriptors(ds, run.write(_desc_rel(entry.image_id, split)))
-            total += len(ds)
+        images = len(run.entries(split))
+        # one set at a time: its grid is written before the next is extracted
+        save_cells(run.write(_cells_rel(split)),
+                   (ds.cells for ds in extract_corpus(run.images(split), config)),
+                   size, size, config.patch, config.stride, images)
+        total += _split_rows(config, images)
     print(f"extract: {total} descriptors "
           f"(patch {config.patch}, stride {config.stride})")
 
 
-def _load_descriptor_sets(run: _Run, split: str):
-    """The split's image ids, and its descriptor sets loaded one at a time
-    as they are iterated, so a consumer that drops each set holds one."""
-    ids = [e.image_id for e in run.entries(split)]
-    return ids, (load_descriptors(run.path(_desc_rel(i, split))) for i in ids)
-
-
-def _split_rows(config: PipelineConfig, ids: list[str]) -> int:
-    # Every corpus image is corpus_size pixels square.
-    return len(ids) * descriptor_count(config.corpus_size, config.corpus_size,
-                                       config.patch, config.stride)
+def _load_descriptor_sets(run: _Run, split: str) -> tuple[int, Iterator]:
+    """The split's rows, and its descriptor sets read one at a time as
+    they are iterated, so a consumer that drops each set holds one."""
+    images = len(run.entries(split))
+    return (_split_rows(run.config, images),
+            load_cells(run.path(_cells_rel(split)), images))
 
 
 def _project_split(run: _Run, split: str, pca):
-    """The split's image ids and its projected descriptors, one matrix."""
-    ids, sets = _load_descriptor_sets(run, split)
-    return ids, project_all(pca, sets, _split_rows(run.config, ids))
+    """The split's projected descriptors, one matrix."""
+    rows, sets = _load_descriptor_sets(run, split)
+    return project_all(pca, sets, rows)
 
 
 def _cmd_pca_fit(config: PipelineConfig, args, run: _Run) -> None:
-    ids, sets = _load_descriptor_sets(run, "train")
-    rows = _split_rows(config, ids)
-    model, _ = fit_pca(sets, rows, config)
+    rows, sets = _load_descriptor_sets(run, "train")
+    model, _ = fit_pca_pooled(sets, rows, config)
     print(f"pca-fit: {model.raw_dim} -> {model.dim} dims on {rows} descriptors")
     save_model(model, run.write("models/pca.json"))
 
 
 def _cmd_gmm_fit(config: PipelineConfig, args, run: _Run) -> None:
     pca = _load_stage_model(run, "pca")
-    _, projected = _project_split(run, "train", pca)
+    projected = _project_split(run, "train", pca)
     model = fit_gmm(projected, config)
     steps, reason, gain = em_stop(model, projected, config)
     print(f"gmm-fit: K={config.gmm_k}, {steps} M-steps, stopped by {reason}, "
@@ -319,26 +325,27 @@ def _cmd_gmm_fit(config: PipelineConfig, args, run: _Run) -> None:
     save_model(model, run.write("models/gmm.json"))
 
 
-def _fvec_rel(image_id: str, split: str) -> str:
-    return f"embeddings/{split}/{image_id}.fvec"
-
-
 def _cmd_embed(config: PipelineConfig, args, run: _Run) -> None:
     pca = _load_stage_model(run, "pca")
     gmm = _load_stage_model(run, "gmm")
+    images = 0
     for split in ("train", "test"):
-        ids, projected = _project_split(run, split, pca)
-        for image_id, raw in zip(ids, embed_all(gmm, projected)):
-            save_fisher_vector(raw, gmm.n_components, gmm.dim,
-                               run.write(_fvec_rel(image_id, split)))
-    print(f"embed: {len(run.outputs)} Fisher vectors of length "
+        raws = embed_all(gmm, _project_split(run, split, pca))
+        save_fisher_vectors(raws, gmm.n_components, gmm.dim,
+                            run.write(_fvec_rel(split)))
+        images += raws.shape[0]
+    print(f"embed: {images} Fisher vectors of length "
           f"{(1 + 2 * config.pca_dim) * config.gmm_k}")
+
+
+def _load_raw_matrix(run: _Run, split: str) -> np.ndarray:
+    """The split's raw Fisher vectors as stored, one row per image."""
+    return load_fisher_vectors(run.path(_fvec_rel(split)), len(run.entries(split)))
 
 
 def _load_feature_matrix(run: _Run, split: str) -> np.ndarray:
     """The split's improved Fisher vectors as stored, one row per image."""
-    return improved_matrix([load_fisher_vector(run.path(_fvec_rel(e.image_id, split)))
-                            for e in run.entries(split)])
+    return improve(_load_raw_matrix(run, split))
 
 
 def _cmd_svm_train(config: PipelineConfig, args, run: _Run) -> None:
@@ -449,7 +456,8 @@ def _trained_model_checks(run: _Run) -> list:
 
     # Stage by stage, every file of each, so a stale or modified upstream
     # stage is reported even when a later stage has not run yet.
-    for stage in (STAGE_SYNTH, STAGE_PCA, STAGE_GMM, STAGE_EMBED, STAGE_SVM):
+    for stage in (STAGE_SYNTH, STAGE_EXTRACT, STAGE_PCA, STAGE_GMM, STAGE_EMBED,
+                  STAGE_SVM):
         if not os.path.exists(_manifest_path(run.out_dir, stage)):
             return []
         for rel in run.require(stage)["outputs"]:
@@ -458,6 +466,13 @@ def _trained_model_checks(run: _Run) -> list:
     results = []
 
     img = next(run.images("test"))
+    _, sets = _load_descriptor_sets(run, "test")
+    ok = same_descriptors(next(sets), next(extract_corpus([img], run.config)))
+    results.append(CheckResult(
+        "trained-descriptors", ok,
+        f"stored cell grid of {img.image_id} gives extract_dense's descriptors "
+        f"{'bit for bit' if ok else 'with a difference'}"))
+
     cls = bundle.classes[0]
     expl = explain(img.image, bundle.gmm, bundle.pca, bundle.svm, cls,
                    variant="absolute", patch=bundle.patch,
@@ -468,8 +483,7 @@ def _trained_model_checks(run: _Run) -> list:
         "trained-conservation", ok,
         f"pixel sum vs f gap {gap:.2e} on {img.image_id}"))
 
-    raws = [load_fisher_vector(run.path(_fvec_rel(e.image_id, "test")))
-            for e in run.entries("test")[:2]]
+    raws = _load_raw_matrix(run, "test")[:2]
     if len(raws) == 2:
         lhs, rhs = hellinger_check(raws[0], raws[1])
         ok = abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))

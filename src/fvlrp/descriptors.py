@@ -12,28 +12,36 @@ once per image and shared by every patch covering it, bit for bit what
 binning each patch alone gives (`verification.oracle_extract_dense`).
 So patch origins must lie on the cell grid: `patch % 4 == 0` and
 `stride % (patch // 4) == 0`, unless the image holds one patch per axis.
+`extract_dense` is two steps: `cell_grid` bins the cells, and
+`descriptors_from_cells` gathers, normalizes and places each patch's
+4x4 cells; the set keeps its grid. A split's grids are stored as one
+CELL1 file (`save_cells`), and `load_cells` runs the same second step
+on each stored grid, so a loaded set equals the extracted one bit for
+bit.
 
 Every descriptor keeps its receptive field: the (x, y, w, h) patch
 rectangle it was computed from, used later to spread relevance onto
-pixels.
+pixels. It follows from the geometry, so it is not stored.
 
 PCA has one fit, `pca_fit_inplace`, which centres the matrix it is
 given in place. `pca_fit` runs it on a copy and leaves its argument
-alone; `pipeline.fit_pca` runs it on the pooled training matrix itself,
-so that matrix gets no centred copy.
+alone; `pipeline.fit_pca_pooled` runs it on the pooled training matrix
+itself, so that matrix gets no centred copy.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimError, ExtractError, FitError, ValidationError
+from .errors import DimError, ExtractError, FitError, ParseError, ValidationError
 from .imaging import Image
-from .util import normalize_rows, read_container, write_container
+from .util import normalize_rows, open_container, write_container
 
-_DESC_MAGIC = b"DESC1"
+_CELLS_MAGIC = b"CELL1"
 N_CELLS = 4
 N_ORI = 8
 RAW_DIM = N_CELLS * N_CELLS * N_ORI
@@ -41,9 +49,15 @@ CLAMP = 0.2
 
 
 class DescriptorSet:
-    """Ordered descriptors of one image, row-major over grid positions."""
+    """Ordered descriptors of one image, row-major over grid positions.
 
-    def __init__(self, vectors: np.ndarray, areas: np.ndarray, image_size: tuple[int, int]):
+    `cells` is the (ny, nx, 8) `cell_grid` the descriptors were gathered
+    from (`descriptors_from_cells`), or None for a set made otherwise,
+    such as a projected one.
+    """
+
+    def __init__(self, vectors: np.ndarray, areas: np.ndarray,
+                 image_size: tuple[int, int], cells: np.ndarray | None = None):
         vectors = np.asarray(vectors, dtype=np.float64)
         areas = np.asarray(areas, dtype=np.int64)
         if vectors.ndim != 2 or areas.shape != (vectors.shape[0], 4):
@@ -51,6 +65,7 @@ class DescriptorSet:
         self.vectors = vectors
         self.areas = areas
         self.image_size = (int(image_size[0]), int(image_size[1]))
+        self.cells = cells
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -108,24 +123,29 @@ def _normalize_clamped(h: np.ndarray) -> np.ndarray:
     return normalize_rows(h)
 
 
-def extract_dense(img: Image, patch: int, stride: int) -> DescriptorSet:
-    """Extract one descriptor per grid position.
-
-    Grid positions (x, y) are the multiples of `stride` for which the
-    patch rectangle fits inside the image; descriptors are emitted
-    row-major (y outer, x inner).
-    """
+def grid_shape(width: int, height: int, patch: int, stride: int
+               ) -> tuple[int, int]:
+    """(ny, nx): the rows and columns of cells of side patch/4 that the
+    patches of an image of this size cover. A geometry `extract_dense`
+    cannot run is an `ExtractError`."""
     if patch < 1 or stride < 1:
         raise ExtractError(f"patch and stride must be positive, got {patch}, {stride}")
-    if patch > min(img.width, img.height):
-        raise ExtractError(f"patch {patch} exceeds image {img.width}x{img.height}")
-    xs, ys = patch_origins(img.width, img.height, patch, stride)
+    if patch > min(width, height):
+        raise ExtractError(f"patch {patch} exceeds image {width}x{height}")
+    xs, ys = patch_origins(width, height, patch, stride)
     if not tiles_grid(patch, stride, max(len(xs), len(ys))):
         raise ExtractError(f"patch {patch} / stride {stride}: cells do not tile the grid")
+    side = patch // N_CELLS
+    return (ys[-1] + patch) // side, (xs[-1] + patch) // side
 
+
+def cell_grid(img: Image, patch: int, stride: int) -> np.ndarray:
+    """The (ny, nx, 8) orientation histograms of the cells the patches
+    cover (`grid_shape`), each binned once: the first step of
+    `extract_dense`."""
+    ny, nx = grid_shape(img.width, img.height, patch, stride)
     b0, b1, w0, w1 = orientation_votes(img.gray())
     side = patch // N_CELLS
-    nx, ny = (xs[-1] + patch) // side, (ys[-1] + patch) // side
     # One bincount over the covered pixels in row-major order adds each
     # cell's votes in the order a per-patch bincount adds them.
     rows, cols = np.arange(ny * side) // side, np.arange(nx * side) // side
@@ -134,18 +154,39 @@ def extract_dense(img: Image, patch: int, stride: int) -> DescriptorSet:
     size = nx * ny * N_ORI
     cells = np.bincount(cell + b0[covered].ravel(), w0[covered].ravel(), size)
     cells += np.bincount(cell + b1[covered].ravel(), w1[covered].ravel(), size)
+    return cells.reshape(ny, nx, N_ORI)
+
+
+def descriptors_from_cells(cells: np.ndarray, width: int, height: int,
+                           patch: int, stride: int) -> DescriptorSet:
+    """The descriptors of a width x height image from its `cell_grid`:
+    the second step of `extract_dense`. Each descriptor is the 4x4 cells
+    under its patch, normalized and clamped; its area follows from the
+    geometry."""
+    xs, ys = patch_origins(width, height, patch, stride)
     # The 4x4 cells under each patch, row-major over the grid: every
     # window of 4x4 cells, taken each `stride` pixels, copied once.
-    step = max(stride // side, 1)
+    step = max(stride // (patch // N_CELLS), 1)
     windows = np.lib.stride_tricks.sliding_window_view(
-        cells.reshape(ny, nx, N_ORI), (N_CELLS, N_CELLS), axis=(0, 1))
+        cells, (N_CELLS, N_CELLS), axis=(0, 1))
     hist = windows[::step, ::step].transpose(0, 1, 3, 4, 2).copy().reshape(-1, RAW_DIM)
     areas = np.empty((len(ys), len(xs), 4), dtype=np.int64)
     areas[..., 0] = np.arange(0, xs.stop, stride)
     areas[..., 1] = np.arange(0, ys.stop, stride)[:, None]
     areas[..., 2:] = patch
     areas = areas.reshape(-1, 4)
-    return DescriptorSet(_normalize_clamped(hist), areas, (img.width, img.height))
+    return DescriptorSet(_normalize_clamped(hist), areas, (width, height), cells)
+
+
+def extract_dense(img: Image, patch: int, stride: int) -> DescriptorSet:
+    """Extract one descriptor per grid position.
+
+    Grid positions (x, y) are the multiples of `stride` for which the
+    patch rectangle fits inside the image; descriptors are emitted
+    row-major (y outer, x inner).
+    """
+    return descriptors_from_cells(cell_grid(img, patch, stride),
+                                  img.width, img.height, patch, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -226,31 +267,50 @@ def pca_apply(model: PcaModel, ds: DescriptorSet) -> DescriptorSet:
 
 
 # ---------------------------------------------------------------------------
-# Descriptor cache file (format DESC1)
+# A split's cell grids (format CELL1)
 
 
-def _record_dtype(dim: int) -> np.dtype:
-    return np.dtype([("area", "<u4", (4,)), ("vec", "<f8", (dim,))])
+def save_cells(path, grids: Iterable[np.ndarray], width: int, height: int,
+               patch: int, stride: int, count: int) -> None:
+    """One file of `count` images' cell grids, all of one width x height:
+    magic, uint32 (width, height, patch, stride, count), then each (ny, nx,
+    8) grid's float64 values, little-endian, written as `grids` yields it."""
+    shape = (*grid_shape(width, height, patch, stride), N_ORI)
+
+    def chunks():
+        written = 0
+        for cells in grids:
+            if cells.shape != shape:
+                raise DimError(f"cell grid {cells.shape}, expected {shape}")
+            written += 1
+            yield cells.astype("<f8").tobytes()
+        if written != count:
+            raise DimError(f"{written} cell grids, expected {count}")
+
+    write_container(path, _CELLS_MAGIC, (width, height, patch, stride, count),
+                    chunks())
 
 
-def save_descriptors(ds: DescriptorSet, path) -> None:
-    """Binary cache: magic, uint32 (width, height, count, dim), then per
-    descriptor 4 uint32 area fields and `dim` float64 values, all
-    little-endian."""
-    records = np.empty(len(ds), dtype=_record_dtype(ds.dim))
-    records["area"] = ds.areas
-    records["vec"] = ds.vectors
-    write_container(path, _DESC_MAGIC,
-                    (ds.image_size[0], ds.image_size[1], len(ds), ds.dim),
-                    records.tobytes())
+def load_cells(path, count: int) -> Iterator[DescriptorSet]:
+    """The descriptor sets of a `save_cells` file that holds `count`
+    images, one at a time, each from its grid read as it is reached: bit
+    for bit what `extract_dense` gives its image. A file whose geometry
+    `extract_dense` refuses, or whose image count is not `count`, is a
+    `ParseError`."""
+    shape = []
 
+    def body_size(width, height, patch, stride, images):
+        try:
+            shape.extend((*grid_shape(width, height, patch, stride), N_ORI))
+        except ExtractError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+        if images != count:
+            raise ParseError(f"{path}: holds {images} images, expected {count}")
+        return images * 8 * math.prod(shape)
 
-def load_descriptors(path) -> DescriptorSet:
-    # The record size is computed, not read off `_record_dtype`, so that a
-    # damaged header with a huge `dim` is a size mismatch, not a dtype error.
-    (width, height, count, dim), body = read_container(
-        path, _DESC_MAGIC, 4, lambda w, h, count, dim: count * (16 + 8 * dim))
-    records = np.frombuffer(body, dtype=_record_dtype(dim), count=count)
-    # astype copies: the set owns writable arrays, not views of the file.
-    return DescriptorSet(records["vec"].astype(np.float64, order="C"),
-                         records["area"].astype(np.int64, order="C"), (width, height))
+    with open_container(path, _CELLS_MAGIC, 5, body_size) as (fh, header):
+        width, height, patch, stride, images = header
+        size = 8 * math.prod(shape)
+        for _ in range(images):
+            cells = np.frombuffer(fh.read(size), dtype="<f8").reshape(shape)
+            yield descriptors_from_cells(cells, width, height, patch, stride)

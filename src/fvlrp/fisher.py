@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimError, EmptyInputError
+from .errors import DegenerateInputError, DimError, EmptyInputError, ParseError
 from .gmm import GmmModel, responsibilities
 from .util import normalize_rows, read_container, write_container
 
-_FVEC_MAGIC = b"FVEC1"
+_FVEC_MAGIC = b"FVEC2"
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
@@ -225,19 +225,27 @@ def hellinger_check(x, y) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# FV cache file (format FVEC1)
+# A split's raw Fisher vectors (format FVEC2)
 
 
-def save_fisher_vector(values: np.ndarray, k: int, d: int, path) -> None:
-    """Binary cache of a raw FV: magic, uint32 (K, D), then the (1+2D)K
-    float64 values, little-endian."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (fv_length(k, d),):
-        raise DimError(f"vector length {values.shape} does not match (1+2*{d})*{k}")
-    write_container(path, _FVEC_MAGIC, (k, d), values.astype("<f8").tobytes())
+def save_fisher_vectors(rows: np.ndarray, k: int, d: int, path) -> None:
+    """One file of raw FVs, one row per image: magic, uint32 (images, K,
+    D), then the (images, (1+2D)K) float64 values, little-endian."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != fv_length(k, d):
+        raise DimError(f"rows {rows.shape} do not have length (1+2*{d})*{k}")
+    write_container(path, _FVEC_MAGIC, (rows.shape[0], k, d),
+                    [rows.astype("<f8").tobytes()])
 
 
-def load_fisher_vector(path) -> np.ndarray:
-    """The raw FV a `save_fisher_vector` file holds."""
-    _, body = read_container(path, _FVEC_MAGIC, 2, lambda k, d: 8 * fv_length(k, d))
-    return np.frombuffer(body, dtype="<f8").copy()
+def load_fisher_vectors(path, count: int) -> np.ndarray:
+    """The (count, (1+2D)K) raw FVs a `save_fisher_vectors` file holds; a
+    file that holds another number of rows is a `ParseError`."""
+    def body_size(images, k, d):
+        if images != count:
+            raise ParseError(f"{path}: holds {images} Fisher vectors, "
+                             f"expected {count}")
+        return 8 * images * fv_length(k, d)
+
+    (images, k, d), body = read_container(path, _FVEC_MAGIC, 3, body_size)
+    return np.frombuffer(body, dtype="<f8").reshape(images, fv_length(k, d)).copy()

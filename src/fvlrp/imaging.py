@@ -281,7 +281,7 @@ def render_heatmap(h: Heatmap) -> Image:
 def save_heatmap(h: Heatmap, path) -> None:
     """Write a heatmap as an HMAP1 binary dump."""
     write_container(path, _HMAP_MAGIC, (h.width, h.height),
-                    h.values.astype("<f8").tobytes())
+                    [h.values.astype("<f8").tobytes()])
 
 
 def load_heatmap(path) -> Heatmap:

@@ -8,13 +8,13 @@ drawn from explicitly derived seeds, so a run is reproducible bit for
 bit.
 
 Memory: PCA is fit on the pooled raw training descriptors, the largest
-array of a training run. They are held once. `fit_pca` takes the raw
-sets one at a time, copies each into one pooled matrix, centres that
-matrix in place and projects its row blocks into one projected matrix;
-the pooled matrix is consumed, and a caller that passes a generator
-holds no other copy. A split's projected descriptors are likewise one
-matrix (`PooledSets`, from `fit_pca` or `project_all`), which EM
-subsamples without concatenating a copy.
+array of a training run. They are held once. `fit_pca_pooled` takes the
+raw sets one at a time, copies each into one pooled matrix and centres
+that matrix in place; `fit_pca` then projects its row blocks into one
+projected matrix. The pooled matrix is consumed, and a caller that
+passes a generator holds no other copy. A split's projected descriptors
+are likewise one matrix (`PooledSets`, from `fit_pca` or `project_all`),
+which EM subsamples without concatenating a copy.
 """
 
 from __future__ import annotations
@@ -110,27 +110,36 @@ def _check_raw_dim(ds: DescriptorSet, raw_dim: int) -> None:
         raise DimError(f"descriptor dim {ds.dim}, expected {raw_dim}")
 
 
-def fit_pca(descriptor_sets: Iterable[DescriptorSet], rows: int,
-            config: PipelineConfig) -> tuple[PcaModel, PooledSets]:
-    """PCA on the pooled raw training descriptors, and every set projected.
+def fit_pca_pooled(descriptor_sets: Iterable[DescriptorSet], rows: int,
+                   config: PipelineConfig) -> tuple[PcaModel, PooledSets]:
+    """PCA on the pooled raw training descriptors, and those descriptors
+    centred.
 
     `descriptor_sets` yields the raw training sets, `rows` descriptors in
-    all. Each set is copied into one (rows, RAW_DIM) matrix as it comes;
-    the fit centres that matrix in place (`pca_fit_inplace`) and each
-    set's centred row block times the basis is its projection, bit for
-    bit what `pca_apply` gives, written into one (rows, pca_dim) matrix.
-    So the raw training descriptors are held once: no concatenated copy,
-    no centred copy, and a generator's sets are dropped as soon as they
-    are copied. The pooled matrix is consumed and freed on return.
+    all. Each set is copied into one (rows, RAW_DIM) matrix as it comes,
+    and the fit centres that matrix in place (`pca_fit_inplace`). So the
+    raw training descriptors are held once: no concatenated copy, no
+    centred copy, and a generator's sets are dropped as soon as they are
+    copied.
     """
     def copy(ds, block):
         _check_raw_dim(ds, RAW_DIM)
         block[...] = ds.vectors
 
     raw = PooledSets.fill(descriptor_sets, rows, RAW_DIM, copy)
-    pca = pca_fit_inplace(raw.vectors, config.pca_dim)
+    return pca_fit_inplace(raw.vectors, config.pca_dim), raw
+
+
+def fit_pca(descriptor_sets: Iterable[DescriptorSet], rows: int,
+            config: PipelineConfig) -> tuple[PcaModel, PooledSets]:
+    """PCA on the pooled raw training descriptors (`fit_pca_pooled`), and
+    every set projected: each set's centred row block times the basis,
+    bit for bit what `pca_apply` gives, written into one (rows, pca_dim)
+    matrix. The pooled matrix is consumed and freed on return.
+    """
+    pca, centred = fit_pca_pooled(descriptor_sets, rows, config)
     projected = PooledSets.fill(
-        raw.sets, rows, pca.dim,
+        centred.sets, rows, pca.dim,
         lambda ds, block: np.matmul(ds.vectors, pca.basis.T, out=block))
     return pca, projected
 
@@ -180,18 +189,14 @@ def em_stop(gmm: GmmModel, projected: Sequence[DescriptorSet], config: PipelineC
     return steps, "likelihood decrease", gain
 
 
-def embed_all(gmm: GmmModel, projected: Sequence[DescriptorSet]) -> list[np.ndarray]:
-    """The raw FV of every set, each aggregated on its own.
+def embed_all(gmm: GmmModel, projected: Sequence[DescriptorSet]) -> np.ndarray:
+    """The raw FV of every set, each aggregated on its own, one row each.
 
     One responsibilities pass over a split's pooled rows gives the same
     bits, but its (rows, K) temporaries leave the heap larger, and the
     next PCA fit's peak then sits on top of it.
     """
-    return [aggregate(gmm, ds.vectors) for ds in projected]
-
-
-def improved_matrix(raw_fvs: list[np.ndarray]) -> np.ndarray:
-    return improve(np.stack(raw_fvs))
+    return np.stack([aggregate(gmm, ds.vectors) for ds in projected])
 
 
 def train_svm(labelled: Sequence, features: np.ndarray,
@@ -230,7 +235,7 @@ def train_all(train_images: list[LabeledImage], classes: tuple[str, ...],
                for img in train_images)
     pca, projected = fit_pca(extract_corpus(train_images, config), rows, config)
     gmm = fit_gmm(projected, config)
-    features = improved_matrix(embed_all(gmm, projected))
+    features = improve(embed_all(gmm, projected))
     svm_model = train_svm(train_images, features, classes, config)
     net = train_net(train_images, classes, config) if with_nn else None
     return ModelBundle(classes, pca, gmm, svm_model, net,

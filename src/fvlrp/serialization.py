@@ -5,7 +5,7 @@ Every model file is one JSON envelope, ``{"format": "fvlrp-model",
 whole payload layout: per kind, the model class and one (encode, decode)
 pair per constructor field. An array is ``{"shape": [...], "f8le": ...}``
 with the base64 of its row-major little-endian float64 bytes (the layout
-of DESC1, FVEC1 and HMAP1), and the SVM's ``c`` is a ``float.hex()``
+of CELL1, FVEC2 and HMAP1), and the SVM's ``c`` is a ``float.hex()``
 string, so values round-trip bit for bit. Nothing that follows from the
 arrays is stored; the model constructors check that the shapes agree.
 Each decoder checks its field's JSON type; a malformed field is a

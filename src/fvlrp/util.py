@@ -1,10 +1,13 @@
 """Small shared helpers: ordered mapping, the l2 row norm, stable hashing
-and the binary container behind the DESC1, FVEC1 and HMAP1 formats."""
+and the binary container behind the CELL1, FVEC2 and HMAP1 formats."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -56,38 +59,51 @@ def file_hash(path) -> str:
 
 
 def write_container(path, magic: bytes, header: tuple[int, ...],
-                    body: bytes) -> None:
-    """Write `magic`, each header field as a little-endian uint32, then `body`."""
+                    chunks: Iterable[bytes]) -> None:
+    """Write `magic`, each header field as a little-endian uint32, then the
+    body, one chunk after another as `chunks` yields them."""
     try:
         with open(path, "wb") as fh:
             fh.write(magic)
             fh.write(b"".join(int(v).to_bytes(4, "little") for v in header))
-            fh.write(body)
+            fh.writelines(chunks)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def read_container(path, magic: bytes, n_fields: int, body_size
-                   ) -> tuple[tuple[int, ...], memoryview]:
-    """The header fields and body of a file written by `write_container`.
+@contextlib.contextmanager
+def open_container(path, magic: bytes, n_fields: int, body_size):
+    """A file written by `write_container`, open at its body, and its
+    header fields.
 
-    `body_size` maps the header fields to the body's length in bytes; a
-    file whose magic, header or body length disagrees is a `ParseError`.
+    `body_size` maps the header fields to the body's length in bytes (or
+    raises `ParseError` for fields it refuses); a file whose magic, header
+    or body length disagrees is a `ParseError`, checked before any of the
+    body is read.
     """
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fh = open(path, "rb")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    start = len(magic) + 4 * n_fields
-    if data[:len(magic)] != magic:
-        raise ParseError(f"{path}: bad magic {data[:len(magic)]!r}")
-    if len(data) < start:
-        raise ParseError(f"{path}: truncated header")
-    header = tuple(int.from_bytes(data[i:i + 4], "little")
-                   for i in range(len(magic), start, 4))
-    expect = body_size(*header)
-    if len(data) - start != expect:
-        raise ParseError(f"{path}: body has {len(data) - start} bytes, "
-                         f"expected {expect}")
-    return header, memoryview(data)[start:]
+    with fh:
+        start = len(magic) + 4 * n_fields
+        head = fh.read(start)
+        if head[:len(magic)] != magic:
+            raise ParseError(f"{path}: bad magic {head[:len(magic)]!r}")
+        if len(head) < start:
+            raise ParseError(f"{path}: truncated header")
+        header = tuple(int.from_bytes(head[i:i + 4], "little")
+                       for i in range(len(magic), start, 4))
+        expect = body_size(*header)
+        size = os.fstat(fh.fileno()).st_size - start
+        if size != expect:
+            raise ParseError(f"{path}: body has {size} bytes, expected {expect}")
+        yield fh, header
+
+
+def read_container(path, magic: bytes, n_fields: int, body_size
+                   ) -> tuple[tuple[int, ...], bytes]:
+    """The header fields and the whole body of a file written by
+    `write_container`, checked as `open_container` checks it."""
+    with open_container(path, magic, n_fields, body_size) as (fh, header):
+        return header, fh.read()

@@ -124,6 +124,7 @@ def test_verify_includes_trained_model_checks(pipeline, capsys):
     text = capsys.readouterr().out
     assert "trained-conservation" in text
     assert "trained-hellinger" in text
+    assert "ok   trained-descriptors" in text
     assert "checks passed" in text
 
 
@@ -280,7 +281,7 @@ def test_a_changed_svm_c_reruns_svm_train_alone(tmp_path):
 
 def test_edited_test_embedding_is_refused_where_it_is_read(pipeline, capsys):
     out, config = pipeline
-    victim = next((out / "embeddings" / "test").glob("*.fvec"))
+    victim = out / "embeddings" / "test.fvec"
     original = victim.read_bytes()
     victim.write_bytes(original[:-1] + bytes([original[-1] ^ 1]))
     try:
@@ -391,13 +392,51 @@ def test_stored_fisher_vectors_equal_the_per_image_path(pipeline):
     gmm_model = load_model(out / "models" / "gmm.json", "gmm")
     entries = cli._Run(str(out), "predict", config).entries("test")
     assert len(entries) == 2 * TINY["test_per_class"]
-    for entry in entries:
+    rows = fisher.load_fisher_vectors(out / "embeddings" / "test.fvec", len(entries))
+    for entry, stored in zip(entries, rows):
         img = load_image(out / entry.file)
         vectors = descriptors.pca_apply(pca, descriptors.extract_dense(
             img, config.patch, config.stride)).vectors
-        stored = fisher.load_fisher_vector(
-            out / "embeddings" / "test" / f"{entry.image_id}.fvec")
         assert stored.tobytes() == fisher.aggregate(gmm_model, vectors).tobytes()
+
+
+def test_stored_descriptor_sets_equal_extract_dense(pipeline):
+    """Every set read back from `descriptors/<split>.cells` is what
+    `extract_dense` gives its image, bit for bit: vectors, areas, image
+    size and cell grid."""
+    out, config_path = pipeline
+    config = load_config(config_path)
+    run = cli._Run(str(out), "predict", config)
+    for split in ("train", "test"):
+        entries = run.entries(split)
+        loaded = list(descriptors.load_cells(out / "descriptors" / f"{split}.cells",
+                                             len(entries)))
+        assert len(loaded) == len(entries)
+        for entry, ds in zip(entries, loaded):
+            want = descriptors.extract_dense(load_image(out / entry.file),
+                                             config.patch, config.stride)
+            assert ds.vectors.tobytes() == want.vectors.tobytes(), entry.image_id
+            assert ds.areas.tobytes() == want.areas.tobytes(), entry.image_id
+            assert ds.image_size == want.image_size, entry.image_id
+            assert ds.cells.tobytes() == want.cells.tobytes(), entry.image_id
+
+
+def test_descriptors_and_embeddings_are_one_file_per_split(pipeline):
+    out, _ = pipeline
+    for directory, suffix in (("descriptors", "cells"), ("embeddings", "fvec")):
+        files = {p.relative_to(out).as_posix()
+                 for p in (out / directory).rglob("*")}
+        assert files == {f"{directory}/train.{suffix}",
+                         f"{directory}/test.{suffix}"}, directory
+
+
+def test_embed_counts_one_fisher_vector_per_image(pipeline, capsys):
+    out, config = pipeline
+    assert run(out, config, "embed") == 0
+    images = 2 * (TINY["train_per_class"] + TINY["test_per_class"])
+    length = (1 + 2 * TINY["pca_dim"]) * TINY["gmm_k"]
+    assert capsys.readouterr().out == (
+        f"embed: {images} Fisher vectors of length {length}\n")
 
 
 def test_cli_has_no_stage_implementation_of_its_own():
@@ -457,7 +496,7 @@ def test_synth_gen_tags_the_artefact_class(tmp_path):
 
 
 def test_extract_holds_one_raw_descriptor_set(tmp_path):
-    """`extract` writes each DESC1 file as it extracts it, so its peak is
+    """`extract` writes each cell grid as it extracts it, so its peak is
     far below the raw descriptors of a split (fixed workload)."""
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"seed": 0}))

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from fvlrp.descriptors import (CLAMP, DescriptorSet, extract_dense,
-                               load_descriptors, pca_apply, pca_fit,
-                               save_descriptors)
+from fvlrp.descriptors import (CLAMP, DescriptorSet, cell_grid,
+                               descriptors_from_cells, extract_dense,
+                               load_cells, pca_apply, pca_fit, save_cells)
 from fvlrp.config import PipelineConfig
 from fvlrp.errors import DimError, ExtractError, FitError, IoError, ParseError
-from fvlrp.fisher import fv_length, load_fisher_vector, save_fisher_vector
+from fvlrp.fisher import fv_length, load_fisher_vectors, save_fisher_vectors
 from fvlrp.imaging import Heatmap, Image, load_heatmap, save_heatmap
 from fvlrp.pipeline import make_corpus
 from fvlrp.verification import (TILING_GEOMETRIES, oracle_extract_dense,
@@ -169,39 +169,66 @@ def test_pca_rejects_rank_deficient(rng):
         pca_fit(rng.normal(size=(3, 5)), 4)
 
 
+def _cells_path(tmp_path, images, patch, stride):
+    path = tmp_path / "a.cells"
+    h, w = images[0].gray().shape
+    save_cells(path, (cell_grid(img, patch, stride) for img in images),
+               w, h, patch, stride, len(images))
+    return path
+
+
 def test_descriptor_cache_roundtrip(tmp_path, rng):
-    gray = rng.random((20, 20))
-    ds = extract_dense(Image(gray), patch=8, stride=6)
-    path = tmp_path / "a.desc"
-    save_descriptors(ds, path)
-    back = load_descriptors(path)
-    np.testing.assert_array_equal(back.vectors, ds.vectors)
-    np.testing.assert_array_equal(back.areas, ds.areas)
-    assert back.image_size == ds.image_size
+    """Each set `load_cells` yields is `extract_dense` of its image, bit
+    for bit: one window gather reads both."""
+    for shape, patch, stride in (((20, 20), 8, 6), ((20, 28, 3), 8, 4),
+                                 ((16, 18), 16, 6), ((33, 40), 12, 3)):
+        images = [Image(rng.random(shape)) for _ in range(3)]
+        path = _cells_path(tmp_path, images, patch, stride)
+        loaded = list(load_cells(path, 3))
+        assert len(loaded) == 3
+        for back, img in zip(loaded, images):
+            assert same_descriptors(back, extract_dense(img, patch, stride))
+
+
+def test_extract_dense_is_its_two_steps(rng):
+    img = Image(rng.random((24, 20)))
+    cells = cell_grid(img, 8, 4)
+    assert cells.shape == (12, 10, 8)  # cells of side 2
+    ds = extract_dense(img, 8, 4)
+    assert same_descriptors(descriptors_from_cells(cells, 20, 24, 8, 4), ds)
+    # the set keeps the grid it was gathered from, which `extract` stores
+    assert ds.cells.tobytes() == cells.tobytes()
+    assert pca_apply(pca_fit(ds.vectors, 4), ds).cells is None
 
 
 def test_descriptor_cache_rejects_corruption(tmp_path, rng):
-    ds = extract_dense(Image(rng.random((12, 12))), patch=8, stride=4)
-    path = tmp_path / "a.desc"
-    save_descriptors(ds, path)
+    path = _cells_path(tmp_path, [Image(rng.random((12, 12)))], 8, 4)
     data = path.read_bytes()
-    (tmp_path / "bad.desc").write_bytes(b"XXXXX" + data[5:])
+    (tmp_path / "bad.cells").write_bytes(b"XXXXX" + data[5:])
     with pytest.raises(ParseError):
-        load_descriptors(tmp_path / "bad.desc")
+        list(load_cells(tmp_path / "bad.cells", 1))
 
 
-def _desc_file(path, rng):
-    save_descriptors(extract_dense(Image(rng.random((12, 12))), patch=8, stride=4),
-                     path)
+def _cells_file(path, rng):
+    images = [Image(rng.random((12, 12))) for _ in range(2)]
+    save_cells(path, (cell_grid(img, 8, 4) for img in images), 12, 12, 8, 4, 2)
+
+
+def _load_cells_file(path):
+    return list(load_cells(path, 2))
 
 
 def _fvec_file(path, rng):
-    save_fisher_vector(rng.normal(size=fv_length(3, 2)), 3, 2, path)
+    save_fisher_vectors(rng.normal(size=(2, fv_length(3, 2))), 3, 2, path)
 
 
-@pytest.mark.parametrize("write, load", [(_desc_file, load_descriptors),
-                                         (_fvec_file, load_fisher_vector)],
-                         ids=["DESC1", "FVEC1"])
+def _load_fvec_file(path):
+    return load_fisher_vectors(path, 2)
+
+
+@pytest.mark.parametrize("write, load", [(_cells_file, _load_cells_file),
+                                         (_fvec_file, _load_fvec_file)],
+                         ids=["CELL1", "FVEC2"])
 @pytest.mark.parametrize("keep", [8, -8], ids=["header", "body"])
 def test_truncated_cache_file_raises_parse_error(tmp_path, rng, write, load, keep):
     path = tmp_path / "a.bin"
@@ -215,17 +242,18 @@ def _hmap_file(path, rng):
     save_heatmap(Heatmap(rng.normal(size=(5, 3))), path)
 
 
-@pytest.mark.parametrize("write, load", [(_desc_file, load_descriptors),
-                                         (_fvec_file, load_fisher_vector),
+@pytest.mark.parametrize("write, load", [(_cells_file, _load_cells_file),
+                                         (_fvec_file, _load_fvec_file),
                                          (_hmap_file, load_heatmap)],
-                         ids=["DESC1", "FVEC1", "HMAP1"])
+                         ids=["CELL1", "FVEC2", "HMAP1"])
 def test_binary_formats_refuse_damaged_files(tmp_path, rng, write, load):
     path = tmp_path / "a.bin"
     write(path, rng)
     good = path.read_bytes()
     load(path)
     all_ones = good[:5] + b"\xff" * 16 + good[21:]  # huge header fields
-    for damaged in (good[:-1], b"XXXXX" + good[5:], good + b"\0", all_ones):
+    for damaged in (good[:-1], b"XXXXX" + good[5:], good + b"\0", all_ones,
+                    good[:7]):
         path.write_bytes(damaged)
         with pytest.raises(ParseError):
             load(path)
@@ -233,20 +261,65 @@ def test_binary_formats_refuse_damaged_files(tmp_path, rng, write, load):
         load(tmp_path / "missing.bin")
 
 
+# CELL1 headers (width, height, patch, stride, images) that no extraction
+# writes, with a body of one 64 x 64 image's grid at patch 16, stride 8.
+_BAD_CELL_HEADERS = {
+    "patch-0": (64, 64, 0, 8, 1),
+    "stride-0": (64, 64, 16, 0, 1),
+    "patch-does-not-tile": (64, 64, 10, 2, 1),
+    "patch-larger-than-image": (64, 64, 65, 8, 1),
+    "huge-image-count": (64, 64, 16, 8, 2**32 - 1),
+    "huge-image": (2**32 - 1, 2**32 - 1, 16, 8, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_CELL_HEADERS))
+def test_cells_loader_refuses_a_header_extraction_never_writes(tmp_path, case):
+    path = tmp_path / "a.cells"
+    body = np.zeros((8, 8, 8)).tobytes()
+    path.write_bytes(b"CELL1" + np.array(_BAD_CELL_HEADERS[case], "<u4").tobytes()
+                     + body)
+    with pytest.raises(ParseError, match="a.cells"):
+        list(load_cells(path, 1))
+
+
+@pytest.mark.parametrize("write, load", [(_cells_file, load_cells),
+                                         (_fvec_file, load_fisher_vectors)],
+                         ids=["CELL1", "FVEC2"])
+def test_a_file_of_another_image_count_is_refused_naming_it(tmp_path, rng,
+                                                            write, load):
+    path = tmp_path / "split.bin"
+    write(path, rng)
+    for count in (1, 3):
+        with pytest.raises(ParseError, match=r"split\.bin: holds 2 .*expected"):
+            list(load(path, count))
+
+
 def test_descriptor_cache_bytes_match_record_layout(tmp_path, rng):
-    ds = extract_dense(Image(rng.random((20, 28))), patch=8, stride=4)
-    path = tmp_path / "a.desc"
-    save_descriptors(ds, path)
-    expect = b"DESC1" + np.array([28, 20, len(ds), 128], "<u4").tobytes()
-    for area, vec in zip(ds.areas, ds.vectors):
-        expect += area.astype("<u4").tobytes() + vec.astype("<f8").tobytes()
+    images = [Image(rng.random((20, 28))) for _ in range(2)]
+    path = _cells_path(tmp_path, images, 8, 4)
+    expect = b"CELL1" + np.array([28, 20, 8, 4, 2], "<u4").tobytes()
+    for img in images:
+        expect += cell_grid(img, 8, 4).astype("<f8").tobytes()
     assert path.read_bytes() == expect
 
 
+def test_cells_writer_refuses_a_grid_of_another_shape_or_count(tmp_path, rng):
+    grid = cell_grid(Image(rng.random((16, 16))), 8, 4)
+    with pytest.raises(DimError):
+        save_cells(tmp_path / "a.cells", [grid], 20, 20, 8, 4, 1)
+    with pytest.raises(DimError):
+        save_cells(tmp_path / "a.cells", [grid], 16, 16, 8, 4, 2)
+
+
 def test_loaded_descriptors_own_writable_arrays(tmp_path, rng):
-    ds = extract_dense(Image(rng.random((16, 16))), patch=8, stride=4)
-    save_descriptors(ds, tmp_path / "a.desc")
-    back = load_descriptors(tmp_path / "a.desc")
+    path = _cells_path(tmp_path, [Image(rng.random((16, 16)))], 8, 4)
+    back = next(load_cells(path, 1))
     for arr, dtype in ((back.vectors, np.float64), (back.areas, np.int64)):
         assert arr.dtype == dtype and arr.flags.c_contiguous
-        assert arr.flags.writeable and arr.flags.owndata
+        assert arr.flags.writeable
+        root = arr
+        while root.base is not None:
+            root = root.base
+        # the memory is numpy's own, not the bytes read from the file
+        assert isinstance(root, np.ndarray) and root.flags.owndata

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fvlrp.errors import DegenerateInputError, DimError, EmptyInputError
 from fvlrp.fisher import (EmbeddingIndex, aggregate, embed_batch,
                           embed_descriptor, encode, fv_length, hellinger_check,
-                          improve, load_fisher_vector, save_fisher_vector,
+                          improve, load_fisher_vectors, save_fisher_vectors,
                           signed_sqrt)
 from fvlrp.gmm import GmmModel, responsibilities
 from fvlrp.util import row_norms
@@ -200,14 +200,17 @@ def test_hellinger_rejects_degenerate():
 
 
 def test_fisher_vector_file_roundtrip(tmp_path, rng):
-    fv = rng.normal(size=fv_length(3, 2))
+    fvs = rng.normal(size=(4, fv_length(3, 2)))
     path = tmp_path / "x.fvec"
-    save_fisher_vector(fv, 3, 2, path)
-    back = load_fisher_vector(path)
-    np.testing.assert_array_equal(back, fv)
-    assert np.frombuffer(path.read_bytes()[5:13], "<u4").tolist() == [3, 2]
+    save_fisher_vectors(fvs, 3, 2, path)
+    back = load_fisher_vectors(path, 4)
+    assert back.tobytes() == fvs.tobytes() and back.flags.writeable
+    assert path.read_bytes()[:5] == b"FVEC2"
+    assert np.frombuffer(path.read_bytes()[5:17], "<u4").tolist() == [4, 3, 2]
     with pytest.raises(DimError):
-        save_fisher_vector(fv, 2, 3, tmp_path / "y.fvec")
+        save_fisher_vectors(fvs, 2, 3, tmp_path / "y.fvec")
+    with pytest.raises(DimError):
+        save_fisher_vectors(fvs[0], 3, 2, tmp_path / "y.fvec")
 
 
 def test_improved_dot_equals_hellinger_on_model_fvs(rng):

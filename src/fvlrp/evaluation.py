@@ -193,8 +193,8 @@ class OrderingReport:
     """A/V statistics per ordering strategy over a set of images."""
 
     class_name: str
-    stats: dict                      # ordering id -> QualityStats
-    per_repetition_area: dict        # ordering id -> (repetitions,) mean A
+    stats: dict                      # ordering id -> QualityStats, None if no image
+    per_repetition_area: dict        # ordering id -> (repetitions,) mean A, empty if no image
     traces: dict                     # ordering id -> list[MorfTrace]
     n_images: int
     batch: int
@@ -211,7 +211,9 @@ def compare_orderings(images: list[LabeledImage], class_name: str,
     Only images the model predicts positive for `class_name` are used.
     Each ordering is run `repetitions` times with independent
     replacement-sampling seeds; random orderings also redraw the order
-    itself per repetition.
+    itself per repetition. With no positive image, A and V are undefined:
+    the report has `n_images` 0, no traces and None for every ordering's
+    stats.
     """
     if not variants:
         raise ValidationError("need at least one relevance variant")
@@ -234,10 +236,12 @@ def compare_orderings(images: list[LabeledImage], class_name: str,
         # configured decision threshold
         if f > tau and f > 0.0:
             prepared.append((ds.vectors, psi, x0, phi))
-    if not prepared:
-        raise EmptyInputError(f"no positive predictions for class {class_name!r}")
-
     ordering_ids = [f"lrp-{v}" for v in variants] + ["random"]
+    if not prepared:
+        return OrderingReport(class_name, dict.fromkeys(ordering_ids),
+                              {oid: np.zeros(0) for oid in ordering_ids},
+                              {oid: [] for oid in ordering_ids}, 0, batch, steps)
+
     all_traces: dict = {oid: [] for oid in ordering_ids}
     rep_areas: dict = {oid: np.zeros(repetitions) for oid in ordering_ids}
     for ii, (vectors, psi, x0, phi) in enumerate(prepared):

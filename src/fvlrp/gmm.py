@@ -32,20 +32,30 @@ components run along the long n axis (numpy's max and sum along the
 short axis of a (5000, 8) array took 8-27x as long on a 2-vCPU x86-64
 host). Each EM iteration exponentiates the log-joint once; gamma and the
 per-point log-likelihood come from the same exponentials (`_normalize`).
-The K rows are added in a sequential loop, so a point's sum, and with it
-its gamma and its Fisher embedding, do not depend on the batch it comes
-in.
+Only entries of lj - max at or above -700 are exponentiated; the rest are
+exact zeros, which keeps numpy's `exp` off its slow underflow path and
+moves no sum. The K rows are added in a sequential loop, so a point's
+sum, and with it its gamma and its Fisher embedding, do not depend on the
+batch it comes in.
+
+`sample` takes all its randomness from one ``standard_normal((n, D + 1))``
+block: per row, the first normal picks the component through the normal
+quantiles of the cumulative weights, and the other D are the Gaussian
+noise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
-from .errors import DimError, FitError, ValidationError
+from .errors import DimError, FitError, RangeError, ValidationError
 
 _LOG_2PI = np.log(2.0 * np.pi)
+# exponents of lj - max below this give exact zero responsibilities
+_EXP_CUT = -700.0
 
 
 @dataclass(frozen=True)
@@ -141,6 +151,14 @@ def _normalize(lj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the (K, n) log-joint, with one exponentiation: e = exp(lj - max_k lj)
     and gamma = e / sum_k e.
 
+    Entries of lj - max below -700 are set to exact zeros, not
+    exponentiated: they are clipped to -700, exponentiated and multiplied
+    by the mask of the kept entries. numpy's SIMD `exp` takes a slow path
+    on arguments near and below the underflow point, and on a fitted GMM
+    about half the entries lie there. A dropped entry is below
+    e**-700 ~ 1e-304, so no kept gamma, sum or log-sum moves: each
+    point's sum holds its peak's 1.0, which absorbs them.
+
     The K rows of e are added in a sequential loop, so every point's sum
     is ((e_1 + e_2) + e_3) + ... whatever n is. numpy's `sum(axis=0)`
     adds a single column pairwise but many columns row by row, which
@@ -149,7 +167,10 @@ def _normalize(lj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     peak = lj.max(axis=0)
     peak = np.where(np.isfinite(peak), peak, 0.0)
     e = lj - peak
+    keep = e >= _EXP_CUT
+    np.maximum(e, _EXP_CUT, out=e)
     np.exp(e, out=e)
+    e *= keep
     total = e[0].copy()
     for row in e[1:]:
         total += row
@@ -291,20 +312,27 @@ def sample(model: GmmModel, rng: np.random.Generator, n: int | None = None) -> n
     """Draw descriptors from the mixture: component proportional to its
     weight, then an independent Gaussian per dimension.
 
-    Returns (D,) for `n=None`, else (n, D). Deterministic given the RNG
-    state. Each draw takes one uniform (mapped to a component through
-    the weights' cumulative sum) and then D standard normals, so a batch
-    of n equals n single draws bit for bit and leaves the generator in
-    the same state; the first m of n draws are the draws of a batch of m.
+    Returns (D,) for `n=None`, else (n, D); `n` must be a non-negative
+    integer. Deterministic given the RNG state. A batch is one
+    ``rng.standard_normal((n, D + 1))`` call, and each row is one draw:
+    its first normal z0 picks component k where
+    ``Phi^-1(cdf_{k-1}) <= z0 < Phi^-1(cdf_k)`` (cdf the weights'
+    normalised cumulative sum, Phi the standard normal CDF), so k has
+    probability w_k and a zero-weight component is never drawn, and the
+    other D are its Gaussian noise. The generator fills the block row by
+    row, so a batch of n equals n single draws bit for bit and leaves the
+    generator in the same state; the first m of n draws are the draws of
+    a batch of m.
     """
-    count = 1 if n is None else int(n)
+    count = 1 if n is None else n
+    if not isinstance(count, (int, np.integer)) or count < 0:
+        raise RangeError(f"draw count must be a non-negative integer, got {n!r}")
     cdf = np.cumsum(model.weights)
     cdf /= cdf[-1]
-    u = np.empty(count)
-    eps = np.empty((count, model.dim))
-    for i in range(count):
-        u[i] = rng.random()
-        rng.standard_normal(out=eps[i])
-    ks = cdf.searchsorted(u, side="right")
-    out = model.means[ks] + model.sigmas[ks] * eps
+    normal = NormalDist()
+    thresholds = np.array([-np.inf if p <= 0.0 else np.inf if p >= 1.0
+                           else normal.inv_cdf(p) for p in cdf[:-1]])
+    z = rng.standard_normal((count, model.dim + 1))
+    ks = thresholds.searchsorted(z[:, 0], side="right")
+    out = model.means[ks] + model.sigmas[ks] * z[:, 1:]
     return out[0] if n is None else out

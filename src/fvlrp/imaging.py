@@ -303,6 +303,8 @@ def load_annotations(path) -> list[BoundingBox]:
             lines = fh.readlines()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not ASCII text: {exc}") from exc
     boxes = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()

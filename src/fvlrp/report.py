@@ -117,11 +117,17 @@ def _ordering_ids(report: OrderingReport) -> list[str]:
 
 
 def write_morf_tables(out_dir, report: OrderingReport) -> list[str]:
-    """Summary + per-trace curve dump (step, f value) for one class."""
+    """Summary + per-trace curve dump (step, f value) for one class. With
+    no image to perturb, the summary marks A and V `missing`, as
+    `write_context_tables` does for mu, and the other tables are empty."""
     paths = []
     summary_rows = []
     for oid in _ordering_ids(report):
         st = report.stats[oid]
+        if st is None:
+            summary_rows.append((report.class_name, oid, 0, report.batch,
+                                 report.steps, 0, *["missing"] * 4))
+            continue
         per_rep = np.asarray(report.per_repetition_area[oid], dtype=np.float64)
         summary_rows.append((report.class_name, oid, report.n_images,
                              report.batch, report.steps, st.n_traces,
@@ -146,6 +152,8 @@ def write_morf_tables(out_dir, report: OrderingReport) -> list[str]:
 
     hist_rows = []
     for oid in _ordering_ids(report):
+        if report.stats[oid] is None:
+            continue
         hist = report.stats[oid].first_switch_histogram
         for step, count in enumerate(hist, start=1):
             hist_rows.append((oid, step, int(count)))
@@ -156,8 +164,10 @@ def write_morf_tables(out_dir, report: OrderingReport) -> list[str]:
 
 
 def write_morf_figure(out_dir, report: OrderingReport) -> list[str]:
-    """Mean perturbation curves (left) and first-switch histogram (right)."""
-    ids = _ordering_ids(report)
+    """Mean perturbation curves (left) and first-switch histogram (right);
+    empty axes with no image to perturb. `_limits` always covers 0, so
+    the 0 added to each panel's values moves no axis."""
+    ids = [oid for oid in _ordering_ids(report) if report.stats[oid] is not None]
     width, height = 720, 288
     canvas = np.ones((height, width, 3))
     top, bottom = _MARGIN, height - _MARGIN
@@ -168,7 +178,7 @@ def write_morf_figure(out_dir, report: OrderingReport) -> list[str]:
              for oid in ids]
     left, right = _MARGIN, half - _MARGIN
     px = _to_px(-0.5, report.steps + 0.5, left, right)
-    py = _to_px(*_limits(np.concatenate(means)), bottom, top)
+    py = _to_px(*_limits(np.concatenate([[0.0], *means])), bottom, top)
     _fill(canvas, left, py(0.0), right, py(0.0), _ZERO_LINE)
     for pos, mean in enumerate(means):
         colour = _SERIES[pos % len(_SERIES)]
@@ -181,10 +191,10 @@ def write_morf_figure(out_dir, report: OrderingReport) -> list[str]:
 
     hists = [report.stats[oid].first_switch_histogram for oid in ids]
     left, right = half + _MARGIN, width - _MARGIN
-    px = _to_px(0.5, len(hists[0]) + 0.5, left, right)
-    py = _to_px(*_limits(np.concatenate(hists)), bottom, top)
+    px = _to_px(0.5, report.steps + 0.5, left, right)
+    py = _to_px(*_limits(np.concatenate([[0], *hists])), bottom, top)
     _fill(canvas, left, py(0.0), right, py(0.0), _ZERO_LINE)
-    bar = 0.8 / len(ids)
+    bar = 0.8 / max(len(ids), 1)
     for pos, hist in enumerate(hists):
         colour = _SERIES[pos % len(_SERIES)]
         for step, count in enumerate(hist, start=1):
@@ -202,8 +212,11 @@ def morf_summary_text(report: OrderingReport) -> str:
              f"batch {report.batch} x {report.steps} steps"]
     for oid in _ordering_ids(report):
         st = report.stats[oid]
-        lines.append(f"  {oid:>12s}  A = {st.area:.6f}  V = {st.switch_fraction:.3f}"
-                     f"  ({st.n_traces} traces)")
+        if st is None:
+            lines.append(f"  {oid:>12s}  A = missing  V = missing  (0 traces)")
+        else:
+            lines.append(f"  {oid:>12s}  A = {st.area:.6f}  V = {st.switch_fraction:.3f}"
+                         f"  ({st.n_traces} traces)")
     return "\n".join(lines)
 
 

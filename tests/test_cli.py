@@ -1,7 +1,9 @@
 """Command-line pipeline: staging, exit codes, and cache discipline."""
 
+import dataclasses
 import json
 import os
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -116,6 +118,37 @@ def test_morf_eval_and_context_report(pipeline, capsys):
     assert run(out, config, "context-report") == 0
     assert (out / "reports" / "context" / "context_summary.tsv").exists()
     assert (out / "reports" / "context" / "context_ratio.png").exists()
+
+
+def test_morf_eval_writes_a_class_without_positives(pipeline, tmp_path,
+                                                   monkeypatch, capsys):
+    """A class no test image is predicted positive for gets its reports,
+    with A and V missing, and the command writes its manifest."""
+    src, config = pipeline
+    out = tmp_path / "run"
+    shutil.copytree(src, out)
+    read_bundle = cli._read_bundle
+
+    def out_of_reach(run, **kwargs):
+        bundle = read_bundle(run, **kwargs)
+        model = bundle.svm
+        lifted = dataclasses.replace(model, thresholds=model.thresholds + 1e6)
+        return dataclasses.replace(bundle, svm=lifted)
+
+    monkeypatch.setattr(cli, "_read_bundle", out_of_reach)
+    capsys.readouterr()
+    assert run(out, config, "morf-eval") == 0
+    text = capsys.readouterr().out
+    classes = json.loads((out / "manifests" / "synth-gen.json").read_text())["classes"]
+    assert text.count("0 images") == len(classes)
+    manifest = json.loads((out / "manifests" / "morf-eval.json").read_text())
+    for cls in classes:
+        summary = (out / "reports" / "morf" / cls / "morf_summary.tsv")
+        assert all("\tmissing\t" in line
+                   for line in summary.read_text().splitlines()[1:])
+        for name in ("morf_summary.tsv", "morf_traces.tsv",
+                     "morf_first_switch.tsv", "morf_curves.png"):
+            assert f"reports/morf/{cls}/{name}" in manifest["outputs"]
 
 
 def test_verify_includes_trained_model_checks(pipeline, capsys):

@@ -356,12 +356,18 @@ def test_compare_orderings_report_shape(micro_bundle, micro_corpus):
 
 
 def test_compare_orderings_needs_positive_predictions(micro_bundle, micro_corpus):
+    """With no positive image there is nothing to perturb: the report has
+    no images, no traces and no stats, and nothing raises."""
     _, _, test_imgs = micro_corpus
     cls = micro_bundle.classes[0]
     others = [im for im in test_imgs if cls not in im.labels]
-    with pytest.raises(EmptyInputError):
-        compare_orderings(others, cls, micro_bundle.gmm, micro_bundle.pca,
-                          micro_bundle.svm, batch=2, steps=2, repetitions=1)
+    report = compare_orderings(others, cls, micro_bundle.gmm, micro_bundle.pca,
+                               micro_bundle.svm, batch=2, steps=2, repetitions=1)
+    assert report.n_images == 0
+    assert (report.batch, report.steps) == (2, 2)
+    assert report.stats == {"lrp-epsilon": None, "random": None}
+    assert all(ts == [] for ts in report.traces.values())
+    assert all(a.size == 0 for a in report.per_repetition_area.values())
 
 
 def test_context_report_structure(micro_bundle, micro_corpus):

@@ -1,13 +1,18 @@
 """EM fitting, responsibilities, likelihood, and mixture sampling."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fvlrp.errors import DimError, FitError
-from fvlrp.gmm import (GmmModel, _m_step, em_fit, log_likelihood,
-                       responsibilities, sample)
+from fvlrp import gmm, pipeline
+from fvlrp.config import PipelineConfig
+from fvlrp.descriptors import descriptor_count
+from fvlrp.errors import DimError, FitError, RangeError
+from fvlrp.gmm import (GmmModel, _log_joint, _m_step, _normalize, em_fit,
+                       log_likelihood, responsibilities, sample)
+from fvlrp.pipeline import extract_corpus, fit_gmm, fit_pca, make_corpus
 from fvlrp.verification import random_gmm
 
 
@@ -214,3 +219,115 @@ def test_batch_sample_equals_single_draws(k, d, n):
     np.testing.assert_array_equal(
         sample(model, np.random.default_rng(n), max(1, n // 2)),
         batch[:max(1, n // 2)])
+
+
+@pytest.mark.parametrize("n", [-1, 2.7, "3"])
+def test_sample_refuses_a_bad_draw_count(n):
+    model = make_model([1.0], [[0.0]], [[1.0]])
+    with pytest.raises(RangeError):
+        sample(model, np.random.default_rng(0), n)
+    assert sample(model, np.random.default_rng(0), 0).shape == (0, 1)
+
+
+@pytest.mark.parametrize("zeros", [(0,), (2,), (4,), (0, 2, 4)])
+def test_zero_weight_components_are_never_drawn(zeros):
+    # means 1000 apart and unit sigmas: a draw's component is its mean
+    weights = np.arange(1.0, 6.0)
+    weights[list(zeros)] = 0.0
+    model = make_model(weights / weights.sum(), 1000.0 * np.arange(5.0)[:, None],
+                       np.ones((5, 1)))
+    draws = sample(model, np.random.default_rng(len(zeros)), 20000)
+    counts = np.bincount(np.rint(draws[:, 0] / 1000.0).astype(int), minlength=5)
+    assert counts.size == 5
+    assert not counts[list(zeros)].any()
+    live = [k for k in range(5) if k not in zeros]
+    np.testing.assert_allclose(counts[live] / 20000.0, model.weights[live], atol=0.015)
+
+
+def test_draws_pick_components_by_the_normal_cdf():
+    """Each row is means[k] + sigmas[k] * z[1:] for the row z of one
+    standard-normal block, with k = searchsorted(cdf, Phi(z[0])) and Phi
+    from `math.erf`; rows within 1e-9 of a cdf value are skipped."""
+    gen = np.random.default_rng(21)
+    k, d, n = 6, 3, 5000
+    weights = gen.random(k)
+    weights[2] = 0.0
+    model = make_model(weights / weights.sum(), gen.normal(size=(k, d)),
+                       0.1 + gen.random((k, d)))
+    draws = sample(model, np.random.default_rng(8), n)
+    z = np.random.default_rng(8).standard_normal((n, d + 1))
+    cdf = np.cumsum(model.weights)
+    cdf /= cdf[-1]
+    checked = 0
+    for row, zr in zip(draws, z):
+        u = 0.5 * (1.0 + math.erf(zr[0] / math.sqrt(2.0)))
+        if np.abs(cdf - u).min() <= 1e-9:
+            continue
+        comp = int(cdf.searchsorted(u, side="right"))
+        want = model.means[comp] + model.sigmas[comp] * zr[1:]
+        assert row.tobytes() == want.tobytes()
+        checked += 1
+    assert checked > 0.99 * n
+
+
+@pytest.mark.parametrize("n", [None, 1, 37])
+def test_sample_takes_one_normal_block(n):
+    model = make_model([0.3, 0.7], [[0.0, 1.0], [2.0, 3.0]], np.ones((2, 2)))
+    drawn, block = np.random.default_rng(4), np.random.default_rng(4)
+    sample(model, drawn, n)
+    block.standard_normal((1 if n is None else n, 3))
+    assert drawn.bit_generator.state == block.bit_generator.state
+
+
+def plain_normalize(lj):
+    """`_normalize` with every entry exponentiated: the reference for the
+    masked form."""
+    peak = lj.max(axis=0)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    e = np.exp(lj - peak)
+    total = e[0].copy()
+    for row in e[1:]:
+        total += row
+    return np.log(total) + peak, e / total
+
+
+@pytest.fixture(scope="module")
+def seed0_em():
+    """Seed 0's EM subsample, as `pipeline.fit_gmm` passes it to
+    `em_fit`, and the fitted model."""
+    config = PipelineConfig(seed=0)
+    train, _, _ = make_corpus(config)
+    rows = sum(descriptor_count(img.image.width, img.image.height,
+                                config.patch, config.stride) for img in train)
+    _, projected = fit_pca(extract_corpus(train, config), rows, config)
+    seen = []
+
+    def recording_em_fit(data, *args, **kwargs):
+        seen.append(data)
+        return em_fit(data, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "em_fit", recording_em_fit)
+        model = fit_gmm(projected, config)
+    return config, seen[0], model
+
+
+def test_normalize_drops_only_what_underflows(seed0_em):
+    _, data, model = seed0_em
+    lj = _log_joint(model, data)
+    per_point, gamma = _normalize(lj)
+    want_point, want_gamma = plain_normalize(lj)
+    dropped = lj - lj.max(axis=0) < -700.0
+    assert dropped.mean() > 0.3  # the case the mask is for
+    assert np.all(gamma[dropped] == 0.0)
+    assert gamma[~dropped].tobytes() == want_gamma[~dropped].tobytes()
+    assert per_point.tobytes() == want_point.tobytes()
+
+
+def test_masked_exp_keeps_em_iteration_count(seed0_em, monkeypatch):
+    config, data, model = seed0_em
+    monkeypatch.setattr(gmm, "_normalize", plain_normalize)
+    reference = em_fit(data, config.gmm_k, seed=config.seed,
+                       max_iter=config.gmm_max_iter, tol=config.gmm_tol)
+    assert len(model.ll_trace) == len(reference.ll_trace)
+    np.testing.assert_allclose(model.ll_trace, reference.ll_trace, rtol=1e-12)

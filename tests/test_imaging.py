@@ -99,6 +99,13 @@ def test_annotations_reject_malformed(tmp_path):
         load_annotations(p)
 
 
+def test_annotations_reject_non_ascii(tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"disk 1 2 3 \xff\n")
+    with pytest.raises(ParseError, match="bad.txt"):
+        load_annotations(p)
+
+
 def test_heatmap_roundtrip_bit_exact(tmp_path, rng):
     values = rng.normal(0.0, 3.0, (11, 7))
     path = tmp_path / "h.hmap"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fvlrp.descriptors import extract_dense, pca_apply
-from fvlrp.evaluation import compare_orderings, context_report
+from fvlrp.evaluation import OrderingReport, compare_orderings, context_report
 from fvlrp.fisher import EmbeddingIndex
 from fvlrp.imaging import Image, load_heatmap, save_png
 from fvlrp.lrp_fv import explain
@@ -112,6 +112,28 @@ def test_morf_figure_and_text(tmp_path, morf_report):
     text = morf_summary_text(morf_report)
     for oid in morf_report.stats:
         assert oid in text
+
+
+def test_morf_writers_mark_a_class_without_positives_missing(tmp_path):
+    ids = ("lrp-epsilon", "random")
+    empty = OrderingReport("disk", dict.fromkeys(ids),
+                           {oid: np.zeros(0) for oid in ids},
+                           {oid: [] for oid in ids}, 0, 4, 5)
+    summary, traces, switches = write_morf_tables(tmp_path, empty)
+    _, rows = read_tsv(summary)
+    assert [r["ordering"] for r in rows] == list(ids)
+    for r in rows:
+        assert (r["images"], r["traces"]) == ("0", "0")
+        for field in ("area", "switch_fraction", "mean_rep_area", "rep_area_std"):
+            assert r[field] == "missing"
+    assert read_tsv(traces)[1] == [] and read_tsv(switches)[1] == []
+    # empty axes: only the background, frames and zero lines are drawn
+    pixels = check_png(write_morf_figure(tmp_path, empty)[0])
+    colours = {tuple(int(round(255 * c)) for c in rgb)
+               for rgb in ((1.0, 1.0, 1.0), (0.15, 0.15, 0.15), (0.6, 0.6, 0.6))}
+    assert set(map(tuple, pixels.reshape(-1, 3))) == colours
+    text = morf_summary_text(empty)
+    assert "0 images" in text and text.count("A = missing  V = missing") == 2
 
 
 @pytest.fixture(scope="module")

@@ -4,11 +4,12 @@
 stages and config fields; a stage's hash covers those fields and its
 upstream stages' hashes. Each command does all its file I/O through one
 `_Run`: it refuses a missing, malformed or stale upstream manifest,
-opens upstream files only through `_Run.path`, which checks each file's
-digest, reads the corpus index once, and records every file it writes
-under the working directory. `main` then writes the command's manifest:
-its stage hash, the seed, the upstream manifests it consumed, and a
-digest of every file it wrote. A command that wrote nothing writes none.
+reads each upstream file once, through `_Run.read`, which returns the
+bytes only if they match their recorded digest, so the bytes parsed are
+the bytes checked, and hashes each output as `_Run.write` writes it.
+`main` then writes the command's manifest: its stage hash, the seed,
+the digests of the upstream manifests it parsed and of every file it
+wrote. A command that wrote nothing writes none.
 
 Exit codes: 0 success, 1 usage error, 2 missing/stale dependency,
 3 validation or verification failure.
@@ -17,31 +18,33 @@ Exit codes: 0 success, 1 usage error, 2 missing/stale dependency,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import report
 from .config import PipelineConfig, load_config
-from .descriptors import descriptor_count, load_cells, save_cells
-from .errors import (DependencyError, PipelineError, UsageError,
+from .descriptors import decode_cells, descriptor_count, encode_cells
+from .errors import (DependencyError, IoError, PipelineError, UsageError,
                      ValidationError, VerificationError)
 from .evaluation import compare_orderings, context_report
-from .fisher import (EmbeddingIndex, hellinger_check, improve,
-                     load_fisher_vectors, save_fisher_vectors)
-from .imaging import load_annotations, load_image, save_annotations, save_image
+from .fisher import (EmbeddingIndex, decode_fisher_vectors,
+                     encode_fisher_vectors, hellinger_check, improve)
+from .imaging import (decode_annotations, decode_image, encode_annotations,
+                      encode_image)
 from .lrp_fv import explain
 from .pipeline import (ModelBundle, em_stop, embed_all, extract_corpus,
                        fit_gmm, fit_pca_pooled, make_corpus, project_all,
                        train_net, train_svm)
-from .serialization import load_model, save_model
+from .serialization import deserialize_model, serialize_model
 from .svm import score
 from .synth import LabeledImage
-from .util import file_hash, stable_hash
+from .util import file_hash, read_file, stable_hash, write_file
 from .verification import run_all, same_descriptors
 
 _VARIANT_FLAGS = {"plain": "plain", "eps": "epsilon", "abs": "absolute"}
@@ -99,15 +102,15 @@ class _IndexEntry(NamedTuple):
 
 class _Run:
     """One command's file I/O under `--out`. It checks the declared
-    upstream manifests, opens upstream files only once they match their
-    recorded digests, and records every file the command writes, which
-    `manifest` then lists."""
+    upstream manifests, returns an upstream file's bytes only once they
+    match their recorded digest, and records the digest of every file the
+    command writes, which `manifest` then lists."""
 
     def __init__(self, out_dir: str, command: str, config: PipelineConfig):
         self.out_dir, self.command, self.config = out_dir, command, config
         self.manifests: dict[str, dict] = {}
-        self.checked: set[str] = set()
-        self.outputs: set[str] = set()
+        self.inputs: dict[str, str] = {}  # stage -> digest of its manifest
+        self.outputs: dict[str, str] = {}  # path under out_dir -> digest
         self._index: list[_IndexEntry] | None = None
         for stage in _COMMANDS[command].needs:
             self.require(stage)
@@ -115,14 +118,14 @@ class _Run:
     def require(self, stage: str) -> dict:
         """Load an upstream manifest, refusing a missing, malformed or
         stale one."""
-        path = _manifest_path(self.out_dir, stage)
-        if not os.path.exists(path):
+        try:
+            data = read_file(_manifest_path(self.out_dir, stage))
+        except IoError as exc:
             raise DependencyError(
                 f"`{self.command}` needs artifacts from `{stage}`; "
-                f"run `fvlrp {stage}` first")
+                f"run `fvlrp {stage}` first") from exc
         try:
-            with open(path, "r", encoding="ascii") as fh:
-                manifest = json.load(fh)
+            manifest = json.loads(data.decode("ascii"))
         except ValueError:  # not ASCII, or not JSON
             manifest = None
         if not _well_formed(stage, manifest):
@@ -133,24 +136,27 @@ class _Run:
                 f"stale cache: `{stage}` artifacts were built under a different "
                 f"configuration; re-run `fvlrp {stage}`")
         self.manifests[stage] = manifest
+        self.inputs[stage] = hashlib.sha256(data).hexdigest()
         return manifest
 
-    def path(self, rel: str) -> str:
-        """`rel` once it matches its recorded digest, hashed once per command."""
-        full = os.path.join(self.out_dir, rel)
-        if rel not in self.checked:
-            stage = next((s for s, m in self.manifests.items()
-                          if rel in m["outputs"]), None)
-            if stage is None:
-                raise DependencyError(f"`{self.command}` reads {rel}, which no "
-                                      f"upstream stage of it recorded")
-            if (not os.path.isfile(full)
-                    or file_hash(full) != self.manifests[stage]["outputs"][rel]):
-                raise DependencyError(
-                    f"artifact {rel} recorded by `{stage}` is missing or "
-                    f"modified; re-run `fvlrp {stage}`")
-            self.checked.add(rel)
-        return full
+    def read(self, rel: str) -> bytes:
+        """The bytes of upstream file `rel`, read once, returned only when
+        their sha256 is the digest its stage recorded."""
+        stage = next((s for s, m in self.manifests.items()
+                      if rel in m["outputs"]), None)
+        if stage is None:
+            raise DependencyError(f"`{self.command}` reads {rel}, which no "
+                                  f"upstream stage of it recorded")
+        try:
+            data = read_file(os.path.join(self.out_dir, rel))
+        except IoError:
+            data = None
+        if (data is None or hashlib.sha256(data).hexdigest()
+                != self.manifests[stage]["outputs"][rel]):
+            raise DependencyError(
+                f"artifact {rel} recorded by `{stage}` is missing or "
+                f"modified; re-run `fvlrp {stage}`")
+        return data
 
     @property
     def classes(self) -> tuple[str, ...]:
@@ -160,8 +166,7 @@ class _Run:
         """The rows of the corpus index (those of `split`, if given); the
         index is parsed once per command."""
         if self._index is None:
-            with open(self.path(_INDEX), "r", encoding="ascii") as fh:
-                header, *lines = fh.read().splitlines()
+            header, *lines = self.read(_INDEX).decode("ascii").splitlines()
             self._index = []
             for line in lines:
                 row = dict(zip(header.split("\t"), line.split("\t")))
@@ -173,11 +178,11 @@ class _Run:
 
     def images(self, split: str, boxes: bool = False) -> Iterator[LabeledImage]:
         """The split's images in index order, each read as it is reached.
-        Annotation files are opened only when `boxes` is set."""
+        Annotation files are read only when `boxes` is set."""
         for e in self.entries(split):
             yield LabeledImage(
-                load_image(self.path(e.file)), e.labels,
-                tuple(load_annotations(self.path(e.annotations))) if boxes else (),
+                decode_image(self.read(e.file)), e.labels,
+                tuple(decode_annotations(self.read(e.annotations))) if boxes else (),
                 e.image_id, e.flags)
 
     def directory(self, rel: str) -> str:
@@ -187,17 +192,17 @@ class _Run:
             os.makedirs(full, exist_ok=True)
         return full
 
-    def write(self, rel: str) -> str:
-        """The full path to write output `rel` to, its directory made;
-        `rel` is recorded."""
-        self.outputs.add(rel)
-        return os.path.join(self.directory(os.path.dirname(rel)),
-                            os.path.basename(rel))
+    def write(self, rel: str, chunks: Iterable[bytes]) -> None:
+        """Write output `rel` from `chunks`, its directory made, and record
+        the digest of what was written."""
+        self.directory(os.path.dirname(rel))
+        self.outputs[rel] = write_file(os.path.join(self.out_dir, rel), chunks)
 
     def wrote(self, paths: list[str]) -> None:
         """Record files that a report writer named itself, and say so."""
         for p in paths:
-            self.outputs.add(os.path.relpath(p, self.out_dir).replace(os.sep, "/"))
+            rel = os.path.relpath(p, self.out_dir).replace(os.sep, "/")
+            self.outputs[rel] = file_hash(p)
             print(f"wrote {p}")
 
     def manifest(self, extra: dict) -> None:
@@ -206,17 +211,12 @@ class _Run:
             "stage": self.command,
             "config_hash": _stage_hash(self.config, self.command),
             "seed": self.config.seed,
-            "inputs": {s: file_hash(_manifest_path(self.out_dir, s))
-                       for s in _COMMANDS[self.command].needs},
-            "outputs": {rel: file_hash(os.path.join(self.out_dir, rel))
-                        for rel in sorted(self.outputs)},
+            "inputs": {s: self.inputs[s] for s in _COMMANDS[self.command].needs},
+            "outputs": self.outputs,
             **extra,
         }
-        self.directory("manifests")
-        with open(_manifest_path(self.out_dir, self.command), "w",
-                  encoding="ascii", newline="\n") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        self.write(f"manifests/{self.command}.json", [text.encode("ascii")])
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +227,7 @@ _BUNDLE_STAGES = (STAGE_SYNTH, STAGE_PCA, STAGE_GMM, STAGE_SVM)
 
 
 def _load_stage_model(run: _Run, kind: str):
-    return load_model(run.path(f"models/{kind}.json"), kind)
+    return deserialize_model(run.read(f"models/{kind}.json"), kind)
 
 
 def _read_bundle(run: _Run, with_nn: bool = False) -> ModelBundle:
@@ -253,13 +253,13 @@ def _cmd_synth_gen(config: PipelineConfig, args, run: _Run) -> dict:
     for split, images in (("train", train_imgs), ("test", test_imgs)):
         for img in images:
             stem = f"corpus/{split}/{img.image_id}"
-            save_image(img.image, run.write(f"{stem}.pgm"))
-            save_annotations(list(img.boxes), run.write(f"{stem}.txt"))
+            run.write(f"{stem}.pgm", [encode_image(img.image)])
+            run.write(f"{stem}.txt", [encode_annotations(img.boxes)])
             rows.append((split, img.image_id, f"{stem}.pgm", f"{stem}.txt",
                          ",".join(img.labels),
                          ",".join(img.flags) if img.flags else "-"))
     header = ("split", "image", "file", "annotations", "labels", "flags")
-    report.write_table(run.write(_INDEX), header, rows)
+    run.write(_INDEX, [report.encode_table(header, rows)])
     size = config.corpus_size
     print(f"synth-gen: {len(train_imgs)} train / {len(test_imgs)} test images "
           f"({size}x{size}, rho={config.corpus_rho})")
@@ -286,20 +286,20 @@ def _cmd_extract(config: PipelineConfig, args, run: _Run) -> None:
     for split in ("train", "test"):
         images = len(run.entries(split))
         # one set at a time: its grid is written before the next is extracted
-        save_cells(run.write(_cells_rel(split)),
-                   (ds.cells for ds in extract_corpus(run.images(split), config)),
-                   size, size, config.patch, config.stride, images)
+        run.write(_cells_rel(split), encode_cells(
+            (ds.cells for ds in extract_corpus(run.images(split), config)),
+            size, size, config.patch, config.stride, images))
         total += _split_rows(config, images)
     print(f"extract: {total} descriptors "
           f"(patch {config.patch}, stride {config.stride})")
 
 
 def _load_descriptor_sets(run: _Run, split: str) -> tuple[int, Iterator]:
-    """The split's rows, and its descriptor sets read one at a time as
+    """The split's rows, and its descriptor sets built one at a time as
     they are iterated, so a consumer that drops each set holds one."""
     images = len(run.entries(split))
     return (_split_rows(run.config, images),
-            load_cells(run.path(_cells_rel(split)), images))
+            decode_cells(run.read(_cells_rel(split)), images))
 
 
 def _project_split(run: _Run, split: str, pca):
@@ -312,7 +312,7 @@ def _cmd_pca_fit(config: PipelineConfig, args, run: _Run) -> None:
     rows, sets = _load_descriptor_sets(run, "train")
     model, _ = fit_pca_pooled(sets, rows, config)
     print(f"pca-fit: {model.raw_dim} -> {model.dim} dims on {rows} descriptors")
-    save_model(model, run.write("models/pca.json"))
+    run.write("models/pca.json", [serialize_model(model)])
 
 
 def _cmd_gmm_fit(config: PipelineConfig, args, run: _Run) -> None:
@@ -322,7 +322,7 @@ def _cmd_gmm_fit(config: PipelineConfig, args, run: _Run) -> None:
     steps, reason, gain = em_stop(model, projected, config)
     print(f"gmm-fit: K={config.gmm_k}, {steps} M-steps, stopped by {reason}, "
           f"last gain per descriptor {'none' if gain is None else f'{gain:.2e}'}")
-    save_model(model, run.write("models/gmm.json"))
+    run.write("models/gmm.json", [serialize_model(model)])
 
 
 def _cmd_embed(config: PipelineConfig, args, run: _Run) -> None:
@@ -331,8 +331,8 @@ def _cmd_embed(config: PipelineConfig, args, run: _Run) -> None:
     images = 0
     for split in ("train", "test"):
         raws = embed_all(gmm, _project_split(run, split, pca))
-        save_fisher_vectors(raws, gmm.n_components, gmm.dim,
-                            run.write(_fvec_rel(split)))
+        run.write(_fvec_rel(split),
+                  encode_fisher_vectors(raws, gmm.n_components, gmm.dim))
         images += raws.shape[0]
     print(f"embed: {images} Fisher vectors of length "
           f"{(1 + 2 * config.pca_dim) * config.gmm_k}")
@@ -340,7 +340,8 @@ def _cmd_embed(config: PipelineConfig, args, run: _Run) -> None:
 
 def _load_raw_matrix(run: _Run, split: str) -> np.ndarray:
     """The split's raw Fisher vectors as stored, one row per image."""
-    return load_fisher_vectors(run.path(_fvec_rel(split)), len(run.entries(split)))
+    return decode_fisher_vectors(run.read(_fvec_rel(split)),
+                                 len(run.entries(split)))
 
 
 def _load_feature_matrix(run: _Run, split: str) -> np.ndarray:
@@ -355,7 +356,7 @@ def _cmd_svm_train(config: PipelineConfig, args, run: _Run) -> None:
     taus = ", ".join(f"{c}: {t:.4f}" for c, t in zip(classes, model.thresholds))
     print(f"svm-train: {len(classes)} classes on {features.shape[0]} images "
           f"(C={config.svm_c}); thresholds {taus}")
-    save_model(model, run.write("models/svm.json"))
+    run.write("models/svm.json", [serialize_model(model)])
 
 
 def _cmd_nn_train(config: PipelineConfig, args, run: _Run) -> None:
@@ -364,7 +365,7 @@ def _cmd_nn_train(config: PipelineConfig, args, run: _Run) -> None:
     arch = "-".join(str(s) for s in
                     [net.input_dim] + [l.weights.shape[1] for l in net.layers])
     print(f"nn-train: {arch} network on {len(train_imgs)} images")
-    save_model(net, run.write("models/nn.json"))
+    run.write("models/nn.json", [serialize_model(net)])
 
 
 def _cmd_predict(config: PipelineConfig, args, run: _Run) -> None:
@@ -383,12 +384,11 @@ def _cmd_predict(config: PipelineConfig, args, run: _Run) -> None:
             truth = int(c in entry.labels)
             correct[c] += int(decision == truth)
             rows.append((entry.image_id, c, f, decision, truth))
-    path = report.write_table(
-        os.path.join(run.directory("reports"), "predictions.tsv"),
-        ("image", "class", "score", "decision", "label"), rows)
+    run.write("reports/predictions.tsv", [report.encode_table(
+        ("image", "class", "score", "decision", "label"), rows)])
     acc = ", ".join(f"{c}: {correct[c] / len(entries):.3f}" for c in classes)
     print(f"predict: {len(entries)} test images; accuracy {acc}")
-    run.wrote([path])
+    print(f"wrote {os.path.join(run.out_dir, 'reports', 'predictions.tsv')}")
 
 
 def _cmd_explain(config: PipelineConfig, args, run: _Run) -> None:
@@ -401,7 +401,7 @@ def _cmd_explain(config: PipelineConfig, args, run: _Run) -> None:
     entry = next((e for e in run.entries() if e.image_id == args.image), None)
     if entry is None:
         raise ValidationError(f"image {args.image!r} not in the corpus index")
-    img = load_image(run.path(entry.file))
+    img = decode_image(run.read(entry.file))
     expl = explain(img, bundle.gmm, bundle.pca, bundle.svm, args.cls,
                    variant=config.variant, epsilon=config.epsilon,
                    patch=bundle.patch, stride=bundle.stride)
@@ -461,7 +461,7 @@ def _trained_model_checks(run: _Run) -> list:
         if not os.path.exists(_manifest_path(run.out_dir, stage)):
             return []
         for rel in run.require(stage)["outputs"]:
-            run.path(rel)
+            run.read(rel)
     bundle = _read_bundle(run)
     results = []
 

@@ -18,10 +18,11 @@ import math
 from dataclasses import dataclass
 
 from .descriptors import RAW_DIM, tiles_grid
-from .errors import ParseError, SpecError, ValidationError
+from .errors import IoError, ParseError, SpecError, ValidationError
 from .lrp_fv import VARIANTS
 from .lrp_nn import check_alphabeta
 from .synth import two_class_spec
+from .util import read_file, write_file
 
 # What each field annotation accepts; a bool is neither an int nor a float,
 # and a float is finite (JSON files may spell NaN and Infinity).
@@ -147,13 +148,14 @@ class PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
+    """The config a UTF-8 JSON file holds; a file that cannot be read or
+    decoded is a `ParseError`."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
+        raw = json.loads(read_file(path).decode("utf-8"))
+    except IoError as exc:
+        raise ParseError(f"config: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ParseError(f"config {path} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"config {path} must be a JSON object")
     nulls = sorted(name for name, value in raw.items() if value is None)
@@ -163,6 +165,5 @@ def load_config(path) -> PipelineConfig:
 
 
 def save_config(config: PipelineConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    text = json.dumps(config.to_dict(), sort_keys=True, indent=1) + "\n"
+    write_file(path, [text.encode("utf-8")])

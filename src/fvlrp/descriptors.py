@@ -15,9 +15,9 @@ So patch origins must lie on the cell grid: `patch % 4 == 0` and
 `extract_dense` is two steps: `cell_grid` bins the cells, and
 `descriptors_from_cells` gathers, normalizes and places each patch's
 4x4 cells; the set keeps its grid. A split's grids are stored as one
-CELL1 file (`save_cells`), and `load_cells` runs the same second step
-on each stored grid, so a loaded set equals the extracted one bit for
-bit.
+CELL1 file (`encode_cells`), and `decode_cells` runs the same second
+step on each stored grid, so a decoded set equals the extracted one bit
+for bit.
 
 Every descriptor keeps its receptive field: the (x, y, w, h) patch
 rectangle it was computed from, used later to spread relevance onto
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DimError, ExtractError, FitError, ParseError, ValidationError
 from .imaging import Image
-from .util import normalize_rows, open_container, write_container
+from .util import container_chunks, normalize_rows, parse_container
 
 _CELLS_MAGIC = b"CELL1"
 N_CELLS = 4
@@ -270,11 +270,12 @@ def pca_apply(model: PcaModel, ds: DescriptorSet) -> DescriptorSet:
 # A split's cell grids (format CELL1)
 
 
-def save_cells(path, grids: Iterable[np.ndarray], width: int, height: int,
-               patch: int, stride: int, count: int) -> None:
-    """One file of `count` images' cell grids, all of one width x height:
-    magic, uint32 (width, height, patch, stride, count), then each (ny, nx,
-    8) grid's float64 values, little-endian, written as `grids` yields it."""
+def encode_cells(grids: Iterable[np.ndarray], width: int, height: int,
+                 patch: int, stride: int, count: int) -> Iterator[bytes]:
+    """The CELL1 bytes of `count` images' cell grids, all of one width x
+    height: magic, uint32 (width, height, patch, stride, count), then each
+    (ny, nx, 8) grid's float64 values, little-endian, one chunk per grid
+    as `grids` yields it."""
     shape = (*grid_shape(width, height, patch, stride), N_ORI)
 
     def chunks():
@@ -287,30 +288,29 @@ def save_cells(path, grids: Iterable[np.ndarray], width: int, height: int,
         if written != count:
             raise DimError(f"{written} cell grids, expected {count}")
 
-    write_container(path, _CELLS_MAGIC, (width, height, patch, stride, count),
-                    chunks())
+    return container_chunks(_CELLS_MAGIC, (width, height, patch, stride, count),
+                            chunks())
 
 
-def load_cells(path, count: int) -> Iterator[DescriptorSet]:
-    """The descriptor sets of a `save_cells` file that holds `count`
-    images, one at a time, each from its grid read as it is reached: bit
-    for bit what `extract_dense` gives its image. A file whose geometry
-    `extract_dense` refuses, or whose image count is not `count`, is a
-    `ParseError`."""
+def decode_cells(data: bytes, count: int) -> Iterator[DescriptorSet]:
+    """The descriptor sets of `encode_cells` bytes that hold `count`
+    images, each built from its grid as it is reached: bit for bit what
+    `extract_dense` gives its image. Bytes whose geometry `extract_dense`
+    refuses, or whose image count is not `count`, are a `ParseError`,
+    raised by this call, before any set is built."""
     shape = []
 
     def body_size(width, height, patch, stride, images):
         try:
             shape.extend((*grid_shape(width, height, patch, stride), N_ORI))
         except ExtractError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+            raise ParseError(str(exc)) from exc
         if images != count:
-            raise ParseError(f"{path}: holds {images} images, expected {count}")
+            raise ParseError(f"holds {images} images, expected {count}")
         return images * 8 * math.prod(shape)
 
-    with open_container(path, _CELLS_MAGIC, 5, body_size) as (fh, header):
-        width, height, patch, stride, images = header
-        size = 8 * math.prod(shape)
-        for _ in range(images):
-            cells = np.frombuffer(fh.read(size), dtype="<f8").reshape(shape)
-            yield descriptors_from_cells(cells, width, height, patch, stride)
+    (width, height, patch, stride, images), body = parse_container(
+        data, _CELLS_MAGIC, 5, body_size)
+    grids = np.frombuffer(body, dtype="<f8").reshape(images, *shape)
+    return (descriptors_from_cells(cells, width, height, patch, stride)
+            for cells in grids)

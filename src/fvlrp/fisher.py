@@ -25,13 +25,14 @@ kernel on the raw vector (see :func:`hellinger_check`). Both are plain
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError, DimError, EmptyInputError, ParseError
 from .gmm import GmmModel, responsibilities
-from .util import normalize_rows, read_container, write_container
+from .util import container_chunks, normalize_rows, parse_container
 
 _FVEC_MAGIC = b"FVEC2"
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -228,24 +229,24 @@ def hellinger_check(x, y) -> tuple[float, float]:
 # A split's raw Fisher vectors (format FVEC2)
 
 
-def save_fisher_vectors(rows: np.ndarray, k: int, d: int, path) -> None:
-    """One file of raw FVs, one row per image: magic, uint32 (images, K,
-    D), then the (images, (1+2D)K) float64 values, little-endian."""
+def encode_fisher_vectors(rows: np.ndarray, k: int, d: int) -> Iterator[bytes]:
+    """The FVEC2 bytes of raw FVs, one row per image: magic, uint32
+    (images, K, D), then the (images, (1+2D)K) float64 values,
+    little-endian."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != fv_length(k, d):
         raise DimError(f"rows {rows.shape} do not have length (1+2*{d})*{k}")
-    write_container(path, _FVEC_MAGIC, (rows.shape[0], k, d),
-                    [rows.astype("<f8").tobytes()])
+    return container_chunks(_FVEC_MAGIC, (rows.shape[0], k, d),
+                            [rows.astype("<f8").tobytes()])
 
 
-def load_fisher_vectors(path, count: int) -> np.ndarray:
-    """The (count, (1+2D)K) raw FVs a `save_fisher_vectors` file holds; a
-    file that holds another number of rows is a `ParseError`."""
+def decode_fisher_vectors(data: bytes, count: int) -> np.ndarray:
+    """The (count, (1+2D)K) raw FVs of `encode_fisher_vectors` bytes;
+    bytes that hold another number of rows are a `ParseError`."""
     def body_size(images, k, d):
         if images != count:
-            raise ParseError(f"{path}: holds {images} Fisher vectors, "
-                             f"expected {count}")
+            raise ParseError(f"holds {images} Fisher vectors, expected {count}")
         return 8 * images * fv_length(k, d)
 
-    (images, k, d), body = read_container(path, _FVEC_MAGIC, 3, body_size)
+    (images, k, d), body = parse_container(data, _FVEC_MAGIC, 3, body_size)
     return np.frombuffer(body, dtype="<f8").reshape(images, fv_length(k, d)).copy()

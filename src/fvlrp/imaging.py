@@ -6,6 +6,8 @@ Heatmaps are stored as a raw binary matrix dump (format ``HMAP1``);
 :func:`render_heatmap` maps one onto a fixed symmetric diverging
 colormap for display.
 Report figures are written as PNG by a minimal stdlib encoder.
+Each format is encoded to and decoded from bytes (``encode_*`` and
+``decode_*``); ``save_*`` and ``load_*`` add `fvlrp.util`'s file I/O.
 
 File formats
 ------------
@@ -29,12 +31,14 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IoError, ParseError, ValidationError
-from .util import read_container, write_container
+from .errors import ParseError, ValidationError
+from .util import (container_chunks, load_file, parse_container,
+                   write_file)
 
 _HMAP_MAGIC = b"HMAP1"
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
@@ -53,11 +57,7 @@ class Image:
 
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=np.float64)
-        if px.ndim == 2:
-            pass
-        elif px.ndim == 3 and px.shape[2] == 3:
-            pass
-        else:
+        if not (px.ndim == 2 or (px.ndim == 3 and px.shape[2] == 3)):
             raise ValidationError(f"pixel array must be (h, w) or (h, w, 3), got {px.shape}")
         if px.size == 0:
             raise ValidationError("image must contain at least one pixel")
@@ -170,54 +170,48 @@ def _read_pnm_tokens(data: bytes, count: int) -> tuple[list[int], int]:
     return tokens, i
 
 
-def load_image(path) -> Image:
-    """Load an 8-bit binary P5 (grayscale) or P6 (color) portable map.
+def decode_image(data: bytes) -> Image:
+    """Decode an 8-bit binary P5 (grayscale) or P6 (color) portable map.
 
     Intensities are scaled by 1/255 into [0, 1].
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    if len(data) < 2:
-        raise ParseError(f"{path}: too short for a pixmap header")
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
-        raise ParseError(f"{path}: unsupported magic {magic!r}")
+        raise ParseError(f"unsupported magic {magic!r}")
     channels = 1 if magic == b"P5" else 3
     (width, height, maxval), offset = _read_pnm_tokens(data, 3)
     if width <= 0 or height <= 0:
-        raise ParseError(f"{path}: non-positive dimensions {width}x{height}")
+        raise ParseError(f"non-positive dimensions {width}x{height}")
     if maxval != 255:
-        raise ParseError(f"{path}: unsupported maxval {maxval}")
+        raise ParseError(f"unsupported maxval {maxval}")
     nbytes = width * height * channels
-    body = data[offset:]
-    if len(body) < nbytes:
-        raise ParseError(f"{path}: truncated body ({len(body)} of {nbytes} bytes)")
-    if len(body) > nbytes:
-        raise ParseError(f"{path}: {len(body) - nbytes} trailing bytes after raster")
+    body = memoryview(data)[offset:]
+    if len(body) != nbytes:
+        raise ParseError(f"raster has {len(body)} bytes, expected {nbytes}")
     px = np.frombuffer(body, dtype=np.uint8).astype(np.float64) / 255.0
     shape = (height, width) if channels == 1 else (height, width, 3)
     return Image(px.reshape(shape))
 
 
-def save_image(img: Image, path) -> None:
-    """Write `img` as 8-bit binary P5/P6 with a canonical header.
+def encode_image(img: Image) -> bytes:
+    """`img` as 8-bit binary P5/P6 with a canonical header.
 
     Intensities are quantized to round(v * 255); an image previously
-    loaded from such a file round-trips bit-exactly.
+    decoded from such bytes round-trips bit-exactly.
     """
     magic = b"P5" if img.channels == 1 else b"P6"
     q = np.rint(img.pixels * 255).astype(np.uint32)
     q = np.clip(q, 0, 255)
     body = q.astype(np.uint8).tobytes()
-    header = b"%s\n%d %d\n255\n" % (magic, img.width, img.height)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header + body)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    return b"%s\n%d %d\n255\n" % (magic, img.width, img.height) + body
+
+
+def load_image(path) -> Image:
+    return load_file(path, decode_image)
+
+
+def save_image(img: Image, path) -> None:
+    write_file(path, [encode_image(img)])
 
 
 def _png_chunk(tag: bytes, data: bytes) -> bytes:
@@ -238,14 +232,9 @@ def save_png(img: Image, path) -> None:
     rows = np.zeros((img.height, 1 + 3 * img.width), dtype=np.uint8)
     rows[:, 1:] = q.reshape(img.height, 3 * img.width)  # column 0: filter 0
     ihdr = struct.pack(">IIBBBBB", img.width, img.height, 8, 2, 0, 0, 0)
-    payload = (_PNG_SIGNATURE + _png_chunk(b"IHDR", ihdr)
-               + _png_chunk(b"IDAT", zlib.compress(rows.tobytes(), _PNG_ZLIB_LEVEL))
-               + _png_chunk(b"IEND", b""))
-    try:
-        with open(path, "wb") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    idat = zlib.compress(rows.tobytes(), _PNG_ZLIB_LEVEL)
+    write_file(path, [_PNG_SIGNATURE, _png_chunk(b"IHDR", ihdr),
+                      _png_chunk(b"IDAT", idat), _png_chunk(b"IEND", b"")])
 
 
 # ---------------------------------------------------------------------------
@@ -278,33 +267,38 @@ def render_heatmap(h: Heatmap) -> Image:
     return Image(rgb / 255.0)
 
 
+def encode_heatmap(h: Heatmap) -> Iterator[bytes]:
+    """A heatmap as an HMAP1 binary dump."""
+    return container_chunks(_HMAP_MAGIC, (h.width, h.height),
+                            [h.values.astype("<f8").tobytes()])
+
+
+def decode_heatmap(data: bytes) -> Heatmap:
+    """Decode an HMAP1 dump that :func:`encode_heatmap` wrote."""
+    (width, height), body = parse_container(data, _HMAP_MAGIC, 2,
+                                            lambda w, h: 8 * w * h)
+    values = np.frombuffer(body, dtype="<f8").reshape(height, width)
+    return Heatmap(values.copy())
+
+
 def save_heatmap(h: Heatmap, path) -> None:
-    """Write a heatmap as an HMAP1 binary dump."""
-    write_container(path, _HMAP_MAGIC, (h.width, h.height),
-                    [h.values.astype("<f8").tobytes()])
+    write_file(path, encode_heatmap(h))
 
 
 def load_heatmap(path) -> Heatmap:
-    """Load an HMAP1 dump written by :func:`save_heatmap`."""
-    (width, height), body = read_container(path, _HMAP_MAGIC, 2,
-                                           lambda w, h: 8 * w * h)
-    values = np.frombuffer(body, dtype="<f8").reshape(height, width)
-    return Heatmap(values.copy())
+    return load_file(path, decode_heatmap)
 
 
 # ---------------------------------------------------------------------------
 # Bounding box annotations
 
 
-def load_annotations(path) -> list[BoundingBox]:
-    """Parse a text annotation file, one `label xmin ymin xmax ymax` per line."""
+def decode_annotations(data: bytes) -> list[BoundingBox]:
+    """Parse annotation text, one `label xmin ymin xmax ymax` per line."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+        lines = data.decode("ascii").splitlines()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not ASCII text: {exc}") from exc
+        raise ParseError(f"not ASCII text: {exc}") from exc
     boxes = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -312,20 +306,24 @@ def load_annotations(path) -> list[BoundingBox]:
             continue
         parts = line.split()
         if len(parts) != 5:
-            raise ParseError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
+            raise ParseError(f"line {lineno}: expected 5 fields, got {len(parts)}")
         label = parts[0]
         try:
             coords = [int(p) for p in parts[1:]]
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-integer coordinate") from exc
+            raise ParseError(f"line {lineno}: non-integer coordinate") from exc
         boxes.append(BoundingBox(label, *coords))
     return boxes
 
 
+def encode_annotations(boxes) -> bytes:
+    return "".join(f"{b.label} {b.xmin} {b.ymin} {b.xmax} {b.ymax}\n"
+                   for b in boxes).encode("ascii")
+
+
+def load_annotations(path) -> list[BoundingBox]:
+    return load_file(path, decode_annotations)
+
+
 def save_annotations(boxes: list[BoundingBox], path) -> None:
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            for b in boxes:
-                fh.write(f"{b.label} {b.xmin} {b.ymin} {b.xmax} {b.ymax}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_file(path, [encode_annotations(boxes)])

@@ -19,6 +19,7 @@ from .evaluation import ContextReport, OrderingReport
 from .fisher import EmbeddingIndex
 from .imaging import Image, render_heatmap, save_heatmap, save_image, save_png
 from .lrp_fv import Explanation
+from .util import write_file
 
 _SCALE = 4  # nearest-neighbour upscale of image panels
 _GUTTER = 8  # white border around and between image panels, px
@@ -43,13 +44,17 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_table(path, header, rows) -> str:
-    """Write a tab-separated table with a header line; returns the path."""
+def encode_table(header, rows) -> bytes:
+    """A tab-separated table with a header line."""
     lines = ["\t".join(header)]
     for row in rows:
         lines.append("\t".join(fmt(v) for v in row))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def write_table(path, header, rows) -> str:
+    """Write `encode_table`'s bytes to `path`; returns the path."""
+    write_file(path, [encode_table(header, rows)])
     return str(path)
 
 
@@ -287,14 +292,10 @@ def context_summary_text(report: ContextReport) -> str:
 def write_explanation(out_dir, stem: str, image: Image, expl: Explanation,
                       index: EmbeddingIndex) -> list[str]:
     """Heatmap dump, per-level relevance tables, and an overview figure."""
-    paths = []
-    raw_path = os.path.join(out_dir, f"{stem}_heatmap.hmap")
-    save_heatmap(expl.heatmap, raw_path)
-    paths.append(raw_path)
+    paths = [os.path.join(out_dir, f"{stem}_heatmap.{ext}") for ext in ("hmap", "ppm")]
     rendered = render_heatmap(expl.heatmap)
-    ppm_path = os.path.join(out_dir, f"{stem}_heatmap.ppm")
-    save_image(rendered, ppm_path)
-    paths.append(ppm_path)
+    save_heatmap(expl.heatmap, paths[0])
+    save_image(rendered, paths[1])
 
     r2_rows = []
     for l in range(len(expl.r2.values)):

@@ -21,10 +21,11 @@ import math
 import numpy as np
 
 from .descriptors import PcaModel
-from .errors import IoError, ParseError, VersionError
+from .errors import ParseError, VersionError
 from .gmm import GmmModel
 from .lrp_nn import DenseLayer, NeuralNet
 from .svm import SvmModel
+from .util import load_file, write_file
 
 FORMAT_NAME = "fvlrp-model"
 SCHEMA_VERSION = 2
@@ -142,18 +143,8 @@ def deserialize_model(blob: bytes, expected_kind: str | None = None):
 
 
 def save_model(model, path) -> None:
-    blob = serialize_model(model)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(blob)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_file(path, [serialize_model(model)])
 
 
 def load_model(path, expected_kind: str | None = None):
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    return deserialize_model(blob, expected_kind)
+    return load_file(path, deserialize_model, expected_kind)

@@ -1,13 +1,12 @@
-"""Small shared helpers: ordered mapping, the l2 row norm, stable hashing
-and the binary container behind the CELL1, FVEC2 and HMAP1 formats."""
+"""Small shared helpers: ordered mapping, the l2 row norm, stable hashing,
+the package's only file reads and writes, and the binary container behind
+the CELL1, FVEC2 and HMAP1 formats."""
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
-import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -50,60 +49,68 @@ def stable_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-def file_hash(path) -> str:
+def read_file(path) -> bytes:
+    """The file's bytes. With `write_file`, the only code that opens a
+    file: an `OSError` is an `IoError` naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def write_file(path, chunks: Iterable[bytes]) -> str:
+    """Write the chunks one after another, as `chunks` yields them, and
+    return the sha256 hex digest of what was written."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    try:
+        with open(path, "wb") as fh:
+            for chunk in chunks:
+                digest.update(chunk)
+                fh.write(chunk)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
     return digest.hexdigest()
 
 
-def write_container(path, magic: bytes, header: tuple[int, ...],
-                    chunks: Iterable[bytes]) -> None:
-    """Write `magic`, each header field as a little-endian uint32, then the
-    body, one chunk after another as `chunks` yields them."""
+def load_file(path, decode, *args):
+    """`decode(data, *args)` of the file's bytes; a `ParseError` it raises
+    names the file."""
     try:
-        with open(path, "wb") as fh:
-            fh.write(magic)
-            fh.write(b"".join(int(v).to_bytes(4, "little") for v in header))
-            fh.writelines(chunks)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        return decode(read_file(path), *args)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
-@contextlib.contextmanager
-def open_container(path, magic: bytes, n_fields: int, body_size):
-    """A file written by `write_container`, open at its body, and its
-    header fields.
+def file_hash(path) -> str:
+    return hashlib.sha256(read_file(path)).hexdigest()
+
+
+def container_chunks(magic: bytes, header: tuple[int, ...],
+                     body: Iterable[bytes]) -> Iterator[bytes]:
+    """`magic` and each header field as a little-endian uint32, then the
+    body, one chunk after another as `body` yields them."""
+    yield magic + b"".join(int(v).to_bytes(4, "little") for v in header)
+    yield from body
+
+
+def parse_container(data: bytes, magic: bytes, n_fields: int, body_size
+                    ) -> tuple[tuple[int, ...], memoryview]:
+    """The header fields and the body (a view, not a copy) of bytes that
+    `container_chunks` yielded.
 
     `body_size` maps the header fields to the body's length in bytes (or
-    raises `ParseError` for fields it refuses); a file whose magic, header
-    or body length disagrees is a `ParseError`, checked before any of the
-    body is read.
+    raises `ParseError` for fields it refuses); bytes whose magic, header
+    or body length disagrees are a `ParseError`.
     """
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        start = len(magic) + 4 * n_fields
-        head = fh.read(start)
-        if head[:len(magic)] != magic:
-            raise ParseError(f"{path}: bad magic {head[:len(magic)]!r}")
-        if len(head) < start:
-            raise ParseError(f"{path}: truncated header")
-        header = tuple(int.from_bytes(head[i:i + 4], "little")
-                       for i in range(len(magic), start, 4))
-        expect = body_size(*header)
-        size = os.fstat(fh.fileno()).st_size - start
-        if size != expect:
-            raise ParseError(f"{path}: body has {size} bytes, expected {expect}")
-        yield fh, header
-
-
-def read_container(path, magic: bytes, n_fields: int, body_size
-                   ) -> tuple[tuple[int, ...], bytes]:
-    """The header fields and the whole body of a file written by
-    `write_container`, checked as `open_container` checks it."""
-    with open_container(path, magic, n_fields, body_size) as (fh, header):
-        return header, fh.read()
+    start = len(magic) + 4 * n_fields
+    if data[:len(magic)] != magic:
+        raise ParseError(f"bad magic {data[:len(magic)]!r}")
+    if len(data) < start:
+        raise ParseError("truncated header")
+    header = tuple(int.from_bytes(data[i:i + 4], "little")
+                   for i in range(len(magic), start, 4))
+    expect = body_size(*header)
+    if len(data) - start != expect:
+        raise ParseError(f"body has {len(data) - start} bytes, expected {expect}")
+    return header, memoryview(data)[start:]

@@ -1,18 +1,21 @@
-"""Rewrite `tiny_run.json`, the golden digest of a full TINY CLI run.
+"""Rewrite the golden digests of full CLI runs: `tiny_run.json` for the
+TINY config (the one criterion 10 uses) and `fixed_run.json` for the
+fixed workload, `{"seed": 0}`, which reaches default-size behaviour
+such as EM stopping at its cap and the 1024-64-32-2 network.
 
-The digest pins every output byte of the command-line pipeline: it runs
+A digest pins every output byte of the command-line pipeline: it runs
 synth-gen → predict, one `explain`, `morf-eval`, `context-report` and
-`verify` in process on the TINY config (the one criterion 10 uses),
-then records the sha256 of every file under `--out` and each command's
-stdout, with the `--out` path written as `$OUT`. `tests/test_golden.py`
-reruns the same sequence and compares.
+`verify` in process on its config, then records the sha256 of every
+file under `--out` and each command's stdout, with the `--out` path
+written as `$OUT`. `tests/test_golden.py` reruns the same sequences and
+compares.
 
 EM's gemms make model bytes depend on the BLAS build, so the digest
 also records numpy's version and BLAS; a mismatch there is reported
 before any changed file.
 
 A change that moves output bytes on purpose reruns this script, which
-prints what moved against the digest it replaces (with `compare`, the
+prints what moved against each digest it replaces (with `compare`, the
 function the test reports through), and names the moved files and the
 reason:
 
@@ -33,7 +36,9 @@ import numpy as np
 
 from fvlrp.cli import main as cli_main
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "tiny_run.json")
+GOLDEN_DIR = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(GOLDEN_DIR, "tiny_run.json")
+FIXED_GOLDEN = os.path.join(GOLDEN_DIR, "fixed_run.json")
 
 TINY = {
     "corpus_size": 64, "train_per_class": 8, "test_per_class": 3,
@@ -42,6 +47,11 @@ TINY = {
     "nn_hidden": [16, 8], "nn_epochs": 8, "morf_batch": 3,
     "morf_steps": 5, "morf_repetitions": 2, "seed": 9,
 }
+
+FIXED = {"seed": 0}
+
+# Each digest file and the config of the run it pins.
+DIGESTS = ((GOLDEN, TINY), (FIXED_GOLDEN, FIXED))
 
 STAGES = ("synth-gen", "extract", "pca-fit", "gmm-fit", "embed",
           "svm-train", "nn-train", "predict")
@@ -117,18 +127,24 @@ def compare(golden: dict, got: dict) -> list[str]:
     return problems
 
 
+def load_golden(path: str) -> dict:
+    with open(path, encoding="ascii") as fh:
+        return json.load(fh)
+
+
 def main() -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        digest = run_digest(TINY, os.path.join(tmp, "out"))
-    if os.path.exists(GOLDEN):
-        with open(GOLDEN, encoding="ascii") as fh:
-            problems = compare(json.load(fh), digest)
-        print("\n".join(problems) if problems else "no change against the old digest")
-    with open(GOLDEN, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(digest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {GOLDEN}: {len(digest['files'])} files, "
-          f"{len(digest['stdout'])} commands")
+    for path, config in DIGESTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            digest = run_digest(config, os.path.join(tmp, "out"))
+        if os.path.exists(path):
+            problems = compare(load_golden(path), digest)
+            print("\n".join(problems) if problems
+                  else f"{os.path.basename(path)}: no change against the old digest")
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            json.dump(digest, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {path}: {len(digest['files'])} files, "
+              f"{len(digest['stdout'])} commands")
     return 0
 
 

@@ -4,13 +4,15 @@ import dataclasses
 import json
 import os
 import shutil
+import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import conftest
-from fvlrp import cli, descriptors, fisher, gmm, lrp_nn, svm
+from fvlrp import cli, descriptors, fisher, gmm, lrp_nn, svm, util
 from fvlrp.cli import main
 from fvlrp.config import load_config
 from fvlrp.descriptors import RAW_DIM, descriptor_count
@@ -39,6 +41,23 @@ def write_config(directory, **extra):
 def run(out, config, *extra):
     return main([*extra[:1], "--config", config, "--out", str(out),
                  *extra[1:]])
+
+
+def count_reads(mp, out, config) -> list:
+    """The paths under `out`, other than the `config` file, that each
+    `util.read_file` call reads from now on, whichever module calls it."""
+    reads, original = [], util.read_file
+
+    def counted(path):
+        rel = os.path.relpath(path, out).replace(os.sep, "/")
+        if not rel.startswith("../") and os.path.abspath(path) != os.path.abspath(config):
+            reads.append(rel)
+        return original(path)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fvlrp") and getattr(module, "read_file", None) is original:
+            mp.setattr(module, "read_file", counted)
+    return reads
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +98,25 @@ def test_predict_writes_scores(pipeline, capsys):
     assert len(table) == 1 + n_images * 2  # header + image x class
     assert table[0].split("\t") == ["image", "class", "score", "decision",
                                     "label"]
+
+
+def test_a_report_path_that_cannot_be_written_exits_3(pipeline, tmp_path,
+                                                     capsys):
+    src, config = pipeline
+    out = tmp_path / "run"
+    shutil.copytree(src, out)
+    table = out / "reports" / "predictions.tsv"
+    table.unlink(missing_ok=True)
+    table.mkdir(parents=True)
+    assert run(out, config, "predict") == 3
+    assert "cannot write" in capsys.readouterr().err
+    # the same for the manifest, written last
+    table.rmdir()
+    manifest = out / "manifests" / "predict.json"
+    manifest.unlink(missing_ok=True)
+    manifest.mkdir()
+    assert run(out, config, "predict") == 3
+    assert "cannot write" in capsys.readouterr().err
 
 
 def test_explain_writes_artifacts(pipeline):
@@ -165,11 +203,11 @@ def test_verify_decodes_only_the_test_image_it_explains(pipeline, monkeypatch):
     out, config = pipeline
     calls = []
 
-    def counted(*args, _load=cli.load_image, **kwargs):
+    def counted(*args, _decode=cli.decode_image, **kwargs):
         calls.append(args)
-        return _load(*args, **kwargs)
+        return _decode(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "load_image", counted)
+    monkeypatch.setattr(cli, "decode_image", counted)
     assert run(out, config, "verify") == 0
     assert len(calls) == 1
 
@@ -343,22 +381,16 @@ def test_pca_fit_refuses_an_edited_corpus_index(tmp_path, capsys):
 def test_explain_hashes_only_the_files_it_reads_and_writes(pipeline,
                                                           monkeypatch):
     out, config = pipeline
-    hashed = []
-
-    def counted(path, _hash=cli.file_hash):
-        hashed.append(path)
-        return _hash(path)
-
-    monkeypatch.setattr(cli, "file_hash", counted)
     image_id, cls = REGEN.first_test_image(str(out))
+    hashed = count_reads(monkeypatch, out, config)
     assert run(out, config, "explain", "--image", image_id,
                "--class", cls) == 0
-    # the index, the image and three models read; four upstream manifests
-    # and five reports recorded
+    # four upstream manifests, the index, the image and three models read
+    # and hashed; five reports hashed when recorded
     assert len(hashed) <= 15, hashed
     hashed.clear()
     assert run(out, config, "predict") == 0
-    # predict reads the index twice, and hashes it once
+    # predict uses the index twice, and reads it once
     assert len(hashed) == len(set(hashed)), hashed
 
 
@@ -367,7 +399,7 @@ def test_a_file_no_declared_stage_recorded_is_refused(pipeline):
     run = cli._Run(str(out), "explain", load_config(config))
     extracted = json.loads((out / "manifests" / "extract.json").read_text())
     with pytest.raises(DependencyError, match="no upstream stage of it recorded"):
-        run.path(next(iter(extracted["outputs"])))
+        run.read(next(iter(extracted["outputs"])))
 
 
 def test_nn_train_runs_right_after_synth_gen(tmp_path):
@@ -425,7 +457,8 @@ def test_stored_fisher_vectors_equal_the_per_image_path(pipeline):
     gmm_model = load_model(out / "models" / "gmm.json", "gmm")
     entries = cli._Run(str(out), "predict", config).entries("test")
     assert len(entries) == 2 * TINY["test_per_class"]
-    rows = fisher.load_fisher_vectors(out / "embeddings" / "test.fvec", len(entries))
+    rows = fisher.decode_fisher_vectors(
+        (out / "embeddings" / "test.fvec").read_bytes(), len(entries))
     for entry, stored in zip(entries, rows):
         img = load_image(out / entry.file)
         vectors = descriptors.pca_apply(pca, descriptors.extract_dense(
@@ -442,8 +475,8 @@ def test_stored_descriptor_sets_equal_extract_dense(pipeline):
     run = cli._Run(str(out), "predict", config)
     for split in ("train", "test"):
         entries = run.entries(split)
-        loaded = list(descriptors.load_cells(out / "descriptors" / f"{split}.cells",
-                                             len(entries)))
+        loaded = list(descriptors.decode_cells(
+            (out / "descriptors" / f"{split}.cells").read_bytes(), len(entries)))
         assert len(loaded) == len(entries)
         for entry, ds in zip(entries, loaded):
             want = descriptors.extract_dense(load_image(out / entry.file),
@@ -558,7 +591,7 @@ def test_svm_train_and_predict_decode_no_image(tmp_path, monkeypatch):
     for stage in ("synth-gen", "extract", "pca-fit", "gmm-fit", "embed"):
         assert run(out, config, stage) == 0, stage
     calls = []
-    for name in ("load_image", "load_annotations"):
+    for name in ("decode_image", "decode_annotations"):
         def counted(*args, _name=name, _load=getattr(cli, name), **kwargs):
             calls.append(_name)
             return _load(*args, **kwargs)
@@ -597,42 +630,50 @@ def test_a_malformed_manifest_is_a_dependency_error(pipeline, capsys, case):
 @pytest.fixture(scope="module")
 def tiny_sequence(tmp_path_factory):
     """The command sequence of the golden digest, run into a fresh --out.
-    Per command: the files it created and its `load_annotations` calls."""
+    Per command: the files it created, its `decode_annotations` calls, the
+    paths under --out it read, and those it wrote through `_Run.write`."""
     root = tmp_path_factory.mktemp("sequence")
     config, out = write_config(root), root / "out"
     commands = [[stage] for stage in REGEN.STAGES]
     commands += [["explain"], ["morf-eval"], ["context-report"], ["verify"]]
-    calls, created = {}, {}
+    calls, created, reads, written = {}, {}, {}, {}
 
     def files():
         return {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
 
-    def counted(*args, _load=cli.load_annotations, **kwargs):
+    def counted(*args, _decode=cli.decode_annotations, **kwargs):
         calls[name] += 1  # `name` is the command running now
-        return _load(*args, **kwargs)
+        return _decode(*args, **kwargs)
+
+    def write(run, rel, chunks, _write=cli._Run.write):
+        written[name].add(rel)
+        return _write(run, rel, chunks)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "load_annotations", counted)
+        mp.setattr(cli, "decode_annotations", counted)
+        mp.setattr(cli._Run, "write", write)
+        read = count_reads(mp, out, config)
         for command in commands:
             name = command[0]
             if name == "explain":
                 image_id, cls = REGEN.first_test_image(str(out))
                 command = [name, "--image", image_id, "--class", cls]
-            calls[name] = 0
+            calls[name], written[name] = 0, set()
             before = files() if out.exists() else set()
+            read.clear()
             assert run(out, config, *command) == 0, command
-            created[name] = files() - before
-    return out, calls, created
+            created[name], reads[name] = files() - before, list(read)
+    return out, calls, created, reads, written
 
 
 def test_annotation_files_are_read_only_where_boxes_are_used(tiny_sequence):
-    _, calls, _ = tiny_sequence
+    _, calls, *_ = tiny_sequence
     # context-report reads the boxes of the 2 x 3 test images
     assert calls == {name: 6 if name == "context-report" else 0 for name in calls}
 
 
 def test_a_manifest_records_exactly_the_files_its_command_created(tiny_sequence):
-    out, _, created = tiny_sequence
+    out, _, created, *_ = tiny_sequence
     for name, new in created.items():
         manifest = f"manifests/{name}.json"
         if name == "verify":
@@ -640,3 +681,23 @@ def test_a_manifest_records_exactly_the_files_its_command_created(tiny_sequence)
             continue
         doc = json.loads((out / manifest).read_text())
         assert new == set(doc["outputs"]) | {manifest}, name
+
+
+def test_each_command_reads_a_file_once_and_none_it_wrote(tiny_sequence):
+    """`_Run.read` parses the bytes it checked, and `_Run.write` hashes
+    what it writes, so no command opens a path twice or reads back its
+    own output. `verify` is exempt: its whole-tree check reads files it
+    then loads."""
+    out, _, _, reads, written = tiny_sequence
+    for name, paths in reads.items():
+        if name == "verify":
+            continue
+        twice = sorted(p for p, n in Counter(paths).items() if n > 1)
+        assert not twice, (name, twice)
+        assert not set(paths) & written[name], name
+        # every upstream manifest is among the reads
+        assert {f"manifests/{s}.json" for s in cli._COMMANDS[name].needs} <= set(paths)
+    # extract reads every image of the corpus, once
+    index = (out / "corpus" / "index.tsv").read_text().splitlines()[1:]
+    images = {line.split("\t")[2] for line in index}
+    assert images <= set(reads["extract"])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fvlrp import cli
 from fvlrp.config import PipelineConfig, load_config, save_config
-from fvlrp.errors import ParseError, PipelineError, ValidationError
+from fvlrp.errors import IoError, ParseError, PipelineError, ValidationError
 from fvlrp.util import canonical_json, file_hash, parallel_map, stable_hash
 
 
@@ -189,6 +189,22 @@ def test_config_file_errors(tmp_path):
     null.write_text('{"seed": null}')  # in a file, null is not "flag not given"
     with pytest.raises(ValidationError, match="seed"):
         load_config(null)
+
+
+def test_config_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"seed": 1, "x": "\xff"}')
+    with pytest.raises(ParseError, match="not UTF-8 JSON"):
+        load_config(path)
+    out = tmp_path / "run"
+    assert cli.main(["synth-gen", "--config", str(path), "--out", str(out)]) == 3
+    assert "not UTF-8 JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_that_cannot_be_written_is_an_io_error(tmp_path):
+    with pytest.raises(IoError, match="cannot write"):
+        save_config(PipelineConfig(), tmp_path)  # a directory
 
 
 @pytest.mark.parametrize("field, value", [

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from fvlrp.descriptors import (CLAMP, DescriptorSet, cell_grid,
-                               descriptors_from_cells, extract_dense,
-                               load_cells, pca_apply, pca_fit, save_cells)
+from fvlrp.descriptors import (CLAMP, DescriptorSet, cell_grid, decode_cells,
+                               descriptors_from_cells, encode_cells,
+                               extract_dense, pca_apply, pca_fit)
 from fvlrp.config import PipelineConfig
 from fvlrp.errors import DimError, ExtractError, FitError, IoError, ParseError
-from fvlrp.fisher import fv_length, load_fisher_vectors, save_fisher_vectors
+from fvlrp.fisher import (decode_fisher_vectors, encode_fisher_vectors,
+                          fv_length)
 from fvlrp.imaging import Heatmap, Image, load_heatmap, save_heatmap
 from fvlrp.pipeline import make_corpus
+from fvlrp.util import load_file, write_file
 from fvlrp.verification import (TILING_GEOMETRIES, oracle_extract_dense,
                                 same_descriptors)
 
@@ -169,22 +171,32 @@ def test_pca_rejects_rank_deficient(rng):
         pca_fit(rng.normal(size=(3, 5)), 4)
 
 
+def write_cells(path, grids, *geometry):
+    """A CELL1 file, written as the CLI writes one."""
+    write_file(path, encode_cells(grids, *geometry))
+
+
+def read_cells(path, count):
+    """The sets of a CELL1 file; a `ParseError` names the file."""
+    return load_file(path, decode_cells, count)
+
+
 def _cells_path(tmp_path, images, patch, stride):
     path = tmp_path / "a.cells"
     h, w = images[0].gray().shape
-    save_cells(path, (cell_grid(img, patch, stride) for img in images),
+    write_cells(path, (cell_grid(img, patch, stride) for img in images),
                w, h, patch, stride, len(images))
     return path
 
 
 def test_descriptor_cache_roundtrip(tmp_path, rng):
-    """Each set `load_cells` yields is `extract_dense` of its image, bit
+    """Each set `decode_cells` yields is `extract_dense` of its image, bit
     for bit: one window gather reads both."""
     for shape, patch, stride in (((20, 20), 8, 6), ((20, 28, 3), 8, 4),
                                  ((16, 18), 16, 6), ((33, 40), 12, 3)):
         images = [Image(rng.random(shape)) for _ in range(3)]
         path = _cells_path(tmp_path, images, patch, stride)
-        loaded = list(load_cells(path, 3))
+        loaded = list(read_cells(path, 3))
         assert len(loaded) == 3
         for back, img in zip(loaded, images):
             assert same_descriptors(back, extract_dense(img, patch, stride))
@@ -206,24 +218,28 @@ def test_descriptor_cache_rejects_corruption(tmp_path, rng):
     data = path.read_bytes()
     (tmp_path / "bad.cells").write_bytes(b"XXXXX" + data[5:])
     with pytest.raises(ParseError):
-        list(load_cells(tmp_path / "bad.cells", 1))
+        list(read_cells(tmp_path / "bad.cells", 1))
 
 
 def _cells_file(path, rng):
     images = [Image(rng.random((12, 12))) for _ in range(2)]
-    save_cells(path, (cell_grid(img, 8, 4) for img in images), 12, 12, 8, 4, 2)
+    write_cells(path, (cell_grid(img, 8, 4) for img in images), 12, 12, 8, 4, 2)
 
 
 def _load_cells_file(path):
-    return list(load_cells(path, 2))
+    return list(read_cells(path, 2))
 
 
 def _fvec_file(path, rng):
-    save_fisher_vectors(rng.normal(size=(2, fv_length(3, 2))), 3, 2, path)
+    write_file(path, encode_fisher_vectors(rng.normal(size=(2, fv_length(3, 2))), 3, 2))
+
+
+def _load_fvecs(path, count):
+    return load_file(path, decode_fisher_vectors, count)
 
 
 def _load_fvec_file(path):
-    return load_fisher_vectors(path, 2)
+    return _load_fvecs(path, 2)
 
 
 @pytest.mark.parametrize("write, load", [(_cells_file, _load_cells_file),
@@ -280,11 +296,11 @@ def test_cells_loader_refuses_a_header_extraction_never_writes(tmp_path, case):
     path.write_bytes(b"CELL1" + np.array(_BAD_CELL_HEADERS[case], "<u4").tobytes()
                      + body)
     with pytest.raises(ParseError, match="a.cells"):
-        list(load_cells(path, 1))
+        list(read_cells(path, 1))
 
 
-@pytest.mark.parametrize("write, load", [(_cells_file, load_cells),
-                                         (_fvec_file, load_fisher_vectors)],
+@pytest.mark.parametrize("write, load", [(_cells_file, read_cells),
+                                         (_fvec_file, _load_fvecs)],
                          ids=["CELL1", "FVEC2"])
 def test_a_file_of_another_image_count_is_refused_naming_it(tmp_path, rng,
                                                             write, load):
@@ -307,14 +323,14 @@ def test_descriptor_cache_bytes_match_record_layout(tmp_path, rng):
 def test_cells_writer_refuses_a_grid_of_another_shape_or_count(tmp_path, rng):
     grid = cell_grid(Image(rng.random((16, 16))), 8, 4)
     with pytest.raises(DimError):
-        save_cells(tmp_path / "a.cells", [grid], 20, 20, 8, 4, 1)
+        write_cells(tmp_path / "a.cells", [grid], 20, 20, 8, 4, 1)
     with pytest.raises(DimError):
-        save_cells(tmp_path / "a.cells", [grid], 16, 16, 8, 4, 2)
+        write_cells(tmp_path / "a.cells", [grid], 16, 16, 8, 4, 2)
 
 
 def test_loaded_descriptors_own_writable_arrays(tmp_path, rng):
     path = _cells_path(tmp_path, [Image(rng.random((16, 16)))], 8, 4)
-    back = next(load_cells(path, 1))
+    back = next(read_cells(path, 1))
     for arr, dtype in ((back.vectors, np.float64), (back.areas, np.int64)):
         assert arr.dtype == dtype and arr.flags.c_contiguous
         assert arr.flags.writeable

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvlrp.errors import DegenerateInputError, DimError, EmptyInputError
-from fvlrp.fisher import (EmbeddingIndex, aggregate, embed_batch,
-                          embed_descriptor, encode, fv_length, hellinger_check,
-                          improve, load_fisher_vectors, save_fisher_vectors,
-                          signed_sqrt)
+from fvlrp.fisher import (EmbeddingIndex, aggregate, decode_fisher_vectors,
+                          embed_batch, embed_descriptor, encode,
+                          encode_fisher_vectors, fv_length, hellinger_check,
+                          improve, signed_sqrt)
 from fvlrp.gmm import GmmModel, responsibilities
 from fvlrp.util import row_norms
 from fvlrp.verification import random_gmm
@@ -199,18 +199,17 @@ def test_hellinger_rejects_degenerate():
         hellinger_check(np.ones(3), np.ones(4))
 
 
-def test_fisher_vector_file_roundtrip(tmp_path, rng):
+def test_fisher_vector_file_roundtrip(rng):
     fvs = rng.normal(size=(4, fv_length(3, 2)))
-    path = tmp_path / "x.fvec"
-    save_fisher_vectors(fvs, 3, 2, path)
-    back = load_fisher_vectors(path, 4)
+    data = b"".join(encode_fisher_vectors(fvs, 3, 2))
+    back = decode_fisher_vectors(data, 4)
     assert back.tobytes() == fvs.tobytes() and back.flags.writeable
-    assert path.read_bytes()[:5] == b"FVEC2"
-    assert np.frombuffer(path.read_bytes()[5:17], "<u4").tolist() == [4, 3, 2]
+    assert data[:5] == b"FVEC2"
+    assert np.frombuffer(data[5:17], "<u4").tolist() == [4, 3, 2]
     with pytest.raises(DimError):
-        save_fisher_vectors(fvs, 2, 3, tmp_path / "y.fvec")
+        encode_fisher_vectors(fvs, 2, 3)
     with pytest.raises(DimError):
-        save_fisher_vectors(fvs[0], 3, 2, tmp_path / "y.fvec")
+        encode_fisher_vectors(fvs[0], 3, 2)
 
 
 def test_improved_dot_equals_hellinger_on_model_fvs(rng):

@@ -6,7 +6,9 @@ upstream stages' hashes. Each command does all its file I/O through one
 `_Run`: it refuses a missing, malformed or stale upstream manifest,
 reads each upstream file once, through `_Run.read`, which returns the
 bytes only if they match their recorded digest, so the bytes parsed are
-the bytes checked, and hashes each output as `_Run.write` writes it.
+the bytes checked, and records the digest of each output as it is
+written: `_Run.write` hashes what it writes, and a report writer returns
+the digests of the files it names.
 `main` then writes the command's manifest: its stage hash, the seed,
 the digests of the upstream manifests it parsed and of every file it
 wrote. A command that wrote nothing writes none.
@@ -23,6 +25,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -35,8 +38,7 @@ from .errors import (DependencyError, IoError, PipelineError, UsageError,
 from .evaluation import compare_orderings, context_report
 from .fisher import (EmbeddingIndex, decode_fisher_vectors,
                      encode_fisher_vectors, hellinger_check, improve)
-from .imaging import (decode_annotations, decode_image, encode_annotations,
-                      encode_image)
+from .imaging import decode_boxes, decode_images, encode_boxes, encode_image
 from .lrp_fv import explain
 from .pipeline import (ModelBundle, em_stop, embed_all, extract_corpus,
                        fit_gmm, fit_pca_pooled, make_corpus, project_all,
@@ -44,7 +46,7 @@ from .pipeline import (ModelBundle, em_stop, embed_all, extract_corpus,
 from .serialization import deserialize_model, serialize_model
 from .svm import score
 from .synth import LabeledImage
-from .util import file_hash, read_file, stable_hash, write_file
+from .util import read_file, stable_hash, write_file
 from .verification import run_all, same_descriptors
 
 _VARIANT_FLAGS = {"plain": "plain", "eps": "epsilon", "abs": "absolute"}
@@ -63,6 +65,10 @@ STAGE_NN = "nn-train"
 
 
 _INDEX = "corpus/index.tsv"
+
+
+def _corpus_rel(split: str) -> str:
+    return f"corpus/{split}.pgm"
 
 
 def _manifest_path(out_dir: str, stage: str) -> str:
@@ -90,14 +96,14 @@ def _well_formed(stage: str, manifest) -> bool:
 class _IndexEntry(NamedTuple):
     """One row of the corpus index. Its `labels` are all that
     `label_vectors` reads, so stages that need only the labels never
-    decode the image."""
+    decode an image; `boxes` is the row's field as written, decoded only
+    by the stages that use the boxes."""
 
     split: str
     image_id: str
-    file: str
-    annotations: str
     labels: tuple[str, ...]
     flags: tuple[str, ...]
+    boxes: str
 
 
 class _Run:
@@ -112,6 +118,7 @@ class _Run:
         self.inputs: dict[str, str] = {}  # stage -> digest of its manifest
         self.outputs: dict[str, str] = {}  # path under out_dir -> digest
         self._index: list[_IndexEntry] | None = None
+        self._kept: dict[str, bytes] = {}  # path -> bytes checked with `keep`
         for stage in _COMMANDS[command].needs:
             self.require(stage)
 
@@ -139,9 +146,12 @@ class _Run:
         self.inputs[stage] = hashlib.sha256(data).hexdigest()
         return manifest
 
-    def read(self, rel: str) -> bytes:
+    def read(self, rel: str, keep: bool = False) -> bytes:
         """The bytes of upstream file `rel`, read once, returned only when
-        their sha256 is the digest its stage recorded."""
+        their sha256 is the digest its stage recorded. With `keep`, later
+        reads of `rel` return these bytes without opening the file."""
+        if rel in self._kept:
+            return self._kept[rel]
         stage = next((s for s, m in self.manifests.items()
                       if rel in m["outputs"]), None)
         if stage is None:
@@ -156,6 +166,8 @@ class _Run:
             raise DependencyError(
                 f"artifact {rel} recorded by `{stage}` is missing or "
                 f"modified; re-run `fvlrp {stage}`")
+        if keep:
+            self._kept[rel] = data
         return data
 
     @property
@@ -171,19 +183,22 @@ class _Run:
             for line in lines:
                 row = dict(zip(header.split("\t"), line.split("\t")))
                 self._index.append(_IndexEntry(
-                    row["split"], row["image"], row["file"], row["annotations"],
+                    row["split"], row["image"],
                     tuple(row["labels"].split(",")) if row["labels"] else (),
-                    () if row["flags"] == "-" else tuple(row["flags"].split(","))))
+                    () if row["flags"] == "-" else tuple(row["flags"].split(",")),
+                    row["boxes"]))
         return [e for e in self._index if split in (None, e.split)]
 
     def images(self, split: str, boxes: bool = False) -> Iterator[LabeledImage]:
-        """The split's images in index order, each read as it is reached.
-        Annotation files are read only when `boxes` is set."""
-        for e in self.entries(split):
-            yield LabeledImage(
-                decode_image(self.read(e.file)), e.labels,
-                tuple(decode_annotations(self.read(e.annotations))) if boxes else (),
-                e.image_id, e.flags)
+        """The split's images in index order, from one read of the split's
+        file; each is decoded as it is reached. The boxes are decoded from
+        the index only when `boxes` is set."""
+        entries = self.entries(split)
+        pixels = decode_images(self.read(_corpus_rel(split)), len(entries))
+        return (LabeledImage(img, e.labels,
+                             tuple(decode_boxes(e.boxes)) if boxes else (),
+                             e.image_id, e.flags)
+                for e, img in zip(entries, pixels))
 
     def directory(self, rel: str) -> str:
         """The full path of directory `rel`, made if missing."""
@@ -198,11 +213,12 @@ class _Run:
         self.directory(os.path.dirname(rel))
         self.outputs[rel] = write_file(os.path.join(self.out_dir, rel), chunks)
 
-    def wrote(self, paths: list[str]) -> None:
-        """Record files that a report writer named itself, and say so."""
-        for p in paths:
+    def wrote(self, written: dict[str, str]) -> None:
+        """Record the files, and their digests, that a report writer named
+        itself, and say so."""
+        for p, digest in written.items():
             rel = os.path.relpath(p, self.out_dir).replace(os.sep, "/")
-            self.outputs[rel] = file_hash(p)
+            self.outputs[rel] = digest
             print(f"wrote {p}")
 
     def manifest(self, extra: dict) -> None:
@@ -251,14 +267,11 @@ def _cmd_synth_gen(config: PipelineConfig, args, run: _Run) -> dict:
     train_imgs, test_imgs, classes = make_corpus(config)
     rows = []
     for split, images in (("train", train_imgs), ("test", test_imgs)):
-        for img in images:
-            stem = f"corpus/{split}/{img.image_id}"
-            run.write(f"{stem}.pgm", [encode_image(img.image)])
-            run.write(f"{stem}.txt", [encode_annotations(img.boxes)])
-            rows.append((split, img.image_id, f"{stem}.pgm", f"{stem}.txt",
-                         ",".join(img.labels),
-                         ",".join(img.flags) if img.flags else "-"))
-    header = ("split", "image", "file", "annotations", "labels", "flags")
+        run.write(_corpus_rel(split), (encode_image(img.image) for img in images))
+        rows += [(split, img.image_id, ",".join(img.labels),
+                  ",".join(img.flags) if img.flags else "-", encode_boxes(img.boxes))
+                 for img in images]
+    header = ("split", "image", "labels", "flags", "boxes")
     run.write(_INDEX, [report.encode_table(header, rows)])
     size = config.corpus_size
     print(f"synth-gen: {len(train_imgs)} train / {len(test_imgs)} test images "
@@ -401,17 +414,18 @@ def _cmd_explain(config: PipelineConfig, args, run: _Run) -> None:
     entry = next((e for e in run.entries() if e.image_id == args.image), None)
     if entry is None:
         raise ValidationError(f"image {args.image!r} not in the corpus index")
-    img = decode_image(run.read(entry.file))
+    position = run.entries(entry.split).index(entry)
+    img = next(islice(run.images(entry.split), position, None)).image
     expl = explain(img, bundle.gmm, bundle.pca, bundle.svm, args.cls,
                    variant=config.variant, epsilon=config.epsilon,
                    patch=bundle.patch, stride=bundle.stride)
-    paths = report.write_explanation(
+    written = report.write_explanation(
         run.directory("reports/explain"), f"{args.image}_{args.cls}_{config.variant}",
         img, expl, EmbeddingIndex(bundle.gmm.n_components, bundle.gmm.dim))
     state = "positive" if expl.prediction_positive else "negative"
     print(f"explain: f({args.image}, {args.cls}) = {expl.score:.6f} "
           f"({state}); variant {config.variant}")
-    run.wrote(paths)
+    run.wrote(written)
 
 
 def _cmd_morf_eval(config: PipelineConfig, args, run: _Run) -> None:
@@ -429,10 +443,10 @@ def _cmd_morf_eval(config: PipelineConfig, args, run: _Run) -> None:
             repetitions=config.morf_repetitions, seed=config.seed,
             patch=bundle.patch, stride=bundle.stride)
         dest = run.directory(f"reports/morf/{cls}")
-        paths = report.write_morf_tables(dest, rep)
-        paths += report.write_morf_figure(dest, rep)
+        written = report.write_morf_tables(dest, rep)
+        written |= report.write_morf_figure(dest, rep)
         print(report.morf_summary_text(rep))
-        run.wrote(paths)
+        run.wrote(written)
 
 
 def _cmd_context_report(config: PipelineConfig, args, run: _Run) -> None:
@@ -444,10 +458,10 @@ def _cmd_context_report(config: PipelineConfig, args, run: _Run) -> None:
                          nn_beta=config.nn_beta, patch=bundle.patch,
                          stride=bundle.stride)
     dest = run.directory("reports/context")
-    paths = report.write_context_tables(dest, rep)
-    paths += report.write_context_figure(dest, rep)
+    written = report.write_context_tables(dest, rep)
+    written |= report.write_context_figure(dest, rep)
     print(report.context_summary_text(rep))
-    run.wrote(paths)
+    run.wrote(written)
 
 
 def _trained_model_checks(run: _Run) -> list:
@@ -455,13 +469,14 @@ def _trained_model_checks(run: _Run) -> list:
     from .verification import CheckResult
 
     # Stage by stage, every file of each, so a stale or modified upstream
-    # stage is reported even when a later stage has not run yet.
+    # stage is reported even when a later stage has not run yet. The
+    # checks below decode the bytes checked here.
     for stage in (STAGE_SYNTH, STAGE_EXTRACT, STAGE_PCA, STAGE_GMM, STAGE_EMBED,
                   STAGE_SVM):
         if not os.path.exists(_manifest_path(run.out_dir, stage)):
             return []
         for rel in run.require(stage)["outputs"]:
-            run.read(rel)
+            run.read(rel, keep=True)
     bundle = _read_bundle(run)
     results = []
 

@@ -14,7 +14,8 @@ File formats
 P5 / P6
     ASCII header ``P5|P6 <width> <height> 255`` (``#`` comments
     allowed; any other maxval is refused), a single whitespace byte,
-    then row-major samples, one byte each.
+    then row-major samples, one byte each. A multi-image file is such
+    images one after another, with nothing between them.
 PNG
     Write-only: signature, IHDR (8-bit RGB), one IDAT holding every
     row with filter type 0, compressed by ``zlib`` at level
@@ -24,11 +25,13 @@ HMAP1
     width*height little-endian float64, row-major.
 Annotations
     One box per line: ``label xmin ymin xmax ymax`` with inclusive
-    integer pixel coordinates.
+    integer pixel coordinates. :func:`encode_boxes` joins the same
+    items with ``;`` into one field.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from collections.abc import Iterator
@@ -139,14 +142,15 @@ class Heatmap:
 # Portable pixmap I/O
 
 
-def _read_pnm_tokens(data: bytes, count: int) -> tuple[list[int], int]:
-    """Read `count` ASCII integer tokens after the magic, skipping comments.
+def _read_pnm_tokens(data: bytes, count: int, start: int) -> tuple[list[int], int]:
+    """Read `count` ASCII integer tokens after the magic at `start`,
+    skipping comments.
 
     Returns the tokens and the offset of the first raster byte (one
     whitespace byte after the last token is consumed).
     """
     tokens: list[int] = []
-    i = 2  # past the 2-byte magic
+    i = start + 2  # past the 2-byte magic
     n = len(data)
     while len(tokens) < count:
         while i < n and data[i:i + 1].isspace():
@@ -170,27 +174,57 @@ def _read_pnm_tokens(data: bytes, count: int) -> tuple[list[int], int]:
     return tokens, i
 
 
-def decode_image(data: bytes) -> Image:
-    """Decode an 8-bit binary P5 (grayscale) or P6 (color) portable map.
-
-    Intensities are scaled by 1/255 into [0, 1].
-    """
-    magic = data[:2]
+def _read_pnm_header(data: bytes, start: int) -> tuple[tuple[int, ...], int]:
+    """The pixel shape of the P5/P6 map whose magic is at `start`, and the
+    offset of its raster, which must fit in `data`."""
+    magic = data[start:start + 2]
     if magic not in (b"P5", b"P6"):
         raise ParseError(f"unsupported magic {magic!r}")
-    channels = 1 if magic == b"P5" else 3
-    (width, height, maxval), offset = _read_pnm_tokens(data, 3)
+    (width, height, maxval), offset = _read_pnm_tokens(data, 3, start)
     if width <= 0 or height <= 0:
         raise ParseError(f"non-positive dimensions {width}x{height}")
     if maxval != 255:
         raise ParseError(f"unsupported maxval {maxval}")
-    nbytes = width * height * channels
-    body = memoryview(data)[offset:]
-    if len(body) != nbytes:
-        raise ParseError(f"raster has {len(body)} bytes, expected {nbytes}")
-    px = np.frombuffer(body, dtype=np.uint8).astype(np.float64) / 255.0
-    shape = (height, width) if channels == 1 else (height, width, 3)
-    return Image(px.reshape(shape))
+    shape = (height, width) if magic == b"P5" else (height, width, 3)
+    nbytes = math.prod(shape)
+    if len(data) - offset < nbytes:
+        raise ParseError(f"raster has {len(data) - offset} bytes, expected {nbytes}")
+    return shape, offset
+
+
+def decode_images(data: bytes, count: int) -> Iterator[Image]:
+    """The `count` images of a multi-image file of 8-bit binary P5
+    (grayscale) or P6 (color) portable maps, in file order.
+
+    Each image has its own header, so sizes may differ. Every header is
+    parsed when this is called: a file that holds more or fewer images,
+    a truncated raster or bytes after the last image are a `ParseError`
+    then. Each image is then decoded as it is reached; intensities are
+    scaled by 1/255 into [0, 1].
+    """
+    rasters, offset = [], 0
+    for k in range(count):
+        if offset == len(data):
+            raise ParseError(f"{k} images, expected {count}")
+        try:
+            shape, offset = _read_pnm_header(data, offset)
+        except ParseError as exc:
+            if count > 1:
+                raise ParseError(f"image {k}: {exc}") from None
+            raise
+        rasters.append((shape, offset))
+        offset += math.prod(shape)
+    if offset != len(data):
+        raise ParseError(f"{count} images, then {len(data) - offset} trailing bytes")
+    return (Image((np.frombuffer(data, np.uint8, math.prod(shape), start)
+                   .astype(np.float64) / 255.0).reshape(shape))
+            for shape, start in rasters)
+
+
+def decode_image(data: bytes) -> Image:
+    """Decode one 8-bit binary P5 (grayscale) or P6 (color) portable map."""
+    (img,) = decode_images(data, 1)
+    return img
 
 
 def encode_image(img: Image) -> bytes:
@@ -210,8 +244,9 @@ def load_image(path) -> Image:
     return load_file(path, decode_image)
 
 
-def save_image(img: Image, path) -> None:
-    write_file(path, [encode_image(img)])
+def save_image(img: Image, path) -> str:
+    """Write `img` to `path`; returns the sha256 of the bytes written."""
+    return write_file(path, [encode_image(img)])
 
 
 def _png_chunk(tag: bytes, data: bytes) -> bytes:
@@ -219,8 +254,9 @@ def _png_chunk(tag: bytes, data: bytes) -> bytes:
             + struct.pack(">I", zlib.crc32(tag + data)))
 
 
-def save_png(img: Image, path) -> None:
+def save_png(img: Image, path) -> str:
     """Write `img` as an 8-bit RGB PNG; grayscale is replicated to RGB.
+    Returns the sha256 of the bytes written.
 
     Samples are quantized to round(v * 255) as in :func:`save_image`.
     The file holds no metadata, so its bytes depend only on the pixels
@@ -233,8 +269,8 @@ def save_png(img: Image, path) -> None:
     rows[:, 1:] = q.reshape(img.height, 3 * img.width)  # column 0: filter 0
     ihdr = struct.pack(">IIBBBBB", img.width, img.height, 8, 2, 0, 0, 0)
     idat = zlib.compress(rows.tobytes(), _PNG_ZLIB_LEVEL)
-    write_file(path, [_PNG_SIGNATURE, _png_chunk(b"IHDR", ihdr),
-                      _png_chunk(b"IDAT", idat), _png_chunk(b"IEND", b"")])
+    return write_file(path, [_PNG_SIGNATURE, _png_chunk(b"IHDR", ihdr),
+                             _png_chunk(b"IDAT", idat), _png_chunk(b"IEND", b"")])
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +317,9 @@ def decode_heatmap(data: bytes) -> Heatmap:
     return Heatmap(values.copy())
 
 
-def save_heatmap(h: Heatmap, path) -> None:
-    write_file(path, encode_heatmap(h))
+def save_heatmap(h: Heatmap, path) -> str:
+    """Write `h` to `path`; returns the sha256 of the bytes written."""
+    return write_file(path, encode_heatmap(h))
 
 
 def load_heatmap(path) -> Heatmap:
@@ -293,6 +330,21 @@ def load_heatmap(path) -> Heatmap:
 # Bounding box annotations
 
 
+def _decode_box(item: str) -> BoundingBox:
+    parts = item.split()
+    if len(parts) != 5:
+        raise ParseError(f"expected 5 fields, got {len(parts)}")
+    try:
+        coords = [int(p) for p in parts[1:]]
+    except ValueError as exc:
+        raise ParseError("non-integer coordinate") from exc
+    return BoundingBox(parts[0], *coords)
+
+
+def _encode_box(b: BoundingBox) -> str:
+    return f"{b.label} {b.xmin} {b.ymin} {b.xmax} {b.ymax}"
+
+
 def decode_annotations(data: bytes) -> list[BoundingBox]:
     """Parse annotation text, one `label xmin ymin xmax ymax` per line."""
     try:
@@ -301,24 +353,28 @@ def decode_annotations(data: bytes) -> list[BoundingBox]:
         raise ParseError(f"not ASCII text: {exc}") from exc
     boxes = []
     for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ParseError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-        label = parts[0]
-        try:
-            coords = [int(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: non-integer coordinate") from exc
-        boxes.append(BoundingBox(label, *coords))
+        if line.strip():
+            try:
+                boxes.append(_decode_box(line))
+            except ParseError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from exc
     return boxes
 
 
 def encode_annotations(boxes) -> bytes:
-    return "".join(f"{b.label} {b.xmin} {b.ymin} {b.xmax} {b.ymax}\n"
-                   for b in boxes).encode("ascii")
+    return "".join(f"{_encode_box(b)}\n" for b in boxes).encode("ascii")
+
+
+def decode_boxes(field: str) -> list[BoundingBox]:
+    """The boxes of one field that :func:`encode_boxes` wrote; an empty
+    field holds none."""
+    return [_decode_box(item) for item in field.split(";")] if field else []
+
+
+def encode_boxes(boxes) -> str:
+    """The boxes as one field: `label xmin ymin xmax ymax` items joined
+    by `;`, with no tab or newline in it."""
+    return ";".join(_encode_box(b) for b in boxes)
 
 
 def load_annotations(path) -> list[BoundingBox]:

@@ -1,6 +1,7 @@
 """Delimited report tables plus figures rendered to PNG files.
 
-Every writer returns the list of paths it produced. Numbers are written
+Every writer returns a dict that maps each path it wrote, in the order
+written, to the sha256 of the bytes written. Numbers are written
 with ``repr(float(...))`` so a value survives a TSV round trip exactly.
 Figures are numpy rasters of fixed geometry written by
 :func:`fvlrp.imaging.save_png`, so identical inputs give byte-identical
@@ -53,9 +54,17 @@ def encode_table(header, rows) -> bytes:
 
 
 def write_table(path, header, rows) -> str:
-    """Write `encode_table`'s bytes to `path`; returns the path."""
-    write_file(path, [encode_table(header, rows)])
-    return str(path)
+    """Write `encode_table`'s bytes to `path`; returns their sha256."""
+    return write_file(path, [encode_table(header, rows)])
+
+
+def _write_tables(out_dir, tables) -> dict[str, str]:
+    """Write each `name: (header, rows)` table under `out_dir`."""
+    written = {}
+    for name, (header, rows) in tables.items():
+        path = os.path.join(out_dir, name)
+        written[path] = write_table(path, header, rows)
+    return written
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +130,10 @@ def _ordering_ids(report: OrderingReport) -> list[str]:
     return sorted(report.stats)
 
 
-def write_morf_tables(out_dir, report: OrderingReport) -> list[str]:
+def write_morf_tables(out_dir, report: OrderingReport) -> dict[str, str]:
     """Summary + per-trace curve dump (step, f value) for one class. With
     no image to perturb, the summary marks A and V `missing`, as
     `write_context_tables` does for mu, and the other tables are empty."""
-    paths = []
     summary_rows = []
     for oid in _ordering_ids(report):
         st = report.stats[oid]
@@ -139,22 +147,12 @@ def write_morf_tables(out_dir, report: OrderingReport) -> list[str]:
                              st.area, st.switch_fraction,
                              float(per_rep.mean()),
                              float(per_rep.std(ddof=1)) if per_rep.size > 1 else 0.0))
-    paths.append(write_table(
-        os.path.join(out_dir, "morf_summary.tsv"),
-        ("class", "ordering", "images", "batch", "steps", "traces",
-         "area", "switch_fraction", "mean_rep_area", "rep_area_std"),
-        summary_rows))
-
     trace_rows = []
     for oid in _ordering_ids(report):
         for ti, trace in enumerate(report.traces[oid]):
             trace_rows.append((oid, ti, 0, trace.original_score))
             for step, score in enumerate(trace.scores, start=1):
                 trace_rows.append((oid, ti, step, float(score)))
-    paths.append(write_table(
-        os.path.join(out_dir, "morf_traces.tsv"),
-        ("ordering", "trace", "step", "score"), trace_rows))
-
     hist_rows = []
     for oid in _ordering_ids(report):
         if report.stats[oid] is None:
@@ -162,13 +160,16 @@ def write_morf_tables(out_dir, report: OrderingReport) -> list[str]:
         hist = report.stats[oid].first_switch_histogram
         for step, count in enumerate(hist, start=1):
             hist_rows.append((oid, step, int(count)))
-    paths.append(write_table(
-        os.path.join(out_dir, "morf_first_switch.tsv"),
-        ("ordering", "step", "count"), hist_rows))
-    return paths
+    return _write_tables(out_dir, {
+        "morf_summary.tsv": (
+            ("class", "ordering", "images", "batch", "steps", "traces", "area",
+             "switch_fraction", "mean_rep_area", "rep_area_std"), summary_rows),
+        "morf_traces.tsv": (("ordering", "trace", "step", "score"), trace_rows),
+        "morf_first_switch.tsv": (("ordering", "step", "count"), hist_rows),
+    })
 
 
-def write_morf_figure(out_dir, report: OrderingReport) -> list[str]:
+def write_morf_figure(out_dir, report: OrderingReport) -> dict[str, str]:
     """Mean perturbation curves (left) and first-switch histogram (right);
     empty axes with no image to perturb. `_limits` always covers 0, so
     the 0 added to each panel's values moves no axis."""
@@ -207,8 +208,7 @@ def write_morf_figure(out_dir, report: OrderingReport) -> list[str]:
             _fill(canvas, px(x0), py(0.0), px(x0 + bar) - 1, py(count), colour)
     _frame(canvas, left, top, right, bottom)
     path = os.path.join(out_dir, "morf_curves.png")
-    save_png(Image(canvas), path)
-    return [path]
+    return {path: save_png(Image(canvas), path)}
 
 
 def morf_summary_text(report: OrderingReport) -> str:
@@ -239,22 +239,21 @@ def _context_rows(report: ContextReport):
                report.nn_undefined[c], report.nn_values[c])
 
 
-def write_context_tables(out_dir, report: ContextReport) -> list[str]:
+def write_context_tables(out_dir, report: ContextReport) -> dict[str, str]:
     rows = list(_context_rows(report))
-    summary = write_table(
-        os.path.join(out_dir, "context_summary.tsv"),
-        ("class", "model", "mean_mu", "true_positives", "undefined"),
-        [(c, model, "missing" if mean is None else fmt(mean), tp, undef)
-         for c, model, mean, tp, undef, _ in rows])
-    values = write_table(
-        os.path.join(out_dir, "context_values.tsv"),
-        ("class", "model", "image", "mu", "inside_px", "outside_px"),
-        [(c, model, r.image_id, r.mu, r.n_inside, r.n_outside)
-         for c, model, _, _, _, ratios in rows for r in ratios])
-    return [summary, values]
+    return _write_tables(out_dir, {
+        "context_summary.tsv": (
+            ("class", "model", "mean_mu", "true_positives", "undefined"),
+            [(c, model, "missing" if mean is None else fmt(mean), tp, undef)
+             for c, model, mean, tp, undef, _ in rows]),
+        "context_values.tsv": (
+            ("class", "model", "image", "mu", "inside_px", "outside_px"),
+            [(c, model, r.image_id, r.mu, r.n_inside, r.n_outside)
+             for c, model, _, _, _, ratios in rows for r in ratios]),
+    })
 
 
-def write_context_figure(out_dir, report: ContextReport) -> list[str]:
+def write_context_figure(out_dir, report: ContextReport) -> dict[str, str]:
     """Grouped bars of mean outside/inside ratio per class and model."""
     n = len(report.classes)
     width, height = max(320, 128 * n), 272
@@ -273,8 +272,7 @@ def write_context_figure(out_dir, report: ContextReport) -> list[str]:
                   py(value), _SERIES[pos])
     _frame(canvas, left, top, right, bottom)
     path = os.path.join(out_dir, "context_ratio.png")
-    save_png(Image(canvas), path)
-    return [path]
+    return {path: save_png(Image(canvas), path)}
 
 
 def context_summary_text(report: ContextReport) -> str:
@@ -290,34 +288,32 @@ def context_summary_text(report: ContextReport) -> str:
 
 
 def write_explanation(out_dir, stem: str, image: Image, expl: Explanation,
-                      index: EmbeddingIndex) -> list[str]:
+                      index: EmbeddingIndex) -> dict[str, str]:
     """Heatmap dump, per-level relevance tables, and an overview figure."""
-    paths = [os.path.join(out_dir, f"{stem}_heatmap.{ext}") for ext in ("hmap", "ppm")]
+    hmap, ppm = (os.path.join(out_dir, f"{stem}_heatmap.{ext}")
+                 for ext in ("hmap", "ppm"))
     rendered = render_heatmap(expl.heatmap)
-    save_heatmap(expl.heatmap, paths[0])
-    save_image(rendered, paths[1])
+    written = {hmap: save_heatmap(expl.heatmap, hmap),
+               ppm: save_image(rendered, ppm)}
 
     r2_rows = []
     for l in range(len(expl.r2.values)):
         x, y, w, h = (int(v) for v in expl.descriptors.areas[l])
         r2_rows.append((l, x, y, w, h, float(expl.r2.values[l])))
-    paths.append(write_table(
-        os.path.join(out_dir, f"{stem}_r2.tsv"),
-        ("descriptor", "x", "y", "w", "h", "relevance"), r2_rows))
-
     r3_rows = []
     for d, value in enumerate(expl.r3.values):
         moment, comp, coord = index.decode(d)
         r3_rows.append((d, moment, comp, coord, float(value)))
-    paths.append(write_table(
-        os.path.join(out_dir, f"{stem}_r3.tsv"),
-        ("dimension", "moment", "component", "coordinate", "relevance"),
-        r3_rows))
+    written |= _write_tables(out_dir, {
+        f"{stem}_r2.tsv": (("descriptor", "x", "y", "w", "h", "relevance"), r2_rows),
+        f"{stem}_r3.tsv": (("dimension", "moment", "component", "coordinate",
+                            "relevance"), r3_rows),
+    })
 
     # input, rendered relevance, and the relevance blended over the input
     gray = _rgb(image.gray())
     overlay = _OVERLAY_ALPHA * rendered.pixels + (1.0 - _OVERLAY_ALPHA) * gray
+    figure = Image(_side_by_side((gray, rendered.pixels, overlay)))
     fig_path = os.path.join(out_dir, f"{stem}_overview.png")
-    save_png(Image(_side_by_side((gray, rendered.pixels, overlay))), fig_path)
-    paths.append(fig_path)
-    return paths
+    written[fig_path] = save_png(figure, fig_path)
+    return written

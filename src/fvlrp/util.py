@@ -82,10 +82,6 @@ def load_file(path, decode, *args):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def file_hash(path) -> str:
-    return hashlib.sha256(read_file(path)).hexdigest()
-
-
 def container_chunks(magic: bytes, header: tuple[int, ...],
                      body: Iterable[bytes]) -> Iterator[bytes]:
     """`magic` and each header field as a little-endian uint32, then the

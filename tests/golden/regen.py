@@ -65,11 +65,14 @@ def environment() -> dict:
 
 
 def first_test_image(out_dir: str) -> tuple[str, str]:
+    """The id of the first test image in the corpus index, and its first
+    label."""
     with open(os.path.join(out_dir, "corpus", "index.tsv"), encoding="ascii") as fh:
-        for line in fh.read().splitlines()[1:]:
-            fields = line.split("\t")
-            if fields[0] == "test":
-                return fields[1], fields[4].split(",")[0]
+        header, *lines = fh.read().splitlines()
+    for line in lines:
+        row = dict(zip(header.split("\t"), line.split("\t")))
+        if row["split"] == "test":
+            return row["image"], row["labels"].split(",")[0]
     raise RuntimeError("no test image in the corpus index")
 
 

@@ -17,7 +17,7 @@ from fvlrp.cli import main
 from fvlrp.config import load_config
 from fvlrp.descriptors import RAW_DIM, descriptor_count
 from fvlrp.errors import DependencyError
-from fvlrp.imaging import load_image
+from fvlrp.imaging import decode_images
 from fvlrp.pipeline import make_corpus
 from fvlrp.serialization import load_model
 from fvlrp.synth import label_vectors
@@ -71,8 +71,8 @@ def pipeline(tmp_path_factory):
 
 def test_stage_artifacts_exist(pipeline):
     out, _ = pipeline
-    assert (out / "corpus" / "index.tsv").exists()
-    assert (out / "corpus" / "train").is_dir()
+    for name in ("index.tsv", "train.pgm", "test.pgm"):
+        assert (out / "corpus" / name).exists(), name
     for stage in STAGES:
         assert (out / "manifests" / f"{stage}.json").exists()
     for kind in ("pca", "gmm", "svm", "nn"):
@@ -203,11 +203,12 @@ def test_verify_decodes_only_the_test_image_it_explains(pipeline, monkeypatch):
     out, config = pipeline
     calls = []
 
-    def counted(*args, _decode=cli.decode_image, **kwargs):
-        calls.append(args)
-        return _decode(*args, **kwargs)
+    def counted(*args, _decode=cli.decode_images, **kwargs):
+        for img in _decode(*args, **kwargs):
+            calls.append(img)
+            yield img
 
-    monkeypatch.setattr(cli, "decode_image", counted)
+    monkeypatch.setattr(cli, "decode_images", counted)
     assert run(out, config, "verify") == 0
     assert len(calls) == 1
 
@@ -322,8 +323,10 @@ def test_modified_artifact_is_refused(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "run"
     assert run(out, config, "synth-gen") == 0
-    victim = next((out / "corpus" / "train").glob("*.pgm"))
-    victim.write_bytes(victim.read_bytes() + b"\n")
+    victim = out / "corpus" / "train.pgm"
+    data = bytearray(victim.read_bytes())
+    data[len(data) // 2] ^= 1
+    victim.write_bytes(bytes(data))
     assert run(out, config, "extract") == 2
     assert "synth-gen" in capsys.readouterr().err
 
@@ -385,9 +388,9 @@ def test_explain_hashes_only_the_files_it_reads_and_writes(pipeline,
     hashed = count_reads(monkeypatch, out, config)
     assert run(out, config, "explain", "--image", image_id,
                "--class", cls) == 0
-    # four upstream manifests, the index, the image and three models read
-    # and hashed; five reports hashed when recorded
-    assert len(hashed) <= 15, hashed
+    # four upstream manifests, the index, the test split's images and
+    # three models read and hashed; the five reports are hashed as written
+    assert len(hashed) == len(set(hashed)) == 9, hashed
     hashed.clear()
     assert run(out, config, "predict") == 0
     # predict uses the index twice, and reads it once
@@ -455,14 +458,13 @@ def test_stored_fisher_vectors_equal_the_per_image_path(pipeline):
     config = load_config(config_path)
     pca = load_model(out / "models" / "pca.json", "pca")
     gmm_model = load_model(out / "models" / "gmm.json", "gmm")
-    entries = cli._Run(str(out), "predict", config).entries("test")
-    assert len(entries) == 2 * TINY["test_per_class"]
+    images = list(cli._Run(str(out), "predict", config).images("test"))
+    assert len(images) == 2 * TINY["test_per_class"]
     rows = fisher.decode_fisher_vectors(
-        (out / "embeddings" / "test.fvec").read_bytes(), len(entries))
-    for entry, stored in zip(entries, rows):
-        img = load_image(out / entry.file)
+        (out / "embeddings" / "test.fvec").read_bytes(), len(images))
+    for img, stored in zip(images, rows):
         vectors = descriptors.pca_apply(pca, descriptors.extract_dense(
-            img, config.patch, config.stride)).vectors
+            img.image, config.patch, config.stride)).vectors
         assert stored.tobytes() == fisher.aggregate(gmm_model, vectors).tobytes()
 
 
@@ -474,17 +476,16 @@ def test_stored_descriptor_sets_equal_extract_dense(pipeline):
     config = load_config(config_path)
     run = cli._Run(str(out), "predict", config)
     for split in ("train", "test"):
-        entries = run.entries(split)
+        images = list(run.images(split))
         loaded = list(descriptors.decode_cells(
-            (out / "descriptors" / f"{split}.cells").read_bytes(), len(entries)))
-        assert len(loaded) == len(entries)
-        for entry, ds in zip(entries, loaded):
-            want = descriptors.extract_dense(load_image(out / entry.file),
-                                             config.patch, config.stride)
-            assert ds.vectors.tobytes() == want.vectors.tobytes(), entry.image_id
-            assert ds.areas.tobytes() == want.areas.tobytes(), entry.image_id
-            assert ds.image_size == want.image_size, entry.image_id
-            assert ds.cells.tobytes() == want.cells.tobytes(), entry.image_id
+            (out / "descriptors" / f"{split}.cells").read_bytes(), len(images)))
+        assert len(loaded) == len(images)
+        for img, ds in zip(images, loaded):
+            want = descriptors.extract_dense(img.image, config.patch, config.stride)
+            assert ds.vectors.tobytes() == want.vectors.tobytes(), img.image_id
+            assert ds.areas.tobytes() == want.areas.tobytes(), img.image_id
+            assert ds.image_size == want.image_size, img.image_id
+            assert ds.cells.tobytes() == want.cells.tobytes(), img.image_id
 
 
 def test_descriptors_and_embeddings_are_one_file_per_split(pipeline):
@@ -547,18 +548,21 @@ def test_synth_gen_tags_the_artefact_class(tmp_path):
     config = write_config(tmp_path, artefact_class="disk")
     out = tmp_path / "run"
     assert run(out, config, "synth-gen") == 0
-    rows = [line.split("\t") for line in
-            (out / "corpus" / "index.tsv").read_text().splitlines()[1:]]
+    header, *lines = (out / "corpus" / "index.tsv").read_text().splitlines()
+    rows = [dict(zip(header.split("\t"), line.split("\t"))) for line in lines]
     train, test, _ = make_corpus(load_config(config))
-    library = {im.image_id: im for im in train + test}
-    assert sorted(row[1] for row in rows) == sorted(library)
-    for _, image_id, path, _, labels, flags in rows:
-        tags = [f for f in flags.split(",") if f.startswith("tag-at-")]
-        assert len(tags) == (labels == "disk"), image_id
-        im = library[image_id]
-        assert flags == (",".join(im.flags) or "-"), image_id
-        np.testing.assert_array_equal(load_image(out / path).pixels,
-                                      im.image.pixels)
+    assert sorted(row["image"] for row in rows) == sorted(
+        im.image_id for im in train + test)
+    for split, images in (("train", train), ("test", test)):
+        stored = decode_images((out / "corpus" / f"{split}.pgm").read_bytes(),
+                               len(images))
+        for row, im, img in zip([r for r in rows if r["split"] == split],
+                                images, stored):
+            assert row["image"] == im.image_id
+            tags = [f for f in row["flags"].split(",") if f.startswith("tag-at-")]
+            assert len(tags) == (row["labels"] == "disk"), im.image_id
+            assert row["flags"] == (",".join(im.flags) or "-"), im.image_id
+            np.testing.assert_array_equal(img.pixels, im.image.pixels)
 
 
 def test_extract_holds_one_raw_descriptor_set(tmp_path):
@@ -584,14 +588,14 @@ def test_extract_holds_one_raw_descriptor_set(tmp_path):
 
 
 def test_svm_train_and_predict_decode_no_image(tmp_path, monkeypatch):
-    """Both stages read the labels from the corpus index, not from the
-    images or their annotation files."""
+    """Both stages read the labels from the corpus index, and decode no
+    image and no box."""
     out = tmp_path / "run"
     config = write_config(tmp_path)
     for stage in ("synth-gen", "extract", "pca-fit", "gmm-fit", "embed"):
         assert run(out, config, stage) == 0, stage
     calls = []
-    for name in ("decode_image", "decode_annotations"):
+    for name in ("decode_images", "decode_boxes"):
         def counted(*args, _name=name, _load=getattr(cli, name), **kwargs):
             calls.append(_name)
             return _load(*args, **kwargs)
@@ -630,7 +634,7 @@ def test_a_malformed_manifest_is_a_dependency_error(pipeline, capsys, case):
 @pytest.fixture(scope="module")
 def tiny_sequence(tmp_path_factory):
     """The command sequence of the golden digest, run into a fresh --out.
-    Per command: the files it created, its `decode_annotations` calls, the
+    Per command: the files it created, its `decode_boxes` calls, the
     paths under --out it read, and those it wrote through `_Run.write`."""
     root = tmp_path_factory.mktemp("sequence")
     config, out = write_config(root), root / "out"
@@ -641,7 +645,7 @@ def tiny_sequence(tmp_path_factory):
     def files():
         return {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
 
-    def counted(*args, _decode=cli.decode_annotations, **kwargs):
+    def counted(*args, _decode=cli.decode_boxes, **kwargs):
         calls[name] += 1  # `name` is the command running now
         return _decode(*args, **kwargs)
 
@@ -650,7 +654,7 @@ def tiny_sequence(tmp_path_factory):
         return _write(run, rel, chunks)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "decode_annotations", counted)
+        mp.setattr(cli, "decode_boxes", counted)
         mp.setattr(cli._Run, "write", write)
         read = count_reads(mp, out, config)
         for command in commands:
@@ -666,10 +670,36 @@ def tiny_sequence(tmp_path_factory):
     return out, calls, created, reads, written
 
 
-def test_annotation_files_are_read_only_where_boxes_are_used(tiny_sequence):
+def test_only_context_report_decodes_boxes(tiny_sequence):
     _, calls, *_ = tiny_sequence
-    # context-report reads the boxes of the 2 x 3 test images
+    # context-report decodes the boxes of the 2 x 3 test images
     assert calls == {name: 6 if name == "context-report" else 0 for name in calls}
+
+
+def test_synth_gen_writes_the_corpus_as_three_files(tiny_sequence):
+    _, _, created, *_ = tiny_sequence
+    corpus = {p for p in created["synth-gen"] if p.startswith("corpus/")}
+    assert corpus == {"corpus/index.tsv", "corpus/train.pgm", "corpus/test.pgm"}
+
+
+def test_extract_and_nn_train_read_the_train_images_once(tiny_sequence):
+    _, _, _, reads, _ = tiny_sequence
+    for name in ("extract", "nn-train"):
+        assert Counter(reads[name])["corpus/train.pgm"] == 1, name
+
+
+def test_context_report_takes_its_boxes_from_the_index(tiny_sequence):
+    """The boxes context-report reads are the generator's, from the corpus
+    index and the test split's image file."""
+    out, _, _, reads, _ = tiny_sequence
+    corpus = sorted(p for p in reads["context-report"] if p.startswith("corpus/"))
+    assert corpus == ["corpus/index.tsv", "corpus/test.pgm"]
+    config = load_config(out.parent / "config.json")
+    _, test, _ = make_corpus(config)
+    stored = list(cli._Run(str(out), "context-report", config).images(
+        "test", boxes=True))
+    assert [im.boxes for im in stored] == [im.boxes for im in test]
+    assert all(im.boxes for im in stored)
 
 
 def test_a_manifest_records_exactly_the_files_its_command_created(tiny_sequence):
@@ -686,18 +716,13 @@ def test_a_manifest_records_exactly_the_files_its_command_created(tiny_sequence)
 def test_each_command_reads_a_file_once_and_none_it_wrote(tiny_sequence):
     """`_Run.read` parses the bytes it checked, and `_Run.write` hashes
     what it writes, so no command opens a path twice or reads back its
-    own output. `verify` is exempt: its whole-tree check reads files it
-    then loads."""
-    out, _, _, reads, written = tiny_sequence
+    own output. `verify` decodes the bytes its whole-tree check kept."""
+    _, _, _, reads, written = tiny_sequence
     for name, paths in reads.items():
-        if name == "verify":
-            continue
         twice = sorted(p for p, n in Counter(paths).items() if n > 1)
         assert not twice, (name, twice)
         assert not set(paths) & written[name], name
         # every upstream manifest is among the reads
         assert {f"manifests/{s}.json" for s in cli._COMMANDS[name].needs} <= set(paths)
-    # extract reads every image of the corpus, once
-    index = (out / "corpus" / "index.tsv").read_text().splitlines()[1:]
-    images = {line.split("\t")[2] for line in index}
-    assert images <= set(reads["extract"])
+    # extract reads both split files of the corpus
+    assert {"corpus/train.pgm", "corpus/test.pgm"} <= set(reads["extract"])

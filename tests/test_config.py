@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from fvlrp import cli
 from fvlrp.config import PipelineConfig, load_config, save_config
 from fvlrp.errors import IoError, ParseError, PipelineError, ValidationError
-from fvlrp.util import canonical_json, file_hash, parallel_map, stable_hash
+from fvlrp.util import canonical_json, parallel_map, stable_hash
 
 
 def test_defaults_and_overrides():
@@ -271,14 +271,3 @@ def test_stable_hash_is_order_insensitive():
     assert a == b and len(a) == 64
     assert canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
     assert stable_hash({"x": 1}) != stable_hash({"x": 2})
-
-
-def test_file_hash_tracks_content(tmp_path):
-    p = tmp_path / "blob.bin"
-    p.write_bytes(b"abc")
-    h1 = file_hash(p)
-    q = tmp_path / "other.bin"
-    q.write_bytes(b"abc")
-    assert file_hash(q) == h1  # content, not name
-    p.write_bytes(b"abcd")
-    assert file_hash(p) != h1

@@ -1,10 +1,11 @@
 """Every decoder turns damaged bytes into a value or a `PipelineError`.
 
-One file of each kind the pipeline writes (PGM, annotation text, the
-four model kinds' JSON, CELL1, FVEC2 and HMAP1) is damaged in seeded
-ways: cut short, one byte replaced, one byte inserted, `COPIES` times
-each. The decoders take bytes, so no file is written. A decoder that
-lets any other exception escape fails the test with its traceback.
+One file of each kind the pipeline writes (PGM, a split's multi-image
+PGM, annotation text, the four model kinds' JSON, CELL1, FVEC2 and
+HMAP1) is damaged in seeded ways: cut short, one byte replaced, one
+byte inserted, `COPIES` times each. The decoders take bytes, so no file
+is written. A decoder that lets any other exception escape fails the
+test with its traceback.
 """
 
 from collections import Counter
@@ -17,8 +18,8 @@ from fvlrp.errors import PipelineError
 from fvlrp.fisher import decode_fisher_vectors, encode_fisher_vectors, fv_length
 from fvlrp.gmm import em_fit
 from fvlrp.imaging import (BoundingBox, Heatmap, Image, decode_annotations,
-                           decode_heatmap, decode_image, encode_annotations,
-                           encode_heatmap, encode_image)
+                           decode_heatmap, decode_image, decode_images,
+                           encode_annotations, encode_heatmap, encode_image)
 from fvlrp.lrp_nn import nn_train
 from fvlrp.serialization import deserialize_model, serialize_model
 from fvlrp.svm import train, with_thresholds
@@ -46,6 +47,10 @@ def _kinds():
     kinds = {
         "PGM": (encode_image(Image(rng.integers(0, 256, (10, 7)) / 255.0)),
                 decode_image),
+        "multi-image PGM": (
+            b"".join(encode_image(Image(rng.integers(0, 256, (6, 5)) / 255.0))
+                     for _ in range(3)),
+            lambda data: list(decode_images(data, 3))),
         "annotations": (encode_annotations([BoundingBox("disk", 3, 4, 20, 22),
                                             BoundingBox("cross", 0, 0, 5, 5)]),
                         decode_annotations),

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from fvlrp.errors import ParseError, ValidationError
-from fvlrp.imaging import (BoundingBox, Heatmap, Image, load_annotations,
-                           load_heatmap, load_image, render_heatmap,
-                           save_annotations, save_heatmap, save_image)
+from fvlrp.imaging import (BoundingBox, Heatmap, Image, decode_boxes,
+                           decode_images, encode_boxes, encode_image,
+                           load_annotations, load_heatmap, load_image,
+                           render_heatmap, save_annotations, save_heatmap,
+                           save_image)
 
 
 def test_gray_roundtrip_bit_exact(tmp_path, rng):
@@ -57,6 +59,62 @@ def test_load_rejects_truncated_body(tmp_path):
     p.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 7)
     with pytest.raises(ParseError):
         load_image(p)
+
+
+def _gray(rng, shape) -> Image:
+    return Image(rng.integers(0, 256, shape) / 255.0)
+
+
+def test_multi_image_file_roundtrip(rng):
+    images = [_gray(rng, (4, 6)) for _ in range(3)]
+    data = b"".join(encode_image(img) for img in images)
+    back = list(decode_images(data, 3))
+    assert len(back) == 3
+    for img, got in zip(images, back):
+        assert got.pixels.tobytes() == img.pixels.tobytes()
+
+
+def test_multi_image_count_mismatch_is_refused(rng):
+    data = b"".join(encode_image(_gray(rng, (4, 6))) for _ in range(3))
+    with pytest.raises(ParseError, match="3 images, expected 4"):
+        decode_images(data, 4)
+    with pytest.raises(ParseError, match="2 images, then [0-9]+ trailing bytes"):
+        decode_images(data, 2)
+
+
+def test_multi_image_trailing_bytes_are_refused(rng):
+    data = b"".join(encode_image(_gray(rng, (4, 6))) for _ in range(2))
+    for tail in (b"\n", b"P5"):
+        with pytest.raises(ParseError, match=f"2 images, then {len(tail)} trailing"):
+            decode_images(data + tail, 2)
+    with pytest.raises(ParseError, match="1 images, then 1 trailing"):
+        decode_images(encode_image(_gray(rng, (4, 6))) + b"\n", 1)
+
+
+def test_multi_image_second_image_has_its_own_header(rng):
+    """Each image is read at the size its own header gives; a raster cut
+    short, or a bad second header, names the image."""
+    first, second = _gray(rng, (4, 6)), _gray(rng, (7, 3))
+    data = encode_image(first) + encode_image(second)
+    back = list(decode_images(data, 2))
+    assert [img.pixels.shape for img in back] == [(4, 6), (7, 3)]
+    assert back[1].pixels.tobytes() == second.pixels.tobytes()
+    with pytest.raises(ParseError, match="image 1: raster has 20 bytes"):
+        decode_images(data[:-1], 2)
+    bad = encode_image(first) + encode_image(second).replace(b"255", b"65535", 1)
+    with pytest.raises(ParseError, match="image 1: unsupported maxval 65535"):
+        decode_images(bad, 2)
+
+
+def test_boxes_field_roundtrip():
+    boxes = [BoundingBox("disk", 0, 1, 5, 6), BoundingBox("cross", 2, 2, 3, 9)]
+    field = encode_boxes(boxes)
+    assert field == "disk 0 1 5 6;cross 2 2 3 9"
+    assert decode_boxes(field) == boxes
+    assert encode_boxes([]) == "" and decode_boxes("") == []
+    for bad in ("disk 0 1 5", "disk 0 1 5 6;", "disk 0 1 x 6"):
+        with pytest.raises(ParseError):
+            decode_boxes(bad)
 
 
 def test_image_validates_range():

@@ -1,5 +1,6 @@
 """Delimited tables and rendered figures for the report commands."""
 
+import hashlib
 import os
 import struct
 import zlib
@@ -69,9 +70,22 @@ def test_fmt_is_round_trippable():
 
 
 def test_write_table_layout(tmp_path):
-    path = write_table(tmp_path / "t.tsv", ("a", "b"), [(1, 2.5), (True, "x")])
+    path = tmp_path / "t.tsv"
+    digest = write_table(path, ("a", "b"), [(1, 2.5), (True, "x")])
     raw = open(path, "rb").read()
     assert raw == b"a\tb\n1\t2.5\n1\tx\n"
+    assert digest == hashlib.sha256(raw).hexdigest()
+
+
+def test_writers_return_the_digest_of_each_file_they_wrote(tmp_path, morf_report,
+                                                           ctx_report):
+    written = {**write_morf_tables(tmp_path, morf_report),
+               **write_morf_figure(tmp_path, morf_report),
+               **write_context_tables(tmp_path, ctx_report),
+               **write_context_figure(tmp_path, ctx_report)}
+    assert len(written) == 7
+    for path, digest in written.items():
+        assert digest == hashlib.sha256(open(path, "rb").read()).hexdigest(), path
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +99,7 @@ def morf_report(micro_bundle, micro_corpus):
 
 
 def test_morf_tables(tmp_path, morf_report):
-    paths = write_morf_tables(tmp_path, morf_report)
+    paths = list(write_morf_tables(tmp_path, morf_report))
     assert [os.path.basename(p) for p in paths] == [
         "morf_summary.tsv", "morf_traces.tsv", "morf_first_switch.tsv"]
     header, rows = read_tsv(paths[0])
@@ -104,11 +118,11 @@ def test_morf_tables(tmp_path, morf_report):
 
 
 def test_morf_figure_and_text(tmp_path, morf_report):
-    paths = write_morf_figure(tmp_path, morf_report)
-    assert paths and paths[0].endswith("morf_curves.png")
-    blob = open(paths[0], "rb").read()
+    (path,) = write_morf_figure(tmp_path, morf_report)
+    assert path.endswith("morf_curves.png")
+    blob = open(path, "rb").read()
     assert blob[:8] == b"\x89PNG\r\n\x1a\n"
-    check_png(paths[0])
+    check_png(path)
     text = morf_summary_text(morf_report)
     for oid in morf_report.stats:
         assert oid in text
@@ -128,7 +142,8 @@ def test_morf_writers_mark_a_class_without_positives_missing(tmp_path):
             assert r[field] == "missing"
     assert read_tsv(traces)[1] == [] and read_tsv(switches)[1] == []
     # empty axes: only the background, frames and zero lines are drawn
-    pixels = check_png(write_morf_figure(tmp_path, empty)[0])
+    (figure,) = write_morf_figure(tmp_path, empty)
+    pixels = check_png(figure)
     colours = {tuple(int(round(255 * c)) for c in rgb)
                for rgb in ((1.0, 1.0, 1.0), (0.15, 0.15, 0.15), (0.6, 0.6, 0.6))}
     assert set(map(tuple, pixels.reshape(-1, 3))) == colours
@@ -144,7 +159,7 @@ def ctx_report(micro_bundle, micro_corpus):
 
 
 def test_context_tables_and_figure(tmp_path, ctx_report):
-    paths = write_context_tables(tmp_path, ctx_report)
+    paths = list(write_context_tables(tmp_path, ctx_report))
     names = [os.path.basename(p) for p in paths]
     assert names == ["context_summary.tsv", "context_values.tsv"]
     header, rows = read_tsv(paths[0])
@@ -153,10 +168,10 @@ def test_context_tables_and_figure(tmp_path, ctx_report):
     fv_rows = [r for r in values if r["model"] == "fv"]
     total_defined = sum(len(v) for v in ctx_report.fv_values.values())
     assert len(fv_rows) == total_defined
-    fig_paths = write_context_figure(tmp_path, ctx_report)
-    assert fig_paths[0].endswith("context_ratio.png")
-    assert open(fig_paths[0], "rb").read()[:4] == b"\x89PNG"
-    check_png(fig_paths[0])
+    (fig_path,) = write_context_figure(tmp_path, ctx_report)
+    assert fig_path.endswith("context_ratio.png")
+    assert open(fig_path, "rb").read()[:4] == b"\x89PNG"
+    check_png(fig_path)
     text = context_summary_text(ctx_report)
     for c in ctx_report.classes:
         assert c in text
@@ -177,6 +192,8 @@ def test_write_explanation_artifacts(tmp_path, micro_bundle, micro_corpus):
     suffixes = sorted(os.path.basename(p).replace("demo_", "") for p in paths)
     assert suffixes == ["heatmap.hmap", "heatmap.ppm", "overview.png",
                         "r2.tsv", "r3.tsv"]
+    for path, digest in paths.items():
+        assert digest == hashlib.sha256(open(path, "rb").read()).hexdigest(), path
     check_png(os.path.join(tmp_path, "demo_overview.png"))
     back = load_heatmap(os.path.join(tmp_path, "demo_heatmap.hmap"))
     np.testing.assert_array_equal(back.values, expl.heatmap.values)

@@ -5,24 +5,25 @@ Two instruments:
 * Most-relevant-first local feature replacement. Descriptors are
   replaced, in batches, by samples drawn from the mixture model, and
   the raw Fisher vector is updated incrementally rather than
-  recomputed. All traces of an image are one array computation
-  (`replace_traces`): the embeddings Psi of its descriptors and its raw
-  FV x0 come from one `fisher.encode` call, x0 from per-component
-  moments as `aggregate` gives it; each trace draws its replacements
-  with one sampling call on its own generator; the draws of every trace are
-  embedded with one batch embedding; the raw FV after step i is the
-  cumulative update
+  recomputed. `compare_orderings` scores every image from its raw FV
+  x0 (`fisher.aggregate`) and forms the embeddings Psi of its
+  descriptors only for the images it keeps. All traces of an image are
+  one array computation (`replace_traces`), dimension-major as Psi is
+  stored: each trace draws its replacements with one sampling call on
+  its own generator; the draws of every trace are embedded with one
+  batch embedding; the raw FV after step i is the cumulative update
   ``x_i = x0 + sum_{j<=i} sum_{l in batch j} (Psi(new_l) - Psi(old_l)) / |L|``;
   and every step of every trace is improved and scored in one pass,
   by the `fisher.improve` and `svm.score` every other caller uses.
   `morf_replace` is its relevance-ordered single trace; the `verify`
   checks call `replace_traces` directly, so they check the kernel
-  `compare_orderings` runs. The extra memory is the embedded draws,
-  traces * batch * steps * (1+2D)K float64 values per image (2.1 MB at
-  the defaults). Each descriptor is replaced at most once. The score
-  trace under the relevance-derived ordering is compared against random
-  orderings via the area statistic ``A = mean_i (f(x) - f(x_i))`` and
-  the fraction V of traces whose prediction switches sign.
+  `compare_orderings` runs. The extra memory is the embedded draws and
+  the embeddings they replace, each traces * batch * steps * (1+2D)K
+  float64 values per image (2.1 MB at the defaults). Each descriptor is
+  replaced at most once. The score trace under the relevance-derived
+  ordering is compared against random orderings via the area statistic
+  ``A = mean_i (f(x) - f(x_i))`` and the fraction V of traces whose
+  prediction switches sign.
 
 * Outside-inside ratio mu = mean relevance outside the annotated boxes
   divided by mean relevance inside, positive-only: negative relevances
@@ -40,7 +41,7 @@ import numpy as np
 from .descriptors import DescriptorSet, PcaModel, extract_dense, pca_apply
 from .errors import (DimError, EmptyInputError, RangeError, UndefinedError,
                      ValidationError)
-from .fisher import embed_batch, encode, improve
+from .fisher import aggregate, embed_batch, encode, improve
 from .gmm import GmmModel, sample
 from .imaging import BoundingBox, Heatmap
 from .lrp_fv import VARIANTS, R2Map, explain, relevance_r2, relevance_r3
@@ -94,6 +95,13 @@ def _check_trace_size(batch: int, steps: int, n: int) -> None:
         raise RangeError(f"batch*steps = {batch * steps} exceeds |L| = {n}")
 
 
+def _slot_major(a: np.ndarray, batch: int) -> np.ndarray:
+    """Per-trace replacements (traces, steps*batch, ...) flattened in
+    (batch slot, trace, step) order."""
+    a = a.reshape(a.shape[0], -1, batch, *a.shape[2:])
+    return np.moveaxis(a, 2, 0).reshape(-1, *a.shape[3:])
+
+
 def replace_traces(vectors: np.ndarray, psi: np.ndarray, x0: np.ndarray,
                    gmm: GmmModel, svm_model: SvmModel, class_name: str,
                    plans: list, batch: int, steps: int,
@@ -102,36 +110,48 @@ def replace_traces(vectors: np.ndarray, psi: np.ndarray, x0: np.ndarray,
     """Replacement kernel: every trace of one image in one array pass.
 
     `vectors` are an image's descriptors, `psi` and `x0` their embeddings
-    and raw FV from `fisher.encode`. `plans` holds one (ordering id,
-    order, rng) per trace; a trace replaces descriptors
+    and raw FV, as `fisher.encode` gives them; `psi` may be in either
+    memory order, with the same bits out. `plans` holds one (ordering
+    id, order, rng) per trace; a trace replaces descriptors
     ``order[:batch*steps]`` (distinct, in range) in `steps` batches, with
     replacements drawn by one `sample` call on its own generator (or the
-    descriptors themselves under `identity_replacement`). All draws are
-    embedded with one `embed_batch` call. The raw FV after step i of a
-    trace is ``x0 + cumsum`` of its per-batch sums of
-    ``(Psi(new) - Psi(old)) / |L|``, and the (traces, steps) stack of
-    them is improved and scored by one `improve` and one `score` call,
-    which give each step what they give it alone.
+    descriptors themselves under `identity_replacement`).
 
-    Memory beyond the inputs is dominated by the embedded draws:
-    traces * batch * steps * (1+2D)K float64 values. `compare_orderings`
-    runs (|variants|+1) * repetitions traces per image, 2.1 MB at the
-    defaults (10 traces, 100 draws, FV length 264).
+    The kernel runs dimension-major, one FV dimension per row. All draws
+    are embedded with one `embed_batch` call, its columns in (batch
+    slot, trace, step) order, and the columns of `psi` they replace are
+    subtracted in the same order. The per-batch sums of
+    ``(Psi(new) - Psi(old)) / |L|`` add the batch slots row by row, in
+    slot order, as a per-trace sum over the batch would; their
+    ``cumsum`` over the steps plus x0 is the raw FV after each step. The
+    (traces, steps) stack of them is improved and scored by one
+    `improve` and one `score` call, which give each step what they give
+    it alone.
+
+    Memory beyond the inputs is the embedded draws and the gathered
+    columns of `psi`, each traces * batch * steps * (1+2D)K float64
+    values. `compare_orderings` runs (|variants|+1) * repetitions traces
+    per image, 2.1 MB each at the defaults (10 traces, 100 draws, FV
+    length 264).
 
     Returns the traces, the drawn descriptors (traces, batch*steps, D)
     and each trace's final raw FV (traces, (1+2D)K).
     """
     n = vectors.shape[0]
     m = batch * steps
-    idxs = [order[:m] for _, order, _ in plans]
+    idxs = np.stack([order[:m] for _, order, _ in plans])
     draws = np.stack([vectors[idx] if identity_replacement else sample(gmm, rng, m)
                       for idx, (_, _, rng) in zip(idxs, plans)])
-    delta = embed_batch(gmm, draws.reshape(-1, draws.shape[2]))
-    delta = delta.reshape(len(plans), m, -1)
-    for t, idx in enumerate(idxs):
-        delta[t] -= psi[idx]
+    delta = embed_batch(gmm, _slot_major(draws, batch)).T
+    delta -= psi.T.take(_slot_major(idxs, batch), axis=1)
     delta /= n
-    xs = np.cumsum(delta.reshape(len(plans), steps, batch, -1).sum(axis=2), axis=1)
+    delta = delta.reshape(-1, batch, len(plans), steps)
+    # the batch sum row by row, ((d_1 + d_2) + d_3) + ...; `sum(axis=1)` adds
+    # pairwise once one trace of one step leaves a single column per dimension
+    per_step = delta[:, 0].copy()
+    for slot in range(1, batch):
+        per_step += delta[:, slot]
+    xs = np.ascontiguousarray(np.cumsum(per_step, axis=2).transpose(1, 2, 0))
     xs += x0
     f0 = score(svm_model, improve(x0), class_name)
     scores = score(svm_model, improve(xs), class_name)
@@ -208,7 +228,9 @@ def compare_orderings(images: list[LabeledImage], class_name: str,
                       seed: int = 0, patch: int = 16, stride: int = 4) -> OrderingReport:
     """Relevance-derived orderings vs random orderings on one class.
 
-    Only images the model predicts positive for `class_name` are used.
+    Only images the model predicts positive for `class_name` are used;
+    each image is scored from its raw FV, and the embeddings behind the
+    traces are formed only for the images kept.
     Each ordering is run `repetitions` times with independent
     replacement-sampling seeds; random orderings also redraw the order
     itself per repetition. With no positive image, A and V are undefined:
@@ -229,13 +251,13 @@ def compare_orderings(images: list[LabeledImage], class_name: str,
     for img in images:
         ds = pca_apply(pca, extract_dense(img.image, patch, stride))
         _check_trace_size(batch, steps, len(ds))
-        psi, x0 = encode(gmm, ds.vectors)
+        x0 = aggregate(gmm, ds.vectors)
         phi = improve(x0)
         f = score(svm_model, phi, class_name)
         # switch statistics need a sign to lose, so f > 0 on top of the
         # configured decision threshold
         if f > tau and f > 0.0:
-            prepared.append((ds.vectors, psi, x0, phi))
+            prepared.append((ds.vectors, x0, phi))
     ordering_ids = [f"lrp-{v}" for v in variants] + ["random"]
     if not prepared:
         return OrderingReport(class_name, dict.fromkeys(ordering_ids),
@@ -244,7 +266,8 @@ def compare_orderings(images: list[LabeledImage], class_name: str,
 
     all_traces: dict = {oid: [] for oid in ordering_ids}
     rep_areas: dict = {oid: np.zeros(repetitions) for oid in ordering_ids}
-    for ii, (vectors, psi, x0, phi) in enumerate(prepared):
+    for ii, (vectors, x0, phi) in enumerate(prepared):
+        psi = embed_batch(gmm, vectors)
         r3 = relevance_r3(svm_model, phi, class_name)
         plans = []
         for vi, variant in enumerate(variants):

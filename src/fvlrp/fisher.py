@@ -17,10 +17,17 @@ responsibilities (Sanchez et al., IJCV 2013) without forming the
 embeddings, and `encode` gives the embeddings Psi together with that
 same raw FV; it equals the mean of Psi up to rounding (about 1e-15 at
 the defaults). Psi has one implementation, `embed_batch`, the Psi half
-of `encode`. The improved form phi applies the signed square root
-followed by l2 normalization, which is equivalent to the Hellinger
-kernel on the raw vector (see :func:`hellinger_check`). Both are plain
-(1+2D)K arrays; `improve` takes one or a stack of them.
+of `encode`. It is built dimension-major, as the C-contiguous
+((1+2D)K, n) array whose rows are the FV dimensions, in one pass over
+all live components, and handed out as its transposed (n, (1+2D)K)
+view: relevance redistribution and the MoRF kernel read Psi one FV
+dimension at a time. `encode` gives `_moments_fv` a row-major copy of
+the deviations, so its raw FV is `aggregate`'s bit for bit.
+
+The improved form phi applies the signed square root followed by l2
+normalization, which is equivalent to the Hellinger kernel on the raw
+vector (see :func:`hellinger_check`). Both are plain (1+2D)K arrays;
+`improve` takes one or a stack of them.
 """
 
 from __future__ import annotations
@@ -108,41 +115,64 @@ def _deviations(model: GmmModel, vectors: np.ndarray, live: np.ndarray
 
 def _moment_inputs(model: GmmModel, vectors: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What Psi and the raw FV are both read off: the live components,
-    the responsibilities, and the deviations t. Their squares are formed
-    where they are used: on a 2-vCPU host a second array of t's size
-    made `embed_batch` of 1000 rows 1.7x slower (page faults)."""
+    """What `aggregate` reads the raw FV off: the live components, the
+    responsibilities (n, K), and the deviations t (|live|, n, D). The
+    squares of t are formed where `_moments_fv` uses them, so no second
+    array of t's size is held."""
     vectors = _check_vectors(model, vectors)
     live = np.flatnonzero(model.weights)
     return live, responsibilities(model, vectors), _deviations(model, vectors, live)
 
 
-def _psi(model: GmmModel, live: np.ndarray, gamma: np.ndarray,
-         t: np.ndarray) -> np.ndarray:
-    """Psi from the moment inputs, one loop over the live components:
-    component j's columns from its responsibilities g and deviations."""
-    idx = EmbeddingIndex(model.n_components, model.dim)
-    psi = np.zeros((gamma.shape[0], idx.length))
-    for j, tj in zip(live, t):
-        w, sqrt_w = model.weights[j], np.sqrt(model.weights[j])
-        g = gamma[:, j]
-        psi[:, j] = (g - w) / sqrt_w
-        g = g[:, None]
-        psi[:, idx.mu_block(j)] = g * tj / sqrt_w
-        psi[:, idx.sigma_block(j)] = g * (tj * tj - 1.0) * INV_SQRT2 / sqrt_w
+def _columns(model: GmmModel, vectors: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The moment inputs dimension-major: the live components, the
+    responsibilities (K, n) and the deviations t (|live|, D, n), each
+    descriptor's values one column. The same operations as
+    `_moment_inputs`, so the same bits."""
+    vectors = _check_vectors(model, vectors)
+    live = np.flatnonzero(model.weights)
+    t = np.subtract(np.ascontiguousarray(vectors.T), model.means[live, :, None])
+    t /= model.sigmas[live, :, None]
+    return live, responsibilities(model, vectors).T, t
+
+
+def _psi_t(model: GmmModel, live: np.ndarray, gamma: np.ndarray,
+           t: np.ndarray) -> np.ndarray:
+    """Psi transposed, the C-contiguous ((1+2D)K, n) array, from the
+    dimension-major moment inputs, all live components at once; `t` is
+    overwritten. Each entry takes the operations, in the order, that one
+    component at a time takes (`verification.oracle_embed_batch`)."""
+    k, d = model.n_components, model.dim
+    n = gamma.shape[1]
+    psi = np.zeros((fv_length(k, d), n))
+    w = model.weights[live, None]
+    sqrt_w = np.sqrt(w)
+    g = gamma[live]
+    psi[:k][live] = (g - w) / sqrt_w
+    g, sqrt_w = g[:, None, :], sqrt_w[:, :, None]
+    mu = g * t
+    mu /= sqrt_w
+    psi[k:k + k * d].reshape(k, d, n)[live] = mu
+    t *= t
+    t -= 1.0
+    t *= g
+    t *= INV_SQRT2
+    t /= sqrt_w
+    psi[k + k * d:].reshape(k, d, n)[live] = t
     return psi
 
 
 def embed_batch(model: GmmModel, vectors: np.ndarray) -> np.ndarray:
     """Per-descriptor raw embeddings, one row per descriptor: the Psi
-    half of `encode`.
+    half of `encode`, the transposed view of a C-contiguous array.
 
     Components with exactly zero mixture weight contribute zero blocks
     (they also receive zero responsibility, so this is the correct
     limit, avoiding 0/0). A row depends only on its own descriptor, bit
     for bit, not on the batch it comes in.
     """
-    return _psi(model, *_moment_inputs(model, vectors))
+    return _psi_t(model, *_columns(model, vectors)).T
 
 
 def embed_descriptor(model: GmmModel, descriptor: np.ndarray) -> np.ndarray:
@@ -163,7 +193,8 @@ def _moments_fv(model: GmmModel, live: np.ndarray, gamma: np.ndarray,
         mu:    S1 / n / sqrt(w_k)
         sigma: (S2 - S0) / n / sqrt(2) / sqrt(w_k)
 
-    Zero-weight components keep zero blocks.
+    Zero-weight components keep zero blocks. `t` is (|live|, n, D) and
+    C-contiguous: a matmul over another layout rounds differently.
     """
     k, d = model.n_components, model.dim
     n = t.shape[1]
@@ -182,11 +213,13 @@ def _moments_fv(model: GmmModel, live: np.ndarray, gamma: np.ndarray,
 
 
 def encode(model: GmmModel, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Psi, the per-descriptor embeddings (one row per descriptor, as
-    `embed_batch` gives them), and the raw FV, bit for bit as
+    """Psi, the per-descriptor embeddings (one row per descriptor, the
+    transposed view `embed_batch` gives), and the raw FV, bit for bit as
     `aggregate` gives it; both are read off one set of deviations."""
-    inputs = _moment_inputs(model, vectors)
-    return _psi(model, *inputs), _moments_fv(model, *inputs)
+    live, gamma, t = _columns(model, vectors)
+    raw = _moments_fv(model, live, gamma.T,
+                      np.ascontiguousarray(t.transpose(0, 2, 1)))
+    return _psi_t(model, live, gamma, t).T, raw
 
 
 def aggregate(model: GmmModel, vectors: np.ndarray) -> np.ndarray:

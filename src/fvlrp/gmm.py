@@ -313,7 +313,7 @@ def sample(model: GmmModel, rng: np.random.Generator, n: int | None = None) -> n
     weight, then an independent Gaussian per dimension.
 
     Returns (D,) for `n=None`, else (n, D); `n` must be a non-negative
-    integer. Deterministic given the RNG state. A batch is one
+    integer, not a bool. Deterministic given the RNG state. A batch is one
     ``rng.standard_normal((n, D + 1))`` call, and each row is one draw:
     its first normal z0 picks component k where
     ``Phi^-1(cdf_{k-1}) <= z0 < Phi^-1(cdf_k)`` (cdf the weights'
@@ -325,7 +325,8 @@ def sample(model: GmmModel, rng: np.random.Generator, n: int | None = None) -> n
     a batch of m.
     """
     count = 1 if n is None else n
-    if not isinstance(count, (int, np.integer)) or count < 0:
+    if (not isinstance(count, (int, np.integer)) or isinstance(count, bool)
+            or count < 0):
         raise RangeError(f"draw count must be a non-negative integer, got {n!r}")
     cdf = np.cumsum(model.weights)
     cdf /= cdf[-1]

@@ -19,9 +19,11 @@ The classifier score is decomposed in three stages:
 The mapping matrix m_d(l) is the |L| x (1+2D)K embedding matrix Psi from
 `embed_batch`, whose mean is the raw Fisher vector up to rounding (the
 raw FV is taken from per-component moments). :func:`explain` computes
-both once per image with `fisher.encode`, the helper the MoRF traces
-also start from. R2 is one array pass over Psi's columns, summed in
-ascending dimension order, so both layers are reproducible bit for bit.
+both once per image with `fisher.encode`. R2 is one array pass over
+Psi's columns, summed in ascending dimension order, so both layers are
+reproducible bit for bit. It reads the columns as the rows of Psi's
+transpose; `encode` stores Psi that way, so taking the transpose copies
+nothing.
 """
 
 from __future__ import annotations
@@ -119,7 +121,11 @@ def relevance_r2(r3: R3Map, psi: np.ndarray, variant: str = DEFAULT_VARIANT,
     `psi` is the |L| x (1+2D)K embedding matrix from `embed_batch`. Its
     columns are summed one at a time, and the per-dimension shares are
     added by one sequential reduction in ascending dimension order, so
-    results are reproducible bit for bit.
+    results are reproducible bit for bit. The columns are read as the
+    rows of the C-contiguous transpose, which for `embed_batch`'s and
+    `encode`'s output is the array they were built in (no copy); any
+    other layout is copied once and gives the same bits. `psi` is never
+    written.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")

@@ -2,6 +2,7 @@
 
 Everything here exists to check the pipeline against slower, simpler
 reimplementations: dense extraction binning each patch on its own,
+the descriptor embeddings Psi one mixture component at a time,
 relevance redistribution with a loop over the columns of the embedding
 matrix, R1 one receptive field at a time, relevance propagation with explicit
 per-connection loops, Fisher-vector recomputation from scratch after
@@ -23,7 +24,8 @@ from .descriptors import (CLAMP, N_CELLS, N_ORI, RAW_DIM, DescriptorSet,
                           extract_dense, orientation_votes)
 from .errors import ZeroDenominatorError
 from .evaluation import MorfTrace, replace_traces
-from .fisher import aggregate, embed_batch, encode, improve
+from .fisher import (INV_SQRT2, EmbeddingIndex, aggregate, embed_batch,
+                     encode, improve)
 from .gmm import GmmModel, _log_joint, _m_step, em_fit, responsibilities, sample
 from .imaging import Image
 from .lrp_fv import R2Map, R3Map, relevance_r1, relevance_r2, relevance_r3
@@ -73,6 +75,26 @@ def random_svm(rng: np.random.Generator, dim: int) -> SvmModel:
 
 # ---------------------------------------------------------------------------
 # Oracles
+
+
+def oracle_embed_batch(model: GmmModel, vectors: np.ndarray) -> np.ndarray:
+    """Psi row-major (n, (1+2D)K), one loop over the live components:
+    component j's weight column and mean and sigma blocks from its
+    responsibilities g and deviations t = (x - mu_j) / sigma_j. Zero-weight
+    components keep zero blocks. Pins down `fisher.embed_batch` bit for bit."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    gamma = responsibilities(model, vectors)
+    idx = EmbeddingIndex(model.n_components, model.dim)
+    psi = np.zeros((vectors.shape[0], idx.length))
+    for j in np.flatnonzero(model.weights):
+        w, sqrt_w = model.weights[j], np.sqrt(model.weights[j])
+        t = (vectors - model.means[j]) / model.sigmas[j]
+        g = gamma[:, j]
+        psi[:, j] = (g - w) / sqrt_w
+        g = g[:, None]
+        psi[:, idx.mu_block(j)] = g * t / sqrt_w
+        psi[:, idx.sigma_block(j)] = g * (t * t - 1.0) * INV_SQRT2 / sqrt_w
+    return psi
 
 
 def oracle_r2_from_matrix(r3_values: np.ndarray, matrix: np.ndarray,

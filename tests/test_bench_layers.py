@@ -54,3 +54,17 @@ def test_benchmark_workload_runs(worker, workload):
     result = worker.measure(workload, seed=1, seconds=0.0, trace=False, size="tiny")
     assert result["attempted"] > 0
     assert result["failed"] == 0
+
+
+def test_traced_explain_reads_each_layer_once_per_explanation(worker):
+    """Every explanation computes the responsibilities once and R2 once,
+    both directly inside its `lrp_fv.explain` span: the per-layer figures
+    of a traced `explain` run are per-explanation costs."""
+    result = worker.measure("explain", seed=1, seconds=0.0, trace=True, size="tiny")
+    assert result["failed"] == 0 and result["absent"] == []
+    spans = result["spans"]
+    explains = {sid for sid, _, name, _, _ in spans if name == "lrp_fv.explain"}
+    assert explains
+    for layer in ("gmm.responsibilities", "lrp_fv.relevance_r2"):
+        parents = [parent for _, parent, name, _, _ in spans if name == layer]
+        assert sorted(parents) == sorted(explains)

@@ -249,11 +249,33 @@ def test_kernel_matches_oracle_on_micro_problems(case):
                 assert np.all(t.scores == t.original_score)
 
 
+@pytest.mark.parametrize("identity", [False, True])
+@pytest.mark.parametrize("traces, batch, steps", [(1, 8, 1), (1, 1, 4), (5, 3, 4)])
+def test_kernel_does_not_depend_on_psi_memory_order(identity, traces, batch, steps):
+    """Traces, draws and final raw FVs are the same bits, and the oracle's,
+    whether Psi is the transposed view `encode` gives or row-major."""
+    rng = np.random.default_rng([31, traces, batch, steps])
+    gmm = random_gmm(rng, 4, 3)
+    ds = random_descriptor_set(rng, 20, 3)
+    model = random_svm(rng, gmm.n_components * 7)
+    psi, x0 = encode(gmm, ds.vectors)
+    orders = [rng.permutation(20) for _ in range(traces)]
+    results = []
+    for layout in (psi, np.ascontiguousarray(psi)):
+        plans = [("t", order, np.random.default_rng([5, t]))
+                 for t, order in enumerate(orders)]
+        results.append(kernel_against_oracle(ds.vectors, layout, x0, gmm, model,
+                                             "c", plans, batch, steps, identity))
+    (traces_a, draws_a, final_a), (traces_b, draws_b, final_b) = results
+    assert all(same_bits(a.scores, b.scores) for a, b in zip(traces_a, traces_b))
+    assert same_bits(draws_a, draws_b) and same_bits(final_a, final_b)
+
+
 def test_compare_orderings_makes_one_replacement_pass_per_image(
         micro_bundle, micro_corpus, monkeypatch):
     _, _, test_imgs = micro_corpus
     calls = []
-    for name in ("embed_batch", "sample", "score", "improve"):
+    for name in ("aggregate", "embed_batch", "sample", "score", "improve"):
         def counted(*args, _name=name, _fn=getattr(evaluation, name), **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
@@ -266,10 +288,11 @@ def test_compare_orderings_makes_one_replacement_pass_per_image(
                                    micro_bundle.pca, micro_bundle.svm,
                                    variants=("epsilon", "absolute"), batch=2,
                                    steps=steps, repetitions=3, seed=0)
-        assert report.n_images >= 1
-        # encode each image, then one embedding per positive image for all
-        # of its traces
-        assert calls.count("embed_batch") == report.n_images
+        assert 1 <= report.n_images < len(test_imgs)
+        # every image is scored from its raw FV alone; Psi is formed only
+        # for the positive ones, then one embedding of all of their draws
+        assert calls.count("aggregate") == len(test_imgs)
+        assert calls.count("embed_batch") == 2 * report.n_images
         assert calls.count("sample") == report.n_images * 3 * 3
         counts.append((calls.count("score"), calls.count("improve")))
     # f(x) is improved and scored per image, and the kernel's steps in one

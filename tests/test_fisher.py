@@ -12,7 +12,7 @@ from fvlrp.fisher import (EmbeddingIndex, aggregate, decode_fisher_vectors,
                           improve, signed_sqrt)
 from fvlrp.gmm import GmmModel, responsibilities
 from fvlrp.util import row_norms
-from fvlrp.verification import random_gmm
+from fvlrp.verification import oracle_embed_batch, random_gmm
 
 
 def make_model(weights, means, sigmas):
@@ -134,6 +134,33 @@ def test_embedding_row_does_not_depend_on_its_batch(seed, n, data):
         assert full[subset].tobytes() == rows(model, vectors[subset]).tobytes()
         for i in range(n):
             assert full[i].tobytes() == rows(model, vectors[i:i + 1])[0].tobytes()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 40), st.booleans())
+def test_embed_batch_is_the_per_component_oracle_bitwise(seed, n, dead):
+    """Psi equals the row-major one-component-at-a-time oracle bit for bit,
+    for K and D up to 16, and is the transposed view of a C-contiguous
+    array: each FV dimension's column is contiguous."""
+    rng = np.random.default_rng(seed)
+    k, d = int(rng.integers(1, 17)), int(rng.integers(1, 17))
+    model = random_gmm(rng, k, d)
+    model = with_dead_component(model) if dead and k > 1 else model
+    vectors = rng.normal(0.0, 2.0, (n, d))
+    for rows in (vectors, vectors[:1]):
+        psi = embed_batch(model, rows)
+        assert psi.T.flags.c_contiguous
+        assert psi.tobytes() == oracle_embed_batch(model, rows).tobytes()
+
+
+@pytest.mark.parametrize("dead", [False, True])
+def test_embed_batch_is_the_oracle_at_the_workload_shape(rng, dead):
+    model = random_gmm(rng, 8, 16)
+    model = with_dead_component(model) if dead else model
+    vectors = rng.normal(0.0, 2.0, (169, 16))
+    psi, _ = encode(model, vectors)
+    assert psi.shape == (169, fv_length(8, 16)) and psi.T.flags.c_contiguous
+    assert psi.tobytes() == oracle_embed_batch(model, vectors).tobytes()
 
 
 def test_signed_sqrt_convention():

@@ -221,7 +221,7 @@ def test_batch_sample_equals_single_draws(k, d, n):
         batch[:max(1, n // 2)])
 
 
-@pytest.mark.parametrize("n", [-1, 2.7, "3"])
+@pytest.mark.parametrize("n", [-1, 2.7, "3", True, False])
 def test_sample_refuses_a_bad_draw_count(n):
     model = make_model([1.0], [[0.0]], [[1.0]])
     with pytest.raises(RangeError):

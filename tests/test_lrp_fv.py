@@ -136,6 +136,27 @@ def test_r2_zero_weight_component_matches_oracle(rng, variant):
     assert r2.zero_dims.tolist() == zero_dims == dead
 
 
+@pytest.mark.parametrize("variant", ["plain", "epsilon", "absolute"])
+def test_r2_does_not_depend_on_psi_memory_order(rng, variant):
+    """The same bits from Psi as `encode` gives it (a transposed view) and
+    from a row-major copy; R2 reads Psi and never writes into it."""
+    weights = np.array([0.5, 0.0, 0.3, 0.2])  # a dead component fills Z(x)
+    model = GmmModel(weights, rng.normal(0.0, 1.5, (4, 5)),
+                     rng.uniform(0.4, 1.6, (4, 5)), np.full(5, 1e-8))
+    psi, raw = fisher.encode(model, rng.normal(size=(30, 5)))
+    row_major = np.ascontiguousarray(psi)
+    assert psi.T.flags.c_contiguous and not psi.flags.c_contiguous
+    r3 = relevance_r3(SvmModel(("a",), rng.normal(size=(1, psi.shape[1])),
+                               np.array([0.2])), improve(raw), "a")
+    before = psi.copy()
+    a, b = (relevance_r2(r3, p, variant=variant, epsilon=0.5)
+            for p in (psi, row_major))
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.xi == b.xi and a.zero_dims.tolist() == b.zero_dims.tolist()
+    assert a.zero_dims.size == 1 + 2 * 5
+    assert psi.tobytes() == before.tobytes()
+
+
 def test_explain_computes_responsibilities_once(monkeypatch, micro_bundle,
                                                 micro_corpus):
     original = gmm_module.responsibilities

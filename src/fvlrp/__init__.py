@@ -21,9 +21,8 @@ from .evaluation import (ContextRatio, ContextReport, MorfTrace,
 from .fisher import (EmbeddingIndex, aggregate, embed_batch, embed_descriptor,
                      fv_length, hellinger_check, improve, signed_sqrt)
 from .gmm import GmmModel, em_fit, log_likelihood, responsibilities, sample
-from .imaging import (BoundingBox, Heatmap, Image, load_annotations,
-                      load_heatmap, load_image, render_heatmap,
-                      save_annotations, save_heatmap, save_image)
+from .imaging import (BoundingBox, Heatmap, Image, load_image, render_heatmap,
+                      save_image)
 from .lrp_fv import (Explanation, FvMappingView, R2Map, R3Map, explain,
                      relevance_r1, relevance_r2, relevance_r3)
 from .lrp_nn import (DenseLayer, LayerRelevance, NeuralNet, downscale,
@@ -50,14 +49,12 @@ __all__ = [
     "em_fit", "embed_batch", "embed_descriptor", "embed_image", "explain",
     "extract_dense", "forward", "fv_length", "generate_corpus",
     "hellinger_check", "image_to_input", "improve",
-    "inject_artefact", "label_vectors", "load_annotations", "load_config",
-    "load_heatmap", "load_image", "load_model", "lrp_alphabeta",
+    "inject_artefact", "label_vectors", "load_config", "load_image", "load_model", "lrp_alphabeta",
     "lrp_epsilon", "morf_ordering", "morf_replace", "nn_heatmap",
     "nn_scores", "nn_train", "pca_apply", "pca_fit",
     "log_likelihood", "relevance_r1", "relevance_r2", "relevance_r3",
     "render_heatmap", "responsibilities", "run_all", "sample",
-    "save_annotations", "save_config",
-    "save_heatmap", "save_image", "save_model", "score", "sign_switch_fraction",
+    "save_config", "save_image", "save_model", "score", "sign_switch_fraction",
     "signed_sqrt", "train", "train_all", "two_class_spec",
     "__version__",
 ]

@@ -6,9 +6,9 @@ upstream stages' hashes. Each command does all its file I/O through one
 `_Run`: it refuses a missing, malformed or stale upstream manifest,
 reads each upstream file once, through `_Run.read`, which returns the
 bytes only if they match their recorded digest, so the bytes parsed are
-the bytes checked, and records the digest of each output as it is
-written: `_Run.write` hashes what it writes, and a report writer returns
-the digests of the files it names.
+the bytes checked, and writes every output through `_Run.write`, which
+records the digest of what it writes. A report is built as bytes by
+`report` and written by `_Run.write_report`.
 `main` then writes the command's manifest: its stage hash, the seed,
 the digests of the upstream manifests it parsed and of every file it
 wrote. A command that wrote nothing writes none.
@@ -33,8 +33,8 @@ import numpy as np
 from . import report
 from .config import PipelineConfig, load_config
 from .descriptors import decode_cells, descriptor_count, encode_cells
-from .errors import (DependencyError, IoError, PipelineError, UsageError,
-                     ValidationError, VerificationError)
+from .errors import (DependencyError, IoError, ParseError, PipelineError,
+                     UsageError, ValidationError, VerificationError)
 from .evaluation import compare_orderings, context_report
 from .fisher import (EmbeddingIndex, decode_fisher_vectors,
                      encode_fisher_vectors, hellinger_check, improve)
@@ -93,7 +93,10 @@ def _well_formed(stage: str, manifest) -> bool:
             and all(isinstance(v, str) for v in [*outputs.values(), *classes]))
 
 
-class _IndexEntry(NamedTuple):
+_INDEX_COLUMNS = ("split", "image", "labels", "flags", "boxes")
+
+
+class IndexEntry(NamedTuple):
     """One row of the corpus index. Its `labels` are all that
     `label_vectors` reads, so stages that need only the labels never
     decode an image; `boxes` is the row's field as written, decoded only
@@ -104,6 +107,35 @@ class _IndexEntry(NamedTuple):
     labels: tuple[str, ...]
     flags: tuple[str, ...]
     boxes: str
+
+
+def decode_index(data: bytes) -> list[IndexEntry]:
+    """The rows of a corpus index that `synth-gen` wrote, in file order.
+
+    Bytes that are not ASCII, a header other than `_INDEX_COLUMNS` and a
+    row of another field count are a `ParseError`. A row's `boxes` field
+    is kept as written; `imaging.decode_boxes` refuses a bad one, as a
+    `ParseError`, when a stage that uses the boxes decodes it.
+    """
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"corpus index is not ASCII text: {exc}") from exc
+    header = lines[0].split("\t") if lines else []
+    if header != list(_INDEX_COLUMNS):
+        raise ParseError(f"corpus index header is {header}, "
+                         f"expected {list(_INDEX_COLUMNS)}")
+    entries = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split("\t")
+        if len(fields) != len(_INDEX_COLUMNS):
+            raise ParseError(f"corpus index line {lineno}: {len(fields)} fields, "
+                             f"expected {len(_INDEX_COLUMNS)}")
+        split, image_id, labels, flags, boxes = fields
+        entries.append(IndexEntry(
+            split, image_id, tuple(labels.split(",")) if labels else (),
+            () if flags == "-" else tuple(flags.split(",")), boxes))
+    return entries
 
 
 class _Run:
@@ -117,7 +149,7 @@ class _Run:
         self.manifests: dict[str, dict] = {}
         self.inputs: dict[str, str] = {}  # stage -> digest of its manifest
         self.outputs: dict[str, str] = {}  # path under out_dir -> digest
-        self._index: list[_IndexEntry] | None = None
+        self._index: list[IndexEntry] | None = None
         self._kept: dict[str, bytes] = {}  # path -> bytes checked with `keep`
         for stage in _COMMANDS[command].needs:
             self.require(stage)
@@ -174,19 +206,11 @@ class _Run:
     def classes(self) -> tuple[str, ...]:
         return tuple(self.manifests[STAGE_SYNTH]["classes"])
 
-    def entries(self, split: str | None = None) -> list[_IndexEntry]:
+    def entries(self, split: str | None = None) -> list[IndexEntry]:
         """The rows of the corpus index (those of `split`, if given); the
         index is parsed once per command."""
         if self._index is None:
-            header, *lines = self.read(_INDEX).decode("ascii").splitlines()
-            self._index = []
-            for line in lines:
-                row = dict(zip(header.split("\t"), line.split("\t")))
-                self._index.append(_IndexEntry(
-                    row["split"], row["image"],
-                    tuple(row["labels"].split(",")) if row["labels"] else (),
-                    () if row["flags"] == "-" else tuple(row["flags"].split(",")),
-                    row["boxes"]))
+            self._index = decode_index(self.read(_INDEX))
         return [e for e in self._index if split in (None, e.split)]
 
     def images(self, split: str, boxes: bool = False) -> Iterator[LabeledImage]:
@@ -200,26 +224,21 @@ class _Run:
                              e.image_id, e.flags)
                 for e, img in zip(entries, pixels))
 
-    def directory(self, rel: str) -> str:
-        """The full path of directory `rel`, made if missing."""
-        full = os.path.join(self.out_dir, rel)
-        if not os.path.isdir(full):  # one stat, not makedirs' three
-            os.makedirs(full, exist_ok=True)
-        return full
-
     def write(self, rel: str, chunks: Iterable[bytes]) -> None:
         """Write output `rel` from `chunks`, its directory made, and record
         the digest of what was written."""
-        self.directory(os.path.dirname(rel))
-        self.outputs[rel] = write_file(os.path.join(self.out_dir, rel), chunks)
+        full = os.path.join(self.out_dir, rel)
+        folder = os.path.dirname(full)
+        if not os.path.isdir(folder):  # one stat, not makedirs' three
+            os.makedirs(folder, exist_ok=True)
+        self.outputs[rel] = write_file(full, chunks)
 
-    def wrote(self, written: dict[str, str]) -> None:
-        """Record the files, and their digests, that a report writer named
-        itself, and say so."""
-        for p, digest in written.items():
-            rel = os.path.relpath(p, self.out_dir).replace(os.sep, "/")
-            self.outputs[rel] = digest
-            print(f"wrote {p}")
+    def write_report(self, folder: str, files: dict[str, bytes]) -> None:
+        """Write a report's files under `folder`, in order, and say so."""
+        for name, data in files.items():
+            rel = f"{folder}/{name}"
+            self.write(rel, [data])
+            print(f"wrote {os.path.join(self.out_dir, rel)}")
 
     def manifest(self, extra: dict) -> None:
         """Write the command's manifest: what it read and what it wrote."""
@@ -271,8 +290,7 @@ def _cmd_synth_gen(config: PipelineConfig, args, run: _Run) -> dict:
         rows += [(split, img.image_id, ",".join(img.labels),
                   ",".join(img.flags) if img.flags else "-", encode_boxes(img.boxes))
                  for img in images]
-    header = ("split", "image", "labels", "flags", "boxes")
-    run.write(_INDEX, [report.encode_table(header, rows)])
+    run.write(_INDEX, [report.encode_table(_INDEX_COLUMNS, rows)])
     size = config.corpus_size
     print(f"synth-gen: {len(train_imgs)} train / {len(test_imgs)} test images "
           f"({size}x{size}, rho={config.corpus_rho})")
@@ -397,11 +415,10 @@ def _cmd_predict(config: PipelineConfig, args, run: _Run) -> None:
             truth = int(c in entry.labels)
             correct[c] += int(decision == truth)
             rows.append((entry.image_id, c, f, decision, truth))
-    run.write("reports/predictions.tsv", [report.encode_table(
-        ("image", "class", "score", "decision", "label"), rows)])
     acc = ", ".join(f"{c}: {correct[c] / len(entries):.3f}" for c in classes)
     print(f"predict: {len(entries)} test images; accuracy {acc}")
-    print(f"wrote {os.path.join(run.out_dir, 'reports', 'predictions.tsv')}")
+    run.write_report("reports", {"predictions.tsv": report.encode_table(
+        ("image", "class", "score", "decision", "label"), rows)})
 
 
 def _cmd_explain(config: PipelineConfig, args, run: _Run) -> None:
@@ -419,13 +436,12 @@ def _cmd_explain(config: PipelineConfig, args, run: _Run) -> None:
     expl = explain(img, bundle.gmm, bundle.pca, bundle.svm, args.cls,
                    variant=config.variant, epsilon=config.epsilon,
                    patch=bundle.patch, stride=bundle.stride)
-    written = report.write_explanation(
-        run.directory("reports/explain"), f"{args.image}_{args.cls}_{config.variant}",
-        img, expl, EmbeddingIndex(bundle.gmm.n_components, bundle.gmm.dim))
     state = "positive" if expl.prediction_positive else "negative"
     print(f"explain: f({args.image}, {args.cls}) = {expl.score:.6f} "
           f"({state}); variant {config.variant}")
-    run.wrote(written)
+    run.write_report("reports/explain", report.explanation_files(
+        f"{args.image}_{args.cls}_{config.variant}", img, expl,
+        EmbeddingIndex(bundle.gmm.n_components, bundle.gmm.dim)))
 
 
 def _cmd_morf_eval(config: PipelineConfig, args, run: _Run) -> None:
@@ -442,11 +458,8 @@ def _cmd_morf_eval(config: PipelineConfig, args, run: _Run) -> None:
             batch=config.morf_batch, steps=config.morf_steps,
             repetitions=config.morf_repetitions, seed=config.seed,
             patch=bundle.patch, stride=bundle.stride)
-        dest = run.directory(f"reports/morf/{cls}")
-        written = report.write_morf_tables(dest, rep)
-        written |= report.write_morf_figure(dest, rep)
         print(report.morf_summary_text(rep))
-        run.wrote(written)
+        run.write_report(f"reports/morf/{cls}", report.morf_files(rep))
 
 
 def _cmd_context_report(config: PipelineConfig, args, run: _Run) -> None:
@@ -457,11 +470,8 @@ def _cmd_context_report(config: PipelineConfig, args, run: _Run) -> None:
                          epsilon=config.epsilon, nn_alpha=config.nn_alpha,
                          nn_beta=config.nn_beta, patch=bundle.patch,
                          stride=bundle.stride)
-    dest = run.directory("reports/context")
-    written = report.write_context_tables(dest, rep)
-    written |= report.write_context_figure(dest, rep)
     print(report.context_summary_text(rep))
-    run.wrote(written)
+    run.write_report("reports/context", report.context_files(rep))
 
 
 def _trained_model_checks(run: _Run) -> list:

@@ -1,13 +1,14 @@
-"""Bit-exact image, heatmap and annotation I/O.
+"""Bit-exact image and heatmap codecs.
 
 Pixel data lives in portable pixmaps (binary P5 for grayscale, P6 for
 color) because they round-trip exactly without any codec dependency.
 Heatmaps are stored as a raw binary matrix dump (format ``HMAP1``);
 :func:`render_heatmap` maps one onto a fixed symmetric diverging
 colormap for display.
-Report figures are written as PNG by a minimal stdlib encoder.
+Report figures are encoded as PNG by a minimal stdlib encoder.
 Each format is encoded to and decoded from bytes (``encode_*`` and
-``decode_*``); ``save_*`` and ``load_*`` add `fvlrp.util`'s file I/O.
+``decode_*``); only the pixmaps also have ``save_image`` and
+``load_image``, which add `fvlrp.util`'s file I/O.
 
 File formats
 ------------
@@ -23,10 +24,10 @@ PNG
 HMAP1
     Magic ``HMAP1``, two little-endian uint32 (width, height), then
     width*height little-endian float64, row-major.
-Annotations
-    One box per line: ``label xmin ymin xmax ymax`` with inclusive
-    integer pixel coordinates. :func:`encode_boxes` joins the same
-    items with ``;`` into one field.
+Boxes
+    :func:`encode_boxes` writes ``label xmin ymin xmax ymax`` items,
+    with inclusive integer pixel coordinates, joined by ``;`` into one
+    field of the corpus index.
 """
 
 from __future__ import annotations
@@ -254,13 +255,12 @@ def _png_chunk(tag: bytes, data: bytes) -> bytes:
             + struct.pack(">I", zlib.crc32(tag + data)))
 
 
-def save_png(img: Image, path) -> str:
-    """Write `img` as an 8-bit RGB PNG; grayscale is replicated to RGB.
-    Returns the sha256 of the bytes written.
+def encode_png(img: Image) -> bytes:
+    """`img` as an 8-bit RGB PNG; grayscale is replicated to RGB.
 
-    Samples are quantized to round(v * 255) as in :func:`save_image`.
-    The file holds no metadata, so its bytes depend only on the pixels
-    and the zlib build.
+    Samples are quantized to round(v * 255) as in :func:`encode_image`.
+    It holds no metadata, so its bytes depend only on the pixels and
+    the zlib build.
     """
     q = np.rint(img.pixels * 255.0).astype(np.uint8)
     if img.channels == 1:
@@ -269,12 +269,12 @@ def save_png(img: Image, path) -> str:
     rows[:, 1:] = q.reshape(img.height, 3 * img.width)  # column 0: filter 0
     ihdr = struct.pack(">IIBBBBB", img.width, img.height, 8, 2, 0, 0, 0)
     idat = zlib.compress(rows.tobytes(), _PNG_ZLIB_LEVEL)
-    return write_file(path, [_PNG_SIGNATURE, _png_chunk(b"IHDR", ihdr),
-                             _png_chunk(b"IDAT", idat), _png_chunk(b"IEND", b"")])
+    return b"".join((_PNG_SIGNATURE, _png_chunk(b"IHDR", ihdr),
+                     _png_chunk(b"IDAT", idat), _png_chunk(b"IEND", b"")))
 
 
 # ---------------------------------------------------------------------------
-# Heatmap I/O
+# Heatmaps
 
 
 def render_heatmap(h: Heatmap) -> Image:
@@ -317,17 +317,8 @@ def decode_heatmap(data: bytes) -> Heatmap:
     return Heatmap(values.copy())
 
 
-def save_heatmap(h: Heatmap, path) -> str:
-    """Write `h` to `path`; returns the sha256 of the bytes written."""
-    return write_file(path, encode_heatmap(h))
-
-
-def load_heatmap(path) -> Heatmap:
-    return load_file(path, decode_heatmap)
-
-
 # ---------------------------------------------------------------------------
-# Bounding box annotations
+# Bounding boxes
 
 
 def _decode_box(item: str) -> BoundingBox:
@@ -345,26 +336,6 @@ def _encode_box(b: BoundingBox) -> str:
     return f"{b.label} {b.xmin} {b.ymin} {b.xmax} {b.ymax}"
 
 
-def decode_annotations(data: bytes) -> list[BoundingBox]:
-    """Parse annotation text, one `label xmin ymin xmax ymax` per line."""
-    try:
-        lines = data.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not ASCII text: {exc}") from exc
-    boxes = []
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip():
-            try:
-                boxes.append(_decode_box(line))
-            except ParseError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-    return boxes
-
-
-def encode_annotations(boxes) -> bytes:
-    return "".join(f"{_encode_box(b)}\n" for b in boxes).encode("ascii")
-
-
 def decode_boxes(field: str) -> list[BoundingBox]:
     """The boxes of one field that :func:`encode_boxes` wrote; an empty
     field holds none."""
@@ -376,10 +347,3 @@ def encode_boxes(boxes) -> str:
     by `;`, with no tab or newline in it."""
     return ";".join(_encode_box(b) for b in boxes)
 
-
-def load_annotations(path) -> list[BoundingBox]:
-    return load_file(path, decode_annotations)
-
-
-def save_annotations(boxes: list[BoundingBox], path) -> None:
-    write_file(path, [encode_annotations(boxes)])

@@ -1,26 +1,25 @@
-"""Delimited report tables plus figures rendered to PNG files.
+"""Report tables and figures, encoded to bytes.
 
-Every writer returns a dict that maps each path it wrote, in the order
-written, to the sha256 of the bytes written. Numbers are written
-with ``repr(float(...))`` so a value survives a TSV round trip exactly.
-Figures are numpy rasters of fixed geometry written by
-:func:`fvlrp.imaging.save_png`, so identical inputs give byte-identical
-files. They carry no text: the numbers are in the tables written next
-to them, and docs/FORMATS.md records each panel layout and series
-colour.
+Each report is an ordered dict that maps each of its file names to the
+file's bytes (`morf_files`, `context_files`, `explanation_files`); the
+caller writes them, in that order. Numbers are written with
+``repr(float(...))`` so a value survives a TSV round trip exactly.
+Figures are numpy rasters of fixed geometry encoded by
+:func:`fvlrp.imaging.encode_png`, so identical inputs give
+byte-identical files. They carry no text: the numbers are in the tables
+of the same report, and docs/FORMATS.md records each panel layout and
+series colour.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .evaluation import ContextReport, OrderingReport
 from .fisher import EmbeddingIndex
-from .imaging import Image, render_heatmap, save_heatmap, save_image, save_png
+from .imaging import (Image, encode_heatmap, encode_image, encode_png,
+                      render_heatmap)
 from .lrp_fv import Explanation
-from .util import write_file
 
 _SCALE = 4  # nearest-neighbour upscale of image panels
 _GUTTER = 8  # white border around and between image panels, px
@@ -51,20 +50,6 @@ def encode_table(header, rows) -> bytes:
     for row in rows:
         lines.append("\t".join(fmt(v) for v in row))
     return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def write_table(path, header, rows) -> str:
-    """Write `encode_table`'s bytes to `path`; returns their sha256."""
-    return write_file(path, [encode_table(header, rows)])
-
-
-def _write_tables(out_dir, tables) -> dict[str, str]:
-    """Write each `name: (header, rows)` table under `out_dir`."""
-    written = {}
-    for name, (header, rows) in tables.items():
-        path = os.path.join(out_dir, name)
-        written[path] = write_table(path, header, rows)
-    return written
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +115,11 @@ def _ordering_ids(report: OrderingReport) -> list[str]:
     return sorted(report.stats)
 
 
-def write_morf_tables(out_dir, report: OrderingReport) -> dict[str, str]:
-    """Summary + per-trace curve dump (step, f value) for one class. With
-    no image to perturb, the summary marks A and V `missing`, as
-    `write_context_tables` does for mu, and the other tables are empty."""
+def morf_files(report: OrderingReport) -> dict[str, bytes]:
+    """One class's summary, per-trace curve dump (step, f value),
+    first-switch counts and curves figure. With no image to perturb, the
+    summary marks A and V `missing`, as `context_files` does for mu, the
+    other tables are empty and the figure's axes hold nothing."""
     summary_rows = []
     for oid in _ordering_ids(report):
         st = report.stats[oid]
@@ -160,16 +146,19 @@ def write_morf_tables(out_dir, report: OrderingReport) -> dict[str, str]:
         hist = report.stats[oid].first_switch_histogram
         for step, count in enumerate(hist, start=1):
             hist_rows.append((oid, step, int(count)))
-    return _write_tables(out_dir, {
-        "morf_summary.tsv": (
+    return {
+        "morf_summary.tsv": encode_table(
             ("class", "ordering", "images", "batch", "steps", "traces", "area",
              "switch_fraction", "mean_rep_area", "rep_area_std"), summary_rows),
-        "morf_traces.tsv": (("ordering", "trace", "step", "score"), trace_rows),
-        "morf_first_switch.tsv": (("ordering", "step", "count"), hist_rows),
-    })
+        "morf_traces.tsv": encode_table(("ordering", "trace", "step", "score"),
+                                        trace_rows),
+        "morf_first_switch.tsv": encode_table(("ordering", "step", "count"),
+                                              hist_rows),
+        "morf_curves.png": _morf_figure(report),
+    }
 
 
-def write_morf_figure(out_dir, report: OrderingReport) -> dict[str, str]:
+def _morf_figure(report: OrderingReport) -> bytes:
     """Mean perturbation curves (left) and first-switch histogram (right);
     empty axes with no image to perturb. `_limits` always covers 0, so
     the 0 added to each panel's values moves no axis."""
@@ -207,8 +196,7 @@ def write_morf_figure(out_dir, report: OrderingReport) -> dict[str, str]:
             x0 = step - 0.4 + pos * bar
             _fill(canvas, px(x0), py(0.0), px(x0 + bar) - 1, py(count), colour)
     _frame(canvas, left, top, right, bottom)
-    path = os.path.join(out_dir, "morf_curves.png")
-    return {path: save_png(Image(canvas), path)}
+    return encode_png(Image(canvas))
 
 
 def morf_summary_text(report: OrderingReport) -> str:
@@ -239,21 +227,23 @@ def _context_rows(report: ContextReport):
                report.nn_undefined[c], report.nn_values[c])
 
 
-def write_context_tables(out_dir, report: ContextReport) -> dict[str, str]:
+def context_files(report: ContextReport) -> dict[str, bytes]:
+    """The mean mu per class and model, each defined mu, and the figure."""
     rows = list(_context_rows(report))
-    return _write_tables(out_dir, {
-        "context_summary.tsv": (
+    return {
+        "context_summary.tsv": encode_table(
             ("class", "model", "mean_mu", "true_positives", "undefined"),
             [(c, model, "missing" if mean is None else fmt(mean), tp, undef)
              for c, model, mean, tp, undef, _ in rows]),
-        "context_values.tsv": (
+        "context_values.tsv": encode_table(
             ("class", "model", "image", "mu", "inside_px", "outside_px"),
             [(c, model, r.image_id, r.mu, r.n_inside, r.n_outside)
              for c, model, _, _, _, ratios in rows for r in ratios]),
-    })
+        "context_ratio.png": _context_figure(report),
+    }
 
 
-def write_context_figure(out_dir, report: ContextReport) -> dict[str, str]:
+def _context_figure(report: ContextReport) -> bytes:
     """Grouped bars of mean outside/inside ratio per class and model."""
     n = len(report.classes)
     width, height = max(320, 128 * n), 272
@@ -271,8 +261,7 @@ def write_context_figure(out_dir, report: ContextReport) -> dict[str, str]:
             _fill(canvas, px(ci + x_lo), py(0.0), px(ci + x_lo + 0.36),
                   py(value), _SERIES[pos])
     _frame(canvas, left, top, right, bottom)
-    path = os.path.join(out_dir, "context_ratio.png")
-    return {path: save_png(Image(canvas), path)}
+    return encode_png(Image(canvas))
 
 
 def context_summary_text(report: ContextReport) -> str:
@@ -287,15 +276,11 @@ def context_summary_text(report: ContextReport) -> str:
 # single-image explanation reports
 
 
-def write_explanation(out_dir, stem: str, image: Image, expl: Explanation,
-                      index: EmbeddingIndex) -> dict[str, str]:
-    """Heatmap dump, per-level relevance tables, and an overview figure."""
-    hmap, ppm = (os.path.join(out_dir, f"{stem}_heatmap.{ext}")
-                 for ext in ("hmap", "ppm"))
+def explanation_files(stem: str, image: Image, expl: Explanation,
+                      index: EmbeddingIndex) -> dict[str, bytes]:
+    """Heatmap dump and its rendering, per-level relevance tables, and an
+    overview figure, each file name prefixed by `stem`."""
     rendered = render_heatmap(expl.heatmap)
-    written = {hmap: save_heatmap(expl.heatmap, hmap),
-               ppm: save_image(rendered, ppm)}
-
     r2_rows = []
     for l in range(len(expl.r2.values)):
         x, y, w, h = (int(v) for v in expl.descriptors.areas[l])
@@ -304,16 +289,17 @@ def write_explanation(out_dir, stem: str, image: Image, expl: Explanation,
     for d, value in enumerate(expl.r3.values):
         moment, comp, coord = index.decode(d)
         r3_rows.append((d, moment, comp, coord, float(value)))
-    written |= _write_tables(out_dir, {
-        f"{stem}_r2.tsv": (("descriptor", "x", "y", "w", "h", "relevance"), r2_rows),
-        f"{stem}_r3.tsv": (("dimension", "moment", "component", "coordinate",
-                            "relevance"), r3_rows),
-    })
-
     # input, rendered relevance, and the relevance blended over the input
     gray = _rgb(image.gray())
     overlay = _OVERLAY_ALPHA * rendered.pixels + (1.0 - _OVERLAY_ALPHA) * gray
     figure = Image(_side_by_side((gray, rendered.pixels, overlay)))
-    fig_path = os.path.join(out_dir, f"{stem}_overview.png")
-    written[fig_path] = save_png(figure, fig_path)
-    return written
+    return {
+        f"{stem}_heatmap.hmap": b"".join(encode_heatmap(expl.heatmap)),
+        f"{stem}_heatmap.ppm": encode_image(rendered),
+        f"{stem}_r2.tsv": encode_table(
+            ("descriptor", "x", "y", "w", "h", "relevance"), r2_rows),
+        f"{stem}_r3.tsv": encode_table(
+            ("dimension", "moment", "component", "coordinate", "relevance"),
+            r3_rows),
+        f"{stem}_overview.png": encode_png(figure),
+    }

@@ -34,7 +34,7 @@ import tempfile
 
 import numpy as np
 
-from fvlrp.cli import main as cli_main
+from fvlrp.cli import decode_index, main as cli_main
 
 GOLDEN_DIR = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(GOLDEN_DIR, "tiny_run.json")
@@ -67,12 +67,11 @@ def environment() -> dict:
 def first_test_image(out_dir: str) -> tuple[str, str]:
     """The id of the first test image in the corpus index, and its first
     label."""
-    with open(os.path.join(out_dir, "corpus", "index.tsv"), encoding="ascii") as fh:
-        header, *lines = fh.read().splitlines()
-    for line in lines:
-        row = dict(zip(header.split("\t"), line.split("\t")))
-        if row["split"] == "test":
-            return row["image"], row["labels"].split(",")[0]
+    with open(os.path.join(out_dir, "corpus", "index.tsv"), "rb") as fh:
+        entries = decode_index(fh.read())
+    for entry in entries:
+        if entry.split == "test":
+            return entry.image_id, entry.labels[0]
     raise RuntimeError("no test image in the corpus index")
 
 

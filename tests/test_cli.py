@@ -713,6 +713,15 @@ def test_a_manifest_records_exactly_the_files_its_command_created(tiny_sequence)
         assert new == set(doc["outputs"]) | {manifest}, name
 
 
+def test_every_file_a_command_creates_is_written_through_run_write(tiny_sequence):
+    """One write path: models, reports and manifests alike go through
+    `_Run.write`, so each file's digest is what the command wrote."""
+    _, _, created, _, written = tiny_sequence
+    assert set(created) == set(cli._COMMANDS)
+    for name, new in created.items():
+        assert new == written[name], name
+
+
 def test_each_command_reads_a_file_once_and_none_it_wrote(tiny_sequence):
     """`_Run.read` parses the bytes it checked, and `_Run.write` hashes
     what it writes, so no command opens a path twice or reads back its

@@ -10,7 +10,7 @@ from fvlrp.config import PipelineConfig
 from fvlrp.errors import DimError, ExtractError, FitError, IoError, ParseError
 from fvlrp.fisher import (decode_fisher_vectors, encode_fisher_vectors,
                           fv_length)
-from fvlrp.imaging import Heatmap, Image, load_heatmap, save_heatmap
+from fvlrp.imaging import Heatmap, Image, decode_heatmap, encode_heatmap
 from fvlrp.pipeline import make_corpus
 from fvlrp.util import load_file, write_file
 from fvlrp.verification import (TILING_GEOMETRIES, oracle_extract_dense,
@@ -255,12 +255,16 @@ def test_truncated_cache_file_raises_parse_error(tmp_path, rng, write, load, kee
 
 
 def _hmap_file(path, rng):
-    save_heatmap(Heatmap(rng.normal(size=(5, 3))), path)
+    write_file(path, encode_heatmap(Heatmap(rng.normal(size=(5, 3)))))
+
+
+def _load_hmap_file(path):
+    return load_file(path, decode_heatmap)
 
 
 @pytest.mark.parametrize("write, load", [(_cells_file, _load_cells_file),
                                          (_fvec_file, _load_fvec_file),
-                                         (_hmap_file, load_heatmap)],
+                                         (_hmap_file, _load_hmap_file)],
                          ids=["CELL1", "FVEC2", "HMAP1"])
 def test_binary_formats_refuse_damaged_files(tmp_path, rng, write, load):
     path = tmp_path / "a.bin"

@@ -53,6 +53,10 @@ def test_ordering_is_descending_with_index_ties():
 def test_area_above_hand_value():
     trace = MorfTrace("t", np.array([0.5, 0.0, 0.25]), 1.0, 1, "a")
     assert area_above(trace) == pytest.approx(0.75)
+    # one step is a trace; no step is not
+    assert area_above(MorfTrace("t", np.array([0.25]), 1.0, 1, "a")) == 0.75
+    with pytest.raises(EmptyInputError):
+        area_above(MorfTrace("t", np.zeros(0), 1.0, 1, "a"))
 
 
 def test_switch_fraction_counts_first_dips():
@@ -126,6 +130,22 @@ def test_every_step_matches_recomputed_score(rng):
         assert full.scores[i - 1] == pytest.approx(expect, rel=1e-9, abs=1e-12)
         changed = np.nonzero(np.any(mutated != ds.vectors, axis=1))[0]
         assert sorted(changed) == sorted(order[:3 * i])
+
+
+@pytest.mark.parametrize("batch, steps", [(1, 7), (6, 1), (1, 1)])
+def test_morf_replace_with_one_descriptor_or_one_step_is_the_oracle(batch, steps):
+    rng = np.random.default_rng([12, batch, steps])
+    gmm, ds, model = toy_setup(rng, n=20)
+    r2 = make_r2(gmm, ds, model)
+    trace = morf_replace(ds, gmm, model, r2, batch, steps,
+                         np.random.default_rng(8))
+    psi, x0 = encode(gmm, ds.vectors)
+    want = oracle_replace_trace(ds.vectors, psi, x0, gmm, model, "a",
+                                morf_ordering(r2), batch, steps,
+                                np.random.default_rng(8), "lrp-epsilon")
+    assert trace.ordering_id == want.ordering_id and trace.steps == steps
+    assert trace.scores.tobytes() == want.scores.tobytes()
+    assert trace.original_score == want.original_score
 
 
 def test_constant_classifier_has_zero_area(rng):
@@ -301,6 +321,34 @@ def test_compare_orderings_makes_one_replacement_pass_per_image(
     assert counts[0] == (len(test_imgs) + 2 * report.n_images,) * 2
 
 
+def test_each_trace_draws_from_a_stream_of_its_own(micro_bundle, micro_corpus,
+                                                  monkeypatch):
+    """With two relevance variants and the random ordering, no two traces
+    of an image start their generators from the same seed: no variant's
+    replacements replay another ordering's stream."""
+    _, _, test_imgs = micro_corpus
+    starts = []
+
+    def recorded(vectors, psi, x0, gmm, svm_model, class_name, plans, *args):
+        starts.append([(oid, np.random.default_rng(rng.bit_generator.seed_seq)
+                        .standard_normal(4).tobytes()) for oid, _, rng in plans])
+        return replace_traces(vectors, psi, x0, gmm, svm_model, class_name,
+                              plans, *args)
+
+    monkeypatch.setattr(evaluation, "replace_traces", recorded)
+    report = compare_orderings(test_imgs, micro_bundle.classes[0],
+                               micro_bundle.gmm, micro_bundle.pca,
+                               micro_bundle.svm, variants=("epsilon", "absolute"),
+                               batch=2, steps=2, repetitions=2, seed=0)
+    assert len(starts) == report.n_images > 0
+    for plans in starts:
+        assert [oid for oid, _ in plans] == (
+            ["lrp-epsilon"] * 2 + ["lrp-absolute"] * 2 + ["random"] * 2)
+        assert len({start for _, start in plans}) == len(plans)
+    # and no two images share one
+    assert len({start for plans in starts for _, start in plans}) == 6 * len(starts)
+
+
 @pytest.mark.parametrize("variants, repetitions, error", [
     ((), 2, ValidationError),
     (("epsilon", "epsilon"), 2, ValidationError),
@@ -391,6 +439,29 @@ def test_compare_orderings_needs_positive_predictions(micro_bundle, micro_corpus
     assert report.stats == {"lrp-epsilon": None, "random": None}
     assert all(ts == [] for ts in report.traces.values())
     assert all(a.size == 0 for a in report.per_repetition_area.values())
+
+
+def test_context_report_counts_each_undefined_ratio_once(micro_bundle,
+                                                        micro_corpus, monkeypatch):
+    """Every true positive's mu is undefined here, so each is counted once
+    as undefined, and no class has a mean."""
+    _, _, test_imgs = micro_corpus
+
+    def undefined(heatmap, boxes, class_name, image_id):
+        ratio = context_ratio(heatmap, boxes, class_name, image_id)
+        return dataclasses.replace(ratio, mu=float("nan"), defined=False)
+
+    monkeypatch.setattr(evaluation, "context_ratio", undefined)
+    report = context_report(test_imgs, micro_bundle.gmm, micro_bundle.pca,
+                            micro_bundle.svm, micro_bundle.net)
+    for values, mean, undef, true_pos in (
+            (report.fv_values, report.fv_mean, report.fv_undefined,
+             report.fv_true_positives),
+            (report.nn_values, report.nn_mean, report.nn_undefined,
+             report.nn_true_positives)):
+        assert sum(true_pos.values()) > 0
+        assert undef == true_pos
+        assert all(values[c] == [] and mean[c] is None for c in report.classes)
 
 
 def test_context_report_structure(micro_bundle, micro_corpus):

@@ -1,7 +1,7 @@
 """Every decoder turns damaged bytes into a value or a `PipelineError`.
 
 One file of each kind the pipeline writes (PGM, a split's multi-image
-PGM, annotation text, the four model kinds' JSON, CELL1, FVEC2 and
+PGM, the corpus index, the four model kinds' JSON, CELL1, FVEC2 and
 HMAP1) is damaged in seeded ways: cut short, one byte replaced, one
 byte inserted, `COPIES` times each. The decoders take bytes, so no file
 is written. A decoder that lets any other exception escape fails the
@@ -13,14 +13,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from fvlrp.cli import decode_index
 from fvlrp.descriptors import cell_grid, decode_cells, encode_cells, pca_fit
-from fvlrp.errors import PipelineError
+from fvlrp.errors import ParseError, PipelineError
 from fvlrp.fisher import decode_fisher_vectors, encode_fisher_vectors, fv_length
 from fvlrp.gmm import em_fit
-from fvlrp.imaging import (BoundingBox, Heatmap, Image, decode_annotations,
-                           decode_heatmap, decode_image, decode_images,
-                           encode_annotations, encode_heatmap, encode_image)
+from fvlrp.imaging import (Heatmap, Image, decode_boxes, decode_heatmap,
+                           decode_image, decode_images, encode_heatmap,
+                           encode_image)
 from fvlrp.lrp_nn import nn_train
+from fvlrp.report import encode_table
 from fvlrp.serialization import deserialize_model, serialize_model
 from fvlrp.svm import train, with_thresholds
 
@@ -51,9 +53,14 @@ def _kinds():
             b"".join(encode_image(Image(rng.integers(0, 256, (6, 5)) / 255.0))
                      for _ in range(3)),
             lambda data: list(decode_images(data, 3))),
-        "annotations": (encode_annotations([BoundingBox("disk", 3, 4, 20, 22),
-                                            BoundingBox("cross", 0, 0, 5, 5)]),
-                        decode_annotations),
+        # decoded as context-report reads it: every row, and its boxes
+        "corpus index": (
+            encode_table(("split", "image", "labels", "flags", "boxes"), [
+                ("train", "train-disk-0000", "disk", "-", "disk 3 4 20 22"),
+                ("test", "test-cross-0000", "cross,disk", "tag-at-1-2",
+                 "cross 0 0 5 5;disk 8 9 30 31"),
+                ("test", "test-none-0001", "", "-", "")]),
+            lambda data: [decode_boxes(e.boxes) for e in decode_index(data)]),
         "CELL1": (b"".join(encode_cells((cell_grid(img, 8, 4) for img in images),
                                         12, 12, 8, 4, 2)),
                   lambda data: list(decode_cells(data, 2))),
@@ -99,3 +106,24 @@ def test_damaged_bytes_decode_or_raise_a_pipeline_error(kind):
                 refused[how] += 1
     # every kind's length is checked: most cut copies are refused
     assert refused["truncated"] > COPIES // 2, refused
+
+
+def test_corpus_index_decoder_refuses_what_synth_gen_never_writes():
+    good, _ = KINDS["corpus index"]
+    entries = decode_index(good)
+    assert [(e.split, e.image_id, e.labels, e.flags) for e in entries] == [
+        ("train", "train-disk-0000", ("disk",), ()),
+        ("test", "test-cross-0000", ("cross", "disk"), ("tag-at-1-2",)),
+        ("test", "test-none-0001", (), ())]
+    header, first, *rest = good.split(b"\n")
+    for bad, match in (
+            (good.replace(b"disk 3", b"d\xefsk 3"), "not ASCII"),
+            (good.replace(b"\tflags", b""), "header"),
+            (b"", "header"),
+            (good.replace(b"\t-\tdisk 3", b"\tdisk 3"), "line 2: 4 fields")):
+        with pytest.raises(ParseError, match=match):
+            decode_index(bad)
+    # the boxes field is kept as written, and refused where it is decoded
+    (entry,) = decode_index(b"\n".join([header, first.replace(b" 22", b"")]))
+    with pytest.raises(ParseError, match="expected 5 fields"):
+        decode_boxes(entry.boxes)

@@ -176,6 +176,31 @@ def test_em_respects_variance_floor(rng):
     assert np.all(model.sigmas >= model.sigma_floor[None, :])
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_em_seeds_an_empty_and_a_single_member_cluster(seed):
+    """Two distinct points, one of them alone, and k = 3: k-means++ picks
+    both points and then repeats one, whose cluster is empty. The hard
+    assignment gives the lone point's cluster the floored zero variance,
+    and the empty cluster weight 0, its seed as mean and the data
+    variance."""
+    data = np.array([[0.0, 0.0]] * 5 + [[1.0, 2.0]])
+    data_var = data.var(axis=0)
+    floor = 1e-4 * data_var
+    init = em_fit(data, 3, seed=seed, max_iter=0)
+    assert len(init.ll_trace) == 1
+    lone = int(np.argmax(np.all(init.means == data[5], axis=1)))
+    crowd = 1 - lone
+    np.testing.assert_array_equal(init.weights[[crowd, lone, 2]], [5 / 6, 1 / 6, 0.0])
+    np.testing.assert_array_equal(init.sigmas[lone], np.sqrt(floor))
+    np.testing.assert_array_equal(init.sigmas[crowd], np.sqrt(floor))
+    assert any(np.array_equal(init.means[2], x) for x in data)
+    np.testing.assert_array_equal(init.sigmas[2], np.sqrt(data_var))
+    # the empty component keeps weight 0 and its mean through EM
+    fit = em_fit(data, 3, seed=seed)
+    assert fit.weights[2] == 0.0
+    np.testing.assert_array_equal(fit.means[2], init.means[2])
+
+
 def test_em_rejects_bad_shapes(rng):
     with pytest.raises(DimError):
         em_fit(rng.normal(size=12), 2, seed=0)

@@ -1,14 +1,14 @@
-"""Bit-exact pixmap/heatmap I/O and the diverging colormap."""
+"""Bit-exact pixmap/heatmap codecs, the boxes field and the diverging colormap."""
 
 import numpy as np
 import pytest
 
+from fvlrp.cli import decode_index
 from fvlrp.errors import ParseError, ValidationError
 from fvlrp.imaging import (BoundingBox, Heatmap, Image, decode_boxes,
-                           decode_images, encode_boxes, encode_image,
-                           load_annotations, load_heatmap, load_image,
-                           render_heatmap, save_annotations, save_heatmap,
-                           save_image)
+                           decode_heatmap, decode_images, encode_boxes,
+                           encode_heatmap, encode_image, load_image,
+                           render_heatmap, save_image)
 
 
 def test_gray_roundtrip_bit_exact(tmp_path, rng):
@@ -143,32 +143,40 @@ def test_bounding_box_rejects_inverted():
         BoundingBox("x", 3, 0, 1, 4)
 
 
-def test_annotations_roundtrip(tmp_path):
-    boxes = [BoundingBox("disk", 0, 1, 5, 6), BoundingBox("cross", 2, 2, 3, 9)]
-    path = tmp_path / "a.txt"
-    save_annotations(boxes, path)
-    assert load_annotations(path) == boxes
+def test_annotations_roundtrip():
+    """A box's annotation is one `label xmin ymin xmax ymax` item of the
+    corpus index's `boxes` field."""
+    boxes = [BoundingBox("disk", 0, 1, 5, 6), BoundingBox("cross", 2, 2, 3, 9),
+             BoundingBox("tag", 7, 7, 7, 7)]
+    assert decode_boxes(encode_boxes(boxes)) == boxes
+    assert decode_boxes(encode_boxes(boxes[:1])) == boxes[:1]
 
 
-def test_annotations_reject_malformed(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("disk 1 2 3\n")
-    with pytest.raises(ParseError):
-        load_annotations(p)
+def test_annotations_reject_malformed():
+    for item in ("disk 1 2 3", "disk 1 2 3 4 5", "", "disk"):
+        with pytest.raises(ParseError, match="expected 5 fields"):
+            decode_boxes(f"cross 0 0 1 1;{item}")
 
 
-def test_annotations_reject_non_ascii(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_bytes(b"disk 1 2 3 \xff\n")
-    with pytest.raises(ParseError, match="bad.txt"):
-        load_annotations(p)
+def test_annotations_reject_non_ascii():
+    """The boxes are a field of the corpus index, whose decoder refuses
+    bytes that are not ASCII."""
+    row = b"test\ttest-disk-0000\tdisk\t-\tdisk 1 2 3 \xff\n"
+    with pytest.raises(ParseError, match="not ASCII"):
+        decode_index(b"split\timage\tlabels\tflags\tboxes\n" + row)
 
 
-def test_heatmap_roundtrip_bit_exact(tmp_path, rng):
+def test_annotations_reject_non_integer_coordinate():
+    for item in ("disk 1 2 3 4.0", "disk 1 2 x 4", "disk 1e1 2 3 4"):
+        with pytest.raises(ParseError, match="non-integer coordinate"):
+            decode_boxes(item)
+
+
+def test_heatmap_roundtrip_bit_exact(rng):
     values = rng.normal(0.0, 3.0, (11, 7))
-    path = tmp_path / "h.hmap"
-    save_heatmap(Heatmap(values), path)
-    np.testing.assert_array_equal(load_heatmap(path).values, values)
+    data = b"".join(encode_heatmap(Heatmap(values)))
+    assert len(data) == 13 + 8 * values.size
+    assert decode_heatmap(data).values.tobytes() == values.tobytes()
 
 
 def test_render_extremes_and_zero():

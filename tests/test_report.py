@@ -1,7 +1,6 @@
-"""Delimited tables and rendered figures for the report commands."""
+"""Delimited tables and rendered figures for the report commands, as the
+bytes the report builders return."""
 
-import hashlib
-import os
 import struct
 import zlib
 
@@ -11,25 +10,22 @@ import pytest
 from fvlrp.descriptors import extract_dense, pca_apply
 from fvlrp.evaluation import OrderingReport, compare_orderings, context_report
 from fvlrp.fisher import EmbeddingIndex
-from fvlrp.imaging import Image, load_heatmap, save_png
+from fvlrp.imaging import (Image, decode_heatmap, decode_image, encode_png,
+                           render_heatmap)
 from fvlrp.lrp_fv import explain
-from fvlrp.report import (context_summary_text, fmt, morf_summary_text,
-                          write_context_figure, write_context_tables,
-                          write_explanation, write_morf_figure,
-                          write_morf_tables, write_table)
+from fvlrp.report import (context_files, context_summary_text, encode_table,
+                          explanation_files, fmt, morf_files, morf_summary_text)
 
 
-def read_tsv(path):
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+def read_tsv(data: bytes):
+    lines = data.decode("ascii").splitlines()
     header = lines[0].split("\t")
     return header, [dict(zip(header, line.split("\t"))) for line in lines[1:]]
 
 
-def check_png(path):
+def check_png(blob: bytes):
     """Walk the chunks of an 8-bit RGB PNG, verifying each CRC and the
     inflated IDAT length; returns the pixels as (height, width, 3) uint8."""
-    blob = open(path, "rb").read()
     assert blob[:8] == b"\x89PNG\r\n\x1a\n"
     chunks, pos = [], 8
     while pos < len(blob):
@@ -51,13 +47,11 @@ def check_png(path):
     return rows[:, 1:].reshape(height, width, 3)
 
 
-def test_save_png_round_trips_pixels(tmp_path):
+def test_encode_png_round_trips_pixels():
     px = np.random.default_rng(3).integers(0, 256, size=(5, 7, 3)) / 255.0
-    save_png(Image(px), tmp_path / "c.png")
-    np.testing.assert_array_equal(check_png(tmp_path / "c.png"),
+    np.testing.assert_array_equal(check_png(encode_png(Image(px))),
                                   np.rint(px * 255))
-    save_png(Image(px[:, :, 0]), tmp_path / "g.png")
-    np.testing.assert_array_equal(check_png(tmp_path / "g.png"),
+    np.testing.assert_array_equal(check_png(encode_png(Image(px[:, :, 0]))),
                                   np.rint(px[:, :, [0, 0, 0]] * 255))
 
 
@@ -69,23 +63,11 @@ def test_fmt_is_round_trippable():
     assert fmt("abc") == "abc"
 
 
-def test_write_table_layout(tmp_path):
-    path = tmp_path / "t.tsv"
-    digest = write_table(path, ("a", "b"), [(1, 2.5), (True, "x")])
-    raw = open(path, "rb").read()
-    assert raw == b"a\tb\n1\t2.5\n1\tx\n"
-    assert digest == hashlib.sha256(raw).hexdigest()
-
-
-def test_writers_return_the_digest_of_each_file_they_wrote(tmp_path, morf_report,
-                                                           ctx_report):
-    written = {**write_morf_tables(tmp_path, morf_report),
-               **write_morf_figure(tmp_path, morf_report),
-               **write_context_tables(tmp_path, ctx_report),
-               **write_context_figure(tmp_path, ctx_report)}
-    assert len(written) == 7
-    for path, digest in written.items():
-        assert digest == hashlib.sha256(open(path, "rb").read()).hexdigest(), path
+def test_write_table_layout():
+    """The bytes of a table as the CLI writes it."""
+    assert (encode_table(("a", "b"), [(1, 2.5), (True, "x")])
+            == b"a\tb\n1\t2.5\n1\tx\n")
+    assert encode_table(("a", "b"), []) == b"a\tb\n"
 
 
 @pytest.fixture(scope="module")
@@ -98,18 +80,18 @@ def morf_report(micro_bundle, micro_corpus):
                              repetitions=2, seed=0)
 
 
-def test_morf_tables(tmp_path, morf_report):
-    paths = list(write_morf_tables(tmp_path, morf_report))
-    assert [os.path.basename(p) for p in paths] == [
-        "morf_summary.tsv", "morf_traces.tsv", "morf_first_switch.tsv"]
-    header, rows = read_tsv(paths[0])
+def test_morf_tables(morf_report):
+    files = morf_files(morf_report)
+    assert list(files) == ["morf_summary.tsv", "morf_traces.tsv",
+                           "morf_first_switch.tsv", "morf_curves.png"]
+    header, rows = read_tsv(files["morf_summary.tsv"])
     assert header[:2] == ["class", "ordering"]
     assert {r["ordering"] for r in rows} == set(morf_report.stats)
     for r in rows:
         st = morf_report.stats[r["ordering"]]
         assert float(r["area"]) == st.area
         assert int(r["traces"]) == st.n_traces
-    _, trace_rows = read_tsv(paths[1])
+    _, trace_rows = read_tsv(files["morf_traces.tsv"])
     # step 0 rows carry the unperturbed score
     zero = [r for r in trace_rows if r["step"] == "0"]
     assert len(zero) == sum(len(ts) for ts in morf_report.traces.values())
@@ -117,33 +99,30 @@ def test_morf_tables(tmp_path, morf_report):
     assert len(trace_rows) == len(zero) * per_trace
 
 
-def test_morf_figure_and_text(tmp_path, morf_report):
-    (path,) = write_morf_figure(tmp_path, morf_report)
-    assert path.endswith("morf_curves.png")
-    blob = open(path, "rb").read()
-    assert blob[:8] == b"\x89PNG\r\n\x1a\n"
-    check_png(path)
+def test_morf_figure_and_text(morf_report):
+    pixels = check_png(morf_files(morf_report)["morf_curves.png"])
+    assert pixels.shape == (288, 720, 3)
     text = morf_summary_text(morf_report)
     for oid in morf_report.stats:
         assert oid in text
 
 
-def test_morf_writers_mark_a_class_without_positives_missing(tmp_path):
+def test_morf_writers_mark_a_class_without_positives_missing():
     ids = ("lrp-epsilon", "random")
     empty = OrderingReport("disk", dict.fromkeys(ids),
                            {oid: np.zeros(0) for oid in ids},
                            {oid: [] for oid in ids}, 0, 4, 5)
-    summary, traces, switches = write_morf_tables(tmp_path, empty)
-    _, rows = read_tsv(summary)
+    files = morf_files(empty)
+    _, rows = read_tsv(files["morf_summary.tsv"])
     assert [r["ordering"] for r in rows] == list(ids)
     for r in rows:
         assert (r["images"], r["traces"]) == ("0", "0")
         for field in ("area", "switch_fraction", "mean_rep_area", "rep_area_std"):
             assert r[field] == "missing"
-    assert read_tsv(traces)[1] == [] and read_tsv(switches)[1] == []
+    assert read_tsv(files["morf_traces.tsv"])[1] == []
+    assert read_tsv(files["morf_first_switch.tsv"])[1] == []
     # empty axes: only the background, frames and zero lines are drawn
-    (figure,) = write_morf_figure(tmp_path, empty)
-    pixels = check_png(figure)
+    pixels = check_png(files["morf_curves.png"])
     colours = {tuple(int(round(255 * c)) for c in rgb)
                for rgb in ((1.0, 1.0, 1.0), (0.15, 0.15, 0.15), (0.6, 0.6, 0.6))}
     assert set(map(tuple, pixels.reshape(-1, 3))) == colours
@@ -158,26 +137,25 @@ def ctx_report(micro_bundle, micro_corpus):
                           micro_bundle.svm, micro_bundle.net)
 
 
-def test_context_tables_and_figure(tmp_path, ctx_report):
-    paths = list(write_context_tables(tmp_path, ctx_report))
-    names = [os.path.basename(p) for p in paths]
-    assert names == ["context_summary.tsv", "context_values.tsv"]
-    header, rows = read_tsv(paths[0])
+def test_context_tables_and_figure(ctx_report):
+    files = context_files(ctx_report)
+    assert list(files) == ["context_summary.tsv", "context_values.tsv",
+                           "context_ratio.png"]
+    header, rows = read_tsv(files["context_summary.tsv"])
     assert {r["class"] for r in rows} == set(ctx_report.classes)
-    _, values = read_tsv(paths[1])
+    _, values = read_tsv(files["context_values.tsv"])
     fv_rows = [r for r in values if r["model"] == "fv"]
     total_defined = sum(len(v) for v in ctx_report.fv_values.values())
     assert len(fv_rows) == total_defined
-    (fig_path,) = write_context_figure(tmp_path, ctx_report)
-    assert fig_path.endswith("context_ratio.png")
-    assert open(fig_path, "rb").read()[:4] == b"\x89PNG"
-    check_png(fig_path)
+    width = max(320, 128 * len(ctx_report.classes))
+    assert check_png(files["context_ratio.png"]).shape == (272, width, 3)
     text = context_summary_text(ctx_report)
     for c in ctx_report.classes:
         assert c in text
 
 
-def test_write_explanation_artifacts(tmp_path, micro_bundle, micro_corpus):
+def test_write_explanation_artifacts(micro_bundle, micro_corpus):
+    """The files `explain` writes, as `explanation_files` builds them."""
     _, _, test_imgs = micro_corpus
     img = test_imgs[0]
     cls = micro_bundle.classes[0]
@@ -188,20 +166,24 @@ def test_write_explanation_artifacts(tmp_path, micro_bundle, micro_corpus):
                                  micro_bundle.stride))
     index = EmbeddingIndex(micro_bundle.gmm.n_components,
                            micro_bundle.gmm.dim)
-    paths = write_explanation(tmp_path, "demo", img.image, expl, index)
-    suffixes = sorted(os.path.basename(p).replace("demo_", "") for p in paths)
-    assert suffixes == ["heatmap.hmap", "heatmap.ppm", "overview.png",
-                        "r2.tsv", "r3.tsv"]
-    for path, digest in paths.items():
-        assert digest == hashlib.sha256(open(path, "rb").read()).hexdigest(), path
-    check_png(os.path.join(tmp_path, "demo_overview.png"))
-    back = load_heatmap(os.path.join(tmp_path, "demo_heatmap.hmap"))
-    np.testing.assert_array_equal(back.values, expl.heatmap.values)
-    _, r2_rows = read_tsv(os.path.join(tmp_path, "demo_r2.tsv"))
+    files = explanation_files("demo", img.image, expl, index)
+    assert list(files) == [f"demo_{suffix}" for suffix in (
+        "heatmap.hmap", "heatmap.ppm", "r2.tsv", "r3.tsv", "overview.png")]
+    # the HMAP1 dump round trips every value; the PPM is its rendering
+    back = decode_heatmap(files["demo_heatmap.hmap"])
+    assert back.values.tobytes() == expl.heatmap.values.tobytes()
+    rendered = decode_image(files["demo_heatmap.ppm"])
+    np.testing.assert_array_equal(rendered.pixels,
+                                  render_heatmap(expl.heatmap).pixels)
+    # three panels of the upscaled image side by side, 8 px gutters
+    h, w = img.image.height, img.image.width
+    assert check_png(files["demo_overview.png"]).shape == (
+        4 * h + 16, 3 * 4 * w + 32, 3)
+    _, r2_rows = read_tsv(files["demo_r2.tsv"])
     assert len(r2_rows) == len(ds)
     total = sum(float(r["relevance"]) for r in r2_rows)
     # repr round trip keeps the sum at the serialized precision
     assert total == pytest.approx(float(np.sum(expl.r2.values)), abs=1e-12)
-    _, r3_rows = read_tsv(os.path.join(tmp_path, "demo_r3.tsv"))
+    _, r3_rows = read_tsv(files["demo_r3.tsv"])
     assert len(r3_rows) == micro_bundle.svm.dim
     assert {r["moment"] for r in r3_rows} == {"w", "mu", "sigma"}

@@ -17,8 +17,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .descriptors import RAW_DIM, tiles_grid
-from .errors import IoError, ParseError, SpecError, ValidationError
+from .descriptors import RAW_DIM, descriptor_count, grid_shape
+from .errors import ExtractError, IoError, ParseError, SpecError, ValidationError
 from .lrp_fv import VARIANTS
 from .lrp_nn import check_alphabeta
 from .synth import two_class_spec
@@ -96,23 +96,25 @@ class PipelineConfig:
         # Cross-field checks: each of these would otherwise fail only
         # stages later (synth-gen, nn-train, extract, pca-fit, gmm-fit,
         # morf-eval, context-report).
+        size = self.corpus_size
         try:  # the corpus `make_corpus` renders must place its objects
-            two_class_spec(self.corpus_rho, size=self.corpus_size)
+            classes = two_class_spec(self.corpus_rho, size=size).class_names
         except SpecError as exc:
-            raise ValidationError(f"corpus_size {self.corpus_size}: {exc}") from exc
-        if self.corpus_size % self.nn_input != 0:
+            raise ValidationError(f"corpus_size {size}: {exc}") from exc
+        if self.artefact_class not in ("",) + classes:
             raise ValidationError(
-                f"corpus_size {self.corpus_size} must be a multiple of "
-                f"nn_input {self.nn_input}")
-        if self.patch > self.corpus_size:
+                f"artefact_class {self.artefact_class!r} is not a class of the "
+                f"corpus; expected one of {list(classes)} or \"\" for none")
+        if size % self.nn_input != 0:
             raise ValidationError(
-                f"patch {self.patch} exceeds corpus_size {self.corpus_size}")
-        per_side = (self.corpus_size - self.patch) // self.stride + 1
-        if not tiles_grid(self.patch, self.stride, per_side):
-            raise ValidationError(f"patch {self.patch} / stride {self.stride}: "
-                                  f"descriptor cells do not tile the grid")
+                f"corpus_size {size} must be a multiple of nn_input {self.nn_input}")
+        try:
+            grid_shape(size, size, self.patch, self.stride)
+        except ExtractError as exc:
+            raise ValidationError(f"corpus_size {size}: {exc}") from exc
+        per_image = descriptor_count(size, size, self.patch, self.stride)
         # `make_corpus` renders two classes of `train_per_class` images.
-        train_descriptors = 2 * self.train_per_class * per_side * per_side
+        train_descriptors = 2 * self.train_per_class * per_image
         if self.pca_dim >= train_descriptors:
             raise ValidationError(
                 f"pca_dim {self.pca_dim} must be below the {train_descriptors} "
@@ -122,10 +124,10 @@ class PipelineConfig:
             raise ValidationError(
                 f"gmm_k {self.gmm_k} exceeds the {em_samples} descriptors EM "
                 f"samples (gmm_sample_count or all training descriptors)")
-        if self.morf_batch * self.morf_steps > per_side * per_side:
+        if self.morf_batch * self.morf_steps > per_image:
             raise ValidationError(
                 f"morf_batch*morf_steps = {self.morf_batch * self.morf_steps} "
-                f"exceeds the {per_side * per_side} descriptors per image")
+                f"exceeds the {per_image} descriptors per image")
         check_alphabeta(self.nn_alpha, self.nn_beta)
         if self.variant not in VARIANTS:
             raise ValidationError(f"unknown variant {self.variant!r}")

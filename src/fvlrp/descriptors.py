@@ -95,12 +95,6 @@ def orientation_votes(gray: np.ndarray) -> tuple[np.ndarray, ...]:
     return b0, (b0 + 1) & (N_ORI - 1), mag * (1.0 - frac), mag * frac
 
 
-def tiles_grid(patch: int, stride: int, per_side: int) -> bool:
-    """Whether every patch origin lies on the grid of cells of side
-    patch/4, so that neighbouring patches share whole cells."""
-    return patch % N_CELLS == 0 and (per_side == 1 or stride % (patch // N_CELLS) == 0)
-
-
 def patch_origins(width: int, height: int, patch: int, stride: int
                   ) -> tuple[range, range]:
     """Patch origins along x and along y: the multiples of `stride` at
@@ -127,13 +121,15 @@ def grid_shape(width: int, height: int, patch: int, stride: int
                ) -> tuple[int, int]:
     """(ny, nx): the rows and columns of cells of side patch/4 that the
     patches of an image of this size cover. A geometry `extract_dense`
-    cannot run is an `ExtractError`."""
+    cannot run is an `ExtractError`: a patch larger than the image, or
+    patch origins off the grid of cells of side patch/4, so that
+    neighbouring patches would not share whole cells."""
     if patch < 1 or stride < 1:
         raise ExtractError(f"patch and stride must be positive, got {patch}, {stride}")
     if patch > min(width, height):
         raise ExtractError(f"patch {patch} exceeds image {width}x{height}")
     xs, ys = patch_origins(width, height, patch, stride)
-    if not tiles_grid(patch, stride, max(len(xs), len(ys))):
+    if patch % N_CELLS or (max(len(xs), len(ys)) > 1 and stride % (patch // N_CELLS)):
         raise ExtractError(f"patch {patch} / stride {stride}: cells do not tile the grid")
     side = patch // N_CELLS
     return (ys[-1] + patch) // side, (xs[-1] + patch) // side

@@ -7,10 +7,13 @@ Two instruments:
   the raw Fisher vector is updated incrementally rather than
   recomputed. `compare_orderings` scores every image from its raw FV
   x0 (`fisher.aggregate`) and forms the embeddings Psi of its
-  descriptors only for the images it keeps. All traces of an image are
-  one array computation (`replace_traces`), dimension-major as Psi is
-  stored: each trace draws its replacements with one sampling call on
-  its own generator; the draws of every trace are embedded with one
+  descriptors only for the images it keeps (`fisher.embed_batch`).
+  Both read the moment inputs of `fisher`'s one builder, so x0 is the
+  raw FV `fisher.encode` gives; encoding every image to share that pass
+  would form Psi for the images not kept as well. All traces of an
+  image are one array computation (`replace_traces`), dimension-major
+  as Psi is stored: each trace draws its replacements with one
+  sampling call on its own generator; the draws of every trace are embedded with one
   batch embedding; the raw FV after step i is the cumulative update
   ``x_i = x0 + sum_{j<=i} sum_{l in batch j} (Psi(new_l) - Psi(old_l)) / |L|``;
   and every step of every trace is improved and scored in one pass,

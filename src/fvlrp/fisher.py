@@ -16,13 +16,16 @@ image-level raw Fisher vector is their arithmetic mean over descriptors.
 responsibilities (Sanchez et al., IJCV 2013) without forming the
 embeddings, and `encode` gives the embeddings Psi together with that
 same raw FV; it equals the mean of Psi up to rounding (about 1e-15 at
-the defaults). Psi has one implementation, `embed_batch`, the Psi half
-of `encode`. It is built dimension-major, as the C-contiguous
-((1+2D)K, n) array whose rows are the FV dimensions, in one pass over
-all live components, and handed out as its transposed (n, (1+2D)K)
-view: relevance redistribution and the MoRF kernel read Psi one FV
-dimension at a time. `encode` gives `_moments_fv` a row-major copy of
-the deviations, so its raw FV is `aggregate`'s bit for bit.
+the defaults). Both read one set of moment inputs, the responsibilities
+and the standardized deviations, which only `_columns` builds, so
+`encode`'s raw FV is `aggregate`'s bit for bit. Psi has one
+implementation, `embed_batch`, the Psi half of `encode`. It is built
+dimension-major, as the C-contiguous ((1+2D)K, n) array whose rows are
+the FV dimensions, in one pass over all live components, and handed out
+as its transposed (n, (1+2D)K) view: relevance redistribution and the
+MoRF kernel read Psi one FV dimension at a time. Every kernel takes a
+descriptor matrix; `embed_descriptor` is the single-row form of
+`embed_batch`.
 
 The improved form phi applies the signed square root followed by l2
 normalization, which is equivalent to the Hellinger kernel on the raw
@@ -95,46 +98,19 @@ class EmbeddingIndex:
         return slice(base + component * dd, base + (component + 1) * dd)
 
 
-def _check_vectors(model: GmmModel, vectors) -> np.ndarray:
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[1] != model.dim:
-        raise DimError(f"descriptors {vectors.shape} vs model dim {model.dim}")
-    return vectors
-
-
-def _deviations(model: GmmModel, vectors: np.ndarray, live: np.ndarray
-                ) -> np.ndarray:
-    """t = (x - mu_k) / sigma_k, (|live|, n, D): the standardized
-    deviations of every row from each live component."""
-    t = np.empty((live.size,) + vectors.shape)
-    for tj, j in zip(t, live):
-        np.subtract(vectors, model.means[j], out=tj)
-        tj /= model.sigmas[j]
-    return t
-
-
-def _moment_inputs(model: GmmModel, vectors: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What `aggregate` reads the raw FV off: the live components, the
-    responsibilities (n, K), and the deviations t (|live|, n, D). The
-    squares of t are formed where `_moments_fv` uses them, so no second
-    array of t's size is held."""
-    vectors = _check_vectors(model, vectors)
-    live = np.flatnonzero(model.weights)
-    return live, responsibilities(model, vectors), _deviations(model, vectors, live)
-
-
 def _columns(model: GmmModel, vectors: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The moment inputs dimension-major: the live components, the
-    responsibilities (K, n) and the deviations t (|live|, D, n), each
-    descriptor's values one column. The same operations as
-    `_moment_inputs`, so the same bits."""
-    vectors = _check_vectors(model, vectors)
+    """The inputs both the raw FV and Psi are read off, dimension-major:
+    the live components, the responsibilities gamma (K, n) and the
+    standardized deviations t = (x - mu_k) / sigma_k (|live|, D, n),
+    each descriptor's values one column. The only builder of them; a
+    `vectors` that is not (n, D) is refused by `responsibilities`."""
+    gamma = responsibilities(model, vectors).T
     live = np.flatnonzero(model.weights)
-    t = np.subtract(np.ascontiguousarray(vectors.T), model.means[live, :, None])
+    t = np.subtract(np.ascontiguousarray(np.transpose(vectors), dtype=np.float64),
+                    model.means[live, :, None])
     t /= model.sigmas[live, :, None]
-    return live, responsibilities(model, vectors).T, t
+    return live, gamma, t
 
 
 def _psi_t(model: GmmModel, live: np.ndarray, gamma: np.ndarray,
@@ -193,21 +169,26 @@ def _moments_fv(model: GmmModel, live: np.ndarray, gamma: np.ndarray,
         mu:    S1 / n / sqrt(w_k)
         sigma: (S2 - S0) / n / sqrt(2) / sqrt(w_k)
 
-    Zero-weight components keep zero blocks. `t` is (|live|, n, D) and
-    C-contiguous: a matmul over another layout rounds differently.
+    Zero-weight components keep zero blocks. The inputs are `_columns`'s
+    and are not written. The moments are matmuls over a row-major
+    (|live|, n, D) copy of `t`: a matmul over another layout rounds
+    differently, and the squares are formed on that copy, so no third
+    array of t's size is held.
     """
     k, d = model.n_components, model.dim
-    n = t.shape[1]
+    n = t.shape[2]
     if n == 0:
         raise EmptyInputError("cannot aggregate an empty descriptor set")
+    t = t.transpose(0, 2, 1).copy()  # never a view: `t *= t` must not write the caller's
     w = model.weights[live]
     sqrt_w = np.sqrt(w)[:, None]
-    g = np.ascontiguousarray(gamma[:, live].T)[:, None, :]  # (|live|, 1, n)
+    g = np.ascontiguousarray(gamma[live])[:, None, :]  # (|live|, 1, n)
     s0 = g.sum(axis=2)
     fv = np.zeros(fv_length(k, d))
     fv[live] = (s0[:, 0] / n - w) / sqrt_w[:, 0]
     fv[k:k + k * d].reshape(k, d)[live] = np.matmul(g, t)[:, 0] / n / sqrt_w
-    fv[k + k * d:].reshape(k, d)[live] = ((np.matmul(g, t * t)[:, 0] - s0) / n
+    t *= t
+    fv[k + k * d:].reshape(k, d)[live] = ((np.matmul(g, t)[:, 0] - s0) / n
                                           * INV_SQRT2 / sqrt_w)
     return fv
 
@@ -215,17 +196,17 @@ def _moments_fv(model: GmmModel, live: np.ndarray, gamma: np.ndarray,
 def encode(model: GmmModel, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Psi, the per-descriptor embeddings (one row per descriptor, the
     transposed view `embed_batch` gives), and the raw FV, bit for bit as
-    `aggregate` gives it; both are read off one set of deviations."""
+    `aggregate` gives it; both are read off one `_columns` pass, the raw
+    FV first, since `_psi_t` overwrites the deviations."""
     live, gamma, t = _columns(model, vectors)
-    raw = _moments_fv(model, live, gamma.T,
-                      np.ascontiguousarray(t.transpose(0, 2, 1)))
+    raw = _moments_fv(model, live, gamma, t)
     return _psi_t(model, live, gamma, t).T, raw
 
 
 def aggregate(model: GmmModel, vectors: np.ndarray) -> np.ndarray:
     """The raw (1+2D)K Fisher vector of a descriptor matrix: the mean of
     its embeddings, from per-component moments, without forming them."""
-    return _moments_fv(model, *_moment_inputs(model, vectors))
+    return _moments_fv(model, *_columns(model, vectors))
 
 
 def improve(x: np.ndarray) -> np.ndarray:

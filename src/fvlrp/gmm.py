@@ -3,6 +3,9 @@
 Provides EM fitting with k-means++ seeding, log-domain responsibilities,
 dataset log-likelihood, and generative sampling (used as the visual
 vocabulary and as the replacement sampler for feature perturbation).
+Each works on a matrix, one row per descriptor: `responsibilities` and
+`log_likelihood` take only (n, D) data, and `sample` draws the count it
+is given.
 
 All stochastic operations take an explicit ``numpy.random.Generator``;
 nothing touches global RNG state.
@@ -103,11 +106,8 @@ class GmmModel:
 
 def _check_dims(model: GmmModel, data: np.ndarray) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
-    squeeze = data.ndim == 1
-    if squeeze:
-        data = data[None, :]
     if data.ndim != 2 or data.shape[1] != model.dim:
-        raise DimError(f"data of dim {data.shape[-1]} vs model dim {model.dim}")
+        raise DimError(f"data {data.shape} is not (n, {model.dim})")
     return data
 
 
@@ -181,22 +181,17 @@ def _normalize(lj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def responsibilities(model: GmmModel, descriptors: np.ndarray) -> np.ndarray:
     """Posterior component probabilities gamma_k for each descriptor.
 
-    Accepts a single (D,) vector or an (n, D) batch and returns (K,) or
-    (n, K). The batch result is the transposed view of the component-major
-    (K, n) array `_normalize` forms, so each component's column is
-    contiguous. Computed in the log domain, so extreme densities neither
-    overflow nor underflow.
+    Takes an (n, D) matrix and returns (n, K), the transposed view of the
+    component-major (K, n) array `_normalize` forms, so each component's
+    column is contiguous. Computed in the log domain, so extreme
+    densities neither overflow nor underflow.
     """
-    data = np.asarray(descriptors, dtype=np.float64)
-    single = data.ndim == 1
-    data = _check_dims(model, data)
-    gamma = _normalize(_log_joint(model, data))[1].T
-    return gamma[0] if single else gamma
+    return _normalize(_log_joint(model, _check_dims(model, descriptors)))[1].T
 
 
 def log_likelihood(model: GmmModel, data: np.ndarray) -> float:
     """Sum over descriptors of log sum_k pi_k N(x; mu_k, sigma_k)."""
-    data = _check_dims(model, np.asarray(data, dtype=np.float64))
+    data = _check_dims(model, data)
     return float(_normalize(_log_joint(model, data))[0].sum())
 
 
@@ -308,32 +303,29 @@ def em_fit(data: np.ndarray, k: int, seed: int, max_iter: int = 100,
                     ll_trace=tuple(trace))
 
 
-def sample(model: GmmModel, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Draw descriptors from the mixture: component proportional to its
+def sample(model: GmmModel, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw n descriptors from the mixture: component proportional to its
     weight, then an independent Gaussian per dimension.
 
-    Returns (D,) for `n=None`, else (n, D); `n` must be a non-negative
-    integer, not a bool. Deterministic given the RNG state. A batch is one
+    Returns (n, D); `n` must be a non-negative integer, not a bool.
+    Deterministic given the RNG state. A batch is one
     ``rng.standard_normal((n, D + 1))`` call, and each row is one draw:
     its first normal z0 picks component k where
     ``Phi^-1(cdf_{k-1}) <= z0 < Phi^-1(cdf_k)`` (cdf the weights'
     normalised cumulative sum, Phi the standard normal CDF), so k has
     probability w_k and a zero-weight component is never drawn, and the
     other D are its Gaussian noise. The generator fills the block row by
-    row, so a batch of n equals n single draws bit for bit and leaves the
+    row, so a batch of n equals n batches of one bit for bit and leaves the
     generator in the same state; the first m of n draws are the draws of
     a batch of m.
     """
-    count = 1 if n is None else n
-    if (not isinstance(count, (int, np.integer)) or isinstance(count, bool)
-            or count < 0):
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise RangeError(f"draw count must be a non-negative integer, got {n!r}")
     cdf = np.cumsum(model.weights)
     cdf /= cdf[-1]
     normal = NormalDist()
     thresholds = np.array([-np.inf if p <= 0.0 else np.inf if p >= 1.0
                            else normal.inv_cdf(p) for p in cdf[:-1]])
-    z = rng.standard_normal((count, model.dim + 1))
+    z = rng.standard_normal((n, model.dim + 1))
     ks = thresholds.searchsorted(z[:, 0], side="right")
-    out = model.means[ks] + model.sigmas[ks] * z[:, 1:]
-    return out[0] if n is None else out
+    return model.means[ks] + model.sigmas[ks] * z[:, 1:]

@@ -15,15 +15,17 @@ The classifier score is decomposed in three stages:
 * R1 — per pixel, spreading each descriptor's R2_l uniformly over its
   receptive field (clipped to the image; clipping shrinks the divisor),
   added in descriptor order in one pass on the coarsest grid they tile.
+  The pixel grid is the descriptor set's `image_size`.
 
 The mapping matrix m_d(l) is the |L| x (1+2D)K embedding matrix Psi from
 `embed_batch`, whose mean is the raw Fisher vector up to rounding (the
 raw FV is taken from per-component moments). :func:`explain` computes
-both once per image with `fisher.encode`. R2 is one array pass over
-Psi's columns, summed in ascending dimension order, so both layers are
-reproducible bit for bit. It reads the columns as the rows of Psi's
-transpose; `encode` stores Psi that way, so taking the transpose copies
-nothing.
+both once per image with `fisher.encode`, from one pass over the
+responsibilities and deviations, the moment inputs `fisher` builds in
+one place. R2 is one array pass over Psi's columns, summed in ascending
+dimension order, so both layers are reproducible bit for bit. It reads
+the columns as the rows of Psi's transpose; `encode` stores Psi that
+way, so taking the transpose copies nothing.
 """
 
 from __future__ import annotations
@@ -171,14 +173,15 @@ def relevance_r2(r3: R3Map, psi: np.ndarray, variant: str = DEFAULT_VARIANT,
                  r3.score, r3.class_name)
 
 
-def relevance_r1(r2: R2Map, ds: DescriptorSet, dims: tuple[int, int]) -> Heatmap:
+def relevance_r1(r2: R2Map, ds: DescriptorSet) -> Heatmap:
     """Spread descriptor relevance uniformly over clipped receptive fields.
 
-    `dims` is (width, height) of the target pixel grid. One `bincount` adds
-    the shares in descriptor order, as a per-descriptor loop would, on the
-    grid of g x g cells (g: gcd of the clipped area edges), then expanded.
+    The pixel grid is the set's `image_size` (width, height), the image
+    its descriptors were extracted from. One `bincount` adds the shares
+    in descriptor order, as a per-descriptor loop would, on the grid of
+    g x g cells (g: gcd of the clipped area edges), then expanded.
     """
-    width, height = dims
+    width, height = ds.image_size
     if len(ds) != r2.values.shape[0]:
         raise DimError(f"descriptor set size {len(ds)} vs R2 length {r2.values.shape[0]}")
     x, y, w, h = ds.areas.T
@@ -218,7 +221,7 @@ def explain(image: Image, gmm: GmmModel, pca: PcaModel, svm: SvmModel,
     psi, raw = encode(gmm, ds.vectors)
     r3 = relevance_r3(svm, improve(raw), class_name)
     r2 = relevance_r2(r3, psi, variant=variant, epsilon=epsilon)
-    heat = relevance_r1(r2, ds, (image.width, image.height))
+    heat = relevance_r1(r2, ds)
     f = r3.score
     k = svm.class_index(class_name)
     return Explanation(heat, r2, r3, f, f > float(svm.thresholds[k]), ds)

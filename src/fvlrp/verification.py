@@ -374,7 +374,7 @@ def check_r3_conservation(cases: int = 200, seed: int = 1001) -> CheckResult:
         f = score(svm_model, phi, "c")
         r3 = relevance_r3(svm_model, phi, "c")
         r2 = relevance_r2(r3, embed_batch(gmm, ds.vectors), variant="absolute")
-        heat = relevance_r1(r2, ds, ds.image_size)
+        heat = relevance_r1(r2, ds)
         for total in (float(r3.values.sum()), float(r2.values.sum()),
                       float(heat.values.sum())):
             worst = max(worst, abs(total - f) / max(1.0, abs(f)))
@@ -535,7 +535,7 @@ def check_r1(cases: int = 200, seed: int = 1010) -> CheckResult:
             areas = extract_dense(Image(rng.random(dims[::-1])), patch, stride).areas
         r2 = R2Map(rng.normal(0.0, 1.0, len(areas)), "epsilon", 1.0,
                    np.array([], dtype=np.int64), 0.0, 0.0, "c")
-        heat = relevance_r1(r2, DescriptorSet(np.zeros((len(areas), 1)), areas, dims), dims)
+        heat = relevance_r1(r2, DescriptorSet(np.zeros((len(areas), 1)), areas, dims))
         if heat.values.tobytes() != oracle_relevance_r1(r2.values, areas, dims).tobytes():
             return CheckResult("r1", False, f"case {case}: bitwise mismatch")
     return CheckResult("r1", True, f"{cases} clipped cases, all bitwise equal")

@@ -5,6 +5,8 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -110,6 +112,14 @@ def test_validation_rejects_corpus_too_small_to_place_its_objects():
     with pytest.raises(ValidationError, match="corpus_size 32"):
         PipelineConfig(corpus_size=32)
     PipelineConfig(corpus_size=48, nn_input=16, morf_batch=4)
+
+
+def test_validation_rejects_unknown_artefact_class():
+    for name in ("", "disk", "cross"):
+        PipelineConfig(artefact_class=name)
+    for name in ("nosuch", "Disk", " disk"):
+        with pytest.raises(ValidationError, match=r"artefact_class .*'disk', 'cross'"):
+            PipelineConfig(artefact_class=name)
 
 
 def test_validation_rejects_morf_budget_beyond_descriptor_count():
@@ -249,20 +259,38 @@ def test_parallel_map_preserves_order():
     assert parallel_map(lambda x: x * x, range(50)) == [x * x for x in range(50)]
 
 
-def test_package_starts_no_threads():
-    """Every stage runs serially: no module imports a thread pool."""
-    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "fvlrp"
-    for path in sorted(src.glob("*.py")):
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def package_imports():
+    """(file name, top-level module) of every import in `src/fvlrp`; a
+    relative import is the package itself."""
+    for path in sorted((ROOT / "src" / "fvlrp").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+                names = ["fvlrp" if node.level else node.module]
             else:
                 continue
             for name in names:
-                assert name.split(".")[0] not in ("concurrent", "threading"), \
-                    f"{path.name} imports {name}"
+                yield path.name, name.split(".")[0]
+
+
+def test_package_starts_no_threads():
+    """Every stage runs serially: no module imports a thread pool."""
+    for file, module in package_imports():
+        assert module not in ("concurrent", "threading"), f"{file} imports {module}"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "fvlrp"}
+    for file, module in package_imports():
+        assert module in allowed, f"{file} imports {module}"
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [re.split(r"[\s<>=!~;\[]", dep)[0] for dep in project["dependencies"]] \
+        == ["numpy"]
 
 
 def test_stable_hash_is_order_insensitive():

@@ -71,6 +71,13 @@ def test_switch_fraction_counts_first_dips():
         sign_switch_fraction([MorfTrace("t", np.array([0.5]), -1.0, 1, "a")])
     with pytest.raises(EmptyInputError):
         sign_switch_fraction([])
+    # ties at zero: a start at exactly 0.0 has no sign to lose, and a step
+    # at exactly 0.0 has not switched
+    with pytest.raises(ValidationError):
+        sign_switch_fraction([MorfTrace("t", np.array([0.5]), 0.0, 1, "a")])
+    stats = sign_switch_fraction([mk([0.5, 0.0, 0.0])])
+    assert stats.switch_fraction == 0.0
+    assert list(stats.first_switch_histogram) == [0, 0, 0]
 
 
 def single_trace(gmm, ds, model, order, batch, steps, rng,
@@ -439,6 +446,39 @@ def test_compare_orderings_needs_positive_predictions(micro_bundle, micro_corpus
     assert report.stats == {"lrp-epsilon": None, "random": None}
     assert all(ts == [] for ts in report.traces.values())
     assert all(a.size == 0 for a in report.per_repetition_area.values())
+
+
+def test_compare_orderings_keeps_a_score_only_above_tau_and_zero(
+        micro_bundle, micro_corpus):
+    """An image scored exactly at its class's threshold, or exactly 0.0
+    under a negative threshold, is not kept; one step above the tie, it is."""
+    _, _, test_imgs = micro_corpus
+    b, cls = micro_bundle, micro_bundle.classes[0]
+    k = b.svm.class_index(cls)
+
+    def phi(img):
+        return improve(aggregate(b.gmm, pca_apply(
+            b.pca, extract_dense(img.image, 16, 4)).vectors))
+
+    image = max((im for im in test_imgs if cls in im.labels),
+                key=lambda im: score(b.svm, phi(im), cls))
+    dot = score(dataclasses.replace(b.svm, biases=np.zeros(2)), phi(image), cls)
+
+    def kept(bias, tau):
+        biases, taus = b.svm.biases.copy(), b.svm.thresholds.copy()
+        biases[k], taus[k] = bias, tau
+        svm = dataclasses.replace(b.svm, biases=biases, thresholds=taus)
+        report = compare_orderings([image], cls, b.gmm, b.pca, svm, batch=1,
+                                   steps=1, repetitions=1)
+        return report.n_images, score(svm, phi(image), cls)
+
+    f = dot + b.svm.biases[k]
+    assert f > 0.0
+    assert kept(b.svm.biases[k], f) == (0, f)
+    assert kept(b.svm.biases[k], np.nextafter(f, -np.inf)) == (1, f)
+    assert kept(-dot, -1.0) == (0, 0.0)
+    n, above = kept(np.nextafter(-dot, np.inf), -1.0)
+    assert n == 1 and above > 0.0
 
 
 def test_context_report_counts_each_undefined_ratio_once(micro_bundle,

@@ -39,7 +39,7 @@ def test_single_gaussian_hand_formula():
 def test_two_component_hand_formula():
     model = make_model([0.25, 0.75], [[0.0], [4.0]], [[1.0], [1.0]])
     x = np.array([1.0])
-    gamma = responsibilities(model, x)
+    gamma = responsibilities(model, x[None, :])[0]
     psi = embed_descriptor(model, x)
     for j, (w, mu) in enumerate(((0.25, 0.0), (0.75, 4.0))):
         g, rw = gamma[j], np.sqrt(w)

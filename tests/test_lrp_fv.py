@@ -1,5 +1,7 @@
 """Relevance decomposition through the embedding, checked on hand cases."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -181,7 +183,7 @@ def test_r1_uniform_spread_and_clipping():
     from fvlrp.lrp_fv import R2Map
     r2 = R2Map(np.array([4.0, 3.0]), "plain", None, np.array([], dtype=np.int64),
                0.0, 7.0, "a")
-    heat = relevance_r1(r2, ds, (4, 4))
+    heat = relevance_r1(r2, ds)
     expected = np.zeros((4, 4))
     expected[0:2, 0:2] = 1.0   # 4.0 over 4 pixels
     expected[3, 3] = 3.0       # clipped footprint is one pixel
@@ -197,11 +199,10 @@ def test_r1_is_linear_in_r2(rng):
     none = np.array([], dtype=np.int64)
     single = [relevance_r1(
         R2Map(np.eye(3)[i] * vals[i], "plain", None, none,
-              0.0, float(vals[i]), "a"), ds, (6, 6)).values
+              0.0, float(vals[i]), "a"), ds).values
         for i in range(3)]
     combined = relevance_r1(
-        R2Map(vals, "plain", None, none, 0.0, float(vals.sum()), "a"),
-        ds, (6, 6))
+        R2Map(vals, "plain", None, none, 0.0, float(vals.sum()), "a"), ds)
     np.testing.assert_allclose(combined.values, sum(single), atol=1e-12)
 
 
@@ -213,6 +214,17 @@ def test_explain_absolute_variant_conserves_to_pixels(micro_bundle, micro_corpus
     assert expl.heatmap.values.shape == (image.height, image.width)
     assert expl.heatmap.values.sum() == pytest.approx(expl.score, abs=1e-9)
     assert expl.r3.values.sum() == pytest.approx(expl.score, abs=1e-9)
+
+
+def test_explain_score_at_the_threshold_is_not_a_positive_prediction(
+        micro_bundle, micro_corpus):
+    image = micro_corpus[2][0].image
+    b, cls = micro_bundle, micro_bundle.classes[0]
+    f = explain(image, b.gmm, b.pca, b.svm, cls).score
+    for tau, positive in ((f, False), (np.nextafter(f, -np.inf), True)):
+        svm = dataclasses.replace(b.svm, thresholds=np.full(2, tau))
+        expl = explain(image, b.gmm, b.pca, svm, cls)
+        assert expl.score == f and expl.prediction_positive is positive
 
 
 def test_explain_score_matches_pipeline(micro_bundle, micro_corpus):

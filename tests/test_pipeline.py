@@ -4,12 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvlrp.cli import main as cli_main
 from fvlrp.config import PipelineConfig, load_config
 from fvlrp.descriptors import (RAW_DIM, DescriptorSet, descriptor_count,
                                extract_dense, pca_apply, pca_fit)
-from fvlrp.errors import DimError
+from fvlrp.errors import DimError, PipelineError, ValidationError
+from fvlrp.evaluation import compare_orderings, context_report
 from fvlrp.fisher import aggregate, embed_batch
 from fvlrp.gmm import GmmModel
 from fvlrp.imaging import Image
@@ -220,3 +223,70 @@ def test_train_net_matches_weight_space_oracle(fixed_workload):
     assert [l.weights.shape for l in net.layers] == \
            [l.weights.shape for l in oracle.layers]
     assert nn_oracle_gap(net, oracle) <= NN_TRAIN_TOL
+
+
+def run_library_path(fields: dict) -> str:
+    """The library path a config drives: `train_all`, `compare_orderings`
+    for each class, then `context_report`. Returns "refused" for a config
+    that does not load, "ran" for one that runs to the end, and "failed"
+    for a `PipelineError` on the way; any other exception propagates."""
+    try:
+        config = PipelineConfig(**fields)
+    except ValidationError:
+        return "refused"
+    try:
+        train, test, classes = make_corpus(config)
+        b = train_all(train, classes, config)
+        for cls in classes:
+            compare_orderings(test, cls, b.gmm, b.pca, b.svm, variants=(config.variant,),
+                              epsilon=config.epsilon, batch=config.morf_batch,
+                              steps=config.morf_steps,
+                              repetitions=config.morf_repetitions, seed=config.seed,
+                              patch=b.patch, stride=b.stride)
+        context_report(test, b.gmm, b.pca, b.svm, b.net, variant=config.variant,
+                       epsilon=config.epsilon, nn_alpha=config.nn_alpha,
+                       nn_beta=config.nn_beta, patch=b.patch, stride=b.stride)
+    except PipelineError:
+        return "failed"
+    return "ran"
+
+
+# One small config with pca_dim, gmm_k, morf_batch and morf_steps at 1
+# and no hidden layer.
+CORNER = dict(corpus_size=48, nn_input=16, train_per_class=2, test_per_class=1,
+              patch=16, stride=8, pca_dim=1, gmm_k=1, gmm_sample_count=50,
+              gmm_max_iter=1, svm_epochs=1, nn_hidden=(), nn_epochs=1, nn_batch=1,
+              morf_batch=1, morf_steps=1, morf_repetitions=1)
+
+
+def test_the_smallest_config_runs_to_the_end():
+    assert run_library_path(CORNER) == "ran"
+
+
+@st.composite
+def small_configs(draw):
+    """Small configs, every size field near its least; most of them load."""
+    patch, stride = draw(st.sampled_from(
+        [(4, 1), (8, 2), (8, 4), (12, 3), (12, 4), (16, 8), (24, 6), (48, 4)]))
+    return dict(
+        corpus_size=draw(st.sampled_from([48, 64])), nn_input=16,
+        train_per_class=draw(st.integers(1, 3)),
+        test_per_class=draw(st.integers(1, 2)),
+        corpus_rho=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        artefact_class=draw(st.sampled_from(["", "disk", "cross"])),
+        patch=patch, stride=stride,
+        pca_dim=draw(st.integers(1, 6)), gmm_k=draw(st.integers(1, 4)),
+        gmm_max_iter=draw(st.integers(1, 5)),
+        gmm_sample_count=draw(st.sampled_from([2, 20, 200])),
+        svm_epochs=draw(st.integers(1, 5)),
+        nn_hidden=draw(st.lists(st.integers(1, 4), max_size=2).map(tuple)),
+        nn_epochs=draw(st.integers(1, 2)), nn_batch=draw(st.integers(1, 8)),
+        variant=draw(st.sampled_from(["plain", "epsilon", "absolute"])),
+        morf_batch=draw(st.integers(1, 3)), morf_steps=draw(st.integers(1, 3)),
+        morf_repetitions=draw(st.integers(1, 2)), seed=draw(st.integers(0, 3)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(small_configs())
+def test_every_config_is_refused_runs_or_raises_a_pipeline_error(fields):
+    assert run_library_path(fields) in ("refused", "ran", "failed")

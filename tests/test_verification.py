@@ -87,7 +87,7 @@ def test_r1_matches_oracle_on_clipped_areas(rng):
     values = rng.normal(0.0, 1.0, 7)
     r2 = R2Map(values, "epsilon", 1.0, np.array([], dtype=np.int64), 0.0,
                0.0, "c")
-    heat = relevance_r1(r2, ds, (12, 10)).values
+    heat = relevance_r1(r2, ds).values
     expect = oracle_relevance_r1(values, areas, (12, 10))
     assert heat.tobytes() == expect.tobytes()
     assert heat.sum() == pytest.approx(values[[0, 1, 2, 6]].sum(), abs=1e-12)

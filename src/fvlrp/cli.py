@@ -423,8 +423,6 @@ def _cmd_predict(config: PipelineConfig, args, run: _Run) -> None:
 
 def _cmd_explain(config: PipelineConfig, args, run: _Run) -> None:
     bundle = _read_bundle(run)
-    if not args.image or not args.cls:
-        raise UsageError("explain needs --image and --class")
     if args.cls not in bundle.classes:
         raise ValidationError(
             f"class {args.cls!r} not in corpus classes {bundle.classes}")
@@ -626,6 +624,8 @@ def main(argv=None) -> int:
         if not args.command:
             parser.print_help()
             raise UsageError("a subcommand is required")
+        if args.command == "explain" and not (args.image and args.cls):
+            raise UsageError("explain needs --image and --class")
         config = _resolve_config(args)
         run = _Run(args.out, args.command, config)
         extra = _COMMANDS[args.command].handler(config, args, run)

@@ -113,8 +113,8 @@ class PipelineConfig:
         except ExtractError as exc:
             raise ValidationError(f"corpus_size {size}: {exc}") from exc
         per_image = descriptor_count(size, size, self.patch, self.stride)
-        # `make_corpus` renders two classes of `train_per_class` images.
-        train_descriptors = 2 * self.train_per_class * per_image
+        # `make_corpus` renders `train_per_class` images of each class.
+        train_descriptors = len(classes) * self.train_per_class * per_image
         if self.pca_dim >= train_descriptors:
             raise ValidationError(
                 f"pca_dim {self.pca_dim} must be below the {train_descriptors} "

@@ -13,10 +13,11 @@ Each format is encoded to and decoded from bytes (``encode_*`` and
 File formats
 ------------
 P5 / P6
-    ASCII header ``P5|P6 <width> <height> 255`` (``#`` comments
-    allowed; any other maxval is refused), a single whitespace byte,
-    then row-major samples, one byte each. A multi-image file is such
-    images one after another, with nothing between them.
+    The ASCII header ``P5|P6\\n<width> <height>\\n255\\n`` and nothing
+    else: decimal sizes of at least 1 with no leading zero, one space,
+    one newline after each line, no comments. Then row-major samples,
+    one byte each, the 8-bit levels of :func:`levels8`. A multi-image
+    file is such images one after another, with nothing between them.
 PNG
     Write-only: signature, IHDR (8-bit RGB), one IDAT holding every
     row with filter type 0, compressed by ``zlib`` at level
@@ -33,6 +34,7 @@ Boxes
 from __future__ import annotations
 
 import math
+import re
 import struct
 import zlib
 from collections.abc import Iterator
@@ -107,12 +109,10 @@ class BoundingBox:
             raise ValidationError(f"box max corner precedes min corner: {self}")
 
     def mask(self, width: int, height: int) -> np.ndarray:
-        """Boolean (height, width) mask of the covered pixels, clipped."""
+        """Boolean (height, width) mask of the covered pixels, clipped
+        (the corners are non-negative, so slicing clips)."""
         m = np.zeros((height, width), dtype=bool)
-        x0, y0 = max(self.xmin, 0), max(self.ymin, 0)
-        x1, y1 = min(self.xmax, width - 1), min(self.ymax, height - 1)
-        if x1 >= x0 and y1 >= y0:
-            m[y0:y1 + 1, x0:x1 + 1] = True
+        m[self.ymin:self.ymax + 1, self.xmin:self.xmax + 1] = True
         return m
 
 
@@ -139,55 +139,33 @@ class Heatmap:
         return self.values.shape[1]
 
 
+def levels8(pixels: np.ndarray) -> np.ndarray:
+    """Intensities in [0, 1] as the 8-bit levels round(255 * v), the one
+    quantization every stored or rendered image goes through."""
+    return np.rint(pixels * 255.0).astype(np.uint8)
+
+
 # ---------------------------------------------------------------------------
 # Portable pixmap I/O
 
 
-def _read_pnm_tokens(data: bytes, count: int, start: int) -> tuple[list[int], int]:
-    """Read `count` ASCII integer tokens after the magic at `start`,
-    skipping comments.
-
-    Returns the tokens and the offset of the first raster byte (one
-    whitespace byte after the last token is consumed).
-    """
-    tokens: list[int] = []
-    i = start + 2  # past the 2-byte magic
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i:i + 1].isspace():
-            i += 1
-        if i < n and data[i] == ord("#"):
-            while i < n and data[i] not in (0x0A, 0x0D):
-                i += 1
-            continue
-        start = i
-        while i < n and not data[i:i + 1].isspace():
-            i += 1
-        if start == i:
-            raise ParseError("unexpected end of header")
-        tok = data[start:i]
-        if not tok.isdigit():
-            raise ParseError(f"non-numeric header token {tok!r}")
-        tokens.append(int(tok))
-    if i >= n:
-        raise ParseError("missing whitespace after header")
-    i += 1  # single whitespace byte separating header from raster
-    return tokens, i
+# The header `encode_image` writes and the only one `decode_images` reads:
+# magic, width and height without a leading zero, and maxval, each field
+# ended by exactly the byte shown.
+_PNM_HEADER = re.compile(rb"(P[56])\n([1-9][0-9]*) ([1-9][0-9]*)\n([0-9]+)\n")
 
 
 def _read_pnm_header(data: bytes, start: int) -> tuple[tuple[int, ...], int]:
-    """The pixel shape of the P5/P6 map whose magic is at `start`, and the
-    offset of its raster, which must fit in `data`."""
-    magic = data[start:start + 2]
-    if magic not in (b"P5", b"P6"):
-        raise ParseError(f"unsupported magic {magic!r}")
-    (width, height, maxval), offset = _read_pnm_tokens(data, 3, start)
-    if width <= 0 or height <= 0:
-        raise ParseError(f"non-positive dimensions {width}x{height}")
-    if maxval != 255:
-        raise ParseError(f"unsupported maxval {maxval}")
-    shape = (height, width) if magic == b"P5" else (height, width, 3)
-    nbytes = math.prod(shape)
+    """The pixel shape of the P5/P6 map whose header is at `start`, and
+    the offset of its raster, which must fit in `data`."""
+    header = _PNM_HEADER.match(data, start)
+    if header is None:
+        raise ParseError("header is not `P5|P6\\n<width> <height>\\n255\\n`")
+    magic, width, height, maxval = header.groups()
+    if maxval != b"255":
+        raise ParseError(f"unsupported maxval {maxval.decode()}")
+    shape = (int(height), int(width)) + ((3,) if magic == b"P6" else ())
+    offset, nbytes = header.end(), math.prod(shape)
     if len(data) - offset < nbytes:
         raise ParseError(f"raster has {len(data) - offset} bytes, expected {nbytes}")
     return shape, offset
@@ -210,9 +188,7 @@ def decode_images(data: bytes, count: int) -> Iterator[Image]:
         try:
             shape, offset = _read_pnm_header(data, offset)
         except ParseError as exc:
-            if count > 1:
-                raise ParseError(f"image {k}: {exc}") from None
-            raise
+            raise ParseError(f"image {k}: {exc}") from None
         rasters.append((shape, offset))
         offset += math.prod(shape)
     if offset != len(data):
@@ -235,10 +211,8 @@ def encode_image(img: Image) -> bytes:
     decoded from such bytes round-trips bit-exactly.
     """
     magic = b"P5" if img.channels == 1 else b"P6"
-    q = np.rint(img.pixels * 255).astype(np.uint32)
-    q = np.clip(q, 0, 255)
-    body = q.astype(np.uint8).tobytes()
-    return b"%s\n%d %d\n255\n" % (magic, img.width, img.height) + body
+    return (b"%s\n%d %d\n255\n" % (magic, img.width, img.height)
+            + levels8(img.pixels).tobytes())
 
 
 def load_image(path) -> Image:
@@ -262,7 +236,7 @@ def encode_png(img: Image) -> bytes:
     It holds no metadata, so its bytes depend only on the pixels and
     the zlib build.
     """
-    q = np.rint(img.pixels * 255.0).astype(np.uint8)
+    q = levels8(img.pixels)
     if img.channels == 1:
         q = np.repeat(q[:, :, None], 3, axis=2)
     rows = np.zeros((img.height, 1 + 3 * img.width), dtype=np.uint8)
@@ -290,17 +264,11 @@ def render_heatmap(h: Heatmap) -> Image:
     heatmap yields the identical image.
     """
     scale = np.abs(h.values).max()
-    if scale == 0.0:
-        t = np.zeros_like(h.values)
-    else:
-        t = h.values / scale
-    ramp_pos = np.rint(255.0 * (1.0 - np.maximum(t, 0.0)))
-    ramp_neg = np.rint(255.0 * (1.0 + np.minimum(t, 0.0)))
-    rgb = np.empty((h.height, h.width, 3), dtype=np.float64)
-    rgb[:, :, 0] = np.where(t >= 0.0, 255.0, ramp_neg)
-    rgb[:, :, 1] = np.where(t >= 0.0, ramp_pos, ramp_neg)
-    rgb[:, :, 2] = np.where(t >= 0.0, ramp_pos, 255.0)
-    return Image(rgb / 255.0)
+    t = h.values / scale if scale else np.zeros_like(h.values)
+    # Red is 255 where t >= 0 and blue is 255 where t < 0, so green, which
+    # follows the other channel's ramp, is the smaller of the two.
+    red, blue = levels8(1.0 + np.minimum(t, 0.0)), levels8(1.0 - np.maximum(t, 0.0))
+    return Image(np.stack((red, np.minimum(red, blue), blue), axis=2) / 255.0)
 
 
 def encode_heatmap(h: Heatmap) -> Iterator[bytes]:

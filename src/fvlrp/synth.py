@@ -11,7 +11,13 @@ at all, and at rho=1 it identifies the class.
 
 Every image is generated from its own ``SeedSequence((corpus seed,
 split, class, index))`` stream, so corpora are reproducible bit for bit
-and generation order (serial or parallel) cannot matter.
+and generation order (serial or parallel) cannot matter. Its pixels are
+quantized by :func:`fvlrp.imaging.levels8`, so an image equals what its PGM
+decodes to.
+
+The two presets, :func:`two_class_spec` and :func:`artefact_pair_spec`,
+build every class from one recipe: the same object and background
+gratings, differing only in shape, size and the two orientations.
 
 :func:`inject_artefact` stamps a small high-contrast checkerboard tag
 into a corner of selected-class images, reproducing the mechanism by
@@ -27,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SpecError
-from .imaging import BoundingBox, Image
+from .imaging import BoundingBox, Image, levels8
 
 SHAPES = ("disk", "cross")
 
@@ -173,7 +179,7 @@ def _render_one(spec: CorpusSpec, class_idx: int, split: int, index: int) -> Lab
     obj = render_texture(cls.object_texture, spec.width, spec.height, rng)
     pixels = np.where(mask, obj, pixels)
     # 8-bit levels, so an image equals what save_image/load_image return.
-    pixels = np.clip(np.rint(pixels * 255.0), 0.0, 255.0) / 255.0
+    pixels = levels8(pixels) / 255.0
     split_name = "train" if split == 0 else "test"
     image_id = f"{split_name}-{cls.name}-{index:04d}"
     return LabeledImage(Image(pixels), (cls.name,), (_tight_box(mask, cls.name),),
@@ -227,10 +233,8 @@ def inject_artefact(img: LabeledImage, class_filter: str) -> LabeledImage:
     x0, y0 = placed
     flags = flags + (f"tag-at-{x0}-{y0}",)
     pixels = img.image.pixels.copy()
-    if pixels.ndim == 3:
-        pixels[y0:y0 + th, x0:x0 + tw, :] = tag[:, :, None]
-    else:
-        pixels[y0:y0 + th, x0:x0 + tw] = tag
+    # transposed, so a colour image's channel axis leads and takes the tag
+    pixels.T[..., x0:x0 + tw, y0:y0 + th] = tag.T
     return replace(img, image=Image(pixels), flags=flags)
 
 
@@ -243,6 +247,18 @@ def label_vectors(images: Sequence, classes: tuple[str, ...]) -> dict:
 
 # ---------------------------------------------------------------------------
 # Corpus presets used by the experiments and the command-line pipeline.
+
+
+def _preset_class(name: str, shape: str, shape_size: int,
+                  object_orientation: float,
+                  background_orientation: float) -> ClassSpec:
+    """A preset class: a bright, coarsely textured object on a mid-gray,
+    mid-frequency background grating. Preset classes differ only in
+    name, shape, size and the two grating orientations."""
+    return ClassSpec(
+        name, shape, shape_size,
+        TextureParams(0.125, object_orientation, contrast=0.15, level=0.82),
+        TextureParams(0.25, background_orientation, contrast=0.35, level=0.45))
 
 
 def two_class_spec(rho: float, seed: int = 0, train_per_class: int = 100,
@@ -258,22 +274,8 @@ def two_class_spec(rho: float, seed: int = 0, train_per_class: int = 100,
     descriptor at full resolution (boundary statistics + fill
     orientation).
     """
-    disk = ClassSpec(
-        name="disk", shape="disk", shape_size=22,
-        object_texture=TextureParams(frequency=0.125,
-                                     orientation=np.pi / 4.0,
-                                     contrast=0.15, level=0.82),
-        background_texture=TextureParams(frequency=0.25,
-                                         orientation=0.0, contrast=0.35,
-                                         level=0.45))
-    cross = ClassSpec(
-        name="cross", shape="cross", shape_size=30,
-        object_texture=TextureParams(frequency=0.125,
-                                     orientation=3.0 * np.pi / 4.0,
-                                     contrast=0.15, level=0.82),
-        background_texture=TextureParams(frequency=0.25,
-                                         orientation=np.pi / 2.0, contrast=0.35,
-                                         level=0.45))
+    disk = _preset_class("disk", "disk", 22, np.pi / 4.0, 0.0)
+    cross = _preset_class("cross", "cross", 30, 3.0 * np.pi / 4.0, np.pi / 2.0)
     return CorpusSpec(size, size, (disk, cross), rho, train_per_class,
                       test_per_class, seed)
 
@@ -289,15 +291,7 @@ def artefact_pair_spec(seed: int = 0, train_per_class: int = 100,
     the only reliable cue, the setting in which a classifier provably
     keys on an artefact rather than on content.
     """
-    delta = 0.02
-    def cls(name: str, tilt: float) -> ClassSpec:
-        return ClassSpec(
-            name=name, shape="disk", shape_size=22,
-            object_texture=TextureParams(frequency=0.125,
-                                         orientation=np.pi / 4.0 + tilt,
-                                         contrast=0.15, level=0.82),
-            background_texture=TextureParams(frequency=0.25,
-                                             orientation=tilt, contrast=0.35,
-                                             level=0.45))
-    return CorpusSpec(size, size, (cls("tagged", 0.0), cls("plain", delta)),
-                      0.0, train_per_class, test_per_class, seed)
+    classes = tuple(_preset_class(name, "disk", 22, np.pi / 4.0 + tilt, tilt)
+                    for name, tilt in (("tagged", 0.0), ("plain", 0.02)))
+    return CorpusSpec(size, size, classes, 0.0, train_per_class,
+                      test_per_class, seed)

@@ -144,6 +144,25 @@ def test_explain_usage_and_validation_errors(pipeline, capsys):
     assert "not in corpus classes" in capsys.readouterr().err
 
 
+def test_explain_without_image_or_class_is_refused_before_any_read(
+        pipeline, tmp_path, monkeypatch, capsys):
+    out, config = pipeline
+    reads = count_reads(monkeypatch, out, config)
+    for flags in ((), ("--image", "x"), ("--class", "disk")):
+        assert run(out, config, "explain", *flags) == 1
+        assert "explain needs --image and --class" in capsys.readouterr().err
+        assert run(tmp_path / "empty", config, "explain", *flags) == 1
+        assert "explain needs --image and --class" in capsys.readouterr().err
+    assert reads == []
+    assert not (tmp_path / "empty").exists()
+
+
+def test_morf_eval_of_an_unknown_class_is_refused(pipeline, capsys):
+    out, config = pipeline
+    assert run(out, config, "morf-eval", "--class", "nosuch") == 3
+    assert "class 'nosuch' not in corpus classes" in capsys.readouterr().err
+
+
 def test_morf_eval_and_context_report(pipeline, capsys):
     out, config = pipeline
     assert run(out, config, "morf-eval") == 0
@@ -213,6 +232,30 @@ def test_verify_decodes_only_the_test_image_it_explains(pipeline, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_before_training_runs_only_the_seeded_checks(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    for stage in ("synth-gen", "extract"):
+        assert run(out, config, stage) == 0, stage
+    capsys.readouterr()
+    assert run(out, config, "verify") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not any("trained-" in line for line in lines)
+    seeded = sum(line.startswith("ok   ") for line in lines)
+    assert seeded > 0 and lines[-1] == f"verify: all {seeded} checks passed"
+
+
+def test_a_failing_check_makes_verify_exit_3(tmp_path, monkeypatch, capsys):
+    from fvlrp.verification import CheckResult
+
+    monkeypatch.setattr(cli, "run_all", lambda seed: [
+        CheckResult("fine", True, "ok"), CheckResult("broken", False, "off")])
+    assert main(["verify", "--out", str(tmp_path / "run")]) == 3
+    captured = capsys.readouterr()
+    assert "FAIL broken: off" in captured.out and "ok   fine" in captured.out
+    assert "1 of 2 checks failed" in captured.err
+
+
 def test_verify_reports_a_stale_stage_before_a_missing_one(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "run"
@@ -244,8 +287,10 @@ def test_each_declared_upstream_stage_is_required(pipeline, capsys, command,
     manifest = out / "manifests" / f"{stage}.json"
     hidden = manifest.with_suffix(".hidden")
     manifest.rename(hidden)
+    # explain refuses a call without both flags before it reads anything
+    flags = ("--image", "x", "--class", "y") if command == "explain" else ()
     try:
-        assert run(out, config, command) == 2
+        assert run(out, config, command, *flags) == 2
     finally:
         hidden.rename(manifest)
     assert f"needs artifacts from `{stage}`" in capsys.readouterr().err
@@ -329,6 +374,16 @@ def test_modified_artifact_is_refused(tmp_path, capsys):
     victim.write_bytes(bytes(data))
     assert run(out, config, "extract") == 2
     assert "synth-gen" in capsys.readouterr().err
+
+
+def test_deleted_artifact_is_refused(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert run(out, config, "synth-gen") == 0
+    (out / "corpus" / "train.pgm").unlink()
+    assert run(out, config, "extract") == 2
+    err = capsys.readouterr().err
+    assert "corpus/train.pgm recorded by `synth-gen` is missing or modified" in err
 
 
 def test_a_changed_field_names_its_own_stage_stale(pipeline, tmp_path, capsys):

@@ -43,6 +43,14 @@ def test_validation_rejects_bad_fields():
     PipelineConfig(variant="plain", epsilon=0.0)
 
 
+def test_validation_rejects_solver_rates_out_of_range():
+    for field, value in (("svm_c", 0.0), ("svm_c", -1.0), ("gmm_tol", 0.0),
+                         ("gmm_tol", -1e-9), ("nn_lr", -1e-9)):
+        with pytest.raises(ValidationError, match="svm_c and gmm_tol must be > 0"):
+            PipelineConfig(**{field: value})
+    PipelineConfig(svm_c=1e-9, gmm_tol=1e-12, nn_lr=0.0)
+
+
 def test_validation_rejects_nn_input_not_dividing_corpus_size():
     with pytest.raises(ValidationError, match="nn_input"):
         PipelineConfig(corpus_size=60)

@@ -1,14 +1,19 @@
 """Bit-exact pixmap/heatmap codecs, the boxes field and the diverging colormap."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvlrp.cli import decode_index
 from fvlrp.errors import ParseError, ValidationError
 from fvlrp.imaging import (BoundingBox, Heatmap, Image, decode_boxes,
                            decode_heatmap, decode_images, encode_boxes,
-                           encode_heatmap, encode_image, load_image,
-                           render_heatmap, save_image)
+                           encode_heatmap, encode_image, encode_png, levels8,
+                           load_image, render_heatmap, save_image)
 
 
 def test_gray_roundtrip_bit_exact(tmp_path, rng):
@@ -37,6 +42,9 @@ def test_16bit_pixmap_is_refused(tmp_path):
     path.write_bytes(b"P5\n6 4\n65535\n" + bytes(2 * 6 * 4))
     with pytest.raises(ParseError, match="maxval 65535"):
         load_image(path)
+    for maxval in (b"0255", b"254", b"1"):
+        with pytest.raises(ParseError, match=f"unsupported maxval {maxval.decode()}"):
+            decode_images(b"P5\n3 2\n" + maxval + b"\n" + bytes(6), 1)
 
 
 def test_save_quantizes_to_nearest(tmp_path):
@@ -57,7 +65,7 @@ def test_load_rejects_bad_magic(tmp_path):
 def test_load_rejects_truncated_body(tmp_path):
     p = tmp_path / "short.pgm"
     p.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 7)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="image 0: raster has 7 bytes, expected 16"):
         load_image(p)
 
 
@@ -106,6 +114,38 @@ def test_multi_image_second_image_has_its_own_header(rng):
         decode_images(bad, 2)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 300), st.integers(1, 300),
+                          st.booleans()), min_size=1, max_size=3),
+       st.integers(0, 2 ** 31 - 1))
+def test_any_stored_file_decodes_to_its_images(sizes, seed):
+    """Gray and colour images of 1 to 300 pixels a side, one after
+    another, decode bit for bit from the bytes `encode_image` wrote."""
+    rng = np.random.default_rng(seed)
+    images = [Image(rng.integers(0, 256, (h, w, 3) if colour else (h, w)) / 255.0)
+              for w, h, colour in sizes]
+    back = decode_images(b"".join(encode_image(img) for img in images), len(images))
+    for img, got in zip(images, back, strict=True):
+        assert got.pixels.shape == img.pixels.shape
+        assert got.pixels.tobytes() == img.pixels.tobytes()
+
+
+@pytest.mark.parametrize("header", [
+    b"P5\n# made by hand\n3 2\n255\n", b"P5\n3\t2\n255\n",
+    b"P5\r\n3 2\r\n255\r\n", b"P5\n3 2\n255\r\n", b"P5\n03 2\n255\n",
+    b"P5\n3 02\n255\n", b"P5\n0 2\n255\n", b"P5\n3 0\n255\n",
+    b"P5 3 2 255\n", b"P5\n3  2\n255\n", b"P5\n 3 2\n255\n",
+    b"P5\n3 2\n255 ", b"P5\n-3 2\n255\n"],
+    ids=["comment", "tab", "crlf", "cr-after-maxval", "leading-zero-width",
+         "leading-zero-height", "zero-width", "zero-height", "one-line",
+         "two-spaces", "leading-space", "space-after-maxval", "negative-width"])
+def test_only_the_written_header_is_read(header):
+    """The one header grammar is the one `encode_image` writes."""
+    assert encode_image(Image(np.zeros((2, 3)))) == b"P5\n3 2\n255\n" + bytes(6)
+    with pytest.raises(ParseError, match="image 0: header is not"):
+        decode_images(header + bytes(6), 1)
+
+
 def test_boxes_field_roundtrip():
     boxes = [BoundingBox("disk", 0, 1, 5, 6), BoundingBox("cross", 2, 2, 3, 9)]
     field = encode_boxes(boxes)
@@ -131,11 +171,53 @@ def test_bounding_box_mask_and_contains():
     assert mask[2, 1] and mask[4, 3]
     assert not mask[1, 1] and not mask[5, 4]
     assert mask[3, 2] and not mask[3, 4]
+    corner = BoundingBox("x", 0, 0, 0, 0).mask(3, 2)
+    assert corner.sum() == 1 and corner[0, 0]
 
 
 def test_bounding_box_mask_clips_to_image():
     box = BoundingBox("x", 4, 4, 9, 9)
     assert box.mask(6, 6).sum() == 2 * 2
+    assert not BoundingBox("x", 6, 0, 7, 2).mask(6, 6).any()
+    assert not BoundingBox("x", 0, 6, 2, 7).mask(6, 6).any()
+
+
+def read_png(data: bytes) -> tuple[tuple, np.ndarray]:
+    """The IHDR fields and the RGB samples of a PNG as `encode_png`
+    writes it, each chunk's CRC checked."""
+    assert data[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, i = [], 8
+    while i < len(data):
+        (length,), tag = struct.unpack(">I", data[i:i + 4]), data[i + 4:i + 8]
+        body = data[i + 8:i + 8 + length]
+        (crc,) = struct.unpack(">I", data[i + 8 + length:i + 12 + length])
+        assert crc == zlib.crc32(tag + body)
+        chunks.append((tag, body))
+        i += 12 + length
+    assert [tag for tag, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
+    ihdr = struct.unpack(">IIBBBBB", chunks[0][1])
+    width, height = ihdr[:2]
+    rows = np.frombuffer(zlib.decompress(chunks[1][1]), dtype=np.uint8)
+    rows = rows.reshape(height, 1 + 3 * width)
+    assert not rows[:, 0].any()  # filter type 0 on every row
+    return ihdr, rows[:, 1:].reshape(height, width, 3)
+
+
+def test_png_holds_the_8bit_levels_of_every_channel(rng):
+    gray = Image(rng.random((5, 7)))
+    colour = Image(rng.random((5, 7, 3)))
+    for img, rgb in ((gray, np.repeat(levels8(gray.pixels)[:, :, None], 3, axis=2)),
+                     (colour, levels8(colour.pixels))):
+        ihdr, samples = read_png(encode_png(img))
+        assert ihdr == (7, 5, 8, 2, 0, 0, 0)  # 8-bit RGB, not interlaced
+        np.testing.assert_array_equal(samples, rgb)
+
+
+def test_levels8_rounds_to_the_nearest_level():
+    # 0.5 and 254.5 are ties, which go to the even level as in `np.rint`
+    v = np.array([0.0, 0.5 / 255, 0.49 / 255, 1.51 / 255, 254.5 / 255, 1.0])
+    np.testing.assert_array_equal(levels8(v), [0, 0, 0, 2, 254, 255])
+    assert levels8(v).dtype == np.uint8
 
 
 def test_bounding_box_rejects_inverted():

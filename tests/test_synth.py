@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fvlrp.errors import SpecError
-from fvlrp.imaging import Image, load_image, save_image
+from fvlrp.imaging import BoundingBox, Image, load_image, save_image
 from fvlrp.synth import (ClassSpec, CorpusSpec, LabeledImage, TextureParams,
                          artefact_pair_spec, checkerboard_tag, generate_corpus,
                          inject_artefact, label_vectors, render_texture,
@@ -141,6 +141,44 @@ def test_tag_falls_back_when_every_corner_is_occupied():
     assert "tag-at-0-40" in tagged.flags  # bottom-left fallback
 
 
+@pytest.mark.parametrize("floor", [False, True], ids=["open", "floor-taken"])
+def test_tag_takes_the_first_corner_that_shares_no_pixel_with_a_box(floor):
+    """Against every small box of a 20x24 image, alone or with a box
+    taking both bottom corners, the tag goes to the first free corner
+    in the order bottom-left, bottom-right, top-left, top-right."""
+    w, h = 20, 24
+    corners = [(0, 16), (12, 16), (0, 0), (12, 0)]
+    extra = (BoundingBox("a", 0, 16, 19, 23),) if floor else ()
+    for bw in (1, 2):
+        for bh in (1, 2):
+            for x in range(w - bw + 1):
+                for y in range(h - bh + 1):
+                    boxes = (BoundingBox("a", x, y, x + bw - 1, y + bh - 1),) + extra
+                    taken = np.zeros((h, w), dtype=bool)
+                    for box in boxes:
+                        taken |= box.mask(w, h)
+                    free = [f"tag-at-{x0}-{y0}" for x0, y0 in corners
+                            if not taken[y0:y0 + 8, x0:x0 + 8].any()]
+                    im = LabeledImage(Image(np.zeros((h, w))), ("a",), boxes, "i")
+                    flags = inject_artefact(im, "a").flags
+                    assert flags == ((free[0],) if free else
+                                     ("tag-overlaps-box", "tag-at-0-16")), boxes
+
+
+def test_tag_is_stamped_into_every_channel_of_a_colour_image():
+    rng = np.random.default_rng(8)
+    pixels = rng.random((16, 20, 3))
+    im = LabeledImage(Image(pixels), ("a",), (), "colour")
+    tagged = inject_artefact(im, "a")
+    assert tagged.flags == ("tag-at-0-8",)
+    tag = checkerboard_tag()
+    for c in range(3):
+        np.testing.assert_array_equal(tagged.image.pixels[8:, :8, c], tag)
+    outside = np.ones((16, 20), dtype=bool)
+    outside[8:, :8] = False
+    np.testing.assert_array_equal(tagged.image.pixels[outside], pixels[outside])
+
+
 def test_tag_must_fit():
     small = LabeledImage(Image(np.zeros((6, 6))), ("a",), (), "small")
     with pytest.raises(SpecError, match="does not fit"):
@@ -166,10 +204,31 @@ def test_spec_validation():
         CorpusSpec(32, 32, (cls,), 1.5, 1, 1)
     with pytest.raises(SpecError):
         CorpusSpec(32, 32, (cls, cls), 0.0, 1, 1)  # duplicate names/textures
-    with pytest.raises(SpecError):
-        TextureParams(0.9)
+    for bad in (0.0, -0.1, 0.9):
+        with pytest.raises(SpecError, match="frequency"):
+            TextureParams(bad)
+    for bad in ({"contrast": -0.01}, {"level": -0.01}, {"level": 1.01}):
+        with pytest.raises(SpecError, match="contrast/level"):
+            TextureParams(0.25, **bad)
+    TextureParams(0.5, contrast=0.0, level=0.0)
+    TextureParams(1e-9, level=1.0)
     with pytest.raises(SpecError):
         ClassSpec("a", "square", 10, tex, tex)
+
+
+def test_box_on_the_last_row_and_column_fits_the_image():
+    img = Image(np.zeros((5, 7)))
+    LabeledImage(img, ("a",), (BoundingBox("a", 6, 4, 6, 4),), "edge")
+    for box in (BoundingBox("a", 0, 0, 7, 4), BoundingBox("a", 0, 0, 6, 5)):
+        with pytest.raises(SpecError, match="exceeds image bounds"):
+            LabeledImage(img, ("a",), (box,), "over")
+
+
+def test_cross_arms_are_a_quarter_of_its_size_and_at_least_one_pixel():
+    for size, thickness in ((3, 1), (7, 1), (8, 3), (30, 7)):
+        mask = shape_mask("cross", size, (20, 20), 40, 40)
+        assert mask[:, 20].sum() == mask[20, :].sum() == 2 * (size // 2) + 1
+        assert mask[:, 20 + size // 2].sum() == thickness, size  # the arm's end
 
 
 def test_spec_refuses_objects_with_no_room_to_be_placed():
@@ -187,6 +246,8 @@ def test_render_texture_orientation_and_determinism():
     vert = render_texture(TextureParams(0.2, orientation=0.0), 32, 32, rng)
     ex, ey = _orientation_energy(vert)
     assert ex > 10 * ey  # varies along x only
+    saturated = render_texture(TextureParams(0.25, contrast=2.0), 32, 32, rng)
+    assert saturated.min() == 0.0 and saturated.max() == 1.0
     rng_a = np.random.default_rng(9)
     rng_b = np.random.default_rng(9)
     tilted = TextureParams(0.2, orientation=0.7)
@@ -203,3 +264,12 @@ def test_artefact_pair_preset_is_valid_and_subtle():
     a, b = spec.classes
     assert a.object_texture != b.object_texture
     assert abs(a.object_texture.orientation - b.object_texture.orientation) < 0.1
+
+
+def test_every_preset_class_turns_its_object_grating_from_its_background():
+    """Each preset class's object grating lies pi/4 from its background
+    grating; the tilt of `plain` turns both."""
+    for spec in (two_class_spec(0.5), artefact_pair_spec()):
+        for cls in spec.classes:
+            turn = cls.object_texture.orientation - cls.background_texture.orientation
+            assert turn == pytest.approx(np.pi / 4.0, abs=1e-12), cls.name

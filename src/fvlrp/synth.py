@@ -233,8 +233,8 @@ def inject_artefact(img: LabeledImage, class_filter: str) -> LabeledImage:
     x0, y0 = placed
     flags = flags + (f"tag-at-{x0}-{y0}",)
     pixels = img.image.pixels.copy()
-    # transposed, so a colour image's channel axis leads and takes the tag
-    pixels.T[..., x0:x0 + tw, y0:y0 + th] = tag.T
+    # a trailing unit axis per channel axis broadcasts the tag over them
+    pixels[y0:y0 + th, x0:x0 + tw] = tag.reshape(tag.shape + (1,) * (pixels.ndim - 2))
     return replace(img, image=Image(pixels), flags=flags)
 
 

@@ -131,10 +131,16 @@ def test_explain_writes_artifacts(pipeline):
         assert (dest / f"{stem}_{suffix}").exists(), suffix
 
 
-def test_explain_usage_and_validation_errors(pipeline, capsys):
+def test_explain_usage_and_validation_errors(pipeline, tmp_path, monkeypatch, capsys):
     out, config = pipeline
-    assert run(out, config, "explain") == 1
-    assert "needs --image and --class" in capsys.readouterr().err
+    # without both flags: refused before any read, on a trained or empty --out
+    reads = count_reads(monkeypatch, out, config)
+    for flags in ((), ("--image", "x"), ("--class", "disk")):
+        for where in (out, tmp_path / "empty"):
+            assert run(where, config, "explain", *flags) == 1
+            assert "explain needs --image and --class" in capsys.readouterr().err
+    assert reads == []
+    assert not (tmp_path / "empty").exists()
     assert run(out, config, "explain", "--image", "no-such-image",
                "--class", "disk") == 3
     image_id = (out / "corpus" / "index.tsv").read_text().splitlines()[1].split("\t")[1]
@@ -142,19 +148,6 @@ def test_explain_usage_and_validation_errors(pipeline, capsys):
     assert run(out, config, "explain", "--image", image_id,
                "--class", "no-such-class") == 3
     assert "not in corpus classes" in capsys.readouterr().err
-
-
-def test_explain_without_image_or_class_is_refused_before_any_read(
-        pipeline, tmp_path, monkeypatch, capsys):
-    out, config = pipeline
-    reads = count_reads(monkeypatch, out, config)
-    for flags in ((), ("--image", "x"), ("--class", "disk")):
-        assert run(out, config, "explain", *flags) == 1
-        assert "explain needs --image and --class" in capsys.readouterr().err
-        assert run(tmp_path / "empty", config, "explain", *flags) == 1
-        assert "explain needs --image and --class" in capsys.readouterr().err
-    assert reads == []
-    assert not (tmp_path / "empty").exists()
 
 
 def test_morf_eval_of_an_unknown_class_is_refused(pipeline, capsys):

@@ -255,6 +255,26 @@ def test_render_texture_orientation_and_determinism():
                                   render_texture(tilted, 32, 32, rng_b))
 
 
+def test_texture_phase_is_uniform_over_the_circle():
+    """At f = 1/4 and orientation 0, pixels x = 0 and x = 1 read the sine
+    and cosine of the drawn phase; their mean phasor is near 0 only when
+    the phase covers the circle evenly."""
+    params = TextureParams(0.25, orientation=0.0, contrast=0.3, level=0.5)
+    rng = np.random.default_rng(0)
+    rows = np.array([render_texture(params, 2, 1, rng)[0] for _ in range(2000)])
+    sin, cos = (rows - params.level).T / params.contrast
+    assert abs(np.mean(cos + 1j * sin)) < 0.08
+
+
+def test_preset_gratings_stay_inside_the_pixel_range():
+    """No preset grating is clipped, so each stays a pure sinusoid."""
+    for spec in (two_class_spec(0.5), artefact_pair_spec()):
+        for cls in spec.classes:
+            for tex in (cls.object_texture, cls.background_texture):
+                assert 0.0 <= tex.level - tex.contrast, cls.name
+                assert tex.level + tex.contrast <= 1.0, cls.name
+
+
 def test_artefact_pair_preset_is_valid_and_subtle():
     spec = artefact_pair_spec(seed=1, train_per_class=2, test_per_class=1)
     assert spec.class_names == ("tagged", "plain")

@@ -8,12 +8,15 @@ into a temporary copy of the tree. There the module's own test file and
 `tests/test_acceptance.py` run with `-x`. A mutant they pass survives:
 either a test is missing or the change is equivalent.
 
-The sites are a seeded sample, so a run can be repeated:
+The sites are a sample of `SITES` per module drawn with seed `SEED`,
+so a run can be repeated:
 
-    python tools/mutants.py imaging synth --sites 25 --seed 0
+    python tools/mutants.py imaging synth
 
 It prints one line per mutant and exits 1 when any survives. The
-unchanged tree is tested first; a failure there stops the run.
+unchanged tree is tested first; a failure there stops the run, and its
+duration times `TIMEOUT_FACTOR` bounds each mutant's run, so a mutant
+that loops forever is stopped (and counts as killed).
 """
 
 from __future__ import annotations
@@ -27,8 +30,12 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SITES = 25
+SEED = 0
+TIMEOUT_FACTOR = 10
 SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
 SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
@@ -69,9 +76,10 @@ def mutate(source: str, site: tuple[int, int]) -> tuple[str, str]:
     return ast.unparse(tree) + "\n", f"line {node.lineno}: {change}"
 
 
-def run_tests(tree_dir: str, tests: list[str], timeout: float) -> str | None:
-    """None when `tests` pass in `tree_dir`, else what stopped them: the
-    first failing test id, or the timeout."""
+def run_tests(tree_dir: str, tests: list[str], timeout: float | None) -> str | None:
+    """None when `tests` pass in `tree_dir` within `timeout` seconds (no
+    bound when None), else what stopped them: the first failing test id,
+    or the timeout."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree_dir, "src"),
                PYTHONDONTWRITEBYTECODE="1")
     try:
@@ -90,11 +98,6 @@ def run_tests(tree_dir: str, tests: list[str], timeout: float) -> str | None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+", help="module names under src/fvlrp")
-    parser.add_argument("--sites", type=int, default=25,
-                        help="mutants per module (default: 25)")
-    parser.add_argument("--seed", type=int, default=0, help="sampling seed")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds per test run (default: 600)")
     args = parser.parse_args(argv)
     work = tempfile.mkdtemp(prefix="mutants-")
     survivors = 0
@@ -111,18 +114,20 @@ def main(argv=None) -> int:
             # the baseline is the module as unparsed, like every mutant
             with open(os.path.join(work, rel), "w", encoding="utf-8") as fh:
                 fh.write(ast.unparse(ast.parse(source)) + "\n")
-            stopped = run_tests(work, tests, args.timeout)
+            start = time.monotonic()
+            stopped = run_tests(work, tests, None)
             if stopped is not None:
                 print(f"{module}: the unchanged tree fails ({stopped})")
                 return 2
+            timeout = TIMEOUT_FACTOR * (time.monotonic() - start)
             every = sites(ast.parse(source))
-            chosen = sorted(random.Random(args.seed).sample(every, min(args.sites, len(every))))
-            print(f"{module}: {len(chosen)} of {len(every)} sites, seed {args.seed}")
+            chosen = sorted(random.Random(SEED).sample(every, min(SITES, len(every))))
+            print(f"{module}: {len(chosen)} of {len(every)} sites, seed {SEED}")
             for site in chosen:
                 mutant, what = mutate(source, site)
                 with open(os.path.join(work, rel), "w", encoding="utf-8") as fh:
                     fh.write(mutant)
-                stopped = run_tests(work, tests, args.timeout)
+                stopped = run_tests(work, tests, timeout)
                 survivors += stopped is None
                 verdict = "SURVIVED" if stopped is None else f"killed by {stopped}"
                 print(f"  {module}.py {what}: {verdict}", flush=True)

@@ -11,9 +11,11 @@ at all, and at rho=1 it identifies the class.
 
 Every image is generated from its own ``SeedSequence((corpus seed,
 split, class, index))`` stream, so corpora are reproducible bit for bit
-and generation order (serial or parallel) cannot matter. Its pixels are
-quantized by :func:`fvlrp.imaging.levels8`, so an image equals what its PGM
-decodes to.
+and generation order (serial or parallel) cannot matter. A corpus builds
+each texture's argument grid once and evaluates the object grating only
+under its mask, by the same elementwise operations, so its images equal
+the full-frame formula bit for bit. Pixels are quantized by
+:func:`fvlrp.imaging.levels8`, so an image equals what its PGM decodes to.
 
 The two presets, :func:`two_class_spec` and :func:`artefact_pair_spec`,
 build every class from one recipe: the same object and background
@@ -132,22 +134,31 @@ class LabeledImage:
                 raise SpecError(f"box {box} exceeds image bounds")
 
 
+def _texture_argument(params: TextureParams, width: int, height: int) -> np.ndarray:
+    """2*pi*f*(x cos o + y sin o), shape (height, width): the phase-free argument."""
+    y, x = np.ogrid[0:height, 0:width]
+    carrier = x * np.cos(params.orientation) + y * np.sin(params.orientation)
+    return 2.0 * np.pi * params.frequency * carrier
+
+
+def _grating(params: TextureParams, argument: np.ndarray,
+             rng: np.random.Generator) -> np.ndarray:
+    """The texture at each `argument` value, at a phase drawn from `rng`."""
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    return np.clip(params.level + params.contrast * np.sin(argument + phase), 0.0, 1.0)
+
+
 def render_texture(params: TextureParams, width: int, height: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Texture values in [0, 1], shape (height, width)."""
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-    y, x = np.mgrid[0:height, 0:width].astype(np.float64)
-    carrier = x * np.cos(params.orientation) + y * np.sin(params.orientation)
-    values = params.level + params.contrast * np.sin(
-        2.0 * np.pi * params.frequency * carrier + phase)
-    return np.clip(values, 0.0, 1.0)
+    return _grating(params, _texture_argument(params, width, height), rng)
 
 
 def shape_mask(shape: str, size: int, center: tuple[int, int],
                width: int, height: int) -> np.ndarray:
     """Boolean object mask; `center` is (cx, cy)."""
     cx, cy = center
-    y, x = np.mgrid[0:height, 0:width]
+    y, x = np.ogrid[0:height, 0:width]
     dx, dy = x - cx, y - cy
     half = size / 2.0
     if shape == "disk":
@@ -159,25 +170,25 @@ def shape_mask(shape: str, size: int, center: tuple[int, int],
 
 
 def _tight_box(mask: np.ndarray, label: str) -> BoundingBox:
-    ys, xs = np.nonzero(mask)
-    return BoundingBox(label, int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
+    ys, xs = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    return BoundingBox(label, int(xs[0]), int(ys[0]), int(xs[-1]), int(ys[-1]))
 
 
-def _render_one(spec: CorpusSpec, class_idx: int, split: int, index: int) -> LabeledImage:
+def _render_one(spec: CorpusSpec, arguments: dict, class_idx: int, split: int,
+                index: int) -> LabeledImage:
     cls = spec.classes[class_idx]
     rng = np.random.default_rng(
         np.random.SeedSequence((spec.seed, split, class_idx, index)))
     # Background choice implements the context correlation.
     if rng.random() < spec.context_correlation:
-        bg_cls = cls
+        background = cls.background_texture
     else:
-        bg_cls = spec.classes[rng.integers(0, len(spec.classes))]
-    pixels = render_texture(bg_cls.background_texture, spec.width, spec.height, rng)
+        background = spec.classes[rng.integers(0, len(spec.classes))].background_texture
+    pixels = _grating(background, arguments[background], rng)
     cx = int(rng.integers(*centre_range(cls.shape_size, spec.width)))
     cy = int(rng.integers(*centre_range(cls.shape_size, spec.height)))
     mask = shape_mask(cls.shape, cls.shape_size, (cx, cy), spec.width, spec.height)
-    obj = render_texture(cls.object_texture, spec.width, spec.height, rng)
-    pixels = np.where(mask, obj, pixels)
+    pixels[mask] = _grating(cls.object_texture, arguments[cls.object_texture][mask], rng)
     # 8-bit levels, so an image equals what save_image/load_image return.
     pixels = levels8(pixels) / 255.0
     split_name = "train" if split == 0 else "test"
@@ -187,11 +198,17 @@ def _render_one(spec: CorpusSpec, class_idx: int, split: int, index: int) -> Lab
 
 
 def generate_corpus(spec: CorpusSpec) -> tuple[list[LabeledImage], list[LabeledImage]]:
-    """Deterministic (train, test) lists, grouped by class then index."""
-    train = [_render_one(spec, ci, 0, i)
+    """Deterministic (train, test) lists, grouped by class then index. Each
+    texture's argument grid is built once per call and the object grating
+    is evaluated only under its mask; images equal the full-frame formula
+    bit for bit."""
+    arguments = {tex: _texture_argument(tex, spec.width, spec.height)
+                 for cls in spec.classes
+                 for tex in (cls.object_texture, cls.background_texture)}
+    train = [_render_one(spec, arguments, ci, 0, i)
              for ci in range(len(spec.classes))
              for i in range(spec.train_per_class)]
-    test = [_render_one(spec, ci, 1, i)
+    test = [_render_one(spec, arguments, ci, 1, i)
             for ci in range(len(spec.classes))
             for i in range(spec.test_per_class)]
     return train, test

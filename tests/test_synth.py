@@ -1,11 +1,13 @@
 """Corpus generation: determinism, context statistics, and the corner tag."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fvlrp.errors import SpecError
-from fvlrp.imaging import BoundingBox, Image, load_image, save_image
-from fvlrp.synth import (ClassSpec, CorpusSpec, LabeledImage, TextureParams,
+from fvlrp.imaging import BoundingBox, Image, levels8, load_image, save_image
+from fvlrp.synth import (SHAPES, ClassSpec, CorpusSpec, LabeledImage, TextureParams,
                          artefact_pair_spec, checkerboard_tag, generate_corpus,
                          inject_artefact, label_vectors, render_texture,
                          shape_mask, two_class_spec)
@@ -49,18 +51,90 @@ def test_pixels_survive_pgm_round_trip(tmp_path):
 
 
 def test_boxes_are_tight():
+    """On flat white objects over a black background the object is the
+    set of white pixels: each box's centre redraws exactly that mask, and
+    the box is the mask's extremes."""
     mask = shape_mask("disk", 10, (20, 24), 48, 48)
     ys, xs = np.nonzero(mask)
-    spec = tiny_spec(0.0)
-    train, _ = generate_corpus(spec)
-    for im in train[:4]:
-        box = im.boxes[0]
-        # shrinking the box by one row/column on any side must cut object
-        # pixels; verify via the rendering invariant that box edges touch
-        # the mask extremes
-        assert 0 <= box.xmin <= box.xmax < im.image.width
-        assert 0 <= box.ymin <= box.ymax < im.image.height
-    assert xs.min() == 20 - 5 and xs.max() == 20 + 5
+    assert (xs.min(), xs.max(), ys.min(), ys.max()) == (15, 25, 19, 29)
+    classes = tuple(
+        ClassSpec(shape, shape, size, TextureParams(f, contrast=0.0, level=1.0),
+                  TextureParams(f, contrast=0.0, level=0.0))
+        for shape, size, f in (("disk", 11, 0.1), ("cross", 14, 0.2)))
+    train, test = generate_corpus(CorpusSpec(48, 40, classes, 0.0, 8, 4, seed=2))
+    for im in train + test:
+        box, cls = im.boxes[0], classes[SHAPES.index(im.labels[0])]
+        centre = ((box.xmin + box.xmax) // 2, (box.ymin + box.ymax) // 2)
+        mask = shape_mask(cls.shape, cls.shape_size, centre, 48, 40)
+        np.testing.assert_array_equal(mask, im.image.pixels == 1.0, im.image_id)
+        ys, xs = np.nonzero(mask)
+        assert (box.xmin, box.ymin, box.xmax, box.ymax) == (
+            xs.min(), ys.min(), xs.max(), ys.max()), im.image_id
+
+
+def _full_frame_render(spec):
+    """(pixels, box, image id) of every image by the full-frame formula:
+    both gratings over an `np.mgrid` frame, the object's taken under its
+    mask by `np.where`, the box from the mask's nonzero coordinates."""
+    y, x = np.mgrid[0:spec.height, 0:spec.width].astype(np.float64)
+
+    def grating(tex, rng):
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        carrier = x * np.cos(tex.orientation) + y * np.sin(tex.orientation)
+        values = tex.level + tex.contrast * np.sin(
+            2.0 * np.pi * tex.frequency * carrier + phase)
+        return np.clip(values, 0.0, 1.0)
+
+    rendered = []
+    for split, name, count in ((0, "train", spec.train_per_class),
+                               (1, "test", spec.test_per_class)):
+        for ci, cls in enumerate(spec.classes):
+            for i in range(count):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence((spec.seed, split, ci, i)))
+                bg = (cls if rng.random() < spec.context_correlation
+                      else spec.classes[rng.integers(0, len(spec.classes))])
+                background = grating(bg.background_texture, rng)
+                half = cls.shape_size // 2 + 1
+                dx = x - rng.integers(half, spec.width - half)
+                dy = y - rng.integers(half, spec.height - half)
+                r = cls.shape_size / 2.0
+                if cls.shape == "disk":
+                    mask = dx * dx + dy * dy <= r * r
+                else:
+                    arm = max(cls.shape_size // 4, 1) / 2.0
+                    mask = (((np.abs(dy) <= arm) & (np.abs(dx) <= r)) |
+                            ((np.abs(dx) <= arm) & (np.abs(dy) <= r)))
+                pixels = np.where(mask, grating(cls.object_texture, rng), background)
+                rows, cols = np.nonzero(mask)
+                box = BoundingBox(cls.name, int(cols.min()), int(rows.min()),
+                                  int(cols.max()), int(rows.max()))
+                rendered.append((levels8(pixels) / 255.0, box,
+                                 f"{name}-{cls.name}-{i:04d}"))
+    return rendered
+
+
+@pytest.mark.parametrize("spec", [
+    *(pytest.param(two_class_spec(rho, seed=size, train_per_class=4, test_per_class=2,
+                                  size=size), id=f"two-class-{rho}-{size}")
+      for rho in (0.0, 0.5, 1.0) for size in (33, 48)),
+    pytest.param(artefact_pair_spec(seed=7, train_per_class=4, test_per_class=2),
+                 id="artefact-pair"),
+    pytest.param(CorpusSpec(48, 40, two_class_spec(0.5).classes, 0.5, 6, 3, seed=9),
+                 id="two-class-48x40"),
+])
+def test_corpus_equals_the_full_frame_render_byte_for_byte(spec):
+    """Every image, box and id, also after `inject_artefact` on the
+    `tagged` class of the artefact pair, equals the full-frame render."""
+    train, test = generate_corpus(spec)
+    rendered = _full_frame_render(spec)
+    assert len(train + test) == len(rendered)
+    for im, (pixels, box, image_id) in zip(train + test, rendered):
+        ref = LabeledImage(Image(pixels), im.labels, (box,), image_id)
+        for a, b in ((im, ref), (inject_artefact(im, "tagged"),
+                                 inject_artefact(ref, "tagged"))):
+            assert (a.image_id, a.boxes, a.flags) == (b.image_id, b.boxes, b.flags)
+            assert a.image.pixels.tobytes() == b.image.pixels.tobytes(), image_id
 
 
 def _orientation_energy(gray):
@@ -293,3 +367,17 @@ def test_every_preset_class_turns_its_object_grating_from_its_background():
         for cls in spec.classes:
             turn = cls.object_texture.orientation - cls.background_texture.orientation
             assert turn == pytest.approx(np.pi / 4.0, abs=1e-12), cls.name
+
+
+def test_presets_default_to_the_fixed_workload_sizes():
+    """Both presets default to seed 0, 100 train and 20 test images per
+    class, 64 px a side."""
+    assert two_class_spec(0.0) == two_class_spec(0.0, 0, 100, 20, 64)
+    assert artefact_pair_spec() == artefact_pair_spec(0, 100, 20, 64)
+
+
+def test_artefact_pair_is_the_disk_class_and_its_tilted_twin():
+    disk = two_class_spec(0.0).classes[0]
+    tagged, plain = artefact_pair_spec().classes
+    assert replace(tagged, name=disk.name) == disk
+    assert (plain.shape, plain.shape_size) == (disk.shape, disk.shape_size)

@@ -32,7 +32,8 @@ import numpy as np
 
 from . import report
 from .config import PipelineConfig, load_config
-from .descriptors import decode_cells, descriptor_count, encode_cells
+from .descriptors import (CellGrids, decode_cells, descriptor_count,
+                          descriptors_from_cells, encode_cells)
 from .errors import (DependencyError, IoError, ParseError, PipelineError,
                      UsageError, ValidationError, VerificationError)
 from .evaluation import compare_orderings, context_report
@@ -47,7 +48,7 @@ from .serialization import deserialize_model, serialize_model
 from .svm import score
 from .synth import LabeledImage
 from .util import read_file, stable_hash, write_file
-from .verification import run_all, same_descriptors
+from .verification import run_all
 
 _VARIANT_FLAGS = {"plain": "plain", "eps": "epsilon", "abs": "absolute"}
 
@@ -325,9 +326,8 @@ def _cmd_extract(config: PipelineConfig, args, run: _Run) -> None:
           f"(patch {config.patch}, stride {config.stride})")
 
 
-def _load_descriptor_sets(run: _Run, split: str) -> tuple[int, Iterator]:
-    """The split's rows, and its descriptor sets built one at a time as
-    they are iterated, so a consumer that drops each set holds one."""
+def _load_cells(run: _Run, split: str) -> tuple[int, CellGrids]:
+    """The split's rows, and its cell grids, one view of the file's bytes."""
     images = len(run.entries(split))
     return (_split_rows(run.config, images),
             decode_cells(run.read(_cells_rel(split)), images))
@@ -335,13 +335,13 @@ def _load_descriptor_sets(run: _Run, split: str) -> tuple[int, Iterator]:
 
 def _project_split(run: _Run, split: str, pca):
     """The split's projected descriptors, one matrix."""
-    rows, sets = _load_descriptor_sets(run, split)
-    return project_all(pca, sets, rows)
+    rows, cells = _load_cells(run, split)
+    return project_all(pca, [cells], rows)
 
 
 def _cmd_pca_fit(config: PipelineConfig, args, run: _Run) -> None:
-    rows, sets = _load_descriptor_sets(run, "train")
-    model, _ = fit_pca_pooled(sets, rows, config)
+    rows, cells = _load_cells(run, "train")
+    model, _ = fit_pca_pooled([cells], rows, config)
     print(f"pca-fit: {model.raw_dim} -> {model.dim} dims on {rows} descriptors")
     run.write("models/pca.json", [serialize_model(model)])
 
@@ -489,8 +489,10 @@ def _trained_model_checks(run: _Run) -> list:
     results = []
 
     img = next(run.images("test"))
-    _, sets = _load_descriptor_sets(run, "test")
-    ok = same_descriptors(next(sets), next(extract_corpus([img], run.config)))
+    _, cells = _load_cells(run, "test")
+    want = next(extract_corpus([img], run.config)).vectors
+    ok = descriptors_from_cells(cells.grids[:1], cells.patch,
+                                cells.stride).tobytes() == want.tobytes()
     results.append(CheckResult(
         "trained-descriptors", ok,
         f"stored cell grid of {img.image_id} gives extract_dense's descriptors "

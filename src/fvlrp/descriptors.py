@@ -14,10 +14,12 @@ So patch origins must lie on the cell grid: `patch % 4 == 0` and
 `stride % (patch // 4) == 0`, unless the image holds one patch per axis.
 `extract_dense` is two steps: `cell_grid` bins the cells, and
 `descriptors_from_cells` gathers, normalizes and places each patch's
-4x4 cells; the set keeps its grid. A split's grids are stored as one
-CELL1 file (`encode_cells`), and `decode_cells` runs the same second
-step on each stored grid, so a decoded set equals the extracted one bit
-for bit.
+4x4 cells; the set keeps its grid. The second step takes a stack of
+grids of images of one size (`CellGrids`) and builds all their rows in
+one pass, each row bit for bit what its image gives alone, so training
+builds a block of images at a time. A split's grids are stored as one
+CELL1 file (`encode_cells`), which `decode_cells` reads back as one
+stack.
 
 Every descriptor keeps its receptive field: the (x, y, w, h) patch
 rectangle it was computed from, used later to spread relevance onto
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,25 +156,35 @@ def cell_grid(img: Image, patch: int, stride: int) -> np.ndarray:
     return cells.reshape(ny, nx, N_ORI)
 
 
-def descriptors_from_cells(cells: np.ndarray, width: int, height: int,
-                           patch: int, stride: int) -> DescriptorSet:
-    """The descriptors of a width x height image from its `cell_grid`:
-    the second step of `extract_dense`. Each descriptor is the 4x4 cells
-    under its patch, normalized and clamped; its area follows from the
-    geometry."""
-    xs, ys = patch_origins(width, height, patch, stride)
+class CellGrids(NamedTuple):
+    """The (m, ny, nx, 8) `cell_grid`s of m images of one width x height,
+    binned for one patch and stride."""
+
+    grids: np.ndarray
+    width: int
+    height: int
+    patch: int
+    stride: int
+
+
+def descriptors_from_cells(cells: np.ndarray, patch: int, stride: int,
+                           out: np.ndarray | None = None) -> np.ndarray:
+    """The descriptor rows of a stack of m images' cell grids (m, ny, nx,
+    8), image after image: the second step of `extract_dense`. Each
+    descriptor is the 4x4 cells under its patch, normalized and clamped;
+    the block's rows are gathered, normalized and clamped in one pass,
+    into `out` when given, a C-contiguous (rows, RAW_DIM) block. A row
+    depends only on its own cells, bit for bit."""
     # The 4x4 cells under each patch, row-major over the grid: every
     # window of 4x4 cells, taken each `stride` pixels, copied once.
     step = max(stride // (patch // N_CELLS), 1)
     windows = np.lib.stride_tricks.sliding_window_view(
-        cells, (N_CELLS, N_CELLS), axis=(0, 1))
-    hist = windows[::step, ::step].transpose(0, 1, 3, 4, 2).copy().reshape(-1, RAW_DIM)
-    areas = np.empty((len(ys), len(xs), 4), dtype=np.int64)
-    areas[..., 0] = np.arange(0, xs.stop, stride)
-    areas[..., 1] = np.arange(0, ys.stop, stride)[:, None]
-    areas[..., 2:] = patch
-    areas = areas.reshape(-1, 4)
-    return DescriptorSet(_normalize_clamped(hist), areas, (width, height), cells)
+        cells, (N_CELLS, N_CELLS), axis=(1, 2))[:, ::step, ::step]
+    windows = windows.transpose(0, 1, 2, 4, 5, 3)
+    if out is None:
+        out = np.empty((math.prod(windows.shape[:3]), RAW_DIM))
+    out.reshape(windows.shape)[...] = windows
+    return _normalize_clamped(out)
 
 
 def extract_dense(img: Image, patch: int, stride: int) -> DescriptorSet:
@@ -181,8 +194,14 @@ def extract_dense(img: Image, patch: int, stride: int) -> DescriptorSet:
     patch rectangle fits inside the image; descriptors are emitted
     row-major (y outer, x inner).
     """
-    return descriptors_from_cells(cell_grid(img, patch, stride),
-                                  img.width, img.height, patch, stride)
+    cells = cell_grid(img, patch, stride)
+    xs, ys = patch_origins(img.width, img.height, patch, stride)
+    areas = np.empty((len(ys), len(xs), 4), dtype=np.int64)
+    areas[..., 0] = np.arange(0, xs.stop, stride)
+    areas[..., 1] = np.arange(0, ys.stop, stride)[:, None]
+    areas[..., 2:] = patch
+    return DescriptorSet(descriptors_from_cells(cells[None], patch, stride),
+                         areas.reshape(-1, 4), (img.width, img.height), cells)
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +307,13 @@ def encode_cells(grids: Iterable[np.ndarray], width: int, height: int,
                             chunks())
 
 
-def decode_cells(data: bytes, count: int) -> Iterator[DescriptorSet]:
-    """The descriptor sets of `encode_cells` bytes that hold `count`
-    images, each built from its grid as it is reached: bit for bit what
-    `extract_dense` gives its image. Bytes whose geometry `extract_dense`
-    refuses, or whose image count is not `count`, are a `ParseError`,
-    raised by this call, before any set is built."""
+def decode_cells(data: bytes, count: int) -> CellGrids:
+    """The `count` cell grids of `encode_cells` bytes, one read-only
+    (count, ny, nx, 8) view of the bytes, with their geometry:
+    `descriptors_from_cells` builds from them, bit for bit, the
+    descriptors `extract_dense` gives each image. Bytes whose geometry
+    `extract_dense` refuses, or whose image count is not `count`, are a
+    `ParseError`."""
     shape = []
 
     def body_size(width, height, patch, stride, images):
@@ -308,5 +328,4 @@ def decode_cells(data: bytes, count: int) -> Iterator[DescriptorSet]:
     (width, height, patch, stride, images), body = parse_container(
         data, _CELLS_MAGIC, 5, body_size)
     grids = np.frombuffer(body, dtype="<f8").reshape(images, *shape)
-    return (descriptors_from_cells(cells, width, height, patch, stride)
-            for cells in grids)
+    return CellGrids(grids, width, height, patch, stride)

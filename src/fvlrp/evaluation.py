@@ -6,13 +6,12 @@ Two instruments:
   replaced, in batches, by samples drawn from the mixture model, and
   the raw Fisher vector is updated incrementally rather than
   recomputed. `compare_orderings` scores every image from its raw FV
-  x0 (`fisher.aggregate`) and forms the embeddings Psi of its
-  descriptors only for the images it keeps (`fisher.embed_batch`).
-  Both read the moment inputs of `fisher`'s one builder, so x0 is the
-  raw FV `fisher.encode` gives; encoding every image to share that pass
-  would form Psi for the images not kept as well. All traces of an
-  image are one array computation (`replace_traces`), dimension-major
-  as Psi is stored: each trace draws its replacements with one
+  x0 and forms the embeddings Psi of its descriptors only for the
+  images it keeps, both from one pass of `fisher`'s moment inputs
+  (`fisher.encode_lazily`), so x0 and Psi are what `fisher.encode`
+  gives and each image's responsibilities are computed once. All
+  traces of an image are one array computation (`replace_traces`),
+  dimension-major as Psi is stored: each trace draws its replacements with one
   sampling call on its own generator; the draws of every trace are embedded with one
   batch embedding; the raw FV after step i is the cumulative update
   ``x_i = x0 + sum_{j<=i} sum_{l in batch j} (Psi(new_l) - Psi(old_l)) / |L|``;
@@ -44,7 +43,7 @@ import numpy as np
 from .descriptors import DescriptorSet, PcaModel, extract_dense, pca_apply
 from .errors import (DimError, EmptyInputError, RangeError, UndefinedError,
                      ValidationError)
-from .fisher import aggregate, embed_batch, encode, improve
+from .fisher import embed_batch, encode, encode_lazily, improve
 from .gmm import GmmModel, sample
 from .imaging import BoundingBox, Heatmap
 from .lrp_fv import VARIANTS, R2Map, explain, relevance_r2, relevance_r3
@@ -233,7 +232,8 @@ def compare_orderings(images: list[LabeledImage], class_name: str,
 
     Only images the model predicts positive for `class_name` are used;
     each image is scored from its raw FV, and the embeddings behind the
-    traces are formed only for the images kept.
+    traces are formed, from the same moment inputs, only for the images
+    kept.
     Each ordering is run `repetitions` times with independent
     replacement-sampling seeds; random orderings also redraw the order
     itself per repetition. With no positive image, A and V are undefined:
@@ -250,27 +250,22 @@ def compare_orderings(images: list[LabeledImage], class_name: str,
     if repetitions < 1:
         raise RangeError("repetitions must be >= 1")
     tau = float(svm_model.thresholds[svm_model.class_index(class_name)])
-    prepared = []
+    ordering_ids = [f"lrp-{v}" for v in variants] + ["random"]
+    all_traces: dict = {oid: [] for oid in ordering_ids}
+    rep_areas: dict = {oid: np.zeros(repetitions) for oid in ordering_ids}
+    kept = 0
     for img in images:
-        ds = pca_apply(pca, extract_dense(img.image, patch, stride))
-        _check_trace_size(batch, steps, len(ds))
-        x0 = aggregate(gmm, ds.vectors)
+        vectors = pca_apply(pca, extract_dense(img.image, patch, stride)).vectors
+        _check_trace_size(batch, steps, len(vectors))
+        x0, psi_of = encode_lazily(gmm, vectors)
         phi = improve(x0)
         f = score(svm_model, phi, class_name)
         # switch statistics need a sign to lose, so f > 0 on top of the
         # configured decision threshold
-        if f > tau and f > 0.0:
-            prepared.append((ds.vectors, x0, phi))
-    ordering_ids = [f"lrp-{v}" for v in variants] + ["random"]
-    if not prepared:
-        return OrderingReport(class_name, dict.fromkeys(ordering_ids),
-                              {oid: np.zeros(0) for oid in ordering_ids},
-                              {oid: [] for oid in ordering_ids}, 0, batch, steps)
-
-    all_traces: dict = {oid: [] for oid in ordering_ids}
-    rep_areas: dict = {oid: np.zeros(repetitions) for oid in ordering_ids}
-    for ii, (vectors, x0, phi) in enumerate(prepared):
-        psi = embed_batch(gmm, vectors)
+        if not (f > tau and f > 0.0):
+            continue
+        ii, kept = kept, kept + 1
+        psi = psi_of()
         r3 = relevance_r3(svm_model, phi, class_name)
         plans = []
         for vi, variant in enumerate(variants):
@@ -287,10 +282,14 @@ def compare_orderings(images: list[LabeledImage], class_name: str,
         for t, trace in enumerate(traces):
             all_traces[trace.ordering_id].append(trace)
             rep_areas[trace.ordering_id][t % repetitions] += area_above(trace)
+    if not kept:
+        return OrderingReport(class_name, dict.fromkeys(ordering_ids),
+                              {oid: np.zeros(0) for oid in ordering_ids},
+                              all_traces, 0, batch, steps)
     stats = {oid: sign_switch_fraction(ts) for oid, ts in all_traces.items()}
-    per_rep = {oid: areas / len(prepared) for oid, areas in rep_areas.items()}
+    per_rep = {oid: areas / kept for oid, areas in rep_areas.items()}
     return OrderingReport(class_name, stats, per_rep, all_traces,
-                          len(prepared), batch, steps)
+                          kept, batch, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -14,18 +14,18 @@ K mean blocks of D, K sigma blocks of D], giving a (1+2D)K vector. The
 image-level raw Fisher vector is their arithmetic mean over descriptors.
 `aggregate` computes it from per-component moments of the
 responsibilities (Sanchez et al., IJCV 2013) without forming the
-embeddings, and `encode` gives the embeddings Psi together with that
-same raw FV; it equals the mean of Psi up to rounding (about 1e-15 at
-the defaults). Both read one set of moment inputs, the responsibilities
-and the standardized deviations, which only `_columns` builds, so
-`encode`'s raw FV is `aggregate`'s bit for bit. Psi has one
-implementation, `embed_batch`, the Psi half of `encode`. It is built
-dimension-major, as the C-contiguous ((1+2D)K, n) array whose rows are
-the FV dimensions, in one pass over all live components, and handed out
-as its transposed (n, (1+2D)K) view: relevance redistribution and the
-MoRF kernel read Psi one FV dimension at a time. Every kernel takes a
-descriptor matrix; `embed_descriptor` is the single-row form of
-`embed_batch`.
+embeddings; it equals the mean of Psi up to rounding (about 1e-15 at
+the defaults). `aggregate_images` does so for a block of sets of one
+size in one pass, each row bit for bit its set's `aggregate`. `encode`
+gives the embeddings Psi with the same raw FV, and `encode_lazily` the
+raw FV with a call that forms Psi. All read one set of moment inputs,
+the responsibilities and the standardized deviations, which only
+`_columns` builds, so every raw FV is `aggregate`'s bit for bit. Psi has
+one implementation, `embed_batch`. It is built dimension-major, as the
+C-contiguous ((1+2D)K, n) array whose rows are the FV dimensions, in one
+pass over all live components, and handed out as its transposed
+(n, (1+2D)K) view: relevance redistribution and the MoRF kernel read Psi
+one FV dimension at a time. `embed_descriptor` is its single-row form.
 
 The improved form phi applies the signed square root followed by l2
 normalization, which is equivalent to the Hellinger kernel on the raw
@@ -35,7 +35,7 @@ vector (see :func:`hellinger_check`). Both are plain (1+2D)K arrays;
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,21 +99,24 @@ class EmbeddingIndex:
 
 
 def _columns(model: GmmModel, vectors: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+             ) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray]:
     """The inputs both the raw FV and Psi are read off, dimension-major:
-    the live components, the responsibilities gamma (K, n) and the
-    standardized deviations t = (x - mu_k) / sigma_k (|live|, D, n),
-    each descriptor's values one column. The only builder of them; a
-    `vectors` that is not (n, D) is refused by `responsibilities`."""
+    the live components (a slice when all are), the responsibilities
+    gamma (K, n) and the standardized deviations t = (x - mu_k) / sigma_k
+    (|live|, D, n), each descriptor's values one column. The only builder
+    of them; a `vectors` that is not (n, D) is refused by
+    `responsibilities`."""
     gamma = responsibilities(model, vectors).T
     live = np.flatnonzero(model.weights)
+    if live.size == model.n_components:
+        live = slice(None)  # indexing by it copies nothing
     t = np.subtract(np.ascontiguousarray(np.transpose(vectors), dtype=np.float64),
                     model.means[live, :, None])
     t /= model.sigmas[live, :, None]
     return live, gamma, t
 
 
-def _psi_t(model: GmmModel, live: np.ndarray, gamma: np.ndarray,
+def _psi_t(model: GmmModel, live: np.ndarray | slice, gamma: np.ndarray,
            t: np.ndarray) -> np.ndarray:
     """Psi transposed, the C-contiguous ((1+2D)K, n) array, from the
     dimension-major moment inputs, all live components at once; `t` is
@@ -159,10 +162,11 @@ def embed_descriptor(model: GmmModel, descriptor: np.ndarray) -> np.ndarray:
     return embed_batch(model, descriptor[None, :])[0]
 
 
-def _moments_fv(model: GmmModel, live: np.ndarray, gamma: np.ndarray,
-                t: np.ndarray) -> np.ndarray:
-    """The raw FV, the mean of Psi over the n descriptors, from the
-    per-component moments S0 = sum gamma_k, S1 = sum gamma_k t and
+def _moments_fv(model: GmmModel, live: np.ndarray | slice, gamma: np.ndarray,
+                t: np.ndarray, images: int) -> np.ndarray:
+    """The raw FVs, one row per image, of `images` equal consecutive runs
+    of the n descriptor columns, each the mean of Psi over its run, from
+    the per-component moments S0 = sum gamma_k, S1 = sum gamma_k t and
     S2 = sum gamma_k t*t (Sanchez et al., IJCV 2013):
 
         w:     (S0 / n - w_k) / sqrt(w_k)
@@ -170,27 +174,53 @@ def _moments_fv(model: GmmModel, live: np.ndarray, gamma: np.ndarray,
         sigma: (S2 - S0) / n / sqrt(2) / sqrt(w_k)
 
     Zero-weight components keep zero blocks. The inputs are `_columns`'s
-    and are not written. The moments are matmuls over a row-major
-    (|live|, n, D) copy of `t`: a matmul over another layout rounds
-    differently, and the squares are formed on that copy, so no third
-    array of t's size is held.
+    and are not written. S1 and S2 of all images are each one stacked
+    matmul over a row-major (|live| * images, n, D) copy of `t`: one
+    (1, n) x (n, D) product per component and image, the one an image
+    alone makes, so each row is bit for bit its image's `aggregate`. A
+    matmul over another layout rounds differently. The squares are
+    formed on that copy, so no third array of t's size is held.
     """
     k, d = model.n_components, model.dim
-    n = t.shape[2]
+    n = t.shape[2] // images
     if n == 0:
         raise EmptyInputError("cannot aggregate an empty descriptor set")
-    t = t.transpose(0, 2, 1).copy()  # never a view: `t *= t` must not write the caller's
-    w = model.weights[live]
-    sqrt_w = np.sqrt(w)[:, None]
-    g = np.ascontiguousarray(gamma[live])[:, None, :]  # (|live|, 1, n)
-    s0 = g.sum(axis=2)
-    fv = np.zeros(fv_length(k, d))
-    fv[live] = (s0[:, 0] / n - w) / sqrt_w[:, 0]
-    fv[k:k + k * d].reshape(k, d)[live] = np.matmul(g, t)[:, 0] / n / sqrt_w
+    # a copy, never a view: `t *= t` must not write the caller's
+    t = t.reshape(-1, d, images, n).transpose(0, 2, 3, 1).copy().reshape(-1, n, d)
+    w = model.weights[live][:, None, None]
+    sqrt_w = np.sqrt(w)
+    g = gamma[live].reshape(-1, 1, n)  # (|live| * images, 1, n)
+    s0 = g.sum(axis=2).reshape(-1, images, 1)
+    fv = np.zeros((images, fv_length(k, d)))
+    fv[:, :k][:, live] = ((s0 / n - w) / sqrt_w)[..., 0].T
+    fv[:, k:k + k * d].reshape(images, k, d)[:, live] = (
+        np.matmul(g, t).reshape(-1, images, d) / n / sqrt_w).transpose(1, 0, 2)
     t *= t
-    fv[k + k * d:].reshape(k, d)[live] = ((np.matmul(g, t)[:, 0] - s0) / n
-                                          * INV_SQRT2 / sqrt_w)
+    fv[:, k + k * d:].reshape(images, k, d)[:, live] = (
+        (np.matmul(g, t).reshape(-1, images, d) - s0) / n * INV_SQRT2
+        / sqrt_w).transpose(1, 0, 2)
     return fv
+
+
+def aggregate_images(model: GmmModel, vectors: np.ndarray, images: int
+                     ) -> np.ndarray:
+    """The raw FVs of `images` sets of equal size held as consecutive row
+    blocks of `vectors`, one row each, from one `_columns` pass: each row
+    bit for bit what `aggregate` gives its set alone."""
+    if len(vectors) % images:
+        raise DimError(f"{len(vectors)} descriptors are not {images} equal sets")
+    return _moments_fv(model, *_columns(model, vectors), images)
+
+
+def encode_lazily(model: GmmModel, vectors: np.ndarray
+                  ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """The raw FV, bit for bit as `aggregate` gives it, and a call that
+    forms Psi, as `embed_batch` gives it, from the same `_columns` pass,
+    for a caller that needs Psi only for some sets. The call overwrites
+    the deviations it reads, so it is made at most once."""
+    live, gamma, t = _columns(model, vectors)
+    return (_moments_fv(model, live, gamma, t, 1)[0],
+            lambda: _psi_t(model, live, gamma, t).T)
 
 
 def encode(model: GmmModel, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,15 +228,14 @@ def encode(model: GmmModel, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray
     transposed view `embed_batch` gives), and the raw FV, bit for bit as
     `aggregate` gives it; both are read off one `_columns` pass, the raw
     FV first, since `_psi_t` overwrites the deviations."""
-    live, gamma, t = _columns(model, vectors)
-    raw = _moments_fv(model, live, gamma, t)
-    return _psi_t(model, live, gamma, t).T, raw
+    raw, psi = encode_lazily(model, vectors)
+    return psi(), raw
 
 
 def aggregate(model: GmmModel, vectors: np.ndarray) -> np.ndarray:
     """The raw (1+2D)K Fisher vector of a descriptor matrix: the mean of
     its embeddings, from per-component moments, without forming them."""
-    return _moments_fv(model, *_columns(model, vectors))
+    return _moments_fv(model, *_columns(model, vectors), 1)[0]
 
 
 def improve(x: np.ndarray) -> np.ndarray:

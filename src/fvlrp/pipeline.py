@@ -8,28 +8,32 @@ drawn from explicitly derived seeds, so a run is reproducible bit for
 bit.
 
 Memory: PCA is fit on the pooled raw training descriptors, the largest
-array of a training run. They are held once. `fit_pca_pooled` takes the
-raw sets one at a time, copies each into one pooled matrix and centres
-that matrix in place; `fit_pca` then projects its row blocks into one
-projected matrix. The pooled matrix is consumed, and a caller that
-passes a generator holds no other copy. A split's projected descriptors
-are likewise one matrix (`PooledSets`, from `fit_pca` or `project_all`),
-which EM subsamples without concatenating a copy.
+array of a training run. They are held once: `fit_pca_pooled` builds
+each block of up to BLOCK images of one size straight into its rows of
+one pooled matrix and centres that matrix in place; `fit_pca` then
+projects it image by image into one projected matrix and drops it.
+`project_all` builds and projects one block at a time, so it holds one
+block's raw descriptors. A split's projected descriptors are one matrix
+(`PooledSets`), which EM subsamples without a copy and `embed_all`
+embeds a block at a time.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import groupby, islice
 
 import numpy as np
 
 from .config import PipelineConfig
-from .descriptors import (RAW_DIM, DescriptorSet, PcaModel, descriptor_count,
+from .descriptors import (RAW_DIM, CellGrids, DescriptorSet, PcaModel, cell_grid,
+                          descriptor_count, descriptors_from_cells,
                           extract_dense, pca_apply, pca_fit_inplace)
 from .errors import DimError
-from .fisher import aggregate, improve
+from .fisher import aggregate, aggregate_images, improve
 from .gmm import GmmModel, em_fit
+from .imaging import Image
 from .lrp_nn import NeuralNet, image_to_input, nn_train
 from .svm import SvmModel, train, with_thresholds
 from .synth import (LabeledImage, generate_corpus, inject_artefact,
@@ -72,87 +76,106 @@ def extract_corpus(images: Iterable[LabeledImage], config: PipelineConfig
         yield extract_dense(img.image, config.patch, config.stride)
 
 
+# Images per block: consecutive images of one size are encoded BLOCK at a
+# time, so numpy's per-call cost is paid once per block, not per image. A
+# block's embedding temporaries grow with it, and at 169 descriptors per
+# image blocks of 20 or more left the heap larger than one image at a time.
+BLOCK = 16
+
+
+def cell_stacks(images: Iterable[Image], patch: int, stride: int
+                ) -> Iterator[CellGrids]:
+    """The images' cell grids, each binned once (`cell_grid`), in blocks of
+    up to BLOCK consecutive images of one size."""
+    for (width, height), run in groupby(images, key=lambda im: (im.width, im.height)):
+        while grids := [cell_grid(im, patch, stride) for im in islice(run, BLOCK)]:
+            yield CellGrids(np.stack(grids), width, height, patch, stride)
+
+
 @dataclass(frozen=True)
-class PooledSets(Sequence):
-    """Descriptor sets held as consecutive row blocks of one matrix:
-    each set's `vectors` is a view of `vectors`."""
+class PooledSets:
+    """A split's descriptors as one matrix, each image's a row block in
+    corpus order; `blocks` holds the (images, rows per image) of each
+    block of up to BLOCK images of one size."""
 
     vectors: np.ndarray
-    sets: tuple[DescriptorSet, ...]
+    blocks: tuple[tuple[int, int], ...]
 
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def __getitem__(self, i):
-        return self.sets[i]
+    def block_rows(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Each block's image count and rows, a view of `vectors`."""
+        stop = 0
+        for images, n in self.blocks:
+            start, stop = stop, stop + images * n
+            yield images, self.vectors[start:stop]
 
     @classmethod
-    def fill(cls, sets: Iterable[DescriptorSet], rows: int, dim: int,
-             write: Callable[[DescriptorSet, np.ndarray], object]) -> PooledSets:
-        """One (rows, dim) matrix, each set's block written by
-        `write(ds, block)` as the set comes; `rows` must be their total."""
+    def fill(cls, stacks: Iterable[CellGrids], rows: int, dim: int,
+             write: Callable[[CellGrids, np.ndarray], object]) -> PooledSets:
+        """One (rows, dim) matrix, each block's rows written by
+        `write(block, rows)`; `rows` must be the stacks' descriptor count."""
         vectors = np.empty((rows, dim))
-        views = []
+        blocks = []
         stop = 0
-        for ds in sets:
-            start, stop = stop, stop + len(ds)
-            if stop > rows:
-                raise DimError(f"more than the expected {rows} descriptors")
-            write(ds, vectors[start:stop])
-            views.append(DescriptorSet(vectors[start:stop], ds.areas, ds.image_size))
+        for stack in stacks:
+            n = descriptor_count(stack.width, stack.height, stack.patch, stack.stride)
+            for i in range(0, len(stack.grids), BLOCK):
+                block = stack._replace(grids=stack.grids[i:i + BLOCK])
+                start, stop = stop, stop + len(block.grids) * n
+                if stop > rows:
+                    raise DimError(f"more than the expected {rows} descriptors")
+                write(block, vectors[start:stop])
+                blocks.append((len(block.grids), n))
         if stop != rows:
             raise DimError(f"expected {rows} descriptors, got {stop}")
-        return cls(vectors, tuple(views))
+        return cls(vectors, tuple(blocks))
 
 
-def _check_raw_dim(ds: DescriptorSet, raw_dim: int) -> None:
-    if ds.dim != raw_dim:
-        raise DimError(f"descriptor dim {ds.dim}, expected {raw_dim}")
+def _project(centred: np.ndarray, images: int, basis: np.ndarray,
+             out: np.ndarray) -> None:
+    """One gemm per image, bit for bit `pca_apply`; one over the block is not."""
+    for x, y in zip(centred.reshape(images, -1, centred.shape[1]),
+                    out.reshape(images, -1, out.shape[1])):
+        np.matmul(x, basis.T, out=y)
 
 
-def fit_pca_pooled(descriptor_sets: Iterable[DescriptorSet], rows: int,
+def fit_pca_pooled(stacks: Iterable[CellGrids], rows: int,
                    config: PipelineConfig) -> tuple[PcaModel, PooledSets]:
     """PCA on the pooled raw training descriptors, and those descriptors
-    centred.
-
-    `descriptor_sets` yields the raw training sets, `rows` descriptors in
-    all. Each set is copied into one (rows, RAW_DIM) matrix as it comes,
-    and the fit centres that matrix in place (`pca_fit_inplace`). So the
-    raw training descriptors are held once: no concatenated copy, no
-    centred copy, and a generator's sets are dropped as soon as they are
-    copied.
-    """
-    def copy(ds, block):
-        _check_raw_dim(ds, RAW_DIM)
-        block[...] = ds.vectors
-
-    raw = PooledSets.fill(descriptor_sets, rows, RAW_DIM, copy)
+    centred: `rows` of them, built from `stacks` straight into one
+    (rows, RAW_DIM) matrix, which the fit centres in place
+    (`pca_fit_inplace`), so no per-image, concatenated or centred copy
+    is made."""
+    raw = PooledSets.fill(stacks, rows, RAW_DIM, lambda block, out: (
+        descriptors_from_cells(block.grids, block.patch, block.stride, out)))
     return pca_fit_inplace(raw.vectors, config.pca_dim), raw
 
 
-def fit_pca(descriptor_sets: Iterable[DescriptorSet], rows: int,
+def fit_pca(stacks: Iterable[CellGrids], rows: int,
             config: PipelineConfig) -> tuple[PcaModel, PooledSets]:
     """PCA on the pooled raw training descriptors (`fit_pca_pooled`), and
-    every set projected: each set's centred row block times the basis,
-    bit for bit what `pca_apply` gives, written into one (rows, pca_dim)
-    matrix. The pooled matrix is consumed and freed on return.
+    every image projected, bit for bit as `pca_apply`, into one (rows,
+    pca_dim) matrix. The pooled matrix is consumed and freed on return.
     """
-    pca, centred = fit_pca_pooled(descriptor_sets, rows, config)
-    projected = PooledSets.fill(
-        centred.sets, rows, pca.dim,
-        lambda ds, block: np.matmul(ds.vectors, pca.basis.T, out=block))
+    pca, centred = fit_pca_pooled(stacks, rows, config)
+    projected = PooledSets(np.empty((rows, pca.dim)), centred.blocks)
+    for (images, x), (_, y) in zip(centred.block_rows(), projected.block_rows()):
+        _project(x, images, pca.basis, y)
     return pca, projected
 
 
-def project_all(pca: PcaModel, descriptor_sets: Iterable[DescriptorSet],
-                rows: int) -> PooledSets:
-    """Every set projected, bit for bit as `pca_apply`, into one matrix;
-    `rows` is the sets' total descriptor count."""
-    def project(ds, block):
-        _check_raw_dim(ds, pca.raw_dim)
-        np.matmul(ds.vectors - pca.mean, pca.basis.T, out=block)
+def project_all(pca: PcaModel, stacks: Iterable[CellGrids], rows: int
+                ) -> PooledSets:
+    """Every image's descriptors built and projected a block at a time,
+    bit for bit as `pca_apply`, into one matrix; `rows` is their count."""
+    if pca.raw_dim != RAW_DIM:
+        raise DimError(f"descriptor dim {RAW_DIM}, expected {pca.raw_dim}")
 
-    return PooledSets.fill(descriptor_sets, rows, pca.dim, project)
+    def project(block, out):
+        raw = descriptors_from_cells(block.grids, block.patch, block.stride)
+        raw -= pca.mean
+        _project(raw, len(block.grids), pca.basis, out)
+
+    return PooledSets.fill(stacks, rows, pca.dim, project)
 
 
 def fit_gmm(projected: PooledSets, config: PipelineConfig) -> GmmModel:
@@ -164,11 +187,11 @@ def fit_gmm(projected: PooledSets, config: PipelineConfig) -> GmmModel:
                   max_iter=config.gmm_max_iter, tol=config.gmm_tol)
 
 
-def _gmm_sample_size(projected: Sequence[DescriptorSet], config: PipelineConfig) -> int:
-    return min(config.gmm_sample_count, sum(len(ds) for ds in projected))
+def _gmm_sample_size(projected: PooledSets, config: PipelineConfig) -> int:
+    return min(config.gmm_sample_count, projected.vectors.shape[0])
 
 
-def em_stop(gmm: GmmModel, projected: Sequence[DescriptorSet], config: PipelineConfig
+def em_stop(gmm: GmmModel, projected: PooledSets, config: PipelineConfig
             ) -> tuple[int, str, float | None]:
     """Why `fit_gmm` stopped, read off the model's log-likelihood trace.
 
@@ -189,14 +212,15 @@ def em_stop(gmm: GmmModel, projected: Sequence[DescriptorSet], config: PipelineC
     return steps, "likelihood decrease", gain
 
 
-def embed_all(gmm: GmmModel, projected: Sequence[DescriptorSet]) -> np.ndarray:
-    """The raw FV of every set, each aggregated on its own, one row each.
-
-    One responsibilities pass over a split's pooled rows gives the same
-    bits, but its (rows, K) temporaries leave the heap larger, and the
-    next PCA fit's peak then sits on top of it.
+def embed_all(gmm: GmmModel, projected: PooledSets) -> np.ndarray:
+    """The raw FV of every image, one row each, bit for bit its
+    `aggregate`: one `_columns` pass and one moment product per block
+    (`fisher.aggregate_images`). A pass over a whole split's rows would
+    give the same bits, but its (rows, K) temporaries leave the heap
+    larger, and the next PCA fit's peak then sits on top of it.
     """
-    return np.stack([aggregate(gmm, ds.vectors) for ds in projected])
+    return np.concatenate([aggregate_images(gmm, rows, images)
+                           for images, rows in projected.block_rows()])
 
 
 def train_svm(labelled: Sequence, features: np.ndarray,
@@ -233,7 +257,8 @@ def train_all(train_images: list[LabeledImage], classes: tuple[str, ...],
     rows = sum(descriptor_count(img.image.width, img.image.height,
                                 config.patch, config.stride)
                for img in train_images)
-    pca, projected = fit_pca(extract_corpus(train_images, config), rows, config)
+    pca, projected = fit_pca(cell_stacks((img.image for img in train_images),
+                                         config.patch, config.stride), rows, config)
     gmm = fit_gmm(projected, config)
     features = improve(embed_all(gmm, projected))
     svm_model = train_svm(train_images, features, classes, config)

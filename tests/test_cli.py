@@ -517,23 +517,25 @@ def test_stored_fisher_vectors_equal_the_per_image_path(pipeline):
 
 
 def test_stored_descriptor_sets_equal_extract_dense(pipeline):
-    """Every set read back from `descriptors/<split>.cells` is what
-    `extract_dense` gives its image, bit for bit: vectors, areas, image
-    size and cell grid."""
+    """Every image's cell grid read back from `descriptors/<split>.cells`,
+    and the descriptors built from it, are what `extract_dense` gives the
+    image, bit for bit, and the file's geometry is the run's."""
     out, config_path = pipeline
     config = load_config(config_path)
     run = cli._Run(str(out), "predict", config)
     for split in ("train", "test"):
         images = list(run.images(split))
-        loaded = list(descriptors.decode_cells(
-            (out / "descriptors" / f"{split}.cells").read_bytes(), len(images)))
-        assert len(loaded) == len(images)
-        for img, ds in zip(images, loaded):
+        cells = descriptors.decode_cells(
+            (out / "descriptors" / f"{split}.cells").read_bytes(), len(images))
+        assert cells[1:] == (config.corpus_size, config.corpus_size,
+                             config.patch, config.stride)
+        rows = np.split(descriptors.descriptors_from_cells(
+            cells.grids, config.patch, config.stride), len(images))
+        for img, grid, vectors in zip(images, cells.grids, rows, strict=True):
             want = descriptors.extract_dense(img.image, config.patch, config.stride)
-            assert ds.vectors.tobytes() == want.vectors.tobytes(), img.image_id
-            assert ds.areas.tobytes() == want.areas.tobytes(), img.image_id
-            assert ds.image_size == want.image_size, img.image_id
-            assert ds.cells.tobytes() == want.cells.tobytes(), img.image_id
+            assert vectors.tobytes() == want.vectors.tobytes(), img.image_id
+            assert cells[1:3] == want.image_size, img.image_id
+            assert grid.tobytes() == want.cells.tobytes(), img.image_id
 
 
 def test_descriptors_and_embeddings_are_one_file_per_split(pipeline):

@@ -11,7 +11,7 @@ from fvlrp.errors import DimError, ExtractError, FitError, IoError, ParseError
 from fvlrp.fisher import (decode_fisher_vectors, encode_fisher_vectors,
                           fv_length)
 from fvlrp.imaging import Heatmap, Image, decode_heatmap, encode_heatmap
-from fvlrp.pipeline import make_corpus
+from fvlrp.pipeline import BLOCK, make_corpus
 from fvlrp.util import load_file, write_file
 from fvlrp.verification import (TILING_GEOMETRIES, oracle_extract_dense,
                                 same_descriptors)
@@ -116,6 +116,19 @@ def test_cell_sharing_equals_per_patch_oracle(rng, patch, stride):
                                 oracle_extract_dense(img, patch, stride))
 
 
+def test_stride_one_is_a_tiling_geometry(rng):
+    """Patch 4 has cells of one pixel, so stride 1 keeps them on the grid."""
+    img = Image(rng.random((7, 9)))
+    assert same_descriptors(extract_dense(img, 4, 1), oracle_extract_dense(img, 4, 1))
+
+
+def test_two_patches_per_axis_need_cells_that_tile():
+    # patch 8, stride 3: origins 0 and 3 on an 11-pixel axis, off the
+    # grid of 2-pixel cells
+    with pytest.raises(ExtractError, match="tile"):
+        extract_dense(Image(np.zeros((11, 11))), patch=8, stride=3)
+
+
 def test_fixed_workload_corpus_matches_oracle_bitwise():
     # Guards the numpy/BLAS assumption the kernel rests on (batched
     # matmul norms equal np.dot per row) on real synthetic images.
@@ -163,6 +176,14 @@ def test_pca_projection_centers_data(rng):
     np.testing.assert_array_equal(projected.areas, ds.areas)
 
 
+def test_pca_rank_check_is_relative_to_the_data_scale(rng):
+    """Data a millionth the size has covariance eigenvalues near 1e-12,
+    all of full rank: the axes are those of the data at scale 1."""
+    data = rng.normal(size=(50, 5))
+    np.testing.assert_allclose(pca_fit(data * 1e-6, 3).basis,
+                               pca_fit(data, 3).basis, atol=1e-12)
+
+
 def test_pca_rejects_rank_deficient(rng):
     flat = np.tile(rng.normal(size=(1, 5)), (50, 1))
     with pytest.raises(DimError):
@@ -177,7 +198,7 @@ def write_cells(path, grids, *geometry):
 
 
 def read_cells(path, count):
-    """The sets of a CELL1 file; a `ParseError` names the file."""
+    """The cell grids of a CELL1 file; a `ParseError` names the file."""
     return load_file(path, decode_cells, count)
 
 
@@ -190,16 +211,20 @@ def _cells_path(tmp_path, images, patch, stride):
 
 
 def test_descriptor_cache_roundtrip(tmp_path, rng):
-    """Each set `decode_cells` yields is `extract_dense` of its image, bit
-    for bit: one window gather reads both."""
+    """The grids `decode_cells` reads, built in one block, give each image
+    what `extract_dense` gives it, bit for bit: one window gather reads
+    both."""
     for shape, patch, stride in (((20, 20), 8, 6), ((20, 28, 3), 8, 4),
                                  ((16, 18), 16, 6), ((33, 40), 12, 3)):
         images = [Image(rng.random(shape)) for _ in range(3)]
         path = _cells_path(tmp_path, images, patch, stride)
-        loaded = list(read_cells(path, 3))
-        assert len(loaded) == 3
-        for back, img in zip(loaded, images):
-            assert same_descriptors(back, extract_dense(img, patch, stride))
+        cells = read_cells(path, 3)
+        assert cells[1:] == (shape[1], shape[0], patch, stride)
+        rows = descriptors_from_cells(cells.grids, patch, stride)
+        for back, grid, img in zip(np.split(rows, 3), cells.grids, images):
+            want = extract_dense(img, patch, stride)
+            assert back.tobytes() == want.vectors.tobytes()
+            assert grid.tobytes() == want.cells.tobytes()
 
 
 def test_extract_dense_is_its_two_steps(rng):
@@ -207,10 +232,25 @@ def test_extract_dense_is_its_two_steps(rng):
     cells = cell_grid(img, 8, 4)
     assert cells.shape == (12, 10, 8)  # cells of side 2
     ds = extract_dense(img, 8, 4)
-    assert same_descriptors(descriptors_from_cells(cells, 20, 24, 8, 4), ds)
+    assert descriptors_from_cells(cells[None], 8, 4).tobytes() == ds.vectors.tobytes()
     # the set keeps the grid it was gathered from, which `extract` stores
     assert ds.cells.tobytes() == cells.tobytes()
     assert pca_apply(pca_fit(ds.vectors, 4), ds).cells is None
+
+
+@pytest.mark.parametrize("patch,stride", TILING_GEOMETRIES)
+def test_a_block_builds_what_each_image_extracts_alone(rng, patch, stride):
+    """Images built a block at a time, the last block short, into the
+    rows of one matrix, give each image's `extract_dense` rows, bit for
+    bit, on every tiling geometry."""
+    images = [Image(rng.random((3 * patch, 2 * patch + 5))) for _ in range(BLOCK + 2)]
+    grids = np.stack([cell_grid(img, patch, stride) for img in images])
+    want = np.concatenate([extract_dense(img, patch, stride).vectors for img in images])
+    rows = np.full_like(want, np.nan)
+    split = BLOCK * len(want) // len(images)
+    descriptors_from_cells(grids[:BLOCK], patch, stride, out=rows[:split])
+    descriptors_from_cells(grids[BLOCK:], patch, stride, out=rows[split:])
+    assert rows.tobytes() == want.tobytes()
 
 
 def test_descriptor_cache_rejects_corruption(tmp_path, rng):
@@ -218,7 +258,7 @@ def test_descriptor_cache_rejects_corruption(tmp_path, rng):
     data = path.read_bytes()
     (tmp_path / "bad.cells").write_bytes(b"XXXXX" + data[5:])
     with pytest.raises(ParseError):
-        list(read_cells(tmp_path / "bad.cells", 1))
+        read_cells(tmp_path / "bad.cells", 1)
 
 
 def _cells_file(path, rng):
@@ -227,7 +267,7 @@ def _cells_file(path, rng):
 
 
 def _load_cells_file(path):
-    return list(read_cells(path, 2))
+    return read_cells(path, 2)
 
 
 def _fvec_file(path, rng):
@@ -300,7 +340,7 @@ def test_cells_loader_refuses_a_header_extraction_never_writes(tmp_path, case):
     path.write_bytes(b"CELL1" + np.array(_BAD_CELL_HEADERS[case], "<u4").tobytes()
                      + body)
     with pytest.raises(ParseError, match="a.cells"):
-        list(read_cells(path, 1))
+        read_cells(path, 1)
 
 
 @pytest.mark.parametrize("write, load", [(_cells_file, read_cells),
@@ -312,7 +352,7 @@ def test_a_file_of_another_image_count_is_refused_naming_it(tmp_path, rng,
     write(path, rng)
     for count in (1, 3):
         with pytest.raises(ParseError, match=r"split\.bin: holds 2 .*expected"):
-            list(load(path, count))
+            load(path, count)
 
 
 def test_descriptor_cache_bytes_match_record_layout(tmp_path, rng):
@@ -333,13 +373,16 @@ def test_cells_writer_refuses_a_grid_of_another_shape_or_count(tmp_path, rng):
 
 
 def test_loaded_descriptors_own_writable_arrays(tmp_path, rng):
+    """The grids read are a read-only view of the bytes; the descriptors
+    built from them are numpy's own writable arrays."""
     path = _cells_path(tmp_path, [Image(rng.random((16, 16)))], 8, 4)
-    back = next(read_cells(path, 1))
-    for arr, dtype in ((back.vectors, np.float64), (back.areas, np.int64)):
-        assert arr.dtype == dtype and arr.flags.c_contiguous
-        assert arr.flags.writeable
-        root = arr
-        while root.base is not None:
-            root = root.base
-        # the memory is numpy's own, not the bytes read from the file
-        assert isinstance(root, np.ndarray) and root.flags.owndata
+    cells = read_cells(path, 1)
+    assert not cells.grids.flags.writeable
+    vectors = descriptors_from_cells(cells.grids, 8, 4)
+    assert vectors.dtype == np.float64 and vectors.flags.c_contiguous
+    assert vectors.flags.writeable
+    root = vectors
+    while root.base is not None:
+        root = root.base
+    # the memory is numpy's own, not the bytes read from the file
+    assert isinstance(root, np.ndarray) and root.flags.owndata

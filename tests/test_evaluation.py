@@ -6,7 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fvlrp import evaluation
+from fvlrp import evaluation, fisher
+from fvlrp import gmm as gmm_module
 from fvlrp.config import PipelineConfig
 from fvlrp.descriptors import DescriptorSet, extract_dense, pca_apply
 from fvlrp.errors import (EmptyInputError, RangeError, UndefinedError,
@@ -302,7 +303,7 @@ def test_compare_orderings_makes_one_replacement_pass_per_image(
         micro_bundle, micro_corpus, monkeypatch):
     _, _, test_imgs = micro_corpus
     calls = []
-    for name in ("aggregate", "embed_batch", "sample", "score", "improve"):
+    for name in ("encode_lazily", "embed_batch", "sample", "score", "improve"):
         def counted(*args, _name=name, _fn=getattr(evaluation, name), **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
@@ -316,16 +317,39 @@ def test_compare_orderings_makes_one_replacement_pass_per_image(
                                    variants=("epsilon", "absolute"), batch=2,
                                    steps=steps, repetitions=3, seed=0)
         assert 1 <= report.n_images < len(test_imgs)
-        # every image is scored from its raw FV alone; Psi is formed only
-        # for the positive ones, then one embedding of all of their draws
-        assert calls.count("aggregate") == len(test_imgs)
-        assert calls.count("embed_batch") == 2 * report.n_images
+        # every image is scored from its raw FV; Psi is formed, from the
+        # same pass, only for the positive ones, then one embedding of all
+        # of their draws
+        assert calls.count("encode_lazily") == len(test_imgs)
+        assert calls.count("embed_batch") == report.n_images
         assert calls.count("sample") == report.n_images * 3 * 3
         counts.append((calls.count("score"), calls.count("improve")))
     # f(x) is improved and scored per image, and the kernel's steps in one
     # call per image: never once per step
     assert counts[0] == counts[1]
     assert counts[0] == (len(test_imgs) + 2 * report.n_images,) * 2
+
+
+def test_compare_orderings_computes_responsibilities_once_per_image(
+        micro_bundle, micro_corpus, monkeypatch):
+    """One responsibilities pass scores an image and gives the Psi of a
+    kept one; the kernel adds one for each kept image's draws."""
+    _, _, test_imgs = micro_corpus
+    original = gmm_module.responsibilities
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (gmm_module, fisher, evaluation):
+        if getattr(module, "responsibilities", None) is original:
+            monkeypatch.setattr(module, "responsibilities", counted)
+    report = compare_orderings(test_imgs, micro_bundle.classes[0], micro_bundle.gmm,
+                               micro_bundle.pca, micro_bundle.svm, batch=2,
+                               steps=3, repetitions=2, seed=0)
+    assert 1 <= report.n_images < len(test_imgs)
+    assert len(calls) == len(test_imgs) + report.n_images
 
 
 def test_each_trace_draws_from_a_stream_of_its_own(micro_bundle, micro_corpus,

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvlrp.errors import DegenerateInputError, DimError, EmptyInputError
-from fvlrp.fisher import (EmbeddingIndex, aggregate, decode_fisher_vectors,
-                          embed_batch, embed_descriptor, encode,
-                          encode_fisher_vectors, fv_length, hellinger_check,
-                          improve, signed_sqrt)
+from fvlrp.fisher import (EmbeddingIndex, aggregate, aggregate_images,
+                          decode_fisher_vectors, embed_batch, embed_descriptor,
+                          encode, encode_fisher_vectors, fv_length,
+                          hellinger_check, improve, signed_sqrt)
 from fvlrp.gmm import GmmModel, responsibilities
 from fvlrp.util import row_norms
 from fvlrp.verification import oracle_embed_batch, random_gmm
@@ -105,6 +105,20 @@ def test_encode_raw_fv_is_aggregate_bitwise(rng, n, dead):
     psi, raw = encode(model, vectors)
     assert raw.tobytes() == aggregate(model, vectors).tobytes()
     assert psi.tobytes() == embed_batch(model, vectors).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 169])
+@pytest.mark.parametrize("dead", [False, True])
+def test_aggregate_images_is_each_sets_aggregate_bitwise(rng, n, dead):
+    model = random_gmm(rng, 4, 5)
+    model = with_dead_component(model) if dead else model
+    vectors = rng.normal(0.0, 2.0, (3 * n, 5))
+    raws = aggregate_images(model, vectors, 3)
+    assert raws.shape == (3, fv_length(4, 5))
+    for raw, rows in zip(raws, np.split(vectors, 3)):
+        assert raw.tobytes() == aggregate(model, rows).tobytes()
+    with pytest.raises(DimError, match="not 3 equal sets"):
+        aggregate_images(model, vectors[1:], 3)
 
 
 def test_zero_weight_component_gives_zero_raw_fv_blocks(rng):

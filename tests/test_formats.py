@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from fvlrp.cli import decode_index
-from fvlrp.descriptors import cell_grid, decode_cells, encode_cells, pca_fit
+from fvlrp.descriptors import (cell_grid, decode_cells, descriptors_from_cells,
+                               encode_cells, pca_fit)
 from fvlrp.errors import ParseError, PipelineError
 from fvlrp.fisher import decode_fisher_vectors, encode_fisher_vectors, fv_length
 from fvlrp.gmm import em_fit
@@ -42,6 +43,12 @@ def _models():
     }
 
 
+def _build_cells(data):
+    """CELL1 bytes decoded and built as the CLI stages build them."""
+    cells = decode_cells(data, 2)
+    return descriptors_from_cells(cells.grids, cells.patch, cells.stride)
+
+
 def _kinds():
     """name -> (good bytes, decoder of bytes)."""
     rng = np.random.default_rng(40)
@@ -63,7 +70,7 @@ def _kinds():
             lambda data: [decode_boxes(e.boxes) for e in decode_index(data)]),
         "CELL1": (b"".join(encode_cells((cell_grid(img, 8, 4) for img in images),
                                         12, 12, 8, 4, 2)),
-                  lambda data: list(decode_cells(data, 2))),
+                  _build_cells),
         "FVEC2": (b"".join(encode_fisher_vectors(
                       rng.normal(size=(2, fv_length(3, 2))), 3, 2)),
                   lambda data: decode_fisher_vectors(data, 2)),

@@ -12,7 +12,7 @@ from fvlrp.descriptors import descriptor_count
 from fvlrp.errors import DimError, FitError, RangeError
 from fvlrp.gmm import (GmmModel, _log_joint, _m_step, _normalize, em_fit,
                        log_likelihood, responsibilities, sample)
-from fvlrp.pipeline import extract_corpus, fit_gmm, fit_pca, make_corpus
+from fvlrp.pipeline import cell_stacks, fit_gmm, fit_pca, make_corpus
 from fvlrp.verification import random_gmm
 
 
@@ -332,7 +332,8 @@ def seed0_em():
     train, _, _ = make_corpus(config)
     rows = sum(descriptor_count(img.image.width, img.image.height,
                                 config.patch, config.stride) for img in train)
-    _, projected = fit_pca(extract_corpus(train, config), rows, config)
+    _, projected = fit_pca(cell_stacks((img.image for img in train), config.patch,
+                                       config.stride), rows, config)
     seen = []
 
     def recording_em_fit(data, *args, **kwargs):

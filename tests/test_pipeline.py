@@ -9,22 +9,23 @@ from hypothesis import strategies as st
 
 from fvlrp.cli import main as cli_main
 from fvlrp.config import PipelineConfig, load_config
-from fvlrp.descriptors import (RAW_DIM, DescriptorSet, descriptor_count,
+from fvlrp.descriptors import (RAW_DIM, descriptor_count,
                                extract_dense, pca_apply, pca_fit)
 from fvlrp.errors import DimError, PipelineError, ValidationError
 from fvlrp.evaluation import compare_orderings, context_report
-from fvlrp.fisher import aggregate, embed_batch
+from fvlrp.fisher import aggregate, embed_batch, fv_length
 from fvlrp.gmm import GmmModel
 from fvlrp.imaging import Image
-from fvlrp.pipeline import (em_stop, embed_all, embed_image, fit_pca,
-                            make_corpus, nn_inputs, project_all, train_all,
-                            train_net)
+from fvlrp import fisher, pipeline
+from fvlrp.pipeline import (BLOCK, PooledSets, cell_stacks, em_stop, embed_all,
+                            embed_image, fit_pca, make_corpus, nn_inputs,
+                            project_all, train_all, train_net)
 from fvlrp.verification import random_gmm
 from fvlrp.serialization import save_model
 from fvlrp.svm import score
 from fvlrp.synth import label_vectors
 from fvlrp.verification import NN_TRAIN_TOL, nn_oracle_gap, oracle_nn_train
-from test_cli import STAGES, write_config
+from test_cli import REGEN, STAGES, write_config
 
 
 def test_bundle_shapes(micro_bundle, micro_config):
@@ -50,11 +51,21 @@ def test_em_stop_reads_the_trace(trace, expect):
     gmm = GmmModel(np.ones(1), np.zeros((1, 2)), np.ones((1, 2)), np.ones(2),
                    ll_trace=trace)
     # 12 descriptors, of which EM subsamples gmm_sample_count = 10.
-    projected = [DescriptorSet(np.zeros((6, 2)), np.zeros((6, 4), dtype=np.int64), (8, 8))] * 2
+    projected = PooledSets(np.zeros((12, 2)), ((2, 6),))
     config = PipelineConfig(gmm_max_iter=3, gmm_sample_count=10)
     steps, reason, gain = em_stop(gmm, projected, config)
     assert (steps, reason) == expect[:2]
     assert gain == pytest.approx(expect[2])
+
+
+def test_a_gain_equal_to_gmm_tol_is_not_convergence():
+    """`em_fit` stops on a gain below `gmm_tol`, so a gain equal to it is
+    not the reason EM stopped."""
+    gmm = GmmModel(np.ones(1), np.zeros((1, 2)), np.ones((1, 2)), np.ones(2),
+                   ll_trace=(0.0, 10.0, 15.0))
+    projected = PooledSets(np.zeros((12, 2)), ((2, 6),))
+    config = PipelineConfig(gmm_max_iter=3, gmm_sample_count=10, gmm_tol=0.5)
+    assert em_stop(gmm, projected, config) == (2, "likelihood decrease", 0.5)
 
 
 def test_training_is_deterministic(micro_corpus, micro_config, micro_bundle):
@@ -109,67 +120,107 @@ def fixed_workload():
     return config, train_imgs, classes
 
 
-def assert_pooled_fit_is_concatenated_fit(raw_sets, config):
+def image_rows(pooled, sets):
+    """The pooled matrix's row block of each set."""
+    return np.split(pooled.vectors, np.cumsum([len(ds) for ds in sets])[:-1])
+
+
+def assert_pooled_fit_is_concatenated_fit(images, config):
+    raw_sets = [extract_dense(im, config.patch, config.stride) for im in images]
     rows = sum(len(ds) for ds in raw_sets)
-    pca, projected = fit_pca(iter(raw_sets), rows, config)
+    pca, projected = fit_pca(cell_stacks(iter(images), config.patch, config.stride),
+                             rows, config)
     ref = pca_fit(np.concatenate([ds.vectors for ds in raw_sets]), config.pca_dim)
     assert pca.mean.tobytes() == ref.mean.tobytes()
     assert pca.basis.tobytes() == ref.basis.tobytes()
-    assert len(projected) == len(raw_sets)
-    for got, raw in zip(projected, raw_sets):
-        want = pca_apply(ref, raw)
-        assert got.vectors.tobytes() == want.vectors.tobytes()
-        np.testing.assert_array_equal(got.areas, want.areas)
-        assert got.image_size == want.image_size
+    for got, raw in zip(image_rows(projected, raw_sets), raw_sets, strict=True):
+        assert got.tobytes() == pca_apply(ref, raw).vectors.tobytes()
 
 
 def test_pooled_pca_equals_concatenated_fit_on_fixed_workload(fixed_workload):
     config, train_imgs, _ = fixed_workload
-    raw_sets = [extract_dense(img.image, config.patch, config.stride)
-                for img in train_imgs]
-    assert_pooled_fit_is_concatenated_fit(raw_sets, config)
+    assert_pooled_fit_is_concatenated_fit([img.image for img in train_imgs], config)
 
 
 def test_pooled_pca_equals_concatenated_fit_on_mixed_sizes(rng):
     config = PipelineConfig(pca_dim=20)
-    shapes = [(40, 36), (64, 52)] * 6  # |L| = 6 x 7 and 13 x 10
-    raw_sets = [extract_dense(Image(rng.random(shape)), config.patch, config.stride)
-                for shape in shapes]
-    assert {len(ds) for ds in raw_sets} == {42, 130}
-    for ds, (h, w) in zip(raw_sets, shapes):
-        assert len(ds) == descriptor_count(w, h, config.patch, config.stride)
-    assert_pooled_fit_is_concatenated_fit(raw_sets, config)
+    shapes = [(40, 36), (64, 52)] * 6 + [(40, 36)] * (BLOCK + 2)  # |L| = 6 x 7 and 13 x 10
+    images = [Image(rng.random(shape)) for shape in shapes]
+    assert [len(b.grids) for b in cell_stacks(images, 16, 4)] == [1] * 12 + [BLOCK, 2]
+    assert_pooled_fit_is_concatenated_fit(images, config)
 
 
-@pytest.mark.parametrize("sizes", [(1,), (169,), (1, 169, 1, 1, 169), (169, 1)])
+# image sizes: 16x16 gives 1 descriptor, 16x20 and 20x16 give 2, 64x64 169
+@pytest.mark.parametrize("sizes", [
+    [(16, 16)], [(64, 64)], [(16, 16), (64, 64), (16, 16), (16, 16), (64, 64)],
+    [(64, 64), (16, 16)], [(16, 16)] * (BLOCK + 2),
+    [(64, 64)] * (BLOCK + 1) + [(16, 20)] * 3 + [(20, 16)] * 2 + [(64, 64)] * 2])
 def test_pooled_embedding_equals_per_set_aggregate(rng, sizes):
-    """Sets projected into one matrix and embedded from its row blocks
-    give the raw FV of each set projected and aggregated alone, bit for
-    bit."""
+    """Images projected into one matrix and embedded a block at a time
+    give the raw FV of each image projected and aggregated alone, bit for
+    bit: 1-row and 169-row sets, mixed sizes, across block boundaries."""
     config = PipelineConfig()
-    raw_sets = [DescriptorSet(rng.random((n, RAW_DIM)),
-                              np.zeros((n, 4), dtype=np.int64), (8, 8))
-                for n in sizes]
+    images = [Image(rng.random(shape)) for shape in sizes]
+    raw_sets = [extract_dense(im, config.patch, config.stride) for im in images]
     pca = pca_fit(rng.random((200, RAW_DIM)), config.pca_dim)
     gmm = random_gmm(rng, config.gmm_k, config.pca_dim)
-    projected = project_all(pca, iter(raw_sets), sum(sizes))
-    assert projected.vectors.shape == (sum(sizes), config.pca_dim)
+    projected = project_all(pca, cell_stacks(images, config.patch, config.stride),
+                            sum(len(ds) for ds in raw_sets))
     raws = embed_all(gmm, projected)
-    assert len(raws) == len(sizes)
-    for raw, ds, got in zip(raws, raw_sets, projected):
+    assert raws.shape == (len(images), fv_length(config.gmm_k, config.pca_dim))
+    for raw, ds, got in zip(raws, raw_sets, image_rows(projected, raw_sets), strict=True):
         alone = pca_apply(pca, ds).vectors
-        assert got.vectors.tobytes() == alone.tobytes()
+        assert got.tobytes() == alone.tobytes()
         assert raw.tobytes() == aggregate(gmm, alone).tobytes()
+
+
+def test_project_all_equals_pca_apply_on_the_tiny_geometry():
+    """Patch 16, stride 8 and pca_dim 8 give 49-row images, where one gemm
+    over a whole block rounds otherwise than one per image: every image,
+    built and projected in blocks, is `pca_apply` of its own set."""
+    config = PipelineConfig(**{**REGEN.TINY, "train_per_class": BLOCK})
+    train, test, _ = make_corpus(config)
+    images = [img.image for img in train + test]
+    raw_sets = [extract_dense(im, config.patch, config.stride) for im in images]
+    assert {len(ds) for ds in raw_sets} == {49}
+    pca, _ = fit_pca(cell_stacks(images[:len(train)], config.patch, config.stride),
+                     49 * len(train), config)
+    projected = project_all(pca, cell_stacks(images, config.patch, config.stride),
+                            49 * len(images))
+    for got, ds in zip(image_rows(projected, raw_sets), raw_sets, strict=True):
+        assert got.tobytes() == pca_apply(pca, ds).vectors.tobytes()
 
 
 def test_pooled_pca_refuses_a_wrong_row_count(rng):
     config = PipelineConfig(pca_dim=4)
-    sets = [DescriptorSet(rng.random((5, RAW_DIM)),
-                          np.zeros((5, 4), dtype=np.int64), (8, 8))] * 3
+    images = [Image(rng.random((16, 32)))] * 3  # 5 descriptors each
     with pytest.raises(DimError, match="expected 16"):
-        fit_pca(iter(sets), 16, config)
+        fit_pca(cell_stacks(images, config.patch, config.stride), 16, config)
     with pytest.raises(DimError, match="more than the expected 14"):
-        fit_pca(iter(sets), 14, config)
+        fit_pca(cell_stacks(images, config.patch, config.stride), 14, config)
+
+
+def test_project_all_refuses_a_pca_of_another_raw_dim(rng):
+    pca = pca_fit(rng.random((20, 8)), 2)
+    images = [Image(rng.random((16, 32)))]
+    with pytest.raises(DimError, match=f"descriptor dim {RAW_DIM}, expected 8"):
+        project_all(pca, cell_stacks(images, 16, 4), 5)
+
+
+def test_train_all_bins_each_grid_once_and_embeds_a_block_at_a_time(monkeypatch):
+    """`train_all` bins each training image's cells once, and embeds the
+    split with one responsibilities pass per block of images."""
+    config = PipelineConfig(train_per_class=BLOCK // 2 + 1, test_per_class=1,
+                            gmm_sample_count=500, gmm_max_iter=5, svm_epochs=5)
+    train, _, classes = make_corpus(config)
+    calls = {"cell_grid": 0, "responsibilities": 0}
+    for module, name in ((pipeline, "cell_grid"), (fisher, "responsibilities")):
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    train_all(train, classes, config, with_nn=False)
+    assert calls == {"cell_grid": len(train), "responsibilities": 2}
 
 
 def test_pca_fit_leaves_its_argument_unchanged(rng):
